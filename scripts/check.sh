@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # One-shot quality gate: reprolint + ruff + mypy + tier-1 pytest (with a
-# coverage floor when pytest-cov is installed).
+# coverage floor when pytest-cov is installed) + one smoke-scale run of the
+# end-to-end benchmark, checked against its oracle.
 #
 # Usage: scripts/check.sh [--fast]
 #   --fast  skip the pytest suite (lint/type checks only)
@@ -120,11 +121,21 @@ if [ "$fast" -eq 0 ]; then
     else
         record obs_overhead FAIL
     fi
+
+    # the blocked kernels, the fused gather and the clip path against the
+    # benchmark's own oracle (exits non-zero on a failed check or query)
+    step "benchmark smoke (scan_10k --scale smoke)"
+    if python3 benchmarks/e2e/run.py --workload scan_10k --scale smoke --seconds 2; then
+        record bench_smoke ok
+    else
+        record bench_smoke FAIL
+    fi
 else
     record pytest skip
     record coverage skip
     record obs_tests skip
     record obs_overhead skip
+    record bench_smoke skip
 fi
 
 # -- summary: one line per gate, plus the one-line table ---------------------

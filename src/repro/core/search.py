@@ -41,7 +41,7 @@ from repro.resilience import (
     armed_deadline,
 )
 from repro.runtime import WorkerPool, resolve_workers
-from repro.similarity.dp import dtw_distance, sequence_similarity
+from repro.similarity.dp import span_distances
 from repro.similarity.fusion import CombinedScorer, FeatureWeights, normalize_scores
 from repro.video.generator import SyntheticVideo
 from repro.video.keyframes import KeyFrameExtractor
@@ -684,11 +684,10 @@ class SearchEngine:
             qv = plan.query_vectors[name]
             if prepared_scoring:
                 # the id-sorted prepared stack is cached per generation;
-                # only subsets pay a gather
-                prepared = self._prepared_matrix(name)
-                if plan.rows is not None:
-                    prepared = prepared[plan.rows]
-                per_feature[name] = extractor.batch_distance_prepared(qv, prepared)
+                # subsets are gathered block by block inside the kernel
+                per_feature[name] = extractor.batch_distance_prepared(
+                    qv, self._prepared_matrix(name), plan.rows
+                )
             elif plan.batched:
                 # reference batched path: raw stack + per-call preprocessing
                 matrix = self.store.feature_matrix(
@@ -1042,70 +1041,92 @@ class SearchEngine:
     ) -> List[VideoMatch]:
         names = self._resolve_features(features)
         self._policies.check_stage("search.keyframes")
-        key_frames = [f for _i, f in self.keyframe_extractor.extract(frames)]
+        with self._obs.span("search.video.keyframes"):
+            key_frames = [f for _i, f in self.keyframe_extractor.extract(frames)]
         # per-key-frame extraction is the query-side CPU hot spot; fan it
         # out over the pool (order-preserving, so results are unchanged)
         self._policies.check_stage("search.extract")
         extract = partial(
             _extract_query_features, extractors=self.extractors, names=names
         )
-        query_seq = self._pool.map(extract, key_frames)
+        with self._obs.span("search.video.extract", key_frames=len(key_frames)):
+            query_seq = self._pool.map(extract, key_frames)
         self._policies.check_stage("search.score")
-
-        video_ids = self.store.video_ids()
-        if not video_ids:
+        if not self.store.video_ids():
             return []
+        with self._obs.span("search.video.distance"):
+            per_feature, records, spans = self._clip_distances(query_seq, names)
 
-        # Pairwise per-feature distances between the query sequence and the
-        # *entire* stored frame population, so min-max normalization is
-        # global: a video whose frames are all far from the query must keep
-        # a large cost, not normalize down to zero.
-        all_records: List[FrameRecord] = []
-        spans: Dict[int, slice] = {}
-        for video_id in video_ids:
-            records = self.store.frames_of_video(video_id)
-            spans[video_id] = slice(len(all_records), len(all_records) + len(records))
-            all_records.extend(records)
-
-        nq, nr = len(query_seq), len(all_records)
-        record_ids = [rec.frame_id for rec in all_records]
+        # Each feature is min-max normalized over the *entire* scored frame
+        # population, so normalization is global: a video whose frames are
+        # all far from the query must keep a large cost, not normalize down
+        # to zero.
+        t_fuse = time.perf_counter()
+        nq, nr = len(query_seq), len(records)
         combined = np.zeros((nq, nr))
         total_weight = 0.0
         for name in names:
-            extractor = self.extractors[name]
-            m = np.empty((nq, nr))
-            if self.config.batch_distances:
-                matrix = self.store.feature_matrix(name, record_ids)
-                for i, qf in enumerate(query_seq):
-                    m[i, :] = extractor.batch_distance(qf[name], matrix)
-            else:
-                for i, qf in enumerate(query_seq):
-                    for j, rec in enumerate(all_records):
-                        m[i, j] = extractor.distance(qf[name], rec.features[name])
             w = self.config.weight_of(name)
-            combined += w * normalize_scores(m.ravel()).reshape(nq, nr)
+            combined += w * normalize_scores(per_feature[name].ravel()).reshape(nq, nr)
             total_weight += w
         if total_weight > 0:
             combined /= total_weight
+        self._m_fusion_seconds.observe(time.perf_counter() - t_fuse)
 
-        matches: List[VideoMatch] = []
-        for video_id in video_ids:
-            span = spans[video_id]
-            if span.stop == span.start:
-                continue
-            records = all_records[span]
-            distance = self._sequence_distance(combined[:, span])
-            matches.append(
-                VideoMatch(
-                    video_id=video_id,
-                    video_name=records[0].video_name,
-                    category=records[0].category,
-                    distance=distance,
-                )
+        with self._obs.span("search.video.dp", videos=len(spans)):
+            distances = span_distances(
+                combined,
+                list(spans.values()),
+                method=self.config.sequence_method,
+                gap_penalty=self.config.sequence_gap_penalty,
             )
+        matches = [
+            VideoMatch(
+                video_id=video_id,
+                video_name=records[span.start].video_name,
+                category=records[span.start].category,
+                distance=float(distance),
+            )
+            for (video_id, span), distance in zip(spans.items(), distances)
+        ]
         matches = self._blend_motion(frames, matches)
         matches.sort(key=lambda m: m.distance)
         return matches[: max(0, top_k)]
+
+    def _clip_distances(
+        self, query_seq: Sequence[Dict[str, FeatureVector]], names: List[str]
+    ) -> Tuple[Dict[str, np.ndarray], List[FrameRecord], Dict[int, slice]]:
+        """Raw ``(n_query, n_records)`` distances per feature, with the
+        record order (:meth:`FeatureStore.video_spans`) of their columns.
+
+        One kernel call per query key frame per feature against the
+        generation-cached prepared stack -- never a stacked multi-query
+        kernel, so a shard's columns are bitwise the full store's.
+        """
+        records, spans = self.store.video_spans()
+        nq, nr = len(query_seq), len(records)
+        batched = self.config.batch_distances
+        rows = (
+            self.store.gather_rows([rec.frame_id for rec in records]) if batched else None
+        )
+        per_feature: Dict[str, np.ndarray] = {}
+        for name in names:
+            t_dist = time.perf_counter()
+            extractor = self.extractors[name]
+            m = np.empty((nq, nr))
+            if batched:
+                prepared = self._prepared_matrix(name)
+                for i, qf in enumerate(query_seq):
+                    m[i] = extractor.batch_distance_prepared(qf[name], prepared, rows)
+            else:
+                for i, qf in enumerate(query_seq):
+                    for j, rec in enumerate(records):
+                        m[i, j] = extractor.distance(qf[name], rec.features[name])
+            per_feature[name] = m
+            self._m_distance_seconds.labels(feature=name).observe(
+                time.perf_counter() - t_dist
+            )
+        return per_feature, records, spans
 
     def _blend_motion(self, frames: Sequence[Image], matches: List["VideoMatch"]) -> List["VideoMatch"]:
         """Mix the clip-level motion distance into the appearance ranking.
@@ -1133,21 +1154,6 @@ class SearchEngine:
             VideoMatch(m.video_id, m.video_name, m.category, float(d))
             for m, d in zip(matches, blended)
         ]
-
-    def _sequence_distance(self, cost_matrix: np.ndarray) -> float:
-        """DP distance over a precomputed (fused, globally-normalized) matrix."""
-        nq, nr = cost_matrix.shape
-        indices_q = list(range(nq))
-        indices_r = list(range(nr))
-        def cost(i: int, j: int) -> float:
-            return float(cost_matrix[i, j])
-
-        if self.config.sequence_method == "dtw":
-            return dtw_distance(indices_q, indices_r, cost)
-        return sequence_similarity(
-            indices_q, indices_r, cost, method="align",
-            gap_penalty=self.config.sequence_gap_penalty,
-        )
 
     # -- helpers -------------------------------------------------------------------------
 

@@ -113,6 +113,23 @@ class FeatureStore:
         """The video's key frames in frame-id (i.e. temporal) order."""
         return [self._frames[i] for i in sorted(self._by_video.get(video_id, []))]
 
+    def video_spans(
+        self, video_ids: Optional[Sequence[int]] = None
+    ) -> Tuple[List[FrameRecord], Dict[int, slice]]:
+        """Key frames in video-major order, and each video's slice of it.
+
+        Videos ascending by id (or as listed), frames in temporal order
+        within each: the column order of every clip-query cost matrix, on
+        the engine, the shard workers and the coordinator alike.
+        """
+        records: List[FrameRecord] = []
+        spans: Dict[int, slice] = {}
+        for video_id in self.video_ids() if video_ids is None else video_ids:
+            frames = self.frames_of_video(video_id)
+            spans[video_id] = slice(len(records), len(records) + len(frames))
+            records.extend(frames)
+        return records, spans
+
     # -- mutation -------------------------------------------------------------
 
     def add(self, record: FrameRecord) -> None:
@@ -235,6 +252,13 @@ class FeatureStore:
         else:
             bad = wanted[0]
         raise KeyError(int(bad))
+
+    def gather_rows(self, frame_ids: Sequence[int]) -> Optional[np.ndarray]:
+        """:meth:`matrix_rows`, or None when that is every row in stack order."""
+        rows = self.matrix_rows(frame_ids)
+        if rows.size == self._ids_arr.size and np.array_equal(rows, np.arange(rows.size)):
+            return None
+        return rows
 
     # -- clip-level motion ------------------------------------------------------
 

@@ -23,12 +23,17 @@ from repro.imaging.image import Image
 __all__ = [
     "FeatureVector",
     "FeatureExtractor",
+    "Rows",
     "register_extractor",
     "get_extractor",
     "all_extractors",
     "default_extractors",
     "parse_feature_string",
 ]
+
+
+#: row positions into a stacked matrix (None = every row, in order)
+Rows = Optional[np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -121,8 +126,12 @@ class FeatureExtractor(abc.ABC):
         self._check_pair(a, b)
         return l1(a.values, b.values)
 
-    def batch_distance(self, q: FeatureVector, matrix: np.ndarray) -> np.ndarray:
+    def batch_distance(self, q: FeatureVector, matrix: np.ndarray, rows: Rows = None) -> np.ndarray:
         """Distances from ``q`` to every row of a stacked ``(n, d)`` matrix.
+
+        ``rows`` restricts (and orders) the result to ``matrix[rows]``
+        without the caller materializing that gather: the row-wise kernels
+        of :mod:`repro.similarity.measures` pull the rows block by block.
 
         Subclasses that override :meth:`distance` override this too with
         the matching vectorized measure; this default guarantees agreement
@@ -134,11 +143,11 @@ class FeatureExtractor(abc.ABC):
 
         m = self._check_batch(q, matrix)
         if type(self).distance is FeatureExtractor.distance:
-            return l1_batch(q.values, m)
+            return l1_batch(q.values, m, rows)
         return np.array(
             [
                 self.distance(q, FeatureVector(kind=self.name, values=row, tag=q.tag))
-                for row in m
+                for row in (m if rows is None else (m[i] for i in rows))
             ],
             dtype=np.float64,
         )
@@ -156,9 +165,11 @@ class FeatureExtractor(abc.ABC):
         """
         return np.asarray(matrix, dtype=np.float64)
 
-    def batch_distance_prepared(self, q: FeatureVector, prepared: np.ndarray) -> np.ndarray:
+    def batch_distance_prepared(
+        self, q: FeatureVector, prepared: np.ndarray, rows: Rows = None
+    ) -> np.ndarray:
         """Distances from ``q`` to rows prepared by :meth:`prepare_matrix`."""
-        return self.batch_distance(q, prepared)
+        return self.batch_distance(q, prepared, rows)
 
     def _check_batch(self, q: FeatureVector, matrix: np.ndarray) -> np.ndarray:
         """Validate a query/matrix pair; returns the matrix as float64."""

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.features.base import FeatureExtractor, FeatureVector, register_extractor
+from repro.features.base import FeatureExtractor, FeatureVector, Rows, register_extractor
 from repro.imaging.color import quantize_hsv, quantize_uniform
 from repro.imaging.image import Image
 
@@ -67,17 +67,20 @@ class SimpleColorHistogram(FeatureExtractor):
         pb = b.values / max(1e-12, b.values.sum())
         return float(np.abs(pa - pb).sum())
 
-    def batch_distance(self, q: FeatureVector, matrix: np.ndarray) -> np.ndarray:
+    def batch_distance(self, q: FeatureVector, matrix: np.ndarray, rows: Rows = None) -> np.ndarray:
         """Vectorized normalized-histogram L1 distances."""
         m = self._check_batch(q, matrix)
-        return self.batch_distance_prepared(q, self.prepare_matrix(m))
+        return self.batch_distance_prepared(q, self.prepare_matrix(m), rows)
 
     def prepare_matrix(self, matrix: np.ndarray) -> np.ndarray:
         """Row-normalized histograms (the per-call hot spot, done once)."""
         m = np.asarray(matrix, dtype=np.float64)
         return m / np.maximum(m.sum(axis=1), 1e-12)[:, np.newaxis]
 
-    def batch_distance_prepared(self, q: FeatureVector, prepared: np.ndarray) -> np.ndarray:
+    def batch_distance_prepared(
+        self, q: FeatureVector, prepared: np.ndarray, rows: Rows = None
+    ) -> np.ndarray:
+        from repro.similarity.measures import l1_batch
+
         m = self._check_batch(q, prepared)
-        pq = q.values / max(1e-12, q.values.sum())
-        return np.abs(m - pq).sum(axis=1)
+        return l1_batch(q.values / max(1e-12, q.values.sum()), m, rows)

@@ -25,7 +25,7 @@ import threading
 
 import numpy as np
 
-from repro.features.base import FeatureExtractor, FeatureVector, register_extractor
+from repro.features.base import FeatureExtractor, FeatureVector, Rows, register_extractor
 from repro.imaging import accel
 from repro.imaging.color import quantize_hsv
 from repro.imaging.image import Image
@@ -183,8 +183,8 @@ class AutoColorCorrelogram(FeatureExtractor):
         self._check_pair(a, b)
         return float(np.abs(a.values - b.values).sum())
 
-    def batch_distance(self, q: FeatureVector, matrix: np.ndarray) -> np.ndarray:
+    def batch_distance(self, q: FeatureVector, matrix: np.ndarray, rows: Rows = None) -> np.ndarray:
         """Vectorized L1 distances against a stacked matrix."""
         from repro.similarity.measures import l1_batch
 
-        return l1_batch(q.values, self._check_batch(q, matrix))
+        return l1_batch(q.values, self._check_batch(q, matrix), rows)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.features.base import FeatureExtractor, FeatureVector, register_extractor
+from repro.features.base import FeatureExtractor, FeatureVector, Rows, register_extractor
 from repro.imaging.image import Image
 
 __all__ = ["EdgeHistogram", "edge_type_map"]
@@ -98,8 +98,8 @@ class EdgeHistogram(FeatureExtractor):
         self._check_pair(a, b)
         return float(np.abs(a.values - b.values).sum())
 
-    def batch_distance(self, q: FeatureVector, matrix: np.ndarray) -> np.ndarray:
+    def batch_distance(self, q: FeatureVector, matrix: np.ndarray, rows: Rows = None) -> np.ndarray:
         """Vectorized L1 distances against a stacked matrix."""
         from repro.similarity.measures import l1_batch
 
-        return l1_batch(q.values, self._check_batch(q, matrix))
+        return l1_batch(q.values, self._check_batch(q, matrix), rows)

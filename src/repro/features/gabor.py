@@ -20,7 +20,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from repro.features.base import FeatureExtractor, FeatureVector, register_extractor
+from repro.features.base import FeatureExtractor, FeatureVector, Rows, register_extractor
 from repro.imaging import accel
 from repro.imaging.image import Image
 
@@ -153,8 +153,8 @@ class GaborTexture(FeatureExtractor):
         self._check_pair(a, b)
         return float(np.sqrt(np.sum((a.values - b.values) ** 2)))
 
-    def batch_distance(self, q: FeatureVector, matrix: np.ndarray) -> np.ndarray:
+    def batch_distance(self, q: FeatureVector, matrix: np.ndarray, rows: Rows = None) -> np.ndarray:
         """Vectorized Euclidean distances against a stacked matrix."""
         from repro.similarity.measures import l2_batch
 
-        return l2_batch(q.values, self._check_batch(q, matrix))
+        return l2_batch(q.values, self._check_batch(q, matrix), rows)

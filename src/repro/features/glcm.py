@@ -26,7 +26,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from repro.features.base import FeatureExtractor, FeatureVector, register_extractor
+from repro.features.base import FeatureExtractor, FeatureVector, Rows, register_extractor
 from repro.imaging import accel
 from repro.imaging.image import Image
 from repro.imaging.resize import resize_array
@@ -216,9 +216,9 @@ class GlcmTexture(FeatureExtractor):
         mask = denom > 1e-12
         return float(np.sum(np.abs(va - vb)[mask] / denom[mask]))
 
-    def batch_distance(self, q: FeatureVector, matrix: np.ndarray) -> np.ndarray:
+    def batch_distance(self, q: FeatureVector, matrix: np.ndarray, rows: Rows = None) -> np.ndarray:
         """Vectorized Canberra distances (pixelCounter column excluded)."""
         from repro.similarity.measures import canberra_batch
 
         m = self._check_batch(q, matrix)
-        return canberra_batch(q.values[1:], m[:, 1:])
+        return canberra_batch(q.values[1:], m[:, 1:], rows)

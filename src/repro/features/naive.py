@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.features.base import FeatureExtractor, FeatureVector, register_extractor
+from repro.features.base import FeatureExtractor, FeatureVector, Rows, register_extractor
 from repro.imaging.image import Image
 from repro.video.keyframes import BASE_SIZE, GRID, SAMPLE_SIZE, frame_signature
 
@@ -47,9 +47,11 @@ class NaiveSignature(FeatureExtractor):
         pb = b.values.reshape(-1, 3)
         return float(np.sum(np.sqrt(np.sum((pa - pb) ** 2, axis=1))))
 
-    def batch_distance(self, q: FeatureVector, matrix: np.ndarray) -> np.ndarray:
+    def batch_distance(self, q: FeatureVector, matrix: np.ndarray, rows: Rows = None) -> np.ndarray:
         """Vectorized per-grid-point color distances, summed per candidate."""
         m = self._check_batch(q, matrix)
+        if rows is not None:
+            m = m[rows]
         pq = q.values.reshape(-1, 3)
         pm = m.reshape(m.shape[0], -1, 3)
         return np.sqrt(((pm - pq) ** 2).sum(axis=2)).sum(axis=1)

@@ -26,7 +26,7 @@ from typing import Dict
 
 import numpy as np
 
-from repro.features.base import FeatureExtractor, FeatureVector, register_extractor
+from repro.features.base import FeatureExtractor, FeatureVector, Rows, register_extractor
 from repro.imaging import accel
 from repro.imaging.image import Image
 from repro.imaging.morphology import PAPER_KERNEL, binary_dilate, binary_erode
@@ -207,8 +207,8 @@ class SimpleRegionGrowing(FeatureExtractor):
         mask = denom > 1e-12
         return float(np.sum(np.abs(a.values - b.values)[mask] / denom[mask]))
 
-    def batch_distance(self, q: FeatureVector, matrix: np.ndarray) -> np.ndarray:
+    def batch_distance(self, q: FeatureVector, matrix: np.ndarray, rows: Rows = None) -> np.ndarray:
         """Vectorized Canberra distances over the three counters."""
         from repro.similarity.measures import canberra_batch
 
-        return canberra_batch(q.values, self._check_batch(q, matrix))
+        return canberra_batch(q.values, self._check_batch(q, matrix), rows)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.features.base import FeatureExtractor, FeatureVector, register_extractor
+from repro.features.base import FeatureExtractor, FeatureVector, Rows, register_extractor
 from repro.imaging import accel
 from repro.imaging.filters import convolve2d
 from repro.imaging.image import Image
@@ -176,10 +176,10 @@ class TamuraTexture(FeatureExtractor):
         hb = b.values[2:] / max(1e-12, b.values[2:].sum())
         return d + float(np.abs(ha - hb).sum())
 
-    def batch_distance(self, q: FeatureVector, matrix: np.ndarray) -> np.ndarray:
+    def batch_distance(self, q: FeatureVector, matrix: np.ndarray, rows: Rows = None) -> np.ndarray:
         """Vectorized head-Canberra + normalized-histogram-L1 distances."""
         m = self._check_batch(q, matrix)
-        return self.batch_distance_prepared(q, self.prepare_matrix(m))
+        return self.batch_distance_prepared(q, self.prepare_matrix(m), rows)
 
     def prepare_matrix(self, matrix: np.ndarray) -> np.ndarray:
         """Raw (coarseness, contrast) head + row-normalized histograms."""
@@ -188,10 +188,12 @@ class TamuraTexture(FeatureExtractor):
         out[:, 2:] = m[:, 2:] / np.maximum(m[:, 2:].sum(axis=1), 1e-12)[:, np.newaxis]
         return out
 
-    def batch_distance_prepared(self, q: FeatureVector, prepared: np.ndarray) -> np.ndarray:
-        from repro.similarity.measures import canberra_batch
+    def batch_distance_prepared(
+        self, q: FeatureVector, prepared: np.ndarray, rows: Rows = None
+    ) -> np.ndarray:
+        from repro.similarity.measures import canberra_batch, l1_batch
 
         m = self._check_batch(q, prepared)
-        head = canberra_batch(q.values[:2], m[:, :2])
+        head = canberra_batch(q.values[:2], m[:, :2], rows)
         hq = q.values[2:] / max(1e-12, q.values[2:].sum())
-        return head + np.abs(m[:, 2:] - hq).sum(axis=1)
+        return head + l1_batch(hq, m[:, 2:], rows)

@@ -22,24 +22,16 @@ from __future__ import annotations
 
 import os
 import time
-from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.config import SystemConfig
 from repro.core.results import RetrievalResult, SearchResults
-from repro.core.search import (
-    SearchEngine,
-    VideoMatch,
-    _extract_query_features,
-    _QueryPlan,
-    _stable_topk,
-)
+from repro.core.search import SearchEngine, _QueryPlan, _stable_topk
 from repro.core.snapshots import init_worker_snapshot, open_snapshot_store
 from repro.core.store import FeatureStore
 from repro.imaging import accel
-from repro.imaging.image import Image
 from repro.indexing.rangefinder import RangeFinder
 from repro.indexing.tree import RangeIndex
 from repro.obs import NULL_OBS, Obs, current_trace_context, free_span, span_from_dict
@@ -56,7 +48,7 @@ from repro.sharding.worker import (
     score_vectors_shard_batch,
     score_video_shard,
 )
-from repro.similarity.fusion import CombinedScorer, FeatureWeights, normalize_scores
+from repro.similarity.fusion import CombinedScorer, FeatureWeights
 
 __all__ = ["ShardedSearchEngine"]
 
@@ -518,87 +510,32 @@ class ShardedSearchEngine(SearchEngine):
 
     # -- video queries ---------------------------------------------------------
 
-    def _query_video(
-        self,
-        frames: List[Image],
-        features,
-        top_k: int,
-    ) -> List[VideoMatch]:
-        names = self._resolve_features(features)
-        self._policies.check_stage("search.keyframes")
-        key_frames = [f for _i, f in self.keyframe_extractor.extract(frames)]
-        self._policies.check_stage("search.extract")
-        extract = partial(
-            _extract_query_features, extractors=self.extractors, names=names
-        )
-        query_seq = self._pool.map(extract, key_frames)
-        self._policies.check_stage("search.score")
-        if not self.store.video_ids():
-            return []
-
-        batched = self.config.batch_distances
+    def _clip_distances(self, query_seq, names: List[str]):
+        """Scatter the clip to every shard, then slot each reply's column
+        blocks into global record order (the surviving shards' videos)."""
         payloads = [
-            (s, (self._paths[s], query_seq, list(names), batched))
+            (s, (self._paths[s], query_seq, list(names), self.config.batch_distances))
             for s in range(self.n_shards)
             if self._shard_frame_ids[s].size
         ]
         gathered, _degraded, _shard_meta = self._scatter(score_video_shard, payloads)
 
         t_merge = time.perf_counter()
-        # global record order (videos ascending, frames ascending within)
-        # restricted to the surviving shards' videos
-        shard_of_video: Dict[int, int] = {}
-        shard_spans: Dict[int, slice] = {}
-        for s, (_blocks, shard_vids) in gathered.items():
-            offset = 0
+        surviving = {vid for _blocks, shard_vids in gathered.values() for vid in shard_vids}
+        records, spans = self.store.video_spans(
+            [vid for vid in self.store.video_ids() if vid in surviving]
+        )
+        per_feature = {name: np.empty((len(query_seq), len(records))) for name in names}
+        for blocks, shard_vids in gathered.values():
+            offset = 0  # shard columns: its videos ascending, back to back
             for vid in shard_vids:
-                shard_of_video[vid] = s
-                n = len(self.store.frames_of_video(vid))
-                shard_spans[vid] = slice(offset, offset + n)
-                offset += n
-        video_ids = [
-            vid for vid in self.store.video_ids() if vid in shard_of_video
-        ]
-        all_records = []
-        spans: Dict[int, slice] = {}
-        for video_id in video_ids:
-            records = self.store.frames_of_video(video_id)
-            spans[video_id] = slice(
-                len(all_records), len(all_records) + len(records)
-            )
-            all_records.extend(records)
-        nq, nr = len(query_seq), len(all_records)
-        combined = np.zeros((nq, nr))
-        total_weight = 0.0
-        for name in names:
-            m = np.empty((nq, nr))
-            for video_id in video_ids:
-                blocks, _vids = gathered[shard_of_video[video_id]]
-                m[:, spans[video_id]] = blocks[name][:, shard_spans[video_id]]
-            w = self.config.weight_of(name)
-            combined += w * normalize_scores(m.ravel()).reshape(nq, nr)
-            total_weight += w
-        if total_weight > 0:
-            combined /= total_weight
-
-        matches: List[VideoMatch] = []
-        for video_id in video_ids:
-            span = spans[video_id]
-            if span.stop == span.start:
-                continue
-            records = all_records[span]
-            matches.append(
-                VideoMatch(
-                    video_id=video_id,
-                    video_name=records[0].video_name,
-                    category=records[0].category,
-                    distance=self._sequence_distance(combined[:, span]),
-                )
-            )
-        matches = self._blend_motion(frames, matches)
-        matches.sort(key=lambda m: m.distance)
+                span = spans[vid]
+                width = span.stop - span.start
+                for name in names:
+                    per_feature[name][:, span] = blocks[name][:, offset:offset + width]
+                offset += width
         self._m_merge_seconds.observe(time.perf_counter() - t_merge)
-        return matches[: max(0, top_k)]
+        return per_feature, records, spans
 
     # -- introspection / shutdown ----------------------------------------------
 

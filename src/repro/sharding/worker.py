@@ -314,10 +314,9 @@ def _score_vectors(
         t_dist = time.perf_counter()
         with _span(sampled, "shard.distance", feature=name):
             if prepared_scoring:
-                prepared = store.prepared_matrix(name, extractor)
-                if rows is not None:
-                    prepared = prepared[rows]
-                per_feature[name] = extractor.batch_distance_prepared(qv, prepared)
+                per_feature[name] = extractor.batch_distance_prepared(
+                    qv, store.prepared_matrix(name, extractor), rows
+                )
             elif batched:
                 matrix = store.feature_matrix(
                     name, None if shard_full else candidate_ids
@@ -446,12 +445,9 @@ def _score_video(
 ) -> Tuple[Dict[str, np.ndarray], List[int], int]:
     state = _shard_state(path, metrics)
     store = state.store
-    video_ids = store.video_ids()
-    all_records: List[FrameRecord] = []
-    for video_id in video_ids:
-        all_records.extend(store.frames_of_video(video_id))
-    nq, nr = len(query_seq), len(all_records)
-    record_ids = [rec.frame_id for rec in all_records]
+    records, spans = store.video_spans()
+    nq, nr = len(query_seq), len(records)
+    rows = store.gather_rows([rec.frame_id for rec in records]) if batched else None
     blocks: Dict[str, np.ndarray] = {}
     for name in names:
         extractor = state.extractor(name)
@@ -459,15 +455,15 @@ def _score_video(
         with _span(sampled, "shard.distance", feature=name):
             m = np.empty((nq, nr))
             if batched:
-                matrix = store.feature_matrix(name, record_ids)
+                prepared = store.prepared_matrix(name, extractor)
                 for i, qf in enumerate(query_seq):
-                    m[i, :] = extractor.batch_distance(qf[name], matrix)
+                    m[i] = extractor.batch_distance_prepared(qf[name], prepared, rows)
             else:
                 for i, qf in enumerate(query_seq):
-                    for j, rec in enumerate(all_records):
+                    for j, rec in enumerate(records):
                         m[i, j] = extractor.distance(qf[name], rec.features[name])
             blocks[name] = m
         metrics.distance_seconds.labels(feature=name).observe(
             time.perf_counter() - t_dist
         )
-    return blocks, video_ids, nr
+    return blocks, list(spans), nr

@@ -1,8 +1,13 @@
 """Search engine tests (frame queries, video queries, feature selection)."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro.core.search import SearchEngine
+from repro.core.store import FeatureStore
 from repro.video.generator import VideoSpec, generate_video
+from tests.core.clip_reference import ranking_of, reference_clip_ranking, relaid_store
 
 
 class TestFrameQuery:
@@ -106,6 +111,60 @@ class TestVideoQuery:
         s.admin.add_video(small_corpus[4])
         matches = s.search_by_video(small_corpus[0], top_k=2)
         assert matches[0].video_name == small_corpus[0].name
+
+
+class TestClipQueryEqualsReference:
+    """Bitwise: batched kernels + one batched DP == the step-by-step composition."""
+
+    #: stored videos of unequal length, one of them a single key frame
+    LENGTHS = (3, 1, 5, 2, 4)
+
+    def engine(self, ingested_system, method, store):
+        config = replace(ingested_system.config, sequence_method=method)
+        return SearchEngine(config, store, ingested_system._index)
+
+    def records(self, ingested_system):
+        store = ingested_system.feature_store
+        return [store.get(fid) for fid in store.frame_ids()[: sum(self.LENGTHS)]]
+
+    @pytest.fixture(scope="class")
+    def clip(self):
+        return generate_video(
+            VideoSpec(category="sports", seed=99, n_shots=3, frames_per_shot=3)
+        )
+
+    @pytest.mark.parametrize("method", ["dtw", "align"])
+    @pytest.mark.parametrize("interleave", [False, True])
+    def test_unequal_lengths(self, ingested_system, clip, method, interleave):
+        store = relaid_store(self.records(ingested_system), self.LENGTHS, interleave)
+        ids = [rec.frame_id for rec in store.video_spans()[0]]
+        # interleaved ids: record order != stack row order, the gather branch
+        assert (store.gather_rows(ids) is not None) == interleave
+        engine = self.engine(ingested_system, method, store)
+        want = reference_clip_ranking(engine, clip.frames)
+        assert len(want) == len(self.LENGTHS)
+        assert ranking_of(engine.query_video(clip, top_k=len(want))) == want
+        assert ranking_of(engine.query_video(clip, top_k=2)) == want[:2]
+
+    @pytest.mark.parametrize("method", ["dtw", "align"])
+    def test_one_key_frame_query(self, ingested_system, clip, method):
+        store = relaid_store(self.records(ingested_system), self.LENGTHS, True)
+        engine = self.engine(ingested_system, method, store)
+        query = [clip.frames[0]]
+        assert len(engine.keyframe_extractor.extract(query)) == 1
+        assert ranking_of(engine.query_video(query, top_k=9)) == reference_clip_ranking(
+            engine, query
+        )
+
+    @pytest.mark.parametrize("method", ["dtw", "align"])
+    def test_session_corpus(self, ingested_system, clip, method):
+        engine = self.engine(ingested_system, method, ingested_system.feature_store)
+        want = reference_clip_ranking(engine, clip.frames)
+        assert ranking_of(engine.query_video(clip, top_k=len(want))) == want
+
+    def test_empty_store(self, ingested_system, clip):
+        engine = self.engine(ingested_system, "dtw", FeatureStore())
+        assert engine.query_video(clip, top_k=3) == []
 
 
 class TestResultsContainer:

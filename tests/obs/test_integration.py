@@ -76,6 +76,24 @@ class TestMetricsSurface:
         assert {"ingest.encode", "ingest.keyframes", "ingest.features",
                 "ingest.db_txn", "ingest.mirror"} <= stages
 
+    def test_clip_query_is_traced_stage_by_stage(self, system):
+        system.search_by_video(_video(45), top_k=1)
+        trace = system.recent_traces()[0]
+        assert trace["name"] == "search.query_video"
+        assert [c["name"] for c in trace["children"]] == [
+            "search.video.keyframes", "search.video.extract",
+            "search.video.distance", "search.video.dp",
+        ]
+        covered = sum(c["duration_ms"] for c in trace["children"])
+        assert covered <= trace["duration_ms"]
+        reg = system.metrics()["registry"]
+        timed = {
+            s["labels"]["feature"]: s["count"]
+            for s in reg["repro_search_distance_seconds"]["samples"]
+        }
+        assert timed == {name: 1 for name in system.config.features}
+        assert reg["repro_search_fusion_seconds"]["samples"][0]["count"] == 1
+
     def test_trace_buffer_respects_config(self):
         s = VideoRetrievalSystem.in_memory(
             SystemConfig(workers=1, obs_trace_buffer=2, query_cache_size=0)

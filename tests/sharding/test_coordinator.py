@@ -17,6 +17,7 @@ from repro.core.search import _extract_query_features
 from repro.core.system import VideoRetrievalSystem
 from repro.sharding import ShardedSearchEngine, read_manifest, shard_of, split_store
 from repro.video.generator import VideoSpec, generate_video
+from tests.core.clip_reference import ranking_of, reference_clip_ranking, relaid_store
 
 
 def _key(results):
@@ -127,6 +128,31 @@ class TestVideoQueries:
         assert [(m.video_id, m.distance) for m in sharded] == [
             (m.video_id, m.distance) for m in base
         ]
+
+
+    @pytest.mark.parametrize("method", ["dtw", "align"])
+    @pytest.mark.parametrize("n_shards", [1, 2, 3, 4])
+    def test_hand_built_store_equals_the_reference(
+        self, ingested_system, small_corpus, tmp_path, method, n_shards
+    ):
+        # unequal lengths (one single-key-frame video), frame ids dealt
+        # round-robin across videos: every shard has to gather rows
+        source = ingested_system.feature_store
+        lengths = (3, 1, 5, 2, 4)
+        records = [source.get(fid) for fid in source.frame_ids()[: sum(lengths)]]
+        store = relaid_store(records, lengths, interleave=True)
+        config = replace(ingested_system.config, sequence_method=method)
+        split_store(store, str(tmp_path), n_shards)
+        _, paths = read_manifest(str(tmp_path))
+        engine = ShardedSearchEngine(config, paths)
+        try:
+            for clip in (small_corpus[3], [small_corpus[6].frames[0]]):
+                frames = clip if isinstance(clip, list) else clip.frames
+                want = reference_clip_ranking(engine, frames)
+                assert len(want) == len(lengths)
+                assert ranking_of(engine.query_video(clip, top_k=len(want))) == want
+        finally:
+            engine.close()
 
 
 class TestTieOrdering:

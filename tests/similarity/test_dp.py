@@ -2,12 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.similarity.dp import (
+    align_score,
     align_sequences,
     dtw_distance,
     pairwise_cost_matrix,
     sequence_similarity,
+    span_distances,
 )
 
 
@@ -125,3 +129,73 @@ class TestSequenceSimilarity:
         b = [FeatureVector(kind="x", values=np.array([float(i)])) for i in range(3)]
         cost = lambda u, v: l2(u.values, v.values)
         assert dtw_distance(a, b, cost) == 0.0
+
+
+class TestPrecomputedCosts:
+    """A caller holding the cost matrix passes it in place of the callable."""
+
+    a, b = [0.0, 2.0, 5.0], [1.0, 2.0, 2.5, 7.0]
+
+    def matrix(self):
+        return pairwise_cost_matrix(self.a, self.b, scalar_cost)
+
+    def test_matrix_is_used_as_is(self):
+        m = self.matrix()
+        assert pairwise_cost_matrix(self.a, self.b, m) is m
+
+    def test_wrong_shape_is_refused(self):
+        with pytest.raises(ValueError):
+            dtw_distance(self.a, self.b, self.matrix().T)
+
+    def test_same_values_as_the_callable(self):
+        m = self.matrix()
+        assert dtw_distance(self.a, self.b, m) == dtw_distance(self.a, self.b, scalar_cost)
+        assert dtw_distance(self.a, self.b, m, window=1) == dtw_distance(
+            self.a, self.b, scalar_cost, window=1
+        )
+        assert align_sequences(self.a, self.b, m, 0.7) == align_sequences(
+            self.a, self.b, scalar_cost, 0.7
+        )
+
+    def test_align_score_is_the_alignment_total(self):
+        for gap in (0.1, 0.7, 50.0):
+            total, _pairs = align_sequences(self.a, self.b, scalar_cost, gap)
+            assert align_score(self.a, self.b, scalar_cost, gap) == total
+        assert align_score([], [1, 2], scalar_cost, 3) == 6.0
+
+
+class TestSpanDistances:
+    """One batched recurrence == one per-pair table per stored sequence."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_bitwise_equal_to_the_per_pair_functions(self, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        n_query = data.draw(st.integers(1, 5))
+        lengths = data.draw(st.lists(st.integers(1, 9), min_size=0, max_size=7))
+        layout = rng.permutation(len(lengths))  # spans need not lie in order
+        starts = np.zeros(len(lengths), dtype=int)
+        starts[layout] = np.concatenate([[0], np.cumsum(np.take(lengths, layout))[:-1]])
+        costs = rng.random((n_query, sum(lengths)))
+        if data.draw(st.booleans()):
+            costs = np.round(costs, 1)  # ties between the three predecessors
+        spans = [slice(start, start + n) for start, n in zip(starts, lengths)]
+        for method, kwargs in (("dtw", {}), ("align", {"gap_penalty": 0.3})):
+            got = span_distances(costs, spans, method=method, **kwargs)
+            assert got.shape == (len(spans),)
+            for v, span in enumerate(spans):
+                want = sequence_similarity(
+                    range(n_query), range(lengths[v]), costs[:, span], method=method, **kwargs
+                )
+                assert got[v] == want
+
+    def test_argument_checks(self):
+        costs = np.ones((2, 3))
+        with pytest.raises(ValueError):
+            span_distances(costs, [slice(0, 3)], method="lcs")
+        with pytest.raises(ValueError):
+            span_distances(costs, [slice(0, 3)], method="align")
+        with pytest.raises(ValueError):
+            span_distances(costs, [slice(0, 3), slice(3, 3)])  # DTW of an empty sequence
+        with pytest.raises(ValueError):
+            span_distances(np.ones((0, 3)), [slice(0, 3)])
