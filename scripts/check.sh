@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # One-shot quality gate: reprolint + ruff + mypy + tier-1 pytest (with a
-# coverage floor when pytest-cov is installed) + one smoke-scale run of the
-# end-to-end benchmark, checked against its oracle.
+# coverage floor when pytest-cov is installed) + the end-to-end benchmark's
+# own tests and one smoke-scale run of it, checked against its oracle.
 #
 # Usage: scripts/check.sh [--fast]
 #   --fast  skip the pytest suite (lint/type checks only)
@@ -122,6 +122,13 @@ if [ "$fast" -eq 0 ]; then
         record obs_overhead FAIL
     fi
 
+    step "pytest (benchmarks/e2e/tests, smoke scale)"
+    if python -m pytest benchmarks/e2e/tests -q; then
+        record bench_tests ok
+    else
+        record bench_tests FAIL
+    fi
+
     # the blocked kernels, the fused gather and the clip path against the
     # benchmark's own oracle (exits non-zero on a failed check or query)
     step "benchmark smoke (scan_10k --scale smoke)"
@@ -135,6 +142,7 @@ else
     record coverage skip
     record obs_tests skip
     record obs_overhead skip
+    record bench_tests skip
     record bench_smoke skip
 fi
 

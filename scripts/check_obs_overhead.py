@@ -11,7 +11,8 @@ through two engines over identical data:
 
 Fails when the enabled path's median latency exceeds the disabled path's
 by more than ``--max-overhead`` (a generous bound sized for noisy CI
-runners; ``benchmarks/regress.py`` tracks the precise trajectory).
+runners; ``obs.overhead_pct`` of ``benchmarks/e2e/run.py --trace 1``
+tracks the precise trajectory).
 
 Usage::
 
@@ -58,7 +59,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                              width=64, height=48, n_shots=6,
                              frames_per_shot=3)[: args.videos]:
         system.admin.add_video(video)
-    query_config = system.config.with_(batch_distances=True, query_cache_size=0)
+    query_config = system.config.with_(query_cache_size=0)
     disabled_engine = SearchEngine(query_config, system._store, system._index)
     enabled_engine = SearchEngine(query_config, system._store, system._index,
                                   obs=Obs())

@@ -1,10 +1,23 @@
 """The user-side search engine (the right half of the Fig. 3 DFD).
 
-Frame queries: extract the query frame's features, prune candidates with
-the range index, compute per-feature distances, min-max normalize each
-feature over the candidate set, and rank by the weighted sum (§5's
-"combined" approach) or by one feature alone (the individual Table 1
-columns).
+Frame and vector queries run through ONE pipeline, in three stages:
+
+* **prepare** -- per request: query-cache lookup, range-index pruning,
+  query-feature extraction, the optional IVF probe, and a
+  :class:`_QueryPlan` naming the candidate rows;
+* **score** -- one pass over every prepared plan: per-feature raw
+  distances from ``batch_distance_prepared`` on the store's
+  generation-cached prepared stacks (one scatter per shard on the
+  sharded engine);
+* **finish** -- per request: min-max normalization + weighted fusion
+  (§5's "combined" approach, or one feature alone for the individual
+  Table 1 columns), stable top-k, cache put.
+
+:meth:`SearchEngine.query_batch` runs the stages over a list of
+:class:`QueryRequest` objects; :meth:`SearchEngine.query_frame` and
+:meth:`SearchEngine.query_with_vectors` are batches of one.  The scalar
+``FeatureExtractor.distance`` the kernels must equal lives on as the
+reference in ``tests/core/clip_reference.py``.
 
 Video queries: key-frame the query clip and align its feature sequence
 against every stored video's sequence with the paper's dynamic-programming
@@ -26,7 +39,6 @@ from repro.core.config import SystemConfig
 from repro.core.results import RetrievalResult, SearchResults
 from repro.core.store import FeatureStore, FrameRecord
 from repro.features.base import FeatureExtractor, FeatureVector, get_extractor
-from repro.imaging import accel
 from repro.imaging.image import Image
 from repro.indexing import ann as ann_metrics
 from repro.indexing.ann import IVFIndex
@@ -97,10 +109,13 @@ def _stable_topk(fused: np.ndarray, k: int) -> np.ndarray:
 
 @dataclass
 class QueryRequest:
-    """One query of a :meth:`SearchEngine.query_batch` call.
+    """One frame or vector query, the unit the pipeline works on.
 
-    Exactly one of ``image`` (a frame query) or ``query_vectors`` (a
-    precomputed-vector query, the feedback loop's shape) must be set.
+    Exactly one of ``image`` (a frame query, which also takes
+    ``features`` / ``use_index``) or ``query_vectors`` (a
+    precomputed-vector query, the feedback loop's shape, which also
+    takes ``candidate_ids`` / ``weights``) must be set; a field of the
+    other kind is rejected, not ignored.
     ``deadline`` is an *already ticking* budget -- the serving layer
     creates it at admission time so queue wait counts -- armed around the
     request's per-request stages.  ``nprobe`` overrides ``ann_nprobe``
@@ -120,6 +135,13 @@ class QueryRequest:
     def __post_init__(self) -> None:
         if (self.image is None) == (self.query_vectors is None):
             raise ValueError("exactly one of image / query_vectors is required")
+        foreign = (
+            ("candidate_ids", "weights") if self.image is not None
+            else ("features", "use_index")
+        )
+        for name in foreign:
+            if getattr(self, name) is not None:
+                raise ValueError(f"a {self.kind} request takes no {name!r}")
 
     @property
     def kind(self) -> str:
@@ -128,36 +150,31 @@ class QueryRequest:
 
 @dataclass
 class _QueryPlan:
-    """One request's resolved scoring work, between plan and rank.
+    """One request's resolved scoring work, between prepare and finish.
 
-    :meth:`SearchEngine._plan_vectors` resolves candidates and scoring
-    flags into a plan, :meth:`SearchEngine._score_plan` turns it into raw
-    per-feature distances, :meth:`SearchEngine._rank_plan` fuses and
-    ranks.  The split exists so :meth:`SearchEngine.query_batch` can run
-    several plans through one scoring pass (one scatter per shard for
-    the sharded engine) while keeping every per-query kernel call
-    identical to serial execution.  The sharded coordinator reuses the
-    same carrier with its own fields (``candidate_arr`` .. ``merge_t0``).
+    :meth:`SearchEngine._plan_vectors` resolves the candidate set into a
+    plan, :meth:`SearchEngine._score_plans` turns plans into raw
+    per-feature distances (one scatter per shard for the sharded
+    engine), :meth:`SearchEngine._rank_plan` fuses and ranks.  The
+    sharded coordinator reuses the same carrier with its own fields
+    (``positions`` .. ``merge_t0``).
     """
 
     query_vectors: Dict[str, FeatureVector]
     names: List[str]
     top_k: int
     weights: Optional[Dict[str, float]]
-    n_total: int = 0
-    explain: Optional[Dict[str, object]] = None
+    #: candidate frame ids, in ranking-tie order (a list, or the
+    #: coordinator's int64 array)
+    candidate_ids: Sequence[int]
+    n_total: int
+    explain: Dict[str, object]
     #: early result for an empty candidate set (skips score/rank)
     empty: Optional[SearchResults] = None
-    batched: bool = False
-    fast: bool = False
-    # single-store scoring state
-    candidate_ids: Optional[List[int]] = None
-    full_store: bool = False
-    records: Optional[List[FrameRecord]] = None
+    #: the candidates' rows in the id-ordered stacks (None = every row)
     rows: Optional[np.ndarray] = None
     distance_ms: Optional[Dict[str, float]] = None
     # sharded scoring state (ShardedSearchEngine only)
-    candidate_arr: Optional[np.ndarray] = None
     positions: Optional[Dict[int, np.ndarray]] = None
     payloads: Optional[List[Tuple[int, tuple]]] = None
     degraded_shards: List[int] = field(default_factory=list)
@@ -167,7 +184,7 @@ class _QueryPlan:
 
 @dataclass
 class _BatchEntry:
-    """One :meth:`SearchEngine.query_batch` request's in-flight state."""
+    """One request's in-flight state between the pipeline's stages."""
 
     index: int = -1
     #: resolved before scoring (cache hit / empty candidate set)
@@ -175,7 +192,7 @@ class _BatchEntry:
     plan: Optional[_QueryPlan] = None
     #: "bypass"/"off" when the vectors-level cache is not consulted
     cache_mode: Optional[str] = None
-    #: vectors-level cache key (None = no put on finish)
+    #: vectors-level cache key (unused when ``cache_mode`` is set)
     key: Optional[tuple] = None
     generation: int = 0
     #: frame-level wrapper state (None for vector queries)
@@ -300,18 +317,6 @@ class SearchEngine:
             explain=explain,
         )
 
-    def _cached_results(self, key, builder) -> SearchResults:
-        """Run ``builder`` through the query cache (generation-checked)."""
-        if not self._query_cache.enabled:
-            return builder()
-        generation = self.store.generation
-        results = self._query_cache.get(key, generation)
-        hit = results is not None
-        if not hit:
-            results = builder()
-            self._query_cache.put(key, generation, results)
-        return self._copy_results(results, "hit" if hit else "miss")
-
     def _record_query(
         self,
         kind: str,
@@ -348,7 +353,7 @@ class SearchEngine:
             candidates=candidates,
         )
 
-    # -- frame query ------------------------------------------------------------
+    # -- frame / vector queries: one prepare -> score -> finish pipeline --------
 
     def query_frame(
         self,
@@ -363,39 +368,169 @@ class SearchEngine:
         feature alone; several (or None = all configured) are fused with the
         configured weights.
         """
-        names = self._resolve_features(features)
-        use_index = self.config.use_index if use_index is None else use_index
-        t0 = time.perf_counter()
-        with self._policies.request_scope(), self._obs.span(
-            "search.query_frame", features=",".join(names), top_k=top_k
-        ) as span:
-            # with faults armed, a cached answer could outlive the chaos
-            # run (or hide it), so chaos queries bypass the result cache
-            if not self._query_cache.enabled or self._policies.faults.armed:
-                results = self._query_frame(image, names, top_k, use_index)
-                if results.explain is not None:
-                    results.explain["cache"] = (
-                        "bypass" if self._policies.faults.armed else "off"
-                    )
-            else:  # don't pay the pixel digest when the cache is off
-                key = (
-                    "frame", digest_array(image.pixels), tuple(names), top_k, use_index
-                )
-                results = self._cached_results(
-                    key, lambda: self._query_frame(image, names, top_k, use_index)
-                )
-            span.annotate(candidates=results.n_candidates)
-        self._record_query("frame", t0, results.n_candidates, results, span)
-        return results
+        return self._query_one(
+            "search.query_frame",
+            QueryRequest(
+                image=image, features=features, top_k=top_k, use_index=use_index
+            ),
+        )
 
-    def _query_frame(
-        self, image: Image, names: List[str], top_k: int, use_index: bool
+    def query_with_vectors(
+        self,
+        query_vectors: Dict[str, FeatureVector],
+        top_k: int = 20,
+        candidate_ids: Optional[Sequence[int]] = None,
+        weights: Optional[Dict[str, float]] = None,
     ) -> SearchResults:
+        """Rank stored frames against precomputed query feature vectors.
+
+        This is the feedback loop's entry point: relevance feedback moves
+        the query vectors and reweights features, then re-ranks without
+        needing an actual query image.  ``weights`` overrides the
+        configuration's fusion weights; ``candidate_ids`` defaults to the
+        whole store (no index pruning -- a moved query vector has no image
+        to bucket).
+        """
+        return self._query_one(
+            "search.query_vectors",
+            QueryRequest(
+                query_vectors=query_vectors,
+                top_k=top_k,
+                candidate_ids=candidate_ids,
+                weights=weights,
+            ),
+        )
+
+    def _query_one(self, span_name: str, request: QueryRequest) -> SearchResults:
+        """A batch of one under the entry point's own root span; an
+        outcome that is an exception is raised."""
+        with self._obs.span(span_name, top_k=request.top_k) as span:
+            (outcome,) = self._run_requests([request], span)
+            if isinstance(outcome, Exception):
+                raise outcome
+            span.annotate(
+                features=",".join(outcome.explain["features"]),
+                candidates=outcome.n_candidates,
+            )
+        return outcome
+
+    def query_batch(self, requests: Sequence[QueryRequest]) -> List[object]:
+        """Execute several frame/vector queries as one micro-batch.
+
+        Returns a list aligned with ``requests`` whose elements are
+        either :class:`SearchResults` or the exception that request
+        raised: exceptions are isolated per request, so a poisoned query
+        never fails its batchmates.  Rankings are byte-identical to
+        running each request on its own -- the batch amortizes
+        per-request overhead (and the sharded engine's per-shard IPC,
+        one scatter per shard per batch) but every per-query distance
+        kernel runs with identical inputs, never a stacked multi-query
+        kernel whose float reduction order could drift.
+        """
+        with self._obs.span("search.query_batch", size=len(requests)) as span:
+            return self._run_requests(requests, span)
+
+    def _run_requests(
+        self, requests: Sequence[QueryRequest], span: object
+    ) -> List[object]:
+        """The pipeline: prepare each request, score every prepared plan
+        in one pass, finish each request -- under the caller's root span.
+
+        One :class:`Deadline` per request spans all three stages: the
+        request's own (already ticking), else a freshly minted
+        ``request_deadline`` budget unless an ambient one is armed.  It
+        is armed around the per-request stages and checked immediately
+        before the shared scoring pass, which expires overrun requests
+        without dispatching them.
+        """
+        t0 = time.perf_counter()
+        outcomes: List[object] = [None] * len(requests)
+        deadlines = [
+            req.deadline if req.deadline is not None else self._policies.new_deadline()
+            for req in requests
+        ]
+        to_score: List[_BatchEntry] = []
+        for i, req in enumerate(requests):
+            try:
+                with armed_deadline(deadlines[i]):
+                    entry = self._prepare_request(req)
+            except Exception as exc:  # per-request isolation by contract
+                outcomes[i] = exc
+                continue
+            entry.index = i
+            if entry.results is not None:
+                outcomes[i] = entry.results
+            else:
+                to_score.append(entry)
+        for entry in to_score:
+            if deadlines[entry.index] is not None:
+                try:
+                    deadlines[entry.index].check("search.batch_score")
+                except DeadlineExceeded as exc:
+                    outcomes[entry.index] = exc
+        to_score = [e for e in to_score if outcomes[e.index] is None]
+        scored = self._score_plans([e.plan for e in to_score]) if to_score else []
+        for entry, per_feature in zip(to_score, scored):
+            if isinstance(per_feature, Exception):
+                outcomes[entry.index] = per_feature
+                continue
+            try:
+                with armed_deadline(deadlines[entry.index]):
+                    outcomes[entry.index] = self._finish_request(entry, per_feature)
+            except Exception as exc:  # per-request isolation by contract
+                outcomes[entry.index] = exc
+        span.annotate(scored=len(to_score))
+        for req, outcome in zip(requests, outcomes):
+            if isinstance(outcome, SearchResults):
+                self._record_query(req.kind, t0, outcome.n_candidates, outcome, span)
+        return outcomes
+
+    # -- stage 1: prepare ---------------------------------------------------------
+
+    def _prepare_request(self, req: QueryRequest) -> _BatchEntry:
+        """Cache lookups, pruning, extraction and the plan for one request."""
+        if req.image is not None:
+            return self._prepare_frame_request(req)
+        return self._prepare_vectors_entry(
+            req.query_vectors, req.top_k, req.candidate_ids, req.weights, req.nprobe
+        )
+
+    def _cache_bypass(self) -> Optional[str]:
+        """Why the query cache is not consulted (None = it is).
+
+        With faults armed, a cached answer could outlive the chaos run
+        (or hide it), so chaos queries bypass the result cache.
+        """
+        if self._policies.faults.armed:
+            return "bypass"
+        return None if self._query_cache.enabled else "off"
+
+    def _prepare_frame_request(self, req: QueryRequest) -> _BatchEntry:
+        """Frame-level cache lookup, range-index pruning, query-feature
+        extraction and the IVF probe, then the vectors-level prepare."""
+        names = self._resolve_features(req.features)
+        use_index = self.config.use_index if req.use_index is None else req.use_index
+        frame_key: Optional[tuple] = None
+        generation = 0
+        if self._cache_bypass() is None:  # no pixel digest when the cache is off
+            generation = self.store.generation
+            frame_key = (
+                "frame",
+                digest_array(req.image.pixels),
+                tuple(names),
+                req.top_k,
+                use_index,
+            )
+            if req.nprobe is not None:
+                frame_key = frame_key + (("nprobe", int(req.nprobe)),)
+            cached = self._query_cache.get(frame_key, generation)
+            if cached is not None:
+                return _BatchEntry(results=self._copy_results(cached, "hit"))
         self._policies.check_stage("search.prune")
         if use_index:
             with self._obs.span("search.index.prune"):
                 candidate_ids: Optional[List[int]] = sorted(
-                    self.index.candidates(image)
+                    self.index.candidates(req.image)
                 )
             n_total = len(self.store)
             if n_total:
@@ -404,32 +539,31 @@ class SearchEngine:
             candidate_ids = None  # the whole store (or the ANN probe below)
         self._policies.check_stage("search.extract")
         with self._obs.span("search.extract"):
-            query_vectors, degraded = self._extract_degradable(image, names)
+            query_vectors, degraded = self._extract_degradable(req.image, names)
         ann_probed: Optional[bool] = None
         if self.ann is not None and candidate_ids is not None:
             # compose with the range index: a frame must survive both
             with self._obs.span("search.ann.probe"):
-                ann_ids = self._ann_probe(query_vectors)
+                ann_ids = self._ann_probe(query_vectors, req.nprobe)
             ann_probed = ann_ids is not None
             if ann_ids is not None:
                 wanted = set(ann_ids)
                 candidate_ids = [fid for fid in candidate_ids if fid in wanted]
-        results = self._vectors_entry(query_vectors, top_k, candidate_ids, None)
-        if degraded:
-            results.degraded = True
-            results.degraded_features = degraded
-        explain = results.explain
-        if explain is not None:
-            explain["kind"] = "frame"
-            explain["index"] = {
-                "used": bool(use_index),
-                "pruning_ratio": round(results.pruning_fraction, 6),
-            }
-            if ann_probed is not None:  # the frame-level probe decided
-                explain["ann"] = {"enabled": True, "probed": ann_probed}
-            if degraded:
-                explain["degraded_features"] = list(degraded)
-        return results
+        entry = self._prepare_vectors_entry(
+            query_vectors, req.top_k, candidate_ids, None, req.nprobe
+        )
+        entry.frame = {
+            "key": frame_key,
+            "generation": generation,
+            "degraded": degraded,
+            "use_index": use_index,
+            "ann_probed": ann_probed,
+        }
+        if entry.results is not None:
+            # the vectors level resolved (cache hit / no candidates):
+            # apply the frame-level wrapper now, nothing left to score
+            entry.results = self._finish_frame_entry(entry.frame, entry.results)
+        return entry
 
     def _extract_degradable(
         self, image: Image, names: List[str]
@@ -507,31 +641,6 @@ class SearchEngine:
         breaker.record_success()
         return ids
 
-    def query_with_vectors(
-        self,
-        query_vectors: Dict[str, FeatureVector],
-        top_k: int = 20,
-        candidate_ids: Optional[Sequence[int]] = None,
-        weights: Optional[Dict[str, float]] = None,
-    ) -> SearchResults:
-        """Rank stored frames against precomputed query feature vectors.
-
-        This is the feedback loop's entry point: relevance feedback moves
-        the query vectors and reweights features, then re-ranks without
-        needing an actual query image.  ``weights`` overrides the
-        configuration's fusion weights; ``candidate_ids`` defaults to the
-        whole store (no index pruning -- a moved query vector has no image
-        to bucket).
-        """
-        t0 = time.perf_counter()
-        with self._policies.request_scope(), self._obs.span(
-            "search.query_vectors", top_k=top_k
-        ) as span:
-            results = self._vectors_entry(query_vectors, top_k, candidate_ids, weights)
-            span.annotate(candidates=results.n_candidates)
-        self._record_query("vectors", t0, results.n_candidates, results, span)
-        return results
-
     def _vectors_key(
         self,
         query_vectors: Dict[str, FeatureVector],
@@ -560,55 +669,71 @@ class SearchEngine:
             key = key + (("nprobe", int(nprobe)),)
         return key
 
-    def _vectors_entry(
+    def _prepare_vectors_entry(
         self,
         query_vectors: Dict[str, FeatureVector],
         top_k: int,
         candidate_ids: Optional[Sequence[int]],
         weights: Optional[Dict[str, float]],
         nprobe: Optional[int] = None,
-    ) -> SearchResults:
-        """Validation + cache wrapping shared by frame and vector queries."""
+    ) -> _BatchEntry:
+        """Validation, vectors-level cache lookup and the scoring plan."""
         names = [n for n in query_vectors if n in self.extractors]
         if not names:
             raise ValueError("query_vectors holds no configured features")
-        # armed faults bypass the cache: a cached answer could outlive
-        # (or hide) the chaos run
-        if not self._query_cache.enabled or self._policies.faults.armed:
-            results = self._query_with_vectors(
+        entry = _BatchEntry(cache_mode=self._cache_bypass())
+        if entry.cache_mode is None:
+            entry.generation = self.store.generation
+            entry.key = self._vectors_key(
                 query_vectors, names, top_k, candidate_ids, weights, nprobe
             )
-            if results.explain is not None:
-                results.explain["cache"] = (
-                    "bypass" if self._policies.faults.armed else "off"
-                )
-            return results
-        key = self._vectors_key(
-            query_vectors, names, top_k, candidate_ids, weights, nprobe
-        )
-        return self._cached_results(
-            key,
-            lambda: self._query_with_vectors(
-                query_vectors, names, top_k, candidate_ids, weights, nprobe
-            ),
-        )
-
-    def _query_with_vectors(
-        self,
-        query_vectors: Dict[str, FeatureVector],
-        names: List[str],
-        top_k: int,
-        candidate_ids: Optional[Sequence[int]],
-        weights: Optional[Dict[str, float]],
-        nprobe: Optional[int] = None,
-    ) -> SearchResults:
+            cached = self._query_cache.get(entry.key, entry.generation)
+            if cached is not None:
+                entry.results = self._copy_results(cached, "hit")
+                return entry
         plan = self._plan_vectors(
             query_vectors, names, top_k, candidate_ids, weights, nprobe
         )
         if plan.empty is not None:
-            return plan.empty
-        per_feature = self._score_plan(plan)
-        return self._rank_plan(plan, per_feature)
+            entry.results = self._finish_vectors_entry(entry, plan.empty)
+        else:
+            entry.plan = plan
+        return entry
+
+    def _new_plan(
+        self,
+        query_vectors: Dict[str, FeatureVector],
+        names: List[str],
+        top_k: int,
+        weights: Optional[Dict[str, float]],
+        candidate_ids: Sequence[int],
+        **explain: object,
+    ) -> _QueryPlan:
+        """A plan over ``candidate_ids`` with its explain payload started
+        (``explain`` adds the engine's own blocks); an empty candidate
+        set resolves it on the spot."""
+        n_total = len(self.store)
+        plan = _QueryPlan(
+            query_vectors=query_vectors,
+            names=list(names),
+            top_k=int(top_k),
+            weights=weights,
+            candidate_ids=candidate_ids,
+            n_total=n_total,
+            explain={
+                "kind": "vectors",
+                "features": list(names),
+                "top_k": int(top_k),
+                "n_total": n_total,
+                "n_candidates": len(candidate_ids),
+                **explain,
+            },
+        )
+        if not len(candidate_ids):
+            plan.empty = SearchResults(
+                [], n_candidates=0, n_total=n_total, explain=plan.explain
+            )
+        return plan
 
     def _plan_vectors(
         self,
@@ -619,88 +744,43 @@ class SearchEngine:
         weights: Optional[Dict[str, float]],
         nprobe: Optional[int] = None,
     ) -> _QueryPlan:
-        """Resolve candidates + scoring flags into a :class:`_QueryPlan`."""
+        """Resolve the candidate set (given, IVF-probed, or the whole
+        store) into a :class:`_QueryPlan`."""
         self._policies.check_stage("search.score")
-        full_store = False
         ann_probed = False
-        if candidate_ids is None:
-            if self.ann is not None:
-                candidate_ids = self._ann_probe(query_vectors, nprobe)
-                ann_probed = candidate_ids is not None
-            if candidate_ids is None:
-                candidate_ids = self.store.frame_ids()
-                full_store = True
-        else:
-            candidate_ids = list(candidate_ids)
-        n_total = len(self.store)
-        explain: Dict[str, object] = {
-            "kind": "vectors",
-            "features": list(names),
-            "top_k": int(top_k),
-            "n_total": n_total,
-            "n_candidates": len(candidate_ids),
-            "ann": {"enabled": self.ann is not None, "probed": ann_probed},
-        }
-        plan = _QueryPlan(
-            query_vectors=query_vectors,
-            names=list(names),
-            top_k=int(top_k),
-            weights=weights,
-            n_total=n_total,
-            explain=explain,
-            candidate_ids=candidate_ids,
-            full_store=full_store,
+        if candidate_ids is None and self.ann is not None:
+            candidate_ids = self._ann_probe(query_vectors, nprobe)
+            ann_probed = candidate_ids is not None
+        full_store = candidate_ids is None
+        plan = self._new_plan(
+            query_vectors,
+            names,
+            top_k,
+            weights,
+            self.store.frame_ids() if full_store else list(candidate_ids),
+            ann={"enabled": self.ann is not None, "probed": ann_probed},
         )
-        if not candidate_ids:
-            plan.empty = SearchResults(
-                [], n_candidates=0, n_total=n_total, explain=explain
-            )
-            return plan
-        plan.batched = self.config.batch_distances
-        plan.fast = accel.fast_paths_enabled()
-        if not plan.batched or not plan.fast:
-            # the scalar path needs the records; the reference batched path
-            # materializes them too, replicating the pre-acceleration code
-            plan.records = [self.store.get(fid) for fid in candidate_ids]
-        elif not full_store:
+        if plan.empty is None and not full_store:
             # one binary search maps candidate ids to stack rows for every
             # feature (preparation commutes with row gathers)
-            plan.rows = self.store.matrix_rows(candidate_ids)
+            plan.rows = self.store.matrix_rows(plan.candidate_ids)
         return plan
 
-    def _score_plan(self, plan: _QueryPlan) -> Dict[str, np.ndarray]:
-        """Raw per-feature distances over the plan's candidate set.
+    # -- stage 2: score -------------------------------------------------------------
 
-        Every kernel call is identical to the pre-split code, so serial
-        and batched executions of the same query score byte-for-byte the
-        same arrays.
+    def _score_plan(self, plan: _QueryPlan) -> Dict[str, np.ndarray]:
+        """Raw per-feature distances over the plan's candidate rows.
+
+        The id-sorted prepared stack is cached per generation; subsets
+        are gathered block by block inside the kernel.
         """
-        prepared_scoring = plan.batched and plan.fast
         per_feature: Dict[str, np.ndarray] = {}
         distance_ms: Dict[str, float] = {}
         for name in plan.names:
             t_dist = time.perf_counter()
-            extractor = self.extractors[name]
-            qv = plan.query_vectors[name]
-            if prepared_scoring:
-                # the id-sorted prepared stack is cached per generation;
-                # subsets are gathered block by block inside the kernel
-                per_feature[name] = extractor.batch_distance_prepared(
-                    qv, self._prepared_matrix(name), plan.rows
-                )
-            elif plan.batched:
-                # reference batched path: raw stack + per-call preprocessing
-                matrix = self.store.feature_matrix(
-                    name, None if plan.full_store else plan.candidate_ids
-                )
-                per_feature[name] = extractor.batch_distance(qv, matrix)
-            else:
-                per_feature[name] = np.array(
-                    [
-                        extractor.distance(qv, rec.features[name])
-                        for rec in plan.records
-                    ]
-                )
+            per_feature[name] = self.extractors[name].batch_distance_prepared(
+                plan.query_vectors[name], self._prepared_matrix(name), plan.rows
+            )
             dt = time.perf_counter() - t_dist
             distance_ms[name] = round(dt * 1000.0, 3)
             self._m_distance_seconds.labels(feature=name).observe(dt)
@@ -725,6 +805,18 @@ class SearchEngine:
                 out.append(exc)
         return out
 
+    # -- stage 3: finish ------------------------------------------------------------
+
+    def _finish_request(
+        self, entry: _BatchEntry, per_feature: Dict[str, np.ndarray]
+    ) -> SearchResults:
+        """Rank + cache-put + wrapper stages after the shared scoring pass."""
+        results = self._rank_plan(entry.plan, per_feature)
+        results = self._finish_vectors_entry(entry, results)
+        if entry.frame is not None:
+            results = self._finish_frame_entry(entry.frame, results)
+        return results
+
     def _rank_plan(
         self, plan: _QueryPlan, per_feature: Dict[str, np.ndarray]
     ) -> SearchResults:
@@ -745,17 +837,9 @@ class SearchEngine:
         }
         self._m_fusion_seconds.observe(t_fuse)
 
-        if plan.fast:
-            order = _stable_topk(fused, max(0, plan.top_k))
-        else:
-            order = np.argsort(fused, kind="stable")[: max(0, plan.top_k)]
         hits = []
-        for i in order:
-            record = (
-                plan.records[i]
-                if plan.records is not None
-                else self.store.get(plan.candidate_ids[i])
-            )
+        for i in _stable_topk(fused, max(0, plan.top_k)):
+            record = self.store.get(int(plan.candidate_ids[i]))
             hits.append(
                 RetrievalResult(
                     frame_id=record.frame_id,
@@ -774,209 +858,12 @@ class SearchEngine:
             explain=plan.explain,
         )
 
-    # -- micro-batched execution -------------------------------------------------
-
-    def query_batch(self, requests: Sequence[QueryRequest]) -> List[object]:
-        """Execute several frame/vector queries as one micro-batch.
-
-        Returns a list aligned with ``requests`` whose elements are
-        either :class:`SearchResults` or the exception that request
-        raised: exceptions are isolated per request, so a poisoned query
-        never fails its batchmates.  Rankings are byte-identical to
-        running each request through :meth:`query_frame` /
-        :meth:`query_with_vectors` serially -- the batch amortizes
-        per-request overhead (and the sharded engine's per-shard IPC,
-        one scatter per shard per batch) but every per-query distance
-        kernel runs with identical inputs, never a stacked multi-query
-        kernel whose float reduction order could drift.
-
-        Each request's ``deadline`` (if any) is armed around its
-        per-request stages -- cache lookup, pruning, extraction,
-        ranking; the shared scoring pass checks each deadline
-        immediately before scoring and expires overrun requests without
-        dispatching them.
-        """
-        outcomes: List[object] = [None] * len(requests)
-        t0 = time.perf_counter()
-        with self._obs.span("search.query_batch", size=len(requests)) as span:
-            pending: List[_BatchEntry] = []
-            for i, req in enumerate(requests):
-                try:
-                    with armed_deadline(req.deadline), self._policies.request_scope():
-                        self._policies.fire("serving.request")
-                        entry = self._prepare_batch_request(req)
-                except Exception as exc:  # per-request isolation by contract
-                    outcomes[i] = exc
-                    continue
-                entry.index = i
-                if entry.results is not None:
-                    outcomes[i] = entry.results
-                else:
-                    pending.append(entry)
-            to_score: List[_BatchEntry] = []
-            for entry in pending:
-                deadline = requests[entry.index].deadline
-                if deadline is not None:
-                    try:
-                        deadline.check("search.batch_score")
-                    except DeadlineExceeded as exc:
-                        outcomes[entry.index] = exc
-                        continue
-                to_score.append(entry)
-            scored = self._score_plans([e.plan for e in to_score]) if to_score else []
-            for entry, per_feature in zip(to_score, scored):
-                if isinstance(per_feature, Exception):
-                    outcomes[entry.index] = per_feature
-                    continue
-                req = requests[entry.index]
-                try:
-                    with armed_deadline(req.deadline), self._policies.request_scope():
-                        outcomes[entry.index] = self._finish_batch_request(
-                            entry, per_feature
-                        )
-                except Exception as exc:  # per-request isolation by contract
-                    outcomes[entry.index] = exc
-            span.annotate(scored=len(to_score))
-            for req, outcome in zip(requests, outcomes):
-                if isinstance(outcome, SearchResults):
-                    self._record_query(req.kind, t0, outcome.n_candidates, outcome, span)
-        return outcomes
-
-    def _prepare_batch_request(self, req: QueryRequest) -> _BatchEntry:
-        """Per-request admission: cache lookups, pruning, extraction, plan."""
-        if req.image is not None:
-            return self._prepare_frame_request(req)
-        return self._prepare_vectors_entry(
-            req.query_vectors, req.top_k, req.candidate_ids, req.weights, req.nprobe
-        )
-
-    def _prepare_frame_request(self, req: QueryRequest) -> _BatchEntry:
-        """Frame-query admission, mirroring :meth:`query_frame` stage for stage."""
-        names = self._resolve_features(req.features)
-        use_index = self.config.use_index if req.use_index is None else req.use_index
-        bypass = not self._query_cache.enabled or self._policies.faults.armed
-        frame_key: Optional[tuple] = None
-        generation = 0
-        if not bypass:
-            generation = self.store.generation
-            frame_key = (
-                "frame",
-                digest_array(req.image.pixels),
-                tuple(names),
-                req.top_k,
-                use_index,
-            )
-            if req.nprobe is not None:
-                frame_key = frame_key + (("nprobe", int(req.nprobe)),)
-            cached = self._query_cache.get(frame_key, generation)
-            if cached is not None:
-                return _BatchEntry(results=self._copy_results(cached, "hit"))
-        self._policies.check_stage("search.prune")
-        if use_index:
-            with self._obs.span("search.index.prune"):
-                candidate_ids: Optional[List[int]] = sorted(
-                    self.index.candidates(req.image)
-                )
-            n_total = len(self.store)
-            if n_total:
-                self._m_pruning.observe(1.0 - len(candidate_ids) / n_total)
-        else:
-            candidate_ids = None
-        self._policies.check_stage("search.extract")
-        with self._obs.span("search.extract"):
-            query_vectors, degraded = self._extract_degradable(req.image, names)
-        ann_probed: Optional[bool] = None
-        if self.ann is not None and candidate_ids is not None:
-            with self._obs.span("search.ann.probe"):
-                ann_ids = self._ann_probe(query_vectors, req.nprobe)
-            ann_probed = ann_ids is not None
-            if ann_ids is not None:
-                wanted = set(ann_ids)
-                candidate_ids = [fid for fid in candidate_ids if fid in wanted]
-        entry = self._prepare_vectors_entry(
-            query_vectors, req.top_k, candidate_ids, None, req.nprobe
-        )
-        frame_state: Dict[str, object] = {
-            "key": frame_key,
-            "generation": generation,
-            "degraded": degraded,
-            "use_index": use_index,
-            "ann_probed": ann_probed,
-            "mode": (
-                ("bypass" if self._policies.faults.armed else "off")
-                if bypass
-                else None
-            ),
-        }
-        if entry.results is not None:
-            # the inner vectors entry resolved (cache hit / no candidates):
-            # apply the frame-level wrapper now, nothing left to score
-            entry.results = self._finish_frame_entry(frame_state, entry.results)
-        else:
-            entry.frame = frame_state
-        return entry
-
-    def _prepare_vectors_entry(
-        self,
-        query_vectors: Dict[str, FeatureVector],
-        top_k: int,
-        candidate_ids: Optional[Sequence[int]],
-        weights: Optional[Dict[str, float]],
-        nprobe: Optional[int] = None,
-    ) -> _BatchEntry:
-        """Deferred-scoring twin of :meth:`_vectors_entry`."""
-        names = [n for n in query_vectors if n in self.extractors]
-        if not names:
-            raise ValueError("query_vectors holds no configured features")
-        entry = _BatchEntry()
-        if not self._query_cache.enabled or self._policies.faults.armed:
-            entry.cache_mode = "bypass" if self._policies.faults.armed else "off"
-            plan = self._plan_vectors(
-                query_vectors, names, top_k, candidate_ids, weights, nprobe
-            )
-            if plan.empty is not None:
-                if plan.empty.explain is not None:
-                    plan.empty.explain["cache"] = entry.cache_mode
-                entry.results = plan.empty
-            else:
-                entry.plan = plan
-            return entry
-        entry.generation = self.store.generation
-        entry.key = self._vectors_key(
-            query_vectors, names, top_k, candidate_ids, weights, nprobe
-        )
-        cached = self._query_cache.get(entry.key, entry.generation)
-        if cached is not None:
-            entry.results = self._copy_results(cached, "hit")
-            entry.key = None
-            return entry
-        plan = self._plan_vectors(
-            query_vectors, names, top_k, candidate_ids, weights, nprobe
-        )
-        if plan.empty is not None:
-            self._query_cache.put(entry.key, entry.generation, plan.empty)
-            entry.results = self._copy_results(plan.empty, "miss")
-            entry.key = None
-        else:
-            entry.plan = plan
-        return entry
-
-    def _finish_batch_request(
-        self, entry: _BatchEntry, per_feature: Dict[str, np.ndarray]
-    ) -> SearchResults:
-        """Rank + cache-put + wrapper stages after the shared scoring pass."""
-        results = self._rank_plan(entry.plan, per_feature)
-        results = self._finish_vectors_entry(entry, results)
-        if entry.frame is not None:
-            results = self._finish_frame_entry(entry.frame, results)
-        return results
-
     def _finish_vectors_entry(
         self, entry: _BatchEntry, results: SearchResults
     ) -> SearchResults:
+        """Vectors-level cache put (or the reason there is none)."""
         if entry.cache_mode is not None:
-            if results.explain is not None:
-                results.explain["cache"] = entry.cache_mode
+            results.explain["cache"] = entry.cache_mode
             return results
         self._query_cache.put(entry.key, entry.generation, results)
         return self._copy_results(results, "miss")
@@ -984,33 +871,26 @@ class SearchEngine:
     def _finish_frame_entry(
         self, frame_state: Dict[str, object], results: SearchResults
     ) -> SearchResults:
-        """Frame-level annotations + frame-key cache put (mirrors
-        :meth:`_query_frame`'s tail and :meth:`query_frame`'s wrapping)."""
+        """Frame-level annotations + frame-key cache put."""
         degraded = frame_state["degraded"]
         if degraded:
             results.degraded = True
             results.degraded_features = degraded
         explain = results.explain
-        if explain is not None:
-            explain["kind"] = "frame"
-            explain["index"] = {
-                "used": bool(frame_state["use_index"]),
-                "pruning_ratio": round(results.pruning_fraction, 6),
-            }
-            if frame_state["ann_probed"] is not None:
-                explain["ann"] = {
-                    "enabled": True,
-                    "probed": frame_state["ann_probed"],
-                }
-            if degraded:
-                explain["degraded_features"] = list(degraded)
+        explain["kind"] = "frame"
+        explain["index"] = {
+            "used": bool(frame_state["use_index"]),
+            "pruning_ratio": round(results.pruning_fraction, 6),
+        }
+        if frame_state["ann_probed"] is not None:  # the frame-level probe decided
+            explain["ann"] = {"enabled": True, "probed": frame_state["ann_probed"]}
+        if degraded:
+            explain["degraded_features"] = list(degraded)
         if frame_state["key"] is not None:
             self._query_cache.put(
                 frame_state["key"], frame_state["generation"], results
             )
             results = self._copy_results(results, "miss")
-        elif explain is not None:
-            explain["cache"] = frame_state["mode"]
         return results
 
     # -- video query ---------------------------------------------------------------
@@ -1105,23 +985,15 @@ class SearchEngine:
         """
         records, spans = self.store.video_spans()
         nq, nr = len(query_seq), len(records)
-        batched = self.config.batch_distances
-        rows = (
-            self.store.gather_rows([rec.frame_id for rec in records]) if batched else None
-        )
+        rows = self.store.gather_rows([rec.frame_id for rec in records])
         per_feature: Dict[str, np.ndarray] = {}
         for name in names:
             t_dist = time.perf_counter()
             extractor = self.extractors[name]
+            prepared = self._prepared_matrix(name)
             m = np.empty((nq, nr))
-            if batched:
-                prepared = self._prepared_matrix(name)
-                for i, qf in enumerate(query_seq):
-                    m[i] = extractor.batch_distance_prepared(qf[name], prepared, rows)
-            else:
-                for i, qf in enumerate(query_seq):
-                    for j, rec in enumerate(records):
-                        m[i, j] = extractor.distance(qf[name], rec.features[name])
+            for i, qf in enumerate(query_seq):
+                m[i] = extractor.batch_distance_prepared(qf[name], prepared, rows)
             per_feature[name] = m
             self._m_distance_seconds.labels(feature=name).observe(
                 time.perf_counter() - t_dist

@@ -4,10 +4,9 @@ Several hot kernels (thresholding, region labelling, the Gabor bank, the
 correlogram) have two implementations: a straightforward *reference* form
 that mirrors the paper's pseudo-code, and an accelerated form (vectorized
 NumPy, or SciPy where available) that produces identical results.  The
-reference forms stay in the tree for three reasons: they are the oracle
-the equivalence tests compare against, they are the fallback when SciPy
-is absent, and the benchmark harness uses them to measure the
-pre-acceleration code path.
+reference forms stay in the tree for two reasons: they are the oracle
+the equivalence tests compare against, and they are the fallback when
+SciPy is absent.
 
 The switch is process-global and defaults to fast.  Worker processes
 inherit the default, so parallel ingest always runs the fast path.

@@ -221,17 +221,22 @@ class ResiliencePolicies:
         if remaining is not None:
             self._m_remaining.observe(remaining)
 
-    @contextlib.contextmanager
-    def request_scope(self) -> Iterator[None]:
-        """Arm the configured request deadline unless one is already armed."""
+    def new_deadline(self) -> Optional[Deadline]:
+        """A fresh configured request budget, or None when there is
+        nothing to mint: policies off, no ``request_deadline``, or an
+        ambient deadline already armed (which keeps winning)."""
         if (
             not self.enabled
             or self.request_deadline is None
             or current_deadline() is not None
         ):
-            yield
-            return
-        with deadline_scope(self.request_deadline):
+            return None
+        return Deadline(self.request_deadline)
+
+    @contextlib.contextmanager
+    def request_scope(self) -> Iterator[None]:
+        """Arm the configured request deadline unless one is already armed."""
+        with armed_deadline(self.new_deadline()):
             yield
 
     def note_degraded(self, reason: str) -> None:

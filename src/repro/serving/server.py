@@ -31,7 +31,6 @@ from typing import Dict, Optional, Tuple
 from repro.core.search import QueryRequest
 from repro.core.system import VideoRetrievalSystem
 from repro.obs import log
-from repro.resilience import Deadline
 from repro.serving.admission import AdmissionController, OverloadedError
 from repro.serving.batcher import MicroBatcher
 from repro.sharding import maybe_attach_sharded
@@ -254,13 +253,14 @@ class AsyncCbvrServer:
         try:
             degrade = self.admission.admit(self.batcher.depth)
             image, feature_list, top_k, explain = parse_search_request(body, query)
-            deadline = None
             policies = self.system.resilience
-            if policies.enabled and policies.request_deadline is not None:
-                # Created here, not in the engine: queue wait burns budget.
-                deadline = Deadline(policies.request_deadline)
+            policies.fire("serving.request")
             request = QueryRequest(
-                image=image, features=feature_list, top_k=top_k, deadline=deadline
+                image=image,
+                features=feature_list,
+                top_k=top_k,
+                # Created here, not in the engine: queue wait burns budget.
+                deadline=policies.new_deadline(),
             )
             if degrade is not None:
                 request.features = degrade.features

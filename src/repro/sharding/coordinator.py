@@ -27,11 +27,10 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.config import SystemConfig
-from repro.core.results import RetrievalResult, SearchResults
-from repro.core.search import SearchEngine, _QueryPlan, _stable_topk
+from repro.core.results import SearchResults
+from repro.core.search import SearchEngine, _QueryPlan
 from repro.core.snapshots import init_worker_snapshot, open_snapshot_store
 from repro.core.store import FeatureStore
-from repro.imaging import accel
 from repro.indexing.rangefinder import RangeFinder
 from repro.indexing.tree import RangeIndex
 from repro.obs import NULL_OBS, Obs, current_trace_context, free_span, span_from_dict
@@ -45,10 +44,8 @@ from repro.runtime import PoolTask, WorkerPool
 from repro.sharding.worker import (
     drain_worker_metrics,
     score_vectors_shard,
-    score_vectors_shard_batch,
     score_video_shard,
 )
-from repro.similarity.fusion import CombinedScorer, FeatureWeights
 
 __all__ = ["ShardedSearchEngine"]
 
@@ -307,33 +304,12 @@ class ShardedSearchEngine(SearchEngine):
             candidate_arr = self._global_ids
         else:
             candidate_arr = np.asarray(list(candidate_ids), dtype=np.int64)
-        n_total = len(self.store)
-        plan = _QueryPlan(
-            query_vectors=query_vectors,
-            names=list(names),
-            top_k=int(top_k),
-            weights=weights,
-            n_total=n_total,
+        plan = self._new_plan(
+            query_vectors, names, top_k, weights, candidate_arr,
+            sharded={"shards": self.n_shards, "dispatched": 0},
         )
-        if not candidate_arr.size:
-            plan.explain = {
-                "kind": "vectors",
-                "features": list(names),
-                "top_k": int(top_k),
-                "n_total": n_total,
-                "n_candidates": 0,
-                "sharded": {"shards": self.n_shards, "dispatched": 0},
-            }
-            plan.empty = SearchResults(
-                [], n_candidates=0, n_total=n_total, explain=plan.explain
-            )
+        if plan.empty is not None:
             return plan
-
-        # the scoring flags are resolved here, once, and shipped to every
-        # worker, so coordinator and shards pick the same distance kernel
-        plan.batched = self.config.batch_distances
-        plan.fast = accel.fast_paths_enabled()
-        plan.candidate_arr = candidate_arr
         if candidate_arr is self._global_ids:
             owners = self._row_shard
         else:
@@ -351,29 +327,21 @@ class ShardedSearchEngine(SearchEngine):
                 send: Optional[List[int]] = None
             else:
                 send = [int(fid) for fid in ids]
-            payloads.append(
-                (s, (query_vectors, list(names), send, plan.batched, plan.fast))
-            )
+            payloads.append((s, (query_vectors, list(names), send)))
             positions[s] = pos
         plan.payloads = payloads
         plan.positions = positions
         return plan
 
-    def _score_plan(self, plan: _QueryPlan) -> Dict[str, np.ndarray]:
-        """One scatter for one plan (the serial query path)."""
-        payloads = [(s, (self._paths[s],) + args) for s, args in plan.payloads]
-        gathered, degraded, shard_meta = self._scatter(score_vectors_shard, payloads)
-        return self._merge_gathered(plan, gathered, degraded, shard_meta)
-
     def _score_plans(self, plans) -> List[object]:
-        """One scatter per shard covering *every* plan in the batch.
+        """One scatter per shard covering *every* plan of the pass.
 
-        Each shard worker loops the identical single-query scoring code
-        per plan (see ``score_vectors_shard_batch``), so the returned
-        arrays are byte-identical to per-plan dispatch -- the batch only
-        collapses N IPC round trips per shard into one.  A shard failure
-        degrades every batchmate that dispatched to it, exactly as N
-        serial queries hitting the same dead shard would.
+        Each shard worker scores the plans one at a time (see
+        ``score_vectors_shard``), so the returned arrays do not depend
+        on how requests were batched -- a batch only collapses N IPC
+        round trips per shard into one.  A shard failure degrades every
+        batchmate that dispatched to it, exactly as N solo queries
+        hitting the same dead shard would.
         """
         per_shard_args: Dict[int, List[tuple]] = {}
         slot: Dict[Tuple[int, int], int] = {}
@@ -388,7 +356,7 @@ class ShardedSearchEngine(SearchEngine):
         ]
         try:
             gathered, degraded, shard_meta = self._scatter(
-                score_vectors_shard_batch, payloads
+                score_vectors_shard, payloads
             )
         except Exception as exc:  # every shard down / partial_ok off
             return [exc for _ in plans]
@@ -435,14 +403,15 @@ class ShardedSearchEngine(SearchEngine):
                 dest = per_feature.get(name)
                 if dest is None:
                     dest = per_feature[name] = np.empty(
-                        plan.candidate_arr.size, dtype=shard_values[name].dtype
+                        plan.candidate_ids.size, dtype=shard_values[name].dtype
                     )
                 dest[pos] = shard_values[name]
         if degraded:
             # compact over the surviving positions: exactly the arrays a
             # store holding only the surviving partitions would produce
             keep = np.sort(np.concatenate([positions[s] for s in gathered]))
-            plan.candidate_arr = plan.candidate_arr[keep]
+            plan.candidate_ids = plan.candidate_ids[keep]
+            plan.explain["n_candidates"] = int(keep.size)
             for name in names:
                 per_feature[name] = per_feature[name][keep]
         plan.degraded_shards = degraded
@@ -452,61 +421,24 @@ class ShardedSearchEngine(SearchEngine):
     def _rank_plan(
         self, plan: _QueryPlan, per_feature: Dict[str, np.ndarray]
     ) -> SearchResults:
-        """The base engine's fusion + ranking tail, verbatim: one global
-        normalization over the candidate set."""
-        names = plan.names
-        weights = plan.weights
-        candidate_arr = plan.candidate_arr
-        if len(names) == 1:
-            fused = np.asarray(per_feature[names[0]], dtype=np.float64)
-        else:
-            if weights is None:
-                weights = {n: self.config.weight_of(n) for n in names}
-            fused = CombinedScorer(FeatureWeights(weights)).fuse(per_feature)
-        if plan.fast:
-            order = _stable_topk(fused, max(0, plan.top_k))
-        else:
-            order = np.argsort(fused, kind="stable")[: max(0, plan.top_k)]
-        hits = []
-        for i in order:
-            record = self.store.get(int(candidate_arr[i]))
-            hits.append(
-                RetrievalResult(
-                    frame_id=record.frame_id,
-                    video_id=record.video_id,
-                    video_name=record.video_name,
-                    frame_name=record.frame_name,
-                    category=record.category,
-                    distance=float(fused[i]),
-                    per_feature={n: float(per_feature[n][i]) for n in names},
-                )
-            )
+        """The base engine's fusion + ranking tail (one global
+        normalization over the candidate set) plus the ``sharded``
+        explain block."""
+        results = super()._rank_plan(plan, per_feature)
         merge_s = time.perf_counter() - plan.merge_t0
         self._m_merge_seconds.observe(merge_s)
         shard_meta = plan.shard_meta
-        explain: Dict[str, object] = {
-            "kind": "vectors",
-            "features": list(names),
-            "top_k": int(plan.top_k),
-            "n_total": plan.n_total,
-            "n_candidates": int(candidate_arr.size),
-            "sharded": {
-                "shards": self.n_shards,
-                "dispatched": len(plan.payloads),
-                "merge_ms": round(merge_s * 1000.0, 3),
-                "per_shard": [shard_meta[s] for s in sorted(shard_meta)],
-            },
+        plan.explain["sharded"] = {
+            "shards": self.n_shards,
+            "dispatched": len(plan.payloads),
+            "merge_ms": round(merge_s * 1000.0, 3),
+            "per_shard": [shard_meta[s] for s in sorted(shard_meta)],
         }
         if plan.degraded_shards:
-            explain["degraded_shards"] = list(plan.degraded_shards)
-        plan.explain = explain
-        return SearchResults(
-            hits,
-            n_candidates=int(candidate_arr.size),
-            n_total=plan.n_total,
-            degraded_shards=plan.degraded_shards,
-            explain=explain,
-        )
+            results.degraded = True
+            results.degraded_shards = list(plan.degraded_shards)
+            plan.explain["degraded_shards"] = list(plan.degraded_shards)
+        return results
 
     # -- video queries ---------------------------------------------------------
 
@@ -514,7 +446,7 @@ class ShardedSearchEngine(SearchEngine):
         """Scatter the clip to every shard, then slot each reply's column
         blocks into global record order (the surviving shards' videos)."""
         payloads = [
-            (s, (self._paths[s], query_seq, list(names), self.config.batch_distances))
+            (s, (self._paths[s], query_seq, list(names)))
             for s in range(self.n_shards)
             if self._shard_frame_ids[s].size
         ]

@@ -39,7 +39,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.snapshots import open_snapshot_store
-from repro.core.store import FeatureStore, FrameRecord
+from repro.core.store import FeatureStore
 from repro.features.base import FeatureExtractor, FeatureVector, get_extractor
 from repro.obs import NULL_SPAN, MetricsRegistry, capture_subtree, diff_state, free_span, log
 from repro.obs.metrics import NULL_METRIC
@@ -48,7 +48,6 @@ from repro.snapshot import Snapshot
 __all__ = [
     "ShardReply",
     "score_vectors_shard",
-    "score_vectors_shard_batch",
     "score_video_shard",
     "drain_worker_metrics",
     "reset_worker_state",
@@ -235,19 +234,18 @@ def _span(sampled: bool, name: str, **attrs: object):
 
 def score_vectors_shard(
     path: str,
-    query_vectors: Dict[str, FeatureVector],
-    names: Sequence[str],
-    candidate_ids: Optional[Sequence[int]],
-    batched: bool,
-    fast: bool,
+    queries: Sequence[tuple],
     obs_ctx: Optional[Mapping[str, object]] = None,
 ) -> ShardReply:
-    """Raw per-feature distances for this shard's slice of the candidates.
+    """Raw per-feature distances for this shard's slice of each query.
 
-    Mirrors ``SearchEngine._query_with_vectors`` branch for branch (the
-    ``batched``/``fast`` flags are computed coordinator-side and passed
-    in, so both processes pick the same kernel): prepared-stack scoring,
-    the reference batched path, or the scalar per-record loop.
+    ``queries`` holds one ``(query_vectors, names, candidate_ids)`` tuple
+    per request of the coordinator's scoring pass (a solo query is a
+    list of one); the reply's value is the list of per-feature distance
+    dicts in the same order.  Every query is scored on its own against
+    the partition's prepared stacks -- the list collapses per-request
+    IPC, it never stacks query vectors into one multi-query kernel, so
+    each array is byte-identical however the requests were batched.
     ``candidate_ids=None`` means every frame of the partition -- the
     common case, which skips the row gather entirely.
     """
@@ -258,142 +256,56 @@ def score_vectors_shard(
     t0 = time.perf_counter()
     span_dict: Optional[Dict[str, object]] = None
     if sampled:
-        with capture_subtree("shard.score_vectors", ctx, shard=shard) as root:
-            per_feature, n_rows = _score_vectors(
-                path, query_vectors, names, candidate_ids, batched, fast,
-                metrics, sampled,
-            )
+        with capture_subtree(
+            "shard.score_vectors", ctx, shard=shard, queries=len(queries)
+        ) as root:
+            values, n_rows = _score_vectors(path, queries, metrics, sampled)
             root.annotate(rows=n_rows)
         span_dict = root.to_dict()
     else:
-        per_feature, n_rows = _score_vectors(
-            path, query_vectors, names, candidate_ids, batched, fast,
-            metrics, sampled,
-        )
+        values, n_rows = _score_vectors(path, queries, metrics, sampled)
     elapsed = time.perf_counter() - t0
     metrics.queries.labels(kind="vectors").inc()
     metrics.seconds.labels(kind="vectors").observe(elapsed)
     metrics.rows.observe(n_rows)
     _log.debug(
-        "shard.score_vectors", shard=shard, rows=n_rows,
+        "shard.score_vectors", shard=shard, queries=len(queries), rows=n_rows,
         ms=round(elapsed * 1000.0, 2),
-    )
-    with _metrics_lock:
-        delta = metrics.delta()
-    return ShardReply(value=per_feature, span=span_dict, metrics=delta)
-
-
-def _score_vectors(
-    path: str,
-    query_vectors: Dict[str, FeatureVector],
-    names: Sequence[str],
-    candidate_ids: Optional[Sequence[int]],
-    batched: bool,
-    fast: bool,
-    metrics,
-    sampled: bool,
-) -> Tuple[Dict[str, np.ndarray], int]:
-    state = _shard_state(path, metrics)
-    store = state.store
-    shard_full = candidate_ids is None
-    if shard_full:
-        candidate_ids = store.frame_ids()
-    else:
-        candidate_ids = list(candidate_ids)
-    prepared_scoring = batched and fast
-    records: Optional[List[FrameRecord]] = None
-    rows: Optional[np.ndarray] = None
-    if not batched or not fast:
-        records = [store.get(fid) for fid in candidate_ids]
-    elif prepared_scoring and not shard_full:
-        rows = store.matrix_rows(candidate_ids)
-    per_feature: Dict[str, np.ndarray] = {}
-    for name in names:
-        extractor = state.extractor(name)
-        qv = query_vectors[name]
-        t_dist = time.perf_counter()
-        with _span(sampled, "shard.distance", feature=name):
-            if prepared_scoring:
-                per_feature[name] = extractor.batch_distance_prepared(
-                    qv, store.prepared_matrix(name, extractor), rows
-                )
-            elif batched:
-                matrix = store.feature_matrix(
-                    name, None if shard_full else candidate_ids
-                )
-                per_feature[name] = extractor.batch_distance(qv, matrix)
-            else:
-                per_feature[name] = np.array(
-                    [extractor.distance(qv, rec.features[name]) for rec in records]
-                )
-        metrics.distance_seconds.labels(feature=name).observe(
-            time.perf_counter() - t_dist
-        )
-    return per_feature, len(candidate_ids)
-
-
-def score_vectors_shard_batch(
-    path: str,
-    queries: Sequence[tuple],
-    obs_ctx: Optional[Mapping[str, object]] = None,
-) -> ShardReply:
-    """Raw distances for several micro-batched queries, one round trip.
-
-    ``queries`` holds one ``(query_vectors, names, candidate_ids,
-    batched, fast)`` tuple per batched request; the reply's value is the
-    list of per-feature distance dicts in the same order.  Each query
-    runs through the *identical* single-query scoring code
-    (:func:`_score_vectors`) -- the batch collapses per-request IPC, it
-    never stacks query vectors into one multi-query kernel, so every
-    returned array is byte-identical to a ``score_vectors_shard``
-    dispatch for the same query.
-    """
-    ctx = obs_ctx or {}
-    sampled = bool(ctx.get("sampled"))
-    metrics = _metrics(bool(ctx.get("metrics")))
-    shard = ctx.get("shard")
-    t0 = time.perf_counter()
-
-    def run() -> Tuple[List[Dict[str, np.ndarray]], int]:
-        values: List[Dict[str, np.ndarray]] = []
-        total = 0
-        for query_vectors, names, candidate_ids, batched, fast in queries:
-            per_feature, n_rows = _score_vectors(
-                path, query_vectors, names, candidate_ids, batched, fast,
-                metrics, sampled,
-            )
-            values.append(per_feature)
-            total += n_rows
-        return values, total
-
-    span_dict: Optional[Dict[str, object]] = None
-    if sampled:
-        with capture_subtree(
-            "shard.score_vectors_batch", ctx, shard=shard, queries=len(queries)
-        ) as root:
-            values, total = run()
-            root.annotate(rows=total)
-        span_dict = root.to_dict()
-    else:
-        values, total = run()
-    elapsed = time.perf_counter() - t0
-    metrics.queries.labels(kind="vectors_batch").inc()
-    metrics.seconds.labels(kind="vectors_batch").observe(elapsed)
-    metrics.rows.observe(total)
-    _log.debug(
-        "shard.score_vectors_batch", shard=shard, queries=len(queries),
-        rows=total, ms=round(elapsed * 1000.0, 2),
     )
     with _metrics_lock:
         delta = metrics.delta()
     return ShardReply(value=values, span=span_dict, metrics=delta)
 
 
+def _score_vectors(
+    path: str, queries: Sequence[tuple], metrics, sampled: bool
+) -> Tuple[List[Dict[str, np.ndarray]], int]:
+    state = _shard_state(path, metrics)
+    store = state.store
+    values: List[Dict[str, np.ndarray]] = []
+    n_rows = 0
+    for query_vectors, names, candidate_ids in queries:
+        rows = None if candidate_ids is None else store.matrix_rows(candidate_ids)
+        per_feature: Dict[str, np.ndarray] = {}
+        for name in names:
+            extractor = state.extractor(name)
+            t_dist = time.perf_counter()
+            with _span(sampled, "shard.distance", feature=name):
+                per_feature[name] = extractor.batch_distance_prepared(
+                    query_vectors[name], store.prepared_matrix(name, extractor), rows
+                )
+            metrics.distance_seconds.labels(feature=name).observe(
+                time.perf_counter() - t_dist
+            )
+        values.append(per_feature)
+        n_rows += len(store) if rows is None else rows.size
+    return values, n_rows
+
+
 def score_video_shard(
     path: str,
     query_seq: Sequence[Dict[str, FeatureVector]],
     names: Sequence[str],
-    batched: bool,
     obs_ctx: Optional[Mapping[str, object]] = None,
 ) -> ShardReply:
     """Per-feature (n_query x n_shard_frames) raw distance blocks.
@@ -414,13 +326,13 @@ def score_video_shard(
     if sampled:
         with capture_subtree("shard.score_video", ctx, shard=shard) as root:
             blocks, video_ids, n_rows = _score_video(
-                path, query_seq, names, batched, metrics, sampled
+                path, query_seq, names, metrics, sampled
             )
             root.annotate(rows=n_rows, videos=len(video_ids))
         span_dict = root.to_dict()
     else:
         blocks, video_ids, n_rows = _score_video(
-            path, query_seq, names, batched, metrics, sampled
+            path, query_seq, names, metrics, sampled
         )
     elapsed = time.perf_counter() - t0
     metrics.queries.labels(kind="video").inc()
@@ -439,7 +351,6 @@ def _score_video(
     path: str,
     query_seq: Sequence[Dict[str, FeatureVector]],
     names: Sequence[str],
-    batched: bool,
     metrics,
     sampled: bool,
 ) -> Tuple[Dict[str, np.ndarray], List[int], int]:
@@ -447,21 +358,16 @@ def _score_video(
     store = state.store
     records, spans = store.video_spans()
     nq, nr = len(query_seq), len(records)
-    rows = store.gather_rows([rec.frame_id for rec in records]) if batched else None
+    rows = store.gather_rows([rec.frame_id for rec in records])
     blocks: Dict[str, np.ndarray] = {}
     for name in names:
         extractor = state.extractor(name)
         t_dist = time.perf_counter()
         with _span(sampled, "shard.distance", feature=name):
+            prepared = store.prepared_matrix(name, extractor)
             m = np.empty((nq, nr))
-            if batched:
-                prepared = store.prepared_matrix(name, extractor)
-                for i, qf in enumerate(query_seq):
-                    m[i] = extractor.batch_distance_prepared(qf[name], prepared, rows)
-            else:
-                for i, qf in enumerate(query_seq):
-                    for j, rec in enumerate(records):
-                        m[i, j] = extractor.distance(qf[name], rec.features[name])
+            for i, qf in enumerate(query_seq):
+                m[i] = extractor.batch_distance_prepared(qf[name], prepared, rows)
             blocks[name] = m
         metrics.distance_seconds.labels(feature=name).observe(
             time.perf_counter() - t_dist

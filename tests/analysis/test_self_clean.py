@@ -4,10 +4,12 @@ This is the test that turns reprolint into CI: any contract violation
 introduced anywhere in ``src/repro`` fails the ordinary pytest run.
 """
 
+import dataclasses
 from pathlib import Path
 
 import repro
 from repro.analysis import lint_paths
+from repro.core.config import SystemConfig
 
 PACKAGE_DIR = Path(repro.__file__).parent
 
@@ -21,3 +23,11 @@ def test_full_tree_was_actually_scanned():
     report = lint_paths([PACKAGE_DIR])
     assert report.n_files >= 70, "package scan looks truncated"
     assert report.n_rules == 20
+
+
+def test_no_engine_level_scoring_switch():
+    """One scoring path: ``imaging.accel`` switches extraction kernels only."""
+    for module in [*PACKAGE_DIR.glob("core/*.py"), *PACKAGE_DIR.glob("sharding/*.py")]:
+        source = module.read_text()
+        assert "import accel" not in source and "imaging.accel" not in source, module
+    assert "batch_distances" not in {f.name for f in dataclasses.fields(SystemConfig)}

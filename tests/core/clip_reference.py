@@ -1,4 +1,9 @@
-"""The clip query spelled out one step at a time.
+"""The frame and clip queries spelled out one step at a time.
+
+The engine has one scoring path (``batch_distance_prepared`` on the
+prepared stacks, ``_stable_topk``); :func:`reference_frame_ranking` is
+what it must equal -- the scalar ``extractor.distance`` per stored
+record, ``CombinedScorer.fuse``, a stable argsort.
 
 ``search_by_video`` scores every query key frame against the prepared
 stacks through the blocked kernels and fills all DP tables in one batched
@@ -10,14 +15,45 @@ explicitly gathered raw stack per feature, one ``dtw_distance`` /
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.search import SearchEngine
 from repro.core.store import FeatureStore, FrameRecord
 from repro.similarity.dp import align_score, dtw_distance
-from repro.similarity.fusion import normalize_scores
+from repro.similarity.fusion import CombinedScorer, FeatureWeights, normalize_scores
+
+
+def reference_frame_ranking(
+    engine: SearchEngine,
+    image,
+    top_k: int,
+    features: Optional[Sequence[str]] = None,
+    use_index: bool = True,
+) -> List[Tuple[int, float, Dict[str, float]]]:
+    """``[(frame_id, fused, per_feature)]``, best first, read off
+    ``record.features`` one stored frame at a time."""
+    config, store = engine.config, engine.store
+    names = list(features or config.features)
+    ids = sorted(engine.index.candidates(image)) if use_index else store.frame_ids()
+    per_feature = {}
+    for name in names:
+        extractor = engine.extractors[name]
+        query = extractor.extract(image)
+        per_feature[name] = np.array(
+            [extractor.distance(query, store.get(fid).features[name]) for fid in ids]
+        )
+    if len(names) == 1:
+        fused = per_feature[names[0]]
+    else:
+        weights = FeatureWeights({n: config.weight_of(n) for n in names})
+        fused = CombinedScorer(weights).fuse(per_feature)
+    order = np.argsort(fused, kind="stable")[:top_k]
+    return [
+        (ids[i], float(fused[i]), {n: float(per_feature[n][i]) for n in names})
+        for i in order
+    ]
 
 
 def reference_clip_ranking(engine: SearchEngine, frames: Sequence) -> List[Tuple[int, float]]:

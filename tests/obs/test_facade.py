@@ -41,7 +41,7 @@ class TestDisabledIsStructurallyFree:
     """Disabled obs hands out shared singletons: no allocation, no state.
 
     This is the ``obs_enabled=false`` fast path the benchmark gate
-    (``benchmarks/regress.py obs_overhead``) quantifies; here we pin the
+    (``scripts/check_obs_overhead.py``) quantifies; here we pin the
     *mechanism* -- every handle is one shared no-op object, so the cost
     per instrumentation point is a single no-op method call.
     """

@@ -13,6 +13,7 @@ from repro.core.system import VideoRetrievalSystem
 from repro.features.base import all_extractors, get_extractor
 from repro.imaging.image import Image
 from repro.video.generator import VideoSpec, generate_video, make_corpus
+from tests.core.clip_reference import reference_clip_ranking, reference_frame_ranking
 
 
 @pytest.fixture(scope="module")
@@ -169,36 +170,41 @@ class TestFeatureMatrixCache:
 
 
 class TestBatchedVsScalarSearch:
+    """The engine's one (prepared, batched) path against the scalar reference."""
+
     @pytest.fixture(scope="class")
-    def pair(self, tiny_corpus):
-        batched = _ingest_all(SystemConfig(batch_distances=True), tiny_corpus)
-        scalar = _ingest_all(SystemConfig(batch_distances=False), tiny_corpus)
-        yield batched, scalar
-        batched.close()
-        scalar.close()
+    def system(self, tiny_corpus):
+        system = _ingest_all(SystemConfig(), tiny_corpus)
+        yield system
+        system.close()
 
-    def test_query_frame_identical_rankings(self, pair, tiny_corpus):
-        batched, scalar = pair
+    def test_query_frame_identical_rankings(self, system, tiny_corpus):
         query = tiny_corpus[0].frames[2]
-        hits_b = batched.search(query, top_k=10, use_index=False)
-        hits_s = scalar.search(query, top_k=10, use_index=False)
-        assert [h.frame_id for h in hits_b] == [h.frame_id for h in hits_s]
-        np.testing.assert_allclose(
-            [h.distance for h in hits_b], [h.distance for h in hits_s], atol=1e-9
-        )
+        for features in (None, ["sch"]):  # fused, and one feature alone
+            hits = system.search(query, features=features, top_k=10, use_index=False)
+            want = reference_frame_ranking(
+                system.engine, query, 10, features=features, use_index=False
+            )
+            assert [h.frame_id for h in hits] == [fid for fid, _d, _pf in want]
+            np.testing.assert_allclose(
+                [h.distance for h in hits], [d for _fid, d, _pf in want], atol=1e-9
+            )
+            for hit, (_fid, _d, per_feature) in zip(hits, want):
+                assert hit.per_feature.keys() == per_feature.keys()
+                np.testing.assert_allclose(
+                    list(hit.per_feature.values()), list(per_feature.values()),
+                    atol=1e-9,
+                )
 
-    def test_query_video_identical_rankings(self, pair):
-        batched, scalar = pair
+    def test_query_video_identical_rankings(self, system):
         clip = generate_video(
             VideoSpec(category="news", seed=321, n_shots=2, frames_per_shot=4)
         )
-        matches_b = batched.search_by_video(clip, top_k=5)
-        matches_s = scalar.search_by_video(clip, top_k=5)
-        assert [m.video_id for m in matches_b] == [m.video_id for m in matches_s]
+        matches = system.search_by_video(clip, top_k=5)
+        want = reference_clip_ranking(system.engine, clip.frames)[:5]
+        assert [m.video_id for m in matches] == [vid for vid, _d in want]
         np.testing.assert_allclose(
-            [m.distance for m in matches_b],
-            [m.distance for m in matches_s],
-            atol=1e-9,
+            [m.distance for m in matches], [d for _vid, d in want], atol=1e-9
         )
 
 

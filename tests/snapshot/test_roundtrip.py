@@ -15,6 +15,7 @@ from repro.core.config import SystemConfig
 from repro.core.snapshots import SnapshotRequiredError
 from repro.core.system import VideoRetrievalSystem
 from repro.video.generator import VideoSpec, generate_video
+from tests.core.clip_reference import reference_frame_ranking
 
 pytestmark = pytest.mark.filterwarnings("ignore::ResourceWarning")
 
@@ -90,13 +91,18 @@ class TestMmapServing:
 
     def test_scalar_path_reads_lazy_features(self, library):
         lib, query = library
-        config = SystemConfig(batch_distances=False, query_cache_size=0)
+        config = SystemConfig(query_cache_size=0)
         via_snap = VideoRetrievalSystem.open(lib, config)
-        via_sql = VideoRetrievalSystem.open(
-            lib, SystemConfig(snapshot="off", batch_distances=False,
-                              query_cache_size=0))
+        via_sql = VideoRetrievalSystem.open(lib, config.with_(snapshot="off"))
         assert via_snap.snapshots.served_from == "mmap"
-        assert _ranking(via_snap, query) == _ranking(via_sql, query)
+        # the scalar reference pages record.features in off the mmap
+        lazy = reference_frame_ranking(via_snap.engine, query, 8)
+        assert lazy == reference_frame_ranking(via_sql.engine, query, 8)
+        ranking = _ranking(via_snap, query)
+        assert [fid for fid, _d, _pf in ranking] == [fid for fid, _d, _pf in lazy]
+        np.testing.assert_allclose(
+            [d for _fid, d, _pf in ranking], [d for _fid, d, _pf in lazy], atol=1e-9
+        )
         via_snap.close()
         via_sql.close()
 
