@@ -8,14 +8,13 @@ Run:  python examples/web_demo.py
 """
 
 import json
-import threading
 import urllib.request
 
 from repro import VideoRetrievalSystem, make_corpus
 from repro.core.config import SystemConfig
+from repro.serving import AsyncCbvrServer
 from repro.video.codec import encode_rvf_bytes
 from repro.video.generator import VideoSpec, generate_video
-from repro.web.server import make_server
 
 PASSWORD = "s3cret"
 
@@ -36,10 +35,8 @@ def main() -> None:
     for video in make_corpus(videos_per_category=2, seed=11, n_shots=2, frames_per_shot=5):
         admin.add_video(video)
 
-    server, port = make_server(system)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    base = f"http://127.0.0.1:{port}"
+    server = AsyncCbvrServer(system)
+    base = server.start_in_thread()
     print(f"server on {base}: "
           f"{system.n_videos()} videos / {system.n_key_frames()} key frames\n")
 
@@ -82,7 +79,7 @@ def main() -> None:
                            headers={"X-Admin-Password": PASSWORD})
     print(f"DELETE /admin/videos/{upload['v_id']} -> {status}:", json.loads(body))
 
-    server.shutdown()
+    server.stop()
 
 
 if __name__ == "__main__":

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # One-shot quality gate: reprolint + ruff + mypy + tier-1 pytest (with a
-# coverage floor when pytest-cov is installed) + the end-to-end benchmark's
-# own tests and one smoke-scale run of it, checked against its oracle.
+# coverage floor when pytest-cov is installed) + the load gate + the
+# end-to-end benchmark's own tests and one smoke-scale run of it, checked
+# against its oracle.
 #
 # Usage: scripts/check.sh [--fast]
 #   --fast  skip the pytest suite (lint/type checks only)
@@ -122,6 +123,17 @@ if [ "$fast" -eq 0 ]; then
         record obs_overhead FAIL
     fi
 
+    # SLO under concurrent clients, solo and sharded, then a burst that must
+    # shed with 429 + Retry-After and reconcile with the shed counter (~6 s)
+    step "load gate (scripts/load_gate.py)"
+    load_gate_dir=$(mktemp -d)
+    if python scripts/load_gate.py --artifact-dir "$load_gate_dir"; then
+        record load_gate ok
+    else
+        record load_gate FAIL
+    fi
+    rm -rf "$load_gate_dir"
+
     step "pytest (benchmarks/e2e/tests, smoke scale)"
     if python -m pytest benchmarks/e2e/tests -q; then
         record bench_tests ok
@@ -142,6 +154,7 @@ else
     record coverage skip
     record obs_tests skip
     record obs_overhead skip
+    record load_gate skip
     record bench_tests skip
     record bench_smoke skip
 fi

@@ -1,20 +1,20 @@
 #!/usr/bin/env python
-"""CI load gate: the asyncio front-end meets its latency SLO and sheds
-cleanly under overload.
+"""Load gate: the HTTP server meets its latency SLO and sheds cleanly
+under overload.
 
 Three phases, all over real sockets with concurrent keep-alive clients:
 
-- **solo SLO** -- an asyncio server over the single-store engine takes a
+- **solo SLO** -- a server over the single-store engine takes a
   mixed query stream (varying top_k / feature subsets, query cache off)
   from ``--clients`` concurrent clients; every response must be 200 and
   client-observed p95 latency must stay under the SLO.
 - **sharded SLO** -- the same drill against a coordinator over
   ``--shards`` snapshot-backed shard workers (one scatter per shard per
-  micro-batch).
+  dispatched batch).
 - **overload** -- a server with a deliberately tiny queue
-  (``serving_queue_limit=4``) and a wide batch window takes a saturating
-  burst: every response must be 200 or 429 (never a 5xx, never a hang),
-  every 429 must carry Retry-After, and the server's
+  (``serving_queue_limit=4``) takes a saturating burst from twelve
+  clients: every response must be 200 or 429 (never a 5xx, never a
+  hang), every 429 must carry Retry-After, and the server's
   ``repro_serving_shed_total`` counter must equal the client-observed
   rejection count exactly.
 
@@ -23,7 +23,7 @@ the default) so slow CI runners can be accommodated without editing the
 workflow.  Artifacts land in ``--artifact-dir``: the run report, a
 client-side latency histogram per phase, and a final /metrics scrape.
 
-Usage (CI)::
+Usage (CI and ``scripts/check.sh``)::
 
     PYTHONPATH=src python scripts/load_gate.py --artifact-dir load-gate
 """
@@ -172,7 +172,7 @@ def main(argv=None) -> int:
     parser.add_argument("--artifact-dir", default="load-gate")
     args = parser.parse_args(argv)
 
-    from repro.serving import make_async_server
+    from repro.serving import AsyncCbvrServer
     from repro.sharding import attach_sharded_engine, read_manifest, split_store
 
     os.makedirs(args.artifact_dir, exist_ok=True)
@@ -183,8 +183,6 @@ def main(argv=None) -> int:
     system = _build_system(
         args.videos_per_category, args.shots,
         query_cache_size=0,  # every request does real scoring work
-        batch_window_ms=2.0,
-        batch_max=8,
     )
     body = system.any_key_frame().encode("ppm")
     print(f"corpus: {system.n_videos()} videos, {system.n_key_frames()} key frames")
@@ -199,7 +197,7 @@ def main(argv=None) -> int:
         (f"shards{args.shards}", lambda: attach_sharded_engine(system, shard_paths)),
     ):
         prepare()
-        server = make_async_server(system)
+        server = AsyncCbvrServer(system)
         try:
             outcomes, wall, netloc = _run_phase(
                 server, body, args.clients, args.requests_per_client
@@ -235,11 +233,9 @@ def main(argv=None) -> int:
         query_cache_size=0,
         serving_queue_limit=4,
         serving_degrade_depth=0,
-        batch_window_ms=200.0,
-        batch_max=2,
     )
     overload_body = overload_system.any_key_frame().encode("ppm")
-    server = make_async_server(overload_system)
+    server = AsyncCbvrServer(overload_system)
     try:
         outcomes, wall, netloc = _run_phase(server, overload_body, 12, 4)
         shed_total = _metric_total(netloc, "repro_serving_shed_total")

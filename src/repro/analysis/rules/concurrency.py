@@ -1,8 +1,8 @@
 """Rule R15: module-level state touched from concurrent contexts is guarded.
 
 Two execution contexts run project code concurrently today, and both grow
-in the sharded/async roadmap: the ``ThreadingHTTPServer`` web front end
-(one thread per request) and callables shipped through
+in the sharded/async roadmap: the web route table (the asyncio server
+runs it on executor threads, one per in-flight request) and callables shipped through
 ``runtime.WorkerPool`` (forked workers now, a shard fleet next).  A
 module-level dict/list/set mutated on those paths without a lock is a
 data race on the threaded path and silently-diverging per-process state

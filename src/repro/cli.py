@@ -97,10 +97,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shards", default=None, metavar="DIR",
                    help="serve queries scatter-gather from the shard set "
                         "in DIR (written by 'repro shard split')")
-    p.add_argument("--async", dest="async_serving", action="store_true",
-                   help="serve through the asyncio front-end with query "
-                        "micro-batching and admission control "
-                        "(see docs/serving.md)")
+    # accepted and ignored: benchmarks/e2e/loadgen.py, which this repo may
+    # not edit, still passes it; there is one server (docs/serving.md)
+    p.add_argument("--async", action="store_true", help=argparse.SUPPRESS)
 
     p = sub.add_parser(
         "shard",
@@ -302,7 +301,7 @@ def _cmd_export_frame(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:  # pragma: no cover - blocking loop
-    from repro.web.server import make_server
+    from repro.serving import AsyncCbvrServer
 
     if args.shards:
         from repro.core.config import SystemConfig
@@ -317,18 +316,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:  # pragma: no cover - blocking 
         system = _open_system(args.library, admin_password=args.admin_password)
     sharded = f", {system.config.shards} shards" if args.shards else ""
     try:
-        if args.async_serving:
-            from repro.serving import make_async_server
-
-            async_server = make_async_server(system, port=args.port)
-            print(f"serving {args.library} on http://127.0.0.1:{args.port} "
-                  f"({system.n_videos()} videos{sharded}, asyncio batching)")
-            async_server.serve_blocking()
-        else:
-            server, port = make_server(system, port=args.port)
-            print(f"serving {args.library} on http://127.0.0.1:{port} "
-                  f"({system.n_videos()} videos{sharded})")
-            server.serve_forever()
+        server = AsyncCbvrServer(system, port=args.port)
+        print(f"serving {args.library} on http://127.0.0.1:{args.port} "
+              f"({system.n_videos()} videos{sharded})")
+        server.serve_blocking()
     except KeyboardInterrupt:
         pass
     finally:

@@ -58,7 +58,6 @@ class SystemConfig:
     snapshot_compact_every: int = 64
     # video-to-video similarity
     sequence_method: str = "dtw"  # 'dtw' or 'align'
-    sequence_gap_penalty: float = 0.5
     #: weight of the clip-level motion descriptor in video queries
     #: (0 = appearance only, the paper's system; 1 = equal to appearance)
     video_motion_weight: float = 0.0
@@ -70,12 +69,6 @@ class SystemConfig:
     obs_enabled: bool = True
     #: ring-buffer capacity for recent request traces (``/traces/recent``)
     obs_trace_buffer: int = 64
-    #: level for the ``repro`` logger tree (None = REPRO_LOG_LEVEL env / WARNING)
-    obs_log_level: Optional[str] = None
-    #: latency histogram bucket bounds in seconds, strictly increasing
-    #: (None = the built-in defaults, 1ms..10s); tune so sub-millisecond
-    #: cache hits and multi-second degraded queries both resolve
-    obs_latency_buckets: Optional[Tuple[float, ...]] = None
     #: wall-time threshold (ms) above which a query is captured in the
     #: slow-query ring buffer (``GET /debug/slow``); 0 disables the log
     obs_slow_query_ms: float = 500.0
@@ -87,18 +80,8 @@ class SystemConfig:
     #: armed fault points, e.g. "extractor.gabor:every=1;db.execute:once"
     #: (None = the REPRO_FAULTS environment variable)
     fault_spec: Optional[str] = None
-    #: max attempts for retried calls (db statements, video decode)
-    retry_attempts: int = 3
-    #: first backoff delay in seconds (doubles per attempt, seeded jitter)
-    retry_base_delay: float = 0.01
-    #: total elapsed-time budget across one call's retries (None = unbounded)
-    retry_max_elapsed: Optional[float] = None
-    #: seed of the deterministic backoff jitter
-    retry_seed: int = 2012
     #: sliding outcome window of the ANN / worker-pool circuit breakers
     breaker_window: int = 16
-    #: failure fraction over the window that trips a breaker open
-    breaker_failure_threshold: float = 0.5
     #: seconds an open breaker waits before its half-open probe
     breaker_cooldown: float = 0.1
     #: per-request wall-time budget checked at stage boundaries
@@ -115,15 +98,9 @@ class SystemConfig:
     #: serve a partial ranking when a shard fails / its breaker is open
     #: (surfaced via ``SearchResults.degraded_shards``); False escalates
     shard_partial_ok: bool = True
-    # asyncio serving front-end (repro.serving): a bounded queue feeds a
-    # micro-batcher that coalesces concurrent search requests into one
-    # batched scoring call (one scatter per shard when sharded)
-    #: micro-batching window in milliseconds: the batcher waits this long
-    #: after the first queued request for batchmates (0 = drain-only, no
-    #: artificial wait)
-    batch_window_ms: float = 2.0
-    #: max requests coalesced into one batched scoring call
-    batch_max: int = 8
+    # serving front-end (repro.serving): a bounded queue feeds a dispatcher
+    # that scores whatever queued while the previous batch ran in one call
+    # (one scatter per shard when sharded)
     #: queued-request ceiling: requests arriving beyond it are shed with
     #: HTTP 429 + Retry-After instead of queueing without bound
     serving_queue_limit: int = 128
@@ -167,34 +144,12 @@ class SystemConfig:
             raise ValueError("snapshot_compact_every must be >= 0 (0 = manual only)")
         if self.obs_trace_buffer < 1:
             raise ValueError("obs_trace_buffer must be >= 1")
-        if self.obs_latency_buckets is not None:
-            bounds = self.obs_latency_buckets
-            if not bounds:
-                raise ValueError("obs_latency_buckets needs at least one bound")
-            if any(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:])):
-                raise ValueError(
-                    f"obs_latency_buckets must strictly increase: {bounds}"
-                )
         if self.obs_slow_query_ms < 0:
             raise ValueError("obs_slow_query_ms must be >= 0 (0 = disabled)")
         if self.obs_slow_log_size < 1:
             raise ValueError("obs_slow_log_size must be >= 1")
-        if self.obs_log_level is not None:
-            allowed = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")
-            if str(self.obs_log_level).upper() not in allowed:
-                raise ValueError(
-                    f"obs_log_level must be one of {allowed}, got {self.obs_log_level!r}"
-                )
-        if self.retry_attempts < 1:
-            raise ValueError("retry_attempts must be >= 1")
-        if self.retry_base_delay < 0:
-            raise ValueError("retry_base_delay must be non-negative")
-        if self.retry_max_elapsed is not None and self.retry_max_elapsed <= 0:
-            raise ValueError("retry_max_elapsed must be positive")
         if self.breaker_window < 1:
             raise ValueError("breaker_window must be >= 1")
-        if not 0.0 < self.breaker_failure_threshold <= 1.0:
-            raise ValueError("breaker_failure_threshold must lie in (0, 1]")
         if self.breaker_cooldown < 0:
             raise ValueError("breaker_cooldown must be non-negative")
         if self.request_deadline is not None and self.request_deadline <= 0:
@@ -206,10 +161,6 @@ class SystemConfig:
                 f"shard_paths holds {len(self.shard_paths)} paths "
                 f"but shards={self.shards}"
             )
-        if self.batch_window_ms < 0:
-            raise ValueError("batch_window_ms must be >= 0 (0 = drain-only)")
-        if self.batch_max < 1:
-            raise ValueError("batch_max must be >= 1")
         if self.serving_queue_limit < 1:
             raise ValueError("serving_queue_limit must be >= 1")
         if self.serving_degrade_depth < 0:

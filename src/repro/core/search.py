@@ -190,12 +190,13 @@ class _BatchEntry:
     #: resolved before scoring (cache hit / empty candidate set)
     results: Optional[SearchResults] = None
     plan: Optional[_QueryPlan] = None
-    #: "bypass"/"off" when the vectors-level cache is not consulted
+    #: "bypass"/"off" when the query cache is not consulted
     cache_mode: Optional[str] = None
-    #: vectors-level cache key (unused when ``cache_mode`` is set)
+    #: the request's one cache key: pixels for a frame request, vectors
+    #: for a vector request (unused when ``cache_mode`` is set)
     key: Optional[tuple] = None
     generation: int = 0
-    #: frame-level wrapper state (None for vector queries)
+    #: frame-level annotations (None for vector queries)
     frame: Optional[Dict[str, object]] = None
 
 
@@ -257,7 +258,6 @@ class SearchEngine:
             "repro_search_seconds",
             "End-to-end query wall time (cache hits included).",
             labelnames=("kind",),
-            buckets=obs.latency_buckets,
         )
         self._m_candidates = obs.histogram(
             "repro_search_candidates",
@@ -488,12 +488,10 @@ class SearchEngine:
     # -- stage 1: prepare ---------------------------------------------------------
 
     def _prepare_request(self, req: QueryRequest) -> _BatchEntry:
-        """Cache lookups, pruning, extraction and the plan for one request."""
+        """The cache lookup, pruning, extraction and the plan for one request."""
         if req.image is not None:
             return self._prepare_frame_request(req)
-        return self._prepare_vectors_entry(
-            req.query_vectors, req.top_k, req.candidate_ids, req.weights, req.nprobe
-        )
+        return self._prepare_vectors_request(req)
 
     def _cache_bypass(self) -> Optional[str]:
         """Why the query cache is not consulted (None = it is).
@@ -505,27 +503,34 @@ class SearchEngine:
             return "bypass"
         return None if self._query_cache.enabled else "off"
 
+    def _cached(self, entry: _BatchEntry, key: tuple) -> bool:
+        """The request's one query-cache lookup; a hit resolves ``entry``."""
+        entry.key, entry.generation = key, self.store.generation
+        cached = self._query_cache.get(key, entry.generation)
+        if cached is not None:
+            entry.results = self._copy_results(cached, "hit")
+        return cached is not None
+
+    def _planned(self, entry: _BatchEntry, plan: _QueryPlan) -> _BatchEntry:
+        """``entry`` carrying ``plan``, or resolved when nothing is left to score."""
+        if plan.empty is not None:
+            entry.results = self._finish_entry(entry, plan.empty)
+        else:
+            entry.plan = plan
+        return entry
+
     def _prepare_frame_request(self, req: QueryRequest) -> _BatchEntry:
-        """Frame-level cache lookup, range-index pruning, query-feature
-        extraction and the IVF probe, then the vectors-level prepare."""
+        """Cache lookup on the pixels, range-index pruning, query-feature
+        extraction and the IVF probe, then the scoring plan."""
         names = self._resolve_features(req.features)
         use_index = self.config.use_index if req.use_index is None else req.use_index
-        frame_key: Optional[tuple] = None
-        generation = 0
-        if self._cache_bypass() is None:  # no pixel digest when the cache is off
-            generation = self.store.generation
-            frame_key = (
-                "frame",
-                digest_array(req.image.pixels),
-                tuple(names),
-                req.top_k,
-                use_index,
-            )
+        entry = _BatchEntry(cache_mode=self._cache_bypass())
+        if entry.cache_mode is None:  # no pixel digest when the cache is off
+            key = ("frame", digest_array(req.image.pixels), tuple(names), req.top_k, use_index)
             if req.nprobe is not None:
-                frame_key = frame_key + (("nprobe", int(req.nprobe)),)
-            cached = self._query_cache.get(frame_key, generation)
-            if cached is not None:
-                return _BatchEntry(results=self._copy_results(cached, "hit"))
+                key = key + (("nprobe", int(req.nprobe)),)
+            if self._cached(entry, key):
+                return entry
         self._policies.check_stage("search.prune")
         if use_index:
             with self._obs.span("search.index.prune"):
@@ -549,21 +554,15 @@ class SearchEngine:
             if ann_ids is not None:
                 wanted = set(ann_ids)
                 candidate_ids = [fid for fid in candidate_ids if fid in wanted]
-        entry = self._prepare_vectors_entry(
-            query_vectors, req.top_k, candidate_ids, None, req.nprobe
-        )
         entry.frame = {
-            "key": frame_key,
-            "generation": generation,
             "degraded": degraded,
             "use_index": use_index,
             "ann_probed": ann_probed,
         }
-        if entry.results is not None:
-            # the vectors level resolved (cache hit / no candidates):
-            # apply the frame-level wrapper now, nothing left to score
-            entry.results = self._finish_frame_entry(entry.frame, entry.results)
-        return entry
+        plan = self._plan_vectors(
+            query_vectors, list(query_vectors), req.top_k, candidate_ids, None, req.nprobe
+        )
+        return self._planned(entry, plan)
 
     def _extract_degradable(
         self, image: Image, names: List[str]
@@ -650,7 +649,7 @@ class SearchEngine:
         weights: Optional[Dict[str, float]],
         nprobe: Optional[int] = None,
     ) -> tuple:
-        """The vectors-level query-cache key (shared serial / batched)."""
+        """A vector request's query-cache key."""
         key = (
             "vectors",
             digest_vectors({n: query_vectors[n] for n in names}),
@@ -669,36 +668,16 @@ class SearchEngine:
             key = key + (("nprobe", int(nprobe)),)
         return key
 
-    def _prepare_vectors_entry(
-        self,
-        query_vectors: Dict[str, FeatureVector],
-        top_k: int,
-        candidate_ids: Optional[Sequence[int]],
-        weights: Optional[Dict[str, float]],
-        nprobe: Optional[int] = None,
-    ) -> _BatchEntry:
-        """Validation, vectors-level cache lookup and the scoring plan."""
-        names = [n for n in query_vectors if n in self.extractors]
+    def _prepare_vectors_request(self, req: QueryRequest) -> _BatchEntry:
+        """Validation, cache lookup on the vectors and the scoring plan."""
+        names = [n for n in req.query_vectors if n in self.extractors]
         if not names:
             raise ValueError("query_vectors holds no configured features")
+        args = (req.query_vectors, names, req.top_k, req.candidate_ids, req.weights, req.nprobe)
         entry = _BatchEntry(cache_mode=self._cache_bypass())
-        if entry.cache_mode is None:
-            entry.generation = self.store.generation
-            entry.key = self._vectors_key(
-                query_vectors, names, top_k, candidate_ids, weights, nprobe
-            )
-            cached = self._query_cache.get(entry.key, entry.generation)
-            if cached is not None:
-                entry.results = self._copy_results(cached, "hit")
-                return entry
-        plan = self._plan_vectors(
-            query_vectors, names, top_k, candidate_ids, weights, nprobe
-        )
-        if plan.empty is not None:
-            entry.results = self._finish_vectors_entry(entry, plan.empty)
-        else:
-            entry.plan = plan
-        return entry
+        if entry.cache_mode is None and self._cached(entry, self._vectors_key(*args)):
+            return entry
+        return self._planned(entry, self._plan_vectors(*args))
 
     def _new_plan(
         self,
@@ -810,12 +789,8 @@ class SearchEngine:
     def _finish_request(
         self, entry: _BatchEntry, per_feature: Dict[str, np.ndarray]
     ) -> SearchResults:
-        """Rank + cache-put + wrapper stages after the shared scoring pass."""
-        results = self._rank_plan(entry.plan, per_feature)
-        results = self._finish_vectors_entry(entry, results)
-        if entry.frame is not None:
-            results = self._finish_frame_entry(entry.frame, results)
-        return results
+        """Rank, then annotate and cache, after the shared scoring pass."""
+        return self._finish_entry(entry, self._rank_plan(entry.plan, per_feature))
 
     def _rank_plan(
         self, plan: _QueryPlan, per_feature: Dict[str, np.ndarray]
@@ -858,40 +833,29 @@ class SearchEngine:
             explain=plan.explain,
         )
 
-    def _finish_vectors_entry(
-        self, entry: _BatchEntry, results: SearchResults
-    ) -> SearchResults:
-        """Vectors-level cache put (or the reason there is none)."""
+    def _finish_entry(self, entry: _BatchEntry, results: SearchResults) -> SearchResults:
+        """Frame-level annotations, then the request's one cache put (or
+        the reason there is none)."""
+        explain = results.explain
+        explain["cache"] = entry.cache_mode or "miss"
+        if entry.frame is not None:
+            degraded = entry.frame["degraded"]
+            explain["kind"] = "frame"
+            explain["index"] = {
+                "used": bool(entry.frame["use_index"]),
+                "pruning_ratio": round(results.pruning_fraction, 6),
+            }
+            ann_probed = entry.frame["ann_probed"]
+            if ann_probed is not None:  # the frame-level probe decided
+                explain["ann"] = {"enabled": True, "probed": ann_probed}
+            if degraded:
+                results.degraded = True
+                results.degraded_features = degraded
+                explain["degraded_features"] = list(degraded)
         if entry.cache_mode is not None:
-            results.explain["cache"] = entry.cache_mode
             return results
         self._query_cache.put(entry.key, entry.generation, results)
         return self._copy_results(results, "miss")
-
-    def _finish_frame_entry(
-        self, frame_state: Dict[str, object], results: SearchResults
-    ) -> SearchResults:
-        """Frame-level annotations + frame-key cache put."""
-        degraded = frame_state["degraded"]
-        if degraded:
-            results.degraded = True
-            results.degraded_features = degraded
-        explain = results.explain
-        explain["kind"] = "frame"
-        explain["index"] = {
-            "used": bool(frame_state["use_index"]),
-            "pruning_ratio": round(results.pruning_fraction, 6),
-        }
-        if frame_state["ann_probed"] is not None:  # the frame-level probe decided
-            explain["ann"] = {"enabled": True, "probed": frame_state["ann_probed"]}
-        if degraded:
-            explain["degraded_features"] = list(degraded)
-        if frame_state["key"] is not None:
-            self._query_cache.put(
-                frame_state["key"], frame_state["generation"], results
-            )
-            results = self._copy_results(results, "miss")
-        return results
 
     # -- video query ---------------------------------------------------------------
 
@@ -958,7 +922,6 @@ class SearchEngine:
                 combined,
                 list(spans.values()),
                 method=self.config.sequence_method,
-                gap_penalty=self.config.sequence_gap_penalty,
             )
         matches = [
             VideoMatch(

@@ -28,7 +28,7 @@ from repro.db.types import ORD_VIDEO
 from repro.imaging.image import Image, decode_image
 from repro.indexing.rangefinder import RangeFinder
 from repro.indexing.tree import RangeIndex
-from repro.obs import Obs, log as obs_log
+from repro.obs import Obs
 from repro.resilience import NULL_POLICIES, ResiliencePolicies
 from repro.runtime import WorkerPool, resolve_workers
 from repro.video.generator import SyntheticVideo
@@ -72,12 +72,9 @@ class VideoRetrievalSystem:
         self.obs = Obs(
             enabled=self.config.obs_enabled,
             trace_buffer=self.config.obs_trace_buffer,
-            latency_buckets=self.config.obs_latency_buckets,
             slow_query_ms=self.config.obs_slow_query_ms,
             slow_log_size=self.config.obs_slow_log_size,
         )
-        if self.config.obs_log_level is not None:
-            obs_log.set_level(self.config.obs_log_level)
         #: per-system resilience policies (retry/breakers/deadline/faults);
         #: disabled every hook is one early-out (see docs/resilience.md)
         self.resilience = (

@@ -43,14 +43,10 @@ class Obs:
         registry: Optional[MetricsRegistry] = None,
         tracer: Optional[Tracer] = None,
         trace_buffer: int = 64,
-        latency_buckets: Optional[Sequence[float]] = None,
         slow_query_ms: float = 0.0,
         slow_log_size: int = 64,
     ):
         self.enabled = bool(enabled)
-        self.latency_buckets: tuple = (
-            tuple(latency_buckets) if latency_buckets else DEFAULT_BUCKETS
-        )
         if self.enabled:
             self.registry: Union[MetricsRegistry, NullRegistry] = (
                 registry if registry is not None else MetricsRegistry()

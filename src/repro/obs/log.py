@@ -12,8 +12,7 @@ handler the first time anything logs (unless the application configured
 handlers itself -- the handler is only attached when the ``repro`` logger
 has none, so embedding applications stay in control).  The level comes
 from the ``REPRO_LOG_LEVEL`` environment variable (default ``WARNING``)
-and can be changed at runtime with :func:`set_level` (which is what
-``SystemConfig.obs_log_level`` feeds).
+and can be changed at runtime with :func:`set_level`.
 
 When a span is open on the emitting thread, every line gains a trailing
 ``trace=<id>`` field.  The id travels with the distributed trace context

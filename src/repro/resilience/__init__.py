@@ -170,12 +170,7 @@ class ResiliencePolicies:
         return cls(
             enabled=config.resilience,
             fault_spec=spec,
-            retry_attempts=config.retry_attempts,
-            retry_base_delay=config.retry_base_delay,
-            retry_max_elapsed=config.retry_max_elapsed,
-            retry_seed=config.retry_seed,
             breaker_window=config.breaker_window,
-            breaker_failure_threshold=config.breaker_failure_threshold,
             breaker_cooldown=config.breaker_cooldown,
             request_deadline=config.request_deadline,
             obs=obs,

@@ -94,9 +94,9 @@ def armed_deadline(deadline: Optional[Deadline]) -> Iterator[Optional[Deadline]]
     """Install an *existing* :class:`Deadline` for the ``with`` block.
 
     Unlike :func:`deadline_scope`, the budget's clock started when the
-    object was built -- the async serving front-end creates the deadline
-    at admission time, so the queue wait and the batching window both
-    count against the request's budget, not just the scoring work.
+    object was built -- the HTTP server creates the deadline at
+    admission time, so the queue wait counts against the request's
+    budget, not just the scoring work.
     ``deadline=None`` is a no-op scope.
     """
     if deadline is None:

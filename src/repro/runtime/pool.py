@@ -215,7 +215,6 @@ class WorkerPool:
             "repro_pool_task_seconds",
             "Submit-to-result wall time per single task, by dispatch mode.",
             labelnames=("mode",),
-            buckets=obs.latency_buckets,
         )
 
     def attach_resilience(self, policies: ResiliencePolicies) -> None:

@@ -1,7 +1,7 @@
 """Admission control for the asyncio front-end: degrade before shedding.
 
-The controller looks at one signal -- the micro-batcher's queue depth --
-and walks a two-rung ladder:
+The controller looks at one signal -- the serving queue's depth -- and
+walks a two-rung ladder:
 
 1. depth >= ``serving_degrade_depth``: the request is still admitted,
    but degraded -- the feature set is truncated to the first
@@ -9,7 +9,8 @@ and walks a two-rung ladder:
    ``ann_nprobe`` is halved.  Cheaper per query, same contract.
 2. depth >= ``serving_queue_limit``: the request is shed with
    :class:`OverloadedError`, which the server maps to HTTP 429 with a
-   ``Retry-After`` estimate of how long the backlog takes to drain.
+   ``Retry-After`` estimate of how long the backlog takes to drain at the
+   per-request service time the batcher last observed.
 
 Shed and degrade decisions are counted through :mod:`repro.obs` so the
 load gate can cross-check server-side counters against client-observed
@@ -56,8 +57,6 @@ class AdmissionController:
     ) -> None:
         self.queue_limit = config.serving_queue_limit
         self.degrade_depth = config.serving_degrade_depth
-        self._batch_max = config.batch_max
-        self._window_s = config.batch_window_ms / 1000.0
         self._policies = policies
         features = tuple(config.features[: config.serving_degrade_features])
         nprobe = max(1, config.ann_nprobe // 2) if config.ann else None
@@ -72,26 +71,25 @@ class AdmissionController:
             "repro_serving_degraded_total", "Requests admitted in degraded mode under load"
         )
 
-    def retry_after(self, depth: int) -> int:
-        """Whole seconds until a backlog of ``depth`` requests drains.
+    @staticmethod
+    def retry_after(depth: int, service_seconds: float) -> int:
+        """Whole seconds (at least one) until a backlog of ``depth``
+        requests drains at ``service_seconds`` per request."""
+        return max(1, math.ceil(depth * service_seconds))
 
-        The batcher retires at most ``batch_max`` requests per window, so
-        the wait is roughly ``ceil(depth / batch_max)`` windows; scoring
-        time is unknown here, so the floor is one second.
-        """
-        windows = math.ceil(depth / max(1, self._batch_max))
-        return max(1, math.ceil(windows * self._window_s))
-
-    def admit(self, depth: int) -> Optional[DegradeDecision]:
+    def admit(self, depth: int, service_seconds: float = 0.0) -> Optional[DegradeDecision]:
         """Gate one request given the current queue depth.
 
-        Raises :class:`OverloadedError` to shed; returns a
-        :class:`DegradeDecision` to admit degraded; returns ``None`` to
-        admit untouched.
+        Raises :class:`OverloadedError` to shed (``service_seconds``, the
+        batcher's observed per-request service time, sizes its
+        ``retry_after``); returns a :class:`DegradeDecision` to admit
+        degraded; returns ``None`` to admit untouched.
         """
         if depth >= self.queue_limit:
             self._m_shed.inc()
-            raise OverloadedError(depth, self.queue_limit, self.retry_after(depth))
+            raise OverloadedError(
+                depth, self.queue_limit, self.retry_after(depth, service_seconds)
+            )
         self._m_admitted.inc()
         if self.degrade_depth > 0 and depth >= self.degrade_depth:
             self._m_degraded.inc()

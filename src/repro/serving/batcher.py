@@ -1,21 +1,23 @@
-"""The query micro-batcher: coalesce concurrent searches into one call.
+"""The serving dispatcher: score whatever queued while the last batch ran.
 
 Requests land on an (unbounded) asyncio queue -- admission control in
 front of :meth:`MicroBatcher.submit` is what bounds it.  The run loop
-blocks on the first request, then keeps draining the queue until either
-``batch_window_ms`` elapses or the batch holds ``batch_max`` requests.
-Before dispatch, requests whose future was cancelled or whose deadline
-already expired while queueing are dropped from the batch (the latter
-fail with :class:`~repro.resilience.DeadlineExceeded` -- queue wait
-counts against the request budget).  The surviving batch runs through
+blocks on the first request, takes up to ``BATCH_MAX - 1`` more that are
+already queued, and dispatches; it never waits for batchmates, so a lone
+request is a batch of one and batches only form while the executor is
+busy with the previous one.  Before dispatch, requests whose future was
+cancelled or whose deadline already expired while queueing are dropped
+from the batch (the latter fail with
+:class:`~repro.resilience.DeadlineExceeded` -- queue wait counts against
+the request budget).  The surviving batch runs through
 ``engine.query_batch`` on an executor thread under a ``serving.batch``
 span, and per-request outcomes are demultiplexed back onto the futures.
 
 Batching never changes rankings: ``query_batch`` runs the identical
 per-query kernels as serial execution, so results are byte-identical
-(property-tested in ``tests/serving/``).  The win is amortised
-per-request overhead and, for the sharded engine, one scatter per shard
-per batch instead of one per request.
+(property-tested in ``tests/serving/``).  What a batch shares is the
+executor hop and, for the sharded engine, one scatter per shard per
+batch instead of one per request.
 """
 
 from __future__ import annotations
@@ -32,6 +34,9 @@ from repro.obs import NULL_OBS, Obs
 from repro.resilience import DeadlineExceeded
 
 __all__ = ["MicroBatcher"]
+
+#: most requests one ``query_batch`` call takes; the rest stay queued
+BATCH_MAX = 8
 
 _SENTINEL = object()
 
@@ -51,15 +56,13 @@ class MicroBatcher:
     def __init__(
         self,
         execute: Callable[[List[QueryRequest]], Sequence[object]],
-        *,
-        window_ms: float,
-        batch_max: int,
         obs: Obs = NULL_OBS,
     ) -> None:
         self._execute = execute
-        self._window_s = max(0.0, window_ms) / 1000.0
-        self._batch_max = max(1, batch_max)
         self._obs = obs
+        #: wall seconds per request of the last dispatched batch (0 before
+        #: the first): what admission multiplies a backlog by for Retry-After
+        self.service_seconds = 0.0
         self._queue: "asyncio.Queue" = asyncio.Queue()
         self._task: Optional["asyncio.Task"] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
@@ -69,14 +72,13 @@ class MicroBatcher:
         self._m_queue_wait = obs.histogram(
             "repro_serving_queue_wait_seconds",
             "Time a request spent queued before its batch dispatched",
-            buckets=obs.latency_buckets,
         )
         self._m_batches = obs.counter(
-            "repro_serving_batches_total", "Micro-batches dispatched to the engine"
+            "repro_serving_batches_total", "Batches dispatched to the engine"
         )
         self._m_batch_size = obs.histogram(
             "repro_serving_batch_size",
-            "Requests per dispatched micro-batch",
+            "Requests per dispatched batch",
             buckets=(1, 2, 4, 8, 16, 32, 64),
         )
         self._m_expired = obs.counter(
@@ -118,27 +120,14 @@ class MicroBatcher:
         return await future
 
     async def _run(self) -> None:
-        assert self._loop is not None
         stopping = False
         while not stopping:
             item = await self._queue.get()
             if item is _SENTINEL:
                 break
             batch = [item]
-            deadline_at = self._loop.time() + self._window_s
-            while len(batch) < self._batch_max:
-                remaining = deadline_at - self._loop.time()
-                if remaining <= 0:
-                    # Window elapsed: take whatever is already queued, no waiting.
-                    try:
-                        nxt = self._queue.get_nowait()
-                    except asyncio.QueueEmpty:
-                        break
-                else:
-                    try:
-                        nxt = await asyncio.wait_for(self._queue.get(), remaining)
-                    except asyncio.TimeoutError:
-                        continue
+            while len(batch) < BATCH_MAX and not self._queue.empty():
+                nxt = self._queue.get_nowait()
                 if nxt is _SENTINEL:
                     stopping = True
                     break
@@ -187,10 +176,8 @@ class MicroBatcher:
                 None, partial(ctx.run, self._scored_batch, requests)
             )
         except Exception as exc:  # engine-level failure: fail the whole batch
-            for item in live:
-                if not item.future.done():
-                    item.future.set_exception(exc)
-            return
+            outcomes = [exc] * len(live)
+        self.service_seconds = (time.perf_counter() - now) / len(live)
         for item, outcome in zip(live, outcomes):
             if item.future.done():
                 continue

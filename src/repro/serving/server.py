@@ -1,18 +1,19 @@
-"""Asyncio HTTP/1.1 front-end with micro-batched search.
+"""The HTTP/1.1 front door: an asyncio listener over one retrieval system.
 
 ``POST /search`` takes the fast path: admission control (shed/degrade on
 queue depth), then a :class:`~repro.core.search.QueryRequest` with an
 already-ticking deadline goes through the :class:`MicroBatcher`, which
-coalesces concurrent queries into one ``engine.query_batch`` call.
-Every other route delegates to the blocking
-:class:`~repro.web.api.CbvrApi` on an executor thread, so the asyncio
-server exposes the exact same API surface (including ``/metrics`` and
-the admin routes) as the ThreadingHTTPServer it fronts.
+scores whatever queued while the previous batch ran in one
+``engine.query_batch`` call.  Every other route (``/metrics``, the admin
+routes, ...) delegates to the :class:`~repro.web.api.CbvrApi` route
+table on an executor thread.
 
 The HTTP layer itself is deliberately small: request line + headers via
-``readuntil``, body via Content-Length, keep-alive by default.  Errors
-go through the same :func:`~repro.web.api.error_response_for` ladder as
-the blocking server, plus one serving-only rung: an
+``readuntil``, body via Content-Length, keep-alive by default; framing it
+refuses (400 / 413 / 431) is answered with the JSON error envelope and
+``Connection: close``.  Errors go through the same
+:func:`~repro.web.api.error_response_for` ladder as the route table,
+plus one serving-only rung: an
 :class:`~repro.serving.admission.OverloadedError` becomes 429 with a
 ``Retry-After`` header.  Overload never produces a 5xx or a hang.
 """
@@ -30,15 +31,18 @@ from typing import Dict, Optional, Tuple
 
 from repro.core.search import QueryRequest
 from repro.core.system import VideoRetrievalSystem
-from repro.obs import log
 from repro.serving.admission import AdmissionController, OverloadedError
 from repro.serving.batcher import MicroBatcher
 from repro.sharding import maybe_attach_sharded
-from repro.web.api import CbvrApi, error_response_for, parse_search_request, search_payload
+from repro.web.api import (
+    ApiError,
+    CbvrApi,
+    error_response_for,
+    parse_search_request,
+    search_payload,
+)
 
-__all__ = ["AsyncCbvrServer", "make_async_server"]
-
-_log = log.get_logger(__name__)
+__all__ = ["AsyncCbvrServer"]
 
 #: bodies larger than this are rejected before buffering (64 MiB)
 _MAX_BODY = 64 * 1024 * 1024
@@ -52,6 +56,7 @@ _REASONS = {
     405: "Method Not Allowed",
     413: "Payload Too Large",
     429: "Too Many Requests",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error",
     503: "Service Unavailable",
     504: "Gateway Timeout",
@@ -72,16 +77,10 @@ class AsyncCbvrServer:
         self.api = CbvrApi(system)
         self.host = host
         self.port = port
-        config = system.config
         self.admission = AdmissionController(
-            config, obs=system.obs, policies=system.resilience
+            system.config, obs=system.obs, policies=system.resilience
         )
-        self.batcher = MicroBatcher(
-            self._execute_batch,
-            window_ms=config.batch_window_ms,
-            batch_max=config.batch_max,
-            obs=system.obs,
-        )
+        self.batcher = MicroBatcher(self._execute_batch, obs=system.obs)
         self._server: Optional["asyncio.base_events.Server"] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._thread: Optional[threading.Thread] = None
@@ -95,7 +94,6 @@ class AsyncCbvrServer:
             "repro_serving_request_seconds",
             "Asyncio front-end wall time from read to response.",
             labelnames=("route",),
-            buckets=system.obs.latency_buckets,
         )
 
     def _execute_batch(self, requests):
@@ -174,7 +172,13 @@ class AsyncCbvrServer:
             self._clients.add(task)
         try:
             while True:
-                request = await self._read_request(reader)
+                try:
+                    request = await self._read_request(reader)
+                except ApiError as exc:  # refused framing: answer, then hang up
+                    response, extra = error_response_for(exc, "(framing)")
+                    self._m_requests.labels(route="(framing)", status=str(response[0])).inc()
+                    await self._write_response(writer, (*response, extra), False)
+                    break
                 if request is None:
                     break
                 method, target, headers, body = request
@@ -208,14 +212,18 @@ class AsyncCbvrServer:
     async def _read_request(
         reader: asyncio.StreamReader,
     ) -> Optional[Tuple[str, str, Dict[str, str], bytes]]:
+        """One parsed request, None when the peer is gone, or an
+        :class:`ApiError` (400 / 413 / 431) for framing not served."""
         try:
             head = await reader.readuntil(b"\r\n\r\n")
-        except (asyncio.IncompleteReadError, asyncio.LimitOverrunError, ConnectionResetError):
+        except asyncio.LimitOverrunError:
+            raise ApiError(431, "request header block too large") from None
+        except (asyncio.IncompleteReadError, ConnectionResetError):
             return None
         lines = head.decode("latin-1").split("\r\n")
         parts = lines[0].split(" ")
         if len(parts) < 3:
-            return None
+            raise ApiError(400, "malformed request line")
         method, target = parts[0].upper(), parts[1]
         headers: Dict[str, str] = {}
         for line in lines[1:]:
@@ -223,9 +231,14 @@ class AsyncCbvrServer:
                 continue
             name, _, value = line.partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or 0)
-        if length < 0 or length > _MAX_BODY:
-            return None
+        try:
+            length = int(headers.get("content-length", "0") or 0)
+        except ValueError:
+            raise ApiError(400, "Content-Length is not a number") from None
+        if length < 0:
+            raise ApiError(400, "Content-Length is negative")
+        if length > _MAX_BODY:
+            raise ApiError(413, f"body exceeds {_MAX_BODY} bytes")
         body = await reader.readexactly(length) if length else b""
         return method, target, headers, body
 
@@ -251,7 +264,7 @@ class AsyncCbvrServer:
         t0 = time.perf_counter()
         extra: Dict[str, str] = {}
         try:
-            degrade = self.admission.admit(self.batcher.depth)
+            degrade = self.admission.admit(self.batcher.depth, self.batcher.service_seconds)
             image, feature_list, top_k, explain = parse_search_request(body, query)
             policies = self.system.resilience
             policies.fire("serving.request")
@@ -279,18 +292,8 @@ class AsyncCbvrServer:
             ).encode()
             reply = (429, "application/json", body_429, {"Retry-After": str(exc.retry_after)})
         except Exception as exc:  # noqa: BLE001 -- same last-resort ladder as CbvrApi
-            mapped = error_response_for(exc)
-            if mapped is not None:
-                (status, content_type, payload), headers = mapped
-                reply = (status, content_type, payload, headers)
-            else:
-                _log.error(
-                    "serving.unhandled", route="/search", error=f"{type(exc).__name__}: {exc}"
-                )
-                envelope = json.dumps(
-                    {"error": "internal server error", "error_type": "internal"}
-                ).encode()
-                reply = (500, "application/json", envelope, {})
+            response, headers = error_response_for(exc, "/search")
+            reply = (*response, headers)
         self._m_requests.labels(route="/search", status=str(reply[0])).inc()
         self._m_request_seconds.labels(route="/search").observe(time.perf_counter() - t0)
         return reply
@@ -311,10 +314,3 @@ class AsyncCbvrServer:
         status, content_type, payload, extra = await self._loop.run_in_executor(None, call)
         self._m_requests.labels(route="(blocking)", status=str(status)).inc()
         return status, content_type, payload, extra
-
-
-def make_async_server(
-    system: VideoRetrievalSystem, host: str = "127.0.0.1", port: int = 0
-) -> AsyncCbvrServer:
-    """The asyncio sibling of :func:`repro.web.server.make_server`."""
-    return AsyncCbvrServer(system, host=host, port=port)

@@ -2,8 +2,8 @@
 
 The system facade must not import this layer (``repro.core`` sits below
 ``repro.sharding`` in the architecture DAG), so attachment is a push:
-callers -- the CLI's ``--shards``, ``repro.web.make_server``, or user
-code -- build the coordinator here and hand it to
+callers -- the CLI's ``--shards``, ``repro.serving.AsyncCbvrServer``, or
+user code -- build the coordinator here and hand it to
 ``system.attach_engine``.  After attachment the system is a read
 replica: admin mutations keep hitting the database but are invisible to
 queries until the corpus is re-split (``repro shard split``).
@@ -62,7 +62,7 @@ def attach_sharded_engine(
 def maybe_attach_sharded(system) -> Optional[ShardedSearchEngine]:
     """Attach a coordinator iff the system's config asks for one.
 
-    The idempotent serve-time hook (``repro serve``, ``make_server``):
+    The idempotent serve-time hook (``AsyncCbvrServer``, so ``repro serve``):
     returns the attached engine, or None for ordinary unsharded configs.
     """
     config = system.config

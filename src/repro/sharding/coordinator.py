@@ -120,12 +120,10 @@ class ShardedSearchEngine(SearchEngine):
             "repro_shard_query_seconds",
             "Per-shard dispatch-to-gather wall time.",
             labelnames=("shard",),
-            buckets=obs.latency_buckets,
         )
         self._m_merge_seconds = obs.histogram(
             "repro_shard_merge_seconds",
             "Coordinator-side merge (assemble + fuse + top-k) wall time.",
-            buckets=obs.latency_buckets,
         )
         self._m_partials = obs.counter(
             "repro_shard_partial_results_total",

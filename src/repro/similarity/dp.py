@@ -168,7 +168,7 @@ def span_distances(
     costs: np.ndarray,
     spans: Sequence[slice],
     method: str = "dtw",
-    gap_penalty: Optional[float] = None,
+    gap_penalty: float = 0.5,
 ) -> np.ndarray:
     """:func:`sequence_similarity` of one query against many stored sequences.
 
@@ -178,13 +178,12 @@ def span_distances(
     and no padding, so the work is ``costs.size`` whatever the mix of
     lengths.  Each cell is the same float64 ``min`` and ``+`` on the same
     operands as in :func:`dtw_distance` / :func:`align_score`, so the
-    distances are bitwise theirs.
+    distances are bitwise theirs.  ``gap_penalty`` (``'align'`` only) is the
+    cost of skipping a key frame; its default is the one clip queries use.
     """
     if method not in ("dtw", "align"):
         raise ValueError(f"unknown method {method!r}")
     dtw = method == "dtw"
-    if not dtw and gap_penalty is None:
-        raise ValueError("align method requires gap_penalty")
     costs = np.asarray(costs, dtype=np.float64)
     starts = np.array([span.start for span in spans], dtype=np.intp)
     lengths = np.array([span.stop - span.start for span in spans], dtype=np.intp)

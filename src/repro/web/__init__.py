@@ -1,8 +1,8 @@
 """A small JSON/HTTP facade over the retrieval system.
 
 The paper's system is "an interactive web based application" (Tomcat +
-JSP); this package provides the same two-role surface over stdlib
-``http.server``:
+JSP); this package is the same two-role surface as a route table,
+served over HTTP by :mod:`repro.serving`:
 
 - ``POST /admin/videos``     -- upload a video (RVF body) + metadata
 - ``DELETE /admin/videos/N`` -- delete a video
@@ -16,6 +16,5 @@ configured password in the ``X-Admin-Password`` header.
 """
 
 from repro.web.api import ApiError, CbvrApi
-from repro.web.server import CbvrHttpServer, make_server
 
-__all__ = ["CbvrApi", "ApiError", "CbvrHttpServer", "make_server"]
+__all__ = ["CbvrApi", "ApiError"]

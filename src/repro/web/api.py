@@ -29,6 +29,8 @@ __all__ = [
     "search_payload",
 ]
 
+_log = log.get_logger(__name__)
+
 #: Prometheus text exposition content type
 PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
@@ -88,16 +90,16 @@ def _error_response(status: int, message: str, error_type: str, **extra) -> Resp
 
 # pure mapping shared by two instrumented dispatch loops, not an entry point
 def error_response_for(  # reprolint: disable=R17
-    exc: Exception,
-) -> Optional[Tuple[Response, Dict[str, str]]]:
-    """Map a known exception onto ``(response, extra_headers)``.
+    exc: Exception, route: str
+) -> Tuple[Response, Dict[str, str]]:
+    """Map an exception onto ``(response, extra_headers)``.
 
-    The one error ladder both front-ends share (the blocking
-    :class:`CbvrApi` dispatch and the asyncio server in
-    :mod:`repro.serving`), so a deadline overrun is a 504 and an open
-    breaker a 503 + Retry-After no matter which door the request came
-    through.  Returns None for unhandled exception types (the caller
-    logs and wraps those as 500s).
+    The one error ladder both dispatch loops share (:class:`CbvrApi`'s
+    and the ``POST /search`` fast path in :mod:`repro.serving`), so a
+    deadline overrun is a 504 and an open breaker a 503 + Retry-After
+    whichever loop the request went through.  Anything unrecognised is
+    logged with ``route`` and answered with a 500 envelope that carries
+    no exception text.
     """
     if isinstance(exc, ApiError):
         return _error_response(exc.status, exc.message, "api_error"), {}
@@ -115,7 +117,8 @@ def error_response_for(  # reprolint: disable=R17
         return _error_response(503, str(exc), "retry_exhausted"), {}
     if isinstance(exc, (DatabaseError, RvfError, ImageFormatError, ValueError, KeyError)):
         return _error_response(400, str(exc), "bad_request"), {}
-    return None
+    _log.error("web.unhandled", route=route, error=f"{type(exc).__name__}: {exc}")
+    return _error_response(500, "internal server error", "internal"), {}
 
 
 def parse_search_request(body: bytes, query: Dict[str, str]):
@@ -123,8 +126,8 @@ def parse_search_request(body: bytes, query: Dict[str, str]):
 
     Returns ``(image, feature_list, top_k, explain)``; raises
     :class:`ApiError` / :class:`ImageFormatError` / :class:`ValueError`
-    for the 400 ladder.  Shared by the blocking and asyncio front-ends
-    so both parse identically.
+    for the 400 ladder.  Shared by ``CbvrApi`` and the serving fast
+    path so both parse identically.
     """
     if not body:
         raise ApiError(400, "search requires an image body (PPM/PGM/BMP)")
@@ -156,7 +159,6 @@ class CbvrApi:
 
     def __init__(self, system: VideoRetrievalSystem):
         self.system = system
-        self._log = log.get_logger(__name__)
         self._m_requests = system.obs.counter(
             "repro_web_requests_total",
             "HTTP requests by route template, method, and status.",
@@ -166,7 +168,6 @@ class CbvrApi:
             "repro_web_request_seconds",
             "Request handling wall time by route template.",
             labelnames=("route",),
-            buckets=system.obs.latency_buckets,
         )
 
     # -- entry point -----------------------------------------------------------
@@ -203,23 +204,14 @@ class CbvrApi:
             with self.system.resilience.request_scope():
                 response = self._route(method, path, body, headers, query)
         except Exception as exc:  # noqa: BLE001 -- last-resort envelope, never a bare 500
-            mapped = error_response_for(exc)
-            if mapped is not None:
-                response, extra_headers = mapped
-            else:
-                self._log.error(
-                    "web.unhandled", path=path, error=f"{type(exc).__name__}: {exc}"
-                )
-                response = _error_response(
-                    500, f"internal error: {type(exc).__name__}: {exc}", "internal"
-                )
+            response, extra_headers = error_response_for(exc, path)
         elapsed = time.perf_counter() - t0
         route = _normalize_route(path)
         self._m_requests.labels(
             route=route, method=method, status=str(response[0])
         ).inc()
         self._m_request_seconds.labels(route=route).observe(elapsed)
-        self._log.debug(
+        _log.debug(
             "web.request",
             method=method,
             route=route,

@@ -14,6 +14,7 @@ import pytest
 from repro.core.system import VideoRetrievalSystem
 from repro.eval.groundtruth import CategoryGroundTruth
 from repro.imaging.image import Image
+from repro.serving import AsyncCbvrServer
 from repro.video.generator import VideoSpec, generate_video, make_corpus
 
 
@@ -86,3 +87,18 @@ def ingested_system(small_corpus):
 @pytest.fixture(scope="session")
 def ground_truth(ingested_system) -> CategoryGroundTruth:
     return CategoryGroundTruth.from_store(ingested_system._store)
+
+
+@pytest.fixture()
+def served():
+    """``served(system)`` puts ``system`` behind a running HTTP server and
+    returns its base URL; every server started is stopped at teardown."""
+    servers = []
+
+    def start(system) -> str:
+        servers.append(AsyncCbvrServer(system))
+        return servers[-1].start_in_thread()
+
+    yield start
+    for server in servers:
+        server.stop()

@@ -84,7 +84,7 @@ def reference_clip_ranking(engine: SearchEngine, frames: Sequence) -> List[Tuple
             distance = dtw_distance(range(nq), range(n), block)
         else:
             distance = align_score(
-                range(nq), range(n), block, config.sequence_gap_penalty
+                range(nq), range(n), block, 0.5  # span_distances' default gap penalty
             ) / (nq + n)
         ranking.append((vid, distance))
     ranking.sort(key=lambda pair: pair[1])

@@ -1,5 +1,7 @@
 """SystemConfig tests."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.config import TABLE1_FEATURES, SystemConfig
@@ -12,6 +14,17 @@ class TestConfig:
         assert c.keyframe_threshold == 800.0
         assert c.use_index is True
         assert c.admin_password is None
+
+    def test_every_field_is_a_knob_something_turns(self):
+        # fixed policies live as defaulted arguments where they are used
+        # (ResiliencePolicies, MicroBatcher's BATCH_MAX), not here
+        names = {f.name for f in dataclasses.fields(SystemConfig)}
+        assert len(names) == 34
+        assert not names & {
+            "batch_window_ms", "batch_max", "retry_attempts", "retry_base_delay",
+            "retry_max_elapsed", "retry_seed", "breaker_failure_threshold",
+            "obs_latency_buckets", "obs_log_level", "sequence_gap_penalty",
+        }
 
     def test_unknown_feature_rejected(self):
         with pytest.raises(ValueError):

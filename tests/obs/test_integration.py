@@ -36,9 +36,9 @@ class TestMetricsSurface:
         assert m["store"]["key_frames"] == len(system._store)
         assert m["index"]["entries"] == m["store"]["key_frames"]
         assert m["ann"] is None  # default config: ANN off
-        # one cold frame query misses twice: the frame-keyed layer, then
-        # the vector-keyed layer underneath it
-        assert m["cache"]["misses"] == 2
+        # one cold frame query is one lookup (keyed on the pixels), one miss
+        assert m["cache"]["misses"] == 1
+        assert m["cache"]["entries"] == 1
         reg = m["registry"]
         assert reg["repro_ingest_videos_total"]["samples"][0]["value"] == 1.0
         # ANN families are registered (at zero) even when disabled
@@ -108,17 +108,17 @@ class TestMetricsSurface:
 class TestCacheCountersAcrossInvalidation:
     def test_hit_miss_invalidation_flow(self, system):
         query = system.any_key_frame()
-        system.search(query, top_k=3)  # cold: frame-layer + vector-layer miss
-        system.search(query, top_k=3)  # warm: one frame-layer hit
+        system.search(query, top_k=3)  # cold: one miss
+        system.search(query, top_k=3)  # warm: one hit
         assert system.cache_stats()["hits"] == 1
-        assert system.cache_stats()["misses"] == 2
+        assert system.cache_stats()["misses"] == 1
 
         # ingest bumps the store generation: next lookup drops the cache
         system.login_admin().add_video(_video(44, category="sports"))
-        system.search(query, top_k=3)  # invalidation + cold double miss
+        system.search(query, top_k=3)  # invalidation + cold miss
         stats = system.cache_stats()
         assert stats == {
-            "entries": 2, "hits": 1, "misses": 4,
+            "entries": 1, "hits": 1, "misses": 2,
             "invalidations": 1, "evictions": 0,
         }
 
@@ -128,7 +128,7 @@ class TestCacheCountersAcrossInvalidation:
             for s in reg["repro_cache_requests_total"]["samples"]
         }
         assert samples[(("result", "hit"),)] == 1.0
-        assert samples[(("result", "miss"),)] == 4.0
+        assert samples[(("result", "miss"),)] == 2.0
         assert reg["repro_cache_invalidations_total"]["samples"][0]["value"] == 1.0
 
 
@@ -146,7 +146,7 @@ class TestDisabledSystem:
         assert s._engine._obs.registry is NULL_OBS.registry
         assert s._engine._obs.span("x") is NULL_OBS.span("y")
         # counters still work (plain python attributes, not the registry)
-        assert s.cache_stats()["misses"] == 2
+        assert s.cache_stats()["misses"] == 1
         s.close()
 
 

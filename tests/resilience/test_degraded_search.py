@@ -103,7 +103,7 @@ def test_codec_decode_retry_exhausts_on_permanent_fault(small_corpus):
     with pytest.raises(RetryExhausted) as info:
         system.get_video_frames(1)
     assert info.value.point == "codec.decode"
-    assert info.value.attempts == system.config.retry_attempts
+    assert info.value.attempts == system.resilience.retry.attempts
 
 
 def test_codec_decode_recovers_from_transient_fault(small_corpus):

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import http.client
 import json
+import threading
+import time
 
 import pytest
 
 from repro.core.config import SystemConfig
 from repro.core.system import VideoRetrievalSystem
-from repro.serving import make_async_server
+from repro.serving import AsyncCbvrServer
 
 
 def build_system(small_corpus, config: SystemConfig, n_videos: int = 4):
@@ -33,7 +35,7 @@ class ServerHarness:
 
     def __init__(self, system):
         self.system = system
-        self.server = make_async_server(system)
+        self.server = AsyncCbvrServer(system)
         base = self.server.start_in_thread()
         self.netloc = base.split("//", 1)[1]
 
@@ -63,6 +65,30 @@ class ServerHarness:
         if not family:
             return 0.0
         return sum(s.get("value", s.get("count", 0)) for s in family["samples"])
+
+    def hold_engine(self):
+        """Park the engine behind an Event so a queue builds: the first
+        batch dispatched from now on blocks the executor until ``release``
+        is set.  Returns ``(entered, release)``; ``entered`` is set once a
+        batch is blocked."""
+        engine = self.system.engine
+        real = engine.query_batch
+        entered, release = threading.Event(), threading.Event()
+
+        def held(requests):
+            entered.set()
+            release.wait(timeout=30)
+            return real(requests)
+
+        engine.query_batch = held
+        return entered, release
+
+    def wait_for_metric(self, name: str, value: float, timeout: float = 10.0) -> None:
+        """Block until the family's total reaches ``value``."""
+        deadline = time.monotonic() + timeout
+        while self.metric_value(name) < value:
+            assert time.monotonic() < deadline, f"{name} never reached {value}"
+            time.sleep(0.01)
 
     def close(self):
         self.server.stop()

@@ -13,8 +13,6 @@ def _controller(**overrides):
         serving_queue_limit=8,
         serving_degrade_depth=4,
         serving_degrade_features=2,
-        batch_max=4,
-        batch_window_ms=10.0,
     )
     defaults.update(overrides)
     return AdmissionController(SystemConfig(**defaults))
@@ -53,15 +51,16 @@ def test_degrade_depth_zero_disables_the_rung():
 def test_at_limit_sheds_with_retry_after():
     controller = _controller()
     with pytest.raises(OverloadedError) as err:
-        controller.admit(8)
-    assert err.value.retry_after >= 1
+        controller.admit(8, service_seconds=0.5)
+    assert err.value.retry_after == 4  # 8 queued at half a second each
     assert "queue full" in str(err.value)
 
 
 def test_retry_after_grows_with_backlog():
-    controller = _controller(batch_window_ms=500.0, batch_max=1)
-    assert controller.retry_after(1) <= controller.retry_after(50)
-    assert controller.retry_after(50) >= 25  # 50 windows of 0.5s
+    controller = _controller()
+    assert controller.retry_after(1, 0.5) <= controller.retry_after(50, 0.5)
+    assert controller.retry_after(50, 0.5) == 25  # 50 requests of 0.5s
+    assert controller.retry_after(50, 0.0) == 1  # nothing observed yet: the floor
 
 
 def test_shed_and_degrade_are_counted(ingested_system):

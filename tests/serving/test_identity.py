@@ -119,9 +119,7 @@ def test_micro_batched_concurrent_requests_match_serial(ingested_system):
     submissions coalescing into shared batches, all byte-identical."""
     rng = np.random.default_rng(7)
     requests, serial = _draw_requests(ingested_system, rng, 8)
-    batcher = MicroBatcher(
-        ingested_system.engine.query_batch, window_ms=20.0, batch_max=4
-    )
+    batcher = MicroBatcher(ingested_system.engine.query_batch)
 
     async def run():
         await batcher.start()

@@ -1,4 +1,4 @@
-"""Sharded serving through the system facade, web API, and HTTP shell."""
+"""Sharded serving through the system facade, web API, and HTTP server."""
 
 from __future__ import annotations
 
@@ -15,7 +15,6 @@ from repro.sharding import (
     sharded_config,
 )
 from repro.web.api import CbvrApi
-from repro.web.server import make_server
 
 
 @pytest.fixture(scope="module")
@@ -129,11 +128,10 @@ class TestWebApi:
 
 
 class TestMakeServer:
-    def test_make_server_auto_attaches_sharded_engine(self, shard_dir):
+    def test_make_server_auto_attaches_sharded_engine(self, shard_dir, served):
         system = VideoRetrievalSystem.in_memory(sharded_config(shard_dir))
-        server, _port = make_server(system)
         try:
+            served(system)
             assert isinstance(system.engine, ShardedSearchEngine)
         finally:
-            server.server_close()
             system.close()

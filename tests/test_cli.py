@@ -235,6 +235,21 @@ class TestSnapshot:
         assert "error:" in capsys.readouterr().err
 
 
+class TestServe:
+    @pytest.mark.parametrize("flags", [[], ["--async"]], ids=["plain", "async-flag"])
+    def test_one_server_whatever_the_flags(self, library, capsys, monkeypatch, flags):
+        """``--async`` is accepted for old callers and selects nothing."""
+        started = []
+        monkeypatch.setattr(
+            "repro.serving.AsyncCbvrServer.serve_blocking",
+            lambda server: started.append(server),
+        )
+        assert main(["serve", library, "--port", "0", *flags]) == 0
+        (server,) = started
+        assert server.port == 0
+        assert f"serving {library} on http://127.0.0.1:0" in capsys.readouterr().out
+
+
 class TestShard:
     def test_split_info_and_identical_sharded_search(self, library, tmp_path,
                                                      capsys):

@@ -8,18 +8,14 @@ import urllib.request
 import pytest
 
 from repro.core.system import VideoRetrievalSystem
-from repro.web.server import make_server
 
 
 @pytest.fixture()
-def server_url(small_corpus):
+def server_url(small_corpus, served):
     system = VideoRetrievalSystem.in_memory()
     system.admin.add_video(small_corpus[0])
-    server, port = make_server(system)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    yield f"http://127.0.0.1:{port}", small_corpus[0]
-    server.shutdown()
+    yield served(system), small_corpus[0]
+    system.close()
 
 
 class TestHttp:
@@ -47,17 +43,9 @@ class TestHttp:
 
 
 class TestConcurrency:
-    def test_server_is_threading(self):
-        import socketserver
-
-        from repro.web.server import CbvrHttpServer
-
-        assert issubclass(CbvrHttpServer, socketserver.ThreadingMixIn)
-        assert CbvrHttpServer.daemon_threads is True
-
     def test_concurrent_searches_all_succeed(self, server_url):
-        # 8 simultaneous POST /search round trips: the threading server
-        # must answer every one correctly with no serialization errors
+        # 8 simultaneous POST /search round trips: the server must answer
+        # every one correctly with no serialization errors
         base, video = server_url
         body = video.frames[0].encode("ppm")
         results = [None] * 8
