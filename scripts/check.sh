@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # One-shot quality gate: reprolint + ruff + mypy + tier-1 pytest (with a
 # coverage floor when pytest-cov is installed) + the load gate + the
-# end-to-end benchmark's own tests and one smoke-scale run of it, checked
-# against its oracle.
+# end-to-end benchmark's own tests and a smoke-scale run of its read
+# (scan_10k) and write (library_churn) workloads, checked against its oracle.
 #
 # Usage: scripts/check.sh [--fast]
 #   --fast  skip the pytest suite (lint/type checks only)
@@ -141,10 +141,12 @@ if [ "$fast" -eq 0 ]; then
         record bench_tests FAIL
     fi
 
-    # the blocked kernels, the fused gather and the clip path against the
-    # benchmark's own oracle (exits non-zero on a failed check or query)
-    step "benchmark smoke (scan_10k --scale smoke)"
-    if python3 benchmarks/e2e/run.py --workload scan_10k --scale smoke --seconds 2; then
+    # the blocked kernels, the fused gather and the clip path (scan_10k),
+    # then ingest beside reads (library_churn), against the benchmark's own
+    # oracle (each exits non-zero on a failed check or query)
+    step "benchmark smoke (scan_10k, library_churn --scale smoke)"
+    if python3 benchmarks/e2e/run.py --workload scan_10k --scale smoke --seconds 2 \
+        && python3 benchmarks/e2e/run.py --workload library_churn --scale smoke --seconds 2; then
         record bench_smoke ok
     else
         record bench_smoke FAIL

@@ -10,11 +10,11 @@
    in-memory feature store -- all inside one transaction so a failing
    extractor leaves nothing half-ingested.
 
-Step 3 is the CPU hot path -- seven extractors over every key frame -- and
-is pure per-frame computation, so when ``config.workers > 1`` it fans out
-over a :class:`repro.runtime.WorkerPool`; the DB writes of step 4 stay in
-one transaction on the calling thread either way, and the pool's ordered
-map keeps results byte-identical to a serial run.
+Step 3 is the CPU hot path -- the six ``TABLE1_FEATURES`` extractors over
+every key frame -- and is pure per-frame computation, so when
+``config.workers > 1`` it fans out over a :class:`repro.runtime.WorkerPool`;
+the DB writes of step 4 stay in one transaction on the calling thread either
+way, and the pool's ordered map keeps results byte-identical to a serial run.
 """
 
 from __future__ import annotations
@@ -243,7 +243,9 @@ class Ingestor:
             with self._stage("keyframes"):
                 key_frames = self.keyframe_extractor.extract(frames)
             stored_on = stored_on or datetime.date(2012, 10, 1)
-            motion = self._motion_descriptor(frames)
+            self._policies.check_stage("ingest.motion")
+            with self._stage("motion"):
+                motion = self._motion_descriptor(frames)
 
             # fan the pure per-frame computation out across workers; the order
             # of payloads matches key_frames, so ids and rows are deterministic

@@ -71,7 +71,7 @@ class FeatureVector:
     def to_string(self) -> str:
         """``<tag> <n> <v1> ... <vn>`` -- the paper's VARCHAR2 representation."""
         parts = [self.tag, str(len(self))]
-        parts.extend(repr(float(v)) for v in self.values)
+        parts.extend(map(repr, self.values.tolist()))
         return " ".join(parts)
 
     @classmethod

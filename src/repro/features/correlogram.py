@@ -21,7 +21,8 @@ are histogrammed by color with one ``bincount``.
 
 from __future__ import annotations
 
-import threading
+from functools import lru_cache
+from typing import Tuple
 
 import numpy as np
 
@@ -77,23 +78,19 @@ def correlogram_counts(quantized: np.ndarray, n_colors: int, max_distance: int) 
     return counts
 
 
-_RING_INDEX_CACHE: dict = {}
-_RING_INDEX_LOCK = threading.Lock()  # web threads and pool workers share the cache
-
-
-def _ring_indices(max_distance: int):
-    """Cached per-distance ``(rows, cols)`` into a ``(2D+1, 2D+1)`` shift
-    grid centered at ``(D, D)``, one pair per :func:`ring_offsets` entry."""
-    rings = _RING_INDEX_CACHE.get(max_distance)
-    if rings is None:
-        d_max = max_distance
-        rings = []
-        for d in range(1, d_max + 1):
-            offsets = np.asarray(ring_offsets(d))
-            rings.append((d_max + offsets[:, 1], d_max + offsets[:, 0]))
-        with _RING_INDEX_LOCK:
-            _RING_INDEX_CACHE[max_distance] = rings
-    return rings
+@lru_cache(maxsize=8)
+def _half_ring_indices(max_distance: int) -> Tuple[Tuple[np.ndarray, np.ndarray], ...]:
+    """Per distance, ``(rows, cols)`` into a ``(D+1, 2D+1)`` shift grid
+    (``dy`` in ``[0, D]``, ``dx`` in ``[-D, D]``) of the ring's offsets in
+    the half-plane ``dy > 0 or (dy == 0 and dx > 0)`` -- one of each
+    ``(offset, -offset)`` pair.  Read-only."""
+    rings = []
+    for d in range(1, max_distance + 1):
+        half = np.array(
+            [(dy, max_distance + dx) for dx, dy in ring_offsets(d) if dy > 0 or (dy == 0 and dx > 0)]
+        )
+        rings.append(accel.read_only(half[:, 0], half[:, 1]))
+    return tuple(rings)
 
 
 def _correlogram_counts_windows(
@@ -102,27 +99,30 @@ def _correlogram_counts_windows(
     """All-shifts-at-once counting: bitwise identical to the offset loop.
 
     The image is padded with a sentinel color so out-of-image neighbours
-    can never match, and ``sliding_window_view`` exposes every shift in
-    ``[-D, D]^2`` as one ``(2D+1, 2D+1, h, w)`` stack.  A single vectorized
-    equality against the unshifted image replaces the per-offset Python
-    loop; each ring then reduces its 8d shift planes and histograms by
-    color.  All quantities are small integer counts, so the float64
-    bincount accumulation is exact.
+    can never match, and ``sliding_window_view`` exposes every shift as one
+    ``(D+1, 2D+1, h, w)`` stack.  A single vectorized equality against the
+    unshifted image replaces the per-offset Python loop; each ring then
+    reduces its shift planes and histograms by color.  Only half of each
+    ring is compared: ``p`` matches ``p + offset`` exactly when
+    ``p + offset`` matches itself shifted by ``-offset``, so the two
+    offsets count the same pairs per color and the half-ring count is
+    doubled.  All quantities are small integer counts, so the float64
+    bincount accumulation and the doubling are exact.
     """
     from numpy.lib.stride_tricks import sliding_window_view
 
     h, w = q.shape
     d_max = max_distance
-    padded = np.full((h + 2 * d_max, w + 2 * d_max), n_colors, dtype=q.dtype)
-    padded[d_max : d_max + h, d_max : d_max + w] = q
+    padded = np.full((h + d_max, w + 2 * d_max), n_colors, dtype=q.dtype)
+    padded[:h, d_max : d_max + w] = q
     windows = sliding_window_view(padded, (h, w))
     same = windows == q
 
     flat_q = q.ravel()
     counts = np.empty((n_colors, d_max), dtype=np.float64)
-    for d, (rows, cols) in enumerate(_ring_indices(d_max), start=1):
+    for d, (rows, cols) in enumerate(_half_ring_indices(d_max), start=1):
         ring = same[rows, cols].sum(axis=0, dtype=np.int64)
-        counts[:, d - 1] = np.bincount(
+        counts[:, d - 1] = 2.0 * np.bincount(
             flat_q, weights=ring.ravel().astype(np.float64), minlength=n_colors
         )
     return counts

@@ -15,8 +15,8 @@ local texture energy envelope; per-image-size transfer stacks are cached.
 
 from __future__ import annotations
 
-import threading
-from typing import Dict, Tuple
+from functools import lru_cache
+from typing import Tuple
 
 import numpy as np
 
@@ -67,20 +67,12 @@ def gabor_filter_bank(
     return filters
 
 
-_BANK_CACHE: Dict[Tuple, np.ndarray] = {}
-_BANK_LOCK = threading.Lock()  # web threads and pool workers share the cache
-
-
-def _cached_bank(shape, scales, orientations, ul, uh) -> np.ndarray:
-    key = (shape, scales, orientations, ul, uh)
-    bank = _BANK_CACHE.get(key)
-    if bank is None:
-        bank = gabor_filter_bank(shape, scales, orientations, ul, uh)
-        with _BANK_LOCK:
-            # keep the cache from growing without bound across many image sizes
-            if len(_BANK_CACHE) > 8:
-                _BANK_CACHE.clear()
-            _BANK_CACHE[key] = bank
+@lru_cache(maxsize=8)
+def _bank(
+    shape: Tuple[int, int], scales: int, orientations: int, ul: float, uh: float
+) -> np.ndarray:
+    """The read-only filter bank every frame of ``shape`` shares."""
+    (bank,) = accel.read_only(gabor_filter_bank(shape, scales, orientations, ul, uh))
     return bank
 
 
@@ -95,18 +87,14 @@ def gabor_responses(
     a = np.asarray(gray, dtype=np.float64)
     if a.ndim != 2:
         raise ValueError("gabor_responses expects a 2-D gray array")
-    bank = _cached_bank(a.shape, scales, orientations, ul, uh)
+    bank = _bank(a.shape, scales, orientations, ul, uh)
     spectrum = np.fft.fft2(a)
     if accel.fast_paths_enabled() and accel.HAVE_SCIPY:
         import scipy.fft as sfft
 
-        # multiply into a preallocated complex stack (the bank is real, so
-        # real and imaginary parts scale independently), then run one
-        # batched inverse transform over the filter axis
-        prod = np.empty(bank.shape, dtype=np.complex128)
-        np.multiply(bank, spectrum.real, out=prod.real)
-        np.multiply(bank, spectrum.imag, out=prod.imag)
-        return np.abs(sfft.ifft2(prod, axes=(-2, -1), overwrite_x=True))
+        # one broadcast product, one batched inverse transform over the
+        # filter axis
+        return np.abs(sfft.ifft2(bank * spectrum, axes=(-2, -1), overwrite_x=True))
     out = np.empty_like(bank)
     for i in range(bank.shape[0]):
         out[i] = np.abs(np.fft.ifft2(spectrum * bank[i]))
@@ -141,11 +129,13 @@ class GaborTexture(FeatureExtractor):
         mags = gabor_responses(
             gray.astype(np.float64), self.scales, self.orientations, self.ul, self.uh
         )
-        means = mags.mean(axis=(1, 2))
-        stds = mags.std(axis=(1, 2))
+        means = mags.mean(axis=(1, 2), keepdims=True)
+        # np.std's own steps, minus its second pass for the mean
+        deviations = np.subtract(mags, means, out=mags)
+        np.multiply(deviations, deviations, out=deviations)
         values = np.empty(self.n_dims)
-        values[0::2] = means
-        values[1::2] = stds
+        values[0::2] = means.ravel()
+        values[1::2] = np.sqrt(deviations.mean(axis=(1, 2)))
         return FeatureVector(kind=self.name, values=values, tag=self.tag)
 
     def distance(self, a: FeatureVector, b: FeatureVector) -> float:

@@ -21,15 +21,15 @@ tiny 2.27e-4 value, while the default computes the textbook correlation in
 
 from __future__ import annotations
 
-import threading
-from typing import Dict, Tuple
+from functools import lru_cache
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.features.base import FeatureExtractor, FeatureVector, Rows, register_extractor
 from repro.imaging import accel
 from repro.imaging.image import Image
-from repro.imaging.resize import resize_array
+from repro.imaging.resize import nearest_indices, resize_array
 
 __all__ = ["GlcmTexture", "glcm_matrix", "glcm_statistics"]
 
@@ -37,34 +37,104 @@ __all__ = ["GlcmTexture", "glcm_matrix", "glcm_statistics"]
 STATISTIC_NAMES = ("asm", "contrast", "correlation", "idm", "entropy")
 
 
-def glcm_matrix(gray: np.ndarray, step: int = 1, levels: int = 256) -> np.ndarray:
+@lru_cache(maxsize=8)
+def _replication_plan(
+    h: int, w: int, base_size: Optional[int], step: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """Source pairs standing for every pair of the rescaled ``h x w`` frame.
+
+    A nearest-neighbour rescale to ``base_size`` square only replicates
+    source pixels, so each horizontal pair of the rescaled frame is a source
+    pair ``(gray[y, left], gray[y, right])`` repeated an integer number of
+    times.  Returns ``(rows, left, right, weights)``: the distinct source
+    rows and column pairs the rescale touches -- never more than the rescale
+    has -- and, flattened row-major over ``rows x pairs``, how often each
+    occurs; ``weights`` is ``None`` when every pair occurs once (no rescale,
+    or a frame at least ``base_size`` wide and high).  Read-only: shared by
+    every frame of that shape.
+    """
+    if base_size is None:
+        row_index, col_index = np.arange(h), np.arange(w)
+    else:
+        row_index = nearest_indices(h, base_size)
+        col_index = nearest_indices(w, base_size)
+    rows, row_counts = np.unique(row_index, return_counts=True)
+    pairs, pair_counts = np.unique(
+        col_index[:-step] * w + col_index[step:], return_counts=True
+    )
+    plan = accel.read_only(rows, pairs // w, pairs % w)
+    if row_counts.max() == 1 and pair_counts.max() == 1:
+        return plan + (None,)
+    weights = np.outer(row_counts, pair_counts).astype(np.float64).ravel()
+    return plan + accel.read_only(weights)
+
+
+def _checked(gray: np.ndarray, step: int, base_size: Optional[int]) -> np.ndarray:
+    a = np.asarray(gray)
+    if a.ndim != 2:
+        raise ValueError("glcm_matrix expects a 2-D gray array")
+    width = a.shape[1] if base_size is None else base_size
+    if step < 1 or step >= width:
+        raise ValueError(f"step must be in [1, width); got {step}")
+    return a
+
+
+def _cooccurrence(
+    gray: np.ndarray, step: int, levels: int, base_size: Optional[int]
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sparse symmetric co-occurrence counts of the (rescaled) frame.
+
+    Returns ``(a, b, counts)``: the non-zero cells ``glcm[a, b]`` and their
+    entry counts -- sums of the plan's integer weights, exact in float64
+    whatever the order.
+    """
+    gray = _checked(gray, step, base_size)
+    rows, left_cols, right_cols, weights = _replication_plan(
+        gray.shape[0], gray.shape[1], base_size, step
+    )
+    src = gray.take(rows, axis=0).astype(np.int32)
+    if levels != 256:
+        src = src * levels // 256
+    left = src.take(left_cols, axis=1).ravel()
+    right = src.take(right_cols, axis=1).ravel()
+    # count the pairs as unordered {a <= b}: half the cells to visit after
+    keys = np.minimum(left, right) * levels + np.maximum(left, right)
+    totals = np.bincount(keys, weights, minlength=levels * levels)
+    cells = np.flatnonzero(totals > 0)  # a bool scan: 8x faster than a float one
+    counts = totals[cells].astype(np.float64)
+    a, b = np.divmod(cells, levels)
+    # symmetric accumulation: {a, b} enters cell (a, b) and cell (b, a) --
+    # two cells off the diagonal, the same cell twice on it
+    off = a != b
+    return (
+        np.concatenate((a, b[off])),
+        np.concatenate((b, a[off])),
+        np.concatenate((np.where(off, counts, 2.0 * counts), counts[off])),
+    )
+
+
+def glcm_matrix(
+    gray: np.ndarray, step: int = 1, levels: int = 256, base_size: Optional[int] = None
+) -> np.ndarray:
     """Symmetric, normalized horizontal co-occurrence matrix.
 
     Pairs are ``(pixel[y, x], pixel[y, x + step])`` accumulated in both
     orders, then divided by the total number of entries (the paper's
-    ``pixelCounter``).  Returns a ``(levels, levels)`` float64 matrix whose
-    entries sum to 1.
+    ``pixelCounter``).  With ``base_size`` the pairs are those of the frame
+    rescaled to ``base_size`` square (nearest neighbour, §4.3's
+    preprocessing): the reference path rescales first, the fast path counts
+    on the source through :func:`_replication_plan` -- integer weights, so
+    the same matrix bit for bit.  Returns a ``(levels, levels)`` float64
+    matrix whose entries sum to 1.
     """
-    a = np.asarray(gray)
-    if a.ndim != 2:
-        raise ValueError("glcm_matrix expects a 2-D gray array")
-    if step < 1 or step >= a.shape[1]:
-        raise ValueError(f"step must be in [1, width); got {step}")
     if accel.fast_paths_enabled():
-        # one narrow-int conversion instead of two wide ones; counts are
-        # exact integers either way, so the result is identical
-        ai = a.astype(np.int32)
-        left = ai[:, :-step]
-        right = ai[:, step:]
-        if levels != 256:
-            left = left * levels // 256
-            right = right * levels // 256
-        flat = left * np.int32(levels) + right
-        counts = np.bincount(flat.ravel(), minlength=levels * levels)
-        glcm = counts.reshape(levels, levels)
-        glcm = glcm + glcm.T  # symmetric accumulation, 2 entries per pair
-        total = float(glcm.sum())
-        return glcm / total if total > 0 else glcm.astype(np.float64)
+        a, b, counts = _cooccurrence(gray, step, levels, base_size)
+        glcm = np.zeros((levels, levels))
+        glcm[a, b] = counts / counts.sum()
+        return glcm
+    a = _checked(gray, step, base_size)
+    if base_size is not None:
+        a = resize_array(a, base_size, base_size, "nearest")
     left = a[:, :-step].astype(np.int64)
     right = a[:, step:].astype(np.int64)
     if levels != 256:
@@ -74,69 +144,12 @@ def glcm_matrix(gray: np.ndarray, step: int = 1, levels: int = 256) -> np.ndarra
     counts = np.bincount(flat.ravel(), minlength=levels * levels).astype(np.float64)
     glcm = counts.reshape(levels, levels)
     glcm = glcm + glcm.T  # symmetric accumulation, 2 entries per pair
-    total = glcm.sum()
-    return glcm / total if total > 0 else glcm
+    return glcm / glcm.sum()
 
 
-_GRID_CACHE: Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-_GRID_LOCK = threading.Lock()  # web threads and pool workers share the cache
-
-
-def _cached_grids(n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Constant ``(levels, (a-b)^2, 1/(1+(a-b)^2))`` grids for an n-level GLCM."""
-    grids = _GRID_CACHE.get(n)
-    if grids is None:
-        levels = np.arange(n, dtype=np.float64)
-        d2 = (levels[:, np.newaxis] - levels[np.newaxis, :]) ** 2
-        grids = (levels, d2, 1.0 / (1.0 + d2))
-        with _GRID_LOCK:
-            if len(_GRID_CACHE) > 4:
-                _GRID_CACHE.clear()
-            _GRID_CACHE[n] = grids
-    return grids
-
-
-def _glcm_statistics_fast(p: np.ndarray, paper_exact: bool) -> dict:
-    """Marginal-based statistics: same math, O(n) moment work after two
-    marginal reductions and no per-call constant-grid allocation."""
-    n = p.shape[0]
-    levels, d2, idm_w = _cached_grids(n)
-    row = p.sum(axis=1)
-    col = p.sum(axis=0)
-    asm = float(np.einsum("ij,ij->", p, p))
-    contrast = float(np.einsum("ij,ij->", d2, p))
-    px = float(levels @ row)
-    py = float(levels @ col)
-    varx = float((levels - px) ** 2 @ row)
-    vary = float((levels - py) ** 2 @ col)
-    cov = float(levels @ p @ levels) - px * py
-    if paper_exact:
-        denom = varx * vary
-    else:
-        denom = float(np.sqrt(varx * vary))
-    correlation = cov / denom if denom > 1e-18 else 0.0
-    idm = float(np.einsum("ij,ij->", idm_w, p))
-    logs = np.log(p, out=np.zeros_like(p), where=p > 0)
-    entropy = float(-np.einsum("ij,ij->", p, logs))
-    return {
-        "asm": asm,
-        "contrast": contrast,
-        "correlation": correlation,
-        "idm": idm,
-        "entropy": entropy,
-    }
-
-
-def glcm_statistics(glcm: np.ndarray, paper_exact: bool = False) -> dict:
-    """The five Haralick statistics of a normalized GLCM."""
-    p = np.asarray(glcm, dtype=np.float64)
-    if accel.fast_paths_enabled():
-        return _glcm_statistics_fast(p, paper_exact)
-    n = p.shape[0]
-    levels = np.arange(n, dtype=np.float64)
-    a = levels[:, np.newaxis]
-    b = levels[np.newaxis, :]
-
+def _statistics(a: np.ndarray, b: np.ndarray, p: np.ndarray, paper_exact: bool) -> dict:
+    """Haralick statistics of the cells ``(a, b)`` holding probabilities ``p``:
+    level grids against the full matrix, or just its non-zero cells."""
     asm = float(np.sum(p * p))
     contrast = float(np.sum((a - b) ** 2 * p))
     px = float(np.sum(a * p))
@@ -159,6 +172,15 @@ def glcm_statistics(glcm: np.ndarray, paper_exact: bool = False) -> dict:
         "idm": idm,
         "entropy": entropy,
     }
+
+
+def glcm_statistics(glcm: np.ndarray, paper_exact: bool = False) -> dict:
+    """The five Haralick statistics of a normalized GLCM, summed over the
+    full ``levels x levels`` grid (the reference form; :class:`GlcmTexture`'s
+    fast path visits only the non-zero cells)."""
+    p = np.asarray(glcm, dtype=np.float64)
+    levels = np.arange(p.shape[0], dtype=np.float64)
+    return _statistics(levels[:, np.newaxis], levels[np.newaxis, :], p, paper_exact)
 
 
 @register_extractor
@@ -189,17 +211,19 @@ class GlcmTexture(FeatureExtractor):
         self.base_size = base_size
         self.paper_exact = paper_exact
 
-    def _prepare(self, image: Image) -> np.ndarray:
-        gray = image.gray()
-        if self.preprocess:
-            gray = resize_array(gray, self.base_size, self.base_size, "nearest")
-        return gray
-
     def extract(self, image: Image) -> FeatureVector:
-        gray = self._prepare(image)
-        glcm = glcm_matrix(gray, step=self.step, levels=self.levels)
-        stats = glcm_statistics(glcm, paper_exact=self.paper_exact)
-        pixel_counter = float(2 * (gray.shape[1] - self.step) * gray.shape[0])
+        gray = image.gray()
+        base_size = self.base_size if self.preprocess else None
+        if accel.fast_paths_enabled():
+            # the few hundred non-zero cells of 65 536; sums run in another
+            # order than the full grid's, so ~1e-13 relative, not bit-equal
+            a, b, counts = _cooccurrence(gray, self.step, self.levels, base_size)
+            stats = _statistics(a, b, counts / counts.sum(), self.paper_exact)
+        else:
+            glcm = glcm_matrix(gray, self.step, self.levels, base_size)
+            stats = glcm_statistics(glcm, paper_exact=self.paper_exact)
+        height, width = (base_size, base_size) if self.preprocess else gray.shape
+        pixel_counter = float(2 * (width - self.step) * height)
         values = [pixel_counter] + [stats[k] for k in STATISTIC_NAMES]
         return FeatureVector(kind=self.name, values=np.array(values), tag=self.tag)
 

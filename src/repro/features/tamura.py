@@ -20,6 +20,9 @@ The three measures follow Tamura, Mori & Yamawaki (1978):
 
 from __future__ import annotations
 
+from functools import lru_cache
+from typing import Tuple
+
 import numpy as np
 
 from repro.features.base import FeatureExtractor, FeatureVector, Rows, register_extractor
@@ -40,28 +43,43 @@ def _integral(a: np.ndarray) -> np.ndarray:
     return ii
 
 
-def _window_mean(ii: np.ndarray, half: int, h: int, w: int) -> np.ndarray:
-    """Mean over the (2*half)^2 window centred at each pixel (clipped)."""
+@lru_cache(maxsize=8)
+def _window_plans(h: int, w: int, max_k: int) -> Tuple[Tuple[np.ndarray, ...], ...]:
+    """Per scale ``k = 1..max_k``: clipped window bounds ``(y0, y1, x0, x1)``
+    into the summed-area table and the ``(h, w)`` window areas.  Read-only:
+    shared by every ``h x w`` frame."""
     ys = np.arange(h)
     xs = np.arange(w)
-    y0 = np.clip(ys - half, 0, h)[:, np.newaxis]
-    y1 = np.clip(ys + half, 0, h)[:, np.newaxis]
-    x0 = np.clip(xs - half, 0, w)[np.newaxis, :]
-    x1 = np.clip(xs + half, 0, w)[np.newaxis, :]
-    area = (y1 - y0) * (x1 - x0)
+    plans = []
+    for k in range(1, max_k + 1):
+        half = 2 ** (k - 1)
+        y0 = np.clip(ys - half, 0, h)
+        y1 = np.clip(ys + half, 0, h)
+        x0 = np.clip(xs - half, 0, w)
+        x1 = np.clip(xs + half, 0, w)
+        area = np.maximum((y1 - y0)[:, np.newaxis] * (x1 - x0)[np.newaxis, :], 1)
+        plans.append(accel.read_only(y0, y1, x0, x1, area.astype(np.float64)))
+    return tuple(plans)
+
+
+def _window_mean(ii: np.ndarray, plan: Tuple[np.ndarray, ...]) -> np.ndarray:
+    """Mean over the clipped (2*half)^2 window centred at each pixel."""
+    y0, y1, x0, x1, area = plan
     if accel.fast_paths_enabled():
-        # edge-padding turns the clipped gathers ii[clip(y +/- half), ...]
-        # into four contiguous slices of the same values
-        p = np.pad(ii, half, mode="edge")
+        # the same four corner reads in the same order, as row-then-column
+        # takes instead of broadcast fancy indexing
+        top = ii.take(y0, axis=0)
+        bottom = ii.take(y1, axis=0)
         total = (
-            p[2 * half : 2 * half + h, 2 * half : 2 * half + w]
-            - p[:h, 2 * half : 2 * half + w]
-            - p[2 * half : 2 * half + h, :w]
-            + p[:h, :w]
+            bottom.take(x1, axis=1)
+            - top.take(x1, axis=1)
+            - bottom.take(x0, axis=1)
+            + top.take(x0, axis=1)
         )
     else:
+        y0, y1 = y0[:, np.newaxis], y1[:, np.newaxis]
         total = ii[y1, x1] - ii[y0, x1] - ii[y1, x0] + ii[y0, x0]
-    return total / np.maximum(area, 1)
+    return total / area
 
 
 def coarseness(gray: np.ndarray, max_k: int = 5) -> float:
@@ -75,9 +93,9 @@ def coarseness(gray: np.ndarray, max_k: int = 5) -> float:
 
     best_e = np.full((h, w), -1.0)
     best_size = np.ones((h, w))
-    for k in range(1, max_k + 1):
+    for k, plan in enumerate(_window_plans(h, w, max_k), start=1):
         half = 2 ** (k - 1)
-        mean_k = _window_mean(ii, half, h, w)
+        mean_k = _window_mean(ii, plan)
         # horizontal / vertical differences of window means at distance 2^(k-1)
         eh = np.zeros((h, w))
         ev = np.zeros((h, w))

@@ -15,13 +15,16 @@ inherit the default, so parallel ingest always runs the fast path.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Iterator
+from typing import Iterator, Tuple
+
+import numpy as np
 
 __all__ = [
     "HAVE_SCIPY",
     "fast_paths_enabled",
     "set_fast_paths",
     "reference_paths",
+    "read_only",
 ]
 
 try:  # SciPy is optional; every fast path has a NumPy or reference fallback
@@ -54,3 +57,11 @@ def reference_paths() -> Iterator[None]:
         yield
     finally:
         set_fast_paths(previous)
+
+
+def read_only(*arrays: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """Freeze shape-only constants (filter banks, index plans) before an
+    ``lru_cache`` hands the same arrays to every caller in the process."""
+    for array in arrays:
+        array.setflags(write=False)
+    return arrays

@@ -86,13 +86,19 @@ def _min_fuzziness_vectorized(
     valid = (n0 > 0) & (n1 > 0)
     mu0 = cum_s[ts] / np.where(n0 > 0, n0, 1.0)
     mu1 = (cum_s[-1] - cum_s[ts]) / np.where(n1 > 0, n1, 1.0)
-    grid = levels[np.newaxis, :]
+    # membership and entropy only where the histogram has mass; the other
+    # columns meet a zero weight, so they stay zero in a full-width buffer,
+    # which keeps the product below a (T, bins) @ (bins,) whose summation
+    # order does not depend on which bins are empty
+    cols = np.flatnonzero(w)
+    grid = levels[cols][np.newaxis, :]
     # select the class mean first, then evaluate the membership formula
     # once -- identical per-element arithmetic, half the matrix work
     mu = np.where(grid <= ts[:, np.newaxis], mu0[:, np.newaxis], mu1[:, np.newaxis])
     mem = 1.0 / (1.0 + np.abs(grid - mu) / c)
     mem = np.clip(mem, 1e-12, 1 - 1e-12)
-    entropy = -(mem * np.log(mem) + (1 - mem) * np.log(1 - mem))
+    entropy = np.zeros((ts.size, w.size))
+    entropy[:, cols] = -(mem * np.log(mem) + (1 - mem) * np.log(1 - mem))
     e = entropy @ w
     e[~valid] = np.inf
     return int(ts[np.argmin(e)])

@@ -68,21 +68,15 @@ def rle_encode(data: bytes) -> bytes:
     if not data:
         return b""
     arr = np.frombuffer(data, dtype=np.uint8)
-    # boundaries where the value changes
-    change = np.nonzero(np.diff(arr))[0] + 1
-    starts = np.concatenate(([0], change))
-    ends = np.concatenate((change, [arr.size]))
-    out = bytearray()
-    for s, e in zip(starts, ends):
-        value = arr[s]
-        run = int(e - s)
-        while run > 255:
-            out.append(255)
-            out.append(value)
-            run -= 255
-        out.append(run)
-        out.append(value)
-    return bytes(out)
+    starts = np.concatenate(([0], np.flatnonzero(arr[1:] != arr[:-1]) + 1))
+    runs = np.diff(starts, append=arr.size)
+    # a run of r bytes becomes ceil(r / 255) pairs: all but the last count 255
+    pieces = (runs + 254) // 255
+    pairs = np.empty((int(pieces.sum()), 2), dtype=np.uint8)
+    pairs[:, 0] = 255
+    pairs[np.cumsum(pieces) - 1, 0] = runs - 255 * (pieces - 1)
+    pairs[:, 1] = np.repeat(arr[starts], pieces)
+    return pairs.tobytes()
 
 
 def rle_decode(data: bytes, expected: int) -> bytes:

@@ -23,12 +23,14 @@ change scores in the thousands).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from functools import lru_cache
+from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
+from repro.imaging import accel
 from repro.imaging.image import Image
-from repro.imaging.resize import resize_array
+from repro.imaging.resize import nearest_indices, resize_array
 
 __all__ = [
     "KeyFrameExtractor",
@@ -47,27 +49,65 @@ GRID = 5
 SAMPLE_SIZE = 15
 
 
+def _windows(base_size: int, grid: int, sample_size: int) -> Iterator[Tuple[int, int]]:
+    """``[lo, hi)`` bounds of the ``grid`` sampling windows along one axis."""
+    for g in range(grid):
+        centre = int((g + 0.5) / grid * base_size)
+        yield max(0, centre - sample_size), min(base_size, centre + sample_size)
+
+
+@lru_cache(maxsize=8)
+def _signature_plan(
+    h: int, w: int, base_size: int, grid: int, sample_size: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Replication plan ``(rows, cols, W_y, W_x, n)`` of the signature for
+    ``h x w`` frames.
+
+    A nearest-neighbour rescale only replicates source pixels, so the sum
+    over a window of the rescaled frame is a weighted sum over the source:
+    ``rows`` are the source rows some window reaches -- never more than the
+    windows have -- and ``W_y[g, i]`` counts how often ``rows[i]`` lands in
+    window ``g`` (likewise ``cols`` and ``W_x``); ``n[gy * grid + gx]`` is
+    the window's pixel count.  Read-only: every frame of that shape shares
+    them.
+    """
+    spans = list(_windows(base_size, grid, sample_size))
+
+    def axis(src: int) -> Tuple[np.ndarray, np.ndarray]:
+        index = nearest_indices(src, base_size)
+        counts = np.array([np.bincount(index[lo:hi], minlength=src) for lo, hi in spans])
+        reached = np.flatnonzero(counts.any(axis=0))
+        return reached, counts[:, reached].astype(np.float64)
+
+    rows, w_y = axis(h)
+    cols, w_x = axis(w)
+    extent = np.array([hi - lo for lo, hi in spans], dtype=np.float64)
+    return accel.read_only(rows, cols, w_y, w_x, np.outer(extent, extent).reshape(-1, 1))
+
+
 def frame_signature(image: Image, base_size: int = BASE_SIZE, grid: int = GRID, sample_size: int = SAMPLE_SIZE) -> np.ndarray:
     """25-point mean-color signature of a frame (the §4.6 descriptor).
 
     The frame is rescaled to ``base_size`` square with nearest-neighbour
     interpolation, then for each of ``grid x grid`` locations the mean RGB of
-    the surrounding ``2*sample_size`` window is taken.
+    the surrounding ``2*sample_size`` window is taken.  The fast path never
+    builds the rescaled frame: it contracts the source with the
+    :func:`_signature_plan` weights, and because every partial sum is an
+    integer below 2^53 the result equals the rescale's bit for bit.
 
     Returns a float64 array of shape ``(grid*grid, 3)``.
     """
-    rgb = image.to_rgb()
-    scaled = resize_array(rgb.pixels, base_size, base_size, "nearest").astype(np.float64)
+    pixels = image.to_rgb().pixels
+    if accel.fast_paths_enabled():
+        rows, cols, w_y, w_x, n = _signature_plan(*pixels.shape[:2], base_size, grid, sample_size)
+        src = pixels.take(rows, axis=0).take(cols, axis=1).astype(np.float64)
+        sums = (w_y @ src.reshape(len(rows), -1)).reshape(grid, len(cols), 3)
+        return np.matmul(w_x, sums).reshape(grid * grid, 3) / n
+    scaled = resize_array(pixels, base_size, base_size, "nearest").astype(np.float64)
     sig = np.empty((grid * grid, 3))
     k = 0
-    for gy in range(grid):
-        py = (gy + 0.5) / grid
-        y0 = max(0, int(py * base_size) - sample_size)
-        y1 = min(base_size, int(py * base_size) + sample_size)
-        for gx in range(grid):
-            px = (gx + 0.5) / grid
-            x0 = max(0, int(px * base_size) - sample_size)
-            x1 = min(base_size, int(px * base_size) + sample_size)
+    for y0, y1 in _windows(base_size, grid, sample_size):
+        for x0, x1 in _windows(base_size, grid, sample_size):
             sig[k] = scaled[y0:y1, x0:x1].reshape(-1, 3).mean(axis=0)
             k += 1
     return sig

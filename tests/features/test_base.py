@@ -70,6 +70,20 @@ class TestFeatureVector:
         fv = FeatureVector(kind="p", values=np.array(values, dtype=np.float64))
         rt = FeatureVector.from_string("p", fv.to_string())
         assert np.array_equal(rt.values, fv.values)
+        # the stored form is repr() of each Python float, value by value
+        assert fv.to_string().split()[2:] == [repr(float(v)) for v in fv.values]
+
+    @pytest.mark.parametrize(
+        "dump",
+        [  # the paper's section 5.1 sample dumps (leading values)
+            "GLCM 6 180000.0 0.0302 87.89 0.000227 0.5008 6.82",
+            "gabor 4 8.7568 0.0935 3.2e-05 1e+22",
+            "Tamura 5 14620.0 44.25 1098.0 234.0 258.0",
+            "ACC 3 0.7046 1.0 0.0",
+        ],
+    )
+    def test_sample_dumps_survive_unchanged(self, dump):
+        assert FeatureVector.from_string("x", dump).to_string() == dump
 
 
 class TestRegistry:

@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.features.correlogram import (
     AutoColorCorrelogram,
     correlogram_counts,
     ring_offsets,
 )
+from repro.imaging import accel
 from repro.imaging.image import Image
 
 
@@ -104,3 +107,36 @@ class TestExtractor:
             AutoColorCorrelogram(max_distance=0)
         with pytest.raises(ValueError):
             AutoColorCorrelogram(normalization="l2")
+
+
+class TestHalfPlaneCounting:
+    """The fast path compares only one of each ``(offset, -offset)`` pair
+    and doubles the integer counts; the reference path walks every offset."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        h=st.integers(1, 20),
+        w=st.integers(1, 20),
+        n_colors=st.sampled_from([2, 5, 64]),
+        max_distance=st.integers(1, 6),
+        seed=st.integers(0, 2**16),
+    )
+    def test_bit_equal_to_the_offset_loop(self, h, w, n_colors, max_distance, seed):
+        q = np.random.default_rng(seed).integers(0, n_colors, (h, w))
+        fast = correlogram_counts(q, n_colors, max_distance)
+        with accel.reference_paths():
+            reference = correlogram_counts(q, n_colors, max_distance)
+        assert fast.dtype == reference.dtype
+        assert np.array_equal(fast, reference)
+
+    def test_half_rings_hold_one_of_each_opposite_pair(self):
+        from repro.features.correlogram import _half_ring_indices
+
+        rings = _half_ring_indices(4)
+        assert rings is _half_ring_indices(4)
+        for d, (rows, cols) in enumerate(rings, start=1):
+            assert len(rows) == 4 * d  # half of the ring's 8d offsets
+            offsets = {(int(c) - 4, int(r)) for r, c in zip(rows, cols)}
+            assert offsets | {(-dx, -dy) for dx, dy in offsets} == set(ring_offsets(d))
+            with pytest.raises(ValueError):
+                rows[...] = 0

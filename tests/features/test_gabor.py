@@ -89,3 +89,41 @@ class TestExtractor:
         v0b = ex.extract(_stripe_image(8, 5.0))
         v90 = ex.extract(_stripe_image(8, 90.0))
         assert ex.distance(v0, v0b) < ex.distance(v0, v90)
+
+
+class TestBankCache:
+    def test_bank_is_shared_and_read_only(self):
+        from repro.features.gabor import _bank
+
+        bank = _bank((12, 16), 5, 6, 0.05, 0.4)
+        assert bank is _bank((12, 16), 5, 6, 0.05, 0.4)
+        with pytest.raises(ValueError):
+            bank[0, 0, 0] = 1.0
+        # the public builder still hands out a private, writable array
+        assert gabor_filter_bank((12, 16)).flags.writeable
+
+    def test_a_ninth_shape_evicts_one_bank_not_all(self, monkeypatch):
+        from repro.features import gabor
+
+        built = []
+        build = gabor.gabor_filter_bank
+
+        def counting(shape, *args):
+            built.append(shape)
+            return build(shape, *args)
+
+        monkeypatch.setattr(gabor, "gabor_filter_bank", counting)
+        gabor._bank.cache_clear()
+        shapes = [(8, 8 + i) for i in range(9)]
+        try:
+            for shape in shapes:
+                gabor_responses(np.zeros(shape))
+            assert built == shapes
+            del built[:]
+            # the first shape was the least recently used: it alone rebuilds,
+            # and the seven most recent banks are still there
+            for shape in [shapes[0]] + shapes[2:]:
+                gabor_responses(np.zeros(shape))
+            assert built == [shapes[0]]
+        finally:
+            gabor._bank.cache_clear()

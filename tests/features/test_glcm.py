@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.features.glcm import GlcmTexture, glcm_matrix, glcm_statistics
+from repro.imaging import accel
 from repro.imaging.image import Image
 
 
@@ -121,3 +124,91 @@ class TestExtractor:
     def test_validation(self):
         with pytest.raises(ValueError):
             GlcmTexture(levels=1)
+
+
+class TestReplicationPlan:
+    """The fast path counts co-occurrences on the source frame, weighted by
+    how often the nearest-neighbour rescale replicates each pair; the
+    reference path rescales first.  Counts are integers, so the matrices
+    must agree bit for bit; only the statistics' summation order differs."""
+
+    @staticmethod
+    def _both(gray, step, levels, base_size):
+        from repro.imaging.resize import resize_array
+
+        fast = glcm_matrix(gray, step, levels, base_size)
+        with accel.reference_paths():
+            scaled = gray if base_size is None else resize_array(gray, base_size, base_size)
+            reference = glcm_matrix(scaled, step, levels)
+        return fast, reference
+
+    @pytest.mark.parametrize("shape", [(48, 64), (1, 4), (5, 301), (301, 7), (300, 300), (350, 400)])
+    @pytest.mark.parametrize("step", [1, 3])
+    @pytest.mark.parametrize("levels", [256, 16])
+    @pytest.mark.parametrize("preprocess", [True, False])
+    def test_matrix_bit_equal_to_the_rescale(self, shape, step, levels, preprocess):
+        gray = np.random.default_rng(sum(shape)).integers(0, 256, shape, dtype=np.uint8)
+        fast, reference = self._both(gray, step, levels, 300 if preprocess else None)
+        assert fast.dtype == reference.dtype == np.float64
+        assert np.array_equal(fast, reference)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        h=st.integers(1, 24),
+        w=st.integers(2, 24),
+        step=st.sampled_from([1, 3]),
+        levels=st.sampled_from([256, 16]),
+        base_size=st.sampled_from([None, 30, 300]),
+        n_values=st.sampled_from([2, 256]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matrix_bit_equal_on_any_shape(self, h, w, step, levels, base_size, n_values, seed):
+        if step >= (base_size or w):
+            step = 1
+        gray = np.random.default_rng(seed).integers(0, n_values, (h, w), dtype=np.uint8)
+        fast, reference = self._both(gray, step, levels, base_size)
+        assert np.array_equal(fast, reference)
+
+    @pytest.mark.parametrize(
+        "kwargs", [{}, {"step": 3}, {"levels": 16}, {"preprocess": False}, {"paper_exact": True}]
+    )
+    def test_statistics_match_the_full_grid(self, kwargs, noise_image, gradient_image):
+        extractor = GlcmTexture(**kwargs)
+        for image in (noise_image, gradient_image):
+            fast = extractor.extract(Image(image.pixels)).values
+            with accel.reference_paths():
+                reference = extractor.extract(Image(image.pixels)).values
+            assert fast[0] == reference[0]
+            assert np.allclose(fast, reference, rtol=1e-12, atol=1e-15)
+
+    def test_fast_path_never_rescales(self, noise_image, monkeypatch):
+        from repro.features import glcm
+
+        def no_rescale(*_args, **_kwargs):
+            raise AssertionError("the fast path built the rescaled frame")
+
+        monkeypatch.setattr(glcm, "resize_array", no_rescale)
+        assert len(GlcmTexture().extract(noise_image)) == 6
+
+    def test_plan_is_shared_and_read_only(self):
+        from repro.features.glcm import _replication_plan
+
+        plan = _replication_plan(48, 64, 300, 1)
+        assert plan is _replication_plan(48, 64, 300, 1)
+        for part in plan:
+            with pytest.raises(ValueError):
+                part[...] = 0
+        # every pair of the 300 x 300 rescale is accounted for
+        assert plan[3].sum() == 300 * 299
+
+    @pytest.mark.parametrize("shape", [(300, 300), (480, 640)])
+    @pytest.mark.parametrize("base_size", [300, None])
+    def test_plan_never_holds_more_than_the_rescale(self, shape, base_size):
+        from repro.features.glcm import _replication_plan
+
+        # a frame at least as large as the rescale: one entry per rescaled
+        # pair, each occurring once, so no weights at all
+        rows, left, right, weights = _replication_plan(*shape, base_size, 1)
+        height, width = (base_size, base_size) if base_size else shape
+        assert len(rows) == height and len(left) == len(right) == width - 1
+        assert weights is None

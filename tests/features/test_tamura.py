@@ -9,6 +9,7 @@ from repro.features.tamura import (
     directionality,
     tamura_contrast,
 )
+from repro.imaging import accel
 from repro.imaging.image import Image
 from repro.imaging.synthetic import checkerboard, stripes
 
@@ -89,3 +90,26 @@ class TestExtractor:
         d_near = ex.distance(ex.extract(fine), ex.extract(fine2))
         d_far = ex.distance(ex.extract(fine), ex.extract(coarse))
         assert d_near < d_far
+
+
+class TestCoarsenessWindowPlans:
+    @pytest.mark.parametrize("shape", [(48, 64), (2, 2), (3, 9), (71, 33), (4, 4), (1, 5)])
+    @pytest.mark.parametrize("integral", [True, False])
+    def test_bit_equal_to_the_fancy_index_form(self, shape, integral):
+        gen = np.random.default_rng(sum(shape))
+        gray = gen.integers(0, 256, shape).astype(np.float64) if integral else gen.random(shape) * 255
+        fast = coarseness(gray)
+        with accel.reference_paths():
+            reference = coarseness(gray)
+        assert fast == reference
+
+    def test_plans_are_shared_and_read_only(self):
+        from repro.features.tamura import _window_plans
+
+        plans = _window_plans(48, 64, 4)
+        assert plans is _window_plans(48, 64, 4)
+        assert len(plans) == 4
+        for plan in plans:
+            for part in plan:
+                with pytest.raises(ValueError):
+                    part[...] = 0

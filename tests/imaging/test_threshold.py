@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.imaging import accel
 from repro.imaging.threshold import binarize, min_fuzziness_threshold, otsu_threshold
 
 
@@ -74,3 +77,41 @@ class TestBinarize:
     def test_requires_2d(self):
         with pytest.raises(ValueError):
             binarize(np.zeros((2, 2, 3)))
+
+
+class TestVectorizedMinFuzziness:
+    """The fast path evaluates every candidate threshold at once, and
+    membership/entropy only on the histogram's non-empty bins; the
+    reference path is the candidate-by-candidate loop."""
+
+    @staticmethod
+    def _both(hist):
+        fast = min_fuzziness_threshold(hist)
+        with accel.reference_paths():
+            return fast, min_fuzziness_threshold(hist)
+
+    @pytest.mark.parametrize(
+        "bins", [{3: 5}, {3: 5, 4: 1}, {0: 7, 255: 2}, {10: 1, 128: 900, 250: 1}]
+    )
+    def test_sparse_histograms(self, bins):
+        hist = np.zeros(256)
+        for level, count in bins.items():
+            hist[level] = count
+        fast, reference = self._both(hist)
+        assert fast == reference
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**16), fill=st.floats(0.01, 1.0))
+    def test_random_histograms(self, seed, fill):
+        gen = np.random.default_rng(seed)
+        hist = gen.integers(1, 500, 256) * (gen.random(256) < fill)
+        if not hist.any():
+            hist[int(gen.integers(256))] = 1
+        fast, reference = self._both(hist)
+        assert fast == reference
+
+    def test_frame_histograms(self, gradient_image, noise_image):
+        for image in (gradient_image, noise_image):
+            hist = np.bincount(image.gray().astype(np.uint8).ravel(), minlength=256)
+            fast, reference = self._both(hist)
+            assert fast == reference

@@ -73,8 +73,28 @@ class TestMetricsSurface:
         assert "search.extract" in child_names
         ingest = traces[names.index("ingest.add_video")]
         stages = {c["name"] for c in ingest["children"]}
-        assert {"ingest.encode", "ingest.keyframes", "ingest.features",
-                "ingest.db_txn", "ingest.mirror"} <= stages
+        assert {"ingest.encode", "ingest.keyframes", "ingest.motion",
+                "ingest.features", "ingest.db_txn", "ingest.mirror"} <= stages
+
+    def test_ingest_stages_close_the_books(self):
+        s = VideoRetrievalSystem.in_memory(SystemConfig(workers=1))
+        admin = s.login_admin()
+        for seed in (51, 52, 53):
+            admin.add_video(_video(seed))
+        reg = s.metrics()["registry"]
+        samples = reg["repro_ingest_stage_seconds"]["samples"]
+        # motion is a stage like the rest: timed once per video
+        assert {x["labels"]["stage"]: x["count"] for x in samples}["motion"] == 3
+        for trace in s.recent_traces():
+            assert trace["name"] == "ingest.add_video"
+            assert "ingest.motion" in {c["name"] for c in trace["children"]}
+        # and with it the stages account for the ingest: over the three videos
+        # together (a wall-clock ratio, so a floor a scheduler stall between
+        # two stages cannot reach), never more than the whole
+        staged = sum(x["sum"] for x in samples)
+        total = reg["repro_ingest_video_seconds"]["samples"][0]["sum"]
+        assert 0.8 * total <= staged <= total
+        s.close()
 
     def test_clip_query_is_traced_stage_by_stage(self, system):
         system.search_by_video(_video(45), top_k=1)

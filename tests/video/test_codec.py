@@ -18,6 +18,33 @@ from repro.video.codec import (
 )
 
 
+def _rle_reference(data: bytes) -> bytes:
+    """The per-run loop ``rle_encode`` replaced: the byte-exact oracle."""
+    out = bytearray()
+    i = 0
+    while i < len(data):
+        j = i
+        while j < len(data) and data[j] == data[i]:
+            j += 1
+        run = j - i
+        while run > 255:
+            out += bytes((255, data[i]))
+            run -= 255
+        out += bytes((run, data[i]))
+        i = j
+    return bytes(out)
+
+
+#: byte strings made of a few long runs, so lengths around the 255 cap occur
+_runs = st.lists(
+    st.tuples(
+        st.integers(0, 255),
+        st.one_of(st.integers(1, 4), st.sampled_from([254, 255, 256, 509, 510, 511, 765, 766])),
+    ),
+    max_size=8,
+).map(lambda runs: b"".join(bytes([value]) * length for value, length in runs))
+
+
 def _frames(seed, n, h=12, w=16, gray=False):
     gen = np.random.default_rng(seed)
     shape = (h, w) if gray else (h, w, 3)
@@ -50,10 +77,33 @@ class TestRle:
         with pytest.raises(RvfError):
             rle_decode(b"\x01\x02\x03", 1)
 
+    @pytest.mark.parametrize("run", [1, 254, 255, 256, 509, 510, 511, 765, 766])
+    def test_run_lengths_around_the_cap(self, run):
+        data = b"\x09" + b"\x05" * run + b"\x07" * 2
+        encoded = rle_encode(data)
+        assert encoded == _rle_reference(data)
+        assert len(encoded) == 2 * (2 + -(-run // 255))
+        assert rle_decode(encoded, len(data)) == data
+
     @settings(max_examples=50, deadline=None)
     @given(st.binary(min_size=0, max_size=2000))
     def test_roundtrip_property(self, data):
         assert rle_decode(rle_encode(data), len(data)) == data
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(st.binary(min_size=0, max_size=2000), _runs))
+    def test_matches_reference(self, data):
+        encoded = rle_encode(data)
+        assert encoded == _rle_reference(data)
+        assert rle_decode(encoded, len(data)) == data
+
+    def test_no_python_loop_over_runs(self):
+        import ast
+        import inspect
+
+        tree = ast.parse(inspect.getsource(rle_encode))
+        loops = (ast.For, ast.While, ast.comprehension)
+        assert not [node for node in ast.walk(tree) if isinstance(node, loops)]
 
 
 class TestWriterReader:

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.imaging import accel
 from repro.imaging.image import Image
 from repro.video.keyframes import (
     KeyFrameExtractor,
@@ -50,6 +53,78 @@ class TestSignature:
         # 25 points, each Euclidean distance 30 -> total 750
         d = frame_signature_distance(_flat((0, 0, 0)), _flat((30, 0, 0)))
         assert d == pytest.approx(750.0)
+
+
+class TestReplicationPlan:
+    """The fast path contracts the source frame with integer replication
+    weights; the reference path (``accel.reference_paths()``) rescales to
+    ``base_size`` square first.  Every partial sum is an integer below
+    2^53, so the two must agree bit for bit."""
+
+    @pytest.mark.parametrize(
+        "shape", [(1, 1, 3), (5, 301, 3), (301, 7, 3), (48, 64, 3), (48, 64), (300, 300, 3), (350, 400, 3)]
+    )
+    @pytest.mark.parametrize("kwargs", [{}, {"base_size": 64, "sample_size": 6}])
+    def test_bit_equal_to_the_rescale(self, shape, kwargs):
+        image = Image(np.random.default_rng(sum(shape)).integers(0, 256, shape, dtype=np.uint8))
+        fast = frame_signature(image, **kwargs)
+        with accel.reference_paths():
+            reference = frame_signature(image, **kwargs)
+        assert fast.dtype == reference.dtype == np.float64
+        assert np.array_equal(fast, reference)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        h=st.integers(1, 40),
+        w=st.integers(1, 40),
+        gray=st.booleans(),
+        base_size=st.sampled_from([300, 64, 10]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_bit_equal_on_any_shape(self, h, w, gray, base_size, seed):
+        shape = (h, w) if gray else (h, w, 3)
+        image = Image(np.random.default_rng(seed).integers(0, 256, shape, dtype=np.uint8))
+        sample = max(1, base_size // 20)
+        fast = frame_signature(image, base_size, 5, sample)
+        with accel.reference_paths():
+            reference = frame_signature(image, base_size, 5, sample)
+        assert np.array_equal(fast, reference)
+
+    def test_same_key_frames_as_the_rescale(self, sample_video):
+        for extractor in (KeyFrameExtractor(), KeyFrameExtractor(base_size=64)):
+            fast = [i for i, _frame in extractor.extract(sample_video.frames)]
+            with accel.reference_paths():
+                reference = [i for i, _frame in extractor.extract(sample_video.frames)]
+            assert fast == reference
+
+    def test_fast_path_never_rescales(self, gradient_image, monkeypatch):
+        from repro.video import keyframes
+
+        def no_rescale(*_args, **_kwargs):
+            raise AssertionError("the fast path built the rescaled frame")
+
+        monkeypatch.setattr(keyframes, "resize_array", no_rescale)
+        assert frame_signature(gradient_image).shape == (25, 3)
+
+    def test_plan_is_shared_and_read_only(self):
+        from repro.video.keyframes import _signature_plan
+
+        plan = _signature_plan(48, 64, 300, 5, 15)
+        assert plan is _signature_plan(48, 64, 300, 5, 15)
+        for part in plan:
+            with pytest.raises(ValueError):
+                part[...] = 0
+
+    @pytest.mark.parametrize("shape", [(48, 64), (480, 640), (1000, 10)])
+    def test_plan_never_reaches_more_than_the_windows(self, shape):
+        from repro.video.keyframes import _signature_plan
+
+        # a frame larger than the rescale costs what the rescale's windows
+        # hold (5 windows of 30 per axis), not what the frame holds
+        rows, cols, w_y, w_x, _n = _signature_plan(*shape, 300, 5, 15)
+        assert len(rows) <= min(shape[0], 150) and len(cols) <= min(shape[1], 150)
+        assert w_y.shape == (5, len(rows)) and w_x.shape == (5, len(cols))
+        assert w_y.sum() == w_x.sum() == 150
 
 
 class TestExtractor:
