@@ -6,9 +6,9 @@
 2. extract key frames with the §4.1 threshold algorithm;
 3. for each key frame: run every configured feature extractor, compute the
    §4.2 ``(min, max)`` index bucket, encode the frame as a PPM blob;
-4. insert the ``KEY_FRAMES`` rows, update the range index and the
-   in-memory feature store -- all inside one transaction so a failing
-   extractor leaves nothing half-ingested.
+4. insert the ``KEY_FRAMES`` rows and mirror them into the in-memory
+   feature store (whose bucket columns are the range index) -- all inside
+   one transaction so a failing extractor leaves nothing half-ingested.
 
 Step 3 is the CPU hot path -- the six ``TABLE1_FEATURES`` extractors over
 every key frame -- and is pure per-frame computation, so when
@@ -280,11 +280,11 @@ class Ingestor:
                         )
                         new_records.append(record)
 
-            # DB committed; now mirror into store + index
+            # DB committed; now mirror into the store (the range index
+            # reads the store's bucket columns)
             with self._stage("mirror"):
                 for record in new_records:
                     self.store.add(record)
-                    self.index.insert_bucket(record.frame_id, record.bucket)
                 self.store.set_video_motion(video_id, motion)
             if self._snapshots is not None:
                 self._snapshots.record_add_video(
@@ -366,9 +366,6 @@ class Ingestor:
             self.db.execute("DELETE FROM KEY_FRAMES WHERE V_ID = ?", (video_id,))
             self.db.execute("DELETE FROM VIDEO_STORE WHERE V_ID = ?", (video_id,))
         frame_ids = self.store.remove_video(video_id)
-        for fid in frame_ids:
-            if fid in self.index:
-                self.index.remove(fid)
         if self._snapshots is not None:
             self._snapshots.record_delete(video_id)
         self._m_deletes.inc()

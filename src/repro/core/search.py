@@ -37,7 +37,7 @@ import numpy as np
 from repro.core.cache import QueryCache, digest_array, digest_vectors
 from repro.core.config import SystemConfig
 from repro.core.results import RetrievalResult, SearchResults
-from repro.core.store import FeatureStore, FrameRecord
+from repro.core.store import FeatureStore
 from repro.features.base import FeatureExtractor, FeatureVector, get_extractor
 from repro.imaging.image import Image
 from repro.indexing import ann as ann_metrics
@@ -164,8 +164,7 @@ class _QueryPlan:
     names: List[str]
     top_k: int
     weights: Optional[Dict[str, float]]
-    #: candidate frame ids, in ranking-tie order (a list, or the
-    #: coordinator's int64 array)
+    #: candidate frame ids (an int64 array), in ranking-tie order
     candidate_ids: Sequence[int]
     n_total: int
     explain: Dict[str, object]
@@ -227,7 +226,9 @@ class SearchEngine:
     ):
         self.config = config
         self.store = store
-        self.index = index
+        #: pruning reads the store's own bucket columns; ``index`` supplies
+        #: the range finder
+        self.index = index.bound_to(store)
         self._policies = policies
         self.extractors: Dict[str, FeatureExtractor] = {
             name: get_extractor(name) for name in config.features
@@ -279,13 +280,9 @@ class SearchEngine:
             "Weighted multi-feature fusion time per ranked query.",
         )
     def _prepared_matrix(self, name: str) -> np.ndarray:
-        """The feature's prepared full stack, rebuilt when frames change.
-
-        Delegates to :meth:`FeatureStore.prepared_matrix`: the store owns
-        the one ``structure_generation``-keyed copy, so engines sharing a
-        store share the stack and invalidation can't skew between the
-        query cache, the ANN sync, and this cache.
-        """
+        """The feature's prepared full stack: the store owns the one copy
+        (:meth:`FeatureStore.prepared_matrix`), engines sharing a store
+        share it."""
         return self.store.prepared_matrix(name, self.extractors[name])
 
     def close(self) -> None:
@@ -532,35 +529,33 @@ class SearchEngine:
             if self._cached(entry, key):
                 return entry
         self._policies.check_stage("search.prune")
+        rows: Optional[np.ndarray] = None  # the whole store (or the ANN probe)
         if use_index:
             with self._obs.span("search.index.prune"):
-                candidate_ids: Optional[List[int]] = sorted(
-                    self.index.candidates(req.image)
+                rows = self.index.candidate_rows(
+                    self.index.finder.bucket_for_image(req.image)
                 )
             n_total = len(self.store)
             if n_total:
-                self._m_pruning.observe(1.0 - len(candidate_ids) / n_total)
-        else:
-            candidate_ids = None  # the whole store (or the ANN probe below)
+                self._m_pruning.observe(1.0 - rows.size / n_total)
         self._policies.check_stage("search.extract")
         with self._obs.span("search.extract"):
             query_vectors, degraded = self._extract_degradable(req.image, names)
         ann_probed: Optional[bool] = None
-        if self.ann is not None and candidate_ids is not None:
+        if self.ann is not None and rows is not None:
             # compose with the range index: a frame must survive both
             with self._obs.span("search.ann.probe"):
                 ann_ids = self._ann_probe(query_vectors, req.nprobe)
             ann_probed = ann_ids is not None
             if ann_ids is not None:
-                wanted = set(ann_ids)
-                candidate_ids = [fid for fid in candidate_ids if fid in wanted]
+                rows = rows[np.isin(self.store.ids[rows], ann_ids)]
         entry.frame = {
             "degraded": degraded,
             "use_index": use_index,
             "ann_probed": ann_probed,
         }
         plan = self._plan_vectors(
-            query_vectors, list(query_vectors), req.top_k, candidate_ids, None, req.nprobe
+            query_vectors, list(query_vectors), req.top_k, None, None, req.nprobe, rows
         )
         return self._planned(entry, plan)
 
@@ -722,27 +717,33 @@ class SearchEngine:
         candidate_ids: Optional[Sequence[int]],
         weights: Optional[Dict[str, float]],
         nprobe: Optional[int] = None,
+        rows: Optional[np.ndarray] = None,
     ) -> _QueryPlan:
-        """Resolve the candidate set (given, IVF-probed, or the whole
-        store) into a :class:`_QueryPlan`."""
+        """Resolve the candidate set -- the range index's stack ``rows``,
+        given ids, IVF-probed ids, or the whole store -- into a
+        :class:`_QueryPlan`."""
         self._policies.check_stage("search.score")
         ann_probed = False
-        if candidate_ids is None and self.ann is not None:
+        if candidate_ids is None and rows is None and self.ann is not None:
             candidate_ids = self._ann_probe(query_vectors, nprobe)
             ann_probed = candidate_ids is not None
-        full_store = candidate_ids is None
+        if candidate_ids is not None:
+            # one binary search maps candidate ids to stack rows for every
+            # feature (preparation commutes with row gathers)
+            candidate_ids = np.asarray(candidate_ids, dtype=np.int64)
+            rows = self.store.matrix_rows(candidate_ids)
+        else:
+            ids = self.store.ids
+            candidate_ids = ids if rows is None else ids[rows]
         plan = self._new_plan(
             query_vectors,
             names,
             top_k,
             weights,
-            self.store.frame_ids() if full_store else list(candidate_ids),
+            candidate_ids,
             ann={"enabled": self.ann is not None, "probed": ann_probed},
         )
-        if plan.empty is None and not full_store:
-            # one binary search maps candidate ids to stack rows for every
-            # feature (preparation commutes with row gathers)
-            plan.rows = self.store.matrix_rows(plan.candidate_ids)
+        plan.rows = rows
         return plan
 
     # -- stage 2: score -------------------------------------------------------------
@@ -899,14 +900,14 @@ class SearchEngine:
         if not self.store.video_ids():
             return []
         with self._obs.span("search.video.distance"):
-            per_feature, records, spans = self._clip_distances(query_seq, names)
+            per_feature, spans = self._clip_distances(query_seq, names)
 
         # Each feature is min-max normalized over the *entire* scored frame
         # population, so normalization is global: a video whose frames are
         # all far from the query must keep a large cost, not normalize down
         # to zero.
         t_fuse = time.perf_counter()
-        nq, nr = len(query_seq), len(records)
+        nq, nr = per_feature[names[0]].shape
         combined = np.zeros((nq, nr))
         total_weight = 0.0
         for name in names:
@@ -923,32 +924,28 @@ class SearchEngine:
                 list(spans.values()),
                 method=self.config.sequence_method,
             )
-        matches = [
-            VideoMatch(
-                video_id=video_id,
-                video_name=records[span.start].video_name,
-                category=records[span.start].category,
-                distance=float(distance),
+        matches = []
+        for video_id, distance in zip(spans, distances):
+            video = self.store.video(video_id)
+            matches.append(
+                VideoMatch(video_id, video.name, video.category, float(distance))
             )
-            for (video_id, span), distance in zip(spans.items(), distances)
-        ]
         matches = self._blend_motion(frames, matches)
         matches.sort(key=lambda m: m.distance)
         return matches[: max(0, top_k)]
 
     def _clip_distances(
         self, query_seq: Sequence[Dict[str, FeatureVector]], names: List[str]
-    ) -> Tuple[Dict[str, np.ndarray], List[FrameRecord], Dict[int, slice]]:
-        """Raw ``(n_query, n_records)`` distances per feature, with the
-        record order (:meth:`FeatureStore.video_spans`) of their columns.
+    ) -> Tuple[Dict[str, np.ndarray], Dict[int, slice]]:
+        """Raw ``(n_query, n_frames)`` distances per feature, and each
+        video's slice of their columns (:meth:`FeatureStore.video_spans`).
 
         One kernel call per query key frame per feature against the
-        generation-cached prepared stack -- never a stacked multi-query
-        kernel, so a shard's columns are bitwise the full store's.
+        store's prepared stack -- never a stacked multi-query kernel, so a
+        shard's columns are bitwise the full store's.
         """
-        records, spans = self.store.video_spans()
-        nq, nr = len(query_seq), len(records)
-        rows = self.store.gather_rows([rec.frame_id for rec in records])
+        rows, spans = self.store.video_spans()
+        nq, nr = len(query_seq), len(self.store) if rows is None else rows.size
         per_feature: Dict[str, np.ndarray] = {}
         for name in names:
             t_dist = time.perf_counter()
@@ -961,7 +958,7 @@ class SearchEngine:
             self._m_distance_seconds.labels(feature=name).observe(
                 time.perf_counter() - t_dist
             )
-        return per_feature, records, spans
+        return per_feature, spans
 
     def _blend_motion(self, frames: Sequence[Image], matches: List["VideoMatch"]) -> List["VideoMatch"]:
         """Mix the clip-level motion distance into the appearance ranking.

@@ -4,11 +4,11 @@
 from live objects.  :class:`SnapshotManager` sits beside the
 :class:`~repro.core.store.FeatureStore` and
 
-- **opens**: maps the snapshot read-only, restores the store's frame
-  population and generation counters, replays the WAL on top, seeds the
-  stacked-matrix cache with the mmap views (queries then serve straight
-  off the page cache), and hands the IVF coarse quantizer its trained
-  state -- all without touching a single ``KEY_FRAMES`` row;
+- **opens**: maps the snapshot read-only, has the store adopt the mmap
+  sections as its columns (queries then serve straight off the page
+  cache) with the recorded generation counters, replays the WAL on top,
+  and hands the IVF coarse quantizer its trained state -- all without
+  touching a single ``KEY_FRAMES`` row or looping over the frames;
 - **records**: appends each ingest/delete/rename to the WAL so the
   on-disk image keeps up without a full rewrite per mutation;
 - **compacts**: folds the WAL into a fresh snapshot (atomic rename)
@@ -32,12 +32,17 @@ from __future__ import annotations
 
 import threading
 import time
-from collections.abc import Mapping as MappingABC
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.store import FeatureStore, FrameRecord
+from repro.core.store import (
+    FeatureColumn,
+    FeatureStore,
+    FrameColumns,
+    FrameRecord,
+    VideoInfo,
+)
 from repro.features.base import FeatureVector
 from repro.indexing.rangefinder import Bucket
 from repro.obs import NULL_OBS, Obs, log
@@ -73,120 +78,51 @@ class SnapshotRequiredError(RuntimeError):
     """``snapshot="require"`` and no valid snapshot could be opened."""
 
 
-# -- lazy snapshot-backed feature mappings -------------------------------------
-
-
-class _SnapshotFeatures:
-    """Shared per-snapshot state: mmap matrices + row lookup per feature."""
-
-    __slots__ = ("matrices", "tags", "rows_of")
-
-    def __init__(self) -> None:
-        #: feature name -> (n, d) mmap view, frames in ascending-id order
-        self.matrices: Dict[str, np.ndarray] = {}
-        self.tags: Dict[str, str] = {}
-        #: feature name -> None (every frame has it; row == frame position)
-        #: or frame_id -> row for features only a subset of frames carry
-        self.rows_of: Dict[str, Optional[Dict[int, int]]] = {}
-
-    def row(self, name: str, frame_id: int, position: int) -> int:
-        """The frame's row in ``matrices[name]``; KeyError when absent."""
-        rows = self.rows_of[name]  # KeyError: unknown feature, as dict would
-        if rows is None:
-            return position
-        return rows[frame_id]
-
-
-class _FrameFeatures(MappingABC):
-    """One frame's ``features`` mapping, materialized lazily from the mmap.
-
-    Ingested records hold plain dicts of parsed vectors; snapshot-backed
-    records hold this instead, so opening a million-frame snapshot costs
-    no vector copies -- a :class:`FeatureVector` is built (and its row
-    paged in) only when the scalar path actually touches it.  The batched
-    scoring path never does: it reads the seeded matrices directly.
-    """
-
-    __slots__ = ("_shared", "_frame_id", "_position")
-
-    def __init__(self, shared: _SnapshotFeatures, frame_id: int, position: int):
-        self._shared = shared
-        self._frame_id = frame_id
-        self._position = position
-
-    def __getitem__(self, name: str) -> FeatureVector:
-        row = self._shared.row(name, self._frame_id, self._position)
-        return FeatureVector(
-            kind=name,
-            values=self._shared.matrices[name][row],
-            tag=self._shared.tags[name],
-        )
-
-    def __contains__(self, name: object) -> bool:
-        rows = self._shared.rows_of.get(name)  # type: ignore[arg-type]
-        if rows is None:
-            return name in self._shared.rows_of
-        return self._frame_id in rows
-
-    def __iter__(self) -> Iterator[str]:
-        return (name for name in self._shared.rows_of if name in self)
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self)
-
-
 # -- store <-> snapshot translation --------------------------------------------
 
 
 def build_snapshot_payload(
     store: FeatureStore, ivf=None
 ) -> Tuple[Dict[str, np.ndarray], Dict[str, object]]:
-    """``(arrays, meta)`` for :func:`repro.snapshot.write_snapshot`.
+    """``(arrays, meta)`` for :func:`repro.snapshot.write_snapshot`: the
+    store's columns, section by section.
 
-    Feature matrices are stored as float64 -- the ISSUE's float32 would
-    halve the file but break the acceptance bar that mmap-served rankings
-    are *byte-identical* to the SQL rebuild (feature strings parse to
-    float64); the dtype is recorded per section, so a future narrower
-    layout is a version bump away.
+    Feature matrices are stored as float64: exact float64 kernels would
+    have to up-cast a narrower section block by block (measured slower,
+    docs/performance.md "Store layout"), and float32 arithmetic would
+    break the byte-identity of mmap-served and SQL-rebuilt rankings
+    (feature strings parse to float64).  The dtype is recorded per
+    section all the same.
     """
-    ids = store.frame_ids()
-    records = [store.get(fid) for fid in ids]
-    id_arr = np.asarray(ids, dtype=np.int64)
+    columns = store.columns
     arrays: Dict[str, np.ndarray] = {
-        "frame_ids": id_arr,
-        "frame_video_ids": np.asarray(
-            [r.video_id for r in records], dtype=np.int64
-        ),
-        "bucket_min": np.asarray([r.bucket.min for r in records], dtype=np.int64),
-        "bucket_max": np.asarray([r.bucket.max for r in records], dtype=np.int64),
+        "frame_ids": columns.ids,
+        "frame_video_ids": columns.video_ids,
+        "bucket_min": columns.bucket_min,
+        "bucket_max": columns.bucket_max,
     }
     features_meta: Dict[str, Dict[str, object]] = {}
-    for name in sorted({n for r in records for n in r.features}):
-        have = [i for i, r in enumerate(records) if name in r.features]
-        tag = records[have[0]].features[name].tag
-        if len(have) == len(records):
-            matrix = store.feature_matrix(name)
+    for name, (matrix, tag, rows) in sorted(store.feature_columns().items()):
+        if rows is None:
             features_meta[name] = {"tag": tag, "rows": "all"}
         else:
-            matrix = np.stack([records[i].features[name].values for i in have])
-            arrays[f"feat_rows:{name}"] = id_arr[have]
+            arrays[f"feat_rows:{name}"] = columns.ids[rows]
             features_meta[name] = {"tag": tag, "rows": "subset"}
         arrays[f"feat:{name}"] = np.asarray(matrix, dtype=np.float64)
     videos: Dict[str, Dict[str, object]] = {}
     for vid in store.video_ids():
-        first = store.frames_of_video(vid)[0]
-        motion = store.video_motion(vid)
+        video = store.video(vid)
         videos[str(vid)] = {
-            "name": first.video_name,
-            "category": first.category,
-            "motion": motion.to_string() if motion is not None else None,
+            "name": video.name,
+            "category": video.category,
+            "motion": video.motion.to_string() if video.motion is not None else None,
         }
     meta: Dict[str, object] = {
         "kind": _META_KIND,
         "generation": store.generation,
         "structure_generation": store.structure_generation,
-        "n_frames": len(ids),
-        "frame_names": [r.frame_name for r in records],
+        "n_frames": len(store),
+        "frame_names": columns.frame_names.tolist(),
         "features": features_meta,
         "videos": videos,
     }
@@ -203,9 +139,10 @@ def build_snapshot_payload(
 def load_snapshot_into_store(snap: Snapshot, store: FeatureStore) -> None:
     """Restore the frame population from an open snapshot (no WAL yet).
 
-    Every full-coverage feature matrix is seeded into the store's stack
-    cache as the raw mmap view, so the first query reads pages straight
-    from the file instead of re-stacking vectors.
+    The store adopts the mmap sections as its columns: no per-frame work,
+    no vector copies, and the first query reads pages straight from the
+    file.  (The per-video table and the frame names come out of the
+    header JSON, one entry each.)
     """
     meta = snap.meta
     if meta.get("kind") != _META_KIND:
@@ -213,54 +150,50 @@ def load_snapshot_into_store(snap: Snapshot, store: FeatureStore) -> None:
             f"{snap.path}: not a store snapshot (kind={meta.get('kind')!r})"
         )
     ids = snap.section("frame_ids")
-    vids = snap.section("frame_video_ids")
-    bucket_min = snap.section("bucket_min")
-    bucket_max = snap.section("bucket_max")
-    frame_names = list(meta["frame_names"])
-    if not (len(ids) == len(vids) == len(bucket_min) == len(bucket_max) == len(frame_names)):
+    columns = FrameColumns(
+        ids,
+        snap.section("frame_video_ids"),
+        snap.section("bucket_min"),
+        snap.section("bucket_max"),
+        np.array(meta["frame_names"], dtype=object),
+    )
+    if any(column.shape != ids.shape for column in columns):
         raise CorruptSnapshotError(f"{snap.path}: frame table sections disagree")
-    videos: Dict[str, Dict[str, object]] = meta["videos"]
-    shared = _SnapshotFeatures()
-    for name, fmeta in meta["features"].items():
-        shared.matrices[name] = snap.section(f"feat:{name}")
-        shared.tags[name] = str(fmeta["tag"])
-        if fmeta["rows"] == "all":
-            shared.rows_of[name] = None
-        else:
-            shared.rows_of[name] = {
-                int(fid): row
-                for row, fid in enumerate(snap.section(f"feat_rows:{name}"))
-            }
-    records: List[FrameRecord] = []
-    for pos in range(len(ids)):
-        fid = int(ids[pos])
-        vid = int(vids[pos])
-        vinfo = videos[str(vid)]
-        records.append(
-            FrameRecord(
-                frame_id=fid,
-                video_id=vid,
-                video_name=str(vinfo["name"]),
-                frame_name=str(frame_names[pos]),
-                category=vinfo.get("category"),
-                bucket=Bucket(int(bucket_min[pos]), int(bucket_max[pos])),
-                features=_FrameFeatures(shared, fid, pos),
-            )
+    if ids.size > 1 and not np.all(ids[1:] > ids[:-1]):
+        raise CorruptSnapshotError(f"{snap.path}: frame ids are not ascending")
+    videos = {
+        int(vid): VideoInfo(
+            name=str(vinfo["name"]),
+            category=vinfo.get("category"),
+            motion=FeatureVector.from_string("motion", str(vinfo["motion"]))
+            if vinfo.get("motion")
+            else None,
         )
-    motion = {
-        int(vid): FeatureVector.from_string("motion", str(vinfo["motion"]))
-        for vid, vinfo in videos.items()
-        if vinfo.get("motion")
+        for vid, vinfo in meta["videos"].items()
     }
-    store.load_snapshot_state(
-        records,
-        motion,
+    if not set(np.unique(columns.video_ids).tolist()) <= videos.keys():
+        raise CorruptSnapshotError(f"{snap.path}: a frame names a video the table lacks")
+    features: Dict[str, FeatureColumn] = {}
+    for name, fmeta in meta["features"].items():
+        matrix = snap.section(f"feat:{name}")
+        if matrix.dtype != np.float64:
+            matrix = matrix.astype(np.float64)
+        rows = None
+        if fmeta["rows"] != "all":
+            carriers = snap.section(f"feat_rows:{name}")
+            rows = np.minimum(np.searchsorted(ids, carriers), max(ids.size - 1, 0))
+            if not np.array_equal(ids[rows], carriers):
+                raise CorruptSnapshotError(f"{snap.path}: {name!r} rows name unknown frames")
+        if matrix.ndim != 2 or matrix.shape[0] != (ids.size if rows is None else rows.size):
+            raise CorruptSnapshotError(f"{snap.path}: section feat:{name} has the wrong shape")
+        features[name] = FeatureColumn(matrix, str(fmeta["tag"]), rows)
+    store.adopt(
+        columns,
+        videos,
+        features,
         generation=int(meta["generation"]),
         structure_generation=int(meta["structure_generation"]),
     )
-    for name, rows in shared.rows_of.items():
-        if rows is None:
-            store.seed_matrix(name, shared.matrices[name])
 
 
 def open_snapshot_store(path: str) -> Tuple[Snapshot, FeatureStore]:
@@ -271,8 +204,7 @@ def open_snapshot_store(path: str) -> Tuple[Snapshot, FeatureStore]:
     scatter-gather coordinator.  No fallback: a missing or corrupt file
     raises, because a replica silently serving an empty partition would
     corrupt merged rankings.  The caller owns closing the returned
-    :class:`~repro.snapshot.Snapshot` (the store's seeded matrices view its
-    mmap).
+    :class:`~repro.snapshot.Snapshot` (the store's columns view its mmap).
     """
     snap = Snapshot.open(path)
     try:

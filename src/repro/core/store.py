@@ -1,15 +1,27 @@
-"""In-memory feature store mirroring the KEY_FRAMES table.
+"""In-memory feature store mirroring the KEY_FRAMES table, as columns.
 
 Search must compare the query against every candidate's feature vectors;
 re-parsing feature strings out of the DB on every query would dominate
-latency, so the system keeps this write-through cache: ingest updates it
-and the DB together, and on open it is rebuilt from the table.
+latency, so the system keeps this write-through mirror: ingest updates it
+and the DB together, and on open it is adopted from the mmap snapshot (or
+rebuilt from the table).
+
+The arrays are the single source of truth.  Per frame, in ascending
+frame-id order: the id, the video id, the §4.2 range-finder bucket
+(``bucket_min`` / ``bucket_max``, the paper's ``MIN`` / ``MAX`` columns)
+and the frame name; per video: name, category and motion; per feature: one
+base matrix and one extractor-prepared matrix, row ``i`` describing frame
+``ids[i]``.  A :class:`FrameRecord` is a view built on demand, the range
+index is a comparison on the bucket columns
+(:class:`~repro.indexing.tree.RangeIndex` holds nothing per frame), and a
+write patches the columns instead of invalidating them.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping as MappingABC
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -18,12 +30,17 @@ from repro.db.engine import Database
 from repro.features.base import FeatureExtractor, FeatureVector
 from repro.indexing.rangefinder import Bucket
 
-__all__ = ["FrameRecord", "FeatureStore"]
+__all__ = ["FrameRecord", "VideoInfo", "FrameColumns", "FeatureColumn", "FeatureStore"]
 
 
 @dataclass(frozen=True)
 class FrameRecord:
-    """One key frame's metadata + parsed feature vectors."""
+    """One key frame's metadata + feature vectors.
+
+    Callers adding a frame pass ``features`` as a dict; records the store
+    hands out carry a read-only mapping that reads the frame's row of the
+    stacked matrices when a vector is asked for.
+    """
 
     frame_id: int
     video_id: int
@@ -31,45 +48,140 @@ class FrameRecord:
     frame_name: str
     category: Optional[str]
     bucket: Bucket
-    # usually a plain dict; snapshot-backed records use a lazy Mapping that
-    # materializes FeatureVectors from mmap rows on first access
     features: Mapping[str, FeatureVector] = field(default_factory=dict)
 
 
+@dataclass(frozen=True)
+class VideoInfo:
+    """One row of the per-video table (``motion``: see repro.video.motion)."""
+
+    name: str
+    category: Optional[str]
+    motion: Optional[FeatureVector] = None
+
+
+class FrameColumns(NamedTuple):
+    """The per-frame columns, frames ascending by id."""
+
+    ids: np.ndarray
+    video_ids: np.ndarray
+    bucket_min: np.ndarray
+    bucket_max: np.ndarray
+    frame_names: np.ndarray
+
+
+class FeatureColumn(NamedTuple):
+    """One feature's vectors, stacked.
+
+    ``rows`` is None when every frame carries the feature (``matrix`` is
+    then the full stack, row ``i`` for frame ``ids[i]``); otherwise the
+    ascending row positions of the frames that do, ``matrix`` holding just
+    those rows.
+    """
+
+    matrix: np.ndarray
+    tag: str
+    rows: Optional[np.ndarray] = None
+
+
+class _RowFeatures(MappingABC):
+    """One frame's ``features``: row ``row`` of each feature's matrix.
+
+    Holds the matrices, never the store (a store <-> view cycle would keep
+    a closed system's stacks alive until the cyclic collector runs), and
+    stays valid after later writes: the store appends into spare rows and
+    otherwise replaces its arrays, it never rewrites a live row.
+    """
+
+    __slots__ = ("_matrices", "_row", "_vectors")
+
+    def __init__(self, matrices: Mapping[str, Tuple[np.ndarray, str]], row: int):
+        self._matrices = matrices
+        self._row = row
+        self._vectors: Dict[str, FeatureVector] = {}  # built so far
+
+    def __getitem__(self, name: str) -> FeatureVector:
+        vector = self._vectors.get(name)
+        if vector is None:
+            matrix, tag = self._matrices[name]
+            vector = self._vectors[name] = FeatureVector(
+                kind=name, values=matrix[self._row], tag=tag
+            )
+        return vector
+
+    def items(self):
+        if len(self._vectors) < len(self._matrices):
+            self._vectors = {name: self[name] for name in self._matrices}
+        return self._vectors.items()
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._matrices
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._matrices)
+
+    def __len__(self) -> int:
+        return len(self._matrices)
+
+
+def _live(arr: np.ndarray, n: int) -> np.ndarray:
+    """A read-only view of ``arr``'s first ``n`` rows."""
+    view = arr[:n]
+    view.setflags(write=False)
+    return view
+
+
+def _regrown(arr: np.ndarray, n: int, rows: int) -> np.ndarray:
+    """A fresh array of ``rows`` rows holding ``arr``'s first ``n``."""
+    out = np.empty((rows,) + arr.shape[1:], dtype=arr.dtype)
+    out[:n] = arr[:n]
+    return out
+
+
 class FeatureStore:
-    """frame_id -> FrameRecord, with per-video grouping.
+    """Parallel per-frame columns + per-feature matrices, ascending by frame id.
 
     Two monotonic counters expose mutation state to the layers above:
     :attr:`generation` moves on *any* visible change (query caches key on
     it), :attr:`structure_generation` only when the frame population
-    changes (the ANN index and the internal matrix/id caches sync on it).
-    Bumping a counter is O(1), so bulk ingest pays one lazy cache rebuild
-    at the next query instead of one invalidation per insert.
+    changes (the ANN index syncs on it).
+
+    The columns and base matrices all have the same ``>= len(self)`` rows;
+    those past ``len(self)`` are spare capacity, grown geometrically, so
+    :meth:`add` is O(new rows) amortised.  Arrays adopted from a snapshot
+    have no spare rows and are never written: the first write to such a
+    store lands in a copy.
     """
 
     def __init__(self):
-        self._frames: Dict[int, FrameRecord] = {}
-        self._by_video: Dict[int, List[int]] = {}
-        # clip-level motion descriptors (extension; see repro.video.motion)
-        self._video_motion: Dict[int, FeatureVector] = {}
-        # feature name -> stacked matrix over all frames in id order;
-        # built lazily by feature_matrix, revalidated by generation
-        self._matrix_cache: Dict[str, np.ndarray] = {}
-        # feature name -> extractor-prepared full stack; the single source
-        # of truth every SearchEngine sharing this store draws from, so
-        # snapshot generation, cache generation, and ANN retrain key off
-        # the same structure_generation (they can't skew)
-        self._prepared_cache: Dict[str, np.ndarray] = {}
         self._generation = 0
         self._structure_generation = 0
-        # structure generation the matrix/id caches were built at
-        self._cache_generation = -1
-        self._ids_cache: Tuple[int, ...] = ()
-        self._ids_arr: np.ndarray = np.empty(0, dtype=np.int64)
+        self._reset()
+
+    def _reset(self) -> None:
+        self._n = 0
+        self._ids = np.empty(0, dtype=np.int64)
+        self._vids = np.empty(0, dtype=np.int64)
+        self._bmin = np.empty(0, dtype=np.int64)
+        self._bmax = np.empty(0, dtype=np.int64)
+        self._names = np.empty(0, dtype=object)
+        self._videos: Dict[int, VideoInfo] = {}
+        #: feature name -> base matrix / string-form tag
+        self._base: Dict[str, np.ndarray] = {}
+        self._tags: Dict[str, str] = {}
+        #: feature name -> which frames carry it; only for features some
+        #: frame lacks (their matrix rows are zeros)
+        self._present: Dict[str, np.ndarray] = {}
+        #: feature name -> extractor-prepared matrix (None: the base matrix
+        #: is its own prepared form) and how many leading rows are prepared
+        self._prepared: Dict[str, Optional[np.ndarray]] = {}
+        self._prepared_rows: Dict[str, int] = {}
+        #: what record views read: ``_base`` + tags; replaced, never mutated
+        self._row_matrices: Optional[Dict[str, Tuple[np.ndarray, str]]] = None
 
     @property
     def generation(self) -> int:
-        """Bumped on every mutation (adds, removals, renames, motion)."""
+        """Bumped on every mutation (adds, removals, renames)."""
         return self._generation
 
     @property
@@ -82,94 +194,351 @@ class FeatureStore:
         if structural:
             self._structure_generation += 1
 
-    def _sync_caches(self) -> None:
-        if self._cache_generation != self._structure_generation:
-            self._matrix_cache.clear()
-            self._prepared_cache.clear()
-            self._ids_cache = tuple(sorted(self._frames))
-            self._ids_arr = np.asarray(self._ids_cache, dtype=np.int64)
-            self._cache_generation = self._structure_generation
+    # -- columns -----------------------------------------------------------------
+
+    @property
+    def ids(self) -> np.ndarray:
+        """The frame ids, ascending: row ``i`` of every matrix is ``ids[i]``."""
+        return _live(self._ids, self._n)
+
+    @property
+    def columns(self) -> FrameColumns:
+        """Read-only views of the per-frame columns."""
+        n = self._n
+        return FrameColumns(
+            _live(self._ids, n), _live(self._vids, n), _live(self._bmin, n),
+            _live(self._bmax, n), _live(self._names, n),
+        )
+
+    def feature_columns(self) -> Dict[str, FeatureColumn]:
+        """Every stored feature's :class:`FeatureColumn`."""
+        out: Dict[str, FeatureColumn] = {}
+        for name, base in self._base.items():
+            present = self._present.get(name)
+            if present is None:
+                out[name] = FeatureColumn(_live(base, self._n), self._tags[name])
+            else:
+                rows = np.flatnonzero(present[: self._n])
+                out[name] = FeatureColumn(base[rows], self._tags[name], rows)
+        return out
+
+    def adopt(
+        self,
+        columns: FrameColumns,
+        videos: Mapping[int, VideoInfo],
+        features: Mapping[str, FeatureColumn],
+        generation: int,
+        structure_generation: int,
+    ) -> None:
+        """Become the given columns, without copying a full stack.
+
+        The bulk entry, for a snapshot's mmap sections (or another store's
+        :attr:`columns` / :meth:`feature_columns`, gathered or merged).
+        ``columns.ids`` must be strictly ascending.  The counters are
+        restored as given, so query-cache keys and ANN sync state computed
+        before a restart stay correct relative to the WAL entries replayed
+        on top.
+        """
+        n = len(columns.ids)
+        self._reset()
+        self._n = n
+        self._ids, self._vids, self._bmin, self._bmax, self._names = columns
+        self._videos = dict(videos)
+        for name, (matrix, tag, rows) in features.items():
+            self._tags[name] = tag
+            if rows is None:
+                self._base[name] = matrix
+            else:
+                self._base[name] = np.zeros((n, matrix.shape[1]), dtype=np.float64)
+                self._base[name][rows] = matrix
+                self._present[name] = np.zeros(n, dtype=bool)
+                self._present[name][rows] = True
+        self._generation = generation
+        self._structure_generation = structure_generation
+
+    def take(self, rows: np.ndarray) -> "FeatureStore":
+        """A new store of the frames at ``rows`` (ascending by frame id)
+        and their videos, with the counters it would have had they been
+        added one by one."""
+        columns = FrameColumns(*(column[rows] for column in self.columns))
+        features: Dict[str, FeatureColumn] = {}
+        for name, base in self._base.items():
+            present = self._present.get(name)
+            carried = None if present is None else np.flatnonzero(present[rows])
+            if carried is None or carried.size == rows.size:
+                features[name] = FeatureColumn(base[rows], self._tags[name])
+            elif carried.size:
+                features[name] = FeatureColumn(base[rows[carried]], self._tags[name], carried)
+        out = FeatureStore()
+        out.adopt(
+            columns,
+            {vid: self._videos[vid] for vid in np.unique(columns.video_ids).tolist()},
+            features,
+            generation=len(rows),
+            structure_generation=len(rows),
+        )
+        return out
+
+    @classmethod
+    def merged(cls, stores: Sequence["FeatureStore"]) -> "FeatureStore":
+        """One store over the frames of ``stores``; a frame id two of them
+        hold raises ``KeyError``, as :meth:`add` would."""
+        joined = cls()
+        if not stores:
+            return joined
+        columns = FrameColumns(
+            *(np.concatenate(parts) for parts in zip(*(s.columns for s in stores)))
+        )
+        order = np.argsort(columns.ids, kind="stable")
+        ids = columns.ids[order]
+        clash = np.flatnonzero(ids[1:] == ids[:-1])
+        if clash.size:
+            raise KeyError(f"frame id {int(ids[clash[0]])} already in store")
+        offsets = np.cumsum([0] + [len(s) for s in stores])
+        per_store = [s.feature_columns() for s in stores]
+        features: Dict[str, FeatureColumn] = {}
+        for name in dict.fromkeys(name for found in per_store for name in found):
+            blocks = [(off, found[name]) for off, found in zip(offsets, per_store) if name in found]
+            carried = np.concatenate([
+                off + (np.arange(len(col.matrix)) if col.rows is None else col.rows)
+                for off, col in blocks
+            ])
+            features[name] = FeatureColumn(
+                np.concatenate([col.matrix for _off, col in blocks]),
+                blocks[0][1].tag,
+                None if carried.size == ids.size else carried,
+            )
+        joined.adopt(  # store after store, not yet in id order: take() sorts
+            columns,
+            {vid: info for s in stores for vid, info in s._videos.items()},
+            features,
+            generation=0,
+            structure_generation=0,
+        )
+        return joined.take(order)
 
     # -- container protocol --------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._frames)
+        return self._n
+
+    def _row_of(self, frame_id: int) -> int:
+        """The frame's row, or -1."""
+        ids = self._ids[: self._n]
+        pos = int(np.searchsorted(ids, frame_id))
+        return pos if pos < self._n and ids[pos] == frame_id else -1
 
     def __contains__(self, frame_id: int) -> bool:
-        return frame_id in self._frames
+        return self._row_of(frame_id) >= 0
 
     def get(self, frame_id: int) -> FrameRecord:
-        return self._frames[frame_id]
+        row = self._row_of(frame_id)
+        if row < 0:
+            raise KeyError(frame_id)
+        return self._record(row)
+
+    def _record(self, row: int) -> FrameRecord:
+        matrices = self._row_matrices
+        if matrices is None:
+            matrices = self._row_matrices = {
+                name: (base, self._tags[name]) for name, base in self._base.items()
+            }
+        if self._present:
+            matrices = {
+                name: pair for name, pair in matrices.items()
+                if name not in self._present or self._present[name][row]
+            }
+        video_id = int(self._vids[row])
+        video = self._videos[video_id]
+        return FrameRecord(
+            frame_id=int(self._ids[row]),
+            video_id=video_id,
+            video_name=video.name,
+            frame_name=self._names[row],
+            category=video.category,
+            bucket=Bucket(int(self._bmin[row]), int(self._bmax[row])),
+            features=_RowFeatures(matrices, row),
+        )
 
     def frame_ids(self) -> List[int]:
-        self._sync_caches()
-        return list(self._ids_cache)
+        return self._ids[: self._n].tolist()
 
     def video_ids(self) -> List[int]:
-        return sorted(self._by_video)
+        return sorted(self._videos)
+
+    def video(self, video_id: int) -> VideoInfo:
+        return self._videos[video_id]
 
     def frames_of_video(self, video_id: int) -> List[FrameRecord]:
         """The video's key frames in frame-id (i.e. temporal) order."""
-        return [self._frames[i] for i in sorted(self._by_video.get(video_id, []))]
+        rows = np.flatnonzero(self._vids[: self._n] == video_id)
+        return [self._record(row) for row in rows.tolist()]
 
     def video_spans(
         self, video_ids: Optional[Sequence[int]] = None
-    ) -> Tuple[List[FrameRecord], Dict[int, slice]]:
-        """Key frames in video-major order, and each video's slice of it.
+    ) -> Tuple[Optional[np.ndarray], Dict[int, slice]]:
+        """Stack rows in video-major order, and each video's slice of them.
 
         Videos ascending by id (or as listed), frames in temporal order
         within each: the column order of every clip-query cost matrix, on
-        the engine, the shard workers and the coordinator alike.
+        the engine, the shard workers and the coordinator alike.  The rows
+        are None when that order is the stack order over every frame.
         """
-        records: List[FrameRecord] = []
+        vids = self._vids[: self._n]
+        order = np.argsort(vids, kind="stable")
+        found, starts, counts = np.unique(vids[order], return_index=True, return_counts=True)
+        extent = dict(zip(found.tolist(), zip(starts.tolist(), counts.tolist())))
         spans: Dict[int, slice] = {}
-        for video_id in self.video_ids() if video_ids is None else video_ids:
-            frames = self.frames_of_video(video_id)
-            spans[video_id] = slice(len(records), len(records) + len(frames))
-            records.extend(frames)
-        return records, spans
+        pieces, total = [], 0
+        for video_id in extent if video_ids is None else video_ids:
+            start, count = extent.get(video_id, (0, 0))
+            spans[video_id] = slice(total, total + count)
+            pieces.append(order[start : start + count])
+            total += count
+        rows = np.concatenate(pieces) if pieces else order
+        if total == self._n and np.array_equal(rows, np.arange(total)):
+            return None, spans
+        return rows, spans
 
     # -- mutation -------------------------------------------------------------
 
+    def _open_row(self, pos: int) -> None:
+        """Replace every column and base matrix by a (geometrically
+        larger) copy with row ``pos`` unused and rows ``pos..n-1`` moved
+        up one -- live rows are never rewritten in place."""
+        n = self._n
+        capacity = max(16, 2 * n)  # spare rows are never touched: no resident cost
+
+        def opened(arr: np.ndarray) -> np.ndarray:
+            out = _regrown(arr, pos, capacity)
+            out[pos + 1 : n + 1] = arr[pos:n]
+            return out
+
+        self._ids, self._vids = opened(self._ids), opened(self._vids)
+        self._bmin, self._bmax = opened(self._bmin), opened(self._bmax)
+        self._names = opened(self._names)
+        for table in (self._base, self._present):
+            for name in table:  # one at a time: at most one matrix is held twice
+                table[name] = opened(table[name])
+        self._row_matrices = None
+        if pos < n:  # what was prepared past ``pos`` would have to move too
+            self._prepared.clear()
+            self._prepared_rows.clear()
+
     def add(self, record: FrameRecord) -> None:
-        if record.frame_id in self._frames:
-            raise KeyError(f"frame id {record.frame_id} already in store")
-        self._frames[record.frame_id] = record
-        self._by_video.setdefault(record.video_id, []).append(record.frame_id)
+        """Insert one frame at its sorted position (the end, for the
+        ascending ids ingest hands out)."""
+        n, frame_id = self._n, int(record.frame_id)
+        pos = n
+        if n and frame_id <= self._ids[n - 1]:
+            pos = int(np.searchsorted(self._ids[:n], frame_id))
+            if self._ids[pos] == frame_id:
+                raise KeyError(f"frame id {frame_id} already in store")
+        vectors = dict(record.features.items())
+        for name, vector in vectors.items():
+            base = self._base.get(name)
+            if base is not None and base.shape[1] != vector.values.size:
+                raise ValueError(
+                    f"{name!r} vector has {len(vector)} values, the store holds {base.shape[1]}"
+                )
+        if pos < n or n == self._ids.shape[0]:
+            self._open_row(pos)
+        capacity = self._ids.shape[0]
+        for name, vector in vectors.items():
+            if name not in self._base:  # a feature no earlier frame carried
+                self._base[name] = np.zeros((capacity, len(vector)), dtype=np.float64)
+                self._tags[name] = vector.tag
+                if n:
+                    self._present[name] = np.zeros(capacity, dtype=bool)
+                self._row_matrices = None
+            self._base[name][pos] = vector.values
+        if len(vectors) < len(self._base):
+            for name, base in self._base.items():
+                if name not in vectors:
+                    base[pos] = 0.0
+                    if name not in self._present:
+                        self._present[name] = np.ones(capacity, dtype=bool)
+        for name, present in self._present.items():
+            present[pos] = name in vectors
+        self._ids[pos], self._vids[pos] = frame_id, record.video_id
+        self._bmin[pos], self._bmax[pos] = record.bucket.min, record.bucket.max
+        self._names[pos] = record.frame_name
+        if record.video_id not in self._videos:
+            self._videos[int(record.video_id)] = VideoInfo(record.video_name, record.category)
+        self._n = n + 1
         self._mutated(structural=True)
 
     def remove_video(self, video_id: int) -> List[int]:
-        """Drop every frame of a video; returns the removed frame ids."""
-        frame_ids = self._by_video.pop(video_id, [])
-        for fid in frame_ids:
-            del self._frames[fid]
-        self._video_motion.pop(video_id, None)
-        if frame_ids:
-            self._mutated(structural=True)
-        return frame_ids
+        """Drop every frame of a video; returns the removed frame ids.
+
+        One boolean mask compresses every column into a fresh array of the
+        old capacity, so the add that usually follows a delete finds spare
+        rows.
+        """
+        n = self._n
+        self._videos.pop(video_id, None)
+        keep = self._vids[:n] != video_id
+        if keep.all():
+            return []
+        removed = self._ids[:n][~keep].tolist()
+
+        def compress(arr: np.ndarray, live: int = n) -> np.ndarray:
+            mask = keep[:live]
+            out = np.empty_like(arr)
+            np.compress(mask, arr[:live], axis=0, out=out[: np.count_nonzero(mask)])
+            return out
+
+        self._ids, self._vids = compress(self._ids), compress(self._vids)
+        self._bmin, self._bmax = compress(self._bmin), compress(self._bmax)
+        self._names = compress(self._names)
+        for table in (self._base, self._present):
+            for name in table:  # one at a time: at most one matrix is held twice
+                table[name] = compress(table[name])
+        for name, rows in self._prepared_rows.items():
+            if self._prepared[name] is not None:
+                self._prepared[name] = compress(self._prepared[name], rows)
+            self._prepared_rows[name] = int(np.count_nonzero(keep[:rows]))
+        self._n = n - len(removed)
+        if not self._n:  # nothing left to constrain the next add's features
+            self._reset()
+        for name, present in list(self._present.items()):
+            if present[: self._n].all():
+                del self._present[name]
+            elif not present[: self._n].any():  # its last carrier left
+                for table in (self._present, self._base, self._tags,
+                              self._prepared, self._prepared_rows):
+                    table.pop(name, None)
+        self._row_matrices = None
+        self._mutated(structural=True)
+        return removed
 
     def rename_video(self, video_id: int, new_name: str) -> int:
-        """Rewrite ``video_name`` on the video's records (metadata only).
+        """Rewrite the video's name: one entry of the per-video table.
 
-        Feature vectors and buckets are untouched, so the stacked-matrix
-        cache stays valid.  Returns the number of affected frames.
+        Returns the number of affected frames.
         """
-        frame_ids = self._by_video.get(video_id, [])
-        for fid in frame_ids:
-            self._frames[fid] = replace(self._frames[fid], video_name=new_name)
-        if frame_ids:
-            self._mutated()
-        return len(frame_ids)
+        video = self._videos.get(video_id)
+        if video is None:
+            return 0
+        self._videos[video_id] = replace(video, name=new_name)
+        self._mutated()
+        return int(np.count_nonzero(self._vids[: self._n] == video_id))
 
     def clear(self) -> None:
-        self._frames.clear()
-        self._by_video.clear()
-        self._video_motion.clear()
-        self._matrix_cache.clear()
-        self._prepared_cache.clear()
+        self._reset()
         self._mutated(structural=True)
 
     # -- stacked feature matrices ------------------------------------------------
+
+    def _stack(self, name: str, rows: Optional[np.ndarray] = None) -> np.ndarray:
+        """The feature's base matrix, spare rows included; ``KeyError``
+        when a frame (of ``rows``, or any) does not carry the feature."""
+        base = self._base[name]
+        present = self._present.get(name)
+        if present is not None:
+            if not (present[: self._n] if rows is None else present[rows]).all():
+                raise KeyError(name)
+        return base
 
     def feature_matrix(
         self, name: str, frame_ids: Optional[Sequence[int]] = None
@@ -177,58 +546,57 @@ class FeatureStore:
         """The frames' ``name`` vectors stacked into an ``(n, d)`` matrix.
 
         Row ``i`` is ``frame_ids[i]``'s vector (all frames in id order when
-        ``frame_ids`` is None).  The full stack is cached per feature and
-        lazily rebuilt when :attr:`structure_generation` has moved since it
-        was built; subsets are row gathers from that cache through
-        :meth:`matrix_rows`.  Raises ``KeyError`` for an unknown frame id
-        or a frame missing the feature.
+        ``frame_ids`` is None: a read-only view of the store's own matrix).
+        Raises ``KeyError`` for an unknown frame id or a frame missing the
+        feature.
         """
-        self._sync_caches()
-        base = self._matrix_cache.get(name)
-        if base is None:
-            vectors = [self._frames[fid].features[name].values for fid in self._ids_cache]
-            if vectors:
-                base = np.stack(vectors).astype(np.float64, copy=False)
-            else:
-                base = np.empty((0, 0), dtype=np.float64)
-            base.setflags(write=False)
-            self._matrix_cache[name] = base
-        if frame_ids is None:
-            return base
-        rows = self.gather_rows(frame_ids)
-        return base if rows is None else base[rows]
+        if not self._n:
+            return np.empty((0, 0), dtype=np.float64)
+        rows = None if frame_ids is None else self.gather_rows(frame_ids)
+        full = _live(self._stack(name, rows), self._n)
+        return full if rows is None else full[rows]
 
     def prepared_matrix(self, name: str, extractor: FeatureExtractor) -> np.ndarray:
-        """The feature's extractor-prepared full stack, cached per structure.
+        """The feature's extractor-prepared full stack.
 
-        This is the one ``structure_generation``-keyed prepared-matrix
-        cache in the system: search engines delegate here instead of
-        keeping tuple-keyed copies, so every consumer of the stack
-        invalidates on exactly the same counter as :meth:`feature_matrix`
-        and the ANN retrain.  Row ``i`` describes frame ``frame_ids()[i]``
-        (preparation commutes with row gathers, see
-        ``FeatureExtractor.prepare_matrix``).
+        The one prepared copy in the system: every engine sharing this
+        store draws from it.  Row ``i`` describes frame ``ids[i]``;
+        preparation commutes with row gathers
+        (``FeatureExtractor.prepare_matrix``), so only the rows added
+        since the last call are prepared, into spare capacity.
         """
-        self._sync_caches()
-        prepared = self._prepared_cache.get(name)
-        if prepared is None:
-            prepared = extractor.prepare_matrix(self.feature_matrix(name))
-            prepared.setflags(write=False)
-            self._prepared_cache[name] = prepared
-        return prepared
+        n = self._n
+        if not n:
+            return extractor.prepare_matrix(np.empty((0, 0), dtype=np.float64))
+        base = self._stack(name)
+        done = self._prepared_rows.get(name, 0)
+        if done < n:
+            fresh = extractor.prepare_matrix(base[done:n])
+            held = self._prepared.get(name)
+            if np.may_share_memory(fresh, base):
+                held = None  # the extractor scores raw rows
+            elif held is None:
+                held = fresh
+            else:
+                if held.shape[0] < n:
+                    held = _regrown(held, done, base.shape[0])
+                held[done:n] = fresh
+            self._prepared[name] = held
+            self._prepared_rows[name] = n
+        prepared = self._prepared[name]
+        return _live(base if prepared is None else prepared, n)
 
     def matrix_rows(self, frame_ids: Sequence[int]) -> np.ndarray:
         """Row positions of ``frame_ids`` in the id-ordered stacked matrices.
 
-        The stacks of :meth:`feature_matrix` hold frames in ascending-id
-        order, so the id -> row mapping is a binary search.  Raises
-        ``KeyError`` for an id not in the store.
+        The stacks hold frames in ascending-id order, so the id -> row
+        mapping is a binary search.  Raises ``KeyError`` for an id not in
+        the store.
         """
-        self._sync_caches()
         wanted = np.asarray(frame_ids, dtype=np.int64)
         if wanted.size == 0:
             return np.empty(0, dtype=np.int64)
-        id_arr = self._ids_arr
+        id_arr = self._ids[: self._n]
         if id_arr.size:
             pos = np.searchsorted(id_arr, wanted)
             pos = np.minimum(pos, id_arr.size - 1)
@@ -243,66 +611,18 @@ class FeatureStore:
     def gather_rows(self, frame_ids: Sequence[int]) -> Optional[np.ndarray]:
         """:meth:`matrix_rows`, or None when that is every row in stack order."""
         rows = self.matrix_rows(frame_ids)
-        if rows.size == self._ids_arr.size and np.array_equal(rows, np.arange(rows.size)):
+        if rows.size == self._n and np.array_equal(rows, np.arange(rows.size)):
             return None
         return rows
 
     # -- clip-level motion ------------------------------------------------------
 
     def set_video_motion(self, video_id: int, descriptor: FeatureVector) -> None:
-        self._video_motion[video_id] = descriptor
+        self._videos[video_id] = replace(self._videos[video_id], motion=descriptor)
 
     def video_motion(self, video_id: int) -> Optional[FeatureVector]:
-        return self._video_motion.get(video_id)
-
-    # -- snapshot loading --------------------------------------------------------
-
-    def load_snapshot_state(
-        self,
-        records: Iterable[FrameRecord],
-        video_motion: Mapping[int, FeatureVector],
-        generation: int,
-        structure_generation: int,
-    ) -> None:
-        """Adopt a snapshot's frame population and its recorded counters.
-
-        Unlike :meth:`rebuild_from_db` + :meth:`add` loops, this restores
-        :attr:`generation` / :attr:`structure_generation` to the values
-        the snapshot was written at, so query-cache keys and ANN sync
-        state computed before the process restarted stay byte-correct
-        relative to the WAL entries replayed on top.
-        """
-        self._frames = {r.frame_id: r for r in records}
-        self._by_video = {}
-        for fid in sorted(self._frames):
-            record = self._frames[fid]
-            self._by_video.setdefault(record.video_id, []).append(fid)
-        self._video_motion = dict(video_motion)
-        self._matrix_cache.clear()
-        self._prepared_cache.clear()
-        self._generation = generation
-        self._structure_generation = structure_generation
-        self._ids_cache = tuple(sorted(self._frames))
-        self._ids_arr = np.asarray(self._ids_cache, dtype=np.int64)
-        self._cache_generation = structure_generation
-
-    def seed_matrix(self, name: str, matrix: np.ndarray) -> None:
-        """Install a prebuilt id-ordered full stack (e.g. an mmap view).
-
-        ``matrix`` row ``i`` must hold ``frame_ids()[i]``'s vector -- the
-        exact layout :meth:`feature_matrix` would build.  Seeding an mmap
-        view means queries serve straight off the page cache; the seed
-        is discarded like any cache entry once the structure mutates.
-        """
-        self._sync_caches()
-        if matrix.shape[0] != len(self._ids_cache):
-            raise ValueError(
-                f"seed matrix for {name!r} has {matrix.shape[0]} rows, "
-                f"store has {len(self._ids_cache)} frames"
-            )
-        if matrix.flags.writeable:  # np.memmap mode="r" views already aren't
-            matrix.setflags(write=False)
-        self._matrix_cache[name] = matrix
+        video = self._videos.get(video_id)
+        return video.motion if video is not None else None
 
     # -- rebuild -----------------------------------------------------------------
 
@@ -315,11 +635,6 @@ class FeatureStore:
                 "SELECT V_ID, V_NAME, CATEGORY, MOTION FROM VIDEO_STORE"
             ).rows
         }
-        for v_id, row in videos.items():
-            if row.get("MOTION"):
-                self._video_motion[int(v_id)] = FeatureVector.from_string(
-                    "motion", row["MOTION"]
-                )
         wanted = [(name, FEATURE_COLUMNS[name]) for name in feature_names]
         for row in db.execute("SELECT * FROM KEY_FRAMES").rows:
             features: Dict[str, FeatureVector] = {}
@@ -339,3 +654,8 @@ class FeatureStore:
                     features=features,
                 )
             )
+        for v_id, row in videos.items():
+            if row.get("MOTION") and int(v_id) in self._videos:
+                self.set_video_motion(
+                    int(v_id), FeatureVector.from_string("motion", row["MOTION"])
+                )

@@ -3,8 +3,8 @@
 Mirrors the paper's two-role design (Fig. 2 use cases, Fig. 4 block
 diagram): an **administrator** manages the stored videos; a **user** only
 searches.  Construction bootstraps the DB schema, and opening an existing
-database rebuilds the in-memory feature store and range index from the
-``KEY_FRAMES`` table.
+database adopts the in-memory feature store from the mmap snapshot, or
+rebuilds it from the ``KEY_FRAMES`` table.
 
     system = VideoRetrievalSystem.in_memory()
     admin = system.login_admin()
@@ -92,7 +92,8 @@ class VideoRetrievalSystem:
             threshold=self.config.index_threshold,
             max_level=self.config.index_max_level,
         )
-        self._index = RangeIndex(finder)
+        # a view of the store's bucket columns: it follows every write
+        self._index = RangeIndex(finder, self._store)
         # one worker pool shared by ingest and search (lazy: serial configs
         # never spawn processes)
         self._pool = WorkerPool(workers=resolve_workers(self.config.workers))
@@ -114,16 +115,12 @@ class VideoRetrievalSystem:
         )
         self.snapshots.attach_engine(self._engine)
         self._ingestor.attach_snapshots(self.snapshots)
-        if self.snapshots.try_open():
-            # the store came off the mmap; only the range index needs
-            # rebuilding (cheap: two ints per frame, no feature parsing)
-            for fid in self._store.frame_ids():
-                self._index.insert_bucket(fid, self._store.get(fid).bucket)
+        if self.snapshots.try_open():  # the store's columns came off the mmap
             self._pool.set_initializer(
                 init_worker_snapshot, (self.snapshots.path,)
             )
         else:
-            self._reload_from_db()
+            self._store.rebuild_from_db(self.db, list(self.config.features))
 
     # -- constructors ----------------------------------------------------------
 
@@ -136,11 +133,6 @@ class VideoRetrievalSystem:
     def open(cls, path, config: Optional[SystemConfig] = None) -> "VideoRetrievalSystem":
         """A durable system at ``path`` (snapshot + WAL)."""
         return cls(Database.open(path), config)
-
-    def _reload_from_db(self) -> None:
-        self._store.rebuild_from_db(self.db, list(self.config.features))
-        for fid in self._store.frame_ids():
-            self._index.insert_bucket(fid, self._store.get(fid).bucket)
 
     # -- engine attachment -----------------------------------------------------
 

@@ -35,6 +35,9 @@ from repro.db.table import Table
 
 __all__ = ["Database", "ResultSet"]
 
+#: parsed statements a database keeps, by text (started over when full)
+_PARSE_CACHE_SIZE = 256
+
 
 @dataclass(frozen=True)
 class ResultSet:
@@ -171,6 +174,7 @@ class Database:
         self._storage = storage
         self._tx_snapshot = None
         self._tx_statements: List[Tuple[str, Tuple]] = []
+        self._parsed: Dict[str, Tuple[ast.Statement, int]] = {}
         # observability is opt-in (attach_obs); None keeps execute() lean
         self._m_statements = None
         self._m_seconds = None
@@ -264,8 +268,7 @@ class Database:
         if not self.in_transaction:
             raise TransactionError("no open transaction")
         if self._storage is not None:
-            for text, params in self._tx_statements:
-                self._storage.log_statement(text, params)
+            self._storage.log_transaction(self._tx_statements)
         self._tx_snapshot = None
         self._tx_statements = []
 
@@ -306,7 +309,7 @@ class Database:
 
     def _execute(self, text: str, params: Sequence = ()) -> ResultSet:
         t0 = time.perf_counter() if self._m_statements is not None else 0.0
-        stmt, n_params = ast.parse(text)
+        stmt, n_params = self._parse(text)
         if len(params) != n_params:
             raise SqlSyntaxError(
                 f"statement has {n_params} parameter(s), {len(params)} given"
@@ -323,6 +326,21 @@ class Database:
             elif self._storage is not None:
                 self._storage.log_statement(text, tuple(params))
         return result
+
+    def _parse(self, text: str) -> Tuple[ast.Statement, int]:
+        """``ast.parse``, remembered by text: ingest runs the same few
+        INSERTs once per key frame.  The AST nodes are frozen, so a parse
+        can be shared -- except ``CREATE TABLE``'s, whose ``TableSchema``
+        becomes the live table's schema.  A malformed statement raises out
+        of ``ast.parse`` every time."""
+        parsed = self._parsed.get(text)
+        if parsed is None:
+            parsed = ast.parse(text)
+            if not isinstance(parsed[0], ast.CreateTable):
+                if len(self._parsed) >= _PARSE_CACHE_SIZE:
+                    self._parsed.clear()
+                self._parsed[text] = parsed
+        return parsed
 
     def _dispatch(self, stmt, params: Tuple, text: str) -> ResultSet:
         if isinstance(stmt, ast.CreateTable):

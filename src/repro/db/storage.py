@@ -5,7 +5,8 @@ A durable database lives in two files:
 - ``<path>``      -- the snapshot: catalog DDL + all rows, binary encoded.
 - ``<path>.wal``  -- the write-ahead log: every committed write statement
   (text + bound parameters), CRC-protected, appended and flushed as it
-  commits.
+  commits.  A transaction is ONE record holding all of its statements, so
+  it commits with one write and one fsync and replays whole or not at all.
 
 On open, the snapshot is loaded and the WAL replayed on top; a torn final
 record (crash mid-append) is detected by its CRC and ignored.
@@ -28,6 +29,9 @@ __all__ = ["Storage"]
 _SNAPSHOT_MAGIC = b"RDB1"
 _WAL_MAGIC = b"RWL1"
 _U32 = struct.Struct("<I")
+#: a record body opening with this word is a transaction (it cannot be a
+#: statement's text length: the body would have to be longer than 4 GiB)
+_TRANSACTION_MARK = _U32.pack(0xFFFFFFFF)
 
 
 def _pack_str(s: str) -> bytes:
@@ -52,6 +56,21 @@ def _read_str(buf: bytes, offset: int) -> Tuple[str, int]:
         raise StorageError(f"corrupt string data: {exc}") from exc
 
 
+def _statement_parts(text: str, params: Sequence) -> List[bytes]:
+    return [_pack_str(text), _U32.pack(len(params))] + [encode_value(v) for v in params]
+
+
+def _read_statement(body: bytes, offset: int) -> Tuple[Tuple[str, Tuple], int]:
+    """One ``(text, params)`` statement at ``offset``, and where it ends."""
+    text, offset = _read_str(body, offset)
+    n_params, offset = _read_u32(body, offset)
+    params = []
+    for _ in range(n_params):
+        value, offset = decode_value(body, offset)
+        params.append(value)
+    return (text, tuple(params)), offset
+
+
 class Storage:
     """Snapshot + WAL manager bound to one path."""
 
@@ -71,16 +90,33 @@ class Storage:
                 self._wal_fh.flush()
         return self._wal_fh
 
-    def log_statement(self, text: str, params: Sequence) -> None:
-        """Append one committed write statement to the WAL and flush."""
-        body = _pack_str(text) + _U32.pack(len(params))
-        for value in params:
-            body += encode_value(value)
-        record = _U32.pack(len(body)) + body + _U32.pack(zlib.crc32(body))
+    def _append(self, body: bytes) -> None:
+        """One framed record: length, body, CRC -- one write, one fsync."""
         fh = self._ensure_wal()
-        fh.write(record)
+        fh.write(_U32.pack(len(body)))
+        fh.write(body)
+        fh.write(_U32.pack(zlib.crc32(body)))
         fh.flush()
         os.fsync(fh.fileno())
+
+    def log_statement(self, text: str, params: Sequence) -> None:
+        """Append one committed write statement to the WAL and flush."""
+        self._append(b"".join(_statement_parts(text, params)))
+
+    def log_transaction(self, statements: Sequence[Tuple[str, Sequence]]) -> None:
+        """Append a committed transaction as one record.
+
+        A crash mid-append tears that one record, which replay drops: the
+        database reopens with all of the transaction or none of it.
+        """
+        if not statements:
+            return
+        parts = [_TRANSACTION_MARK, _U32.pack(len(statements))]
+        for text, params in statements:
+            statement = _statement_parts(text, params)
+            parts.append(_U32.pack(sum(map(len, statement))))
+            parts += statement
+        self._append(b"".join(parts))
 
     def read_wal(self) -> List[Tuple[str, Tuple]]:
         """Parse the WAL; a torn/corrupt tail ends the replay silently."""
@@ -104,13 +140,19 @@ class Storage:
                 crc, o = _read_u32(buf, o)
                 if zlib.crc32(body) != crc:
                     break  # torn/corrupt record: stop replay here
-                text, bo = _read_str(body, 0)
-                n_params, bo = _read_u32(body, bo)
-                params = []
-                for _ in range(n_params):
-                    value, bo = decode_value(body, bo)
-                    params.append(value)
-                records.append((text, tuple(params)))
+                if body[:4] == _TRANSACTION_MARK:
+                    statements = []  # decoded whole before any is kept
+                    n_statements, bo = _read_u32(body, 4)
+                    for _ in range(n_statements):
+                        size, bo = _read_u32(body, bo)
+                        statement, end = _read_statement(body, bo)
+                        if end != bo + size:
+                            raise StorageError("transaction record is malformed")
+                        statements.append(statement)
+                        bo = end
+                    records.extend(statements)
+                else:  # a lone statement (and every pre-transaction-record WAL)
+                    records.append(_read_statement(body, 0)[0])
                 offset = o
             except StorageError:
                 break

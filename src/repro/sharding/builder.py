@@ -12,6 +12,8 @@ from __future__ import annotations
 import os
 from typing import Optional
 
+import numpy as np
+
 from repro.core.snapshots import build_snapshot_payload
 from repro.core.store import FeatureStore
 from repro.obs import log
@@ -37,14 +39,10 @@ def split_store(
     if n_shards < 1:
         raise ValueError("n_shards must be >= 1")
     os.makedirs(out_dir, exist_ok=True)
-    subs = [FeatureStore() for _ in range(n_shards)]
-    for video_id in store.video_ids():
-        sub = subs[shard_of(video_id, n_shards)]
-        for record in store.frames_of_video(video_id):
-            sub.add(record)
-        motion = store.video_motion(video_id)
-        if motion is not None:
-            sub.set_video_motion(video_id, motion)
+    video_ids = np.asarray(store.video_ids(), dtype=np.int64)
+    owners = np.array([shard_of(vid, n_shards) for vid in video_ids.tolist()], dtype=np.int64)
+    frame_owner = owners[np.searchsorted(video_ids, store.columns.video_ids)]
+    subs = [store.take(np.flatnonzero(frame_owner == index)) for index in range(n_shards)]
     names = []
     for index, sub in enumerate(subs):
         name = SHARD_SNAPSHOT_PATTERN.format(index=index)

@@ -90,11 +90,11 @@ class ShardedSearchEngine(SearchEngine):
         self._snapshots = snapshots
         self._paths = paths
         # merged-row -> owning shard, aligned with merged.frame_ids()
-        global_ids = np.asarray(merged.frame_ids(), dtype=np.int64)
+        global_ids = merged.ids
         self._row_shard = np.empty(global_ids.size, dtype=np.int64)
         self._shard_frame_ids: List[np.ndarray] = []
         for s, store in enumerate(stores):
-            ids = np.asarray(store.frame_ids(), dtype=np.int64)
+            ids = store.ids
             self._shard_frame_ids.append(ids)
             if ids.size:
                 self._row_shard[np.searchsorted(global_ids, ids)] = s
@@ -135,30 +135,18 @@ class ShardedSearchEngine(SearchEngine):
     def _merge(
         config: SystemConfig, stores: Sequence[FeatureStore]
     ) -> Tuple[FeatureStore, RangeIndex]:
-        """One store + range index over every partition's records.
+        """One store + range index over every partition's columns.
 
-        Records are shared, not copied: their feature mappings keep
-        viewing the shard snapshots' mmaps, so the merge costs metadata
-        only.  Duplicate frame ids (overlapping shard sets) fail fast in
-        ``FeatureStore.add``.
+        Duplicate frame ids (overlapping shard sets) fail fast in
+        ``FeatureStore.merged``.
         """
-        merged = FeatureStore()
-        for store in stores:
-            for fid in store.frame_ids():
-                merged.add(store.get(fid))
-            for vid in store.video_ids():
-                motion = store.video_motion(vid)
-                if motion is not None:
-                    merged.set_video_motion(vid, motion)
+        merged = FeatureStore.merged(stores)
         finder = RangeFinder(
             first_threshold=config.index_first_threshold,
             threshold=config.index_threshold,
             max_level=config.index_max_level,
         )
-        index = RangeIndex(finder)
-        for fid in merged.frame_ids():
-            index.insert_bucket(fid, merged.get(fid).bucket)
-        return merged, index
+        return merged, RangeIndex(finder, merged)
 
     @property
     def n_shards(self) -> int:
@@ -295,23 +283,26 @@ class ShardedSearchEngine(SearchEngine):
         candidate_ids,
         weights,
         nprobe=None,
+        rows=None,
     ) -> _QueryPlan:
-        """Split the candidate set by owning shard into scatter payloads."""
+        """Split the candidate set (the range index's merged-store
+        ``rows``, given ids, or everything) by owning shard into scatter
+        payloads."""
         self._policies.check_stage("search.score")
-        if candidate_ids is None:
-            candidate_arr = self._global_ids
+        if candidate_ids is not None:
+            candidate_arr = np.asarray(candidate_ids, dtype=np.int64)
+            rows = self.store.matrix_rows(candidate_arr)
+        elif rows is not None:
+            candidate_arr = self._global_ids[rows]
         else:
-            candidate_arr = np.asarray(list(candidate_ids), dtype=np.int64)
+            candidate_arr = self._global_ids
         plan = self._new_plan(
             query_vectors, names, top_k, weights, candidate_arr,
             sharded={"shards": self.n_shards, "dispatched": 0},
         )
         if plan.empty is not None:
             return plan
-        if candidate_arr is self._global_ids:
-            owners = self._row_shard
-        else:
-            owners = self._row_shard[self.store.matrix_rows(candidate_arr)]
+        owners = self._row_shard if rows is None else self._row_shard[rows]
         payloads: List[Tuple[int, tuple]] = []
         positions: Dict[int, np.ndarray] = {}
         for s in range(self.n_shards):
@@ -452,10 +443,11 @@ class ShardedSearchEngine(SearchEngine):
 
         t_merge = time.perf_counter()
         surviving = {vid for _blocks, shard_vids in gathered.values() for vid in shard_vids}
-        records, spans = self.store.video_spans(
+        _rows, spans = self.store.video_spans(
             [vid for vid in self.store.video_ids() if vid in surviving]
         )
-        per_feature = {name: np.empty((len(query_seq), len(records))) for name in names}
+        n_frames = sum(span.stop - span.start for span in spans.values())
+        per_feature = {name: np.empty((len(query_seq), n_frames)) for name in names}
         for blocks, shard_vids in gathered.values():
             offset = 0  # shard columns: its videos ascending, back to back
             for vid in shard_vids:
@@ -465,7 +457,7 @@ class ShardedSearchEngine(SearchEngine):
                     per_feature[name][:, span] = blocks[name][:, offset:offset + width]
                 offset += width
         self._m_merge_seconds.observe(time.perf_counter() - t_merge)
-        return per_feature, records, spans
+        return per_feature, spans
 
     # -- introspection / shutdown ----------------------------------------------
 

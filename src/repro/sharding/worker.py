@@ -356,9 +356,8 @@ def _score_video(
 ) -> Tuple[Dict[str, np.ndarray], List[int], int]:
     state = _shard_state(path, metrics)
     store = state.store
-    records, spans = store.video_spans()
-    nq, nr = len(query_seq), len(records)
-    rows = store.gather_rows([rec.frame_id for rec in records])
+    rows, spans = store.video_spans()
+    nq, nr = len(query_seq), len(store) if rows is None else rows.size
     blocks: Dict[str, np.ndarray] = {}
     for name in names:
         extractor = state.extractor(name)

@@ -137,9 +137,8 @@ class TestClipQueryEqualsReference:
     @pytest.mark.parametrize("interleave", [False, True])
     def test_unequal_lengths(self, ingested_system, clip, method, interleave):
         store = relaid_store(self.records(ingested_system), self.LENGTHS, interleave)
-        ids = [rec.frame_id for rec in store.video_spans()[0]]
-        # interleaved ids: record order != stack row order, the gather branch
-        assert (store.gather_rows(ids) is not None) == interleave
+        # interleaved ids: video-major order != stack row order, the gather branch
+        assert (store.video_spans()[0] is not None) == interleave
         engine = self.engine(ingested_system, method, store)
         want = reference_clip_ranking(engine, clip.frames)
         assert len(want) == len(self.LENGTHS)

@@ -270,3 +270,58 @@ class TestTransactions:
     def test_checkpoint_requires_durable(self, db):
         with pytest.raises(DatabaseError):
             db.checkpoint()
+
+
+class TestParseMemo:
+    """``Database`` remembers parsed DML by text; nothing observable changes."""
+
+    STATEMENTS = [
+        ("SELECT ID, NAME FROM T WHERE SCORE >= ? ORDER BY ID", (10,)),
+        ("SELECT COUNT(*) FROM T", ()),
+        ("UPDATE T SET SCORE = ? WHERE ID = ?", (5, 3)),
+        ("SELECT * FROM T WHERE ID IN (1, 3) ORDER BY ID DESC", ()),
+    ]
+
+    def test_same_results_first_and_repeated(self, db):
+        fresh = [db.execute(text, params) for text, params in self.STATEMENTS]
+        for _ in range(3):
+            again = [db.execute(text, params) for text, params in self.STATEMENTS]
+            assert again == fresh
+        assert set(text for text, _p in self.STATEMENTS) <= set(db._parsed)
+
+    def test_different_params_same_text(self, db):
+        text = "SELECT NAME FROM T WHERE ID = ?"
+        assert [db.execute(text, (i,)).rows[0]["NAME"] for i in (1, 2, 3, 1)] == [
+            "alpha", "beta", "gamma", "alpha",
+        ]
+
+    @pytest.mark.parametrize(
+        "text, params, error",
+        [
+            ("SELEC * FROM T", (), SqlSyntaxError),
+            ("SELECT * FROM T WHERE", (), SqlSyntaxError),
+            ("SELECT * FROM T WHERE ID = ?", (), SqlSyntaxError),  # parameter count
+            ("SELECT * FROM NOPE", (), CatalogError),
+        ],
+    )
+    def test_same_error_first_and_repeated(self, db, text, params, error):
+        messages = []
+        for _ in range(3):
+            with pytest.raises(error) as caught:
+                db.execute(text, params)
+            messages.append(str(caught.value))
+        assert len(set(messages)) == 1
+
+    def test_create_table_is_parsed_afresh(self, db):
+        ddl = "CREATE TABLE U (ID NUMBER PRIMARY KEY)"
+        db.execute(ddl)
+        first = db.schema_of("U")
+        db.execute("DROP TABLE U")
+        db.execute(ddl)
+        assert db.schema_of("U") is not first  # a live schema is never shared
+        assert ddl not in db._parsed
+
+    def test_cache_is_bounded(self, db):
+        for i in range(600):
+            db.execute(f"SELECT ID FROM T WHERE SCORE = {i}")
+        assert len(db._parsed) <= 256

@@ -166,3 +166,79 @@ class TestCrashTolerance:
         db = Database.open(path)
         assert db.table_names() == []
         db.close()
+
+
+class TestTransactionRecord:
+    """A committed transaction is one WAL record: one fsync, all or nothing."""
+
+    def _committed(self, path):
+        """A populated database plus one 3-statement transaction; returns
+        the WAL bytes and the size the WAL had before the transaction."""
+        db = Database.open(path)
+        _populate(db)
+        before = os.path.getsize(path + ".wal")
+        with db.transaction():
+            db.execute("INSERT INTO T (ID, NAME) VALUES (3, 'three')")
+            db.execute("INSERT INTO T (ID, NAME, DATA) VALUES (?, ?, ?)", (4, "four", b"\xff" * 9))
+            db.execute("DELETE FROM T WHERE ID = 1")
+        db.close()
+        with open(path + ".wal", "rb") as fh:
+            return fh.read(), before
+
+    def test_one_fsync_per_transaction(self, path, monkeypatch):
+        db = Database.open(path)
+        _populate(db)
+        synced = []
+        monkeypatch.setattr(os, "fsync", lambda fd: synced.append(fd))
+        with db.transaction():
+            for i in range(10, 20):
+                db.execute("INSERT INTO T (ID) VALUES (?)", (i,))
+        assert len(synced) == 1
+        db.execute("INSERT INTO T (ID) VALUES (99)")  # auto-commit: its own record
+        assert len(synced) == 2
+        db.close()
+
+    def test_truncated_anywhere_replays_all_or_none(self, path):
+        data, before = self._committed(path)
+        assert len(data) > before
+        for cut in range(before, len(data) + 1):
+            with open(path + ".wal", "wb") as fh:
+                fh.write(data[:cut])
+            db = Database.open(path)
+            ids = sorted(r["ID"] for r in db.execute("SELECT ID FROM T").rows)
+            db.close()
+            assert ids == ([2, 3, 4] if cut == len(data) else [1, 2]), cut
+
+    def test_flipped_byte_drops_the_whole_transaction(self, path):
+        data, before = self._committed(path)
+        for at in range(before, len(data), 7):
+            torn = bytearray(data)
+            torn[at] ^= 0x55
+            with open(path + ".wal", "wb") as fh:
+                fh.write(bytes(torn))
+            db = Database.open(path)
+            ids = sorted(r["ID"] for r in db.execute("SELECT ID FROM T").rows)
+            db.close()
+            assert ids == [1, 2], at
+
+    def test_per_statement_wal_still_replays(self, path):
+        """The pre-transaction-record layout: every statement its own record."""
+        db = Database.open(path)
+        _populate(db)
+        db.close()
+        storage = Storage(path)
+        storage.log_statement("INSERT INTO T (ID, NAME) VALUES (?, ?)", (5, "five"))
+        storage.log_statement("DELETE FROM T WHERE ID = ?", (2,))
+        storage.close()
+        db = Database.open(path)
+        assert sorted(r["ID"] for r in db.execute("SELECT ID FROM T").rows) == [1, 5]
+        db.close()
+
+    def test_empty_transaction_writes_nothing(self, path):
+        db = Database.open(path)
+        _populate(db)
+        size = os.path.getsize(path + ".wal")
+        with db.transaction():
+            db.execute("SELECT * FROM T")
+        assert os.path.getsize(path + ".wal") == size
+        db.close()

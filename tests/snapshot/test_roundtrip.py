@@ -317,11 +317,16 @@ class TestPreparedCacheUnification:
         system = VideoRetrievalSystem.open(lib, SystemConfig())
         name = system.config.features[0]
         engine = system._engine
+        def same(x, y):  # two views of one buffer, row for row
+            return x.shape == y.shape and np.shares_memory(x, y)
+
         a = engine._prepared_matrix(name)
-        assert a is system._store.prepared_matrix(name, engine.extractors[name])
+        assert same(a, system._store.prepared_matrix(name, engine.extractors[name]))
         system.search(query, top_k=3)
-        assert engine._prepared_matrix(name) is a  # stable while unmutated
+        assert same(engine._prepared_matrix(name), a)  # stable while unmutated
         system.admin.rename_video(1, "zzz")  # generation bump, same structure
         system.admin.add_video(_video(48, "movies"))  # structural change
-        assert engine._prepared_matrix(name) is not a
+        grown = engine._prepared_matrix(name)
+        assert len(grown) == len(system._store) > len(a)
+        assert np.array_equal(grown[: len(a)], a)  # patched, not rebuilt
         system.close()
