@@ -1,27 +1,29 @@
 """The user-side search engine (the right half of the Fig. 3 DFD).
 
-Frame and vector queries run through ONE pipeline, in three stages:
+Frame, vector and clip queries run through ONE pipeline, in three stages:
 
 * **prepare** -- per request: query-cache lookup, range-index pruning,
   query-feature extraction, the optional IVF probe, and a
-  :class:`_QueryPlan` naming the candidate rows;
-* **score** -- one pass over every prepared plan: per-feature raw
-  distances from ``batch_distance_prepared`` on the store's
+  :class:`_QueryPlan` naming the candidate rows.  A clip is key-framed,
+  its key frames' features extracted over the pool, and one exact plan
+  per query key frame resolved over the store's video-major rows;
+* **score** -- one pass over every prepared plan, feature by feature:
+  raw distances from ``batch_distance_prepared`` on the store's
   generation-cached prepared stacks (one scatter per shard on the
   sharded engine);
 * **finish** -- per request: min-max normalization + weighted fusion
   (§5's "combined" approach, or one feature alone for the individual
-  Table 1 columns), stable top-k, cache put.
+  Table 1 columns), stable top-k, cache put.  A clip stacks its plans'
+  arrays into the query-by-stored cost matrices, normalizes them over
+  the whole scored population and aligns the sequence against every
+  stored video's with the paper's dynamic-programming similarity.
 
 :meth:`SearchEngine.query_batch` runs the stages over a list of
-:class:`QueryRequest` objects; :meth:`SearchEngine.query_frame` and
-:meth:`SearchEngine.query_with_vectors` are batches of one.  The scalar
+:class:`QueryRequest` objects; :meth:`SearchEngine.query_frame`,
+:meth:`SearchEngine.query_with_vectors` and
+:meth:`SearchEngine.query_video` are batches of one.  The scalar
 ``FeatureExtractor.distance`` the kernels must equal lives on as the
 reference in ``tests/core/clip_reference.py``.
-
-Video queries: key-frame the query clip and align its feature sequence
-against every stored video's sequence with the paper's dynamic-programming
-similarity.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from repro.imaging.image import Image
 from repro.indexing import ann as ann_metrics
 from repro.indexing.ann import IVFIndex
 from repro.indexing.tree import RangeIndex
-from repro.obs import NULL_OBS, Obs, log
+from repro.obs import NULL_OBS, NULL_SPAN, Obs, log
 from repro.resilience import (
     NULL_POLICIES,
     CircuitOpenError,
@@ -107,23 +109,38 @@ def _stable_topk(fused: np.ndarray, k: int) -> np.ndarray:
     return sel[np.lexsort((sel, fused[sel]))]
 
 
+#: which field carries each request kind's query, and the option fields
+#: that kind takes (``top_k`` / ``deadline`` belong to every kind)
+_QUERY_FIELDS = {"image": "frame", "query_vectors": "vectors", "clip": "video"}
+_KIND_OPTIONS = {
+    "frame": ("features", "use_index", "nprobe"),
+    "vectors": ("candidate_ids", "weights", "nprobe"),
+    "video": ("features",),
+}
+_OPTION_FIELDS = sorted({name for names in _KIND_OPTIONS.values() for name in names})
+
+
 @dataclass
 class QueryRequest:
-    """One frame or vector query, the unit the pipeline works on.
+    """One frame, vector or clip query, the unit the pipeline works on.
 
     Exactly one of ``image`` (a frame query, which also takes
-    ``features`` / ``use_index``) or ``query_vectors`` (a
+    ``features`` / ``use_index``), ``query_vectors`` (a
     precomputed-vector query, the feedback loop's shape, which also
-    takes ``candidate_ids`` / ``weights``) must be set; a field of the
-    other kind is rejected, not ignored.
+    takes ``candidate_ids`` / ``weights``) or ``clip`` (a video query:
+    the clip's frames, which also takes ``features``; it is always
+    exact and answers with a list of :class:`VideoMatch`) must be set;
+    a field of another kind is rejected, not ignored.
     ``deadline`` is an *already ticking* budget -- the serving layer
     creates it at admission time so queue wait counts -- armed around the
     request's per-request stages.  ``nprobe`` overrides ``ann_nprobe``
-    for this request only (the admission controller's degrade ladder).
+    for this frame or vector request only (the admission controller's
+    degrade ladder).
     """
 
     image: Optional[Image] = None
     query_vectors: Optional[Dict[str, FeatureVector]] = None
+    clip: Optional[Sequence[Image]] = None
     features: Optional[Sequence[str]] = None
     top_k: int = 20
     use_index: Optional[bool] = None
@@ -133,24 +150,30 @@ class QueryRequest:
     nprobe: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if (self.image is None) == (self.query_vectors is None):
-            raise ValueError("exactly one of image / query_vectors is required")
-        foreign = (
-            ("candidate_ids", "weights") if self.image is not None
-            else ("features", "use_index")
-        )
-        for name in foreign:
-            if getattr(self, name) is not None:
-                raise ValueError(f"a {self.kind} request takes no {name!r}")
+        if sum(getattr(self, name) is not None for name in _QUERY_FIELDS) != 1:
+            raise ValueError(
+                "exactly one of image / query_vectors / clip is required"
+            )
+        if self.clip is not None and not len(self.clip):
+            raise ValueError("query video has no frames")
+        kind = self.kind
+        for name in _OPTION_FIELDS:
+            if name not in _KIND_OPTIONS[kind] and getattr(self, name) is not None:
+                raise ValueError(f"a {kind} request takes no {name!r}")
 
     @property
     def kind(self) -> str:
-        return "frame" if self.image is not None else "vectors"
+        return next(
+            kind for name, kind in _QUERY_FIELDS.items()
+            if getattr(self, name) is not None
+        )
 
 
 @dataclass
 class _QueryPlan:
-    """One request's resolved scoring work, between prepare and finish.
+    """One query vector set's resolved scoring work, between prepare and
+    finish: a frame or vector request has one, a clip one per query key
+    frame.
 
     :meth:`SearchEngine._plan_vectors` resolves the candidate set into a
     plan, :meth:`SearchEngine._score_plans` turns plans into raw
@@ -172,7 +195,8 @@ class _QueryPlan:
     empty: Optional[SearchResults] = None
     #: the candidates' rows in the id-ordered stacks (None = every row)
     rows: Optional[np.ndarray] = None
-    distance_ms: Optional[Dict[str, float]] = None
+    #: per-feature kernel seconds (None when a shard worker did the timing)
+    distance_s: Optional[Dict[str, float]] = None
     # sharded scoring state (ShardedSearchEngine only)
     positions: Optional[Dict[int, np.ndarray]] = None
     payloads: Optional[List[Tuple[int, tuple]]] = None
@@ -186,9 +210,12 @@ class _BatchEntry:
     """One request's in-flight state between the pipeline's stages."""
 
     index: int = -1
-    #: resolved before scoring (cache hit / empty candidate set)
-    results: Optional[SearchResults] = None
-    plan: Optional[_QueryPlan] = None
+    #: resolved before scoring (cache hit / empty candidate set / empty
+    #: library); a clip's is a list of :class:`VideoMatch`
+    results: Optional[object] = None
+    plans: List[_QueryPlan] = field(default_factory=list)
+    #: the query clip's frames (clip requests only)
+    clip: Optional[Sequence[Image]] = None
     #: "bypass"/"off" when the query cache is not consulted
     cache_mode: Optional[str] = None
     #: the request's one cache key: pixels for a frame request, vectors
@@ -350,7 +377,7 @@ class SearchEngine:
             candidates=candidates,
         )
 
-    # -- frame / vector queries: one prepare -> score -> finish pipeline --------
+    # -- frame / vector / clip queries: one prepare -> score -> finish pipeline --
 
     def query_frame(
         self,
@@ -398,24 +425,40 @@ class SearchEngine:
             ),
         )
 
-    def _query_one(self, span_name: str, request: QueryRequest) -> SearchResults:
+    def query_video(
+        self,
+        video: Union[SyntheticVideo, Sequence[Image]],
+        features: Optional[Sequence[str]] = None,
+        top_k: int = 10,
+    ) -> List[VideoMatch]:
+        """Rank stored videos against a query clip via DP sequence alignment."""
+        frames = list(video.frames) if isinstance(video, SyntheticVideo) else list(video)
+        return self._query_one(
+            "search.query_video",
+            QueryRequest(clip=frames, features=features, top_k=top_k),
+            frames=len(frames),
+        )
+
+    def _query_one(self, span_name: str, request: QueryRequest, **attrs: object):
         """A batch of one under the entry point's own root span; an
         outcome that is an exception is raised."""
-        with self._obs.span(span_name, top_k=request.top_k) as span:
+        with self._obs.span(span_name, top_k=request.top_k, **attrs) as span:
             (outcome,) = self._run_requests([request], span)
             if isinstance(outcome, Exception):
                 raise outcome
-            span.annotate(
-                features=",".join(outcome.explain["features"]),
-                candidates=outcome.n_candidates,
-            )
+            if isinstance(outcome, SearchResults):
+                span.annotate(
+                    features=",".join(outcome.explain["features"]),
+                    candidates=outcome.n_candidates,
+                )
         return outcome
 
     def query_batch(self, requests: Sequence[QueryRequest]) -> List[object]:
-        """Execute several frame/vector queries as one micro-batch.
+        """Execute several frame/vector/clip queries as one micro-batch.
 
         Returns a list aligned with ``requests`` whose elements are
-        either :class:`SearchResults` or the exception that request
+        either the request's answer (:class:`SearchResults`; a list of
+        :class:`VideoMatch` for a clip) or the exception that request
         raised: exceptions are isolated per request, so a poisoned query
         never fails its batchmates.  Rankings are byte-identical to
         running each request on its own -- the batch amortizes
@@ -466,28 +509,38 @@ class SearchEngine:
                 except DeadlineExceeded as exc:
                     outcomes[entry.index] = exc
         to_score = [e for e in to_score if outcomes[e.index] is None]
-        scored = self._score_plans([e.plan for e in to_score]) if to_score else []
-        for entry, per_feature in zip(to_score, scored):
-            if isinstance(per_feature, Exception):
-                outcomes[entry.index] = per_feature
+        plans = [plan for entry in to_score for plan in entry.plans]
+        # a clip's distance stage is the shared pass (all of it, in a batch)
+        clips = any(entry.clip is not None for entry in to_score)
+        with self._obs.span("search.video.distance", plans=len(plans)) if clips else NULL_SPAN:
+            scored = iter(self._score_plans(plans) if plans else [])
+        for entry in to_score:
+            per_plan = [next(scored) for _plan in entry.plans]
+            failed = next((s for s in per_plan if isinstance(s, Exception)), None)
+            if failed is not None:
+                outcomes[entry.index] = failed
                 continue
             try:
                 with armed_deadline(deadlines[entry.index]):
-                    outcomes[entry.index] = self._finish_request(entry, per_feature)
+                    outcomes[entry.index] = self._finish_request(entry, per_plan)
             except Exception as exc:  # per-request isolation by contract
                 outcomes[entry.index] = exc
         span.annotate(scored=len(to_score))
         for req, outcome in zip(requests, outcomes):
             if isinstance(outcome, SearchResults):
                 self._record_query(req.kind, t0, outcome.n_candidates, outcome, span)
+            elif not isinstance(outcome, Exception):
+                self._record_query(req.kind, t0, span=span)
         return outcomes
 
     # -- stage 1: prepare ---------------------------------------------------------
 
     def _prepare_request(self, req: QueryRequest) -> _BatchEntry:
-        """The cache lookup, pruning, extraction and the plan for one request."""
+        """The cache lookup, pruning, extraction and the plan(s) for one request."""
         if req.image is not None:
             return self._prepare_frame_request(req)
+        if req.clip is not None:
+            return self._prepare_video_request(req)
         return self._prepare_vectors_request(req)
 
     def _cache_bypass(self) -> Optional[str]:
@@ -513,7 +566,7 @@ class SearchEngine:
         if plan.empty is not None:
             entry.results = self._finish_entry(entry, plan.empty)
         else:
-            entry.plan = plan
+            entry.plans = [plan]
         return entry
 
     def _prepare_frame_request(self, req: QueryRequest) -> _BatchEntry:
@@ -674,6 +727,37 @@ class SearchEngine:
             return entry
         return self._planned(entry, self._plan_vectors(*args))
 
+    def _prepare_video_request(self, req: QueryRequest) -> _BatchEntry:
+        """Key-frame the clip, extract its features over the pool, and
+        resolve one exact plan per query key frame over the store's
+        video-major rows (each video's frames adjacent, in temporal
+        order: the columns of the clip's cost matrices).  Clip answers
+        are not cached."""
+        names = self._resolve_features(req.features)
+        entry = _BatchEntry(clip=req.clip)
+        if not len(self.store):  # nothing to rank: skip the clip analysis
+            entry.results = []
+            return entry
+        self._policies.check_stage("search.keyframes")
+        with self._obs.span("search.video.keyframes"):
+            key_frames = [f for _i, f in self.keyframe_extractor.extract(list(req.clip))]
+        # per-key-frame extraction is the query-side CPU hot spot; fan it
+        # out over the pool (order-preserving, so results are unchanged)
+        self._policies.check_stage("search.extract")
+        extract = partial(
+            _extract_query_features, extractors=self.extractors, names=names
+        )
+        with self._obs.span("search.video.extract", key_frames=len(key_frames)):
+            query_seq = self._pool.map(extract, key_frames)
+        rows, _spans = self.store.video_spans()
+        entry.plans = [
+            self._plan_vectors(
+                query_vectors, names, req.top_k, None, None, rows=rows, exact=True
+            )
+            for query_vectors in query_seq
+        ]
+        return entry
+
     def _new_plan(
         self,
         query_vectors: Dict[str, FeatureVector],
@@ -718,13 +802,14 @@ class SearchEngine:
         weights: Optional[Dict[str, float]],
         nprobe: Optional[int] = None,
         rows: Optional[np.ndarray] = None,
+        exact: bool = False,
     ) -> _QueryPlan:
         """Resolve the candidate set -- the range index's stack ``rows``,
-        given ids, IVF-probed ids, or the whole store -- into a
-        :class:`_QueryPlan`."""
+        given ids, IVF-probed ids, or the whole store (always, when
+        ``exact``: a clip never probes) -- into a :class:`_QueryPlan`."""
         self._policies.check_stage("search.score")
         ann_probed = False
-        if candidate_ids is None and rows is None and self.ann is not None:
+        if not exact and candidate_ids is None and rows is None and self.ann is not None:
             candidate_ids = self._ann_probe(query_vectors, nprobe)
             ann_probed = candidate_ids is not None
         if candidate_ids is not None:
@@ -748,50 +833,63 @@ class SearchEngine:
 
     # -- stage 2: score -------------------------------------------------------------
 
-    def _score_plan(self, plan: _QueryPlan) -> Dict[str, np.ndarray]:
-        """Raw per-feature distances over the plan's candidate rows.
-
-        The id-sorted prepared stack is cached per generation; subsets
-        are gathered block by block inside the kernel.
-        """
-        per_feature: Dict[str, np.ndarray] = {}
-        distance_ms: Dict[str, float] = {}
-        for name in plan.names:
-            t_dist = time.perf_counter()
-            per_feature[name] = self.extractors[name].batch_distance_prepared(
-                plan.query_vectors[name], self._prepared_matrix(name), plan.rows
-            )
-            dt = time.perf_counter() - t_dist
-            distance_ms[name] = round(dt * 1000.0, 3)
-            self._m_distance_seconds.labels(feature=name).observe(dt)
-        plan.distance_ms = distance_ms
-        return per_feature
-
     def _score_plans(self, plans: Sequence[_QueryPlan]) -> List[object]:
-        """Score several plans; per-plan exceptions are captured in place.
+        """Raw per-feature distances over each plan's candidate rows;
+        per-plan exceptions are captured in place.
 
-        The base engine loops :meth:`_score_plan` (the per-query kernels
-        already share the generation-cached prepared stacks, so the batch
-        win here is amortized per-request overhead); the sharded engine
-        overrides this with one scatter per shard covering every plan.
-        One poisoned plan must not fail its batchmates: its slot holds
-        the exception instead of a distance dict.
+        The pass walks feature by feature across the plans, so a
+        feature's prepared stack (cached per generation; subsets are
+        gathered block by block inside the kernel) stays in cache across
+        a clip's key frames -- each kernel call is the one a pass plan by
+        plan would make.  The sharded engine overrides this with one
+        scatter per shard covering every plan.  One poisoned plan must
+        not fail its batchmates: its slot holds the exception instead of
+        a distance dict.
         """
-        out: List[object] = []
+        out: List[object] = [dict.fromkeys(plan.names) for plan in plans]
         for plan in plans:
-            try:
-                out.append(self._score_plan(plan))
-            except Exception as exc:  # noqa: BLE001 - isolation by contract
-                out.append(exc)
+            plan.distance_s = {}
+        for name, extractor in self.extractors.items():
+            prepared = None  # looked up once per feature, inside a plan's capture
+            for i, plan in enumerate(plans):
+                if name not in plan.names or isinstance(out[i], Exception):
+                    continue
+                t_dist = time.perf_counter()
+                try:
+                    if prepared is None:
+                        prepared = self._prepared_matrix(name)
+                    out[i][name] = extractor.batch_distance_prepared(
+                        plan.query_vectors[name], prepared, plan.rows
+                    )
+                except Exception as exc:  # noqa: BLE001 - isolation by contract
+                    out[i] = exc
+                plan.distance_s[name] = time.perf_counter() - t_dist
         return out
+
+    def _observe_distance(
+        self, plans: Sequence[_QueryPlan]
+    ) -> Optional[Dict[str, float]]:
+        """One request's kernel time per feature, summed over its plans:
+        observed once per request and returned in ms for the explain
+        payload (None when the shard workers did the timing)."""
+        if plans[0].distance_s is None:
+            return None
+        distance_ms: Dict[str, float] = {}
+        for name in plans[0].names:
+            dt = sum(plan.distance_s[name] for plan in plans)
+            self._m_distance_seconds.labels(feature=name).observe(dt)
+            distance_ms[name] = round(dt * 1000.0, 3)
+        return distance_ms
 
     # -- stage 3: finish ------------------------------------------------------------
 
     def _finish_request(
-        self, entry: _BatchEntry, per_feature: Dict[str, np.ndarray]
-    ) -> SearchResults:
+        self, entry: _BatchEntry, scored: List[Dict[str, np.ndarray]]
+    ) -> object:
         """Rank, then annotate and cache, after the shared scoring pass."""
-        return self._finish_entry(entry, self._rank_plan(entry.plan, per_feature))
+        if entry.clip is not None:
+            return self._finish_video_request(entry, scored)
+        return self._finish_entry(entry, self._rank_plan(entry.plans[0], scored[0]))
 
     def _rank_plan(
         self, plan: _QueryPlan, per_feature: Dict[str, np.ndarray]
@@ -808,7 +906,7 @@ class SearchEngine:
             fused = CombinedScorer(FeatureWeights(weights)).fuse(per_feature)
         t_fuse = time.perf_counter() - t_fuse
         plan.explain["timings_ms"] = {
-            "distance": plan.distance_ms,
+            "distance": self._observe_distance([plan]),
             "fusion": round(t_fuse * 1000.0, 3),
         }
         self._m_fusion_seconds.observe(t_fuse)
@@ -858,61 +956,35 @@ class SearchEngine:
         self._query_cache.put(entry.key, entry.generation, results)
         return self._copy_results(results, "miss")
 
-    # -- video query ---------------------------------------------------------------
-
-    def query_video(
-        self,
-        video: Union[SyntheticVideo, Sequence[Image]],
-        features: Optional[Sequence[str]] = None,
-        top_k: int = 10,
+    def _finish_video_request(
+        self, entry: _BatchEntry, scored: List[Dict[str, np.ndarray]]
     ) -> List[VideoMatch]:
-        """Rank stored videos against a query clip via DP sequence alignment."""
-        frames = list(video.frames) if isinstance(video, SyntheticVideo) else list(video)
-        if not frames:
-            raise ValueError("query video has no frames")
-        t0 = time.perf_counter()
-        with self._policies.request_scope(), self._obs.span(
-            "search.query_video", frames=len(frames), top_k=top_k
-        ) as span:
-            matches = self._query_video(frames, features, top_k)
-        self._record_query("video", t0, span=span)
-        return matches
-
-    def _query_video(
-        self,
-        frames: List[Image],
-        features: Optional[Sequence[str]],
-        top_k: int,
-    ) -> List[VideoMatch]:
-        names = self._resolve_features(features)
-        self._policies.check_stage("search.keyframes")
-        with self._obs.span("search.video.keyframes"):
-            key_frames = [f for _i, f in self.keyframe_extractor.extract(frames)]
-        # per-key-frame extraction is the query-side CPU hot spot; fan it
-        # out over the pool (order-preserving, so results are unchanged)
-        self._policies.check_stage("search.extract")
-        extract = partial(
-            _extract_query_features, extractors=self.extractors, names=names
-        )
-        with self._obs.span("search.video.extract", key_frames=len(key_frames)):
-            query_seq = self._pool.map(extract, key_frames)
-        self._policies.check_stage("search.score")
-        if not self.store.video_ids():
-            return []
-        with self._obs.span("search.video.distance"):
-            per_feature, spans = self._clip_distances(query_seq, names)
+        """Stack the clip's plans into ``(n_query, n_frames)`` cost
+        matrices, fuse them, and align the clip against every video."""
+        plans = entry.plans
+        names = plans[0].names
+        # the scored candidates (a lost shard's are already compacted
+        # away) are still video-major: each video is one run of their
+        # video-id column, and one span of the matrices' columns
+        vids = self.store.columns.video_ids[
+            self.store.matrix_rows(plans[0].candidate_ids)
+        ]
+        starts = np.flatnonzero(np.r_[True, vids[1:] != vids[:-1]]).tolist()
+        spans = [slice(a, b) for a, b in zip(starts, starts[1:] + [vids.size])]
+        self._observe_distance(plans)
 
         # Each feature is min-max normalized over the *entire* scored frame
         # population, so normalization is global: a video whose frames are
         # all far from the query must keep a large cost, not normalize down
         # to zero.
         t_fuse = time.perf_counter()
-        nq, nr = per_feature[names[0]].shape
+        nq, nr = len(plans), vids.size
         combined = np.zeros((nq, nr))
         total_weight = 0.0
         for name in names:
             w = self.config.weight_of(name)
-            combined += w * normalize_scores(per_feature[name].ravel()).reshape(nq, nr)
+            raw = np.stack([per_feature[name] for per_feature in scored])
+            combined += w * normalize_scores(raw.ravel()).reshape(nq, nr)
             total_weight += w
         if total_weight > 0:
             combined /= total_weight
@@ -920,45 +992,17 @@ class SearchEngine:
 
         with self._obs.span("search.video.dp", videos=len(spans)):
             distances = span_distances(
-                combined,
-                list(spans.values()),
-                method=self.config.sequence_method,
+                combined, spans, method=self.config.sequence_method
             )
         matches = []
-        for video_id, distance in zip(spans, distances):
+        for video_id, distance in zip(vids[starts].tolist(), distances):
             video = self.store.video(video_id)
             matches.append(
                 VideoMatch(video_id, video.name, video.category, float(distance))
             )
-        matches = self._blend_motion(frames, matches)
+        matches = self._blend_motion(entry.clip, matches)
         matches.sort(key=lambda m: m.distance)
-        return matches[: max(0, top_k)]
-
-    def _clip_distances(
-        self, query_seq: Sequence[Dict[str, FeatureVector]], names: List[str]
-    ) -> Tuple[Dict[str, np.ndarray], Dict[int, slice]]:
-        """Raw ``(n_query, n_frames)`` distances per feature, and each
-        video's slice of their columns (:meth:`FeatureStore.video_spans`).
-
-        One kernel call per query key frame per feature against the
-        store's prepared stack -- never a stacked multi-query kernel, so a
-        shard's columns are bitwise the full store's.
-        """
-        rows, spans = self.store.video_spans()
-        nq, nr = len(query_seq), len(self.store) if rows is None else rows.size
-        per_feature: Dict[str, np.ndarray] = {}
-        for name in names:
-            t_dist = time.perf_counter()
-            extractor = self.extractors[name]
-            prepared = self._prepared_matrix(name)
-            m = np.empty((nq, nr))
-            for i, qf in enumerate(query_seq):
-                m[i] = extractor.batch_distance_prepared(qf[name], prepared, rows)
-            per_feature[name] = m
-            self._m_distance_seconds.labels(feature=name).observe(
-                time.perf_counter() - t_dist
-            )
-        return per_feature, spans
+        return matches[: max(0, plans[0].top_k)]
 
     def _blend_motion(self, frames: Sequence[Image], matches: List["VideoMatch"]) -> List["VideoMatch"]:
         """Mix the clip-level motion distance into the appearance ranking.

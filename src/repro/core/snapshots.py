@@ -30,7 +30,6 @@ lived through the mutations and one that replayed them.
 
 from __future__ import annotations
 
-import threading
 import time
 from typing import Dict, List, Optional, Tuple
 
@@ -65,9 +64,6 @@ __all__ = [
     "build_snapshot_payload",
     "load_snapshot_into_store",
     "open_snapshot_store",
-    "init_worker_snapshot",
-    "worker_snapshot_path",
-    "worker_feature_matrix",
 ]
 
 #: snapshot meta discriminator (a repro.snapshot file could hold anything)
@@ -569,45 +565,3 @@ class SnapshotManager:
             if self._snapshot is not None:
                 self._snapshot.close()
                 self._snapshot = None
-
-
-# -- worker-process access -----------------------------------------------------
-#
-# Forked/spawned pool workers must not inherit (or unpickle) the parent's
-# matrices; instead the pool initializer hands them the snapshot path and
-# they map the same file -- the OS shares the physical pages.  Module
-# state is guarded for R15: the initializer runs once per worker, but
-# in-process pools (serial fallback) share this module with the parent.
-
-_worker_lock = threading.Lock()
-_worker_path: Optional[str] = None
-_worker_snapshot: Optional[Snapshot] = None
-
-
-def init_worker_snapshot(path: Optional[str]) -> None:
-    """Worker-pool initializer: remember the snapshot to map lazily."""
-    global _worker_path, _worker_snapshot
-    with _worker_lock:
-        _worker_path = path
-        _worker_snapshot = None
-
-
-def worker_snapshot_path() -> Optional[str]:
-    """The snapshot path this worker was initialized with (None = no mmap)."""
-    with _worker_lock:
-        return _worker_path
-
-
-def worker_feature_matrix(name: str) -> Optional[np.ndarray]:
-    """A feature's stacked matrix, mapped in this worker process.
-
-    Returns None when the pool was started without a snapshot; raises
-    ``KeyError`` for a feature the snapshot does not carry.
-    """
-    global _worker_snapshot
-    with _worker_lock:
-        if _worker_path is None:
-            return None
-        if _worker_snapshot is None:
-            _worker_snapshot = Snapshot.open(_worker_path)
-        return _worker_snapshot.section(f"feat:{name}")

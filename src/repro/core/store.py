@@ -374,31 +374,24 @@ class FeatureStore:
         rows = np.flatnonzero(self._vids[: self._n] == video_id)
         return [self._record(row) for row in rows.tolist()]
 
-    def video_spans(
-        self, video_ids: Optional[Sequence[int]] = None
-    ) -> Tuple[Optional[np.ndarray], Dict[int, slice]]:
+    def video_spans(self) -> Tuple[Optional[np.ndarray], Dict[int, slice]]:
         """Stack rows in video-major order, and each video's slice of them.
 
-        Videos ascending by id (or as listed), frames in temporal order
-        within each: the column order of every clip-query cost matrix, on
-        the engine, the shard workers and the coordinator alike.  The rows
-        are None when that order is the stack order over every frame.
+        Videos ascending by id, frames in temporal order within each: the
+        column order of every clip-query cost matrix, on the engine and
+        (restricted to a partition) on the shard workers alike.  The rows
+        are None when that order is the stack order.
         """
         vids = self._vids[: self._n]
         order = np.argsort(vids, kind="stable")
         found, starts, counts = np.unique(vids[order], return_index=True, return_counts=True)
-        extent = dict(zip(found.tolist(), zip(starts.tolist(), counts.tolist())))
-        spans: Dict[int, slice] = {}
-        pieces, total = [], 0
-        for video_id in extent if video_ids is None else video_ids:
-            start, count = extent.get(video_id, (0, 0))
-            spans[video_id] = slice(total, total + count)
-            pieces.append(order[start : start + count])
-            total += count
-        rows = np.concatenate(pieces) if pieces else order
-        if total == self._n and np.array_equal(rows, np.arange(total)):
+        spans = {
+            video_id: slice(start, start + count)
+            for video_id, start, count in zip(found.tolist(), starts.tolist(), counts.tolist())
+        }
+        if np.array_equal(order, np.arange(self._n)):
             return None, spans
-        return rows, spans
+        return order, spans
 
     # -- mutation -------------------------------------------------------------
 

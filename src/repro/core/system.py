@@ -21,7 +21,7 @@ from repro.core.config import SystemConfig
 from repro.core.ingest import Ingestor, IngestReport
 from repro.core.results import SearchResults
 from repro.core.search import SearchEngine, VideoMatch
-from repro.core.snapshots import SnapshotManager, init_worker_snapshot
+from repro.core.snapshots import SnapshotManager
 from repro.core.store import FeatureStore
 from repro.db.engine import Database
 from repro.db.types import ORD_VIDEO
@@ -115,11 +115,7 @@ class VideoRetrievalSystem:
         )
         self.snapshots.attach_engine(self._engine)
         self._ingestor.attach_snapshots(self.snapshots)
-        if self.snapshots.try_open():  # the store's columns came off the mmap
-            self._pool.set_initializer(
-                init_worker_snapshot, (self.snapshots.path,)
-            )
-        else:
+        if not self.snapshots.try_open():  # else: the columns came off the mmap
             self._store.rebuild_from_db(self.db, list(self.config.features))
 
     # -- constructors ----------------------------------------------------------

@@ -162,26 +162,8 @@ class WorkerPool:
         self.workers = workers
         self.chunk_size = chunk_size
         self._executor: Optional[ProcessPoolExecutor] = None
-        self._initializer: Optional[Callable[..., None]] = None
-        self._initargs: tuple = ()
         self._policies = NULL_POLICIES
         self.attach_obs(NULL_OBS)
-
-    def set_initializer(
-        self, initializer: Optional[Callable[..., None]], initargs: tuple = ()
-    ) -> None:
-        """Run ``initializer(*initargs)`` in every worker process at spawn.
-
-        The snapshot layer uses this to hand workers the snapshot path so
-        they ``np.memmap`` the shared index file instead of inheriting a
-        copy of the parent's matrices.  Takes effect on the *next*
-        executor spawn; an already-running executor is torn down so stale
-        workers can't outlive a changed initializer.
-        """
-        if self._executor is not None:
-            self.close()
-        self._initializer = initializer
-        self._initargs = tuple(initargs)
 
     def attach_obs(self, obs: Obs) -> None:
         """Bind this pool's dispatch metrics to an observability facade."""
@@ -231,15 +213,7 @@ class WorkerPool:
 
     def _ensure_executor(self) -> ProcessPoolExecutor:
         if self._executor is None:
-            kwargs = {}
-            if self._initializer is not None:
-                kwargs = {
-                    "initializer": self._initializer,
-                    "initargs": self._initargs,
-                }
-            self._executor = ProcessPoolExecutor(
-                max_workers=self.workers, **kwargs
-            )
+            self._executor = ProcessPoolExecutor(max_workers=self.workers)
         return self._executor
 
     @property
@@ -335,8 +309,8 @@ class WorkerPool:
 
         Unlike :meth:`map`, a ``workers == 1`` pool still ships the task
         to its single *persistent* worker process -- that is the point:
-        a caller pins per-process state via :meth:`set_initializer`
-        (e.g. a memory-mapped shard snapshot) and keeps submitting
+        the process keeps what its tasks cache at module level (e.g. a
+        memory-mapped shard snapshot) and the caller keeps submitting
         queries to it without re-forking.  The serial fallback only
         triggers for unpicklable tasks, an open pool breaker, or broken
         infrastructure; task exceptions always propagate from the

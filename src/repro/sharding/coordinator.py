@@ -3,9 +3,11 @@
 :class:`ShardedSearchEngine` subclasses the single-store
 :class:`~repro.core.search.SearchEngine` and keeps its whole query-side
 surface -- range-index pruning, query cache, extractor degradation,
-deadlines -- while replacing the distance computation: candidates are
-split by owning shard, scored in parallel by persistent snapshot-backed
-worker processes, and merged back coordinator-side.
+deadlines, the clip's key-framing and DP alignment -- while replacing the
+distance computation: it overrides the pipeline's plan / score / rank
+seams and nothing else.  Every plan's candidates are split by owning
+shard, scored in parallel by persistent snapshot-backed worker processes,
+and merged back coordinator-side.
 
 The merge is **byte-identical** to the single-store ranking because the
 shards return raw per-feature distances (see :mod:`repro.sharding.worker`)
@@ -22,14 +24,14 @@ from __future__ import annotations
 
 import os
 import time
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.config import SystemConfig
 from repro.core.results import SearchResults
 from repro.core.search import SearchEngine, _QueryPlan
-from repro.core.snapshots import init_worker_snapshot, open_snapshot_store
+from repro.core.snapshots import open_snapshot_store
 from repro.core.store import FeatureStore
 from repro.indexing.rangefinder import RangeFinder
 from repro.indexing.tree import RangeIndex
@@ -41,11 +43,7 @@ from repro.resilience import (
     ResiliencePolicies,
 )
 from repro.runtime import PoolTask, WorkerPool
-from repro.sharding.worker import (
-    drain_worker_metrics,
-    score_vectors_shard,
-    score_video_shard,
-)
+from repro.sharding.worker import drain_worker_metrics, score_vectors_shard
 
 __all__ = ["ShardedSearchEngine"]
 
@@ -100,13 +98,9 @@ class ShardedSearchEngine(SearchEngine):
                 self._row_shard[np.searchsorted(global_ids, ids)] = s
         self._global_ids = global_ids
         # one persistent single-worker pool per shard: the worker process
-        # mmaps its partition once (init_worker_snapshot) and stays up
-        # across queries instead of re-forking per request
-        self._shard_pools: List[WorkerPool] = []
-        for path in paths:
-            shard_pool = WorkerPool(workers=1)
-            shard_pool.set_initializer(init_worker_snapshot, (path,))
-            self._shard_pools.append(shard_pool)
+        # mmaps its partition on the first task that names it and stays
+        # up across queries instead of re-forking per request
+        self._shard_pools = [WorkerPool(workers=1) for _path in paths]
         self._breakers = [
             policies.make_breaker(f"shard{s}") if policies.enabled else None
             for s in range(len(paths))
@@ -155,11 +149,10 @@ class ShardedSearchEngine(SearchEngine):
     # -- scatter-gather core ---------------------------------------------------
 
     def _scatter(
-        self,
-        fn: Callable,
-        payloads: Sequence[Tuple[int, tuple]],
+        self, payloads: Sequence[Tuple[int, tuple]]
     ) -> Tuple[Dict[int, object], List[int], Dict[int, Dict[str, object]]]:
-        """Dispatch ``fn(*args)`` to each listed shard's worker; gather.
+        """Dispatch ``score_vectors_shard(*args)`` to each listed shard's
+        worker; gather.
 
         Returns ``(results_by_shard, degraded_shards, shard_meta)`` where
         ``shard_meta`` carries per-shard wall time / outcome for explain
@@ -197,7 +190,9 @@ class ShardedSearchEngine(SearchEngine):
                         breaker.guard()
                     self._policies.fire("shard.query")
                     task_ctx = dict(ctx, shard=s) if ctx is not None else None
-                    task = self._shard_pools[s].submit(fn, *args, task_ctx)
+                    task = self._shard_pools[s].submit(
+                        score_vectors_shard, *args, task_ctx
+                    )
                 except CircuitOpenError as exc:
                     last_error = exc
                     degraded.append(s)
@@ -273,7 +268,7 @@ class ShardedSearchEngine(SearchEngine):
         if shard_meta is not None:
             shard_meta[shard] = {"shard": shard, "status": "error", "error": reason}
 
-    # -- frame / vector queries ------------------------------------------------
+    # -- the three seams the base pipeline leaves open: plan / score / rank -------
 
     def _plan_vectors(
         self,
@@ -284,10 +279,12 @@ class ShardedSearchEngine(SearchEngine):
         weights,
         nprobe=None,
         rows=None,
+        exact=False,
     ) -> _QueryPlan:
-        """Split the candidate set (the range index's merged-store
-        ``rows``, given ids, or everything) by owning shard into scatter
-        payloads."""
+        """Split the candidate set (merged-store ``rows`` -- the range
+        index's, or a clip's video-major order --, given ids, or
+        everything) by owning shard into scatter payloads.  Always exact:
+        there is no IVF index to probe here."""
         self._policies.check_stage("search.score")
         if candidate_ids is not None:
             candidate_arr = np.asarray(candidate_ids, dtype=np.int64)
@@ -325,12 +322,13 @@ class ShardedSearchEngine(SearchEngine):
     def _score_plans(self, plans) -> List[object]:
         """One scatter per shard covering *every* plan of the pass.
 
-        Each shard worker scores the plans one at a time (see
-        ``score_vectors_shard``), so the returned arrays do not depend
-        on how requests were batched -- a batch only collapses N IPC
-        round trips per shard into one.  A shard failure degrades every
-        batchmate that dispatched to it, exactly as N solo queries
-        hitting the same dead shard would.
+        Each shard worker scores every plan with its own kernel calls
+        (see ``score_vectors_shard``), so the returned arrays do not
+        depend on how requests were batched -- a batch only collapses N
+        IPC round trips per shard into one.  A shard failure degrades
+        every batchmate that dispatched to it, exactly as N solo queries
+        hitting the same dead shard would; a clip's plans all dispatch to
+        the same shards, so they lose the same candidates.
         """
         per_shard_args: Dict[int, List[tuple]] = {}
         slot: Dict[Tuple[int, int], int] = {}
@@ -344,9 +342,7 @@ class ShardedSearchEngine(SearchEngine):
             for s, queries in sorted(per_shard_args.items())
         ]
         try:
-            gathered, degraded, shard_meta = self._scatter(
-                score_vectors_shard, payloads
-            )
+            gathered, degraded, shard_meta = self._scatter(payloads)
         except Exception as exc:  # every shard down / partial_ok off
             return [exc for _ in plans]
         out: List[object] = []
@@ -428,36 +424,6 @@ class ShardedSearchEngine(SearchEngine):
             results.degraded_shards = list(plan.degraded_shards)
             plan.explain["degraded_shards"] = list(plan.degraded_shards)
         return results
-
-    # -- video queries ---------------------------------------------------------
-
-    def _clip_distances(self, query_seq, names: List[str]):
-        """Scatter the clip to every shard, then slot each reply's column
-        blocks into global record order (the surviving shards' videos)."""
-        payloads = [
-            (s, (self._paths[s], query_seq, list(names)))
-            for s in range(self.n_shards)
-            if self._shard_frame_ids[s].size
-        ]
-        gathered, _degraded, _shard_meta = self._scatter(score_video_shard, payloads)
-
-        t_merge = time.perf_counter()
-        surviving = {vid for _blocks, shard_vids in gathered.values() for vid in shard_vids}
-        _rows, spans = self.store.video_spans(
-            [vid for vid in self.store.video_ids() if vid in surviving]
-        )
-        n_frames = sum(span.stop - span.start for span in spans.values())
-        per_feature = {name: np.empty((len(query_seq), n_frames)) for name in names}
-        for blocks, shard_vids in gathered.values():
-            offset = 0  # shard columns: its videos ascending, back to back
-            for vid in shard_vids:
-                span = spans[vid]
-                width = span.stop - span.start
-                for name in names:
-                    per_feature[name][:, span] = blocks[name][:, offset:offset + width]
-                offset += width
-        self._m_merge_seconds.observe(time.perf_counter() - t_merge)
-        return per_feature, spans
 
     # -- introspection / shutdown ----------------------------------------------
 

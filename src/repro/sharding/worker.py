@@ -1,13 +1,14 @@
 """Shard worker tasks: raw per-feature distances over one partition.
 
 These module-level functions run inside the coordinator's persistent
-per-shard worker processes (``WorkerPool.submit``).  Each process mmaps
-its partition's snapshot once and caches the resulting read-replica
-store across queries -- the pool's ``init_worker_snapshot`` initializer
-records the path at spawn, but the task also carries it explicitly so
-the in-process serial fallback (broken pool, unpicklable payload) scores
-the right partition regardless of what the parent's own pool was
-initialized with.
+per-shard worker processes (``WorkerPool.submit``).  A worker takes
+everything it needs from the task: the task names its partition's
+snapshot, the process mmaps it on the first task that does and caches
+the resulting read-replica store across queries, and the in-process
+serial fallback (broken pool, unpicklable payload) scores the right
+partition the same way.  There is one scoring task,
+:func:`score_vectors_shard`, for all three query kinds: a clip reaches
+it as one query per key frame.
 
 Workers return **raw** distances, never fused scores: the combined
 ranking min-max normalizes each feature over the *global* candidate set,
@@ -40,7 +41,7 @@ import numpy as np
 
 from repro.core.snapshots import open_snapshot_store
 from repro.core.store import FeatureStore
-from repro.features.base import FeatureExtractor, FeatureVector, get_extractor
+from repro.features.base import FeatureExtractor, get_extractor
 from repro.obs import NULL_SPAN, MetricsRegistry, capture_subtree, diff_state, free_span, log
 from repro.obs.metrics import NULL_METRIC
 from repro.snapshot import Snapshot
@@ -48,7 +49,6 @@ from repro.snapshot import Snapshot
 __all__ = [
     "ShardReply",
     "score_vectors_shard",
-    "score_video_shard",
     "drain_worker_metrics",
     "reset_worker_state",
 ]
@@ -240,12 +240,13 @@ def score_vectors_shard(
     """Raw per-feature distances for this shard's slice of each query.
 
     ``queries`` holds one ``(query_vectors, names, candidate_ids)`` tuple
-    per request of the coordinator's scoring pass (a solo query is a
-    list of one); the reply's value is the list of per-feature distance
-    dicts in the same order.  Every query is scored on its own against
-    the partition's prepared stacks -- the list collapses per-request
-    IPC, it never stacks query vectors into one multi-query kernel, so
-    each array is byte-identical however the requests were batched.
+    per plan of the coordinator's scoring pass (a solo frame or vector
+    query is a list of one, a clip one per query key frame); the reply's
+    value is the list of per-feature distance dicts in the same order.
+    Every query is scored on its own against the partition's prepared
+    stacks -- the list collapses per-request IPC, it never stacks query
+    vectors into one multi-query kernel, so each array is byte-identical
+    however the requests were batched.
     ``candidate_ids=None`` means every frame of the partition -- the
     common case, which skips the row gather entirely.
     """
@@ -283,92 +284,29 @@ def _score_vectors(
     state = _shard_state(path, metrics)
     store = state.store
     values: List[Dict[str, np.ndarray]] = []
+    all_rows: List[Optional[np.ndarray]] = []
     n_rows = 0
-    for query_vectors, names, candidate_ids in queries:
+    for _query_vectors, names, candidate_ids in queries:
         rows = None if candidate_ids is None else store.matrix_rows(candidate_ids)
-        per_feature: Dict[str, np.ndarray] = {}
-        for name in names:
-            extractor = state.extractor(name)
-            t_dist = time.perf_counter()
-            with _span(sampled, "shard.distance", feature=name):
-                per_feature[name] = extractor.batch_distance_prepared(
-                    query_vectors[name], store.prepared_matrix(name, extractor), rows
-                )
-            metrics.distance_seconds.labels(feature=name).observe(
-                time.perf_counter() - t_dist
-            )
-        values.append(per_feature)
+        values.append(dict.fromkeys(names))
+        all_rows.append(rows)
         n_rows += len(store) if rows is None else rows.size
-    return values, n_rows
-
-
-def score_video_shard(
-    path: str,
-    query_seq: Sequence[Dict[str, FeatureVector]],
-    names: Sequence[str],
-    obs_ctx: Optional[Mapping[str, object]] = None,
-) -> ShardReply:
-    """Per-feature (n_query x n_shard_frames) raw distance blocks.
-
-    Columns follow the partition's canonical record order -- videos by
-    ascending id, frames by ascending id within each video -- which is
-    the global order restricted to this shard, so the coordinator can
-    reassemble the full matrix by slotting each video's column block.
-    The reply's value is ``(blocks, video_ids)`` with the shard's videos
-    in that column order.
-    """
-    ctx = obs_ctx or {}
-    sampled = bool(ctx.get("sampled"))
-    metrics = _metrics(bool(ctx.get("metrics")))
-    shard = ctx.get("shard")
-    t0 = time.perf_counter()
-    span_dict: Optional[Dict[str, object]] = None
-    if sampled:
-        with capture_subtree("shard.score_video", ctx, shard=shard) as root:
-            blocks, video_ids, n_rows = _score_video(
-                path, query_seq, names, metrics, sampled
-            )
-            root.annotate(rows=n_rows, videos=len(video_ids))
-        span_dict = root.to_dict()
-    else:
-        blocks, video_ids, n_rows = _score_video(
-            path, query_seq, names, metrics, sampled
-        )
-    elapsed = time.perf_counter() - t0
-    metrics.queries.labels(kind="video").inc()
-    metrics.seconds.labels(kind="video").observe(elapsed)
-    metrics.rows.observe(n_rows)
-    _log.debug(
-        "shard.score_video", shard=shard, rows=n_rows,
-        ms=round(elapsed * 1000.0, 2),
-    )
-    with _metrics_lock:
-        delta = metrics.delta()
-    return ShardReply(value=(blocks, video_ids), span=span_dict, metrics=delta)
-
-
-def _score_video(
-    path: str,
-    query_seq: Sequence[Dict[str, FeatureVector]],
-    names: Sequence[str],
-    metrics,
-    sampled: bool,
-) -> Tuple[Dict[str, np.ndarray], List[int], int]:
-    state = _shard_state(path, metrics)
-    store = state.store
-    rows, spans = store.video_spans()
-    nq, nr = len(query_seq), len(store) if rows is None else rows.size
-    blocks: Dict[str, np.ndarray] = {}
-    for name in names:
+    # feature by feature across the queries (the base engine's pass
+    # order): a feature's prepared stack stays in cache across a clip's
+    # key frames, and each kernel call is the one query by query would make
+    for name in dict.fromkeys(name for _qv, names, _ids in queries for name in names):
         extractor = state.extractor(name)
         t_dist = time.perf_counter()
         with _span(sampled, "shard.distance", feature=name):
             prepared = store.prepared_matrix(name, extractor)
-            m = np.empty((nq, nr))
-            for i, qf in enumerate(query_seq):
-                m[i] = extractor.batch_distance_prepared(qf[name], prepared, rows)
-            blocks[name] = m
+            for (query_vectors, names, _ids), per_feature, rows in zip(
+                queries, values, all_rows
+            ):
+                if name in names:
+                    per_feature[name] = extractor.batch_distance_prepared(
+                        query_vectors[name], prepared, rows
+                    )
         metrics.distance_seconds.labels(feature=name).observe(
             time.perf_counter() - t_dist
         )
-    return blocks, list(spans), nr
+    return values, n_rows

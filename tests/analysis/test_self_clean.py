@@ -31,3 +31,26 @@ def test_no_engine_level_scoring_switch():
         source = module.read_text()
         assert "import accel" not in source and "imaging.accel" not in source, module
     assert "batch_distances" not in {f.name for f in dataclasses.fields(SystemConfig)}
+
+
+def test_one_pipeline_for_all_three_query_kinds():
+    """A clip is a ``QueryRequest`` kind: no clip-only distance loop, shard
+    task or pool-initializer hand-off is left beside the pipeline."""
+    from repro.core.search import SearchEngine
+    from repro.sharding import ShardedSearchEngine, worker
+
+    gone = (
+        "score_video_shard", "_score_video", "_clip_distances", "set_initializer",
+        "init_worker_snapshot", "worker_snapshot_path", "worker_feature_matrix",
+    )
+    for module in PACKAGE_DIR.rglob("*.py"):
+        source = module.read_text()
+        assert not [name for name in gone if name in source], module
+    overridden = {
+        name
+        for name in vars(ShardedSearchEngine)
+        if name in vars(SearchEngine) and not name.startswith("__")
+    }
+    assert overridden == {"_plan_vectors", "_score_plans", "_rank_plan", "close"}
+    assert [n for n in worker.__all__ if n.startswith("score_")] == ["score_vectors_shard"]
+    assert len(dataclasses.fields(SystemConfig)) == 34

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.search import SearchEngine
 from repro.core.store import FeatureStore
+from repro.core.system import VideoRetrievalSystem
 from repro.video.generator import VideoSpec, generate_video
 from tests.core.clip_reference import ranking_of, reference_clip_ranking, relaid_store
 
@@ -164,6 +165,37 @@ class TestClipQueryEqualsReference:
     def test_empty_store(self, ingested_system, clip):
         engine = self.engine(ingested_system, "dtw", FeatureStore())
         assert engine.query_video(clip, top_k=3) == []
+
+    def test_empty_library_skips_the_clip_analysis(self, clip, monkeypatch):
+        """Nothing to rank: no key-framing, no ``FeatureExtractor.extract``."""
+        system = VideoRetrievalSystem.in_memory()
+        engine = system.engine
+
+        def never(*_args, **_kwargs):
+            raise AssertionError("an empty library paid for clip analysis")
+
+        monkeypatch.setattr(type(engine.keyframe_extractor), "extract", never)
+        for extractor in engine.extractors.values():
+            monkeypatch.setattr(type(extractor), "extract", never)
+        assert system.search_by_video(clip, top_k=3) == []
+        system.close()
+
+    @pytest.mark.parametrize("interleave", [False, True])
+    def test_ann_engine_stays_exact(self, ingested_system, clip, interleave):
+        """With ``config.ann`` on a clip never probes the IVF index --
+        also when video-major order is stack order and the plans name no
+        rows, the case a vector query would probe."""
+        store = relaid_store(self.records(ingested_system), self.LENGTHS, interleave)
+        config = replace(ingested_system.config, ann=True, ann_cells=2, ann_nprobe=1)
+        engine = SearchEngine(config, store, ingested_system._index)
+        probes = dict(engine.ann.stats.as_dict())
+        want = reference_clip_ranking(engine, clip.frames)
+        assert ranking_of(engine.query_video(clip, top_k=len(want))) == want
+        assert engine.ann.stats.as_dict() == probes
+        # the same engine does probe for a vector query over the whole store
+        vectors = {n: store.get(1).features[n] for n in config.features}
+        engine.query_with_vectors(vectors, top_k=3)
+        assert engine.ann.stats.n_probes == probes["probes"] + 1
 
 
 class TestResultsContainer:

@@ -147,17 +147,11 @@ class TestSubmit:
             assert task.result() == 2
             assert calls == [1]
 
-    def test_initializer_pins_worker_state(self, monkeypatch):
+    def test_worker_keeps_what_a_task_caches(self, monkeypatch):
+        # what the shard workers rely on: state a task leaves in the
+        # process (their mmapped partition) is there for the next task
         monkeypatch.delenv("REPRO_POOL_TEST_TOKEN", raising=False)
         with WorkerPool(workers=1) as pool:
-            pool.set_initializer(_set_token, ("shard-state",))
+            pool.submit(_set_token, "shard-state").result()
             assert pool.submit(_read_token).result() == "shard-state"
         assert _read_token() is None  # parent process untouched
-
-    def test_changing_initializer_recycles_workers(self):
-        with WorkerPool(workers=1) as pool:
-            pool.set_initializer(_set_token, ("a",))
-            first = pool.submit(_pid).result()
-            pool.set_initializer(_set_token, ("b",))
-            assert pool.submit(_read_token).result() == "b"
-            assert pool.submit(_pid).result() != first

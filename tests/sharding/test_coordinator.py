@@ -111,25 +111,8 @@ class TestVectorQueries:
 
 
 class TestVideoQueries:
-    def test_video_ranking_identical(self, ingested_system, coordinator, small_corpus):
-        clip = small_corpus[4]
-        base = ingested_system.search_by_video(clip, top_k=6)
-        sharded = coordinator.query_video(clip, top_k=6)
-        assert [(m.video_id, m.video_name, m.distance) for m in sharded] == [
-            (m.video_id, m.video_name, m.distance) for m in base
-        ]
-
-    def test_video_single_feature_identical(
-        self, ingested_system, coordinator, small_corpus
-    ):
-        clip = small_corpus[9]
-        base = ingested_system.search_by_video(clip, features=["acc"], top_k=4)
-        sharded = coordinator.query_video(clip, features=["acc"], top_k=4)
-        assert [(m.video_id, m.distance) for m in sharded] == [
-            (m.video_id, m.distance) for m in base
-        ]
-
-
+    # session corpus, base vs 3-shard, solo vs batch: the model test in
+    # tests/core/test_query_pipeline.py
     @pytest.mark.parametrize("method", ["dtw", "align"])
     @pytest.mark.parametrize("n_shards", [1, 2, 3, 4])
     def test_hand_built_store_equals_the_reference(

@@ -13,11 +13,13 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from repro.core.search import _extract_query_features
+from repro.core.search import SearchEngine, _extract_query_features
 from repro.resilience import FaultInjected, ResiliencePolicies
 from repro.sharding import ShardedSearchEngine, shard_of
+from tests.core.clip_reference import ranking_of, reference_clip_ranking
 
 
 def _engine(ingested_system, shard_paths, spec, **overrides):
@@ -71,6 +73,33 @@ def test_degraded_ranking_equals_complement_corpus(
     )
     assert _key(results) == _key(reference)
     assert results.n_candidates == len(survivors)
+
+
+@pytest.mark.parametrize("method", ["dtw", "align"])
+@pytest.mark.parametrize("spec,failed", [("shard.query:once", 0), ("shard.query:every=3", 2)])
+def test_degraded_clip_ranking_equals_complement_corpus(
+    ingested_system, shard_paths, small_corpus, spec, failed, method
+):
+    """A clip missing shard *s* is aligned against the surviving videos
+    only, normalized over their frames only: the ranking of an engine
+    whose store holds just the surviving partitions."""
+    clip = small_corpus[4]
+    engine = _engine(ingested_system, shard_paths, spec, sequence_method=method)
+    try:
+        matches = engine.query_video(clip, top_k=20)
+    finally:
+        engine.close()
+    store = ingested_system.feature_store
+    survivors = np.flatnonzero(
+        [shard_of(int(vid), 4) != failed for vid in store.columns.video_ids]
+    )
+    assert 0 < survivors.size < len(store)
+    complement = SearchEngine(
+        engine.config, store.take(survivors), ingested_system._index
+    )
+    want = reference_clip_ranking(complement, clip.frames)
+    assert ranking_of(matches) == want
+    assert ranking_of(complement.query_video(clip, top_k=20)) == want
 
 
 def test_transient_fault_recovers(ingested_system, shard_paths, query_vectors):

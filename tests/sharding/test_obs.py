@@ -90,11 +90,14 @@ class TestStitchedTrace:
         engine.query_video(frames[:3], top_k=3)
         trace = obs.recent_traces()[0]
         (scatter,) = _find(trace, "search.scatter")
+        # a clip rides the one scoring task: a query per key frame
         subtrees = [
-            c for c in scatter["children"] if c["name"] == "shard.score_video"
+            c for c in scatter["children"] if c["name"] == "shard.score_vectors"
         ]
         assert len(subtrees) == N_SHARDS
         assert all(c["trace_id"] == trace["trace_id"] for c in subtrees)
+        assert len({c["attrs"]["queries"] for c in subtrees}) == 1
+        assert not _find(trace, "shard.score_video")
 
     def test_degraded_shard_marked_in_trace(
         self, ingested_system, shard_paths, query_vectors

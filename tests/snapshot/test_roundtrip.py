@@ -277,38 +277,6 @@ class TestAnnState:
         served.close()
 
 
-class TestWorkerAccess:
-    def test_worker_maps_feature_matrix(self, library):
-        from repro.core.snapshots import (
-            init_worker_snapshot,
-            worker_feature_matrix,
-            worker_snapshot_path,
-        )
-
-        lib, _ = library
-        system = VideoRetrievalSystem.open(lib, SystemConfig())
-        try:
-            init_worker_snapshot(lib + ".snap")
-            assert worker_snapshot_path() == lib + ".snap"
-            name = system.config.features[0]
-            mapped = worker_feature_matrix(name)
-            assert mapped is not None
-            assert mapped.tobytes() == system._store.feature_matrix(name).tobytes()
-            with pytest.raises(KeyError):
-                worker_feature_matrix("no-such-feature")
-        finally:
-            init_worker_snapshot(None)
-            assert worker_feature_matrix("any") is None
-            system.close()
-
-    def test_pool_initializer_installed_on_mmap_open(self, library):
-        lib, _ = library
-        system = VideoRetrievalSystem.open(lib, SystemConfig())
-        assert system.snapshots.served_from == "mmap"
-        assert system._pool._initializer is not None
-        system.close()
-
-
 class TestPreparedCacheUnification:
     def test_engines_share_store_prepared_cache(self, library):
         """structure_generation fix: one prepared matrix per store, not
