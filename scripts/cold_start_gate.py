@@ -8,7 +8,9 @@ subprocess: no warm imports, no page cache of Python objects:
 - **ready** -- process start to the first answer of a read replica
   (``in_memory`` + ``snapshot_path`` + ``snapshot=require``): interpreter
   start, imports, mapping the snapshot, one query.  The gate is absolute:
-  the best of ``--runs`` must be under ``--max-ready-seconds``.
+  the best of ``--runs`` must be under ``--max-ready-seconds``.  Each
+  process also reports **import** (process start to imports done) and
+  **open**, so the report says which stage a slower ``ready`` came from.
 - **scale** -- the same replica on a ``--scale-factor`` (10x) larger
   snapshot, the library's own rows resampled in feature space.  Opening
   adopts mmap sections instead of visiting frames, so the *open* (store
@@ -44,6 +46,7 @@ from repro.core.system import VideoRetrievalSystem
 from repro.imaging.image import read_image
 
 mode, library, snap, image_path, spawned_at = sys.argv[1:6]
+import_seconds = time.time() - float(spawned_at)
 query = read_image(image_path)
 t0 = time.perf_counter()
 if mode == "mmap":
@@ -60,6 +63,7 @@ print(json.dumps({
     "mode": mode,
     "served_from": system.snapshots.served_from,
     "key_frames": system.n_key_frames(),
+    "import_seconds": import_seconds,
     "open_seconds": open_seconds,
     "ready_seconds": ready_seconds,
     "ranking": [[h.frame_id, h.distance] for h in results],
@@ -165,7 +169,7 @@ def main(argv=None) -> int:
                         help="shots per video (~1 key frame each)")
     parser.add_argument("--runs", type=int, default=3,
                         help="cold replica processes per size; best time wins")
-    parser.add_argument("--max-ready-seconds", type=float, default=1.5,
+    parser.add_argument("--max-ready-seconds", type=float, default=0.75,
                         help="limit on process start -> first answer (replica)")
     parser.add_argument("--scale-factor", type=int, default=10,
                         help="how many times larger the expanded snapshot is")
@@ -210,6 +214,7 @@ def main(argv=None) -> int:
     best = {
         name: {
             "key_frames": rs[0]["key_frames"],
+            "import_seconds": min(r["import_seconds"] for r in rs),
             "open_seconds": min(r["open_seconds"] for r in rs),
             "ready_seconds": min(r["ready_seconds"] for r in rs),
         }
@@ -218,7 +223,7 @@ def main(argv=None) -> int:
     ready = best["mmap"]["ready_seconds"]
     growth = best["expanded"]["open_seconds"] / max(1e-9, best["mmap"]["open_seconds"])
     report = {
-        "schema": "repro-cold-start/2",
+        "schema": "repro-cold-start/3",
         "videos_per_category": args.videos_per_category,
         "shots": args.shots,
         "scale_factor": args.scale_factor,
@@ -237,8 +242,8 @@ def main(argv=None) -> int:
 
     for name in ("mmap", "expanded", "rebuild"):
         b = best[name]
-        print(f"{name:>9}: {b['key_frames']:>6} key frames  open {b['open_seconds'] * 1000:7.1f} ms"
-              f"  ready {b['ready_seconds'] * 1000:7.0f} ms")
+        print(f"{name:>9}: {b['key_frames']:>6} key frames  import {b['import_seconds'] * 1000:5.0f} ms"
+              f"  open {b['open_seconds'] * 1000:7.1f} ms  ready {b['ready_seconds'] * 1000:7.0f} ms")
     print(f"ready (process start -> first answer): {ready * 1000:.0f} ms "
           f"(limit {args.max_ready_seconds * 1000:.0f} ms)")
     print(f"open growth at {args.scale_factor}x the frames: {growth:.2f}x "

@@ -32,30 +32,41 @@ Public names are imported lazily so that ``import repro`` stays cheap.
 
 __version__ = "1.0.0"
 
+
+def _lazy_getattr(namespace, table):
+    """A module ``__getattr__`` that imports ``table[name]`` on the first
+    use of ``name`` and keeps the value in the module's ``namespace``."""
+
+    def __getattr__(name):
+        try:
+            module_name = table[name]
+        except KeyError:
+            raise AttributeError(
+                f"module {namespace['__name__']!r} has no attribute {name!r}"
+            ) from None
+        import importlib
+
+        value = getattr(importlib.import_module(module_name), name)
+        namespace[name] = value
+        return value
+
+    return __getattr__
+
+
 _LAZY = {
-    "VideoRetrievalSystem": ("repro.core.system", "VideoRetrievalSystem"),
-    "SystemConfig": ("repro.core.config", "SystemConfig"),
-    "CATEGORIES": ("repro.video.generator", "CATEGORIES"),
-    "SyntheticVideo": ("repro.video.generator", "SyntheticVideo"),
-    "VideoSpec": ("repro.video.generator", "VideoSpec"),
-    "generate_video": ("repro.video.generator", "generate_video"),
-    "make_corpus": ("repro.video.generator", "make_corpus"),
-    "Image": ("repro.imaging.image", "Image"),
+    "VideoRetrievalSystem": "repro.core.system",
+    "SystemConfig": "repro.core.config",
+    "CATEGORIES": "repro.video.generator",
+    "SyntheticVideo": "repro.video.generator",
+    "VideoSpec": "repro.video.generator",
+    "generate_video": "repro.video.generator",
+    "make_corpus": "repro.video.generator",
+    "Image": "repro.imaging.image",
 }
 
 __all__ = sorted(_LAZY) + ["__version__"]
 
-
-def __getattr__(name):
-    try:
-        module_name, attr = _LAZY[name]
-    except KeyError:
-        raise AttributeError(f"module 'repro' has no attribute {name!r}") from None
-    import importlib
-
-    value = getattr(importlib.import_module(module_name), attr)
-    globals()[name] = value
-    return value
+__getattr__ = _lazy_getattr(globals(), _LAZY)
 
 
 def __dir__():

@@ -7,10 +7,13 @@ extraction, range-finder indexing and DB storage), and a **User** role
 that submits a query frame and receives ranked similar videos.
 """
 
+from repro import _lazy_getattr
 from repro.core.config import SystemConfig
-from repro.core.feedback import FeedbackSession
 from repro.core.results import RetrievalResult, SearchResults
 from repro.core.system import AdminSession, AuthenticationError, VideoRetrievalSystem
+
+#: imported on first use: a plain query or ingest never runs the feedback loop
+_LAZY = {"FeedbackSession": "repro.core.feedback"}
 
 __all__ = [
     "SystemConfig",
@@ -21,3 +24,5 @@ __all__ = [
     "SearchResults",
     "FeedbackSession",
 ]
+
+__getattr__ = _lazy_getattr(globals(), _LAZY)

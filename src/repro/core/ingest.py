@@ -23,7 +23,7 @@ import datetime
 import time
 from dataclasses import dataclass
 from functools import partial
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.catalog import FEATURE_COLUMNS
 from repro.core.config import SystemConfig
@@ -39,8 +39,10 @@ from repro.obs import NULL_OBS, Obs, log
 from repro.resilience import NULL_POLICIES, ResiliencePolicies
 from repro.runtime import WorkerPool, resolve_workers
 from repro.video.codec import encode_rvf_bytes
-from repro.video.generator import SyntheticVideo
 from repro.video.keyframes import KeyFrameExtractor
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.video.generator import SyntheticVideo
 
 __all__ = ["Ingestor", "IngestReport"]
 
@@ -219,7 +221,7 @@ class Ingestor:
         stored_on: Optional[datetime.date] = None,
     ) -> IngestReport:
         """Ingest a video (SyntheticVideo or a plain frame sequence)."""
-        if isinstance(video, SyntheticVideo):
+        if hasattr(video, "frames"):  # a SyntheticVideo, told by its shape
             frames = list(video.frames)
             name = name or video.name
             category = category or video.category

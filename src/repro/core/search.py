@@ -32,7 +32,7 @@ import copy
 import time
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -42,8 +42,7 @@ from repro.core.results import RetrievalResult, SearchResults
 from repro.core.store import FeatureStore
 from repro.features.base import FeatureExtractor, FeatureVector, get_extractor
 from repro.imaging.image import Image
-from repro.indexing import ann as ann_metrics
-from repro.indexing.ann import IVFIndex
+from repro.indexing import ann_metrics
 from repro.indexing.tree import RangeIndex
 from repro.obs import NULL_OBS, NULL_SPAN, Obs, log
 from repro.resilience import (
@@ -57,8 +56,11 @@ from repro.resilience import (
 from repro.runtime import WorkerPool, resolve_workers
 from repro.similarity.dp import span_distances
 from repro.similarity.fusion import CombinedScorer, FeatureWeights, normalize_scores
-from repro.video.generator import SyntheticVideo
 from repro.video.keyframes import KeyFrameExtractor
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.indexing.ann import IVFIndex
+    from repro.video.generator import SyntheticVideo
 
 __all__ = ["QueryRequest", "SearchEngine", "VideoMatch"]
 
@@ -268,6 +270,8 @@ class SearchEngine:
         #: IVF candidate index (None when ``config.ann`` is off); trained
         #: lazily on the first probe and self-synced against the store
         if config.ann:
+            from repro.indexing.ann import IVFIndex
+
             self.ann: Optional[IVFIndex] = IVFIndex(
                 store, config.features, n_cells=config.ann_cells, obs=obs
             )
@@ -432,7 +436,9 @@ class SearchEngine:
         top_k: int = 10,
     ) -> List[VideoMatch]:
         """Rank stored videos against a query clip via DP sequence alignment."""
-        frames = list(video.frames) if isinstance(video, SyntheticVideo) else list(video)
+        # a SyntheticVideo is told by its ``frames``, not by its class: the
+        # class lives with the generator, which a query never needs
+        frames = list(getattr(video, "frames", video))
         return self._query_one(
             "search.query_video",
             QueryRequest(clip=frames, features=features, top_k=top_k),

@@ -14,7 +14,7 @@ rebuilds it from the ``KEY_FRAMES`` table.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Union
 
 from repro.core.catalog import bootstrap
 from repro.core.config import SystemConfig
@@ -31,7 +31,9 @@ from repro.indexing.tree import RangeIndex
 from repro.obs import Obs
 from repro.resilience import NULL_POLICIES, ResiliencePolicies
 from repro.runtime import WorkerPool, resolve_workers
-from repro.video.generator import SyntheticVideo
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.video.generator import SyntheticVideo
 
 __all__ = ["VideoRetrievalSystem", "AdminSession", "AuthenticationError"]
 

@@ -89,12 +89,16 @@ def gabor_responses(
         raise ValueError("gabor_responses expects a 2-D gray array")
     bank = _bank(a.shape, scales, orientations, ul, uh)
     spectrum = np.fft.fft2(a)
-    if accel.fast_paths_enabled() and accel.HAVE_SCIPY:
-        import scipy.fft as sfft
-
-        # one broadcast product, one batched inverse transform over the
-        # filter axis
-        return np.abs(sfft.ifft2(bank * spectrum, axes=(-2, -1), overwrite_x=True))
+    if accel.fast_paths_enabled():
+        # one broadcast product, one batched in-place inverse over the filter
+        # axis: rows, then the 1/(h*w) scale, then columns.  That order is
+        # the stored GABOR bytes -- the other one differs in the last bits
+        h, w = a.shape
+        y = bank * spectrum
+        np.fft.ifft(y, axis=-2, norm="forward", out=y)
+        y *= 1.0 / (h * w)
+        np.fft.ifft(y, axis=-1, norm="forward", out=y)
+        return np.abs(y)
     out = np.empty_like(bank)
     for i in range(bank.shape[0]):
         out[i] = np.abs(np.fft.ifft2(spectrum * bank[i]))

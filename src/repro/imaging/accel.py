@@ -3,10 +3,10 @@
 Several hot kernels (thresholding, region labelling, the Gabor bank, the
 correlogram) have two implementations: a straightforward *reference* form
 that mirrors the paper's pseudo-code, and an accelerated form (vectorized
-NumPy, or SciPy where available) that produces identical results.  The
-reference forms stay in the tree for two reasons: they are the oracle
-the equivalence tests compare against, and they are the fallback when
-SciPy is absent.
+NumPy) that produces identical results.  The reference forms stay in the
+tree as the oracle the equivalence tests compare against; nothing outside
+NumPy is imported, so a library's stored bytes do not depend on what else
+is installed where it was ingested.
 
 The switch is process-global and defaults to fast.  Worker processes
 inherit the default, so parallel ingest always runs the fast path.
@@ -20,19 +20,11 @@ from typing import Iterator, Tuple
 import numpy as np
 
 __all__ = [
-    "HAVE_SCIPY",
     "fast_paths_enabled",
     "set_fast_paths",
     "reference_paths",
     "read_only",
 ]
-
-try:  # SciPy is optional; every fast path has a NumPy or reference fallback
-    import scipy.ndimage as _ndimage  # noqa: F401
-
-    HAVE_SCIPY = True
-except ImportError:  # pragma: no cover - depends on the environment
-    HAVE_SCIPY = False
 
 _FAST = True
 

@@ -6,9 +6,12 @@ tree over intensity ranges (Figure 7) and searches only need to scan
 frames whose bucket lies on the query bucket's root path or subtree.
 """
 
-from repro.indexing.ann import IVFIndex, IVFStats, kmeans
+from repro import _lazy_getattr
 from repro.indexing.rangefinder import Bucket, RangeFinder, paper_range_finder
 from repro.indexing.tree import IndexStats, RangeIndex
+
+#: imported on first use: only an engine with ``config.ann`` builds an IVF index
+_LAZY = {name: "repro.indexing.ann" for name in ("IVFIndex", "IVFStats", "kmeans")}
 
 __all__ = [
     "Bucket",
@@ -20,3 +23,5 @@ __all__ = [
     "IVFStats",
     "kmeans",
 ]
+
+__getattr__ = _lazy_getattr(globals(), _LAZY)

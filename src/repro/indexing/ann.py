@@ -39,13 +39,10 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.features.base import FeatureVector
+from repro.indexing.ann_metrics import register_metrics
 from repro.obs import NULL_OBS, Obs
 
 __all__ = ["IVFIndex", "IVFStats", "kmeans", "register_metrics"]
-
-#: count-style histogram buckets for probe fan-out metrics
-_COUNT_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0,
-                  1024.0, 4096.0, 16384.0, 65536.0)
 
 #: Default seed for the coarse quantizer (any fixed value works; what
 #: matters is that rebuilds on identical data give identical partitions).
@@ -156,38 +153,6 @@ class IVFStats:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"IVFStats({self.as_dict()})"
-
-
-def register_metrics(obs: Obs) -> Dict[str, object]:
-    """Get-or-create the ANN metric families on ``obs``.
-
-    Called by :class:`IVFIndex` and by engines with ANN disabled, so the
-    families always appear in a ``/metrics`` scrape (at zero) regardless
-    of configuration.
-    """
-    return {
-        "builds": obs.counter(
-            "repro_ann_builds_total", "IVF coarse-quantizer (re)trainings."
-        ),
-        "probes": obs.counter(
-            "repro_ann_probes_total", "IVF probe calls."
-        ),
-        "incremental": obs.counter(
-            "repro_ann_incremental_total",
-            "Frames folded into the trained index without a retrain.",
-            labelnames=("op",),
-        ),
-        "cells_probed": obs.histogram(
-            "repro_ann_cells_probed",
-            "Cells visited per probe.",
-            buckets=_COUNT_BUCKETS,
-        ),
-        "candidates": obs.histogram(
-            "repro_ann_candidates",
-            "Candidate frames returned per probe (incl. residuals).",
-            buckets=_COUNT_BUCKETS,
-        ),
-    }
 
 
 class IVFIndex:

@@ -23,9 +23,8 @@ from __future__ import annotations
 import os
 import pickle
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
-from typing import Callable, Iterable, List, Optional, TypeVar
+from concurrent.futures import BrokenExecutor  # BrokenProcessPool's base
+from typing import TYPE_CHECKING, Callable, Iterable, List, Optional, TypeVar
 
 from repro.obs import NULL_OBS, Obs, log
 from repro.resilience import (
@@ -34,6 +33,9 @@ from repro.resilience import (
     FaultInjected,
     ResiliencePolicies,
 )
+
+if TYPE_CHECKING:  # pragma: no cover
+    from concurrent.futures import ProcessPoolExecutor
 
 __all__ = ["WorkerPool", "PoolTask", "parallel_map", "resolve_workers"]
 
@@ -122,7 +124,7 @@ class PoolTask:
                 value = self._future.result()
                 if self._breaker is not None:
                     self._breaker.record_success()
-            except (BrokenProcessPool, pickle.PicklingError, OSError) as exc:
+            except (BrokenExecutor, pickle.PicklingError, OSError) as exc:
                 # the worker died or the result refused to pickle; the
                 # work itself is still valid, so redo it in-process
                 if self._breaker is not None:
@@ -213,6 +215,10 @@ class WorkerPool:
 
     def _ensure_executor(self) -> ProcessPoolExecutor:
         if self._executor is None:
+            # here, not at module top: the import pulls in multiprocessing,
+            # which a serial pool (the default everywhere) never needs
+            from concurrent.futures import ProcessPoolExecutor
+
             self._executor = ProcessPoolExecutor(max_workers=self.workers)
         return self._executor
 
@@ -284,7 +290,7 @@ class WorkerPool:
                 time.perf_counter() - t0
             )
             return out
-        except (BrokenProcessPool, pickle.PicklingError, OSError, FaultInjected) as exc:
+        except (BrokenExecutor, pickle.PicklingError, OSError, FaultInjected) as exc:
             # infrastructure died (or a result refused to pickle); the
             # work itself is still valid, so redo it in-process
             if breaker is not None:
@@ -333,7 +339,7 @@ class WorkerPool:
         try:
             self._policies.fire("pool.map")
             future = self._ensure_executor().submit(fn, *args)
-        except (BrokenProcessPool, pickle.PicklingError, OSError, FaultInjected) as exc:
+        except (BrokenExecutor, pickle.PicklingError, OSError, FaultInjected) as exc:
             if breaker is not None:
                 breaker.record_failure()
                 self._policies.note_fallback("pool_serial")

@@ -33,7 +33,6 @@ from repro.core.search import QueryRequest
 from repro.core.system import VideoRetrievalSystem
 from repro.serving.admission import AdmissionController, OverloadedError
 from repro.serving.batcher import MicroBatcher
-from repro.sharding import maybe_attach_sharded
 from repro.web.api import (
     ApiError,
     CbvrApi,
@@ -72,7 +71,10 @@ class AsyncCbvrServer:
     def __init__(
         self, system: VideoRetrievalSystem, host: str = "127.0.0.1", port: int = 0
     ) -> None:
-        maybe_attach_sharded(system)
+        if system.config.shards > 1:  # an unsharded serve never imports the layer
+            from repro.sharding import maybe_attach_sharded
+
+            maybe_attach_sharded(system)
         self.system = system
         self.api = CbvrApi(system)
         self.host = host

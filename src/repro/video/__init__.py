@@ -12,16 +12,17 @@ external converter, and picks key frames with a threshold rule (§4.1).  Here:
 - :mod:`repro.video.keyframes` -- the §4.1 key-frame extraction algorithm.
 """
 
+from repro import _lazy_getattr
 from repro.video.codec import RvfError, RvfReader, RvfWriter, read_rvf, write_rvf
-from repro.video.generator import (
-    CATEGORIES,
-    SyntheticVideo,
-    VideoSpec,
-    generate_video,
-    make_corpus,
-)
 from repro.video.keyframes import KeyFrameExtractor, extract_key_frames, frame_signature_distance
 from repro.video.shots import cut_indices, frame_distances
+
+#: imported on first use: the generator brings the rasterizer and the
+#: synthetic-texture module with it, and only corpus builders render videos
+_LAZY = {
+    name: "repro.video.generator"
+    for name in ("CATEGORIES", "SyntheticVideo", "VideoSpec", "generate_video", "make_corpus")
+}
 
 __all__ = [
     "RvfReader",
@@ -40,3 +41,5 @@ __all__ = [
     "frame_distances",
     "cut_indices",
 ]
+
+__getattr__ = _lazy_getattr(globals(), _LAZY)

@@ -54,3 +54,12 @@ def test_one_pipeline_for_all_three_query_kinds():
     assert overridden == {"_plan_vectors", "_score_plans", "_rank_plan", "close"}
     assert [n for n in worker.__all__ if n.startswith("score_")] == ["score_vectors_shard"]
     assert len(dataclasses.fields(SystemConfig)) == 34
+
+
+def test_numpy_is_the_only_import_outside_the_stdlib():
+    """Two paths per kernel -- fast (NumPy) and reference (the paper's
+    listing) -- and none that depends on what else is installed."""
+    gone = ("scipy", "HAVE_SCIPY", "_label_regions_scipy")
+    for module in PACKAGE_DIR.rglob("*.py"):
+        source = module.read_text()
+        assert not [name for name in gone if name in source], module

@@ -63,6 +63,27 @@ class TestResponses:
         with pytest.raises(ValueError):
             gabor_responses(np.zeros((4, 4, 3)))
 
+    @pytest.mark.parametrize(
+        "shape",
+        [(48, 64), (64, 48), (101, 103), (211, 223), (1, 9), (9, 1), (1, 127), (131, 1), (240, 320)],
+    )
+    def test_inverse_is_scipys_to_the_bit(self, shape):
+        """Existing libraries hold the bytes of ``scipy.fft.ifft2``; the NumPy
+        inverse (rows, scale, columns, in place) must be that transform
+        exactly, not within a tolerance."""
+        sfft = pytest.importorskip("scipy.fft")
+        from repro.features.gabor import _bank
+
+        gray = np.random.default_rng(sum(shape)).random(shape) * 255.0
+        spectrum = np.fft.fft2(gray)
+        expected = np.abs(
+            sfft.ifft2(gabor_filter_bank(shape) * spectrum, axes=(-2, -1), overwrite_x=True)
+        )
+        try:
+            assert np.array_equal(gabor_responses(gray), expected)
+        finally:
+            _bank.cache_clear()  # the large banks are tens of MB each
+
 
 class TestExtractor:
     def test_sixty_dims_by_default(self, noise_image):

@@ -1,8 +1,11 @@
-"""§4.8 region growing tests (with scipy.ndimage as an independent oracle)."""
+"""§4.8 region growing tests: the paper's stack-based grow is the oracle of
+the run labeller; ``scipy.ndimage``, where installed, is an independent one."""
 
 import numpy as np
 import pytest
-import scipy.ndimage as ndi
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.features.regions import (
     RegionGrowingResult,
@@ -10,6 +13,7 @@ from repro.features.regions import (
     label_regions,
     preprocess_binary,
 )
+from repro.imaging import accel
 from repro.imaging.draw import Canvas
 from repro.imaging.image import Image
 
@@ -61,6 +65,7 @@ class TestLabelRegions:
 
     def test_matches_scipy_label_counts(self):
         """Cross-check against scipy.ndimage.label on random masks."""
+        ndi = pytest.importorskip("scipy.ndimage")
         gen = np.random.default_rng(42)
         structure = np.ones((3, 3))  # 8-connectivity
         for _ in range(5):
@@ -70,6 +75,29 @@ class TestLabelRegions:
             _lbl_bg, n_bg = ndi.label(~a, structure=structure)
             assert ours.n_regions == n_fg + n_bg
             assert ours.n_holes == n_bg
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        # binary and three-valued; empty, single-row and single-column included
+        pixels=st.sampled_from([1, 2]).flatmap(
+            lambda top: hnp.arrays(
+                np.uint8,
+                hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=12),
+                elements=st.integers(0, top),
+            )
+        ),
+        connectivity=st.sampled_from([4, 8]),
+    )
+    def test_run_labeller_is_the_paper_grow(self, pixels, connectivity):
+        """Same label map, counts, holes and sizes, value for value."""
+        fast = label_regions(pixels, connectivity)
+        with accel.reference_paths():
+            reference = label_regions(pixels, connectivity)
+        assert fast.labels.dtype == reference.labels.dtype
+        assert np.array_equal(fast.labels, reference.labels)
+        assert fast.n_regions == reference.n_regions
+        assert fast.n_holes == reference.n_holes
+        assert fast.region_sizes == reference.region_sizes
 
     def test_major_regions_threshold(self):
         a = np.zeros((10, 10), dtype=bool)

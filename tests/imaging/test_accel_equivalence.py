@@ -8,8 +8,9 @@ counts and key-frame signatures, half-plane correlogram counts) or runs in
 the same order (coarseness, thresholding), equality is the test, not a
 tolerance.  Two extractors reorder float sums and get a tolerance fixed
 from float64: glcm's statistics run over the non-zero cells instead of the
-full grid, gabor's inverse transform is SciPy's batched FFT instead of
-NumPy's per-filter one.
+full grid, gabor's inverse transform is one batched in-place FFT taken
+axis by axis (rows, the 1/(h*w) scale, columns) instead of a per-filter
+``ifft2``.
 """
 
 import numpy as np

@@ -5,9 +5,18 @@ kernels and once under ``accel.reference_paths()`` (rescale-then-reduce
 key-framing and GLCM, per-candidate thresholding, per-offset correlogram,
 fancy-index coarseness, per-filter Gabor).  Everything the library keeps
 must be the same bytes; only the five GLCM statistics (another summation
-order) and the Gabor energies (SciPy's batched FFT against NumPy's, as in
+order) and the Gabor energies (one batched, in-place inverse FFT taken axis
+by axis against a per-filter ``ifft2``, as in
 ``tests/imaging/test_accel_equivalence.py``) are compared by tolerance.
+
+Both paths are NumPy alone, so the bytes do not depend on what else is
+installed: a subprocess that cannot import SciPy stores the same strings.
 """
+
+import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -17,6 +26,8 @@ from repro.imaging import accel
 from repro.imaging.image import Image
 from repro.video.generator import VideoSpec, generate_video
 from tests.imaging.test_accel_equivalence import _TOLERANCES as _EXTRACTOR_TOLERANCES
+
+_FEATURE_COLUMNS = ("SCH", "GLCM", "GABOR", "TAMURA", "ACC", "REGIONS")
 
 #: feature column -> (rtol, atol), the per-extractor oracle's own; every
 #: other column must match exactly
@@ -84,7 +95,7 @@ def test_feature_strings(golden):
     (_, _, fast), (_, _, reference) = golden
     compared = 0
     for a, b in zip(fast, reference):
-        for column in ("SCH", "GLCM", "GABOR", "TAMURA", "ACC", "REGIONS"):
+        for column in _FEATURE_COLUMNS:
             if column not in _TOLERANCES:
                 assert a[column] == b[column], column
             else:
@@ -100,3 +111,27 @@ def test_feature_strings(golden):
                 ), column
             compared += 1
     assert compared == 6 * len(fast)
+
+
+_INGEST_WITHOUT_SCIPY = """
+import sys
+sys.modules["scipy"] = None  # any `import scipy...` now raises ImportError
+import json
+from tests.integration.test_golden_ingest import _golden_video, _ingest
+_, _, key_frames = _ingest(_golden_video())
+print(json.dumps([[row[c] for c in %r] for row in key_frames]))
+""" % (_FEATURE_COLUMNS,)
+
+
+def test_same_feature_strings_where_scipy_is_absent(golden):
+    """The documented install is NumPy only: a process in which ``import
+    scipy`` fails must store the strings this one (SciPy importable) stores."""
+    root = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([os.path.join(root, "src"), root]))
+    done = subprocess.run(
+        [sys.executable, "-c", _INGEST_WITHOUT_SCIPY],
+        env=env, cwd=root, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    (_, _, fast), _ = golden
+    assert json.loads(done.stdout) == [[row[c] for c in _FEATURE_COLUMNS] for row in fast]
