@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # One-shot quality gate: reprolint + ruff + mypy + tier-1 pytest (with a
-# coverage floor when pytest-cov is installed) + the load gate + the
+# coverage floor when pytest-cov is installed) + tests/core and
+# tests/integration pinned to one CPU + the load gate + the
 # end-to-end benchmark's own tests and a smoke-scale run of its read
 # (scan_10k) and write (library_churn) workloads, checked against its oracle.
 #
@@ -109,6 +110,20 @@ if [ "$fast" -eq 0 ]; then
         if [ -n "$cov_args" ]; then record coverage FAIL; else record coverage skip; fi
     fi
 
+    # on one CPU the pool has no helper thread, so frame analysis takes its
+    # one-lane branch for real (tier-1 runs it on two lanes where it can)
+    step "pytest (core + integration on one CPU, taskset -c 0)"
+    if command -v taskset >/dev/null 2>&1; then
+        if taskset -c 0 python -m pytest -q tests/core tests/integration; then
+            record one_cpu ok
+        else
+            record one_cpu FAIL
+        fi
+    else
+        echo "taskset: not installed, skipped"
+        record one_cpu skip
+    fi
+
     step "pytest (observability group)"
     if python -m pytest -q tests/obs tests/web/test_obs_endpoints.py; then
         record obs_tests ok
@@ -154,6 +169,7 @@ if [ "$fast" -eq 0 ]; then
 else
     record pytest skip
     record coverage skip
+    record one_cpu skip
     record obs_tests skip
     record obs_overhead skip
     record load_gate skip

@@ -2,16 +2,17 @@
 
 Two execution contexts run project code concurrently today, and both grow
 in the sharded/async roadmap: the web route table (the asyncio server
-runs it on executor threads, one per in-flight request) and callables shipped through
-``runtime.WorkerPool`` (forked workers now, a shard fleet next).  A
-module-level dict/list/set mutated on those paths without a lock is a
-data race on the threaded path and silently-diverging per-process state
-on the forked path.
+runs it on executor threads, one per in-flight request) and callables
+shipped through ``runtime.WorkerPool`` (forked workers, a shard fleet, and
+the helper thread of ``WorkerPool.lane``).  A module-level dict/list/set
+mutated on those paths without a lock is a data race on the threaded path
+and silently-diverging per-process state on the forked path.
 
 The rule uses the project call graph to find every function reachable
-from (a) the web package and (b) any callable passed to a pool ``map``,
-then flags mutations of module-level mutable bindings inside them unless
-the mutation sits under ``with <module-level lock>:``.  ``dict.setdefault``
+from (a) the web package and (b) any callable passed to a ``map`` or
+``submit`` (directly or as ``functools.partial(fn, ...)``), then flags
+mutations of module-level mutable bindings inside them unless the
+mutation sits under ``with <module-level lock>:``.  ``dict.setdefault``
 is exempt -- it is the sanctioned GIL-atomic publish idiom.
 
 Separately (and everywhere, not just on concurrent paths), a
@@ -103,13 +104,18 @@ class ConcurrencySafetyRule(ModelRule):
                     continue
                 target = dotted(node.func)
                 tail = target.rsplit(".", 1)[-1]
-                is_pool_ship = (
-                    tail == "parallel_map"
-                    or (tail == "map" and isinstance(node.func, ast.Attribute))
+                is_pool_ship = tail == "parallel_map" or (
+                    tail in ("map", "submit") and isinstance(node.func, ast.Attribute)
                 )
                 if not is_pool_ship:
                     continue
                 shipped = node.args[0]
+                if (
+                    isinstance(shipped, ast.Call)
+                    and dotted(shipped.func).rsplit(".", 1)[-1] == "partial"
+                    and shipped.args
+                ):
+                    shipped = shipped.args[0]  # partial(fn, ...) runs fn
                 shipped_name = dotted(shipped)
                 if shipped_name:
                     pool_roots.extend(
@@ -119,7 +125,7 @@ class ConcurrencySafetyRule(ModelRule):
         via_pool = model.reachable_from(pool_roots)
         why: Dict[str, str] = {}
         for qual in via_pool:
-            why[qual] = "inside WorkerPool workers"
+            why[qual] = "inside WorkerPool workers or on its helper thread"
         for qual in via_web:
             # web wins the message: the threaded path is the racier one
             why[qual] = (

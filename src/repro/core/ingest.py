@@ -11,10 +11,12 @@
    one transaction so a failing extractor leaves nothing half-ingested.
 
 Step 3 is the CPU hot path -- the six ``TABLE1_FEATURES`` extractors over
-every key frame -- and is pure per-frame computation, so when
-``config.workers > 1`` it fans out over a :class:`repro.runtime.WorkerPool`;
-the DB writes of step 4 stay in one transaction on the calling thread either
-way, and the pool's ordered map keeps results byte-identical to a serial run.
+every key frame -- and is pure per-frame computation, so it runs through
+:func:`repro.core.lanes.analyse_frames`: the Gabor bank on the pool's
+helper thread beside the rest, or fanned out over worker processes when
+``config.workers > 1``.  The DB writes of step 4 stay in one transaction on
+the calling thread either way, and the results are byte-identical to a
+one-thread run.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.catalog import FEATURE_COLUMNS
 from repro.core.config import SystemConfig
+from repro.core.lanes import analyse_frames
 from repro.core.store import FeatureStore, FrameRecord
 from repro.db.engine import Database
 from repro.db.errors import DatabaseError
@@ -46,35 +49,23 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["Ingestor", "IngestReport"]
 
-#: per-key-frame computation result: features, index bucket, MAJORREGIONS,
-#: PPM blob, and per-extractor wall seconds (timed where the work ran, so
-#: parallel ingest still reports extraction latencies to the parent)
-FramePayload = Tuple[Dict[str, FeatureVector], Bucket, int, bytes, Dict[str, float]]
+#: a key frame's row parts besides its features: index bucket, MAJORREGIONS
+#: when the regions feature is not configured (else None), PPM blob
+RowParts = Tuple[Bucket, Optional[int], bytes]
 
 
-def _compute_frame_payload(
-    frame: Image,
-    extractors: Dict[str, FeatureExtractor],
-    finder: RangeFinder,
-    fallback_regions: FeatureExtractor,
-) -> FramePayload:
-    """Everything ``_ingest_frame`` needs that does not touch the DB.
+def _row_parts(
+    frame: Image, finder: RangeFinder, fallback_regions: Optional[FeatureExtractor]
+) -> RowParts:
+    """What ``_ingest_frame`` needs besides features and the DB.
 
     Module-level and side-effect free so a :class:`WorkerPool` can ship it
     to worker processes.
     """
-    features: Dict[str, FeatureVector] = {}
-    timings: Dict[str, float] = {}
-    for name, extractor in extractors.items():
-        t0 = time.perf_counter()
-        features[name] = extractor.extract(frame)
-        timings[name] = time.perf_counter() - t0
-    bucket = finder.bucket_for_image(frame)
-    if "regions" in features:
-        major_regions = int(features["regions"].values[2])
-    else:
+    major_regions = None
+    if fallback_regions is not None:
         major_regions = int(fallback_regions.extract(frame).values[2])
-    return features, bucket, major_regions, frame.encode("ppm"), timings
+    return finder.bucket_for_image(frame), major_regions, frame.encode("ppm")
 
 
 class _StageTimer:
@@ -140,7 +131,9 @@ class Ingestor:
         )
         # regions is needed for the MAJORREGIONS column even if not an
         # active search feature
-        self._regions = self.extractors.get("regions") or get_extractor("regions")
+        self._fallback_regions = (
+            None if "regions" in self.extractors else get_extractor("regions")
+        )
         self._pool = pool or WorkerPool(workers=resolve_workers(config.workers))
         self._obs = obs
         self._policies = policies
@@ -178,7 +171,7 @@ class Ingestor:
         )
 
     def close(self) -> None:
-        """Tear down the worker pool (no-op for serial configurations)."""
+        """Tear down the worker pool and its helper thread."""
         self._pool.close()
 
     def attach_snapshots(self, snapshots) -> None:
@@ -249,21 +242,23 @@ class Ingestor:
             with self._stage("motion"):
                 motion = self._motion_descriptor(frames)
 
-            # fan the pure per-frame computation out across workers; the order
-            # of payloads matches key_frames, so ids and rows are deterministic
-            compute = partial(
-                _compute_frame_payload,
-                extractors=self.extractors,
+            # the analysis keeps key_frames' order, so ids and rows are
+            # deterministic
+            row_parts = partial(
+                _row_parts,
                 finder=self.index.finder,
-                fallback_regions=self._regions,
+                fallback_regions=self._fallback_regions,
             )
             self._policies.check_stage("ingest.features")
             with self._stage("features"):
-                payloads = self._pool.map(
-                    compute, [frame for _index, frame in key_frames]
+                analysis = analyse_frames(
+                    [frame for _index, frame in key_frames],
+                    self.extractors,
+                    self._pool,
+                    per_frame=row_parts,
                 )
-            for payload in payloads:
-                for feature, seconds in payload[4].items():
+            for per_feature in analysis.seconds:
+                for feature, seconds in per_feature.items():
                     self._m_extract_seconds.labels(feature=feature).observe(seconds)
 
             new_records: List[FrameRecord] = []
@@ -275,10 +270,12 @@ class Ingestor:
                         " VALUES (?, ?, ?, ?, ?, ?)",
                         (video_id, name, category, video_blob, motion.to_string(), stored_on),
                     )
-                    for offset, ((frame_index, _frame), payload) in enumerate(zip(key_frames, payloads)):
-                        frame_id = next_frame_id + offset
+                    for offset, ((frame_index, _frame), features, parts) in enumerate(
+                        zip(key_frames, analysis.features, analysis.extras)
+                    ):
                         record = self._ingest_frame(
-                            frame_id, video_id, name, category, frame_index, payload
+                            next_frame_id + offset, video_id, name, category,
+                            frame_index, features, parts,
                         )
                         new_records.append(record)
 
@@ -327,10 +324,13 @@ class Ingestor:
         video_name: str,
         category: Optional[str],
         frame_index: int,
-        payload: FramePayload,
+        features: Dict[str, FeatureVector],
+        parts: RowParts,
     ) -> FrameRecord:
         """Write one precomputed key frame's row (DB work only)."""
-        features, bucket, major_regions, ppm_blob, _timings = payload
+        bucket, major_regions, ppm_blob = parts
+        if major_regions is None:
+            major_regions = int(features["regions"].values[2])
         frame_name = f"{video_name}_f{frame_index:04d}"
 
         columns = ["I_ID", "I_NAME", "IMAGE", "MIN", "MAX", "MAJORREGIONS", "V_ID"]

@@ -5,7 +5,7 @@ Frame, vector and clip queries run through ONE pipeline, in three stages:
 * **prepare** -- per request: query-cache lookup, range-index pruning,
   query-feature extraction, the optional IVF probe, and a
   :class:`_QueryPlan` naming the candidate rows.  A clip is key-framed,
-  its key frames' features extracted over the pool, and one exact plan
+  its key frames' features extracted by ``core.lanes``, and one exact plan
   per query key frame resolved over the store's video-major rows;
 * **score** -- one pass over every prepared plan, feature by feature:
   raw distances from ``batch_distance_prepared`` on the store's
@@ -31,13 +31,13 @@ from __future__ import annotations
 import copy
 import time
 from dataclasses import dataclass, field, replace
-from functools import partial
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.core.cache import QueryCache, digest_array, digest_vectors
 from repro.core.config import SystemConfig
+from repro.core.lanes import analyse_frames
 from repro.core.results import RetrievalResult, SearchResults
 from repro.core.store import FeatureStore
 from repro.features.base import FeatureExtractor, FeatureVector, get_extractor
@@ -72,15 +72,6 @@ _COUNT_BUCKETS = (
 
 #: histogram edges for the range-index pruning ratio (fraction in [0, 1])
 _RATIO_BUCKETS = (0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 1.0)
-
-
-def _extract_query_features(
-    frame: Image,
-    extractors: Dict[str, FeatureExtractor],
-    names: Sequence[str],
-) -> Dict[str, FeatureVector]:
-    """One query key frame's feature vectors (worker-process safe)."""
-    return {name: extractors[name].extract(frame) for name in names}
 
 
 def _stable_topk(fused: np.ndarray, k: int) -> np.ndarray:
@@ -317,7 +308,7 @@ class SearchEngine:
         return self.store.prepared_matrix(name, self.extractors[name])
 
     def close(self) -> None:
-        """Tear down the worker pool (no-op for serial configurations)."""
+        """Tear down the worker pool and its helper thread."""
         self._pool.close()
 
     def cache_stats(self) -> Dict[str, int]:
@@ -747,14 +738,13 @@ class SearchEngine:
         self._policies.check_stage("search.keyframes")
         with self._obs.span("search.video.keyframes"):
             key_frames = [f for _i, f in self.keyframe_extractor.extract(list(req.clip))]
-        # per-key-frame extraction is the query-side CPU hot spot; fan it
-        # out over the pool (order-preserving, so results are unchanged)
+        # per-key-frame extraction is the query-side CPU hot spot; it runs
+        # on the pool's two lanes (order-preserving, so results are unchanged)
         self._policies.check_stage("search.extract")
-        extract = partial(
-            _extract_query_features, extractors=self.extractors, names=names
-        )
         with self._obs.span("search.video.extract", key_frames=len(key_frames)):
-            query_seq = self._pool.map(extract, key_frames)
+            query_seq = analyse_frames(
+                key_frames, {n: self.extractors[n] for n in names}, self._pool
+            ).features
         rows, _spans = self.store.video_spans()
         entry.plans = [
             self._plan_vectors(

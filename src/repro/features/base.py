@@ -114,6 +114,10 @@ class FeatureExtractor(abc.ABC):
     name: str = ""
     #: string-form prefix; defaults to ``name``.
     tag: str = ""
+    #: whether :meth:`extract` spends its time in NumPy calls that release
+    #: the GIL (FFTs, large ufuncs), so it runs on a helper thread beside
+    #: the other extractors instead of after them (``repro.core.lanes``)
+    releases_gil: bool = False
 
     @abc.abstractmethod
     def extract(self, image: Image) -> FeatureVector:

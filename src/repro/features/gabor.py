@@ -111,6 +111,10 @@ class GaborTexture(FeatureExtractor):
 
     name = "gabor"
     tag = "gabor"
+    # pocketfft and the bank-sized ufuncs release the GIL: two threads run
+    # this extractor ~1.8x faster, where the others slow down
+    # (docs/performance.md, "Two lanes")
+    releases_gil = True
 
     def __init__(
         self,

@@ -5,8 +5,9 @@ layers (`core.ingest`, `core.search`) only say *what* to compute.  The
 contract is deliberately narrow: an order-preserving chunked ``map`` that
 degrades to the plain serial loop whenever parallelism cannot help
 (one worker, one item) or cannot work (unpicklable task, dead pool),
-plus a ``submit``/``result`` pair for long-lived tasks pinned to
-persistent worker processes (the sharded scatter-gather path).
+a ``submit``/``result`` pair for long-lived tasks pinned to
+persistent worker processes (the sharded scatter-gather path), and
+``lane()``, one helper thread for NumPy work that releases the GIL.
 """
 
 from repro.runtime.pool import PoolTask, WorkerPool, parallel_map, resolve_workers

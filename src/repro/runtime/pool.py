@@ -16,12 +16,18 @@ pipeline needs:
 
 Exceptions raised *by the task function itself* always propagate: only
 infrastructure failures (pickling, dead workers) trigger the fallback.
+
+A serial pool on a machine with a second core also owns one helper
+*thread* (:meth:`WorkerPool.lane`): NumPy code that releases the GIL runs
+there beside the calling thread, which is parallelism that needs no
+pickling and no worker process.
 """
 
 from __future__ import annotations
 
 import os
 import pickle
+import threading
 import time
 from concurrent.futures import BrokenExecutor  # BrokenProcessPool's base
 from typing import TYPE_CHECKING, Callable, Iterable, List, Optional, TypeVar
@@ -35,7 +41,7 @@ from repro.resilience import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover
-    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
 __all__ = ["WorkerPool", "PoolTask", "parallel_map", "resolve_workers"]
 
@@ -69,6 +75,14 @@ def resolve_workers(workers: Optional[int] = None) -> int:
     if workers < 0:
         raise ValueError(f"workers must be >= 0 (0 = auto), got {workers}")
     return max(1, workers)
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask, where there is one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def _is_picklable(obj: object) -> bool:
@@ -152,8 +166,9 @@ class WorkerPool:
 
     The executor is only spawned on the first parallel ``map`` call, so a
     pool configured with ``workers=1`` (the default everywhere) costs
-    nothing.  Pools are reusable across calls; ``close()`` (or use as a
-    context manager) tears the executor down.
+    nothing but the helper thread of :meth:`lane`, and that only once
+    asked for.  Pools are reusable across calls; ``close()`` (or use as a
+    context manager) tears the executor and the helper thread down.
     """
 
     def __init__(self, workers: int = 1, chunk_size: Optional[int] = None):
@@ -164,6 +179,9 @@ class WorkerPool:
         self.workers = workers
         self.chunk_size = chunk_size
         self._executor: Optional[ProcessPoolExecutor] = None
+        self._lane: Optional[ThreadPoolExecutor] = None
+        self._lane_lock = threading.Lock()
+        self._lane_pid = os.getpid()
         self._policies = NULL_POLICIES
         self.attach_obs(NULL_OBS)
 
@@ -227,10 +245,43 @@ class WorkerPool:
         """Whether a live executor (with worker processes) currently exists."""
         return self._executor is not None
 
+    def lane(self) -> Optional[ThreadPoolExecutor]:
+        """The helper thread for GIL-free work beside the calling thread.
+
+        None when the process may run on one CPU only, and when
+        ``workers > 1`` (the worker processes are the parallelism there).
+        Created on first use and stopped by :meth:`close`.  A forked child
+        forgets the parent's: an executor inherited across ``fork`` has no
+        thread behind it, so work submitted to it would wait forever.
+        """
+        if self.workers > 1 or _usable_cpus() < 2:
+            return None
+        self._forget_inherited_lane()
+        with self._lane_lock:
+            if self._lane is None:
+                from concurrent.futures import ThreadPoolExecutor
+
+                self._lane = ThreadPoolExecutor(
+                    max_workers=1, thread_name_prefix="repro-lane"
+                )
+            return self._lane
+
+    def _forget_inherited_lane(self) -> None:
+        """In a forked child, drop the parent's lane and its lock (a thread
+        may have held it at the fork): nothing inherited is usable."""
+        if self._lane_pid != os.getpid():
+            self._lane, self._lane_lock = None, threading.Lock()
+            self._lane_pid = os.getpid()
+
     def close(self) -> None:
         if self._executor is not None:
             self._executor.shutdown(wait=True)
             self._executor = None
+        self._forget_inherited_lane()
+        with self._lane_lock:
+            lane, self._lane = self._lane, None
+        if lane is not None:
+            lane.shutdown(wait=True)
 
     def __enter__(self) -> "WorkerPool":
         return self

@@ -44,6 +44,7 @@ __all__ = [
     "encode_rvf_bytes",
     "rle_encode",
     "rle_decode",
+    "rle_size",
 ]
 
 _MAGIC = b"RVF1"
@@ -63,15 +64,28 @@ class RvfError(ValueError):
 # ---------------------------------------------------------------------------
 
 
+def _runs(arr: np.ndarray):
+    """``(starts, lengths, pairs)`` of the runs of equal bytes in a non-empty
+    array: a run of r bytes becomes ceil(r / 255) (count, value) pairs, all
+    but the last counting 255."""
+    starts = np.concatenate(([0], np.flatnonzero(arr[1:] != arr[:-1]) + 1))
+    runs = np.diff(starts, append=arr.size)
+    return starts, runs, (runs + 254) // 255
+
+
+def rle_size(data: bytes) -> int:
+    """``len(rle_encode(data))``, without building the encoding."""
+    if not data:
+        return 0
+    return 2 * int(_runs(np.frombuffer(data, dtype=np.uint8))[2].sum())
+
+
 def rle_encode(data: bytes) -> bytes:
     """Run-length encode bytes as (count, value) pairs, runs capped at 255."""
     if not data:
         return b""
     arr = np.frombuffer(data, dtype=np.uint8)
-    starts = np.concatenate(([0], np.flatnonzero(arr[1:] != arr[:-1]) + 1))
-    runs = np.diff(starts, append=arr.size)
-    # a run of r bytes becomes ceil(r / 255) pairs: all but the last count 255
-    pieces = (runs + 254) // 255
+    starts, runs, pieces = _runs(arr)
     pairs = np.empty((int(pieces.sum()), 2), dtype=np.uint8)
     pairs[:, 0] = 255
     pairs[np.cumsum(pieces) - 1, 0] = runs - 255 * (pieces - 1)
@@ -132,15 +146,24 @@ class RvfWriter:
         return len(self._raw_frames)
 
     def _choose_payloads(self):
-        """Resolve 'auto' by whichever encoding is smaller in total."""
-        if self._requested == "raw":
+        """Resolve 'auto' by whichever encoding is smaller in total (RAW on
+        a tie), encoding RLE only when it is the one kept."""
+        if self._requested == "raw" or (
+            self._requested == "auto" and not self._rle_is_smaller()
+        ):
             return CODEC_RAW, self._raw_frames
-        rle = [rle_encode(raw) for raw in self._raw_frames]
-        if self._requested == "rle":
-            return CODEC_RLE, rle
-        if sum(map(len, rle)) < sum(map(len, self._raw_frames)):
-            return CODEC_RLE, rle
-        return CODEC_RAW, self._raw_frames
+        return CODEC_RLE, [rle_encode(raw) for raw in self._raw_frames]
+
+    def _rle_is_smaller(self) -> bool:
+        """Whether the frames' RLE total is below their raw total, sized
+        from the run lengths and given up once the raw total is reached."""
+        raw_total = sum(map(len, self._raw_frames))
+        rle_total = 0
+        for raw in self._raw_frames:
+            rle_total += rle_size(raw)
+            if rle_total >= raw_total:
+                return False
+        return True
 
     def to_bytes(self) -> bytes:
         if self._shape is None:

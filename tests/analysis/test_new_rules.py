@@ -191,6 +191,35 @@ class TestR15ForkThreadSafety:
         assert len(findings) == 1
         assert "WorkerPool workers" in findings[0].message
 
+    def test_lane_submitted_and_partial_callables_fire(self):
+        findings = run_rule_project(
+            "R15",
+            [
+                (
+                    "pkg.core.lanes",
+                    """
+                    from functools import partial
+
+                    _SEEN = []
+                    _DONE = []
+
+                    def _side(frames):
+                        _SEEN.append(frames)
+
+                    def _chunk(frames, extra):
+                        _DONE.extend(frames)
+
+                    def run(pool, lane, chunks):
+                        lane.submit(_side, chunks[0])
+                        return pool.map(partial(_chunk, extra=1), chunks)
+                    """,
+                ),
+            ],
+            threaded_packages=("pkg.web",),
+        )
+        assert sorted(f.message.split("(")[0] for f in findings) == ["_chunk", "_side"]
+        assert all("helper thread" in f.message for f in findings)
+
     def test_discarded_contextvar_token_fires(self):
         findings = run_rule_project(
             "R15",

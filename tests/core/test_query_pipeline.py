@@ -17,7 +17,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.core.search import QueryRequest, SearchEngine, _extract_query_features
+from repro.core.search import QueryRequest, SearchEngine
 from repro.obs import Obs
 from repro.resilience import (
     Deadline,
@@ -83,9 +83,8 @@ def _solo_and_request(kind, ingested_system, which):
             lambda e: e.query_frame(image, features=FEATURES, top_k=TOP_K),
             QueryRequest(image=image, features=FEATURES, top_k=TOP_K),
         )
-    vectors = _extract_query_features(
-        image, extractors=ingested_system.engine.extractors, names=FEATURES
-    )
+    extractors = ingested_system.engine.extractors
+    vectors = {name: extractors[name].extract(image) for name in FEATURES}
     subset = ingested_system.feature_store.frame_ids()[which::2]
     return (
         lambda e: e.query_with_vectors(vectors, top_k=TOP_K, candidate_ids=subset),
@@ -263,9 +262,8 @@ def test_failing_request_raises_solo_and_stays_in_its_slot(
     engine, ingested_system, bad, error
 ):
     image = _images(ingested_system)[0]
-    vectors = _extract_query_features(
-        image, extractors=ingested_system.engine.extractors, names=FEATURES
-    )
+    extractors = ingested_system.engine.extractors
+    vectors = {name: extractors[name].extract(image) for name in FEATURES}
     poisoned = bad(image, vectors)
     good = QueryRequest(image=image, features=FEATURES, top_k=3)
     failed, answered = engine.query_batch([poisoned, good])

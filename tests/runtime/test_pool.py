@@ -1,6 +1,9 @@
 """Unit tests for the repro.runtime execution layer."""
 
+import multiprocessing
 import os
+import sys
+import threading
 
 import pytest
 
@@ -155,3 +158,82 @@ class TestSubmit:
             pool.submit(_set_token, "shard-state").result()
             assert pool.submit(_read_token).result() == "shard-state"
         assert _read_token() is None  # parent process untouched
+
+
+def _two_cpus() -> bool:
+    try:
+        return len(os.sched_getaffinity(0)) >= 2
+    except AttributeError:
+        return (os.cpu_count() or 1) >= 2
+
+
+needs_two_cpus = pytest.mark.skipif(not _two_cpus(), reason="the lane needs a second CPU")
+
+
+def _lane_answer_in_child(pool, conn):
+    conn.send(pool.lane().submit(_square, 12).result())
+
+
+class TestLane:
+    @needs_two_cpus
+    def test_created_once_and_stopped_by_close(self):
+        pool = WorkerPool(workers=1)
+        assert pool._lane is None  # lazily
+        lane = pool.lane()
+        assert lane is pool.lane()
+        assert lane.submit(_square, 5).result() == 25
+        (thread,) = lane._threads
+        pool.close()
+        assert pool._lane is None
+        assert not thread.is_alive()
+
+    def test_none_with_worker_processes(self):
+        with WorkerPool(workers=2) as pool:
+            assert pool.lane() is None
+
+    def test_none_on_one_cpu(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        with WorkerPool(workers=1) as pool:
+            assert pool.lane() is None
+            assert pool._lane is None
+
+    @needs_two_cpus
+    def test_forked_child_gets_its_own_lane(self):
+        # an executor inherited across fork has no thread: submitting to the
+        # parent's would wait forever, so the child must build a fresh one
+        ctx = multiprocessing.get_context("fork")
+        with WorkerPool(workers=1) as pool:
+            assert pool.lane().submit(_square, 3).result() == 9
+            receiver, sender = ctx.Pipe(duplex=False)
+            child = ctx.Process(target=_lane_answer_in_child, args=(pool, sender))
+            child.start()
+            child.join(60)
+            if child.is_alive():
+                child.kill()
+                pytest.fail("the forked child hung on the inherited lane")
+            assert child.exitcode == 0
+            assert receiver.recv() == 144
+
+    @needs_two_cpus
+    def test_concurrent_first_use_creates_one_lane(self):
+        pool = WorkerPool(workers=1)
+        start = threading.Barrier(8)
+        seen = []
+
+        def first_use():
+            start.wait(timeout=30)
+            seen.append(pool.lane())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=first_use) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+            pool.close()
+        assert len(seen) == 8 and len({id(lane) for lane in seen}) == 1

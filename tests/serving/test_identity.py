@@ -19,7 +19,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.search import QueryRequest, _extract_query_features
+from repro.core.search import QueryRequest
 from repro.serving import MicroBatcher
 from repro.sharding import ShardedSearchEngine, read_manifest, split_store
 
@@ -30,9 +30,8 @@ _CACHE: dict = {}
 def _vectors(system, names):
     key = tuple(names)
     if key not in _CACHE:
-        _CACHE[key] = _extract_query_features(
-            system.any_key_frame(), extractors=system.engine.extractors, names=list(names)
-        )
+        frame = system.any_key_frame()
+        _CACHE[key] = {n: system.engine.extractors[n].extract(frame) for n in names}
     return _CACHE[key]
 
 

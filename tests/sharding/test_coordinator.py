@@ -13,7 +13,6 @@ from dataclasses import replace
 
 import pytest
 
-from repro.core.search import _extract_query_features
 from repro.core.system import VideoRetrievalSystem
 from repro.sharding import ShardedSearchEngine, read_manifest, shard_of, split_store
 from repro.video.generator import VideoSpec, generate_video
@@ -38,9 +37,7 @@ def coordinator(ingested_system, shard_paths):
 @pytest.fixture(scope="module")
 def query_vectors(ingested_system, coordinator):
     frame = ingested_system.any_key_frame()
-    return _extract_query_features(
-        frame, extractors=coordinator.extractors, names=["sch", "glcm", "tamura"]
-    )
+    return {n: coordinator.extractors[n].extract(frame) for n in ("sch", "glcm", "tamura")}
 
 
 class TestFrameQueries:

@@ -16,7 +16,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.core.search import SearchEngine, _extract_query_features
+from repro.core.search import SearchEngine
 from repro.resilience import FaultInjected, ResiliencePolicies
 from repro.sharding import ShardedSearchEngine, shard_of
 from tests.core.clip_reference import ranking_of, reference_clip_ranking
@@ -31,11 +31,8 @@ def _engine(ingested_system, shard_paths, spec, **overrides):
 
 @pytest.fixture(scope="module")
 def query_vectors(ingested_system):
-    return _extract_query_features(
-        ingested_system.any_key_frame(),
-        extractors=ingested_system.engine.extractors,
-        names=["sch", "tamura"],
-    )
+    frame = ingested_system.any_key_frame()
+    return {n: ingested_system.engine.extractors[n].extract(frame) for n in ("sch", "tamura")}
 
 
 def _key(results):

@@ -15,7 +15,6 @@ from dataclasses import replace
 
 import pytest
 
-from repro.core.search import _extract_query_features
 from repro.obs import Obs
 from repro.resilience import ResiliencePolicies
 from repro.sharding import ShardedSearchEngine
@@ -54,11 +53,8 @@ def obs_engine(ingested_system, shard_paths):
 
 @pytest.fixture(scope="module")
 def query_vectors(ingested_system):
-    return _extract_query_features(
-        ingested_system.any_key_frame(),
-        extractors=ingested_system.engine.extractors,
-        names=["sch", "tamura"],
-    )
+    frame = ingested_system.any_key_frame()
+    return {n: ingested_system.engine.extractors[n].extract(frame) for n in ("sch", "tamura")}
 
 
 class TestStitchedTrace:

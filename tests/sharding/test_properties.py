@@ -17,7 +17,6 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.search import _extract_query_features
 from repro.resilience import ResiliencePolicies
 from repro.sharding import (
     ShardedSearchEngine,
@@ -31,11 +30,9 @@ _VECTOR_CACHE: dict = {}
 
 def _vectors(ingested_system):
     if "v" not in _VECTOR_CACHE:
-        _VECTOR_CACHE["v"] = _extract_query_features(
-            ingested_system.any_key_frame(),
-            extractors=ingested_system.engine.extractors,
-            names=["sch", "glcm"],
-        )
+        frame = ingested_system.any_key_frame()
+        extractors = ingested_system.engine.extractors
+        _VECTOR_CACHE["v"] = {n: extractors[n].extract(frame) for n in ("sch", "glcm")}
     return _VECTOR_CACHE["v"]
 
 

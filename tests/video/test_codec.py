@@ -14,6 +14,7 @@ from repro.video.codec import (
     read_rvf,
     rle_decode,
     rle_encode,
+    rle_size,
     write_rvf,
 )
 
@@ -43,6 +44,26 @@ _runs = st.lists(
     ),
     max_size=8,
 ).map(lambda runs: b"".join(bytes([value]) * length for value, length in runs))
+
+
+@st.composite
+def _videos(draw):
+    """One-row gray frames on both sides of the RLE/RAW tie: random,
+    constant and two-run frames, 1 or 2 bytes wide or runs of 255 / 256 /
+    510 / 511 bytes."""
+    width = draw(st.sampled_from([1, 2, 255, 256, 510, 511]))
+    kinds = draw(st.lists(st.sampled_from(["random", "constant", "two_runs"]), min_size=1, max_size=6))
+    gen = np.random.default_rng(draw(st.integers(0, 2**16)))
+    frames = []
+    for kind in kinds:
+        if kind == "random":
+            row = gen.integers(0, 256, width, dtype=np.uint8)
+        elif kind == "constant":
+            row = np.full(width, gen.integers(256), dtype=np.uint8)
+        else:
+            row = np.where(np.arange(width) < gen.integers(width + 1), 3, 250).astype(np.uint8)
+        frames.append(Image(row.reshape(1, width)))
+    return frames
 
 
 def _frames(seed, n, h=12, w=16, gray=False):
@@ -172,6 +193,21 @@ class TestCodecSelection:
     def test_forced_rle_roundtrips_noise(self):
         frames = _frames(5, 2)
         assert list(RvfReader(encode_rvf_bytes(frames, codec="rle"))) == frames
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(st.binary(min_size=0, max_size=2000), _runs))
+    def test_rle_size_is_the_encoded_length(self, data):
+        assert rle_size(data) == len(rle_encode(data))
+
+    @settings(max_examples=150, deadline=None)
+    @given(_videos())
+    def test_auto_equals_the_trial_encode(self, frames):
+        """``auto`` sizes RLE from the run lengths; the bytes are those of
+        the writer that RLE-encoded every frame and kept the smaller total."""
+        raw_total = sum(f.pixels.nbytes for f in frames)
+        rle_total = sum(len(rle_encode(f.pixels.tobytes())) for f in frames)
+        trial = "rle" if rle_total < raw_total else "raw"
+        assert encode_rvf_bytes(frames) == encode_rvf_bytes(frames, codec=trial)
 
 
 class TestCorruption:
