@@ -3,8 +3,9 @@
 The retrieval pipeline is held together by conventions no unit test sees
 end-to-end: extractors must register, feature strings must round-trip
 through their ``<tag> <n> <v1>...`` VARCHAR2 form, the DB layer must stay
-parameterized, and the imaging/similarity substrate must stay pure.  This
-package checks those contracts statically, over the AST, in CI.
+parameterized, and the layers must import downward only.  This package
+checks those contracts statically, over the AST, in CI; generic Python
+hygiene is left to ruff (``[tool.ruff.lint]`` in ``pyproject.toml``).
 
 Three entry points:
 
@@ -17,7 +18,6 @@ See ``docs/static_analysis.md`` for the rule catalogue and how to add a
 rule.
 """
 
-from repro.analysis.baseline import Baseline, partition_findings
 from repro.analysis.dataflow import CFG, Definition, build_cfg, reaching_definitions
 from repro.analysis.engine import (
     LintConfig,
@@ -33,10 +33,8 @@ from repro.analysis.engine import (
     register_rule,
 )
 from repro.analysis.findings import Finding, Report, Severity
-from repro.analysis.fixes import FixResult, fix_module
 from repro.analysis.project import FunctionInfo, ModuleSymbols, ProjectModel
 from repro.analysis.runner import main
-from repro.analysis.sarif import report_to_sarif
 
 __all__ = [
     "Finding",
@@ -61,9 +59,4 @@ __all__ = [
     "Definition",
     "build_cfg",
     "reaching_definitions",
-    "Baseline",
-    "partition_findings",
-    "FixResult",
-    "fix_module",
-    "report_to_sarif",
 ]

@@ -73,7 +73,7 @@ class LintConfig:
 
     select: Optional[frozenset] = None  # None = all registered rules
     ignore: frozenset = frozenset()
-    #: modules that must stay free of IO and of db/web/core imports
+    #: modules that must stay free of IO (R5 scope)
     pure_packages: Tuple[str, ...] = ("repro.imaging", "repro.similarity")
     #: modules allowed to do file IO despite living in a pure package
     io_allowlist: frozenset = frozenset({"repro.imaging.image"})
@@ -81,10 +81,6 @@ class LintConfig:
     db_package: str = "repro.db"
     #: where extractors live (R1/R2/R10 scope)
     features_package: str = "repro.features"
-    #: names of the approved SQL-building helpers (R4)
-    sql_builders: frozenset = frozenset({"build_select", "build_insert", "build_delete"})
-    #: modules whose stdout is their user contract (R12 allows print here)
-    cli_modules: Tuple[str, ...] = ("repro.cli", "repro.analysis.runner")
     #: the policy layer allowed to block in time.sleep (R13 scope)
     sleep_allowlist: Tuple[str, ...] = ("repro.resilience",)
     #: the architecture DAG, bottom layer first; a module may only import
@@ -111,8 +107,6 @@ class LintConfig:
         "repro.sharding.coordinator",
         "repro.sharding.worker",
     )
-    #: modules sanctioned to hold resources outside ``with`` (R18)
-    resource_allowlist: frozenset = frozenset({"repro.imaging.image"})
 
     def wants(self, rule_id: str) -> bool:
         if rule_id in self.ignore:
@@ -135,8 +129,8 @@ class Rule:
     """Base class: one named, per-module check.
 
     Subclasses set the class attributes and implement :meth:`check`,
-    yielding findings.  ``scope`` restricts the rule to module-name
-    prefixes (empty tuple = every module).
+    yielding findings; :meth:`applies_to` restricts the rule to some
+    modules (default: every module).
     """
 
     rule_id: str = ""
@@ -157,6 +151,16 @@ class Rule:
         message: str,
         fix_hint: Optional[str] = None,
     ) -> Finding:
+        return self.finding_at(module.path, node, message, fix_hint)
+
+    def finding_at(
+        self,
+        path: str,
+        node: Union[ast.AST, int],
+        message: str,
+        fix_hint: Optional[str] = None,
+    ) -> Finding:
+        """A finding at a line (or node) of the file at ``path``."""
         if isinstance(node, ast.AST):
             line = getattr(node, "lineno", 1)
             col = getattr(node, "col_offset", 0) + 1
@@ -165,7 +169,7 @@ class Rule:
         return Finding(
             rule_id=self.rule_id,
             severity=self.severity,
-            path=module.path,
+            path=path,
             line=line,
             col=col,
             message=message,
@@ -190,41 +194,12 @@ class ModelRule(ProjectRule):
 
     The engine builds the model once per run (module graph, symbol
     tables, call graph) and shares it across every model rule, so adding
-    a rule costs one traversal, not one re-parse.
+    a rule costs one traversal, not one re-parse.  Model rules roam the
+    project, so they report through :meth:`finding_at`.
     """
-
-    def check_project(
-        self, modules: Sequence[ModuleInfo], config: LintConfig
-    ) -> Iterable[Finding]:
-        from repro.analysis.project import ProjectModel
-
-        return self.check_model(ProjectModel(modules), config)
 
     def check_model(self, model, config: LintConfig) -> Iterable[Finding]:
         raise NotImplementedError
-
-    def finding_at(
-        self,
-        path: str,
-        node: Union[ast.AST, int],
-        message: str,
-        fix_hint: Optional[str] = None,
-    ) -> Finding:
-        """A finding in an arbitrary module (model rules roam the project)."""
-        if isinstance(node, ast.AST):
-            line = getattr(node, "lineno", 1)
-            col = getattr(node, "col_offset", 0) + 1
-        else:
-            line, col = int(node), 1
-        return Finding(
-            rule_id=self.rule_id,
-            severity=self.severity,
-            path=path,
-            line=line,
-            col=col,
-            message=message,
-            fix_hint=self.fix_hint if fix_hint is None else fix_hint,
-        )
 
 
 _RULES: Dict[str, Type[Rule]] = {}
@@ -270,7 +245,7 @@ class _Suppressions:
         return False
 
 
-def _scan_pragmas(lines: Sequence[str], tree: Optional[ast.Module] = None) -> _Suppressions:
+def _scan_pragmas(lines: Sequence[str], tree: ast.Module) -> _Suppressions:
     sup = _Suppressions()
     line_pragmas: List[Tuple[int, Set[str]]] = []
     for lineno, line in enumerate(lines, start=1):
@@ -283,7 +258,7 @@ def _scan_pragmas(lines: Sequence[str], tree: Optional[ast.Module] = None) -> _S
         else:
             sup.by_line.setdefault(lineno, set()).update(rules)
             line_pragmas.append((lineno, rules))
-    if tree is not None and line_pragmas:
+    if line_pragmas:
         # a pragma on *any* physical line of a multi-line simple statement
         # covers the whole statement (findings anchor to its first line)
         spans = [

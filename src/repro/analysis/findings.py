@@ -86,9 +86,6 @@ class Report:
     def n_warnings(self) -> int:
         return sum(1 for f in self.findings if f.severity is Severity.WARNING)
 
-    def by_rule(self, rule_id: str) -> List[Finding]:
-        return [f for f in self.findings if f.rule_id == rule_id]
-
     def summary(self) -> str:
         if not self.findings:
             return f"reprolint: clean ({self.n_files} files, {self.n_rules} rules)"

@@ -1,6 +1,6 @@
 """Whole-program model: module graph, symbol tables, approximate call graph.
 
-The per-file rules (R1-R13) see one AST at a time; the contracts the
+The per-file rules see one AST at a time; the contracts the
 sharded/async roadmap items depend on -- layering, import cycles, what
 runs on which thread -- are properties of the *program*.  This module
 builds that program view once per lint run, from the :class:`ModuleInfo`

@@ -10,43 +10,34 @@ R1    extractor-registered        FeatureExtractor subclasses register a name
 R2    registry-unique             extractor names/tags collide nowhere
 R3    feature-string-contract     to_string/from_string keep the header form
 R4    parameterized-sql           no interpolated SQL at execute() sites
-R5    pure-layers                 imaging/similarity stay IO- and layer-free
-R6    exception-hygiene           no bare/swallowing except handlers
-R7    no-mutable-defaults         no mutable default arguments
-R8    explicit-exports            public modules declare a truthful __all__
+R5    pure-layers                 imaging/similarity stay free of IO
 R9    db-error-hierarchy          db layer raises DatabaseError subclasses
 R10   extractor-module-imported   features/__init__ imports every extractor
 R11   seeded-randomness           numpy randomness uses explicitly seeded RNGs
-R12   no-print                    library code logs via repro.obs.log, not print
 R13   no-bare-sleep               blocking sleeps live in repro.resilience only
 R14   layer-dag                   imports follow the layer DAG, no import cycles
 R15   fork-thread-safety          concurrent paths lock shared module state
 R16   sql-dataflow                dynamic SQL cannot flow into execute() sites
 R17   obs-coverage                public entry points reach a span or metric
-R18   resource-hygiene            open()/connect() handles have a visible owner
-R19   unused-import               module-level imports bind names that are used
 R20   async-no-blocking           async def bodies never call blocking APIs
 ====  ==========================  ==============================================
+
+Generic Python hygiene is ruff's job (``docs/static_analysis.md``).
 """
 
 from repro.analysis.rules.asyncblocking import AsyncBlockingRule
 from repro.analysis.rules.concurrency import ConcurrencySafetyRule
 from repro.analysis.rules.errors import DbErrorHierarchyRule
-from repro.analysis.rules.exports import ExportsRule
 from repro.analysis.rules.extractors import (
     ExtractorModuleImportRule,
     ExtractorRegistrationRule,
     FeatureStringContractRule,
     RegistryUniquenessRule,
 )
-from repro.analysis.rules.hygiene import ExceptionHygieneRule, MutableDefaultRule
-from repro.analysis.rules.imports_unused import UnusedImportRule
 from repro.analysis.rules.layering import LayerDagRule
 from repro.analysis.rules.obscoverage import ObsCoverageRule
-from repro.analysis.rules.printing import NoPrintRule
 from repro.analysis.rules.purity import PurityRule
 from repro.analysis.rules.randomness import SeededRandomnessRule
-from repro.analysis.rules.resources import ResourceHygieneRule
 from repro.analysis.rules.sleeping import NoSleepRule
 from repro.analysis.rules.sql import SqlConstructionRule
 from repro.analysis.rules.sqlflow import SqlDataflowRule
@@ -58,18 +49,12 @@ __all__ = [
     "ExtractorModuleImportRule",
     "SqlConstructionRule",
     "PurityRule",
-    "ExceptionHygieneRule",
-    "MutableDefaultRule",
-    "ExportsRule",
     "DbErrorHierarchyRule",
     "SeededRandomnessRule",
-    "NoPrintRule",
     "NoSleepRule",
     "LayerDagRule",
     "ConcurrencySafetyRule",
     "SqlDataflowRule",
     "ObsCoverageRule",
-    "ResourceHygieneRule",
-    "UnusedImportRule",
     "AsyncBlockingRule",
 ]

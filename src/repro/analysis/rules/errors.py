@@ -12,7 +12,7 @@ import ast
 from typing import Iterable
 
 from repro.analysis.engine import Finding, LintConfig, ModuleInfo, Rule, register_rule
-from repro.analysis.rules.util import dotted_name
+from repro.analysis.project import dotted
 
 __all__ = ["DbErrorHierarchyRule"]
 
@@ -60,7 +60,7 @@ class DbErrorHierarchyRule(Rule):
             target = node.exc
             if isinstance(target, ast.Call):
                 target = target.func
-            name = dotted_name(target)
+            name = dotted(target)
             if name in _BANNED_BUILTINS:
                 yield self.finding(
                     module,

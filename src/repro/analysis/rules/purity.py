@@ -1,12 +1,13 @@
-"""Rule R5: the imaging and similarity layers stay pure.
+"""Rule R5: the imaging and similarity layers stay free of IO.
 
 ``repro.imaging`` and ``repro.similarity`` are the numeric substrate every
 other layer builds on: extractors, the DP sequence matcher, the evaluation
-harness and the web facade all assume calling them has no side effects and
-pulls in no heavyweight dependencies.  A stray ``open()`` or an import of
-the DB layer from inside a filter turns a pure function into an IO hazard
-and an import cycle.  ``repro/imaging/image.py`` is the one sanctioned IO
-boundary (it reads and writes image files).
+harness and the web facade all assume calling them has no side effects.
+A stray ``open()`` or ``import socket`` inside a filter turns a pure
+function into an IO hazard.  ``repro/imaging/image.py`` is the one
+sanctioned IO boundary (it reads and writes image files).  That the
+substrate imports no upper layer is R14's job: both packages sit in the
+bottom layer of the DAG.
 """
 
 from __future__ import annotations
@@ -21,78 +22,51 @@ __all__ = ["PurityRule"]
 #: stdlib/third-party modules that imply file, network or process IO
 _IO_MODULES = frozenset(
     {
-        "os",
-        "io",
-        "shutil",
-        "pathlib",
-        "tempfile",
-        "socket",
-        "ssl",
-        "http",
-        "urllib",
-        "ftplib",
-        "smtplib",
-        "requests",
-        "subprocess",
+        "os", "io", "shutil", "pathlib", "tempfile", "socket", "ssl", "http",
+        "urllib", "ftplib", "smtplib", "requests", "subprocess",
     }
 )
-
-#: repro layers the pure packages must never depend on
-_FORBIDDEN_LAYERS = ("repro.db", "repro.web", "repro.core", "repro.eval")
 
 
 @register_rule
 class PurityRule(Rule):
-    """R5: no IO and no db/web/core imports in imaging/similarity."""
+    """R5: no IO calls or IO-module imports in imaging/similarity."""
 
     rule_id = "R5"
     title = "pure-layers"
     fix_hint = (
-        "keep imaging/similarity free of IO and upper-layer imports; file "
-        "IO belongs in the repro.imaging.image boundary module"
+        "keep imaging/similarity free of IO; file IO belongs in the "
+        "repro.imaging.image boundary module"
     )
 
     def applies_to(self, module: ModuleInfo, config: LintConfig) -> bool:
         return any(module.in_package(pkg) for pkg in config.pure_packages)
 
     def check(self, module: ModuleInfo, config: LintConfig) -> Iterable[Finding]:
-        allowlisted = module.module in config.io_allowlist
+        if module.module in config.io_allowlist:
+            return
         for node in ast.walk(module.tree):
-            if isinstance(node, (ast.Import, ast.ImportFrom)):
-                yield from self._check_import(module, node, allowlisted)
-            elif isinstance(node, ast.Call):
-                func = node.func
-                if (
-                    not allowlisted
-                    and isinstance(func, ast.Name)
-                    and func.id == "open"
-                ):
-                    yield self.finding(
-                        module,
-                        node,
-                        f"pure module {module.module} calls open(); file IO "
-                        "is reserved for the imaging.image boundary",
-                    )
-
-    def _check_import(self, module, node, allowlisted: bool):
-        if isinstance(node, ast.Import):
-            targets = [alias.name for alias in node.names]
-        else:
-            targets = [node.module] if node.module else []
-        for target in targets:
-            root = target.split(".")[0]
-            for layer in _FORBIDDEN_LAYERS:
-                if target == layer or target.startswith(layer + "."):
-                    yield self.finding(
-                        module,
-                        node,
-                        f"pure module {module.module} imports {target}; "
-                        "imaging/similarity must not depend on upper layers",
-                    )
-            if root in _IO_MODULES and not allowlisted:
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "open"
+            ):
                 yield self.finding(
                     module,
                     node,
-                    f"pure module {module.module} imports IO module "
-                    f"{target!r}",
+                    f"pure module {module.module} calls open(); file IO "
+                    "is reserved for the imaging.image boundary",
                 )
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                if isinstance(node, ast.Import):
+                    targets = [alias.name for alias in node.names]
+                else:
+                    targets = [node.module] if node.module else []
+                for target in targets:
+                    if target.split(".")[0] in _IO_MODULES:
+                        yield self.finding(
+                            module,
+                            node,
+                            f"pure module {module.module} imports IO module "
+                            f"{target!r}",
+                        )

@@ -32,7 +32,7 @@ _NEEDS_SEED_ARG = frozenset({"default_rng", "SeedSequence", "RandomState"})
 def _attribute_chain(node: ast.expr) -> str:
     """``a.b.c`` for a pure Name/Attribute chain, '' otherwise.
 
-    Unlike :func:`~repro.analysis.rules.util.dotted_name` this does NOT
+    Unlike :func:`~repro.analysis.project.dotted` this does NOT
     look through intermediate calls: ``default_rng(s).random()`` must
     not be mistaken for a second ``default_rng`` call.
     """

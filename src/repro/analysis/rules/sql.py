@@ -13,19 +13,20 @@ import ast
 from typing import Iterable, Optional
 
 from repro.analysis.engine import Finding, LintConfig, ModuleInfo, Rule, register_rule
-from repro.analysis.rules.util import dotted_name
+from repro.analysis.project import dotted
 
 __all__ = ["SqlConstructionRule", "classify_dynamic_sql", "EXECUTE_METHODS"]
 
 EXECUTE_METHODS = ("execute", "executemany", "executescript")
-_EXECUTE_METHODS = EXECUTE_METHODS
 
 
-def classify_dynamic_sql(arg: ast.expr, config: LintConfig) -> Optional[str]:
+def classify_dynamic_sql(arg: ast.expr) -> Optional[str]:
     """Reason the expression is a dynamically-assembled SQL string.
 
     Shared by R4 (literal checks at the execute site) and R16 (the same
     check applied to every definition that *reaches* the execute site).
+    Any other call -- the ``repro.db.sql`` builders included -- gets the
+    benefit of the doubt.
     """
     if isinstance(arg, ast.JoinedStr):
         return "an f-string"
@@ -33,15 +34,12 @@ def classify_dynamic_sql(arg: ast.expr, config: LintConfig) -> Optional[str]:
         op = "+" if isinstance(arg.op, ast.Add) else "%"
         return f"built with the {op!r} operator"
     if isinstance(arg, ast.Call):
-        name = dotted_name(arg.func)
+        name = dotted(arg.func)
         tail = name.rsplit(".", 1)[-1]
         if tail == "format":
             return "a .format() call"
         if tail == "join":
             return "a str.join() call"
-        if tail in config.sql_builders:
-            return None  # approved builder
-        return None  # unknown helper call: give it the benefit of the doubt
     return None
 
 
@@ -56,20 +54,17 @@ class SqlConstructionRule(Rule):
         "build_insert/build_delete helpers from repro.db.sql"
     )
 
-    def _classify(self, arg: ast.expr, config: LintConfig) -> Optional[str]:
-        return classify_dynamic_sql(arg, config)
-
     def check(self, module: ModuleInfo, config: LintConfig) -> Iterable[Finding]:
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Call):
                 continue
             func = node.func
-            if not (isinstance(func, ast.Attribute) and func.attr in _EXECUTE_METHODS):
+            if not (isinstance(func, ast.Attribute) and func.attr in EXECUTE_METHODS):
                 continue
             sql_arg = self._first_argument(node)
             if sql_arg is None:
                 continue
-            reason = self._classify(sql_arg, config)
+            reason = classify_dynamic_sql(sql_arg)
             if reason:
                 yield self.finding(
                     module,

@@ -37,19 +37,16 @@ class SqlDataflowRule(Rule):
     )
 
     def check(self, module: ModuleInfo, config: LintConfig) -> Iterable[Finding]:
-        yield from self._check_body(module, config, module.tree.body, "module body")
+        yield from self._check_body(module, module.tree.body, "module body")
         for node in ast.walk(module.tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield from self._check_body(
-                    module, config, node.body, f"{node.name}()"
-                )
+                yield from self._check_body(module, node.body, f"{node.name}()")
 
     # -- one scope -------------------------------------------------------------
 
     def _check_body(
         self,
         module: ModuleInfo,
-        config: LintConfig,
         body: Sequence[ast.stmt],
         scope: str,
     ) -> Iterable[Finding]:
@@ -59,12 +56,12 @@ class SqlDataflowRule(Rule):
         reaching = reaching_definitions(cfg)
         for sid, stmt in cfg.stmts.items():
             for call, arg in self._execute_calls(stmt):
-                if classify_dynamic_sql(arg, config) is not None:
+                if classify_dynamic_sql(arg) is not None:
                     continue  # R4 already flags the expression at the site
                 if not isinstance(arg, ast.Name):
                     continue
                 for def_stmt, reason in self._dynamic_defs(
-                    arg.id, reaching.get(sid, set()), cfg, config
+                    arg.id, reaching.get(sid, set()), cfg
                 ):
                     yield self.finding(
                         module,
@@ -101,9 +98,7 @@ class SqlDataflowRule(Rule):
         return out
 
     @staticmethod
-    def _dynamic_defs(
-        name: str, defs, cfg, config: LintConfig
-    ) -> List[Tuple[ast.stmt, str]]:
+    def _dynamic_defs(name: str, defs, cfg) -> List[Tuple[ast.stmt, str]]:
         out: List[Tuple[ast.stmt, str]] = []
         for definition in sorted(defs, key=lambda d: d.stmt_id):
             if definition.name != name:
@@ -120,7 +115,7 @@ class SqlDataflowRule(Rule):
                 continue
             if value is None:
                 continue
-            reason = classify_dynamic_sql(value, config)
+            reason = classify_dynamic_sql(value)
             if reason is not None:
                 out.append((stmt, reason))
         return out

@@ -5,8 +5,9 @@ from __future__ import annotations
 import ast
 from typing import Iterator, List, Optional, Tuple
 
+from repro.analysis.project import dotted
+
 __all__ = [
-    "dotted_name",
     "decorator_names",
     "base_names",
     "class_defs",
@@ -18,23 +19,11 @@ __all__ = [
 ]
 
 
-def dotted_name(node: ast.AST) -> str:
-    """``a.b.c`` for Name/Attribute chains; "" for anything else."""
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Attribute):
-        prefix = dotted_name(node.value)
-        return f"{prefix}.{node.attr}" if prefix else node.attr
-    if isinstance(node, ast.Call):
-        return dotted_name(node.func)
-    return ""
-
-
 def decorator_names(cls: ast.ClassDef) -> List[str]:
     """Last component of every decorator ("register_extractor" etc.)."""
     names = []
     for dec in cls.decorator_list:
-        name = dotted_name(dec)
+        name = dotted(dec)
         if name:
             names.append(name.rsplit(".", 1)[-1])
     return names
@@ -44,7 +33,7 @@ def base_names(cls: ast.ClassDef) -> List[str]:
     """Last component of every base-class expression."""
     names = []
     for base in cls.bases:
-        name = dotted_name(base)
+        name = dotted(base)
         if name:
             names.append(name.rsplit(".", 1)[-1])
     return names
@@ -85,12 +74,12 @@ def is_abstract_class(cls: ast.ClassDef) -> bool:
         if name in ("ABC", "ABCMeta"):
             return True
     for kw in cls.keywords:
-        if kw.arg == "metaclass" and dotted_name(kw.value).endswith("ABCMeta"):
+        if kw.arg == "metaclass" and dotted(kw.value).endswith("ABCMeta"):
             return True
     for node in ast.walk(cls):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             for dec in node.decorator_list:
-                if dotted_name(dec).rsplit(".", 1)[-1] in (
+                if dotted(dec).rsplit(".", 1)[-1] in (
                     "abstractmethod",
                     "abstractproperty",
                 ):
@@ -106,7 +95,7 @@ def calls_super_method(func: ast.FunctionDef, method: str) -> bool:
             and isinstance(node.func, ast.Attribute)
             and node.func.attr == method
             and isinstance(node.func.value, ast.Call)
-            and dotted_name(node.func.value.func) == "super"
+            and dotted(node.func.value.func) == "super"
         ):
             return True
     return False
@@ -126,7 +115,7 @@ def calls_function(func: ast.AST, name: str) -> bool:
     """True if the body calls ``name(...)`` or ``<expr>.name(...)``."""
     for node in ast.walk(func):
         if isinstance(node, ast.Call):
-            target = dotted_name(node.func).rsplit(".", 1)[-1]
+            target = dotted(node.func).rsplit(".", 1)[-1]
             if target == name:
                 return True
     return False

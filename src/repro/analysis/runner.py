@@ -1,22 +1,16 @@
 """Command-line front end: ``repro lint`` / ``python -m repro.analysis``.
 
-Exit codes follow linter convention: 0 clean, 1 findings (or, under
-``--diff``, pending autofixes), 2 bad usage.
+Exit codes follow linter convention: 0 clean, 1 findings, 2 bad usage.
 """
 
 from __future__ import annotations
 
 import argparse
-import difflib
 import sys
 from pathlib import Path
 from typing import List, Optional
 
-from repro.analysis.baseline import Baseline, partition_findings
 from repro.analysis.engine import LintConfig, LintEngine, all_rules
-from repro.analysis.findings import Report
-from repro.analysis.fixes import FIXABLE_RULES, fix_module
-from repro.analysis.sarif import report_to_sarif
 
 __all__ = ["main", "build_parser", "default_target"]
 
@@ -52,37 +46,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--format",
-        choices=("text", "json", "sarif"),
+        choices=("text", "json"),
         default="text",
         dest="fmt",
         help="output format",
-    )
-    parser.add_argument(
-        "--output",
-        default=None,
-        metavar="FILE",
-        help="write the report to FILE instead of stdout",
-    )
-    parser.add_argument(
-        "--baseline",
-        default=None,
-        metavar="FILE",
-        help="suppress findings recorded in FILE; only new findings gate",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="record the current findings into --baseline FILE and exit 0",
-    )
-    parser.add_argument(
-        "--fix",
-        action="store_true",
-        help=f"apply mechanical fixes ({', '.join(FIXABLE_RULES)}) in place",
-    )
-    parser.add_argument(
-        "--diff",
-        action="store_true",
-        help="preview fixes as a unified diff without writing; exit 1 if any",
     )
     parser.add_argument(
         "--no-hints", action="store_true", help="omit fix hints from text output"
@@ -97,48 +64,6 @@ def _parse_rule_list(raw: Optional[str]) -> Optional[List[str]]:
     if raw is None:
         return None
     return [item.strip() for item in raw.split(",") if item.strip()]
-
-
-def _emit(text: str, output: Optional[str]) -> None:
-    if output is None:
-        print(text)
-    else:
-        Path(output).write_text(text + "\n", encoding="utf-8")
-
-
-def _run_fixer(engine: LintEngine, paths: List[str], preview: bool) -> int:
-    """Apply (or preview) autofixes; return the exit code."""
-    changed = 0
-    for path in engine.collect_files(paths):
-        text = path.read_text(encoding="utf-8")
-        try:
-            module = engine.load_source(text, path=str(path))
-        except SyntaxError:
-            continue  # the lint pass reports parse failures
-        result = fix_module(module, engine.config)
-        if not result.changed:
-            continue
-        changed += 1
-        if preview:
-            diff = difflib.unified_diff(
-                text.splitlines(keepends=True),
-                result.source.splitlines(keepends=True),
-                fromfile=str(path),
-                tofile=f"{path} (fixed)",
-            )
-            sys.stdout.write("".join(diff))
-        else:
-            path.write_text(result.source, encoding="utf-8")
-            for line in result.applied:
-                print(f"fixed: {line}")
-    if preview:
-        if changed:
-            print(f"reprolint --diff: fixes pending in {changed} file(s)")
-            return 1
-        print("reprolint --diff: no fixes pending")
-        return 0
-    print(f"reprolint --fix: rewrote {changed} file(s)")
-    return 0
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -157,9 +82,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         if rule_id not in known:
             print(f"error: unknown rule id {rule_id!r}", file=sys.stderr)
             return 2
-    if args.write_baseline and args.baseline is None:
-        print("error: --write-baseline requires --baseline FILE", file=sys.stderr)
-        return 2
 
     config = LintConfig().with_rules(select=select, ignore=ignore or ())
     paths = args.paths or [default_target()]
@@ -168,48 +90,11 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"error: no such path {path!r}", file=sys.stderr)
             return 2
 
-    engine = LintEngine(config)
-
-    if args.fix or args.diff:
-        code = _run_fixer(engine, paths, preview=args.diff)
-        if args.diff or code != 0:
-            return code
-        # fall through: report what remains after fixing
-
-    report = engine.lint_paths(paths)
-
-    if args.write_baseline:
-        Baseline.from_report(report).dump(args.baseline)
-        print(
-            f"reprolint: wrote baseline with {len(report.findings)} finding(s) "
-            f"to {args.baseline}"
-        )
-        return 0
-
-    suppressed = 0
-    if args.baseline is not None:
-        if not Path(args.baseline).exists():
-            print(f"error: no such baseline {args.baseline!r}", file=sys.stderr)
-            return 2
-        baseline = Baseline.load(args.baseline)
-        new, suppressed, stale = partition_findings(report, baseline)
-        report = Report(findings=new, n_files=report.n_files, n_rules=report.n_rules)
-        for rule, fpath, message in stale:
-            print(
-                f"warning: stale baseline entry {rule} {fpath}: {message!r} "
-                "no longer matches; ratchet the baseline down",
-                file=sys.stderr,
-            )
-
+    report = LintEngine(config).lint_paths(paths)
     if args.fmt == "json":
-        _emit(report.to_json(), args.output)
-    elif args.fmt == "sarif":
-        _emit(report_to_sarif(report, root=Path.cwd()), args.output)
+        print(report.to_json())
     else:
-        text = report.to_text(show_hints=not args.no_hints)
-        if suppressed:
-            text += f"\nreprolint: {suppressed} baselined finding(s) suppressed"
-        _emit(text, args.output)
+        print(report.to_text(show_hints=not args.no_hints))
     return 0 if report.ok else 1
 
 

@@ -30,6 +30,7 @@ lived through the mutations and one that replayed them.
 
 from __future__ import annotations
 
+import os
 import time
 from typing import Dict, List, Optional, Tuple
 
@@ -434,16 +435,40 @@ class SnapshotManager:
         try:
             self._wal.append(op, payload)
         except OSError as exc:
-            # never fail the (already committed) mutation over WAL I/O;
-            # the stale snapshot is caught by _check_freshness on next open
+            # never fail the (already committed) mutation over WAL I/O
             self._log.warning(
                 "snapshot.wal_error", op=op, error=f"{type(exc).__name__}: {exc}"
             )
             self._policies.note_fallback("snapshot_wal_disabled")
             self._wal = None
+            self._discard_image()
             return
         self._m_wal_depth.set(self._wal.depth)
         self.maybe_compact()
+
+    def _discard_image(self) -> None:
+        """Unlink the snapshot + WAL that missed a committed mutation.
+
+        A rename, or a delete + add of equal frame count, leaves the
+        ``COUNT(*)`` / ``MAX(I_ID)`` aggregates of :meth:`_check_freshness`
+        unchanged, so the image would serve stale rows on the next open.
+        With the files gone that open rebuilds from SQL, and the next
+        :meth:`write` starts a fresh image.  This process keeps serving
+        from its mapping, which the unlink does not touch.
+        """
+        try:
+            if os.path.exists(self.path):
+                os.remove(self.path)
+            remove_wal(self.path)
+        except OSError as exc:
+            self._log.warning(
+                "snapshot.discard_failed",
+                path=self.path,
+                error=f"{type(exc).__name__}: {exc}",
+            )
+            return
+        self._policies.note_fallback("snapshot_discarded")
+        self._log.warning("snapshot.discarded", path=self.path)
 
     def record_add_video(
         self,

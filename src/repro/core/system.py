@@ -254,11 +254,12 @@ class VideoRetrievalSystem:
         """One snapshot of every live counter the system keeps.
 
         The unified stats surface: per-subsystem summaries under
-        ``store`` / ``index`` / ``ann`` / ``cache`` (``ann`` is None when
-        ``config.ann`` is off), plus the full metrics registry under
+        ``store`` / ``index`` / ``ann`` / ``cache`` / ``snapshot``
+        (``ann`` is None when ``config.ann`` is off, ``snapshot`` when
+        snapshots are), plus the full metrics registry under
         ``registry`` (same data ``GET /metrics`` renders as Prometheus
-        text).  ``index_stats()`` / ``ann_stats()`` / ``cache_stats()``
-        are thin shims over this.
+        text).  Only :meth:`index_stats` sits beside it, for the bucket
+        sizes this summary leaves out.
         """
         index = self._index.stats()
         return {
@@ -326,18 +327,6 @@ class VideoRetrievalSystem:
     def index_stats(self):
         """Range-index occupancy (rich :class:`IndexStats` snapshot)."""
         return self._index.stats()
-
-    def ann_stats(self):
-        """Shim over :meth:`metrics`: IVF counters (None unless ``config.ann``)."""
-        return self._engine.ann_stats()
-
-    def cache_stats(self):
-        """Shim over :meth:`metrics`: query-result cache counters."""
-        return self._engine.cache_stats()
-
-    def snapshot_stats(self):
-        """Shim over :meth:`metrics`: snapshot serving state (None when off)."""
-        return self.snapshots.stats()
 
     def write_snapshot(self) -> str:
         """Write the store's mmap snapshot now; returns its path."""

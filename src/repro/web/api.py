@@ -244,7 +244,7 @@ class CbvrApi:
             return self._metrics(query.get("format", "prometheus"))
         if method == "GET" and path == "/snapshot":
             return _json_response(
-                200, {"snapshot": self.system.snapshot_stats()}
+                200, {"snapshot": self.system.snapshots.stats()}
             )
         if method == "GET" and path == "/traces/recent":
             return self._recent_traces(query.get("limit"))

@@ -1,7 +1,6 @@
 """Engine mechanics: pragmas, rule selection, file collection, CLI."""
 
 import json
-import textwrap
 
 import pytest
 
@@ -16,48 +15,47 @@ from repro.analysis import (
 from repro.analysis.findings import Finding, Report
 from repro.analysis.runner import main as lint_main
 
-BARE_EXCEPT = """
+BARE_SLEEP = """
+import time
+
 def f():
-    try:
-        g()
-    except:
-        return None
+    time.sleep(1)
 """
+R13 = LintConfig(select=frozenset({"R13"}))
 
 
 class TestPragmas:
     def test_line_pragma_suppresses(self):
-        src = BARE_EXCEPT.replace("except:", "except:  # reprolint: disable=R6")
-        assert not lint_source(src, config=LintConfig(select=frozenset({"R6"}))).findings
+        src = BARE_SLEEP.replace("(1)", "(1)  # reprolint: disable=R13")
+        assert not lint_source(src, config=R13).findings
 
     def test_line_pragma_is_rule_specific(self):
-        src = BARE_EXCEPT.replace("except:", "except:  # reprolint: disable=R7")
-        report = lint_source(src, config=LintConfig(select=frozenset({"R6"})))
+        src = BARE_SLEEP.replace("(1)", "(1)  # reprolint: disable=R4")
+        report = lint_source(src, config=R13)
         assert len(report.findings) == 1
 
     def test_file_pragma_suppresses_everywhere(self):
-        src = "# reprolint: disable-file=R6\n" + BARE_EXCEPT
-        assert not lint_source(src, config=LintConfig(select=frozenset({"R6"}))).findings
+        src = "# reprolint: disable-file=R13\n" + BARE_SLEEP
+        assert not lint_source(src, config=R13).findings
 
     def test_disable_all(self):
-        src = BARE_EXCEPT.replace("except:", "except:  # reprolint: disable=all")
-        assert not lint_source(src, config=LintConfig(select=frozenset({"R6"}))).findings
+        src = BARE_SLEEP.replace("(1)", "(1)  # reprolint: disable=all")
+        assert not lint_source(src, config=R13).findings
 
     def test_file_pragma_on_last_line(self):
-        src = BARE_EXCEPT + "\n# reprolint: disable-file=R6\n"
-        assert not lint_source(src, config=LintConfig(select=frozenset({"R6"}))).findings
+        src = BARE_SLEEP + "\n# reprolint: disable-file=R13\n"
+        assert not lint_source(src, config=R13).findings
 
     def test_multiple_rule_ids_in_one_pragma(self):
         src = (
-            "def f(x=[]):  # reprolint: disable=R6, R7\n"
-            "    try:\n"
-            "        return x\n"
-            "    except:\n"
-            "        return None\n"
+            "import time\n"
+            "def f(db, t):\n"
+            '    db.execute(f"DROP TABLE {t}"); time.sleep(1)  # reprolint: disable=R4, R13\n'
+            "    time.sleep(2)\n"
         )
-        report = lint_source(src, config=LintConfig(select=frozenset({"R6", "R7"})))
-        # R7 (line 1) is suppressed; R6 fires on line 4, untouched by the pragma
-        assert [f.rule_id for f in report.findings] == ["R6"]
+        report = lint_source(src, config=LintConfig(select=frozenset({"R4", "R13"})))
+        # both rules are suppressed on line 3; R13 fires on line 4, untouched
+        assert [(f.rule_id, f.line) for f in report.findings] == [("R13", 4)]
 
     def test_pragma_on_continuation_line_of_multiline_statement(self):
         # the finding anchors on line 3 (the f-string); the pragma sits on the
@@ -82,22 +80,22 @@ class TestPragmas:
         assert [f.line for f in report.findings] == [5]
 
     def test_unknown_rule_id_in_pragma_disables_nothing_else(self):
-        src = BARE_EXCEPT.replace("except:", "except:  # reprolint: disable=R999")
-        report = lint_source(src, config=LintConfig(select=frozenset({"R6"})))
-        assert [f.rule_id for f in report.findings] == ["R6"]
+        src = BARE_SLEEP.replace("(1)", "(1)  # reprolint: disable=R999")
+        report = lint_source(src, config=R13)
+        assert [f.rule_id for f in report.findings] == ["R13"]
 
 
 class TestConfig:
     def test_ignore_beats_select(self):
-        config = LintConfig(select=frozenset({"R6"}), ignore=frozenset({"R6"}))
+        config = LintConfig(select=frozenset({"R13"}), ignore=frozenset({"R13"}))
         assert not LintEngine(config).rules
 
     def test_default_runs_all_rules(self):
-        assert len(LintEngine().rules) == len(all_rules()) == 20
+        assert len(LintEngine().rules) == len(all_rules()) == 14
 
     def test_with_rules_builds_new_config(self):
         config = LintConfig().with_rules(select=["R1", "R4"])
-        assert config.wants("R1") and not config.wants("R6")
+        assert config.wants("R1") and not config.wants("R13")
 
 
 class TestModuleNames:
@@ -118,23 +116,22 @@ class TestLintPaths:
     def test_directory_scan_and_parse_error(self, tmp_path):
         (tmp_path / "ok.py").write_text("__all__ = []\n")
         (tmp_path / "broken.py").write_text("def f(:\n")
-        report = LintEngine(LintConfig(select=frozenset({"R8"}))).lint_paths([tmp_path])
+        report = LintEngine(R13).lint_paths([tmp_path])
         parse = [f for f in report.findings if f.rule_id == "PARSE"]
         assert len(parse) == 1 and parse[0].severity is Severity.ERROR
         assert not report.ok
 
     def test_duplicate_paths_deduplicated(self, tmp_path):
         target = tmp_path / "one.py"
-        target.write_text("def f(x=[]):\n    return x\n")
-        config = LintConfig(select=frozenset({"R7"}))
-        report = LintEngine(config).lint_paths([target, target, tmp_path])
+        target.write_text(BARE_SLEEP)
+        report = LintEngine(R13).lint_paths([target, target, tmp_path])
         assert len(report.findings) == 1
 
 
 class TestReportModel:
     def finding(self, **kw):
         base = dict(
-            rule_id="R6",
+            rule_id="R4",
             severity=Severity.ERROR,
             path="x.py",
             line=3,
@@ -151,7 +148,7 @@ class TestReportModel:
         )
         assert [f.line for f in report.findings] == [2, 9]
         text = report.to_text()
-        assert "x.py:2:1: R6 error: boom" in text
+        assert "x.py:2:1: R4 error: boom" in text
         assert "hint: fix it" in text
 
     def test_ok_reflects_error_severity(self):
@@ -163,7 +160,7 @@ class TestReportModel:
         report = Report(findings=[self.finding()], n_files=1, n_rules=10)
         payload = json.loads(report.to_json())
         assert payload["n_errors"] == 1
-        assert payload["findings"][0]["rule"] == "R6"
+        assert payload["findings"][0]["rule"] == "R4"
 
     def test_ordering_is_total(self):
         """path, line, col, rule id, then message -- no unordered ties."""
@@ -172,16 +169,16 @@ class TestReportModel:
             self.finding(path="a.py", line=5),
             self.finding(path="a.py", line=2, col=9),
             self.finding(path="a.py", line=2, col=1, rule_id="R9"),
-            self.finding(path="a.py", line=2, col=1, rule_id="R6", message="zz"),
-            self.finding(path="a.py", line=2, col=1, rule_id="R6", message="aa"),
+            self.finding(path="a.py", line=2, col=1, rule_id="R4", message="zz"),
+            self.finding(path="a.py", line=2, col=1, rule_id="R4", message="aa"),
         ]
         expected = [
-            ("a.py", 2, 1, "R6", "aa"),
-            ("a.py", 2, 1, "R6", "zz"),
+            ("a.py", 2, 1, "R4", "aa"),
+            ("a.py", 2, 1, "R4", "zz"),
             ("a.py", 2, 1, "R9", "boom"),
-            ("a.py", 2, 9, "R6", "boom"),
-            ("a.py", 5, 1, "R6", "boom"),
-            ("b.py", 3, 1, "R6", "boom"),
+            ("a.py", 2, 9, "R4", "boom"),
+            ("a.py", 5, 1, "R4", "boom"),
+            ("b.py", 3, 1, "R4", "boom"),
         ]
         for perm in (findings, findings[::-1], findings[3:] + findings[:3]):
             report = Report(findings=list(perm))
@@ -192,11 +189,10 @@ class TestReportModel:
 
     def test_report_independent_of_module_walk_order(self):
         sources = [
-            ("mod_a", "def f(x=[]):\n    return x\n"),
-            ("mod_b", "def g(y={}):\n    return y\n"),
+            ("mod_a", BARE_SLEEP),
+            ("mod_b", "import time\n\ndef g():\n    time.sleep(2)\n"),
         ]
-        config = LintConfig(select=frozenset({"R7"}))
-        engine = LintEngine(config)
+        engine = LintEngine(R13)
 
         def render(order):
             modules = [
@@ -217,16 +213,27 @@ class TestRunner:
 
     def test_findings_exit_one(self, tmp_path, capsys):
         target = tmp_path / "bad.py"
-        target.write_text(textwrap.dedent(BARE_EXCEPT))
-        assert lint_main(["--select", "R6", str(target)]) == 1
-        assert "R6" in capsys.readouterr().out
+        target.write_text(BARE_SLEEP)
+        assert lint_main(["--select", "R13", str(target)]) == 1
+        assert "R13" in capsys.readouterr().out
 
     def test_json_output(self, tmp_path, capsys):
         target = tmp_path / "bad.py"
-        target.write_text("def f(x=[]):\n    return x\n")
-        assert lint_main(["--format", "json", "--select", "R7", str(target)]) == 1
+        target.write_text(BARE_SLEEP)
+        assert lint_main(["--format", "json", "--select", "R13", str(target)]) == 1
         payload = json.loads(capsys.readouterr().out)
-        assert payload["findings"][0]["rule"] == "R7"
+        assert payload["findings"][0]["rule"] == "R13"
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--fix"], ["--diff"], ["--baseline", "b.json"], ["--write-baseline"],
+         ["--output", "out.txt"], ["--format", "sarif"]],
+    )
+    def test_retired_options_are_usage_errors(self, flags, tmp_path, capsys):
+        """Autofix, baselines, --output and SARIF went with the hygiene rules."""
+        with pytest.raises(SystemExit) as exc:
+            lint_main([*flags, str(tmp_path)])
+        assert exc.value.code == 2
 
     def test_unknown_rule_exits_two(self, tmp_path, capsys):
         assert lint_main(["--select", "R99", str(tmp_path)]) == 2
@@ -237,7 +244,7 @@ class TestRunner:
     def test_list_rules(self, capsys):
         assert lint_main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("R1", "R4", "R10", "R14", "R19"):
+        for rule_id in ("R1", "R4", "R10", "R14", "R20"):
             assert rule_id in out
 
     def test_list_rules_survives_missing_docstring(self, capsys, monkeypatch):
@@ -258,8 +265,8 @@ class TestRunner:
         from repro.cli import main as repro_main
 
         target = tmp_path / "bad.py"
-        target.write_text("def f(x=[]):\n    return x\n")
-        assert repro_main(["lint", "--select", "R7", str(target)]) == 1
+        target.write_text(BARE_SLEEP)
+        assert repro_main(["lint", "--select", "R13", str(target)]) == 1
 
 
 @pytest.mark.parametrize("cls", all_rules())

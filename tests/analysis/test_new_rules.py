@@ -65,6 +65,19 @@ class TestR14LayerDag:
         assert "cycle" in findings[0].message
         assert "pkg.low.a -> pkg.low.b" in findings[0].message
 
+    def test_pure_layer_importing_db_fires(self):
+        """The default DAG keeps the substrate (R5's packages) off upper layers."""
+        findings = run_rule_project(
+            "R14",
+            [
+                ("repro.similarity.fake", "from repro.db.engine import Database\n"),
+                ("repro.db.engine", "class Database:\n    pass\n"),
+            ],
+        )
+        assert [f.rule_id for f in findings] == ["R14"]
+        assert "repro.db.engine" in findings[0].message
+        assert "higher layer" in findings[0].message
+
     def test_function_level_import_breaks_the_cycle(self):
         assert not run_rule_project(
             "R14",
@@ -463,179 +476,6 @@ class TestR17ObsCoverage:
             ],
             obs_entry_modules=("pkg.core.system",),
         )
-
-
-class TestR18ResourceHygiene:
-    def test_inline_open_fires(self):
-        findings = run_rule(
-            "R18",
-            """
-            import json
-
-            def load(path):
-                return json.load(open(path))
-            """,
-        )
-        assert [f.rule_id for f in findings] == ["R18"]
-        assert "open(...)" in findings[0].message
-
-    def test_assigned_and_never_closed_fires(self):
-        findings = run_rule(
-            "R18",
-            """
-            def read(path):
-                fh = open(path)
-                return fh.read()
-            """,
-        )
-        assert len(findings) == 1
-        assert "fh.close()" in findings[0].message
-
-    def test_with_statement_is_clean(self):
-        assert not run_rule(
-            "R18",
-            """
-            def read(path):
-                with open(path) as fh:
-                    return fh.read()
-            """,
-        )
-
-    def test_close_in_finally_is_clean(self):
-        assert not run_rule(
-            "R18",
-            """
-            def read(path):
-                fh = open(path)
-                try:
-                    return fh.read()
-                finally:
-                    fh.close()
-            """,
-        )
-
-    def test_returned_handle_is_a_factory_and_clean(self):
-        assert not run_rule(
-            "R18",
-            """
-            def acquire(path):
-                fh = open(path)
-                return fh
-
-            def direct(path):
-                return open(path)
-            """,
-        )
-
-    def test_class_owned_handle_with_close_is_clean(self):
-        assert not run_rule(
-            "R18",
-            """
-            class Wal:
-                def __init__(self, path):
-                    self._fh = open(path, "ab")
-
-                def close(self):
-                    self._fh.close()
-            """,
-        )
-
-    def test_class_owned_handle_without_close_fires(self):
-        findings = run_rule(
-            "R18",
-            """
-            class Wal:
-                def __init__(self, path):
-                    self._fh = open(path, "ab")
-            """,
-        )
-        assert len(findings) == 1
-        assert "self._fh.close()" in findings[0].message
-
-    def test_allowlisted_module_is_exempt(self):
-        assert not run_rule(
-            "R18",
-            """
-            def probe(path):
-                return open(path).read(4)
-            """,
-            module="pkg.probing",
-            resource_allowlist=frozenset({"pkg.probing"}),
-        )
-
-
-class TestR19UnusedImport:
-    def test_unused_import_fires(self):
-        findings = run_rule(
-            "R19",
-            """
-            import json
-            import os
-
-            __all__ = ["load"]
-
-            def load(path):
-                return json.loads(path)
-            """,
-        )
-        assert [f.rule_id for f in findings] == ["R19"]
-        assert "'os'" in findings[0].message
-
-    def test_used_attribute_head_counts(self):
-        assert not run_rule(
-            "R19",
-            """
-            import os.path
-
-            def f():
-                return os.path.sep
-            """,
-        )
-
-    def test_all_export_counts_as_use(self):
-        assert not run_rule(
-            "R19",
-            """
-            from pkg.other import thing
-
-            __all__ = ["thing"]
-            """,
-        )
-
-    def test_string_annotation_counts_as_use(self):
-        assert not run_rule(
-            "R19",
-            """
-            from typing import TYPE_CHECKING
-
-            if TYPE_CHECKING:
-                from pkg.heavy import Engine
-
-            def f(engine: "Engine"):
-                return engine
-            """,
-        )
-
-    def test_noqa_marks_probe_imports(self):
-        assert not run_rule(
-            "R19",
-            """
-            try:
-                import scipy  # noqa: F401
-                HAVE = True
-            except ImportError:
-                HAVE = False
-            """,
-        )
-
-    def test_init_modules_are_exempt(self):
-        from repro.analysis import LintConfig, LintEngine
-
-        engine = LintEngine(LintConfig(select=frozenset({"R19"})))
-        mod = engine.load_source(
-            "from pkg.sub import thing\n", path="pkg/__init__.py", module="pkg"
-        )
-        assert not engine.lint_modules([mod]).findings
 
 
 class TestR20AsyncBlocking:

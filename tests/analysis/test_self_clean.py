@@ -5,24 +5,44 @@ introduced anywhere in ``src/repro`` fails the ordinary pytest run.
 """
 
 import dataclasses
+import re
 from pathlib import Path
+
+import pytest
 
 import repro
 from repro.analysis import lint_paths
 from repro.core.config import SystemConfig
 
 PACKAGE_DIR = Path(repro.__file__).parent
+PYPROJECT = Path(__file__).resolve().parents[2] / "pyproject.toml"
 
 
-def test_reprolint_is_clean_on_own_source():
-    report = lint_paths([PACKAGE_DIR])
+@pytest.fixture(scope="module")
+def report():
+    """One lint run of the whole package, shared by the gate tests."""
+    return lint_paths([PACKAGE_DIR])
+
+
+def test_reprolint_is_clean_on_own_source(report):
     assert not report.findings, "\n" + report.to_text()
 
 
-def test_full_tree_was_actually_scanned():
-    report = lint_paths([PACKAGE_DIR])
+def test_full_tree_was_actually_scanned(report):
     assert report.n_files >= 70, "package scan looks truncated"
-    assert report.n_rules == 20
+    assert report.n_rules == 14
+
+
+def test_ruff_selects_the_retired_rules_replacements():
+    """R7 -> B006, R6's ``except Exception: pass`` -> S110, R12 -> T201,
+    with R12's two stdout modules exempt.  Read as text: no ``tomllib``
+    before Python 3.11."""
+    text = PYPROJECT.read_text(encoding="utf-8")
+    (select,) = re.findall(r"^select = \[(.*)\]$", text, re.M)  # ruff's, the only one
+    assert {"B006", "S110", "T201"} <= set(re.findall(r'"(\w+)"', select))
+    assert "\n[tool.ruff.lint.per-file-ignores]\n" in text
+    for module in ("src/repro/cli.py", "src/repro/analysis/runner.py"):
+        assert f'\n"{module}" = ["T201"]\n' in text, module
 
 
 def test_no_engine_level_scoring_switch():

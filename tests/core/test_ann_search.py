@@ -99,7 +99,7 @@ class TestSystemLevelANN:
         fid = system._store.frame_ids()[0]
         results = system.search(system.get_key_frame(fid), top_k=1, use_index=False)
         assert results[0].frame_id == fid
-        n_before = system.ann_stats()["builds"]
+        n_before = system.metrics()["ann"]["builds"]
         assert n_before >= 1
 
         # the index follows ingest: new frames are findable immediately
@@ -113,4 +113,4 @@ class TestSystemLevelANN:
         assert results[0].frame_id == new_fid
 
     def test_ann_stats_absent_when_disabled(self, ingested_system):
-        assert ingested_system.ann_stats() is None
+        assert ingested_system.metrics()["ann"] is None

@@ -93,13 +93,13 @@ class TestEngineCache:
         query = system.any_key_frame()
         first = system.search(query, top_k=5)
         second = system.search(query, top_k=5)
-        stats = system.cache_stats()
+        stats = system.metrics()["cache"]
         assert stats["hits"] == 1
         assert [h.frame_id for h in second] == [h.frame_id for h in first]
         assert [h.distance for h in second] == [h.distance for h in first]
         # a different top_k is a different query
         system.search(query, top_k=3)
-        assert system.cache_stats()["hits"] == 1
+        assert system.metrics()["cache"]["hits"] == 1
 
     def test_ingest_invalidates(self):
         system = _system(query_cache_size=64)
@@ -111,7 +111,7 @@ class TestEngineCache:
             )
         )
         results = system.search(query, top_k=5)
-        stats = system.cache_stats()
+        stats = system.metrics()["cache"]
         assert stats["hits"] == 0
         assert stats["invalidations"] == 1
         # the rebuilt entry reflects the new corpus
@@ -128,7 +128,7 @@ class TestEngineCache:
         gone = {r.frame_id for r in system._store.frames_of_video(victim)}
         system.admin.delete_video(victim)
         results = system.search(query, top_k=10)
-        assert system.cache_stats()["hits"] == 0
+        assert system.metrics()["cache"]["hits"] == 0
         assert not ({h.frame_id for h in results} & gone)
 
     def test_rename_invalidates(self):
@@ -137,7 +137,7 @@ class TestEngineCache:
         system.search(query, top_k=5)
         system.admin.rename_video(system._store.video_ids()[0], "renamed")
         system.search(query, top_k=5)
-        assert system.cache_stats()["hits"] == 0
+        assert system.metrics()["cache"]["hits"] == 0
 
     def test_hits_are_defensive_copies(self):
         system = _system(query_cache_size=64)
@@ -145,7 +145,7 @@ class TestEngineCache:
         first = system.search(query, top_k=5)
         first.hits[0].per_feature.clear()
         second = system.search(query, top_k=5)
-        assert system.cache_stats()["hits"] >= 1
+        assert system.metrics()["cache"]["hits"] >= 1
         assert second.hits[0].per_feature  # not poisoned by the mutation
 
     def test_disabled_cache_never_hits(self):
@@ -153,7 +153,7 @@ class TestEngineCache:
         query = system.any_key_frame()
         a = system.search(query, top_k=5)
         b = system.search(query, top_k=5)
-        assert system.cache_stats()["hits"] == 0
+        assert system.metrics()["cache"]["hits"] == 0
         assert [h.frame_id for h in b] == [h.frame_id for h in a]
 
     def test_feedback_vector_queries_cached(self):
@@ -162,7 +162,7 @@ class TestEngineCache:
         vectors = dict(system._store.get(fid).features)
         first = system._engine.query_with_vectors(dict(vectors), top_k=5)
         second = system._engine.query_with_vectors(dict(vectors), top_k=5)
-        assert system.cache_stats()["hits"] == 1
+        assert system.metrics()["cache"]["hits"] == 1
         assert [h.frame_id for h in second.hits] == [h.frame_id for h in first.hits]
 
 

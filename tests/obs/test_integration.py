@@ -45,9 +45,12 @@ class TestMetricsSurface:
         assert reg["repro_ann_probes_total"]["samples"] == []
 
     def test_shims_agree_with_metrics(self, system):
+        """``index_stats()`` is the one stats accessor left beside metrics()."""
         m = system.metrics()
-        assert system.cache_stats() == m["cache"]
-        assert system.ann_stats() == m["ann"]
+        for gone in ("cache_stats", "ann_stats", "snapshot_stats"):
+            assert not hasattr(system, gone)
+        assert m["cache"] == system.engine.cache_stats()
+        assert m["ann"] == system.engine.ann_stats()
         assert system.index_stats().n_entries == m["index"]["entries"]
 
     def test_ann_section_when_enabled(self):
@@ -130,13 +133,13 @@ class TestCacheCountersAcrossInvalidation:
         query = system.any_key_frame()
         system.search(query, top_k=3)  # cold: one miss
         system.search(query, top_k=3)  # warm: one hit
-        assert system.cache_stats()["hits"] == 1
-        assert system.cache_stats()["misses"] == 1
+        assert system.metrics()["cache"]["hits"] == 1
+        assert system.metrics()["cache"]["misses"] == 1
 
         # ingest bumps the store generation: next lookup drops the cache
         system.login_admin().add_video(_video(44, category="sports"))
         system.search(query, top_k=3)  # invalidation + cold miss
-        stats = system.cache_stats()
+        stats = system.metrics()["cache"]
         assert stats == {
             "entries": 1, "hits": 1, "misses": 2,
             "invalidations": 1, "evictions": 0,
@@ -166,7 +169,7 @@ class TestDisabledSystem:
         assert s._engine._obs.registry is NULL_OBS.registry
         assert s._engine._obs.span("x") is NULL_OBS.span("y")
         # counters still work (plain python attributes, not the registry)
-        assert s.cache_stats()["misses"] == 1
+        assert s.metrics()["cache"]["misses"] == 1
         s.close()
 
 

@@ -81,7 +81,7 @@ def test_armed_faults_bypass_query_cache(small_corpus):
     assert r1.degraded and r2.degraded
     # both queries really ran: the gabor fault point fired twice
     assert system.resilience.faults.stats()["extractor.gabor"]["fired"] == 2
-    assert system.cache_stats()["hits"] == 0
+    assert system.metrics()["cache"]["hits"] == 0
 
 
 def test_clean_run_is_not_degraded_and_caches(small_corpus, clean_system):

@@ -6,6 +6,7 @@ rebuilt its store from SQL, across feature matrices, rankings, ANN
 probes, and generation counters.
 """
 
+import errno
 import os
 
 import numpy as np
@@ -14,6 +15,7 @@ import pytest
 from repro.core.config import SystemConfig
 from repro.core.snapshots import SnapshotRequiredError
 from repro.core.system import VideoRetrievalSystem
+from repro.snapshot import WalWriter
 from repro.video.generator import VideoSpec, generate_video
 from tests.core.clip_reference import reference_frame_ranking
 
@@ -242,7 +244,7 @@ class TestFallbackAndRequire:
         with open(lib + ".snap", "wb") as fh:
             fh.write(b"garbage")  # would fail loudly if opened
         system = VideoRetrievalSystem.open(lib, SystemConfig(snapshot="off"))
-        assert system.snapshot_stats() is None
+        assert system.metrics()["snapshot"] is None
         system.close()
 
     def test_read_replica_serves_without_database(self, library):
@@ -259,13 +261,70 @@ class TestFallbackAndRequire:
         rebuilt.close()
 
 
+def _disk_full(self, op, payload):
+    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+class TestFailedWalAppend:
+    """A mutation whose WAL append fails must not be hidden by the snapshot.
+
+    Neither a rename nor a delete + add of the same frame count moves
+    ``COUNT(*)`` or ``MAX(I_ID)``, so the freshness check alone cannot
+    see that the on-disk image missed it.
+    """
+
+    def _mutate_with_full_disk(self, lib, monkeypatch, mutate):
+        writer = VideoRetrievalSystem.open(lib, SystemConfig())
+        assert writer.snapshots.served_from == "mmap"
+        with monkeypatch.context() as patch:
+            patch.setattr(WalWriter, "append", _disk_full)
+            mutate(writer.admin)  # committed to SQL despite the WAL error
+        writer.close()
+        return VideoRetrievalSystem.open(lib, SystemConfig())
+
+    def test_rename_after_failed_append_is_not_served_stale(self, library, monkeypatch):
+        lib, query = library
+        reopened = self._mutate_with_full_disk(
+            lib, monkeypatch, lambda admin: admin.rename_video(3, "renamed")
+        )
+        assert reopened.snapshots.served_from == "rebuild"
+        assert reopened.key_frames_of(3)[0].video_name == "renamed"
+        names = {h.video_name for h in reopened.search(query, top_k=len(reopened._store))}
+        assert "renamed" in names
+        assert not os.path.exists(lib + ".snap")
+        reopened.admin.checkpoint()  # a fresh snapshot carries the rename
+        reopened.close()
+
+        fresh = VideoRetrievalSystem.open(lib, SystemConfig())
+        assert fresh.snapshots.served_from == "mmap"
+        assert fresh.key_frames_of(3)[0].video_name == "renamed"
+        fresh.close()
+
+    def test_delete_and_equal_add_after_failed_append(self, library, monkeypatch):
+        lib, query = library
+
+        def swap_last_video(admin):
+            removed = admin.delete_video(3)
+            report = admin.add_video(_video(14, "movies", shots=3))
+            # same frame count and, ids being MAX + 1, the same frame ids
+            assert (report.video_id, report.n_keyframes) == (3, removed)
+
+        reopened = self._mutate_with_full_disk(lib, monkeypatch, swap_last_video)
+        rebuilt = VideoRetrievalSystem.open(lib, SystemConfig(snapshot="off"))
+        assert reopened.snapshots.served_from == "rebuild"
+        assert reopened.key_frames_of(3)[0].category == "movies"
+        assert _ranking(reopened, query) == _ranking(rebuilt, query)
+        reopened.close()
+        rebuilt.close()
+
+
 class TestAnnState:
     def test_ivf_rides_in_snapshot_without_retrain(self, library):
         lib, query = library
         config = SystemConfig(ann=True, ann_cells=3, query_cache_size=0)
         trainer = VideoRetrievalSystem.open(lib, config)
         trainer.search(query, top_k=5, use_index=False)  # trains the IVF
-        assert trainer.ann_stats()["builds"] >= 1
+        assert trainer.metrics()["ann"]["builds"] >= 1
         trainer.admin.checkpoint()  # snapshot now carries the trained state
         expected = _ranking(trainer, query, use_index=False)
         trainer.close()
@@ -273,7 +332,7 @@ class TestAnnState:
         served = VideoRetrievalSystem.open(lib, config)
         assert served.snapshots.served_from == "mmap"
         assert _ranking(served, query, use_index=False) == expected
-        assert served.ann_stats()["builds"] == 0  # restored, not retrained
+        assert served.metrics()["ann"]["builds"] == 0  # restored, not retrained
         served.close()
 
 
