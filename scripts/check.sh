@@ -92,11 +92,12 @@ if [ "$fast" -eq 0 ]; then
         if [ -n "$cov_args" ]; then record coverage FAIL; else record coverage skip; fi
     fi
 
-    # on one CPU the pool has no helper thread, so frame analysis takes its
-    # one-lane branch for real (tier-1 runs it on two lanes where it can)
-    step "pytest (core + integration on one CPU, taskset -c 0)"
+    # on one CPU the pool has no helper thread, so frame analysis (and a
+    # query's per-feature degradation) takes its one-lane branch for real
+    # (tier-1 runs it on two lanes where it can)
+    step "pytest (core + integration + resilience on one CPU, taskset -c 0)"
     if command -v taskset >/dev/null 2>&1; then
-        if taskset -c 0 python -m pytest -q tests/core tests/integration; then
+        if taskset -c 0 python -m pytest -q tests/core tests/integration tests/resilience; then
             record one_cpu ok
         else
             record one_cpu FAIL

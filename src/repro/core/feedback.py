@@ -28,6 +28,7 @@ from typing import Dict, List, Optional, Set
 
 import numpy as np
 
+from repro.core.lanes import analyse_frames
 from repro.core.results import SearchResults
 from repro.features.base import FeatureVector
 from repro.imaging.image import Image
@@ -89,9 +90,9 @@ class FeedbackSession:
         engine = system._engine
         self._engine = engine
         names = engine._resolve_features(features)
-        self.query_vectors: Dict[str, FeatureVector] = {
-            name: engine.extractors[name].extract(query_image) for name in names
-        }
+        self.query_vectors: Dict[str, FeatureVector] = analyse_frames(
+            [query_image], {n: engine.extractors[n] for n in names}, engine._pool
+        ).features[0]
         self.weights: Dict[str, float] = {
             name: system.config.weight_of(name) for name in names
         }

@@ -3,10 +3,10 @@
 Frame, vector and clip queries run through ONE pipeline, in three stages:
 
 * **prepare** -- per request: query-cache lookup, range-index pruning,
-  query-feature extraction, the optional IVF probe, and a
-  :class:`_QueryPlan` naming the candidate rows.  A clip is key-framed,
-  its key frames' features extracted by ``core.lanes``, and one exact plan
-  per query key frame resolved over the store's video-major rows;
+  query-feature extraction (``core.lanes``, degrading per feature), the
+  optional IVF probe, and a :class:`_QueryPlan` naming the candidate
+  rows.  A clip is key-framed, and one exact plan per query key frame
+  resolved over the store's video-major rows;
 * **score** -- one pass over every prepared plan, feature by feature:
   raw distances from ``batch_distance_prepared`` on the store's
   generation-cached prepared stacks (one scatter per shard on the
@@ -50,6 +50,7 @@ from repro.resilience import (
     CircuitOpenError,
     Deadline,
     DeadlineExceeded,
+    FaultInjected,
     ResiliencePolicies,
     armed_deadline,
 )
@@ -590,7 +591,7 @@ class SearchEngine:
                 self._m_pruning.observe(1.0 - rows.size / n_total)
         self._policies.check_stage("search.extract")
         with self._obs.span("search.extract"):
-            query_vectors, degraded = self._extract_degradable(req.image, names)
+            (query_vectors,), degraded = self._analyse_query([req.image], names)
         ann_probed: Optional[bool] = None
         if self.ann is not None and rows is not None:
             # compose with the range index: a frame must survive both
@@ -609,38 +610,40 @@ class SearchEngine:
         )
         return self._planned(entry, plan)
 
-    def _extract_degradable(
-        self, image: Image, names: List[str]
-    ) -> tuple:
-        """Query-feature extraction with per-extractor graceful degradation.
+    def _analyse_query(self, frames: List[Image], names: List[str]) -> tuple:
+        """``(per-frame query vectors, dropped features)`` from the pool's
+        two lanes, with per-feature graceful degradation.
 
-        A failing (or fault-injected) extractor is skipped and recorded;
-        the survivors' fusion weights renormalize downstream, so the
-        degraded ranking is exactly the ranking the surviving feature
-        subset would produce on its own.  Only when *every* extractor
-        fails does the query error out.
+        ``extractor.<name>`` fires here, on the calling thread, per frame
+        and live feature before the lanes start.  A feature whose fault
+        fires or whose extractor raises on any frame is dropped from every
+        frame and recorded once; the survivors' fusion weights renormalize
+        downstream, so the degraded ranking is exactly the ranking the
+        surviving feature subset would produce on its own.  Only when
+        *every* feature fails does the query error out.
         """
-        query_vectors: Dict[str, FeatureVector] = {}
-        degraded: List[str] = []
-        last_error: Optional[Exception] = None
-        for name in names:
-            try:
-                self._policies.fire(f"extractor.{name}")
-                query_vectors[name] = self.extractors[name].extract(image)
-            except DeadlineExceeded:
-                raise
-            except Exception as exc:
-                last_error = exc
-                degraded.append(name)
-                self._policies.note_degraded(f"extractor.{name}")
-                self._log.warning(
-                    "search.extractor_degraded",
-                    feature=name,
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-        if not query_vectors:
-            raise last_error  # nothing survived: degradation is impossible
-        return query_vectors, degraded
+        failed: Dict[str, Exception] = {}
+        for _frame in frames:
+            for name in names:
+                if name not in failed:
+                    try:
+                        self._policies.fire(f"extractor.{name}")
+                    except FaultInjected as exc:
+                        failed[name] = exc
+        live = {n: self.extractors[n] for n in names if n not in failed}
+        analysis = analyse_frames(frames, live, self._pool, degrade=True)
+        failed.update(analysis.failed)
+        degraded = [n for n in names if n in failed]
+        for name in degraded:
+            self._policies.note_degraded(f"extractor.{name}")
+            self._log.warning(
+                "search.extractor_degraded",
+                feature=name,
+                error=f"{type(failed[name]).__name__}: {failed[name]}",
+            )
+        if len(degraded) == len(names):
+            raise failed[degraded[-1]]  # nothing survived: degradation is impossible
+        return analysis.features, degraded
 
     def _ann_probe(
         self,
@@ -738,13 +741,12 @@ class SearchEngine:
         self._policies.check_stage("search.keyframes")
         with self._obs.span("search.video.keyframes"):
             key_frames = [f for _i, f in self.keyframe_extractor.extract(list(req.clip))]
-        # per-key-frame extraction is the query-side CPU hot spot; it runs
-        # on the pool's two lanes (order-preserving, so results are unchanged)
+        # per-key-frame extraction is the query-side CPU hot spot; a feature
+        # lost on any key frame leaves every cost matrix
         self._policies.check_stage("search.extract")
         with self._obs.span("search.video.extract", key_frames=len(key_frames)):
-            query_seq = analyse_frames(
-                key_frames, {n: self.extractors[n] for n in names}, self._pool
-            ).features
+            query_seq, _degraded = self._analyse_query(key_frames, names)
+        names = list(query_seq[0])
         rows, _spans = self.store.video_spans()
         entry.plans = [
             self._plan_vectors(
@@ -947,8 +949,8 @@ class SearchEngine:
                 results.degraded = True
                 results.degraded_features = degraded
                 explain["degraded_features"] = list(degraded)
-        if entry.cache_mode is not None:
-            return results
+        if entry.cache_mode is not None or results.degraded:
+            return results  # a degraded answer is never cached
         self._query_cache.put(entry.key, entry.generation, results)
         return self._copy_results(results, "miss")
 

@@ -57,13 +57,18 @@ def rgb_to_hsv(rgb: np.ndarray) -> np.ndarray:
     Output: float64 array of the same shape with
     H in [0, 360), S in [0, 1], V in [0, 1].
     """
-    arr = np.asarray(rgb, dtype=np.float64) / 255.0
+    return np.stack(_hsv_planes(rgb), axis=-1)
+
+
+def _hsv_planes(rgb: np.ndarray):
+    """The ``(h, s, v)`` planes of :func:`rgb_to_hsv`, computed from the
+    channel planes (no ``(..., 3)`` float copy)."""
+    arr = np.asarray(rgb)
     if arr.shape[-1] != 3:
         raise ValueError(f"expected trailing RGB axis of size 3, got {arr.shape}")
-    r, g, b = arr[..., 0], arr[..., 1], arr[..., 2]
-    maxc = np.max(arr, axis=-1)
-    minc = np.min(arr, axis=-1)
-    delta = maxc - minc
+    r, g, b = (np.divide(arr[..., i], 255.0, dtype=np.float64) for i in range(3))
+    maxc = np.maximum(np.maximum(r, g), b)
+    delta = maxc - np.minimum(np.minimum(r, g), b)
     nz = delta > 0
     rmax = nz & (maxc == r)
     gmax = nz & (maxc == g) & ~rmax
@@ -81,7 +86,7 @@ def rgb_to_hsv(rgb: np.ndarray) -> np.ndarray:
         h = np.where(nz, h, 0.0)
         h *= 60.0
         s = np.where(maxc > 0, delta / np.where(maxc > 0, maxc, 1.0), 0.0)
-        return np.stack([h, s, maxc], axis=-1)
+        return h, s, maxc
 
     h = np.zeros_like(maxc)
     bmax = nz & ~rmax & ~gmax
@@ -94,7 +99,7 @@ def rgb_to_hsv(rgb: np.ndarray) -> np.ndarray:
     vs = maxc > 0
     s[vs] = delta[vs] / maxc[vs]
 
-    return np.stack([h, s, maxc], axis=-1)
+    return h, s, maxc
 
 
 def hsv_to_rgb(hsv: np.ndarray) -> np.ndarray:
@@ -149,10 +154,10 @@ def quantize_hsv(
 
     Input: ``(..., 3)`` RGB. Output: int64 bin index array of shape ``(...)``.
     """
-    hsv = rgb_to_hsv(rgb)
-    hq = quantize_uniform(hsv[..., 0], h_bins, maximum=360.0)
-    sq = quantize_uniform(hsv[..., 1], s_bins, maximum=1.0)
-    vq = quantize_uniform(hsv[..., 2], v_bins, maximum=1.0)
+    h, s, v = _hsv_planes(rgb)
+    hq = quantize_uniform(h, h_bins, maximum=360.0)
+    sq = quantize_uniform(s, s_bins, maximum=1.0)
+    vq = quantize_uniform(v, v_bins, maximum=1.0)
     return (hq * s_bins + sq) * v_bins + vq
 
 

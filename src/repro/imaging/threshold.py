@@ -92,14 +92,20 @@ def _min_fuzziness_vectorized(
     # order does not depend on which bins are empty
     cols = np.flatnonzero(w)
     grid = levels[cols][np.newaxis, :]
+    # and only at thresholds with mass: an empty bin's row is the row below
+    # it (same class sums), gathered back so the product keeps one row per
+    # threshold (gemv's rounding of a row depends on the row count)
+    live = np.flatnonzero(w[first:last])
+    mu = np.where(
+        grid <= ts[live, np.newaxis], mu0[live, np.newaxis], mu1[live, np.newaxis]
+    )
     # select the class mean first, then evaluate the membership formula
     # once -- identical per-element arithmetic, half the matrix work
-    mu = np.where(grid <= ts[:, np.newaxis], mu0[:, np.newaxis], mu1[:, np.newaxis])
     mem = 1.0 / (1.0 + np.abs(grid - mu) / c)
     mem = np.clip(mem, 1e-12, 1 - 1e-12)
-    entropy = np.zeros((ts.size, w.size))
+    entropy = np.zeros((live.size, w.size))
     entropy[:, cols] = -(mem * np.log(mem) + (1 - mem) * np.log(1 - mem))
-    e = entropy @ w
+    e = entropy[np.cumsum(w[first:last] > 0) - 1] @ w
     e[~valid] = np.inf
     return int(ts[np.argmin(e)])
 

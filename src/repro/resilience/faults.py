@@ -11,7 +11,7 @@ an infrastructure failure can plausibly occur::
     snapshot.compact    one snapshot compaction (WAL fold + rewrite)
     shard.query         one scatter-gather shard dispatch (-> partial result)
     serving.request     one admitted async-serving search request
-    extractor.<name>    one query-side feature extraction (e.g. extractor.gabor)
+    extractor.<name>    one query frame's or clip key frame's extraction (-> degraded)
 
 Tests and chaos runs *arm* points with a spec string (the ``REPRO_FAULTS``
 environment variable or ``SystemConfig(fault_spec=...)``)::

@@ -56,8 +56,11 @@ def reference_frame_ranking(
     ]
 
 
-def reference_clip_ranking(engine: SearchEngine, frames: Sequence) -> List[Tuple[int, float]]:
-    """``[(video_id, distance)]`` over every stored video, best first."""
+def reference_clip_ranking(
+    engine: SearchEngine, frames: Sequence, features: Optional[Sequence[str]] = None
+) -> List[Tuple[int, float]]:
+    """``[(video_id, distance)]`` over every stored video, best first,
+    fusing ``features`` (None = all configured)."""
     config, store = engine.config, engine.store
     key_frames = [f for _i, f in engine.keyframe_extractor.extract(list(frames))]
     lengths = {vid: len(store.frames_of_video(vid)) for vid in store.video_ids()}
@@ -67,7 +70,7 @@ def reference_clip_ranking(engine: SearchEngine, frames: Sequence) -> List[Tuple
     nq, nr = len(key_frames), len(records)
     combined = np.zeros((nq, nr))
     total_weight = 0.0
-    for name in config.features:
+    for name in features or config.features:
         extractor = engine.extractors[name]
         stack = np.stack([rec.features[name].values for rec in records])
         m = np.stack([extractor.batch_distance(extractor.extract(f), stack) for f in key_frames])

@@ -2,8 +2,8 @@
 
 The Gabor bank runs over every key frame on the pool's helper thread while
 the calling thread runs the other extractors; what comes back must be what
-one thread computes, in the same order, and a failure on either lane must
-leave nothing behind.
+one thread computes, in the same order.  A failure on either lane must
+leave nothing behind on ingest, and must degrade a query, not fail it.
 """
 
 import os
@@ -22,7 +22,7 @@ from repro.features.color_histogram import SimpleColorHistogram
 from repro.features.gabor import GaborTexture
 from repro.runtime import WorkerPool
 from repro.video.generator import VideoSpec, generate_video, make_corpus
-from tests.core.clip_reference import reference_clip_ranking
+from tests.core.clip_reference import reference_clip_ranking, reference_frame_ranking
 from tests.runtime.test_pool import _two_cpus, needs_two_cpus
 
 FEATURES = ("sch", "glcm", "gabor", "tamura", "acc", "regions")
@@ -99,6 +99,30 @@ class TestAnalyseFrames:
             assert pool.lane() is None
         assert fanned.features == lanes.features
         assert fanned.extras == [None] * len(frames)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_degrade_drops_a_feature_from_every_frame(self, monkeypatch, clip, workers):
+        real = GaborTexture.extract
+        frames = list(clip.frames)[:5]
+        calls = []
+
+        def third_fails(self, image):
+            calls.append(image)
+            if np.array_equal(image.pixels, frames[2].pixels):
+                raise _LaneFailure("gabor failed")
+            return real(self, image)
+
+        monkeypatch.setattr(GaborTexture, "extract", third_fails)
+        extractors = {name: get_extractor(name) for name in FEATURES}
+        with WorkerPool(workers=workers) as pool:
+            analysis = analyse_frames(frames, extractors, pool, degrade=True)
+            if workers == 1:
+                assert len(calls) == 3  # not run again after its failure
+            with pytest.raises(_LaneFailure):
+                analyse_frames(frames, extractors, pool)  # a write stops there
+        assert list(analysis.failed) == ["gabor"]
+        survivors = [name for name in FEATURES if name != "gabor"]
+        assert [list(vectors) for vectors in analysis.features] == [survivors] * 5
 
     def test_callers_sharing_one_lane_get_their_own_answers(self, clip):
         extractors = {name: get_extractor(name) for name in FEATURES}
@@ -227,6 +251,66 @@ class TestFailure:
         time.sleep(0.05)
         assert len(done) == finished  # nothing still running behind the caller
         assert _library_state(system, directory) == before
+
+
+    def test_helper_lane_error_degrades_a_frame_query(self, monkeypatch, library):
+        system, _directory = library
+        image = system.any_key_frame()
+        survivors = [name for name in FEATURES if name != "gabor"]
+        want = system.search(image, features=survivors, top_k=10)
+        real = GaborTexture.extract
+        done = []
+
+        def failing(self, image):
+            time.sleep(0.01)
+            done.append(threading.current_thread().name)
+            raise _LaneFailure("gabor failed")
+
+        monkeypatch.setattr(GaborTexture, "extract", failing)
+        results = system.search(image, top_k=10)
+        assert done  # the helper lane finished before the query returned
+        if _two_cpus():
+            assert done[0].startswith("repro-lane")
+        assert results.degraded_features == ["gabor"]
+        assert [(h.frame_id, h.distance.hex()) for h in results] == [
+            (h.frame_id, h.distance.hex()) for h in want
+        ]
+        monkeypatch.setattr(GaborTexture, "extract", real)
+        assert not system.search(image, top_k=10).degraded  # the answer was not cached
+
+
+def _hits(results):
+    return [
+        (h.frame_id, h.distance.hex(), {n: d.hex() for n, d in h.per_feature.items()})
+        for h in results
+    ]
+
+
+@pytest.mark.parametrize("features", [None, ["gabor", "sch"]])
+def test_frame_query_matches_the_one_lane_answer(monkeypatch, tiny_corpus, features):
+    config = SystemConfig(query_cache_size=0)
+    system = _ingest(tiny_corpus, config)
+    try:
+        image = system.get_key_frame(system.feature_store.frame_ids()[2])
+        two_lanes = system.search(image, features=features, top_k=10)
+        if _two_cpus():
+            assert system._pool._lane is not None
+        want = reference_frame_ranking(system.engine, image, 10, features)
+        assert [h.frame_id for h in two_lanes] == [fid for fid, _d, _p in want]
+        np.testing.assert_allclose(
+            [h.distance for h in two_lanes], [d for _fid, d, _p in want], atol=1e-9
+        )
+        _one_cpu(monkeypatch)
+        assert _hits(system.search(image, features=features, top_k=10)) == _hits(two_lanes)
+    finally:
+        system.close()
+    before = _lane_threads()
+    system = _ingest(tiny_corpus, config)  # ingested and queried on one CPU
+    try:
+        assert _hits(system.search(image, features=features, top_k=10)) == _hits(two_lanes)
+        assert system._pool._lane is None and _lane_threads() <= before
+    finally:
+        system.close()
 
 
 @pytest.mark.parametrize("method", ["dtw", "align"])

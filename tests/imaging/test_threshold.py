@@ -81,8 +81,9 @@ class TestBinarize:
 
 class TestVectorizedMinFuzziness:
     """The fast path evaluates every candidate threshold at once, and
-    membership/entropy only on the histogram's non-empty bins; the
-    reference path is the candidate-by-candidate loop."""
+    membership/entropy only on the histogram's non-empty bins and at the
+    thresholds that have mass; the reference path is the
+    candidate-by-candidate loop."""
 
     @staticmethod
     def _both(hist):
@@ -123,14 +124,57 @@ class TestVectorizedMinFuzziness:
     # reference keeps the first (233), the fast path lands on 248
     @example(seed=192, fill=0.05859375)
     def test_random_histograms(self, seed, fill):
-        gen = np.random.default_rng(seed)
-        hist = gen.integers(1, 500, 256) * (gen.random(256) < fill)
-        if not hist.any():
-            hist[int(gen.integers(256))] = 1
+        hist = self._random_hist(seed, fill)
         fast, reference = self._both(hist)
         if fast != reference:  # a tie: the fast pick must be as good
             best = self._reference_entropy(hist, reference)
             assert self._reference_entropy(hist, fast) == pytest.approx(best, rel=1e-12)
+
+    @staticmethod
+    def _random_hist(seed, fill):
+        gen = np.random.default_rng(seed)
+        hist = gen.integers(1, 500, 256) * (gen.random(256) < fill)
+        if not hist.any():
+            hist[int(gen.integers(256))] = 1
+        return hist
+
+    @staticmethod
+    def _every_row(hist):
+        """The fast path's arithmetic with one computed row per threshold,
+        empty bins' thresholds included."""
+        hist = np.asarray(hist, dtype=np.float64)
+        levels = np.arange(hist.size, dtype=np.float64)
+        nz = np.flatnonzero(hist)
+        first, last = int(nz[0]), int(nz[-1])
+        if first == last:
+            return first
+        c = float(last - first)
+        cum_n, cum_s = np.cumsum(hist), np.cumsum(hist * levels)
+        ts = np.arange(first, last)
+        n0 = cum_n[ts]
+        n1 = hist.sum() - n0
+        mu0 = cum_s[ts] / np.where(n0 > 0, n0, 1.0)
+        mu1 = (cum_s[-1] - cum_s[ts]) / np.where(n1 > 0, n1, 1.0)
+        grid = levels[nz][np.newaxis, :]
+        mu = np.where(grid <= ts[:, np.newaxis], mu0[:, np.newaxis], mu1[:, np.newaxis])
+        mem = np.clip(1.0 / (1.0 + np.abs(grid - mu) / c), 1e-12, 1 - 1e-12)
+        entropy = np.zeros((ts.size, hist.size))
+        entropy[:, nz] = -(mem * np.log(mem) + (1 - mem) * np.log(1 - mem))
+        e = entropy @ hist
+        e[(n0 <= 0) | (n1 <= 0)] = np.inf
+        return int(ts[np.argmin(e)])
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**16), fill=st.floats(0.01, 1.0))
+    @example(seed=192, fill=0.05859375)
+    def test_empty_bin_rows_are_gathered_not_recomputed(self, seed, fill):
+        # bit-identical rows into the same (T, bins) product: the same pick,
+        # ties included (a product over fewer rows rounds rows differently)
+        hist = self._random_hist(seed, fill)
+        assert min_fuzziness_threshold(hist) == self._every_row(hist)
+
+    def test_the_pinned_tie_keeps_its_pick(self):
+        assert min_fuzziness_threshold(self._random_hist(192, 0.05859375)) == 248
 
     def test_frame_histograms(self, gradient_image, noise_image):
         for image in (gradient_image, noise_image):

@@ -3,16 +3,22 @@
 The load-bearing equivalence: a degraded ranking is not approximate --
 skipping a faulted extractor and renormalizing the fusion weights over
 the survivors produces *exactly* the ranking an explicit query without
-that feature produces.
+that feature produces, for a frame and for a clip (where the feature
+leaves every key frame's cost matrix).
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.config import SystemConfig
+from repro.core.search import SearchEngine
 from repro.core.system import VideoRetrievalSystem
-from repro.resilience import RetryExhausted
+from repro.obs import Obs
+from repro.resilience import ResiliencePolicies, RetryExhausted
+from repro.sharding import ShardedSearchEngine, read_manifest, split_store
+from tests.core.clip_reference import ranking_of, reference_clip_ranking
 
 
 def _build(small_corpus, **config_kwargs):
@@ -96,6 +102,56 @@ def test_degraded_counter_recorded(small_corpus):
     fam = system.obs.registry.render_json()["repro_resilience_degraded_total"]
     samples = {s["labels"]["reason"]: s["value"] for s in fam["samples"]}
     assert samples["extractor.gabor"] == 1
+
+
+def _degraded_count(obs):
+    fam = obs.registry.render_json().get("repro_resilience_degraded_total")
+    samples = {s["labels"]["reason"]: s["value"] for s in fam["samples"]} if fam else {}
+    return samples.get("extractor.gabor", 0)
+
+
+@pytest.fixture(scope="module")
+def shard_paths3(clean_system, tmp_path_factory):
+    out = tmp_path_factory.mktemp("degraded-shards3")
+    split_store(clean_system.feature_store, str(out), 3)
+    return read_manifest(str(out))[1]
+
+
+@pytest.mark.parametrize("method", ["dtw", "align"])
+@pytest.mark.parametrize("kind", ["solo", "sharded"])
+def test_degraded_clip_equals_the_survivors_reference(
+    clean_system, shard_paths3, kind, method
+):
+    config = clean_system.config.with_(sequence_method=method)
+    store, index = clean_system.feature_store, clean_system._index
+    obs = Obs()
+    policies = ResiliencePolicies(fault_spec="extractor.gabor:every=1", obs=obs)
+    if kind == "solo":
+        engine = SearchEngine(config, store, index, obs=obs, policies=policies)
+    else:
+        engine = ShardedSearchEngine(config, shard_paths3, obs=obs, policies=policies)
+    clean = SearchEngine(config, store, index)
+    clip = clean_system.get_video_frames(2)[2:8]
+    assert len(clean.keyframe_extractor.extract(list(clip))) >= 2
+    survivors = [f for f in config.features if f != "gabor"]
+    try:
+        for n in (1, 2):
+            degraded = engine.query_video(clip, top_k=10)
+            # one drop per clip, however many key frames it has
+            assert _degraded_count(obs) == n
+            assert policies.faults.stats()["extractor.gabor"]["fired"] == n
+        explicit = clean.query_video(clip, features=survivors, top_k=10)
+        assert [(v, d.hex()) for v, d in ranking_of(degraded)] == [
+            (v, d.hex()) for v, d in ranking_of(explicit)
+        ]
+        want = reference_clip_ranking(clean, clip, features=survivors)[:10]
+        assert [m.video_id for m in degraded] == [vid for vid, _d in want]
+        np.testing.assert_allclose(
+            [m.distance for m in degraded], [d for _vid, d in want], atol=1e-9
+        )
+    finally:
+        engine.close()
+        clean.close()
 
 
 def test_codec_decode_retry_exhausts_on_permanent_fault(small_corpus):
