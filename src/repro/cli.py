@@ -123,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ssub = p.add_subparsers(dest="snapshot_command", required=True)
     sp = ssub.add_parser(
-        "write", help="fold the WAL and rewrite the library's snapshot now"
+        "write", help="rewrite the library's snapshot at its last commit now"
     )
     sp.add_argument("library", help="library database path (.rdb)")
     sp.add_argument("--path", default=None,
@@ -388,7 +388,7 @@ def _print_slow_log(slow) -> None:
 def _cmd_snapshot(args: argparse.Namespace) -> int:
     import json
 
-    from repro.snapshot import CorruptSnapshotError, Snapshot, wal_depth
+    from repro.snapshot import CorruptSnapshotError, Snapshot
 
     if args.snapshot_command == "write":
         from repro.core.config import SystemConfig
@@ -407,20 +407,22 @@ def _cmd_snapshot(args: argparse.Namespace) -> int:
     snap = Snapshot.open(args.snapshot)
     try:
         if args.snapshot_command == "info":
+            from repro.core.snapshots import named_log
+
             summary = snap.info()
             meta = summary["meta"]
-            summary["wal_depth"] = wal_depth(
-                args.snapshot,
-                (int(meta.get("generation", 0)),
-                 int(meta.get("structure_generation", 0))),
-            )
+            summary["commit_seq"] = meta.get("commit_seq")
+            log = named_log(snap)
+            if log is not None and log.token == meta.get("token"):
+                summary["commits_behind"] = log.last - int(meta["commit_seq"])
             if args.json:
                 print(json.dumps(summary, indent=2, sort_keys=True))
             else:
                 print(f"{summary['path']}: v{summary['version']}, "
                       f"{summary['file_size']} bytes, "
                       f"generation {meta.get('generation')}, "
-                      f"wal_depth {summary['wal_depth']}")
+                      f"commit_seq {summary['commit_seq']}, "
+                      f"commits_behind {summary.get('commits_behind')}")
                 for s in summary["sections"]:
                     shape = "x".join(str(d) for d in s["shape"])
                     print(f"  {s['name']:<24} {s['dtype']:<8} {shape:>12} "

@@ -53,9 +53,6 @@ class SystemConfig:
     #: snapshot file location (None = "<db path>.snap" for durable systems;
     #: in-memory systems skip snapshots unless a path is given)
     snapshot_path: Optional[str] = None
-    #: WAL entries that trigger an automatic compaction (0 = only explicit
-    #: ``checkpoint()`` / ``repro snapshot write`` compactions)
-    snapshot_compact_every: int = 64
     # video-to-video similarity
     sequence_method: str = "dtw"  # 'dtw' or 'align'
     #: weight of the clip-level motion descriptor in video queries
@@ -140,8 +137,6 @@ class SystemConfig:
             raise ValueError("query_cache_size must be >= 0")
         if self.snapshot not in ("auto", "off", "require"):
             raise ValueError("snapshot must be 'auto', 'off', or 'require'")
-        if self.snapshot_compact_every < 0:
-            raise ValueError("snapshot_compact_every must be >= 0 (0 = manual only)")
         if self.obs_trace_buffer < 1:
             raise ValueError("obs_trace_buffer must be >= 1")
         if self.obs_slow_query_ms < 0:

@@ -17,6 +17,10 @@ helper thread beside the rest, or fanned out over worker processes when
 ``config.workers > 1``.  The DB writes of step 4 stay in one transaction on
 the calling thread either way, and the results are byte-identical to a
 one-thread run.
+
+The commits ``Ingestor`` writes are also how a store catches up with the
+database: :func:`apply_commits` maps each logged add, delete and rename
+back onto the calls ``Ingestor`` made on the live store.
 """
 
 from __future__ import annotations
@@ -24,16 +28,18 @@ from __future__ import annotations
 import datetime
 import time
 from dataclasses import dataclass
-from functools import partial
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
+from functools import lru_cache, partial
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.catalog import FEATURE_COLUMNS
 from repro.core.config import SystemConfig
 from repro.core.lanes import analyse_frames
-from repro.core.store import FeatureStore, FrameRecord
+from repro.core.store import FeatureStore, FrameRecord, frame_record, video_motion
+from repro.db import sql as ast
 from repro.db.engine import Database
 from repro.db.errors import DatabaseError
 from repro.db.sql import build_insert
+from repro.db.storage import Statement
 from repro.features.base import FeatureExtractor, FeatureVector, get_extractor
 from repro.imaging.image import Image
 from repro.indexing.rangefinder import Bucket, RangeFinder
@@ -47,11 +53,98 @@ from repro.video.keyframes import KeyFrameExtractor
 if TYPE_CHECKING:  # pragma: no cover
     from repro.video.generator import SyntheticVideo
 
-__all__ = ["Ingestor", "IngestReport"]
+__all__ = ["Ingestor", "IngestReport", "apply_commits"]
 
 #: a key frame's row parts besides its features: index bucket, MAJORREGIONS
 #: when the regions feature is not configured (else None), PPM blob
 RowParts = Tuple[Bucket, Optional[int], bytes]
+
+# -- the statements Ingestor commits, and their replay onto a store ------------
+
+_VIDEO_COLUMNS = ("V_ID", "V_NAME", "CATEGORY", "VIDEO", "MOTION", "DOSTORE")
+#: a key frame's columns before its feature columns
+_FRAME_COLUMNS = ("I_ID", "I_NAME", "IMAGE", "MIN", "MAX", "MAJORREGIONS", "V_ID")
+_INSERT_VIDEO = build_insert("VIDEO_STORE", _VIDEO_COLUMNS)
+_DELETE_FRAMES = "DELETE FROM KEY_FRAMES WHERE V_ID = ?"
+_DELETE_VIDEO = "DELETE FROM VIDEO_STORE WHERE V_ID = ?"
+_RENAME_VIDEO = "UPDATE VIDEO_STORE SET V_NAME = ? WHERE V_ID = ?"
+#: the tables the feature store mirrors
+_STORE_TABLES = frozenset({"VIDEO_STORE", "KEY_FRAMES"})
+
+
+@lru_cache(maxsize=64)
+def _parse(text: str) -> Tuple[ast.Statement, int]:
+    return ast.parse(text)
+
+
+def _table_of(text: str, params: Tuple) -> str:
+    """The table a logged statement writes (its parameter count checked)."""
+    stmt, n_params = _parse(text)
+    if n_params != len(params):
+        raise ValueError(f"statement has {n_params} parameter(s), {len(params)} logged")
+    return stmt.schema.name if isinstance(stmt, ast.CreateTable) else stmt.table
+
+
+def _video_id(value: object) -> int:
+    """A logged ``WHERE V_ID = ?`` value as the store keys it; one that SQL
+    would not match exactly (``2.5``, ``"2"``) raises."""
+    if int(value) != value:
+        raise ValueError(f"video id {value!r} is not an integer")
+    return int(value)
+
+
+def _frame_row(text: str, params: Tuple) -> Dict[str, object]:
+    """The ``KEY_FRAMES`` row an ``Ingestor`` key-frame insert writes."""
+    columns = getattr(_parse(text)[0], "columns", ())
+    if columns[: len(_FRAME_COLUMNS)] != _FRAME_COLUMNS or text != build_insert(
+        "KEY_FRAMES", columns
+    ):
+        raise ValueError(f"{text[:60]!r} is not a key-frame insert")
+    return dict(zip(columns, params))
+
+
+def apply_commits(
+    store: FeatureStore,
+    commits: Iterable[Sequence[Statement]],
+    feature_names: Iterable[str],
+) -> None:
+    """Replay logged commits onto ``store`` through the calls ``Ingestor``
+    makes after committing them, parsing the same feature strings.
+
+    Writes to other tables pass.  Any other write to ``VIDEO_STORE`` or
+    ``KEY_FRAMES`` -- or one that does not parse -- raises
+    :class:`DatabaseError`, and the caller rebuilds from SQL instead.
+    """
+    feature_names = tuple(feature_names)
+    for statements in commits:
+        try:
+            _apply_commit(store, statements, feature_names)
+        except (KeyError, ValueError, TypeError, IndexError, AttributeError) as exc:
+            raise DatabaseError(f"a logged commit does not replay: {exc}") from exc
+
+
+def _apply_commit(
+    store: FeatureStore, statements: Sequence[Statement], feature_names: Sequence[str]
+) -> None:
+    texts = [text for text, _params in statements]
+    tables = {_table_of(text, params) for text, params in statements}
+    if texts == [_RENAME_VIDEO]:
+        name, video_id = statements[0][1]
+        store.rename_video(_video_id(video_id), name)
+    elif texts == [_DELETE_FRAMES, _DELETE_VIDEO] and statements[0][1] == statements[1][1]:
+        store.remove_video(_video_id(statements[0][1][0]))
+    elif texts[:1] == [_INSERT_VIDEO]:
+        video = dict(zip(_VIDEO_COLUMNS, statements[0][1]))
+        for text, params in statements[1:]:
+            row = _frame_row(text, params)
+            if row["V_ID"] != video["V_ID"]:
+                raise ValueError(f"key frame {row['I_ID']!r} is not of video {video['V_ID']!r}")
+            store.add(frame_record(row, video, feature_names))
+        motion = video_motion(video) if len(statements) > 1 else None
+        if motion is not None:
+            store.set_video_motion(int(video["V_ID"]), motion)
+    elif tables & _STORE_TABLES:
+        raise ValueError(f"{texts[0][:60]!r} is not a write Ingestor makes")
 
 
 def _row_parts(
@@ -137,9 +230,6 @@ class Ingestor:
         self._pool = pool or WorkerPool(workers=resolve_workers(config.workers))
         self._obs = obs
         self._policies = policies
-        # optional SnapshotManager (attach_snapshots); mutations are logged
-        # to its WAL after the DB commit + store mirror
-        self._snapshots = None
         self._log = log.get_logger(__name__)
         self._m_videos = obs.counter(
             "repro_ingest_videos_total", "Videos ingested."
@@ -173,10 +263,6 @@ class Ingestor:
     def close(self) -> None:
         """Tear down the worker pool and its helper thread."""
         self._pool.close()
-
-    def attach_snapshots(self, snapshots) -> None:
-        """Log committed mutations to ``snapshots``' WAL (see core.snapshots)."""
-        self._snapshots = snapshots
 
     @staticmethod
     def _motion_descriptor(frames: Sequence[Image]) -> FeatureVector:
@@ -263,11 +349,11 @@ class Ingestor:
 
             new_records: List[FrameRecord] = []
             self._policies.check_stage("ingest.db_txn")
+            before = self.db.commit_seq
             with self._stage("db_txn"):
                 with self.db.transaction():
                     self.db.execute(
-                        "INSERT INTO VIDEO_STORE (V_ID, V_NAME, CATEGORY, VIDEO, MOTION, DOSTORE)"
-                        " VALUES (?, ?, ?, ?, ?, ?)",
+                        _INSERT_VIDEO,
                         (video_id, name, category, video_blob, motion.to_string(), stored_on),
                     )
                     for offset, ((frame_index, _frame), features, parts) in enumerate(
@@ -285,10 +371,7 @@ class Ingestor:
                 for record in new_records:
                     self.store.add(record)
                 self.store.set_video_motion(video_id, motion)
-            if self._snapshots is not None:
-                self._snapshots.record_add_video(
-                    video_id, name, category, motion, new_records
-                )
+            self._mirrored(before)
 
             root.annotate(video_id=video_id, keyframes=len(new_records))
             elapsed = time.perf_counter() - t_video
@@ -310,6 +393,12 @@ class Ingestor:
             n_frames=len(frames),
             keyframe_ids=[r.frame_id for r in new_records],
         )
+
+    def _mirrored(self, before: Optional[int]) -> None:
+        """The store now holds the commit just made after ``before``: it is
+        at the database's last commit, if it held every earlier one."""
+        if before is not None and self.store.commit_seq == before:
+            self.store.commit_seq = self.db.commit_seq
 
     def _stage(self, label: str) -> "_StageTimer":
         """A span + stage-histogram context manager for one pipeline stage."""
@@ -333,7 +422,7 @@ class Ingestor:
             major_regions = int(features["regions"].values[2])
         frame_name = f"{video_name}_f{frame_index:04d}"
 
-        columns = ["I_ID", "I_NAME", "IMAGE", "MIN", "MAX", "MAJORREGIONS", "V_ID"]
+        columns = list(_FRAME_COLUMNS)
         values: List[object] = [
             frame_id,
             frame_name,
@@ -364,12 +453,12 @@ class Ingestor:
         ).rows
         if not rows:
             raise DatabaseError(f"no video with id {video_id}")
+        before = self.db.commit_seq
         with self.db.transaction():
-            self.db.execute("DELETE FROM KEY_FRAMES WHERE V_ID = ?", (video_id,))
-            self.db.execute("DELETE FROM VIDEO_STORE WHERE V_ID = ?", (video_id,))
+            self.db.execute(_DELETE_FRAMES, (video_id,))
+            self.db.execute(_DELETE_VIDEO, (video_id,))
         frame_ids = self.store.remove_video(video_id)
-        if self._snapshots is not None:
-            self._snapshots.record_delete(video_id)
+        self._mirrored(before)
         self._m_deletes.inc()
         self._log.info(
             "ingest.delete", video_id=video_id, frames=len(frame_ids)
@@ -378,13 +467,11 @@ class Ingestor:
 
     def rename_video(self, video_id: int, new_name: str) -> None:
         """Update V_NAME (metadata-only update; features are untouched)."""
-        count = self.db.execute(
-            "UPDATE VIDEO_STORE SET V_NAME = ? WHERE V_ID = ?", (new_name, video_id)
-        ).rowcount
+        before = self.db.commit_seq
+        count = self.db.execute(_RENAME_VIDEO, (new_name, video_id)).rowcount
         if count == 0:
             raise DatabaseError(f"no video with id {video_id}")
         self.store.rename_video(video_id, new_name)
-        if self._snapshots is not None:
-            self._snapshots.record_rename(video_id, new_name)
+        self._mirrored(before)
         self._m_renames.inc()
         self._log.info("ingest.rename", video_id=video_id, name=new_name)

@@ -1,31 +1,24 @@
-"""Store-level snapshot management: mmap cold start + WAL + compaction.
+"""Store-level snapshot management: mmap cold start, caught up from the SQL log.
 
 :mod:`repro.snapshot` owns the bytes; this module translates them to and
-from live objects.  :class:`SnapshotManager` sits beside the
-:class:`~repro.core.store.FeatureStore` and
+from live objects.  :class:`SnapshotManager` **writes** the image of the
+live store, stamped with the library's token, the database commit the store
+holds and the log's name, and **opens** it: the store adopts the mmap
+sections as its columns (queries serve straight off the page cache) with
+the recorded generation counters, applies the commits the log holds after
+the stamp (:func:`~repro.core.ingest.apply_commits`, the same feature
+strings the SQL rebuild parses, so the result is bitwise that rebuild) and
+hands the IVF coarse quantizer its trained state.
 
-- **opens**: maps the snapshot read-only, has the store adopt the mmap
-  sections as its columns (queries then serve straight off the page
-  cache) with the recorded generation counters, replays the WAL on top,
-  and hands the IVF coarse quantizer its trained state -- all without
-  touching a single ``KEY_FRAMES`` row or looping over the frames;
-- **records**: appends each ingest/delete/rename to the WAL so the
-  on-disk image keeps up without a full rewrite per mutation;
-- **compacts**: folds the WAL into a fresh snapshot (atomic rename)
-  once it grows past ``snapshot_compact_every`` entries.
-
-Failure handling is fallback-first: a missing, corrupt, stale, or
-version-skewed snapshot means the system rebuilds from SQL exactly as if
-no snapshot existed, counts the miss, and reports itself degraded only
-in the ``repro_snapshot_opens_total{outcome="rebuild"}`` sense --
+The database log is the library's one history and the image a cache of it:
+fresh when its token is the database's and its commit lies between the
+log's base and the database's last commit.  A read replica (no database)
+reads the same tail from the log the image names.  Anything else -- a
+missing, corrupt or version-skewed file, a stamp the log no longer
+reaches, a logged write the store cannot replay -- rebuilds from SQL,
+counted in ``repro_snapshot_opens_total{outcome="rebuild"}``;
 ``snapshot="require"`` turns that fallback into a hard error for read
 replicas that must never touch the database.
-
-Byte-correctness: WAL replay parses the very same feature strings the
-SQL rebuild would parse, and the restored generation counters continue
-exactly where the writing process left them, so query-cache keys and
-``structure_generation``-based invalidation agree between a process that
-lived through the mutations and one that replayed them.
 """
 
 from __future__ import annotations
@@ -36,39 +29,29 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.store import (
-    FeatureColumn,
-    FeatureStore,
-    FrameColumns,
-    FrameRecord,
-    VideoInfo,
-)
+from repro.core.catalog import FEATURE_COLUMNS
+from repro.core.ingest import apply_commits
+from repro.core.store import FeatureColumn, FeatureStore, FrameColumns, VideoInfo
+from repro.db.errors import DatabaseError, StorageError
+from repro.db.storage import Log, Statement, read_log
 from repro.features.base import FeatureVector
-from repro.indexing.rangefinder import Bucket
 from repro.obs import NULL_OBS, Obs, log
 from repro.resilience import NULL_POLICIES, FaultInjected, ResiliencePolicies
-from repro.snapshot import (
-    CorruptSnapshotError,
-    CorruptWalError,
-    Snapshot,
-    SnapshotError,
-    WalWriter,
-    read_wal,
-    remove_wal,
-    wal_path_for,
-    write_snapshot,
-)
+from repro.snapshot import CorruptSnapshotError, Snapshot, SnapshotError, write_snapshot
 
 __all__ = [
     "SnapshotManager",
     "SnapshotRequiredError",
     "build_snapshot_payload",
     "load_snapshot_into_store",
+    "named_log",
     "open_snapshot_store",
 ]
 
 #: snapshot meta discriminator (a repro.snapshot file could hold anything)
 _META_KIND = "cbvr-store"
+
+Commits = List[List[Statement]]
 
 
 class SnapshotRequiredError(RuntimeError):
@@ -134,7 +117,7 @@ def build_snapshot_payload(
 
 
 def load_snapshot_into_store(snap: Snapshot, store: FeatureStore) -> None:
-    """Restore the frame population from an open snapshot (no WAL yet).
+    """Restore the frame population from an open snapshot (no tail yet).
 
     The store adopts the mmap sections as its columns: no per-frame work,
     no vector copies, and the first query reads pages straight from the
@@ -193,78 +176,52 @@ def load_snapshot_into_store(snap: Snapshot, store: FeatureStore) -> None:
     )
 
 
+def named_log(snap: Snapshot) -> Optional[Log]:
+    """The log an image's stamp names (beside the image), read; None when
+    the image is unstamped or the log is not there."""
+    name = snap.meta.get("log")
+    if name is None:
+        return None
+    return read_log(os.path.join(os.path.dirname(snap.path), str(name)))
+
+
+def _replica_tail(snap: Snapshot) -> Optional[Commits]:
+    """What a reader without the database replays: the named log's
+    commits after the stamp (None when there is no log to read)."""
+    found = named_log(snap)
+    if found is None:
+        return None
+    return found.after(str(snap.meta.get("token")), int(snap.meta["commit_seq"]))
+
+
 def open_snapshot_store(path: str) -> Tuple[Snapshot, FeatureStore]:
-    """Open a snapshot + its WAL into a fresh read-replica store.
+    """Open a snapshot, caught up from its log, into a fresh read-replica store.
 
     The pure-mmap analogue of :meth:`SnapshotManager.try_open` for callers
     that have only a snapshot file and no database -- shard workers and the
-    scatter-gather coordinator.  No fallback: a missing or corrupt file
-    raises, because a replica silently serving an empty partition would
-    corrupt merged rankings.  The caller owns closing the returned
-    :class:`~repro.snapshot.Snapshot` (the store's columns view its mmap).
+    scatter-gather coordinator.  No fallback: a missing or corrupt file, or
+    a log the store cannot catch up from, raises, because a replica
+    silently serving the wrong partition would corrupt merged rankings.
+    The caller owns closing the returned :class:`~repro.snapshot.Snapshot`
+    (the store's columns view its mmap).
     """
     snap = Snapshot.open(path)
     try:
         store = FeatureStore()
-        base = (
-            int(snap.meta["generation"]),
-            int(snap.meta["structure_generation"]),
-        )
-        entries = read_wal(wal_path_for(path), base[0], base[1])
+        tail = _replica_tail(snap)
         load_snapshot_into_store(snap, store)
-        for entry in entries:
-            _replay_wal_entry(store, entry)
+        apply_commits(store, tail or [], FEATURE_COLUMNS)
     except Exception:
         snap.close()
         raise
     return snap, store
 
 
-def _replay_wal_entry(store: FeatureStore, entry: Dict[str, object]) -> None:
-    """Apply one WAL record through the exact mutation path ingest used.
-
-    ``add_video`` re-parses the recorded feature strings with
-    ``FeatureVector.from_string`` -- the same code the SQL rebuild runs --
-    so a replayed store is byte-identical to a rebuilt one.
-    """
-    op = entry.get("op")
-    if op == "add_video":
-        video_id = int(entry["video_id"])
-        name = str(entry["name"])
-        category = entry.get("category")
-        for frame in entry["frames"]:
-            features = {
-                fname: FeatureVector.from_string(fname, text)
-                for fname, text in frame["features"].items()
-            }
-            store.add(
-                FrameRecord(
-                    frame_id=int(frame["frame_id"]),
-                    video_id=video_id,
-                    video_name=name,
-                    frame_name=str(frame["frame_name"]),
-                    category=category,
-                    bucket=Bucket(int(frame["bucket"][0]), int(frame["bucket"][1])),
-                    features=features,
-                )
-            )
-        if entry.get("motion"):
-            store.set_video_motion(
-                video_id, FeatureVector.from_string("motion", str(entry["motion"]))
-            )
-    elif op == "delete_video":
-        store.remove_video(int(entry["video_id"]))
-    elif op == "rename_video":
-        store.rename_video(int(entry["video_id"]), str(entry["name"]))
-    else:
-        raise CorruptWalError(f"unknown WAL op {op!r}")
-
-
 # -- the manager ---------------------------------------------------------------
 
 
 class SnapshotManager:
-    """Owns one system's snapshot file, WAL, and compaction policy."""
+    """Owns one system's snapshot file: opens, catches up and rewrites it."""
 
     def __init__(
         self,
@@ -287,8 +244,11 @@ class SnapshotManager:
         self._log = log.get_logger(__name__)
         self._engine = None  # attach_engine; needed for IVF state
         self._snapshot: Optional[Snapshot] = None
-        self._wal: Optional[WalWriter] = None
         self._served_from = "none"
+        #: the commit the image in use holds (None: unstamped, or none)
+        self._image_seq: Optional[int] = None
+        #: a replica's last commit, from the log it read at open
+        self._replica_head: Optional[int] = None
         self._m_opens = obs.counter(
             "repro_snapshot_opens_total",
             "System cold starts by source (mmap snapshot vs SQL rebuild).",
@@ -296,23 +256,10 @@ class SnapshotManager:
         )
         self._m_open_seconds = obs.histogram(
             "repro_snapshot_open_seconds",
-            "Snapshot open + WAL replay wall time.",
-        )
-        self._m_compact_seconds = obs.histogram(
-            "repro_snapshot_compact_seconds",
-            "Snapshot compaction (WAL fold + rewrite) wall time.",
-        )
-        self._m_compactions = obs.counter(
-            "repro_snapshot_compactions_total",
-            "Snapshot compactions, by outcome.",
-            labelnames=("outcome",),
+            "Snapshot open + log tail replay wall time.",
         )
         self._m_writes = obs.counter(
             "repro_snapshot_writes_total", "Full snapshot files written."
-        )
-        self._m_wal_depth = obs.gauge(
-            "repro_snapshot_wal_depth",
-            "Mutations in the WAL since the base snapshot.",
         )
 
     @property
@@ -325,10 +272,6 @@ class SnapshotManager:
         """How this process started: ``mmap``, ``rebuild``, or ``none``."""
         return self._served_from
 
-    @property
-    def wal_depth(self) -> int:
-        return self._wal.depth if self._wal is not None else 0
-
     def attach_engine(self, engine) -> None:
         """Bind the search engine (its IVF index rides in the snapshot)."""
         self._engine = engine
@@ -339,10 +282,11 @@ class SnapshotManager:
         """Serve from the snapshot; ``False`` -> caller rebuilds from SQL.
 
         On any failure in ``auto`` mode -- missing file, checksum mismatch,
-        foreign version/endianness, stale WAL, or disagreement with the
-        database -- the store is left empty, a fallback is counted, and the
-        caller runs the usual SQL rebuild.  ``require`` escalates the same
-        failures to :class:`SnapshotRequiredError`.
+        foreign version/endianness, a stamp this history does not reach, or
+        a logged commit the store cannot replay -- the store is left empty,
+        a fallback is counted, and the caller runs the usual SQL rebuild.
+        ``require`` escalates the same failures to
+        :class:`SnapshotRequiredError`.
         """
         if not self.active:
             self._served_from = "rebuild"
@@ -351,25 +295,23 @@ class SnapshotManager:
         try:
             self._policies.fire("snapshot.open")
             snap = Snapshot.open(self.path)
-            base = (
-                int(snap.meta["generation"]),
-                int(snap.meta["structure_generation"]),
-            )
-            entries = read_wal(wal_path_for(self.path), base[0], base[1])
+            tail = self._tail(snap)
             load_snapshot_into_store(snap, self.store)
-            for entry in entries:
-                _replay_wal_entry(self.store, entry)
-            self._check_freshness()
+            apply_commits(self.store, tail or [], self.config.features)
         except FileNotFoundError:
             return self._open_failed("missing snapshot file")
-        except (SnapshotError, FaultInjected, KeyError, ValueError, TypeError) as exc:
+        except (
+            SnapshotError, DatabaseError, FaultInjected, KeyError, ValueError, TypeError
+        ) as exc:
             # malformed meta surfaces as KeyError/ValueError; a partially
             # replayed store is discarded before the SQL rebuild
             self.store.clear()
             return self._open_failed(f"{type(exc).__name__}: {exc}")
         self._snapshot = snap
-        self._wal = WalWriter(wal_path_for(self.path), base[0], base[1])
         self._served_from = "mmap"
+        self._image_seq = snap.meta.get("commit_seq")
+        if not self.db.is_durable and tail is not None:
+            self._replica_head = self._image_seq + len(tail)
         if self._engine is not None and self._engine.ann is not None:
             ivf_meta = snap.meta.get("ivf")
             if ivf_meta is not None:
@@ -382,15 +324,31 @@ class SnapshotManager:
         elapsed = time.perf_counter() - t0
         self._m_opens.labels(outcome="mmap").inc()
         self._m_open_seconds.observe(elapsed)
-        self._m_wal_depth.set(self._wal.depth)
         self._log.info(
             "snapshot.open",
             path=self.path,
             frames=len(self.store),
-            wal_entries=len(entries),
+            commits=len(tail or []),
             ms=round(elapsed * 1000.0, 2),
         )
         return True
+
+    def _tail(self, snap: Snapshot) -> Optional[Commits]:
+        """The commits the image misses; raises when this history cannot
+        say what they are.  A durable library takes them from its own log
+        and refuses an image without its stamp."""
+        if not self.db.is_durable:
+            return _replica_tail(snap)
+        meta = snap.meta
+        if meta.get("token") != self.db.token:
+            raise CorruptSnapshotError(f"{snap.path}: not an image of this library")
+        seq = int(meta["commit_seq"])
+        if seq == self.db.commit_seq:
+            return []
+        found = read_log(self.db.log_path)
+        if found is None:
+            raise StorageError(f"no log to catch up from commit {seq}")
+        return found.after(self.db.token, seq)
 
     def _open_failed(self, reason: str) -> bool:
         if self.mode == "require":
@@ -403,118 +361,14 @@ class SnapshotManager:
         self._log.warning("snapshot.fallback", path=self.path, reason=reason)
         return False
 
-    def _check_freshness(self) -> None:
-        """The snapshot + WAL must reproduce exactly the database's frames.
-
-        Durable systems compare frame count and max id (cheap aggregates)
-        against the replayed store; a snapshot another writer left behind
-        -- or one that simply missed the last transactions -- is stale and
-        falls back to the rebuild.  In-memory systems skip the check: with
-        an explicit ``snapshot_path`` they are pure mmap read replicas that
-        by design never consult SQL (see docs/snapshot.md).
-        """
-        if not self.db.is_durable:
-            return
-        count = self.db.execute("SELECT COUNT(*) FROM KEY_FRAMES").scalar()
-        max_id = self.db.execute("SELECT MAX(I_ID) FROM KEY_FRAMES").scalar()
-        ids = self.store.frame_ids()
-        store_max = ids[-1] if ids else None
-        if int(count) != len(ids) or (max_id is None) != (store_max is None) or (
-            max_id is not None and int(max_id) != int(store_max)
-        ):
-            raise CorruptSnapshotError(
-                f"snapshot+WAL holds {len(ids)} frames (max id {store_max}), "
-                f"database holds {count} (max id {max_id}): stale snapshot"
-            )
-
-    # -- incremental recording -------------------------------------------------
-
-    def _append(self, op: str, payload: Dict[str, object]) -> None:
-        if self._wal is None:
-            return
-        try:
-            self._wal.append(op, payload)
-        except OSError as exc:
-            # never fail the (already committed) mutation over WAL I/O
-            self._log.warning(
-                "snapshot.wal_error", op=op, error=f"{type(exc).__name__}: {exc}"
-            )
-            self._policies.note_fallback("snapshot_wal_disabled")
-            self._wal = None
-            self._discard_image()
-            return
-        self._m_wal_depth.set(self._wal.depth)
-        self.maybe_compact()
-
-    def _discard_image(self) -> None:
-        """Unlink the snapshot + WAL that missed a committed mutation.
-
-        A rename, or a delete + add of equal frame count, leaves the
-        ``COUNT(*)`` / ``MAX(I_ID)`` aggregates of :meth:`_check_freshness`
-        unchanged, so the image would serve stale rows on the next open.
-        With the files gone that open rebuilds from SQL, and the next
-        :meth:`write` starts a fresh image.  This process keeps serving
-        from its mapping, which the unlink does not touch.
-        """
-        try:
-            if os.path.exists(self.path):
-                os.remove(self.path)
-            remove_wal(self.path)
-        except OSError as exc:
-            self._log.warning(
-                "snapshot.discard_failed",
-                path=self.path,
-                error=f"{type(exc).__name__}: {exc}",
-            )
-            return
-        self._policies.note_fallback("snapshot_discarded")
-        self._log.warning("snapshot.discarded", path=self.path)
-
-    def record_add_video(
-        self,
-        video_id: int,
-        name: str,
-        category: Optional[str],
-        motion: Optional[FeatureVector],
-        records: List[FrameRecord],
-    ) -> None:
-        """Log one committed ``add_video`` (call after the store mirror)."""
-        self._append(
-            "add_video",
-            {
-                "video_id": video_id,
-                "name": name,
-                "category": category,
-                "motion": motion.to_string() if motion is not None else None,
-                "frames": [
-                    {
-                        "frame_id": r.frame_id,
-                        "frame_name": r.frame_name,
-                        "bucket": [r.bucket.min, r.bucket.max],
-                        "features": {
-                            fname: vector.to_string()
-                            for fname, vector in r.features.items()
-                        },
-                    }
-                    for r in records
-                ],
-            },
-        )
-
-    def record_delete(self, video_id: int) -> None:
-        self._append("delete_video", {"video_id": video_id})
-
-    def record_rename(self, video_id: int, new_name: str) -> None:
-        self._append("rename_video", {"video_id": video_id, "name": new_name})
-
-    # -- writing / compaction --------------------------------------------------
+    # -- writing ---------------------------------------------------------------
 
     def write(self) -> str:
         """Write a full snapshot of the live store (and IVF) right now.
 
-        Atomic (tmp + rename); on success the WAL restarts empty at the
-        new base generation.  This is both the explicit ``repro snapshot
-        write`` / ``checkpoint()`` path and the compaction rewrite.
+        Atomic (tmp + rename).  A store that mirrors a durable database is
+        stamped with the last commit it holds; this is both the explicit
+        ``repro snapshot write`` and the ``checkpoint()`` path.
         """
         if self.path is None:
             raise SnapshotError(
@@ -523,51 +377,20 @@ class SnapshotManager:
             )
         ivf = self._engine.ann if self._engine is not None else None
         arrays, meta = build_snapshot_payload(self.store, ivf)
+        if self.store.commit_seq is not None:
+            image_dir = os.path.dirname(os.path.abspath(self.path))
+            meta.update(
+                token=self.db.token,
+                commit_seq=self.store.commit_seq,
+                log=os.path.relpath(self.db.log_path, image_dir),
+            )
         write_snapshot(self.path, arrays, meta)
-        remove_wal(self.path)
-        self._wal = WalWriter(
-            wal_path_for(self.path),
-            self.store.generation,
-            self.store.structure_generation,
-        )
+        self._image_seq = self.store.commit_seq
         self._m_writes.inc()
-        self._m_wal_depth.set(0)
         self._log.info(
             "snapshot.write", path=self.path, frames=len(self.store)
         )
         return self.path
-
-    def maybe_compact(self) -> bool:
-        """Compact when the WAL has outgrown ``snapshot_compact_every``."""
-        limit = self.config.snapshot_compact_every
-        if limit <= 0 or self._wal is None or self._wal.depth < limit:
-            return False
-        return self.compact()
-
-    def compact(self) -> bool:
-        """Fold the WAL into a fresh snapshot; ``False`` on failure.
-
-        A failed (or fault-injected, point ``snapshot.compact``) run
-        leaves the old snapshot + WAL fully intact -- the write is atomic
-        and the WAL is only truncated after the rename lands -- so a kill
-        mid-compact costs nothing but the retry.
-        """
-        t0 = time.perf_counter()
-        try:
-            self._policies.fire("snapshot.compact")
-            self.write()
-        except (FaultInjected, SnapshotError, OSError) as exc:
-            self._m_compactions.labels(outcome="error").inc()
-            self._policies.note_fallback("snapshot_compact_failed")
-            self._log.warning(
-                "snapshot.compact_failed", error=f"{type(exc).__name__}: {exc}"
-            )
-            return False
-        elapsed = time.perf_counter() - t0
-        self._m_compactions.labels(outcome="ok").inc()
-        self._m_compact_seconds.observe(elapsed)
-        self._log.info("snapshot.compact", ms=round(elapsed * 1000.0, 2))
-        return True
 
     # -- introspection ---------------------------------------------------------
 
@@ -575,14 +398,18 @@ class SnapshotManager:
         """Summary for ``system.metrics()`` (None when snapshots are off)."""
         if not self.active:
             return None
-        return {
+        out: Dict[str, object] = {
             "mode": self.mode,
             "path": self.path,
             "served_from": self._served_from,
-            "wal_depth": self.wal_depth,
+            "commit_seq": self._image_seq,
             "generation": self.store.generation,
             "structure_generation": self.store.structure_generation,
         }
+        head = self.db.commit_seq if self.db.is_durable else self._replica_head
+        if self._image_seq is not None and head is not None:
+            out["commits_behind"] = head - self._image_seq
+        return out
 
     def close(self) -> None:
         """Release the mmap (idempotent; part of system shutdown)."""

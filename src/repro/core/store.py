@@ -21,16 +21,22 @@ from __future__ import annotations
 
 from collections.abc import Mapping as MappingABC
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import (
+    Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
 from repro.core.catalog import FEATURE_COLUMNS
 from repro.db.engine import Database
+from repro.db.errors import DatabaseError
 from repro.features.base import FeatureExtractor, FeatureVector
 from repro.indexing.rangefinder import Bucket
 
-__all__ = ["FrameRecord", "VideoInfo", "FrameColumns", "FeatureColumn", "FeatureStore"]
+__all__ = [
+    "FrameRecord", "VideoInfo", "FrameColumns", "FeatureColumn", "FeatureStore",
+    "frame_record", "video_motion",
+]
 
 
 @dataclass(frozen=True)
@@ -124,6 +130,43 @@ class _RowFeatures(MappingABC):
         return len(self._matrices)
 
 
+def frame_record(
+    row: Mapping[str, object], video: Mapping[str, object], feature_names: Iterable[str]
+) -> FrameRecord:
+    """A ``KEY_FRAMES`` row as a record, named after its ``VIDEO_STORE``
+    row (``{}`` when it has none): the one mapping of the SQL rebuild and
+    of the log replay.  A malformed row raises :class:`DatabaseError`."""
+    try:
+        features = {
+            name: FeatureVector.from_string(name, row[FEATURE_COLUMNS[name]])
+            for name in feature_names
+            if row.get(FEATURE_COLUMNS[name])
+        }
+        return FrameRecord(
+            frame_id=int(row["I_ID"]),
+            video_id=int(row["V_ID"]),
+            video_name=video.get("V_NAME", f"video_{row['V_ID']}"),
+            frame_name=row["I_NAME"],
+            category=video.get("CATEGORY"),
+            bucket=Bucket(int(row["MIN"]), int(row["MAX"])),
+            features=features,
+        )
+    except (KeyError, ValueError, TypeError, AttributeError) as exc:
+        raise DatabaseError(f"key frame {row.get('I_ID')!r}: {exc}") from exc
+
+
+def video_motion(video: Mapping[str, object]) -> Optional[FeatureVector]:
+    """A ``VIDEO_STORE`` row's motion descriptor (None when it has none);
+    a malformed one raises :class:`DatabaseError`."""
+    text = video.get("MOTION")
+    if not text:
+        return None
+    try:
+        return FeatureVector.from_string("motion", text)
+    except (ValueError, AttributeError) as exc:
+        raise DatabaseError(f"video {video.get('V_ID')!r} motion: {exc}") from exc
+
+
 def _live(arr: np.ndarray, n: int) -> np.ndarray:
     """A read-only view of ``arr``'s first ``n`` rows."""
     view = arr[:n]
@@ -156,6 +199,9 @@ class FeatureStore:
     def __init__(self):
         self._generation = 0
         self._structure_generation = 0
+        #: the last database commit this mirror holds, when it mirrors a
+        #: durable database and has missed none (the snapshot stamp)
+        self.commit_seq: Optional[int] = None
         self._reset()
 
     def _reset(self) -> None:
@@ -236,8 +282,8 @@ class FeatureStore:
         :attr:`columns` / :meth:`feature_columns`, gathered or merged).
         ``columns.ids`` must be strictly ascending.  The counters are
         restored as given, so query-cache keys and ANN sync state computed
-        before a restart stay correct relative to the WAL entries replayed
-        on top.
+        before a restart stay correct relative to the logged commits
+        replayed on top.
         """
         n = len(columns.ids)
         self._reset()
@@ -628,27 +674,9 @@ class FeatureStore:
                 "SELECT V_ID, V_NAME, CATEGORY, MOTION FROM VIDEO_STORE"
             ).rows
         }
-        wanted = [(name, FEATURE_COLUMNS[name]) for name in feature_names]
         for row in db.execute("SELECT * FROM KEY_FRAMES").rows:
-            features: Dict[str, FeatureVector] = {}
-            for name, column in wanted:
-                text = row.get(column)
-                if text:
-                    features[name] = FeatureVector.from_string(name, text)
-            video = videos.get(row["V_ID"], {})
-            self.add(
-                FrameRecord(
-                    frame_id=int(row["I_ID"]),
-                    video_id=int(row["V_ID"]),
-                    video_name=video.get("V_NAME", f"video_{row['V_ID']}"),
-                    frame_name=row["I_NAME"],
-                    category=video.get("CATEGORY"),
-                    bucket=Bucket(int(row["MIN"]), int(row["MAX"])),
-                    features=features,
-                )
-            )
-        for v_id, row in videos.items():
-            if row.get("MOTION") and int(v_id) in self._videos:
-                self.set_video_motion(
-                    int(v_id), FeatureVector.from_string("motion", row["MOTION"])
-                )
+            self.add(frame_record(row, videos.get(row["V_ID"], {}), feature_names))
+        for video_id in list(self._videos):
+            motion = video_motion(videos.get(video_id, {}))
+            if motion is not None:
+                self.set_video_motion(video_id, motion)

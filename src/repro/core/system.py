@@ -58,10 +58,14 @@ class AdminSession:
         self._system._ingestor.rename_video(video_id, new_name)
 
     def checkpoint(self) -> None:
-        """Fold the WALs into snapshots: the database's and the store's."""
-        self._system.db.checkpoint()
+        """Write the store's image, then fold the database's log.
+
+        In that order: a crash between the two leaves an image the log
+        still reaches, so the next open serves from it.
+        """
         if self._system.snapshots.active:
             self._system.snapshots.write()
+        self._system.db.checkpoint()
 
 
 class VideoRetrievalSystem:
@@ -116,9 +120,9 @@ class VideoRetrievalSystem:
             policies=self.resilience,
         )
         self.snapshots.attach_engine(self._engine)
-        self._ingestor.attach_snapshots(self.snapshots)
         if not self.snapshots.try_open():  # else: the columns came off the mmap
             self._store.rebuild_from_db(self.db, list(self.config.features))
+        self._store.commit_seq = self.db.commit_seq
 
     # -- constructors ----------------------------------------------------------
 

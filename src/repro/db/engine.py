@@ -11,8 +11,9 @@ Usage::
 
 Write statements auto-commit unless a transaction is open (``begin()`` /
 ``commit()`` / ``rollback()``, also usable as a context manager via
-:meth:`transaction`).  Durable databases append committed writes to a WAL
-and replay it on open; :meth:`checkpoint` folds the WAL into a snapshot.
+:meth:`transaction`).  Durable databases append each commit to a WAL as
+one record, numbered by :attr:`Database.commit_seq`, and replay it on open;
+:meth:`checkpoint` folds the WAL into a snapshot.
 """
 
 from __future__ import annotations
@@ -239,8 +240,23 @@ class Database:
         """The storage file location (None for in-memory databases)."""
         return self._storage.path if self._storage is not None else None
 
+    @property
+    def log_path(self) -> Optional[str]:
+        """The write-ahead log's location (None for in-memory databases)."""
+        return self._storage.wal_path if self._storage is not None else None
+
+    @property
+    def commit_seq(self) -> Optional[int]:
+        """The last committed write's sequence number (None in memory)."""
+        return self._storage.seq if self._storage is not None else None
+
+    @property
+    def token(self) -> Optional[str]:
+        """The library's token, minted at creation (None in memory)."""
+        return self._storage.token if self._storage is not None else None
+
     def checkpoint(self) -> None:
-        """Write a full snapshot and truncate the WAL (durable DBs only)."""
+        """Write a full snapshot and restart the WAL (durable DBs only)."""
         if self._storage is None:
             raise DatabaseError("checkpoint() requires a durable database")
         self._storage.write_snapshot(self)

@@ -404,8 +404,8 @@ class IVFIndex:
         """Restore :meth:`export_state` output, skipping the retrain.
 
         The recorded ``known_generation`` must correspond to the store
-        generation the snapshot restored; mutations replayed on top (WAL
-        entries) are folded in by the usual :meth:`_sync` on next probe.
+        generation the snapshot restored; mutations replayed on top (the
+        log's commits) are folded in by the usual :meth:`_sync` on next probe.
         """
         self._known_generation = int(meta["known_generation"])
         self._trained_size = int(meta["trained_size"])

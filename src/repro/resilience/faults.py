@@ -8,7 +8,6 @@ an infrastructure failure can plausibly occur::
     codec.decode        one stored-video RVF decode
     ann.probe           one IVF candidate-index probe
     snapshot.open       one mmap snapshot open (-> SQL-rebuild fallback)
-    snapshot.compact    one snapshot compaction (WAL fold + rewrite)
     shard.query         one scatter-gather shard dispatch (-> partial result)
     serving.request     one admitted async-serving search request
     extractor.<name>    one query frame's or clip key frame's extraction (-> degraded)
@@ -61,7 +60,6 @@ KNOWN_POINTS = frozenset(
         "codec.decode",
         "ann.probe",
         "snapshot.open",
-        "snapshot.compact",
         "shard.query",
         "serving.request",
     }

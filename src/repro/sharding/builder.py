@@ -1,8 +1,8 @@
 """Per-shard corpus builder: split one store into N snapshot partitions.
 
-Each shard gets a complete, self-contained RSNAP1 snapshot (plus an
-empty WAL at the shard store's base generation) holding exactly the
-videos that :func:`~repro.sharding.partition.shard_of` assigns to it.
+Each shard gets a complete, self-contained RSNAP1 snapshot holding exactly
+the videos that :func:`~repro.sharding.partition.shard_of` assigns to it.
+Shard images carry no history stamp, so workers serve them as they are.
 Workers then cold-start a partition with the same mmap machinery the
 single-store engine uses -- a shard is just a smaller library.
 """
@@ -19,7 +19,7 @@ from repro.core.store import FeatureStore
 from repro.obs import log
 from repro.sharding.manifest import ShardManifest
 from repro.sharding.partition import shard_of
-from repro.snapshot import WalWriter, remove_wal, wal_path_for, write_snapshot
+from repro.snapshot import write_snapshot
 
 __all__ = ["SHARD_SNAPSHOT_PATTERN", "split_store", "split_library"]
 
@@ -50,10 +50,6 @@ def split_store(
         arrays, meta = build_snapshot_payload(sub)
         meta["shard"] = {"index": index, "of": n_shards}
         write_snapshot(path, arrays, meta)
-        # a fresh empty WAL pins the base generation, so a worker opening
-        # the shard replays nothing and a stale leftover log can't leak in
-        remove_wal(path)
-        WalWriter(wal_path_for(path), sub.generation, sub.structure_generation)
         names.append(name)
     manifest = ShardManifest(n_shards=n_shards, snapshots=tuple(names))
     manifest.write(out_dir)

@@ -1,11 +1,12 @@
-"""On-disk snapshot format: an mmap-able index image plus its WAL.
+"""On-disk snapshot format: an mmap-able index image.
 
 This package owns only the bytes -- the versioned binary layout
-(:mod:`repro.snapshot.format`) and the checksummed JSON-lines log that
-rides beside it (:mod:`repro.snapshot.wal`).  Translating a
+(:mod:`repro.snapshot.format`).  The image is a cache of the database's
+log, stamped with the commit it holds; translating a
 :class:`~repro.core.store.FeatureStore` and IVF index to and from those
-bytes lives in :mod:`repro.core.snapshots`, keeping this layer free of
-core imports so the analysis layer DAG stays acyclic.
+bytes, and catching an image up from the log, lives in
+:mod:`repro.core.snapshots`, keeping this layer free of core imports so
+the analysis layer DAG stays acyclic.
 """
 
 from repro.snapshot.format import (
@@ -17,31 +18,13 @@ from repro.snapshot.format import (
     SnapshotVersionError,
     write_snapshot,
 )
-from repro.snapshot.wal import (
-    WAL_MAGIC,
-    CorruptWalError,
-    StaleWalError,
-    WalWriter,
-    read_wal,
-    remove_wal,
-    wal_depth,
-    wal_path_for,
-)
 
 __all__ = [
     "MAGIC",
     "VERSION",
-    "WAL_MAGIC",
     "Snapshot",
     "SnapshotError",
     "CorruptSnapshotError",
     "SnapshotVersionError",
-    "CorruptWalError",
-    "StaleWalError",
-    "WalWriter",
     "write_snapshot",
-    "read_wal",
-    "remove_wal",
-    "wal_depth",
-    "wal_path_for",
 ]

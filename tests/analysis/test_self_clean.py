@@ -73,13 +73,26 @@ def test_one_pipeline_for_all_three_query_kinds():
     }
     assert overridden == {"_plan_vectors", "_score_plans", "_rank_plan", "close"}
     assert [n for n in worker.__all__ if n.startswith("score_")] == ["score_vectors_shard"]
-    assert len(dataclasses.fields(SystemConfig)) == 34
+    assert len(dataclasses.fields(SystemConfig)) == 33
 
 
 def test_numpy_is_the_only_import_outside_the_stdlib():
     """Two paths per kernel -- fast (NumPy) and reference (the paper's
     listing) -- and none that depends on what else is installed."""
     gone = ("scipy", "HAVE_SCIPY", "_label_regions_scipy")
+    for module in PACKAGE_DIR.rglob("*.py"):
+        source = module.read_text()
+        assert not [name for name in gone if name in source], module
+
+
+def test_one_durable_history():
+    """The database log is the library's one history: no store-level WAL,
+    its writer, its per-mutation hooks, its compaction knob or fault point."""
+    gone = (
+        "repro.snapshot.wal", "WalWriter", "record_add_video",
+        "snapshot_compact_every", "snapshot.compact",
+    )
+    assert not (PACKAGE_DIR / "snapshot" / "wal.py").exists()
     for module in PACKAGE_DIR.rglob("*.py"):
         source = module.read_text()
         assert not [name for name in gone if name in source], module

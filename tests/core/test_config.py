@@ -19,7 +19,7 @@ class TestConfig:
         # fixed policies live as defaulted arguments where they are used
         # (ResiliencePolicies, MicroBatcher's BATCH_MAX), not here
         names = {f.name for f in dataclasses.fields(SystemConfig)}
-        assert len(names) == 34
+        assert len(names) == 33
         assert not names & {
             "batch_window_ms", "batch_max", "retry_attempts", "retry_base_delay",
             "retry_max_elapsed", "retry_seed", "breaker_failure_threshold",

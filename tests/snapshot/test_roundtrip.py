@@ -1,4 +1,4 @@
-"""System-level snapshot serving: byte identity, WAL replay, fallback.
+"""System-level snapshot serving: byte identity, log tail replay, fallback.
 
 The acceptance bar for the snapshot layer: a process that opens the mmap
 snapshot must be indistinguishable -- to the byte -- from one that
@@ -6,20 +6,34 @@ rebuilt its store from SQL, across feature matrices, rankings, ANN
 probes, and generation counters.
 """
 
-import errno
 import os
+import shutil
 
 import numpy as np
 import pytest
 
 from repro.core.config import SystemConfig
-from repro.core.snapshots import SnapshotRequiredError
+from repro.core.snapshots import SnapshotRequiredError, open_snapshot_store
 from repro.core.system import VideoRetrievalSystem
-from repro.snapshot import WalWriter
+from repro.db.storage import read_log
+from repro.snapshot import Snapshot
 from repro.video.generator import VideoSpec, generate_video
 from tests.core.clip_reference import reference_frame_ranking
+from tests.integration.test_stateful import assert_same_store
 
 pytestmark = pytest.mark.filterwarnings("ignore::ResourceWarning")
+
+
+class _Crash(Exception):
+    """A process killed at this point."""
+
+
+def _sql_rows(db):
+    """Every row of both tables, in id order."""
+    return (
+        db.execute("SELECT * FROM VIDEO_STORE ORDER BY V_ID").rows,
+        db.execute("SELECT * FROM KEY_FRAMES ORDER BY I_ID").rows,
+    )
 
 
 def _video(seed, category="news", shots=2):
@@ -120,11 +134,14 @@ class TestMmapServing:
 
 
 class TestWalReplay:
+    """The image catches up from the database log: the commits after its
+    stamp replay through the calls ingest made."""
+
     def test_incremental_ingest_replays_identically(self, library):
         lib, query = library
         writer = VideoRetrievalSystem.open(lib, SystemConfig())
         writer.admin.add_video(_video(44, "movies"))
-        assert writer.snapshots.wal_depth == 1
+        assert writer.metrics()["snapshot"]["commits_behind"] == 1
         writer.close()
 
         replayed = VideoRetrievalSystem.open(lib, SystemConfig())
@@ -141,7 +158,7 @@ class TestWalReplay:
         writer = VideoRetrievalSystem.open(lib, SystemConfig())
         writer.admin.delete_video(2)
         writer.admin.rename_video(3, "renamed")
-        assert writer.snapshots.wal_depth == 2
+        assert writer.metrics()["snapshot"]["commits_behind"] == 2
         writer.close()
 
         replayed = VideoRetrievalSystem.open(lib, SystemConfig())
@@ -154,52 +171,69 @@ class TestWalReplay:
         rebuilt.close()
 
     def test_checkpoint_compacts_wal(self, library):
+        """A checkpoint writes the image at the last commit, then restarts
+        the database log there."""
         lib, _ = library
         system = VideoRetrievalSystem.open(lib, SystemConfig())
         system.admin.add_video(_video(45, "movies"))
-        assert system.snapshots.wal_depth == 1
+        assert system.metrics()["snapshot"]["commits_behind"] == 1
         system.admin.checkpoint()
-        assert system.snapshots.wal_depth == 0
+        stats = system.metrics()["snapshot"]
+        assert (stats["commit_seq"], stats["commits_behind"]) == (system.db.commit_seq, 0)
+        log = read_log(lib + ".wal")
+        assert (log.base, log.commits) == (system.db.commit_seq, [])
         system.close()
         fresh = VideoRetrievalSystem.open(lib, SystemConfig())
         assert fresh.snapshots.served_from == "mmap"
         assert fresh.n_videos() == 4
         fresh.close()
 
-    def test_auto_compaction_threshold(self, library):
+    def test_add_video_fsyncs_once(self, library, monkeypatch):
+        """One history: the commit's log record is the only durable write."""
         lib, _ = library
-        system = VideoRetrievalSystem.open(
-            lib, SystemConfig(snapshot_compact_every=2))
-        system.admin.rename_video(1, "a")
-        assert system.snapshots.wal_depth == 1
-        system.admin.rename_video(1, "b")  # hits the threshold -> compacted
-        assert system.snapshots.wal_depth == 0
-        system.close()
-
-    def test_kill_mid_compact_leaves_valid_state(self, library):
-        """Fault point ``snapshot.compact``: the old snapshot + WAL survive."""
-        lib, query = library
-        system = VideoRetrievalSystem.open(
-            lib,
-            SystemConfig(snapshot_compact_every=1,
-                         fault_spec="snapshot.compact:once"),
-        )
+        system = VideoRetrievalSystem.open(lib, SystemConfig())
+        synced = []
+        real = os.fsync
+        monkeypatch.setattr(os, "fsync", lambda fd: (synced.append(fd), real(fd)))
         system.admin.add_video(_video(46, "movies"))
-        # compaction was attempted (threshold 1) and died on the fault;
-        # the mutation stays in the WAL
-        assert system.snapshots.wal_depth == 1
-        # next mutation retries compaction, which now succeeds
-        system.admin.rename_video(1, "after-crash")
-        assert system.snapshots.wal_depth == 0
+        assert len(synced) == 1
+        monkeypatch.undo()
         system.close()
 
-        replayed = VideoRetrievalSystem.open(lib, SystemConfig())
+    def test_crash_between_database_file_and_log_restart(self, library, monkeypatch):
+        """A checkpoint killed right after the database file's rename: the
+        log still holds the commits the file folded, and replay skips them."""
+        lib, query = library
+        writer = VideoRetrievalSystem.open(lib, SystemConfig())
+        writer.admin.add_video(_video(47, "movies"))
+        writer.admin.rename_video(1, "before-crash")
+        rows, ranking = _sql_rows(writer.db), _ranking(writer, query)
+        real = os.replace
+
+        def crash_after_rename(src, dst):
+            real(src, dst)
+            if dst == lib:
+                raise _Crash
+
+        monkeypatch.setattr(os, "replace", crash_after_rename)
+        with pytest.raises(_Crash):
+            writer.admin.checkpoint()
+        monkeypatch.undo()
+        writer.close()
+        assert read_log(lib + ".wal").commits  # the log was not restarted
+
+        reopened = VideoRetrievalSystem.open(lib, SystemConfig())
         rebuilt = VideoRetrievalSystem.open(lib, SystemConfig(snapshot="off"))
-        assert replayed.snapshots.served_from == "mmap"
-        assert _ranking(replayed, query) == _ranking(rebuilt, query)
-        assert replayed.key_frames_of(1)[0].video_name == "after-crash"
-        replayed.close()
+        assert reopened.snapshots.served_from == "mmap"
+        assert _sql_rows(reopened.db) == rows == _sql_rows(rebuilt.db)
+        assert _ranking(reopened, query) == ranking == _ranking(rebuilt, query)
+        assert_same_store(reopened._store, rebuilt._store, reopened.engine.extractors)
+        reopened.admin.add_video(_video(48, "movies"))  # the sequence goes on
+        reopened.close()
         rebuilt.close()
+        again = VideoRetrievalSystem.open(lib, SystemConfig())
+        assert again.n_videos() == 5 and again.snapshots.served_from == "mmap"
+        again.close()
 
 
 class TestFallbackAndRequire:
@@ -224,9 +258,11 @@ class TestFallbackAndRequire:
     def test_stale_snapshot_detected(self, library):
         """A snapshot missing later transactions must not serve silently."""
         lib, _ = library
-        # mutate with snapshots off: the DB moves, the snapshot does not
+        # mutate with snapshots off, then fold the log: the DB moves past
+        # the image and no log says how
         writer = VideoRetrievalSystem.open(lib, SystemConfig(snapshot="off"))
         writer.admin.add_video(_video(47, "movies"))
+        writer.db.checkpoint()
         writer.close()
         system = VideoRetrievalSystem.open(lib, SystemConfig())
         assert system.snapshots.served_from == "rebuild"
@@ -261,61 +297,117 @@ class TestFallbackAndRequire:
         rebuilt.close()
 
 
-def _disk_full(self, op, payload):
-    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+class TestWritesAfterTheImage:
+    """Every committed write reaches the image through the log: the ones
+    ingest makes replay, any other write to the store's tables makes the
+    image stale.  A rename, or a delete + add of equal frame count, moves
+    neither ``COUNT(*)`` nor ``MAX(I_ID)`` of ``KEY_FRAMES``."""
 
-
-class TestFailedWalAppend:
-    """A mutation whose WAL append fails must not be hidden by the snapshot.
-
-    Neither a rename nor a delete + add of the same frame count moves
-    ``COUNT(*)`` or ``MAX(I_ID)``, so the freshness check alone cannot
-    see that the on-disk image missed it.
-    """
-
-    def _mutate_with_full_disk(self, lib, monkeypatch, mutate):
-        writer = VideoRetrievalSystem.open(lib, SystemConfig())
-        assert writer.snapshots.served_from == "mmap"
-        with monkeypatch.context() as patch:
-            patch.setattr(WalWriter, "append", _disk_full)
-            mutate(writer.admin)  # committed to SQL despite the WAL error
+    def _reopened(self, lib, writer):
+        """Close ``writer``; the reopened system, bitwise the SQL rebuild
+        and at the writer's generation counters."""
+        generations = (writer._store.generation, writer._store.structure_generation)
         writer.close()
-        return VideoRetrievalSystem.open(lib, SystemConfig())
+        reopened = VideoRetrievalSystem.open(lib, SystemConfig())
+        rebuilt = VideoRetrievalSystem.open(lib, SystemConfig(snapshot="off"))
+        assert_same_store(reopened._store, rebuilt._store, reopened.engine.extractors)
+        rebuilt.close()
+        if reopened.snapshots.served_from == "mmap":
+            assert (reopened._store.generation,
+                    reopened._store.structure_generation) == generations
+        return reopened
 
-    def test_rename_after_failed_append_is_not_served_stale(self, library, monkeypatch):
+    def test_rename_replays(self, library):
         lib, query = library
-        reopened = self._mutate_with_full_disk(
-            lib, monkeypatch, lambda admin: admin.rename_video(3, "renamed")
-        )
-        assert reopened.snapshots.served_from == "rebuild"
+        writer = VideoRetrievalSystem.open(lib, SystemConfig())
+        writer.admin.rename_video(3, "renamed")
+        reopened = self._reopened(lib, writer)
+        assert reopened.snapshots.served_from == "mmap"
         assert reopened.key_frames_of(3)[0].video_name == "renamed"
         names = {h.video_name for h in reopened.search(query, top_k=len(reopened._store))}
         assert "renamed" in names
-        assert not os.path.exists(lib + ".snap")
-        reopened.admin.checkpoint()  # a fresh snapshot carries the rename
         reopened.close()
 
-        fresh = VideoRetrievalSystem.open(lib, SystemConfig())
-        assert fresh.snapshots.served_from == "mmap"
-        assert fresh.key_frames_of(3)[0].video_name == "renamed"
-        fresh.close()
-
-    def test_delete_and_equal_add_after_failed_append(self, library, monkeypatch):
+    def test_delete_and_equal_add_replay(self, library):
         lib, query = library
-
-        def swap_last_video(admin):
-            removed = admin.delete_video(3)
-            report = admin.add_video(_video(14, "movies", shots=3))
-            # same frame count and, ids being MAX + 1, the same frame ids
-            assert (report.video_id, report.n_keyframes) == (3, removed)
-
-        reopened = self._mutate_with_full_disk(lib, monkeypatch, swap_last_video)
-        rebuilt = VideoRetrievalSystem.open(lib, SystemConfig(snapshot="off"))
-        assert reopened.snapshots.served_from == "rebuild"
+        writer = VideoRetrievalSystem.open(lib, SystemConfig())
+        removed = writer.admin.delete_video(3)
+        report = writer.admin.add_video(_video(14, "movies", shots=3))
+        # same frame count and, ids being MAX + 1, the same frame ids
+        assert (report.video_id, report.n_keyframes) == (3, removed)
+        reopened = self._reopened(lib, writer)
+        assert reopened.snapshots.served_from == "mmap"
         assert reopened.key_frames_of(3)[0].category == "movies"
-        assert _ranking(reopened, query) == _ranking(rebuilt, query)
         reopened.close()
-        rebuilt.close()
+
+    @pytest.mark.parametrize("checkpoint", [False, True], ids=["log", "checkpoint"])
+    def test_sql_write_the_image_never_saw_rebuilds(self, library, checkpoint):
+        """SQL that bypasses ingest: the live store never sees it, so no
+        image may claim it -- not even one written afterwards."""
+        lib, _ = library
+        writer = VideoRetrievalSystem.open(lib, SystemConfig())
+        writer.db.execute(
+            "UPDATE VIDEO_STORE SET CATEGORY = ? WHERE V_ID = ?", ("movies", 1)
+        )
+        if checkpoint:
+            writer.admin.checkpoint()
+        reopened = self._reopened(lib, writer)
+        assert reopened.snapshots.served_from == "rebuild"
+        assert reopened.key_frames_of(1)[0].category == "movies"
+        reopened.close()
+
+    def test_foreign_image_at_the_same_sequence_rebuilds(self, library, tmp_path):
+        lib, _ = library
+        other = str(tmp_path / "other" / "lib.rdb")
+        os.makedirs(os.path.dirname(other))
+        twin = VideoRetrievalSystem.open(other, SystemConfig(workers=1))
+        for seed, category in ((11, "news"), (12, "sports"), (15, "movies")):
+            twin.admin.add_video(_video(seed, category))
+        twin.admin.checkpoint()
+        twin.close()
+        shutil.copy(other + ".snap", lib + ".snap")
+        writer = VideoRetrievalSystem.open(lib, SystemConfig(snapshot="off"))
+        snap = Snapshot.open(lib + ".snap")
+        assert snap.meta["commit_seq"] == writer.db.commit_seq
+        assert snap.meta["token"] != writer.db.token
+        snap.close()
+        reopened = self._reopened(lib, writer)
+        assert reopened.snapshots.served_from == "rebuild"
+        assert reopened.key_frames_of(3)[0].category == "cartoon"
+        reopened.close()
+
+    def test_replica_reads_the_same_tail(self, library):
+        lib, query = library
+        writer = VideoRetrievalSystem.open(lib, SystemConfig())
+        writer.admin.delete_video(2)
+        writer.admin.add_video(_video(16, "movies"))
+        writer.admin.rename_video(3, "renamed")
+        replica = VideoRetrievalSystem.in_memory(
+            SystemConfig(snapshot="require", snapshot_path=lib + ".snap")
+        )
+        assert replica.snapshots.served_from == "mmap"
+        assert replica.metrics()["snapshot"]["commits_behind"] == 3
+        assert_same_store(replica._store, writer._store, writer.engine.extractors)
+        assert _ranking(replica, query) == _ranking(writer, query)
+        snap, store = open_snapshot_store(lib + ".snap")
+        assert_same_store(store, writer._store, writer.engine.extractors)
+        snap.close()
+        replica.close()
+        writer.close()
+
+    def test_database_checkpoint_alone_leaves_the_image_behind(self, library):
+        lib, _ = library
+        writer = VideoRetrievalSystem.open(lib, SystemConfig())
+        writer.admin.rename_video(1, "folded")
+        writer.db.checkpoint()  # the log restarts past the image's commit
+        reopened = self._reopened(lib, writer)
+        assert reopened.snapshots.served_from == "rebuild"
+        assert reopened.key_frames_of(1)[0].video_name == "folded"
+        reopened.close()
+        with pytest.raises(SnapshotRequiredError):
+            VideoRetrievalSystem.in_memory(
+                SystemConfig(snapshot="require", snapshot_path=lib + ".snap")
+            )
 
 
 class TestAnnState:

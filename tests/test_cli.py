@@ -208,7 +208,8 @@ class TestSnapshot:
         assert rc == 0
         info = json.loads(capsys.readouterr().out)
         assert info["version"] == 1
-        assert info["wal_depth"] == 0
+        assert info["commit_seq"] == info["meta"]["commit_seq"] > 0
+        assert info["commits_behind"] == 0
         assert any(s["name"].startswith("feat:") for s in info["sections"])
 
     def test_verify_rejects_corruption(self, library, capsys):

@@ -3,16 +3,24 @@ an unexpected exception.  Every parser/codec boundary in the system gets a
 hypothesis-driven hostile-input pass.
 """
 
+import shutil
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.config import SystemConfig
+from repro.core.snapshots import open_snapshot_store
+from repro.core.store import FeatureStore
+from repro.core.system import VideoRetrievalSystem
 from repro.db import Database
 from repro.db.errors import DatabaseError
-from repro.db.storage import Storage
+from repro.db.storage import Storage, read_log
 from repro.imaging.image import Image, ImageFormatError, decode_image
 from repro.video.codec import RvfError, RvfReader, encode_rvf_bytes
+from tests.integration.test_stateful import assert_same_store
 
 
 def _valid_rvf():
@@ -177,3 +185,133 @@ class TestStorageFuzz:
             Database.open(path).close()
         except (StorageError, DatabaseError):
             pass
+
+
+class TestCommitRecordFuzz:
+    """Log records whose CRC holds but whose contents are hostile: the
+    store now reads them too.  A durable library either refuses to open
+    with a typed error or opens with its store equal to the SQL rebuild;
+    a reader without the database gets a typed error or the store it
+    would have had."""
+
+    _CONFIG = SystemConfig(features=("sch", "naive"), keyframe_base_size=60)
+    _STORE_RENAME = "UPDATE VIDEO_STORE SET V_NAME = ? WHERE V_ID = ?"
+
+    @pytest.fixture(scope="class")
+    def template(self, tmp_path_factory):
+        """A library whose image misses one real add commit; returns the
+        library path and that commit."""
+        lib = str(tmp_path_factory.mktemp("commit-fuzz") / "lib.rdb")
+        system = VideoRetrievalSystem.open(lib, self._CONFIG)
+        gen = np.random.default_rng(3)
+        for name in ("a", "b"):
+            clip = [Image(gen.integers(0, 256, (20, 24, 3), dtype=np.uint8)) for _ in range(2)]
+            system.admin.add_video(clip, name=name, category="misc")
+            if name == "a":
+                system.admin.checkpoint()
+        system.close()
+        return lib, read_log(lib + ".wal").commits[-1]
+
+    def _library_with(self, template, tmp_path, statements=None, header=None):
+        lib, _commit = template
+        copy = str(tmp_path / "lib.rdb")
+        for suffix in ("", ".wal", ".snap"):
+            shutil.copy(lib + suffix, copy + suffix)
+        if statements is not None:
+            storage = Storage(copy)
+            storage.load_into(Database())
+            storage.log_transaction(statements)
+            storage.close()
+        if header is not None:
+            offset, field = header
+            with open(copy + ".wal", "r+b") as fh:
+                fh.seek(offset)
+                fh.write(field)
+        return copy
+
+    def _check(self, lib):
+        """No untyped error escapes, and no store disagrees with SQL."""
+        try:
+            system = VideoRetrievalSystem.open(lib, self._CONFIG)
+        except DatabaseError:
+            system = None
+        if system is not None:
+            rebuilt = FeatureStore()
+            rebuilt.rebuild_from_db(system.db, list(self._CONFIG.features))
+            extractors = system.engine.extractors
+            assert_same_store(system._store, rebuilt, extractors)
+            system.close()
+        try:
+            snap, store = open_snapshot_store(lib + ".snap")
+        except DatabaseError:
+            return
+        snap.close()
+        if system is not None:
+            assert_same_store(store, rebuilt, extractors)
+
+    def _hostile_add(self, template, mutate):
+        """The real add commit as a new video 3 (so SQL takes it), one
+        value of it replaced."""
+        statements = [(text, list(params)) for text, params in template[1]]
+        statements[0][1][0] = 3
+        for _text, params in statements[1:]:
+            params[0] += 100  # I_ID
+            params[6] = 3  # V_ID
+        mutate(statements)
+        return [(text, tuple(params)) for text, params in statements]
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "unknown_table", "wrong_param_count", "non_numeric_vid", "fractional_vid",
+            "non_numeric_vid_delete", "key_frames_bypass", "malformed_feature",
+            "foreign_frame", "bad_header_sequence", "bad_header_token",
+        ],
+    )
+    def test_named_cases(self, template, tmp_path, case):
+        def set_param(statement, index, value):
+            return lambda s: s[statement][1].__setitem__(index, value)
+
+        records = {
+            "unknown_table": [("INSERT INTO NOPE (A) VALUES (?)", (1,))],
+            "wrong_param_count": [(self._STORE_RENAME, ("x",))],
+            "non_numeric_vid": [(self._STORE_RENAME, ("x", "abc"))],
+            "fractional_vid": [(self._STORE_RENAME, ("x", 1.5))],
+            "non_numeric_vid_delete": [
+                ("DELETE FROM KEY_FRAMES WHERE V_ID = ?", ("abc",)),
+                ("DELETE FROM VIDEO_STORE WHERE V_ID = ?", ("abc",)),
+            ],
+            "key_frames_bypass": [("UPDATE KEY_FRAMES SET MIN = ? WHERE I_ID = ?", (0, 1))],
+            "malformed_feature": self._hostile_add(
+                template, set_param(1, -1, "NAIVE 3 1.0 oops")
+            ),
+            "foreign_frame": self._hostile_add(template, set_param(1, 6, 99)),
+        }
+        headers = {
+            "bad_header_sequence": (4, struct.pack("<Q", 7)),
+            "bad_header_token": (12, bytes(16)),
+        }
+        self._check(
+            self._library_with(
+                template, tmp_path, records.get(case), headers.get(case)
+            )
+        )
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_any_value_of_an_add(self, template, tmp_path_factory, data):
+        statements = template[1]
+        at = data.draw(st.integers(0, len(statements) - 1))
+        index = data.draw(st.integers(0, len(statements[at][1]) - 1))
+        value = data.draw(
+            st.one_of(
+                st.none(), st.integers(-3, 10**6), st.floats(allow_nan=True),
+                st.text(max_size=12), st.binary(max_size=4),
+            )
+        )
+        hostile = self._hostile_add(
+            template, lambda s: s[at][1].__setitem__(index, value)
+        )
+        self._check(
+            self._library_with(template, tmp_path_factory.mktemp("case"), hostile)
+        )
