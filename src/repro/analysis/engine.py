@@ -81,8 +81,6 @@ class LintConfig:
     db_package: str = "repro.db"
     #: where extractors live (R1/R2/R10 scope)
     features_package: str = "repro.features"
-    #: the policy layer allowed to block in time.sleep (R13 scope)
-    sleep_allowlist: Tuple[str, ...] = ("repro.resilience",)
     #: the architecture DAG, bottom layer first; a module may only import
     #: modules in strictly lower layers (or its own package).  Packages
     #: not named here are unconstrained (R14 scope)

@@ -14,7 +14,7 @@ R5    pure-layers                 imaging/similarity stay free of IO
 R9    db-error-hierarchy          db layer raises DatabaseError subclasses
 R10   extractor-module-imported   features/__init__ imports every extractor
 R11   seeded-randomness           numpy randomness uses explicitly seeded RNGs
-R13   no-bare-sleep               blocking sleeps live in repro.resilience only
+R13   no-bare-sleep               nothing in the package blocks in time.sleep
 R14   layer-dag                   imports follow the layer DAG, no import cycles
 R15   fork-thread-safety          concurrent paths lock shared module state
 R16   sql-dataflow                dynamic SQL cannot flow into execute() sites

@@ -1,10 +1,10 @@
-"""Rule R13: no bare ``time.sleep`` outside the resilience layer.
+"""Rule R13: no bare ``time.sleep`` anywhere in the package.
 
-An ad-hoc sleep is backpressure the policy layer cannot see: it isn't
-bounded by the retry budget, doesn't show up in the retry metrics, and
-can't be replaced by a fake clock in tests.  Blocking waits belong in
-``repro.resilience`` (``Retry.call`` is the one sanctioned sleeper);
-everything else either goes through a policy or doesn't wait at all.
+An ad-hoc sleep is backpressure nothing can see: it is bounded by no
+request deadline, shows up in no metric, and cannot be replaced by a fake
+clock in tests.  Nothing in ``src/`` waits by sleeping -- the system does
+not retry, and a circuit breaker's cooldown is a timestamp compared on
+the next call -- so every ``time.sleep`` is a finding.
 """
 
 from __future__ import annotations
@@ -19,17 +19,14 @@ __all__ = ["NoSleepRule"]
 
 @register_rule
 class NoSleepRule(Rule):
-    """R13: blocking sleeps live in repro.resilience, nowhere else."""
+    """R13: nothing in the package blocks in time.sleep."""
 
     rule_id = "R13"
     title = "no-bare-sleep"
     fix_hint = (
-        "route the wait through repro.resilience (Retry's backoff or a "
-        "breaker cooldown) instead of sleeping inline"
+        "don't wait inline: let the failure reach its fallback, or compare "
+        "a deadline / breaker timestamp on the next call"
     )
-
-    def applies_to(self, module: ModuleInfo, config: LintConfig) -> bool:
-        return not any(module.in_package(m) for m in config.sleep_allowlist)
 
     def check(self, module: ModuleInfo, config: LintConfig) -> Iterable[Finding]:
         # names the module has bound directly to time.sleep
@@ -54,6 +51,6 @@ class NoSleepRule(Rule):
                 yield self.finding(
                     module,
                     node,
-                    "bare time.sleep hides backpressure from the resilience "
-                    "policies and their metrics",
+                    "bare time.sleep blocks where no deadline or metric "
+                    "can see it",
                 )

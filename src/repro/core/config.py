@@ -71,16 +71,7 @@ class SystemConfig:
     obs_slow_query_ms: float = 500.0
     #: slow-query ring-buffer capacity
     obs_slow_log_size: int = 64
-    # resilience (repro.resilience): retry/backoff, breakers, deadlines, faults
-    #: master gate; False swaps every policy hook for shared no-ops
-    resilience: bool = True
-    #: armed fault points, e.g. "extractor.gabor:every=1;db.execute:once"
-    #: (None = the REPRO_FAULTS environment variable)
-    fault_spec: Optional[str] = None
-    #: sliding outcome window of the ANN / worker-pool circuit breakers
-    breaker_window: int = 16
-    #: seconds an open breaker waits before its half-open probe
-    breaker_cooldown: float = 0.1
+    # resilience (repro.resilience); fault points are armed from REPRO_FAULTS
     #: per-request wall-time budget checked at stage boundaries
     #: (None = unbounded; the web layer maps overruns to HTTP 504)
     request_deadline: Optional[float] = None
@@ -92,9 +83,6 @@ class SystemConfig:
     #: per-shard RSNAP1 snapshot paths (len == ``shards``); None leaves
     #: attachment to the caller (``repro.sharding.bootstrap``)
     shard_paths: Optional[Tuple[str, ...]] = None
-    #: serve a partial ranking when a shard fails / its breaker is open
-    #: (surfaced via ``SearchResults.degraded_shards``); False escalates
-    shard_partial_ok: bool = True
     # serving front-end (repro.serving): a bounded queue feeds a dispatcher
     # that scores whatever queued while the previous batch ran in one call
     # (one scatter per shard when sharded)
@@ -143,10 +131,6 @@ class SystemConfig:
             raise ValueError("obs_slow_query_ms must be >= 0 (0 = disabled)")
         if self.obs_slow_log_size < 1:
             raise ValueError("obs_slow_log_size must be >= 1")
-        if self.breaker_window < 1:
-            raise ValueError("breaker_window must be >= 1")
-        if self.breaker_cooldown < 0:
-            raise ValueError("breaker_cooldown must be non-negative")
         if self.request_deadline is not None and self.request_deadline <= 0:
             raise ValueError("request_deadline must be positive")
         if self.shards < 1:
@@ -172,10 +156,6 @@ class SystemConfig:
                 "ann is not supported with sharded serving (shards > 1): "
                 "the coordinator merges exact raw distances"
             )
-        if self.fault_spec is not None:
-            from repro.resilience.faults import parse_fault_spec
-
-            parse_fault_spec(self.fault_spec)  # fail fast on malformed specs
 
     def weight_of(self, feature: str) -> float:
         return float(self.fusion_weights.get(feature, 1.0))

@@ -47,7 +47,6 @@ from repro.indexing.tree import RangeIndex
 from repro.obs import NULL_OBS, NULL_SPAN, Obs, log
 from repro.resilience import (
     NULL_POLICIES,
-    CircuitOpenError,
     Deadline,
     DeadlineExceeded,
     FaultInjected,
@@ -650,11 +649,10 @@ class SearchEngine:
         query_vectors: Dict[str, FeatureVector],
         nprobe: Optional[int] = None,
     ):
-        """IVF probe through the ANN circuit breaker.
+        """IVF probe.
 
         Returns the candidate ids, or None for the exact brute-force
-        fallback -- taken when the breaker is open or the probe fails
-        (the failure feeds the breaker's window).  ``nprobe`` overrides
+        fallback, taken whenever the probe fails.  ``nprobe`` overrides
         ``config.ann_nprobe`` (the serving degrade ladder widens recall
         back out once pressure drops).
         """
@@ -663,21 +661,12 @@ class SearchEngine:
         if nprobe is None:
             nprobe = self.config.ann_nprobe
         nprobe = max(1, min(int(nprobe), self.config.ann_cells))
-        if not self._policies.enabled:
-            return self.ann.probe(query_vectors, nprobe)
-        breaker = self._policies.ann_breaker
         try:
-            breaker.guard()
             self._policies.fire("ann.probe")
-            ids = self.ann.probe(query_vectors, nprobe)
-        except CircuitOpenError:
-            self._policies.note_fallback("ann_brute_force")
-            self._log.warning("search.ann_breaker_open", fallback="brute_force")
-            return None
+            return self.ann.probe(query_vectors, nprobe)
         except DeadlineExceeded:
             raise
         except Exception as exc:
-            breaker.record_failure()
             self._policies.note_fallback("ann_brute_force")
             self._log.warning(
                 "search.ann_probe_failed",
@@ -685,8 +674,6 @@ class SearchEngine:
                 fallback="brute_force",
             )
             return None
-        breaker.record_success()
-        return ids
 
     def _vectors_key(
         self,

@@ -36,7 +36,7 @@ from repro.db.errors import DatabaseError, StorageError
 from repro.db.storage import Log, Statement, read_log
 from repro.features.base import FeatureVector
 from repro.obs import NULL_OBS, Obs, log
-from repro.resilience import NULL_POLICIES, FaultInjected, ResiliencePolicies
+from repro.resilience import NULL_POLICIES, ResiliencePolicies
 from repro.snapshot import CorruptSnapshotError, Snapshot, SnapshotError, write_snapshot
 
 __all__ = [
@@ -71,8 +71,8 @@ def build_snapshot_payload(
     have to up-cast a narrower section block by block (measured slower,
     docs/performance.md "Store layout"), and float32 arithmetic would
     break the byte-identity of mmap-served and SQL-rebuilt rankings
-    (feature strings parse to float64).  The dtype is recorded per
-    section all the same.
+    (feature strings parse to float64).  A reader refuses any other
+    dtype (:func:`load_snapshot_into_store`).
     """
     columns = store.columns
     arrays: Dict[str, np.ndarray] = {
@@ -129,15 +129,15 @@ def load_snapshot_into_store(snap: Snapshot, store: FeatureStore) -> None:
         raise CorruptSnapshotError(
             f"{snap.path}: not a store snapshot (kind={meta.get('kind')!r})"
         )
-    ids = snap.section("frame_ids")
+    ids = _section(snap, "frame_ids", np.int64)
     columns = FrameColumns(
         ids,
-        snap.section("frame_video_ids"),
-        snap.section("bucket_min"),
-        snap.section("bucket_max"),
+        _section(snap, "frame_video_ids", np.int64),
+        _section(snap, "bucket_min", np.int64),
+        _section(snap, "bucket_max", np.int64),
         np.array(meta["frame_names"], dtype=object),
     )
-    if any(column.shape != ids.shape for column in columns):
+    if ids.ndim != 1 or any(column.shape != ids.shape for column in columns):
         raise CorruptSnapshotError(f"{snap.path}: frame table sections disagree")
     if ids.size > 1 and not np.all(ids[1:] > ids[:-1]):
         raise CorruptSnapshotError(f"{snap.path}: frame ids are not ascending")
@@ -155,12 +155,10 @@ def load_snapshot_into_store(snap: Snapshot, store: FeatureStore) -> None:
         raise CorruptSnapshotError(f"{snap.path}: a frame names a video the table lacks")
     features: Dict[str, FeatureColumn] = {}
     for name, fmeta in meta["features"].items():
-        matrix = snap.section(f"feat:{name}")
-        if matrix.dtype != np.float64:
-            matrix = matrix.astype(np.float64)
+        matrix = _section(snap, f"feat:{name}", np.float64)
         rows = None
         if fmeta["rows"] != "all":
-            carriers = snap.section(f"feat_rows:{name}")
+            carriers = _section(snap, f"feat_rows:{name}", np.int64)
             rows = np.minimum(np.searchsorted(ids, carriers), max(ids.size - 1, 0))
             if not np.array_equal(ids[rows], carriers):
                 raise CorruptSnapshotError(f"{snap.path}: {name!r} rows name unknown frames")
@@ -176,13 +174,37 @@ def load_snapshot_into_store(snap: Snapshot, store: FeatureStore) -> None:
     )
 
 
+def _section(snap: Snapshot, name: str, dtype) -> np.ndarray:
+    """One section, which must hold the dtype the writer gives it."""
+    section = snap.section(name)
+    if section.dtype != dtype:
+        raise CorruptSnapshotError(
+            f"{snap.path}: section {name!r} is {section.dtype}, not {np.dtype(dtype)}"
+        )
+    return section
+
+
+def _stamped_seq(snap: Snapshot) -> Optional[int]:
+    """The commit an image's stamp names (None: the image is unstamped)."""
+    seq = snap.meta.get("commit_seq")
+    if seq is not None and (not isinstance(seq, int) or isinstance(seq, bool) or seq < 0):
+        raise CorruptSnapshotError(f"{snap.path}: commit_seq {seq!r} is not a commit")
+    return seq
+
+
 def named_log(snap: Snapshot) -> Optional[Log]:
     """The log an image's stamp names (beside the image), read; None when
-    the image is unstamped or the log is not there."""
+    the image is unstamped or the log is not there.  A name that is there
+    but is not a regular file raises :class:`StorageError`."""
     name = snap.meta.get("log")
     if name is None:
         return None
-    return read_log(os.path.join(os.path.dirname(snap.path), str(name)))
+    path = os.path.join(os.path.dirname(snap.path), str(name))
+    if not os.path.exists(path):
+        return None
+    if not os.path.isfile(path):
+        raise StorageError(f"{path}: the log the image names is not a file")
+    return read_log(path)
 
 
 def _replica_tail(snap: Snapshot) -> Optional[Commits]:
@@ -191,7 +213,22 @@ def _replica_tail(snap: Snapshot) -> Optional[Commits]:
     found = named_log(snap)
     if found is None:
         return None
-    return found.after(str(snap.meta.get("token")), int(snap.meta["commit_seq"]))
+    return found.after(str(snap.meta.get("token")), _stamped_seq(snap))
+
+
+def _catch_up(snap: Snapshot, store: FeatureStore, tail_of, feature_names) -> Optional[Commits]:
+    """Adopt ``snap`` into ``store`` and replay the commits ``tail_of(snap)``
+    names; returns them.  Meta that does not parse (a CRC-valid header
+    can still hold anything) raises :class:`CorruptSnapshotError`."""
+    try:
+        tail = tail_of(snap)
+        load_snapshot_into_store(snap, store)
+    except (KeyError, ValueError, TypeError, AttributeError) as exc:
+        raise CorruptSnapshotError(
+            f"{snap.path}: malformed meta: {type(exc).__name__}: {exc}"
+        ) from exc
+    apply_commits(store, tail or [], feature_names)
+    return tail
 
 
 def open_snapshot_store(path: str) -> Tuple[Snapshot, FeatureStore]:
@@ -203,14 +240,14 @@ def open_snapshot_store(path: str) -> Tuple[Snapshot, FeatureStore]:
     a log the store cannot catch up from, raises, because a replica
     silently serving the wrong partition would corrupt merged rankings.
     The caller owns closing the returned :class:`~repro.snapshot.Snapshot`
-    (the store's columns view its mmap).
+    (the store's columns view its mmap).  Every failure but a missing file
+    is a :class:`~repro.snapshot.SnapshotError` or a
+    :class:`~repro.db.errors.DatabaseError`.
     """
     snap = Snapshot.open(path)
     try:
         store = FeatureStore()
-        tail = _replica_tail(snap)
-        load_snapshot_into_store(snap, store)
-        apply_commits(store, tail or [], FEATURE_COLUMNS)
+        _catch_up(snap, store, _replica_tail, FEATURE_COLUMNS)
     except Exception:
         snap.close()
         raise
@@ -293,23 +330,17 @@ class SnapshotManager:
             return False
         t0 = time.perf_counter()
         try:
-            self._policies.fire("snapshot.open")
             snap = Snapshot.open(self.path)
-            tail = self._tail(snap)
-            load_snapshot_into_store(snap, self.store)
-            apply_commits(self.store, tail or [], self.config.features)
+            tail = _catch_up(snap, self.store, self._tail, self.config.features)
         except FileNotFoundError:
             return self._open_failed("missing snapshot file")
-        except (
-            SnapshotError, DatabaseError, FaultInjected, KeyError, ValueError, TypeError
-        ) as exc:
-            # malformed meta surfaces as KeyError/ValueError; a partially
-            # replayed store is discarded before the SQL rebuild
+        except (SnapshotError, DatabaseError, OSError) as exc:
+            # a partially replayed store is discarded before the SQL rebuild
             self.store.clear()
             return self._open_failed(f"{type(exc).__name__}: {exc}")
         self._snapshot = snap
         self._served_from = "mmap"
-        self._image_seq = snap.meta.get("commit_seq")
+        self._image_seq = _stamped_seq(snap)
         if not self.db.is_durable and tail is not None:
             self._replica_head = self._image_seq + len(tail)
         if self._engine is not None and self._engine.ann is not None:
@@ -325,7 +356,7 @@ class SnapshotManager:
         self._m_opens.labels(outcome="mmap").inc()
         self._m_open_seconds.observe(elapsed)
         self._log.info(
-            "snapshot.open",
+            "snapshot.served",
             path=self.path,
             frames=len(self.store),
             commits=len(tail or []),
@@ -339,10 +370,9 @@ class SnapshotManager:
         and refuses an image without its stamp."""
         if not self.db.is_durable:
             return _replica_tail(snap)
-        meta = snap.meta
-        if meta.get("token") != self.db.token:
+        if snap.meta.get("token") != self.db.token:
             raise CorruptSnapshotError(f"{snap.path}: not an image of this library")
-        seq = int(meta["commit_seq"])
+        seq = _stamped_seq(snap)
         if seq == self.db.commit_seq:
             return []
         found = read_log(self.db.log_path)

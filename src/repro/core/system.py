@@ -29,7 +29,7 @@ from repro.imaging.image import Image, decode_image
 from repro.indexing.rangefinder import RangeFinder
 from repro.indexing.tree import RangeIndex
 from repro.obs import Obs
-from repro.resilience import NULL_POLICIES, ResiliencePolicies
+from repro.resilience import ResiliencePolicies
 from repro.runtime import WorkerPool, resolve_workers
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -81,13 +81,9 @@ class VideoRetrievalSystem:
             slow_query_ms=self.config.obs_slow_query_ms,
             slow_log_size=self.config.obs_slow_log_size,
         )
-        #: per-system resilience policies (retry/breakers/deadline/faults);
-        #: disabled every hook is one early-out (see docs/resilience.md)
-        self.resilience = (
-            ResiliencePolicies.from_config(self.config, obs=self.obs)
-            if self.config.resilience
-            else NULL_POLICIES
-        )
+        #: per-system resilience policies (deadline, fault points armed
+        #: from REPRO_FAULTS; see docs/resilience.md)
+        self.resilience = ResiliencePolicies.from_config(self.config, obs=self.obs)
         self.db = db or Database()
         self.db.attach_obs(self.obs)
         self.db.attach_resilience(self.resilience)
@@ -228,9 +224,7 @@ class VideoRetrievalSystem:
         ).rows
         if not rows or rows[0]["VIDEO"] is None:
             raise KeyError(f"no stored video with id {video_id}")
-        blob = rows[0]["VIDEO"]
-        frames = self.resilience.run("codec.decode", lambda: ORD_VIDEO.decode(blob))
-        return list(frames)
+        return list(ORD_VIDEO.decode(rows[0]["VIDEO"]))
 
     def get_key_frame(self, frame_id: int) -> Image:
         """Decode one stored key-frame image."""
@@ -308,17 +302,13 @@ class VideoRetrievalSystem:
         return stats_fn() if callable(stats_fn) else None
 
     def _resilience_summary(self) -> Dict[str, Any]:
-        """Flat resilience snapshot for :meth:`metrics` / ``repro stats``."""
-        stats = self.resilience.stats()
-        flat: Dict[str, Any] = {
-            "enabled": stats["enabled"],
-            "armed_points": len(stats["faults"]),
-            "faults_fired": sum(s["fired"] for s in stats["faults"].values()),
+        """Flat resilience snapshot for :meth:`metrics` / ``repro stats``
+        (the shards' breakers are under ``sharding``)."""
+        faults = self.resilience.faults.stats()
+        return {
+            "armed_points": len(faults),
+            "faults_fired": sum(s["fired"] for s in faults.values()),
         }
-        for name, breaker in stats["breakers"].items():
-            flat[f"{name}_breaker_state"] = breaker["state"]
-            flat[f"{name}_breaker_trips"] = breaker["trips"]
-        return flat
 
     def recent_traces(self, limit: Optional[int] = None) -> List[dict]:
         """The most recent root traces, newest first (empty when disabled)."""

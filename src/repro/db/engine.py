@@ -204,15 +204,13 @@ class Database:
         )
 
     def attach_resilience(self, policies) -> None:
-        """Run statements under ``policies``' retry (and its ``db.execute``
-        fault point).
+        """Fire ``policies``' ``db.execute`` fault point before each statement.
 
-        Takes a :class:`repro.resilience.ResiliencePolicies`; attaching a
-        disabled bundle keeps the unwrapped fast path.  Only injected
-        faults are retried -- a malformed statement fails identically on
-        every attempt and propagates immediately.
+        Takes a :class:`repro.resilience.ResiliencePolicies`.  A fault is
+        not retried: it fails the statement, so an open transaction rolls
+        back as it would on any other statement error.
         """
-        self._policies = policies if policies.enabled else None
+        self._policies = policies
 
     # -- persistence -----------------------------------------------------------
 
@@ -318,12 +316,7 @@ class Database:
     def execute(self, text: str, params: Sequence = ()) -> ResultSet:
         """Parse and run one statement with optional ``?`` bind parameters."""
         if self._policies is not None:
-            return self._policies.run(
-                "db.execute", lambda: self._execute(text, params)
-            )
-        return self._execute(text, params)
-
-    def _execute(self, text: str, params: Sequence = ()) -> ResultSet:
+            self._policies.fire("db.execute")
         t0 = time.perf_counter() if self._m_statements is not None else 0.0
         stmt, n_params = self._parse(text)
         if len(params) != n_params:

@@ -10,13 +10,10 @@ infrastructure failure would take.
 
 from __future__ import annotations
 
-from typing import Optional
-
 __all__ = [
     "ResilienceError",
     "DeadlineExceeded",
     "CircuitOpenError",
-    "RetryExhausted",
     "FaultInjected",
 ]
 
@@ -51,23 +48,6 @@ class CircuitOpenError(ResilienceError):
         )
         self.breaker = breaker
         self.retry_after = retry_after
-
-
-class RetryExhausted(ResilienceError):
-    """A retried call failed on every allowed attempt.
-
-    The last underlying failure is chained as ``__cause__`` and kept on
-    ``last_error`` for programmatic access.
-    """
-
-    def __init__(self, point: str, attempts: int, last_error: Optional[BaseException]):
-        super().__init__(
-            f"{point}: all {attempts} attempt(s) failed "
-            f"(last: {type(last_error).__name__}: {last_error})"
-        )
-        self.point = point
-        self.attempts = attempts
-        self.last_error = last_error
 
 
 class FaultInjected(ResilienceError):

@@ -1,30 +1,25 @@
 """Deterministic fault injection: named fault points + armed triggers.
 
-The pipeline declares a small catalog of **fault points** -- places where
-an infrastructure failure can plausibly occur::
+The pipeline declares a fault point only where a fallback stands behind
+it, or where a failure must leave nothing behind::
 
-    db.execute          one SQL statement execution
-    pool.map            one worker-pool map call
-    codec.decode        one stored-video RVF decode
-    ann.probe           one IVF candidate-index probe
-    snapshot.open       one mmap snapshot open (-> SQL-rebuild fallback)
+    db.execute          one SQL statement execution (-> the transaction rolls back)
+    pool.map            one worker-pool dispatch (-> the work is redone serially)
+    ann.probe           one IVF candidate-index probe (-> exact brute force)
     shard.query         one scatter-gather shard dispatch (-> partial result)
-    serving.request     one admitted async-serving search request
     extractor.<name>    one query frame's or clip key frame's extraction (-> degraded)
 
 Tests and chaos runs *arm* points with a spec string (the ``REPRO_FAULTS``
-environment variable or ``SystemConfig(fault_spec=...)``)::
+environment variable, or ``ResiliencePolicies(fault_spec=...)`` in unit
+tests)::
 
     extractor.gabor:every=1            fail every gabor extraction
-    db.execute:p=0.2,seed=7            fail ~20% of statements, seeded
-    codec.decode:once                  fail only the first decode
+    db.execute:once                    fail only the first statement
     ann.probe:every=3;db.execute:once  several points, ';'-separated
 
-Every trigger is deterministic: ``every``/``once`` count calls,
-``p`` draws from a generator seeded at arm time -- so two identical runs
-inject the identical fault sequence and the retry/trip counters they
-produce match byte-for-byte.  A point that is not armed costs one dict
-lookup; a registry with no armed spec costs one attribute check.
+Both triggers count calls, so two identical runs inject the identical
+fault sequence.  A point that is not armed costs one dict lookup; a
+registry with no armed spec costs one attribute check.
 """
 
 from __future__ import annotations
@@ -33,8 +28,6 @@ import os
 import re
 from dataclasses import dataclass
 from typing import Dict, List, Optional
-
-import numpy as np
 
 from repro.obs import NULL_OBS, Obs
 from repro.resilience.errors import FaultInjected
@@ -49,7 +42,7 @@ __all__ = [
     "spec_from_env",
 ]
 
-#: environment variable consulted when ``SystemConfig.fault_spec`` is None
+#: the environment variable a system reads its armed fault points from
 FAULTS_ENV_VAR = "REPRO_FAULTS"
 
 #: exact fault-point names (plus the ``extractor.<name>`` family)
@@ -57,11 +50,8 @@ KNOWN_POINTS = frozenset(
     {
         "db.execute",
         "pool.map",
-        "codec.decode",
         "ann.probe",
-        "snapshot.open",
         "shard.query",
-        "serving.request",
     }
 )
 
@@ -77,15 +67,12 @@ class FaultSpec:
     """One armed trigger: fire ``point`` per ``mode``.
 
     ``mode`` is ``"every"`` (fire when the call count is a multiple of
-    ``n``), ``"once"`` (first call only), or ``"p"`` (independent seeded
-    Bernoulli draw per call with probability ``p``).
+    ``n``) or ``"once"`` (first call only).
     """
 
     point: str
     mode: str
     n: int = 1
-    p: float = 0.0
-    seed: int = 2012
 
     def __post_init__(self) -> None:
         if not _valid_point(self.point):
@@ -93,12 +80,10 @@ class FaultSpec:
                 f"unknown fault point {self.point!r}; known: "
                 f"{sorted(KNOWN_POINTS)} or extractor.<name>"
             )
-        if self.mode not in ("every", "once", "p"):
+        if self.mode not in ("every", "once"):
             raise ValueError(f"unknown fault mode {self.mode!r}")
         if self.mode == "every" and self.n < 1:
             raise ValueError("every=N requires N >= 1")
-        if self.mode == "p" and not 0.0 < self.p <= 1.0:
-            raise ValueError("p must lie in (0, 1]")
 
 
 def parse_fault_spec(text: str) -> List[FaultSpec]:
@@ -115,7 +100,7 @@ def parse_fault_spec(text: str) -> List[FaultSpec]:
         point, trigger = clause.split(":", 1)
         point = point.strip()
         mode: Optional[str] = None
-        n, p, seed = 1, 0.0, 2012
+        n = 1
         for part in trigger.split(","):
             part = part.strip()
             if not part:
@@ -125,16 +110,11 @@ def parse_fault_spec(text: str) -> List[FaultSpec]:
             elif part.startswith("every="):
                 mode = "every"
                 n = int(part.split("=", 1)[1])
-            elif part.startswith("p="):
-                mode = "p"
-                p = float(part.split("=", 1)[1])
-            elif part.startswith("seed="):
-                seed = int(part.split("=", 1)[1])
             else:
                 raise ValueError(f"unknown fault trigger option {part!r}")
         if mode is None:
             raise ValueError(f"fault clause {clause!r} names no trigger")
-        specs.append(FaultSpec(point=point, mode=mode, n=n, p=p, seed=seed))
+        specs.append(FaultSpec(point=point, mode=mode, n=n))
     return specs
 
 
@@ -146,25 +126,20 @@ def spec_from_env(environ: Optional[Dict[str, str]] = None) -> Optional[str]:
 
 
 class _ArmedPoint:
-    """Per-point trigger state (call counter / seeded draw stream)."""
+    """Per-point trigger state (a call counter)."""
 
-    __slots__ = ("spec", "calls", "fired", "_rng")
+    __slots__ = ("spec", "calls", "fired")
 
     def __init__(self, spec: FaultSpec):
         self.spec = spec
         self.calls = 0
         self.fired = 0
-        self._rng = (
-            np.random.default_rng(spec.seed) if spec.mode == "p" else None
-        )
 
     def should_fire(self) -> bool:
         self.calls += 1
         if self.spec.mode == "once":
             return self.calls == 1
-        if self.spec.mode == "every":
-            return self.calls % self.spec.n == 0
-        return float(self._rng.random()) < self.spec.p
+        return self.calls % self.spec.n == 0
 
 
 class FaultRegistry:

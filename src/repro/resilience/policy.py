@@ -1,134 +1,19 @@
-"""Retry and circuit-breaker policies.
+"""The circuit breaker each shard of a scatter-gather engine sits behind.
 
-Both policies are deterministic by construction so chaos runs reproduce
-byte-for-byte:
-
-- :class:`Backoff` computes the attempt ``k`` delay as a *pure function*
-  of ``(seed, k)`` -- the jitter draw comes from a generator seeded with
-  exactly that pair, so two runs with the same seed sleep for identical
-  durations and a test can precompute the whole schedule.
-- :class:`CircuitBreaker` is a plain closed/open/half-open state machine
-  over a sliding outcome window; given the same outcome sequence it makes
-  the same transitions (the clock only gates the open -> half-open probe).
-
-``Retry.call`` is the only place in ``src/`` allowed to block in
-``time.sleep`` (reprolint R13): ad-hoc sleeps hide backpressure from the
-policy layer and from the metrics.
+:class:`CircuitBreaker` is a plain closed/open/half-open state machine
+over a sliding outcome window; given the same outcome sequence it makes
+the same transitions (the clock only gates the open -> half-open probe).
 """
 
 from __future__ import annotations
 
 import time
-from typing import Callable, List, Optional, Tuple, Type
-
-import numpy as np
+from typing import Callable, List
 
 from repro.obs import NULL_OBS, Obs
-from repro.resilience.errors import CircuitOpenError, RetryExhausted
+from repro.resilience.errors import CircuitOpenError
 
-__all__ = ["Backoff", "Retry", "CircuitBreaker", "BREAKER_STATES"]
-
-
-class Backoff:
-    """Exponential backoff with deterministic, seeded, *subtractive* jitter.
-
-    The attempt-``k`` delay is ``min(cap, base * factor**k)`` scaled by
-    ``1 - jitter * u_k`` with ``u_k`` drawn from ``default_rng((seed, k))``,
-    so every delay lies in ``[(1 - jitter) * bound_k, bound_k]`` where the
-    un-jittered bound is monotone non-decreasing in ``k``.
-    """
-
-    def __init__(
-        self,
-        base: float = 0.01,
-        factor: float = 2.0,
-        cap: float = 1.0,
-        jitter: float = 0.5,
-        seed: int = 2012,
-    ):
-        if base < 0 or cap < 0:
-            raise ValueError("base and cap must be non-negative")
-        if factor < 1.0:
-            raise ValueError("factor must be >= 1")
-        if not 0.0 <= jitter <= 1.0:
-            raise ValueError("jitter must lie in [0, 1]")
-        self.base = float(base)
-        self.factor = float(factor)
-        self.cap = float(cap)
-        self.jitter = float(jitter)
-        self.seed = int(seed)
-
-    def bound(self, attempt: int) -> float:
-        """The un-jittered (maximum) delay before retry ``attempt``."""
-        if attempt < 0:
-            raise ValueError("attempt must be >= 0")
-        return min(self.cap, self.base * self.factor**attempt)
-
-    def delay(self, attempt: int) -> float:
-        """The actual delay before retry ``attempt`` (jitter applied)."""
-        bound = self.bound(attempt)
-        u = float(np.random.default_rng((self.seed, attempt)).random())
-        return bound * (1.0 - self.jitter * u)
-
-    def schedule(self, attempts: int) -> List[float]:
-        """All delays of an ``attempts``-attempt retry loop, in order."""
-        return [self.delay(k) for k in range(max(0, attempts - 1))]
-
-
-class Retry:
-    """Bounded retry loop: max attempts plus an elapsed-time budget.
-
-    ``retry_on`` restricts which exceptions are retried; anything else
-    propagates immediately (a malformed SQL statement should not burn
-    three attempts).  When every attempt fails, :class:`RetryExhausted`
-    is raised with the last error chained.
-    """
-
-    def __init__(
-        self,
-        attempts: int = 3,
-        backoff: Optional[Backoff] = None,
-        max_elapsed: Optional[float] = None,
-        retry_on: Tuple[Type[BaseException], ...] = (Exception,),
-        clock: Callable[[], float] = time.monotonic,
-        sleep: Callable[[float], None] = time.sleep,
-        obs: Obs = NULL_OBS,
-    ):
-        if attempts < 1:
-            raise ValueError("attempts must be >= 1")
-        if max_elapsed is not None and max_elapsed <= 0:
-            raise ValueError("max_elapsed must be positive")
-        self.attempts = int(attempts)
-        self.backoff = backoff or Backoff()
-        self.max_elapsed = max_elapsed
-        self.retry_on = retry_on
-        self._clock = clock
-        self._sleep = sleep
-        self._m_retries = obs.counter(
-            "repro_resilience_retries_total",
-            "Retry attempts after a failure, by fault point.",
-            labelnames=("point",),
-        )
-
-    def call(self, point: str, fn: Callable[[], object]) -> object:
-        """Run ``fn`` under this policy; returns its result."""
-        t0 = self._clock()
-        last: Optional[BaseException] = None
-        for attempt in range(self.attempts):
-            try:
-                return fn()
-            except self.retry_on as exc:  # noqa: B902 (configured tuple)
-                last = exc
-                out_of_attempts = attempt + 1 >= self.attempts
-                out_of_budget = (
-                    self.max_elapsed is not None
-                    and self._clock() - t0 >= self.max_elapsed
-                )
-                if out_of_attempts or out_of_budget:
-                    raise RetryExhausted(point, attempt + 1, exc) from exc
-                self._m_retries.labels(point=point).inc()
-                self._sleep(self.backoff.delay(attempt))
-        raise RetryExhausted(point, self.attempts, last)  # pragma: no cover
+__all__ = ["CircuitBreaker", "BREAKER_STATES"]
 
 
 #: state gauge encoding (repro_resilience_breaker_state)

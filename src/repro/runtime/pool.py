@@ -33,12 +33,7 @@ from concurrent.futures import BrokenExecutor  # BrokenProcessPool's base
 from typing import TYPE_CHECKING, Callable, Iterable, List, Optional, TypeVar
 
 from repro.obs import NULL_OBS, Obs, log
-from repro.resilience import (
-    NULL_POLICIES,
-    CircuitOpenError,
-    FaultInjected,
-    ResiliencePolicies,
-)
+from repro.resilience import NULL_POLICIES, FaultInjected, ResiliencePolicies
 
 if TYPE_CHECKING:  # pragma: no cover
     from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
@@ -106,16 +101,13 @@ class PoolTask:
     that fanned several submits out still overlaps the healthy ones.
     """
 
-    __slots__ = (
-        "_pool", "_fn", "_args", "_future", "_breaker", "_done", "_value", "_t0",
-    )
+    __slots__ = ("_pool", "_fn", "_args", "_future", "_done", "_value", "_t0")
 
-    def __init__(self, pool: "WorkerPool", fn, args, future=None, breaker=None):
+    def __init__(self, pool: "WorkerPool", fn, args, future=None):
         self._pool = pool
         self._fn = fn
         self._args = args
         self._future = future
-        self._breaker = breaker
         self._done = False
         self._value = None
         self._t0 = time.perf_counter()
@@ -136,14 +128,9 @@ class PoolTask:
             mode = "parallel"
             try:
                 value = self._future.result()
-                if self._breaker is not None:
-                    self._breaker.record_success()
             except (BrokenExecutor, pickle.PicklingError, OSError) as exc:
                 # the worker died or the result refused to pickle; the
                 # work itself is still valid, so redo it in-process
-                if self._breaker is not None:
-                    self._breaker.record_failure()
-                    self._pool._policies.note_fallback("pool_serial")
                 self._pool.close()
                 self._pool._m_fallbacks.labels(reason="broken_pool").inc()
                 _log.warning(
@@ -220,13 +207,9 @@ class WorkerPool:
         )
 
     def attach_resilience(self, policies: ResiliencePolicies) -> None:
-        """Route parallel dispatch through ``policies``' pool breaker.
-
-        While the breaker is open every map call takes the serial loop
-        directly (reason ``breaker_open``) instead of re-touching broken
-        pool infrastructure; the half-open probe lets one call test it.
-        The ``pool.map`` fault point fires only in the parallel path.
-        """
+        """Fire ``policies``' ``pool.map`` fault point on every parallel
+        dispatch (never on the serial path); a fired fault is handled like
+        a broken pool: closed, and the work redone serially."""
         self._policies = policies
 
     # -- lifecycle -----------------------------------------------------------
@@ -314,19 +297,6 @@ class WorkerPool:
                 time.perf_counter() - t0
             )
             return out
-        breaker = self._policies.pool_breaker if self._policies.enabled else None
-        if breaker is not None:
-            try:
-                breaker.guard()
-            except CircuitOpenError:
-                # open breaker: don't re-touch known-broken infrastructure
-                self._m_fallbacks.labels(reason="breaker_open").inc()
-                self._policies.note_fallback("pool_serial")
-                out = [fn(x) for x in materialized]
-                self._m_map_seconds.labels(mode="serial").observe(
-                    time.perf_counter() - t0
-                )
-                return out
         chunk = self.chunk_size or max(
             1, -(-len(materialized) // (self.workers * 4))
         )
@@ -335,8 +305,6 @@ class WorkerPool:
             self._policies.fire("pool.map")
             executor = self._ensure_executor()
             out = list(executor.map(fn, materialized, chunksize=chunk))
-            if breaker is not None:
-                breaker.record_success()
             self._m_map_seconds.labels(mode="parallel").observe(
                 time.perf_counter() - t0
             )
@@ -344,9 +312,6 @@ class WorkerPool:
         except (BrokenExecutor, pickle.PicklingError, OSError, FaultInjected) as exc:
             # infrastructure died (or a result refused to pickle); the
             # work itself is still valid, so redo it in-process
-            if breaker is not None:
-                breaker.record_failure()
-                self._policies.note_fallback("pool_serial")
             self.close()
             self._m_fallbacks.labels(reason="broken_pool").inc()
             _log.warning(
@@ -369,31 +334,18 @@ class WorkerPool:
         the process keeps what its tasks cache at module level (e.g. a
         memory-mapped shard snapshot) and the caller keeps submitting
         queries to it without re-forking.  The serial fallback only
-        triggers for unpicklable tasks, an open pool breaker, or broken
-        infrastructure; task exceptions always propagate from the
-        handle's ``result()``.  The ``pool.map`` fault point covers this
-        dispatch path too.
+        triggers for unpicklable tasks or broken infrastructure; task
+        exceptions always propagate from the handle's ``result()``.  The
+        ``pool.map`` fault point covers this dispatch path too.
         """
         if not (_is_picklable(fn) and all(_is_picklable(a) for a in args)):
             self._m_fallbacks.labels(reason="unpicklable").inc()
             self._m_submits.labels(mode="inline").inc()
             return PoolTask(self, fn, args)
-        breaker = self._policies.pool_breaker if self._policies.enabled else None
-        if breaker is not None:
-            try:
-                breaker.guard()
-            except CircuitOpenError:
-                self._m_fallbacks.labels(reason="breaker_open").inc()
-                self._policies.note_fallback("pool_serial")
-                self._m_submits.labels(mode="inline").inc()
-                return PoolTask(self, fn, args)
         try:
             self._policies.fire("pool.map")
             future = self._ensure_executor().submit(fn, *args)
         except (BrokenExecutor, pickle.PicklingError, OSError, FaultInjected) as exc:
-            if breaker is not None:
-                breaker.record_failure()
-                self._policies.note_fallback("pool_serial")
             self.close()
             self._m_fallbacks.labels(reason="broken_pool").inc()
             _log.warning(
@@ -403,7 +355,7 @@ class WorkerPool:
             self._m_submits.labels(mode="inline").inc()
             return PoolTask(self, fn, args)
         self._m_submits.labels(mode="parallel").inc()
-        return PoolTask(self, fn, args, future=future, breaker=breaker)
+        return PoolTask(self, fn, args, future=future)
 
 
 def parallel_map(

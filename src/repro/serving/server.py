@@ -268,14 +268,12 @@ class AsyncCbvrServer:
         try:
             degrade = self.admission.admit(self.batcher.depth, self.batcher.service_seconds)
             image, feature_list, top_k, explain = parse_search_request(body, query)
-            policies = self.system.resilience
-            policies.fire("serving.request")
             request = QueryRequest(
                 image=image,
                 features=feature_list,
                 top_k=top_k,
                 # Created here, not in the engine: queue wait burns budget.
-                deadline=policies.new_deadline(),
+                deadline=self.system.resilience.new_deadline(),
             )
             if degrade is not None:
                 request.features = degrade.features

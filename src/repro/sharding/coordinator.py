@@ -16,8 +16,7 @@ min-max normalization + weighted fusion + stable top-k the base engine
 runs.  A shard that fails (or whose circuit breaker is open) degrades to
 a partial ranking over the surviving partitions -- exactly the ranking a
 store holding only those partitions would produce -- surfaced via
-``SearchResults.degraded_shards``; ``config.shard_partial_ok=False``
-escalates instead.
+``SearchResults.degraded_shards``.  A query that loses every shard fails.
 """
 
 from __future__ import annotations
@@ -101,10 +100,7 @@ class ShardedSearchEngine(SearchEngine):
         # mmaps its partition on the first task that names it and stays
         # up across queries instead of re-forking per request
         self._shard_pools = [WorkerPool(workers=1) for _path in paths]
-        self._breakers = [
-            policies.make_breaker(f"shard{s}") if policies.enabled else None
-            for s in range(len(paths))
-        ]
+        self._breakers = [policies.make_breaker(f"shard{s}") for s in range(len(paths))]
         self._m_shard_queries = obs.counter(
             "repro_shard_queries_total",
             "Shard dispatches, by shard and outcome.",
@@ -160,8 +156,7 @@ class ShardedSearchEngine(SearchEngine):
         ``shard.query`` fault, a dead worker past the pool's own serial
         fallback -- drop the shard into ``degraded_shards`` and feed its
         breaker; deadline overruns always escalate.  Raises the last
-        shard error when nothing survived or ``config.shard_partial_ok``
-        is off.
+        shard error when nothing survived.
 
         Observability rides on the tasks themselves: each payload is
         extended with a trace context (trace id, the scatter span as
@@ -186,8 +181,7 @@ class ShardedSearchEngine(SearchEngine):
                 breaker = self._breakers[s]
                 t0 = time.perf_counter()
                 try:
-                    if breaker is not None:
-                        breaker.guard()
+                    breaker.guard()
                     self._policies.fire("shard.query")
                     task_ctx = dict(ctx, shard=s) if ctx is not None else None
                     task = self._shard_pools[s].submit(
@@ -201,8 +195,7 @@ class ShardedSearchEngine(SearchEngine):
                 except DeadlineExceeded:
                     raise
                 except Exception as exc:
-                    if breaker is not None:
-                        breaker.record_failure()
+                    breaker.record_failure()
                     last_error = exc
                     degraded.append(s)
                     self._shard_down(s, f"{type(exc).__name__}: {exc}", shard_meta)
@@ -215,14 +208,12 @@ class ShardedSearchEngine(SearchEngine):
                 except DeadlineExceeded:
                     raise
                 except Exception as exc:
-                    if breaker is not None:
-                        breaker.record_failure()
+                    breaker.record_failure()
                     last_error = exc
                     degraded.append(s)
                     self._shard_down(s, f"{type(exc).__name__}: {exc}", shard_meta)
                     continue
-                if breaker is not None:
-                    breaker.record_success()
+                breaker.record_success()
                 wall = time.perf_counter() - t0
                 self._m_shard_seconds.labels(shard=str(s)).observe(wall)
                 self._m_shard_queries.labels(shard=str(s), outcome="ok").inc()
@@ -242,7 +233,7 @@ class ShardedSearchEngine(SearchEngine):
             if degraded:
                 degraded.sort()
                 self._m_partials.inc()
-                if not gathered or not self.config.shard_partial_ok:
+                if not gathered:
                     raise last_error
                 scatter_span.annotate(degraded_shards=",".join(map(str, degraded)))
                 if ctx is not None and ctx.get("sampled"):
@@ -343,7 +334,7 @@ class ShardedSearchEngine(SearchEngine):
         ]
         try:
             gathered, degraded, shard_meta = self._scatter(payloads)
-        except Exception as exc:  # every shard down / partial_ok off
+        except Exception as exc:  # every shard down
             return [exc for _ in plans]
         out: List[object] = []
         for pi, plan in enumerate(plans):
@@ -432,12 +423,10 @@ class ShardedSearchEngine(SearchEngine):
         return {
             "shards": self.n_shards,
             "paths": list(self._paths),
-            "partial_ok": bool(self.config.shard_partial_ok),
             "frames_per_shard": [int(ids.size) for ids in self._shard_frame_ids],
             "breakers": {
                 f"shard{s}": breaker.stats()
                 for s, breaker in enumerate(self._breakers)
-                if breaker is not None
             },
         }
 

@@ -36,6 +36,7 @@ instant cold start the format exists for.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import zlib
@@ -159,6 +160,71 @@ def write_snapshot(
     os.replace(tmp, path)
 
 
+def _section_table(
+    path: str, header: object, start: int
+) -> Tuple[Dict[str, object], Dict[str, Dict[str, object]], int]:
+    """``(meta, sections by name, file size)`` of a parsed header.
+
+    Every section entry is checked against the layout :func:`write_snapshot`
+    gives it: a little-endian numeric dtype, a shape whose size is its byte
+    count, and the first 64-byte-aligned offset after the previous section.
+    A header that passes its CRC but breaks any of that is corrupt.
+    """
+    if not isinstance(header, dict):
+        raise CorruptSnapshotError(f"{path}: the header is not a JSON object")
+    meta, entries = header.get("meta", {}), header.get("sections", [])
+    if not isinstance(meta, dict) or not isinstance(entries, list):
+        raise CorruptSnapshotError(f"{path}: malformed header meta or section table")
+    table: Dict[str, Dict[str, object]] = {}
+    cursor = _align(start)
+    for entry in entries:
+        fields = entry if isinstance(entry, dict) else {}
+        name, dtype_str, shape = fields.get("name"), fields.get("dtype"), fields.get("shape")
+        numbers = [fields.get(key) for key in ("offset", "nbytes", "crc32")]
+        if not (
+            isinstance(name, str)
+            and name not in table
+            and isinstance(dtype_str, str)
+            and isinstance(shape, list)
+            and all(_is_count(n) for n in numbers + shape)
+        ):
+            raise CorruptSnapshotError(f"{path}: malformed section entry {entry!r}")
+        try:
+            dtype = np.dtype(dtype_str)
+        except (TypeError, ValueError) as exc:
+            raise CorruptSnapshotError(f"{path}: section {name!r}: {exc}") from exc
+        if dtype.byteorder not in ("<", "|", "="):
+            raise SnapshotVersionError(
+                f"{path}: section {name!r} has non-little-endian dtype {dtype_str!r}"
+            )
+        if dtype.kind not in "biuf":
+            raise CorruptSnapshotError(f"{path}: section {name!r} has dtype {dtype_str!r}")
+        offset, nbytes, crc = numbers
+        if math.prod(shape) * dtype.itemsize != nbytes:
+            raise CorruptSnapshotError(
+                f"{path}: section {name!r} shape {shape} x {dtype} != {nbytes} bytes"
+            )
+        if offset != cursor:
+            raise CorruptSnapshotError(
+                f"{path}: section {name!r} at offset {offset}, the layout puts it at {cursor}"
+            )
+        cursor = _align(offset + nbytes)
+        table[name] = {
+            "name": name, "dtype": dtype_str, "shape": shape,
+            "offset": offset, "nbytes": nbytes, "crc32": crc,
+        }
+    if header.get("file_size") != cursor:
+        raise CorruptSnapshotError(
+            f"{path}: header says {header.get('file_size')!r} bytes, "
+            f"its sections end at {cursor}"
+        )
+    return meta, table, cursor
+
+
+def _is_count(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
 class Snapshot:
     """A read-only, memory-mapped snapshot file.
 
@@ -168,14 +234,19 @@ class Snapshot:
     long as this object (or any view) is referenced.
     """
 
-    def __init__(self, path: str, mm: np.memmap, header: Dict[str, object]):
+    def __init__(
+        self,
+        path: str,
+        mm: np.memmap,
+        meta: Dict[str, object],
+        table: Dict[str, Dict[str, object]],
+        file_size: int,
+    ):
         self.path = path
         self._mm: Optional[np.memmap] = mm
-        self.meta: Dict[str, object] = dict(header.get("meta", {}))
-        self._table: Dict[str, Dict[str, object]] = {
-            str(s["name"]): s for s in header.get("sections", [])
-        }
-        self.file_size = int(header.get("file_size", 0))
+        self.meta: Dict[str, object] = dict(meta)
+        self._table = table
+        self.file_size = file_size
 
     # -- opening ---------------------------------------------------------------
 
@@ -215,14 +286,12 @@ class Snapshot:
             header = json.loads(header_bytes.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise CorruptSnapshotError(f"{path}: unreadable header: {exc}") from exc
-        snap = cls(path, mm, header)
-        if snap.file_size != size:
+        meta, table, file_size = _section_table(path, header, _PREAMBLE.size + header_len)
+        if file_size != size:
             raise CorruptSnapshotError(
-                f"{path}: header says {snap.file_size} bytes, file has {size}"
+                f"{path}: header says {file_size} bytes, file has {size}"
             )
-        for name in snap.section_names():
-            snap._entry(name)  # validates dtype/bounds for every section
-        return snap
+        return cls(path, mm, meta, table, file_size)
 
     # -- access ----------------------------------------------------------------
 
@@ -234,39 +303,21 @@ class Snapshot:
 
     def _entry(self, name: str) -> Dict[str, object]:
         try:
-            entry = self._table[name]
+            return self._table[name]
         except KeyError:
             raise KeyError(f"snapshot has no section {name!r}") from None
-        dtype = np.dtype(str(entry["dtype"]))
-        if dtype.byteorder not in ("<", "|", "="):
-            raise SnapshotVersionError(
-                f"{self.path}: section {name!r} has non-little-endian "
-                f"dtype {entry['dtype']!r}"
-            )
-        offset, nbytes = int(entry["offset"]), int(entry["nbytes"])
-        shape = tuple(int(d) for d in entry["shape"])
-        expected = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize if shape else dtype.itemsize
-        if int(np.prod(shape, dtype=np.int64)) * dtype.itemsize != nbytes:
-            raise CorruptSnapshotError(
-                f"{self.path}: section {name!r} shape {shape} x {dtype} "
-                f"!= {nbytes} bytes (expected {expected})"
-            )
-        if offset < 0 or offset + nbytes > self.file_size:
-            raise CorruptSnapshotError(
-                f"{self.path}: section {name!r} [{offset}, {offset + nbytes}) "
-                f"lies outside the {self.file_size}-byte file"
-            )
-        return entry
 
     def section(self, name: str) -> np.ndarray:
         """A zero-copy read-only array view of one section."""
         if self._mm is None:
             raise SnapshotError(f"{self.path}: snapshot is closed")
         entry = self._entry(name)
-        dtype = np.dtype(str(entry["dtype"]))
-        offset, nbytes = int(entry["offset"]), int(entry["nbytes"])
-        shape = tuple(int(d) for d in entry["shape"])
-        return self._mm[offset : offset + nbytes].view(dtype).reshape(shape)
+        offset, nbytes = entry["offset"], entry["nbytes"]
+        return (
+            self._mm[offset : offset + nbytes]
+            .view(np.dtype(entry["dtype"]))
+            .reshape(entry["shape"])
+        )
 
     # -- integrity -------------------------------------------------------------
 
@@ -280,7 +331,7 @@ class Snapshot:
         for name in self.section_names():
             entry = self._entry(name)
             data = self.section(name)
-            if zlib.crc32(data.tobytes()) & 0xFFFFFFFF != int(entry["crc32"]):
+            if zlib.crc32(data.tobytes()) & 0xFFFFFFFF != entry["crc32"]:
                 failures.append(name)
         return failures
 
@@ -294,9 +345,9 @@ class Snapshot:
             "sections": [
                 {
                     "name": name,
-                    "dtype": str(entry["dtype"]),
+                    "dtype": entry["dtype"],
                     "shape": list(entry["shape"]),
-                    "nbytes": int(entry["nbytes"]),
+                    "nbytes": entry["nbytes"],
                 }
                 for name, entry in self._table.items()
             ],

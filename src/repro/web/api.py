@@ -18,7 +18,7 @@ from repro.core.system import AuthenticationError, VideoRetrievalSystem
 from repro.db.errors import DatabaseError
 from repro.imaging.image import ImageFormatError, decode_image
 from repro.obs import log
-from repro.resilience import CircuitOpenError, DeadlineExceeded, RetryExhausted
+from repro.resilience import CircuitOpenError, DeadlineExceeded
 from repro.video.codec import RvfError, RvfReader
 
 __all__ = [
@@ -113,8 +113,6 @@ def error_response_for(  # reprolint: disable=R17
             503, str(exc), "circuit_open", retry_after=retry_after
         )
         return response, {"Retry-After": str(retry_after)}
-    if isinstance(exc, RetryExhausted):
-        return _error_response(503, str(exc), "retry_exhausted"), {}
     if isinstance(exc, (DatabaseError, RvfError, ImageFormatError, ValueError, KeyError)):
         return _error_response(400, str(exc), "bad_request"), {}
     _log.error("web.unhandled", route=route, error=f"{type(exc).__name__}: {exc}")

@@ -93,6 +93,13 @@ class TestConfig:
     def test_default_runs_all_rules(self):
         assert len(LintEngine().rules) == len(all_rules()) == 14
 
+    def test_r13_has_no_allowlist(self):
+        # the resilience layer used to be the one sanctioned sleeper
+        assert not hasattr(LintConfig(), "sleep_allowlist")
+        for module in ("repro.resilience.policy", "repro.web.api", "fixture"):
+            report = lint_source(BARE_SLEEP, module=module, config=R13)
+            assert [f.rule_id for f in report.findings] == ["R13"], module
+
     def test_with_rules_builds_new_config(self):
         config = LintConfig().with_rules(select=["R1", "R4"])
         assert config.wants("R1") and not config.wants("R13")

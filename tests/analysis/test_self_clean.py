@@ -73,7 +73,7 @@ def test_one_pipeline_for_all_three_query_kinds():
     }
     assert overridden == {"_plan_vectors", "_score_plans", "_rank_plan", "close"}
     assert [n for n in worker.__all__ if n.startswith("score_")] == ["score_vectors_shard"]
-    assert len(dataclasses.fields(SystemConfig)) == 33
+    assert len(dataclasses.fields(SystemConfig)) == 28
 
 
 def test_numpy_is_the_only_import_outside_the_stdlib():
@@ -96,3 +96,21 @@ def test_one_durable_history():
     for module in PACKAGE_DIR.rglob("*.py"):
         source = module.read_text()
         assert not [name for name in gone if name in source], module
+
+
+def test_resilience_keeps_only_the_failure_handling_it_needs():
+    """No retry or backoff, no ANN or worker-pool breaker, no fault point
+    that nothing arms, and no ``SystemConfig`` knob for any of them: every
+    fault point has a fallback behind it, and only shards keep breakers."""
+    from repro.resilience import policy
+
+    knobs = ("resilience", "fault_spec", "breaker_window", "breaker_cooldown", "shard_partial_ok")
+    gone = re.compile(
+        r"\b(?:Retry|Backoff|RetryExhausted|ann_breaker|pool_breaker)\b(?!-)"
+        r'|"(?:snapshot\.open|serving\.request|codec\.decode)"'
+        r"|\bconfig\.(?:" + "|".join(knobs) + r")\b"
+    )
+    for module in PACKAGE_DIR.rglob("*.py"):
+        assert not gone.findall(module.read_text()), module
+    assert not {f.name for f in dataclasses.fields(SystemConfig)} & set(knobs)
+    assert policy.__all__ == ["CircuitBreaker", "BREAKER_STATES"]

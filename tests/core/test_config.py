@@ -19,11 +19,15 @@ class TestConfig:
         # fixed policies live as defaulted arguments where they are used
         # (ResiliencePolicies, MicroBatcher's BATCH_MAX), not here
         names = {f.name for f in dataclasses.fields(SystemConfig)}
-        assert len(names) == 33
+        assert len(names) == 28
         assert not names & {
             "batch_window_ms", "batch_max", "retry_attempts", "retry_base_delay",
             "retry_max_elapsed", "retry_seed", "breaker_failure_threshold",
             "obs_latency_buckets", "obs_log_level", "sequence_gap_penalty",
+            # fault points are armed from REPRO_FAULTS; shard breakers take
+            # ResiliencePolicies' defaults; partial shard answers are always served
+            "resilience", "fault_spec", "breaker_window", "breaker_cooldown",
+            "shard_partial_ok",
         }
 
     def test_unknown_feature_rejected(self):

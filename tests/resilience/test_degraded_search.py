@@ -16,13 +16,16 @@ from repro.core.config import SystemConfig
 from repro.core.search import SearchEngine
 from repro.core.system import VideoRetrievalSystem
 from repro.obs import Obs
-from repro.resilience import ResiliencePolicies, RetryExhausted
+from repro.resilience import ResiliencePolicies
 from repro.sharding import ShardedSearchEngine, read_manifest, split_store
 from tests.core.clip_reference import ranking_of, reference_clip_ranking
 
 
-def _build(small_corpus, **config_kwargs):
-    system = VideoRetrievalSystem.in_memory(SystemConfig(**config_kwargs))
+def _build(small_corpus, faults=None):
+    with pytest.MonkeyPatch.context() as mp:
+        if faults is not None:
+            mp.setenv("REPRO_FAULTS", faults)
+        system = VideoRetrievalSystem.in_memory()
     admin = system.login_admin()
     for video in small_corpus[:4]:
         admin.add_video(video)
@@ -35,7 +38,7 @@ def clean_system(small_corpus):
 
 
 def test_faulted_extractor_degrades_not_fails(small_corpus, clean_system):
-    system = _build(small_corpus, fault_spec="extractor.gabor:every=1")
+    system = _build(small_corpus, faults="extractor.gabor:every=1")
     query = system.any_key_frame()
     results = system.search(query, top_k=8)
     assert results.degraded
@@ -44,7 +47,7 @@ def test_faulted_extractor_degrades_not_fails(small_corpus, clean_system):
 
 
 def test_degraded_ranking_equals_no_gabor_reference(small_corpus, clean_system):
-    system = _build(small_corpus, fault_spec="extractor.gabor:every=1")
+    system = _build(small_corpus, faults="extractor.gabor:every=1")
     query = system.any_key_frame()
     degraded = system.search(query, top_k=8)
     survivors = [f for f in clean_system.config.features if f != "gabor"]
@@ -58,7 +61,7 @@ def test_degraded_ranking_equals_no_gabor_reference(small_corpus, clean_system):
 def test_all_but_one_faulted_still_ranks(small_corpus, clean_system):
     doomed = [f for f in SystemConfig().features if f != "glcm"]
     spec = ";".join(f"extractor.{f}:every=1" for f in doomed)
-    system = _build(small_corpus, fault_spec=spec)
+    system = _build(small_corpus, faults=spec)
     query = system.any_key_frame()
     results = system.search(query, top_k=8)
     assert results.degraded
@@ -73,14 +76,14 @@ def test_all_but_one_faulted_still_ranks(small_corpus, clean_system):
 
 def test_every_extractor_faulted_fails_the_query(small_corpus):
     spec = ";".join(f"extractor.{f}:every=1" for f in SystemConfig().features)
-    system = _build(small_corpus, fault_spec=spec)
+    system = _build(small_corpus, faults=spec)
     query = system.any_key_frame()
     with pytest.raises(Exception):  # the last extractor's error propagates
         system.search(query, top_k=5)
 
 
 def test_armed_faults_bypass_query_cache(small_corpus):
-    system = _build(small_corpus, fault_spec="extractor.gabor:every=1")
+    system = _build(small_corpus, faults="extractor.gabor:every=1")
     query = system.any_key_frame()
     r1 = system.search(query, top_k=5)
     r2 = system.search(query, top_k=5)
@@ -97,7 +100,7 @@ def test_clean_run_is_not_degraded_and_caches(small_corpus, clean_system):
 
 
 def test_degraded_counter_recorded(small_corpus):
-    system = _build(small_corpus, fault_spec="extractor.gabor:every=1")
+    system = _build(small_corpus, faults="extractor.gabor:every=1")
     system.search(system.any_key_frame(), top_k=5)
     fam = system.obs.registry.render_json()["repro_resilience_degraded_total"]
     samples = {s["labels"]["reason"]: s["value"] for s in fam["samples"]}
@@ -152,20 +155,3 @@ def test_degraded_clip_equals_the_survivors_reference(
     finally:
         engine.close()
         clean.close()
-
-
-def test_codec_decode_retry_exhausts_on_permanent_fault(small_corpus):
-    system = _build(small_corpus, fault_spec="codec.decode:every=1")
-    with pytest.raises(RetryExhausted) as info:
-        system.get_video_frames(1)
-    assert info.value.point == "codec.decode"
-    assert info.value.attempts == system.resilience.retry.attempts
-
-
-def test_codec_decode_recovers_from_transient_fault(small_corpus):
-    system = _build(small_corpus, fault_spec="codec.decode:once")
-    frames = system.get_video_frames(1)  # first attempt faults, retry succeeds
-    assert frames
-    fam = system.obs.registry.render_json()["repro_resilience_retries_total"]
-    samples = {s["labels"]["point"]: s["value"] for s in fam["samples"]}
-    assert samples["codec.decode"] == 1

@@ -1,117 +1,150 @@
-"""Resilience wired through the stack: ANN breaker, pool breaker,
-db retry, request deadlines, and two-run chaos determinism."""
+"""Resilience wired through the stack: the ANN and worker-pool fallbacks,
+a failing statement inside an ingest, request deadlines, and two-run
+chaos determinism.  Faults are armed the one way a system is armed: the
+``REPRO_FAULTS`` environment variable."""
 
 from __future__ import annotations
+
+import os
 
 import pytest
 
 from repro.core.config import SystemConfig
+from repro.core.store import FeatureStore
 from repro.core.system import VideoRetrievalSystem
-from repro.resilience import DeadlineExceeded
+from repro.resilience import DeadlineExceeded, FaultInjected
+from tests.integration.test_stateful import assert_same_store
 
 
-def _build(small_corpus, n_videos=4, **config_kwargs):
-    system = VideoRetrievalSystem.in_memory(SystemConfig(**config_kwargs))
+def _build(small_corpus, n_videos=4, faults=None, **config_kwargs):
+    with pytest.MonkeyPatch.context() as mp:
+        if faults is not None:
+            mp.setenv("REPRO_FAULTS", faults)
+        system = VideoRetrievalSystem.in_memory(SystemConfig(**config_kwargs))
     admin = system.login_admin()
     for video in small_corpus[:n_videos]:
         admin.add_video(video)
     return system
 
 
-# -- ANN breaker: brute-force fallback -----------------------------------------
+# -- ANN: brute-force fallback ---------------------------------------------------
 
 
 def test_ann_fault_falls_back_to_exact_results(small_corpus):
     faulted = _build(
         small_corpus, ann=True, ann_cells=4, ann_nprobe=2,
-        fault_spec="ann.probe:every=1",
+        faults="ann.probe:every=1",
     )
     exact = _build(small_corpus)  # no ANN at all: the exact reference
-    query = faulted.any_key_frame()
-    got = faulted.search(query, top_k=8)
-    want = exact.search(query, top_k=8)
-    # brute force is *better* than an IVF probe, so no degraded tag...
-    assert not got.degraded
-    # ...and the ranking is the exact one
-    assert [h.frame_id for h in got] == [h.frame_id for h in want]
+    for top_k in (8, 5, 3):
+        query = faulted.any_key_frame()
+        got = faulted.search(query, top_k=top_k)
+        want = exact.search(query, top_k=top_k)
+        # brute force is *better* than an IVF probe, so no degraded tag...
+        assert not got.degraded
+        # ...and the ranking is the exact one
+        assert [h.frame_id for h in got] == [h.frame_id for h in want]
     fam = faulted.obs.registry.render_json()["repro_resilience_fallbacks_total"]
     samples = {s["labels"]["kind"]: s["value"] for s in fam["samples"]}
-    assert samples["ann_brute_force"] >= 1
+    # no breaker skips the doomed probe: every query tried it and fell back
+    fired = faulted.resilience.faults.stats()["ann.probe"]["fired"]
+    assert samples["ann_brute_force"] == fired == 3
 
 
-def test_ann_breaker_trips_after_repeated_faults(small_corpus):
-    system = _build(
-        small_corpus, ann=True, ann_cells=4, ann_nprobe=2,
-        fault_spec="ann.probe:every=1", breaker_window=4,
-        breaker_cooldown=3600.0,  # stays open for the whole test
-    )
-    query = system.any_key_frame()
-    for _ in range(8):
-        results = system.search(query, top_k=5)
-        assert len(results) >= 1  # every query still answers
-    breaker = system.resilience.ann_breaker
-    assert breaker.trip_count >= 1
-    assert breaker.state == "open"
-    # once open, queries skip the probe entirely: fired stops growing
-    fired = system.resilience.faults.stats()["ann.probe"]["fired"]
-    system.search(query, top_k=5)
-    assert system.resilience.faults.stats()["ann.probe"]["fired"] == fired
+# -- worker pool: serial fallback ----------------------------------------------
 
 
-# -- pool breaker: serial fallback ---------------------------------------------
+def _pool_fallbacks(system) -> dict:
+    reg = system.obs.registry.render_json()
+    return {
+        s["labels"]["reason"]: s["value"]
+        for s in reg["repro_pool_fallbacks_total"]["samples"]
+    }
 
 
-def test_pool_fault_degrades_to_serial_ingest(small_corpus):
-    system = VideoRetrievalSystem.in_memory(
-        SystemConfig(workers=2, fault_spec="pool.map:every=1")
-    )
+def test_pool_fault_degrades_to_serial_ingest(small_corpus, monkeypatch):
+    monkeypatch.setenv("REPRO_FAULTS", "pool.map:every=1")
+    system = VideoRetrievalSystem.in_memory(SystemConfig(workers=2))
     admin = system.login_admin()
-    report = admin.add_video(small_corpus[0])  # parallel path faults -> serial redo
+    for video in small_corpus[:2]:  # parallel path faults -> serial redo, each time
+        assert admin.add_video(video).n_keyframes >= 1
+    fired = system.resilience.faults.stats()["pool.map"]["fired"]
+    assert fired >= 2
+    # counted once, in the pool's own family
+    assert _pool_fallbacks(system) == {"broken_pool": fired}
+    system.close()
+
+
+# -- a statement failing inside an ingest ------------------------------------------
+
+
+def _probe_calls(lib, monkeypatch, video=None) -> int:
+    """``db.execute`` calls a fresh open of ``lib`` makes (then an add of
+    ``video``, if given), counted by a point armed never to fire."""
+    monkeypatch.setenv("REPRO_FAULTS", "db.execute:every=1000000000")
+    system = VideoRetrievalSystem.open(lib)
+    if video is not None:
+        system.login_admin().add_video(video)
+    calls = system.resilience.faults.stats()["db.execute"]["calls"]
+    system.close()
+    monkeypatch.delenv("REPRO_FAULTS")
+    return calls
+
+
+def test_statement_fault_inside_add_video_leaves_nothing(
+    small_corpus, tmp_path, monkeypatch
+):
+    lib = str(tmp_path / "lib.rdb")
+    system = VideoRetrievalSystem.open(lib)
+    system.login_admin().add_video(small_corpus[0])
+    system.login_admin().checkpoint()
+    system.close()
+    probe = str(tmp_path / "probe" / "lib.rdb")
+    os.makedirs(os.path.dirname(probe))
+    for suffix in ("", ".wal", ".snap"):
+        with open(lib + suffix, "rb") as src, open(probe + suffix, "wb") as dst:
+            dst.write(src.read())
+    opened = _probe_calls(probe, monkeypatch)
+    added = _probe_calls(probe, monkeypatch, small_corpus[1]) - opened
+    # reads before the add pad the count, so the fault's next multiple
+    # lies past the add that follows; it fires on the add's last
+    # statement, its last key-frame insert, inside the transaction
+    reads = added + 10
+    nth = opened + reads + added
+
+    monkeypatch.setenv("REPRO_FAULTS", f"db.execute:every={nth}")
+    system = VideoRetrievalSystem.open(lib)
+    for _ in range(reads - 1):
+        system.list_videos()
+    videos, seq = system.list_videos(), system.db.commit_seq
+    with open(lib + ".wal", "rb") as fh:
+        log_before = fh.read()
+    frames = list(system.feature_store.ids)
+    with pytest.raises(FaultInjected):
+        system.login_admin().add_video(small_corpus[1])
+    assert system.resilience.faults.stats()["db.execute"]["fired"] == 1
+    assert system.list_videos() == videos
+    assert system.db.execute("SELECT COUNT(*) FROM KEY_FRAMES").scalar() == len(frames)
+    assert list(system.feature_store.ids) == frames
+    assert system.db.commit_seq == seq
+    with open(lib + ".wal", "rb") as fh:
+        assert fh.read() == log_before
+    report = system.login_admin().add_video(small_corpus[1])  # the next add succeeds
     assert report.n_keyframes >= 1
-    reg = system.obs.registry.render_json()
-    pool_falls = {
-        s["labels"]["reason"]: s["value"]
-        for s in reg["repro_pool_fallbacks_total"]["samples"]
-    }
-    assert pool_falls.get("broken_pool", 0) >= 1
-    assert system.resilience.pool_breaker.stats()["window_failures"] >= 1
+    assert system.db.commit_seq == seq + 1
+    assert system.resilience.faults.stats()["db.execute"]["fired"] == 1
     system.close()
 
-
-def test_open_pool_breaker_short_circuits_to_serial(small_corpus):
-    system = VideoRetrievalSystem.in_memory(
-        SystemConfig(
-            workers=2, fault_spec="pool.map:every=1",
-            breaker_window=4, breaker_cooldown=3600.0,
-        )
-    )
-    admin = system.login_admin()
-    for video in small_corpus[:4]:
-        admin.add_video(video)
-    assert system.resilience.pool_breaker.state == "open"
-    fired_before = system.resilience.faults.stats()["pool.map"]["fired"]
-    admin.add_video(small_corpus[4])  # breaker open: parallel path never tried
-    assert system.resilience.faults.stats()["pool.map"]["fired"] == fired_before
-    reg = system.obs.registry.render_json()
-    pool_falls = {
-        s["labels"]["reason"]: s["value"]
-        for s in reg["repro_pool_fallbacks_total"]["samples"]
-    }
-    assert pool_falls.get("breaker_open", 0) >= 1
-    system.close()
-
-
-# -- db retry ------------------------------------------------------------------
-
-
-def test_db_execute_transient_fault_is_retried(small_corpus):
-    system = _build(small_corpus, n_videos=1, fault_spec="db.execute:once")
-    # the very first statement of construction faulted once and was
-    # retried; the system came up and works end-to-end
-    assert system.n_videos() == 1
-    fam = system.obs.registry.render_json()["repro_resilience_retries_total"]
-    samples = {s["labels"]["point"]: s["value"] for s in fam["samples"]}
-    assert samples["db.execute"] == 1
+    monkeypatch.delenv("REPRO_FAULTS")
+    system = VideoRetrievalSystem.open(lib)
+    try:
+        assert system.snapshots.served_from == "mmap"
+        rebuilt = FeatureStore()
+        rebuilt.rebuild_from_db(system.db, list(system.config.features))
+        assert_same_store(system.feature_store, rebuilt, system.engine.extractors)
+        assert len(system.list_videos()) == 2
+    finally:
+        system.close()
 
 
 # -- request deadlines ---------------------------------------------------------
@@ -145,10 +178,10 @@ def test_expired_deadline_fails_ingest(small_corpus):
 
 
 def _chaos_run(small_corpus):
-    """One seeded chaos run; returns every counter the policies kept."""
+    """One armed chaos run; returns every counter the policies kept."""
     system = _build(
-        small_corpus, n_videos=3,
-        fault_spec="extractor.gabor:every=2;db.execute:p=0.002,seed=5",
+        small_corpus, n_videos=3, ann=True, ann_cells=4, ann_nprobe=2,
+        faults="extractor.gabor:every=2;ann.probe:every=3",
     )
     query = system.any_key_frame()
     for k in range(4):
@@ -156,10 +189,9 @@ def _chaos_run(small_corpus):
     reg = system.obs.registry.render_json()
     counters = {}
     for family in (
-        "repro_resilience_retries_total",
         "repro_resilience_faults_injected_total",
         "repro_resilience_degraded_total",
-        "repro_resilience_breaker_trips_total",
+        "repro_resilience_fallbacks_total",
     ):
         for sample in reg.get(family, {}).get("samples", []):
             key = family + str(sorted(sample["labels"].items()))
@@ -173,19 +205,18 @@ def test_seeded_chaos_counters_reproduce_exactly(small_corpus):
     assert counters_a == counters_b
     assert faults_a == faults_b
     assert faults_a["extractor.gabor"]["fired"] >= 1
+    assert faults_a["ann.probe"]["fired"] >= 1
 
 
 # -- surfaces ------------------------------------------------------------------
 
 
 def test_metrics_snapshot_has_resilience_section(small_corpus):
-    system = _build(small_corpus, n_videos=1, fault_spec="extractor.gabor:once")
+    system = _build(small_corpus, n_videos=1, faults="extractor.gabor:once")
     system.search(system.any_key_frame(), top_k=3)
     section = system.metrics()["resilience"]
-    assert section["enabled"] is True
-    assert section["armed_points"] == 1
-    assert section["faults_fired"] == 1
-    assert section["ann_breaker_state"] == "closed"
+    # the shards' breakers report under "sharding"; none stands here
+    assert section == {"armed_points": 1, "faults_fired": 1}
 
 
 def test_stats_renders_resilience_line(small_corpus):
@@ -193,15 +224,5 @@ def test_stats_renders_resilience_line(small_corpus):
 
     system = _build(small_corpus, n_videos=1)
     text = format_stats(system.metrics())
-    assert "resilience" in text
-
-
-def test_disabled_resilience_uses_null_policies(small_corpus):
-    from repro.resilience import NULL_POLICIES
-
-    system = VideoRetrievalSystem.in_memory(SystemConfig(resilience=False))
-    assert system.resilience is NULL_POLICIES
-    admin = system.login_admin()
-    admin.add_video(small_corpus[0])
-    results = system.search(system.any_key_frame(), top_k=3)
-    assert len(results) >= 1
+    assert "resilience armed_points=0 faults_fired=0" in text
+    assert "breaker" not in text

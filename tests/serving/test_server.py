@@ -163,7 +163,7 @@ def test_degraded_admission_under_load(make_harness):
 
 def test_queue_wait_burns_request_deadline_to_504(make_harness):
     config = SystemConfig(
-        workers=1, resilience=True, serving_queue_limit=64, serving_degrade_depth=0
+        workers=1, serving_queue_limit=64, serving_degrade_depth=0
     )
     harness = make_harness(config, n_videos=2)
     # Armed after ingest so only serving pays the (tiny) budget.

@@ -169,9 +169,10 @@ class TestIntrospection:
         stats = coordinator.sharding_stats()
         assert stats["shards"] == 4
         assert len(stats["paths"]) == 4
-        assert stats["partial_ok"] is True
         assert sum(stats["frames_per_shard"]) == len(ingested_system.feature_store)
-        assert stats["breakers"] == {}  # NULL_POLICIES: no breakers built
+        # every shard sits behind its own breaker, under any policy bundle
+        assert sorted(stats["breakers"]) == ["shard0", "shard1", "shard2", "shard3"]
+        assert all(b["state"] == "closed" for b in stats["breakers"].values())
 
     def test_rejects_ann_config(self, ingested_system, shard_paths):
         cfg = replace(ingested_system.config, ann=True, shards=1, shard_paths=None)

@@ -1,4 +1,4 @@
-"""Partial results under shard failure: faults, breakers, escalation.
+"""Partial results under shard failure: faults, breakers, total loss.
 
 The degraded-mode equivalence mirrors the extractor-degradation one: a
 ranking missing shard *s* is not approximate -- it is *exactly* the
@@ -17,16 +17,16 @@ import numpy as np
 import pytest
 
 from repro.core.search import SearchEngine
-from repro.resilience import FaultInjected, ResiliencePolicies
+from repro.resilience import CircuitOpenError, FaultInjected, ResiliencePolicies
 from repro.sharding import ShardedSearchEngine, shard_of
+from repro.web.api import error_response_for
 from tests.core.clip_reference import ranking_of, reference_clip_ranking
 
 
-def _engine(ingested_system, shard_paths, spec, **overrides):
-    cfg = replace(ingested_system.config, fault_spec=spec, **overrides)
-    return ShardedSearchEngine(
-        cfg, shard_paths, policies=ResiliencePolicies.from_config(cfg)
-    )
+def _engine(ingested_system, shard_paths, spec, breaker_cooldown=0.1, **overrides):
+    cfg = replace(ingested_system.config, **overrides)
+    policies = ResiliencePolicies(fault_spec=spec, breaker_cooldown=breaker_cooldown)
+    return ShardedSearchEngine(cfg, shard_paths, policies=policies)
 
 
 @pytest.fixture(scope="module")
@@ -112,19 +112,8 @@ def test_transient_fault_recovers(ingested_system, shard_paths, query_vectors):
     assert _key(second) == _key(clean)
 
 
-def test_partial_ok_false_escalates(ingested_system, shard_paths, query_vectors):
-    engine = _engine(
-        ingested_system, shard_paths, "shard.query:once", shard_partial_ok=False
-    )
-    try:
-        with pytest.raises(FaultInjected):
-            engine.query_with_vectors(query_vectors, top_k=5)
-    finally:
-        engine.close()
-
-
 def test_every_shard_failing_escalates(ingested_system, shard_paths, query_vectors):
-    # partial_ok permits *partial* answers, never empty ones
+    # a partial answer needs a surviving shard: an empty one is an error
     engine = _engine(ingested_system, shard_paths, "shard.query:every=1")
     try:
         with pytest.raises(FaultInjected):
@@ -157,6 +146,27 @@ def test_breaker_trips_open_and_short_circuits(
         assert engine.sharding_stats()["breakers"]["shard3"]["state"] == "open"
     finally:
         engine.close()
+
+
+def test_every_breaker_open_is_a_503_with_retry_after(
+    ingested_system, shard_paths, query_vectors
+):
+    engine = _engine(
+        ingested_system, shard_paths, "shard.query:every=1", breaker_cooldown=60.0
+    )
+    try:
+        for _ in range(4):  # every shard fails every query: all four trip
+            with pytest.raises(FaultInjected):
+                engine.query_with_vectors(query_vectors, top_k=5)
+        breakers = engine.sharding_stats()["breakers"]
+        assert all(b["state"] == "open" for b in breakers.values())
+        with pytest.raises(CircuitOpenError) as info:
+            engine.query_with_vectors(query_vectors, top_k=5)
+    finally:
+        engine.close()
+    (status, _ctype, _body), headers = error_response_for(info.value, "/search")
+    assert status == 503
+    assert int(headers["Retry-After"]) >= 1
 
 
 def test_breakers_built_per_shard(ingested_system, shard_paths):

@@ -98,11 +98,10 @@ class TestStitchedTrace:
     def test_degraded_shard_marked_in_trace(
         self, ingested_system, shard_paths, query_vectors
     ):
-        cfg = replace(ingested_system.config, fault_spec="shard.query:once")
         obs = Obs(enabled=True)
         engine = ShardedSearchEngine(
-            cfg, shard_paths, obs=obs,
-            policies=ResiliencePolicies.from_config(cfg, obs=obs),
+            ingested_system.config, shard_paths, obs=obs,
+            policies=ResiliencePolicies(fault_spec="shard.query:once", obs=obs),
         )
         try:
             results = engine.query_with_vectors(query_vectors, top_k=10)
@@ -188,9 +187,9 @@ class TestExplain:
     def test_degraded_shard_reported(
         self, ingested_system, shard_paths, query_vectors
     ):
-        cfg = replace(ingested_system.config, fault_spec="shard.query:once")
         engine = ShardedSearchEngine(
-            cfg, shard_paths, policies=ResiliencePolicies.from_config(cfg)
+            ingested_system.config, shard_paths,
+            policies=ResiliencePolicies(fault_spec="shard.query:once"),
         )
         try:
             results = engine.query_with_vectors(query_vectors, top_k=10)

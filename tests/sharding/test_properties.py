@@ -11,7 +11,6 @@ full-ranking equality, not just the head.
 from __future__ import annotations
 
 import tempfile
-from dataclasses import replace
 
 import numpy as np
 from hypothesis import given, settings
@@ -92,12 +91,11 @@ def test_any_lost_shard_reproduces_complement_ranking(
     else:
         k = n_occupied // 2 + 1 + (nth % (n_occupied - n_occupied // 2))
         spec, failed = f"shard.query:every={k}", occupied[k - 1]
-    cfg = replace(ingested_system.config, fault_spec=spec)
     with tempfile.TemporaryDirectory() as out:
         split_store(store, out, n_shards)
         _, paths = read_manifest(out)
         engine = ShardedSearchEngine(
-            cfg, paths, policies=ResiliencePolicies.from_config(cfg)
+            ingested_system.config, paths, policies=ResiliencePolicies(fault_spec=spec)
         )
         try:
             results = engine.query_with_vectors(vectors, top_k=200)

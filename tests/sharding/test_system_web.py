@@ -6,7 +6,6 @@ import json
 
 import pytest
 
-from repro.core.config import SystemConfig
 from repro.core.system import VideoRetrievalSystem
 from repro.sharding import (
     ShardedSearchEngine,
@@ -46,7 +45,6 @@ class TestSystemFacade:
         m = system.metrics()
         sharding = m["sharding"]
         assert sharding["shards"] == 4
-        assert sharding["partial_ok"] is True
         assert sum(sharding["frames_per_shard"]) == m["store"]["key_frames"]
         assert sorted(sharding["breakers"]) == [
             "shard0", "shard1", "shard2", "shard3",
@@ -103,12 +101,10 @@ class TestWebApi:
         assert payload["results"]
 
     def test_search_response_surfaces_degraded_shards(
-        self, small_corpus, shard_dir
+        self, small_corpus, shard_dir, monkeypatch
     ):
-        cfg = sharded_config(
-            shard_dir, SystemConfig(fault_spec="shard.query:once")
-        )
-        system = VideoRetrievalSystem.in_memory(cfg)
+        monkeypatch.setenv("REPRO_FAULTS", "shard.query:once")
+        system = VideoRetrievalSystem.in_memory(sharded_config(shard_dir))
         try:
             maybe_attach_sharded(system)
             api = CbvrApi(system)

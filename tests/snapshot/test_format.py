@@ -1,6 +1,8 @@
 """The binary snapshot layout: round trip, validation, rejection."""
 
+import json
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -14,7 +16,28 @@ from repro.snapshot import (
     write_snapshot,
 )
 
-_PREAMBLE_SIZE = struct.calcsize("<8sIIIQ")
+_PREAMBLE = struct.Struct("<8sIIIQ")
+_PREAMBLE_SIZE = _PREAMBLE.size
+
+
+def rewrite_header(path: str, mutate) -> None:
+    """Rewrite a snapshot's header JSON through ``mutate(header)`` (a
+    return value other than None replaces the header) and recompute its
+    CRC: hostile input the checksum does not catch.  The new JSON is
+    space-padded to the old length, so every section stays where it was;
+    it must not be longer."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    magic, version, endian, _crc, length = _PREAMBLE.unpack_from(data)
+    header = json.loads(data[_PREAMBLE_SIZE : _PREAMBLE_SIZE + length])
+    replaced = mutate(header)
+    text = json.dumps(header if replaced is None else replaced, separators=(",", ":"))
+    text = text.encode("utf-8")
+    assert len(text) <= length, "the mutated header outgrew the original"
+    text = text.ljust(length, b" ")
+    preamble = _PREAMBLE.pack(magic, version, endian, zlib.crc32(text), length)
+    with open(path, "wb") as fh:
+        fh.write(preamble + text + data[_PREAMBLE_SIZE + length :])
 
 
 @pytest.fixture()
@@ -138,3 +161,33 @@ class TestRejection:
         _flip(snap_path, offset + 5)
         snap = Snapshot.open(snap_path)
         assert snap.verify() == ["matrix"]
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda header: [],  # the header is a list
+            lambda header: header.update(meta=[]),
+            lambda header: header.update(sections={}),
+            lambda header: header["sections"].__setitem__(0, ["matrix"]),
+        ],
+        ids=["header", "meta", "sections", "section_entry"],
+    )
+    def test_header_of_the_wrong_type_is_corrupt(self, snap_path, mutate):
+        # the CRC holds, so only the structure can tell
+        rewrite_header(snap_path, mutate)
+        with pytest.raises(CorruptSnapshotError):
+            Snapshot.open(snap_path)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("offset", 64), ("nbytes", 8), ("shape", [5, -12]), ("dtype", "|V8"), ("dtype", "O")],
+    )
+    def test_section_entry_off_the_writers_layout_is_corrupt(self, snap_path, field, value):
+        def mutate(header):
+            entry = header["sections"][0]  # "matrix"
+            entry[field] = value if field != "offset" else entry["offset"] + value
+
+        rewrite_header(snap_path, mutate)
+        with pytest.raises(CorruptSnapshotError):
+            Snapshot.open(snap_path)
+

@@ -15,11 +15,13 @@ import pytest
 from repro.core.config import SystemConfig
 from repro.core.snapshots import SnapshotRequiredError, open_snapshot_store
 from repro.core.system import VideoRetrievalSystem
+from repro.db.errors import StorageError
 from repro.db.storage import read_log
 from repro.snapshot import Snapshot
 from repro.video.generator import VideoSpec, generate_video
 from tests.core.clip_reference import reference_frame_ranking
 from tests.integration.test_stateful import assert_same_store
+from tests.snapshot.test_format import rewrite_header
 
 pytestmark = pytest.mark.filterwarnings("ignore::ResourceWarning")
 
@@ -282,6 +284,18 @@ class TestFallbackAndRequire:
         system = VideoRetrievalSystem.open(lib, SystemConfig(snapshot="off"))
         assert system.metrics()["snapshot"] is None
         system.close()
+
+    def test_replica_whose_log_is_a_directory_falls_back(self, library):
+        """An image stamped with a log name that is no regular file: a
+        typed error for the replica opener, a fallback for ``auto``."""
+        lib, _ = library
+        rewrite_header(lib + ".snap", lambda header: header["meta"].update(log="."))
+        with pytest.raises(StorageError, match="not a file"):
+            open_snapshot_store(lib + ".snap")
+        replica = VideoRetrievalSystem.in_memory(SystemConfig(snapshot_path=lib + ".snap"))
+        assert replica.snapshots.served_from == "rebuild"
+        assert replica.n_key_frames() == 0  # its SQL is empty
+        replica.close()
 
     def test_read_replica_serves_without_database(self, library):
         """in_memory + snapshot_path + require: rankings without SQL."""

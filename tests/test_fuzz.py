@@ -12,15 +12,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import SystemConfig
-from repro.core.snapshots import open_snapshot_store
+from repro.core.snapshots import SnapshotRequiredError, open_snapshot_store
 from repro.core.store import FeatureStore
 from repro.core.system import VideoRetrievalSystem
 from repro.db import Database
 from repro.db.errors import DatabaseError
 from repro.db.storage import Storage, read_log
 from repro.imaging.image import Image, ImageFormatError, decode_image
+from repro.snapshot import Snapshot, SnapshotError, write_snapshot
 from repro.video.codec import RvfError, RvfReader, encode_rvf_bytes
 from tests.integration.test_stateful import assert_same_store
+from tests.snapshot.test_format import rewrite_header
 
 
 def _valid_rvf():
@@ -315,3 +317,164 @@ class TestCommitRecordFuzz:
         self._check(
             self._library_with(template, tmp_path_factory.mktemp("case"), hostile)
         )
+
+
+@pytest.mark.filterwarnings("ignore::ResourceWarning")
+class TestSnapshotHeaderFuzz:
+    """RSNAP1 headers whose CRC holds but whose stamp or section table is
+    hostile.  The replica opener raises only typed errors; a library opened
+    ``auto`` serves a store equal to its SQL rebuild, and ``require``
+    refuses whatever ``auto`` had to rebuild."""
+
+    _CONFIG = SystemConfig(features=("sch", "naive"), keyframe_base_size=60)
+
+    @pytest.fixture(scope="class")
+    def template(self, tmp_path_factory):
+        """A checkpointed library (image at the database's last commit),
+        its image rewritten with slack in the header for longer values."""
+        lib = str(tmp_path_factory.mktemp("header-fuzz") / "lib.rdb")
+        system = VideoRetrievalSystem.open(lib, self._CONFIG)
+        gen = np.random.default_rng(5)
+        for name in ("a", "b"):
+            clip = [Image(gen.integers(0, 256, (20, 24, 3), dtype=np.uint8)) for _ in range(2)]
+            system.admin.add_video(clip, name=name, category="misc")
+        system.admin.checkpoint()
+        system.close()
+        snap = Snapshot.open(lib + ".snap")
+        arrays = {name: np.array(snap.section(name)) for name in snap.section_names()}
+        write_snapshot(lib + ".snap", arrays, dict(snap.meta, pad=" " * 512))
+        snap.close()
+        return lib
+
+    def _library_with(self, template, directory, mutate):
+        copy = str(directory / "lib.rdb")
+        for suffix in ("", ".wal", ".snap"):
+            shutil.copy(template + suffix, copy + suffix)
+
+        def without_pad(header):
+            del header["meta"]["pad"]
+            mutate(header)
+
+        rewrite_header(copy + ".snap", without_pad)
+        return copy
+
+    def _check(self, lib):
+        try:
+            snap, store = open_snapshot_store(lib + ".snap")
+        except (SnapshotError, DatabaseError):
+            store = None
+        else:
+            snap.close()
+        system = VideoRetrievalSystem.open(lib, self._CONFIG)
+        rebuilt = FeatureStore()
+        rebuilt.rebuild_from_db(system.db, list(self._CONFIG.features))
+        extractors = system.engine.extractors
+        assert_same_store(system._store, rebuilt, extractors)
+        served = system.snapshots.served_from
+        system.close()
+        if store is not None:
+            assert_same_store(store, rebuilt, extractors)
+        replica = VideoRetrievalSystem.in_memory(
+            self._CONFIG.with_(snapshot_path=lib + ".snap")
+        )
+        from_image = replica.snapshots.served_from == "mmap"
+        assert replica.n_key_frames() == (len(rebuilt) if from_image else 0)  # its SQL is empty
+        replica.close()
+        if served == "rebuild":
+            with pytest.raises(SnapshotRequiredError):
+                VideoRetrievalSystem.open(lib, self._CONFIG.with_(snapshot="require"))
+        return served
+
+    @staticmethod
+    def _set_meta(key, value):
+        return lambda header: header["meta"].__setitem__(key, value)
+
+    @staticmethod
+    def _set_section(name, key, value):
+        def mutate(header):
+            (entry,) = [s for s in header["sections"] if s["name"] == name]
+            entry[key] = value(entry[key]) if callable(value) else value
+
+        return mutate
+
+    @pytest.mark.parametrize(
+        "case,served",
+        [
+            ("token_foreign", "rebuild"), ("token_null", "rebuild"), ("token_number", "rebuild"),
+            ("commit_seq_behind", "rebuild"), ("commit_seq_ahead", "rebuild"),
+            ("commit_seq_string", "rebuild"), ("commit_seq_fraction", "rebuild"),
+            ("commit_seq_negative", "rebuild"), ("commit_seq_null", "rebuild"),
+            ("log_directory", "mmap"), ("log_empty", "mmap"), ("log_missing", "mmap"),
+            ("log_database_file", "mmap"), ("log_nul", "mmap"), ("log_list", "mmap"),
+            ("generation_string", "rebuild"), ("generation_null", "rebuild"),
+            ("generation_other", "mmap"), ("structure_generation_list", "rebuild"),
+            ("offset_next_row", "rebuild"), ("offset_negative", "rebuild"),
+            ("offset_string", "rebuild"), ("nbytes_short", "rebuild"),
+            ("shape_transposed", "rebuild"), ("shape_flat", "rebuild"),
+            ("shape_negative", "rebuild"), ("dtype_object", "rebuild"),
+            ("dtype_big_endian", "rebuild"), ("dtype_void", "rebuild"),
+            ("dtype_unsigned_ids", "rebuild"), ("dtype_float_ids", "rebuild"),
+            ("dtype_garbage", "rebuild"),
+        ],
+    )
+    def test_named_cases(self, template, tmp_path, case, served):
+        meta, section = self._set_meta, self._set_section
+        mutations = {
+            "token_foreign": meta("token", "0" * 32),
+            "token_null": meta("token", None),
+            "token_number": meta("token", 7),
+            "commit_seq_behind": meta("commit_seq", 1),
+            "commit_seq_ahead": meta("commit_seq", 10**20),
+            "commit_seq_string": meta("commit_seq", "3"),
+            "commit_seq_fraction": meta("commit_seq", 2.5),
+            "commit_seq_negative": meta("commit_seq", -1),
+            "commit_seq_null": meta("commit_seq", None),
+            # the replica reads a log it can find; the durable library its own
+            "log_directory": meta("log", "."),
+            "log_empty": meta("log", ""),
+            "log_missing": meta("log", "nope.wal"),
+            "log_database_file": meta("log", "lib.rdb"),
+            "log_nul": meta("log", "lib\x00.wal"),
+            "log_list": meta("log", ["lib.rdb.wal"]),
+            "generation_string": meta("generation", "x"),
+            "generation_null": meta("generation", None),
+            "generation_other": meta("generation", 10**6),
+            "structure_generation_list": meta("structure_generation", [1]),
+            "offset_next_row": section("feat:sch", "offset", lambda v: v + 8),
+            "offset_negative": section("frame_ids", "offset", -64),
+            "offset_string": section("frame_ids", "offset", "64"),
+            "nbytes_short": section("frame_ids", "nbytes", lambda v: v - 8),
+            "shape_transposed": section("feat:sch", "shape", lambda v: v[::-1]),
+            "shape_flat": section("feat:sch", "shape", lambda v: [v[0] * v[1]]),
+            "shape_negative": section("frame_ids", "shape", lambda v: [-v[0]]),
+            "dtype_object": section("frame_ids", "dtype", "O"),
+            "dtype_big_endian": section("feat:sch", "dtype", ">f8"),
+            "dtype_void": section("feat:sch", "dtype", "|V8"),
+            "dtype_unsigned_ids": section("frame_ids", "dtype", "<u8"),
+            "dtype_float_ids": section("frame_ids", "dtype", "<f8"),
+            "dtype_garbage": section("frame_ids", "dtype", "not a dtype"),
+        }
+        lib = self._library_with(template, tmp_path, mutations[case])
+        assert self._check(lib) == served
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_any_value_of_a_stamp_or_section_field(self, template, tmp_path_factory, data):
+        values = st.one_of(
+            st.none(), st.booleans(), st.integers(-(2**63), 2**64), st.floats(allow_nan=False),
+            st.text(max_size=12), st.lists(st.integers(-3, 100), max_size=3),
+            st.sampled_from(["O", ">f8", "|V8", "<i8", "<f8", "<u8", "<f4", "|b1", ".", "lib.rdb"]),
+        )
+        if data.draw(st.booleans()):
+            key = data.draw(st.sampled_from(
+                ["token", "commit_seq", "log", "generation", "structure_generation"]
+            ))
+            mutate = self._set_meta(key, data.draw(values))
+        else:
+            snap = Snapshot.open(template + ".snap")
+            names = snap.section_names()
+            snap.close()
+            name = data.draw(st.sampled_from(names))
+            key = data.draw(st.sampled_from(["offset", "nbytes", "shape", "dtype"]))
+            mutate = self._set_section(name, key, data.draw(values))
+        self._check(self._library_with(template, tmp_path_factory.mktemp("case"), mutate))

@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.config import SystemConfig
 from repro.core.system import VideoRetrievalSystem
-from repro.resilience import CircuitOpenError, DeadlineExceeded, RetryExhausted
+from repro.resilience import CircuitOpenError, DeadlineExceeded
 from repro.web.api import CbvrApi
 
 
@@ -59,18 +59,6 @@ def test_circuit_open_maps_to_503_with_retry_after(api, monkeypatch):
     assert payload["error_type"] == "circuit_open"
     assert payload["retry_after"] == 1  # 0.35s rounded up to a whole second
     assert headers["Retry-After"] == "1"
-
-
-def test_retry_exhausted_maps_to_503(api, monkeypatch):
-    def exhausted(*args, **kwargs):
-        raise RetryExhausted("db.execute", 3, RuntimeError("db down"))
-
-    monkeypatch.setattr(api.system, "search", exhausted)
-    image = api.system.any_key_frame().encode("ppm")
-    status, payload, headers = _json_full(api.handle_full("POST", "/search", body=image))
-    assert status == 503
-    assert payload["error_type"] == "retry_exhausted"
-    assert "Retry-After" not in headers
 
 
 def test_unexpected_exception_returns_json_envelope_500(api, monkeypatch):
