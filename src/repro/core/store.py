@@ -30,6 +30,7 @@ import numpy as np
 from repro.core.catalog import FEATURE_COLUMNS
 from repro.db.engine import Database
 from repro.db.errors import DatabaseError
+from repro.db.sql import build_select
 from repro.features.base import FeatureExtractor, FeatureVector
 from repro.indexing.rangefinder import Bucket
 
@@ -687,7 +688,10 @@ class FeatureStore:
                 "SELECT V_ID, V_NAME, CATEGORY, MOTION FROM VIDEO_STORE"
             ).rows
         }
-        for row in db.execute("SELECT * FROM KEY_FRAMES").rows:
+        # the columns frame_record reads: never the key-frame images
+        columns = ["I_ID", "V_ID", "I_NAME", "MIN", "MAX"]
+        columns += dict.fromkeys(FEATURE_COLUMNS[name] for name in feature_names)
+        for row in db.execute(build_select("KEY_FRAMES", columns)).rows:
             record = frame_record(row, videos.get(row["V_ID"], {}), feature_names)
             try:
                 self.add(record)

@@ -13,7 +13,9 @@ Write statements auto-commit unless a transaction is open (``begin()`` /
 ``commit()`` / ``rollback()``, also usable as a context manager via
 :meth:`transaction`).  Durable databases append each commit to a WAL as
 one record, numbered by :attr:`Database.commit_seq`, and replay it on open;
-:meth:`checkpoint` folds the WAL into a snapshot.
+:meth:`checkpoint` folds the WAL into a snapshot.  A BLOB cell loaded from
+the file is a locator; a statement reads its bytes only for its result
+rows or a WHERE / ORDER BY / GROUP BY / aggregate that names its column.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from repro.db.errors import (
 )
 from repro.db.schema import TableSchema
 from repro.db.table import Table
+from repro.db.types import Lob
 
 __all__ = ["Database", "ResultSet"]
 
@@ -80,6 +83,17 @@ def _like_to_regex(pattern: str) -> "re.Pattern":
     return re.compile("^" + "".join(out) + "$", re.DOTALL)
 
 
+def _read_lobs(schema: TableSchema, rows: List[Dict[str, object]], columns) -> None:
+    """Read the LOB locators in ``columns`` of ``rows`` (one statement's
+    own dicts) into bytes."""
+    names = [c for c in columns if c in schema.lob_columns]
+    for row in rows:
+        for name in names:
+            value = row[name]
+            if isinstance(value, Lob):
+                row[name] = value.read()
+
+
 class _Evaluator:
     """Compiles WHERE ASTs against a schema and bound parameters."""
 
@@ -98,7 +112,10 @@ class _Evaluator:
                 raise CatalogError(
                     f"table {self.schema.name} has no column {name!r}"
                 )
-            return row[name]
+            value = row[name]
+            if isinstance(value, Lob):
+                value = row[name] = value.read()
+            return value
         raise DatabaseError(f"unexpected operand node {node!r}")
 
     def test(self, node, row: Dict[str, object]) -> bool:
@@ -412,8 +429,7 @@ class Database:
             if col is not None and table.schema.has_column(col):
                 rowids = table.lookup_equal(col, lit)
                 if rowids is not None:
-                    all_rows = dict(table.rows())
-                    return [table.schema.row_dict(all_rows[rid]) for rid in rowids if rid in all_rows]
+                    return table.fetch(rowids)
         return table.select_where(lambda row: evaluator.test(where, row))
 
     def _select(self, stmt: ast.Select, params: Tuple, text: str) -> ResultSet:
@@ -426,6 +442,7 @@ class Database:
         for item in stmt.order_by:
             if not table.schema.has_column(item.column):
                 raise CatalogError(f"ORDER BY references unknown column {item.column!r}")
+        _read_lobs(table.schema, rows, [item.column.upper() for item in stmt.order_by])
         for item in reversed(stmt.order_by):
             col = item.column.upper()
             rows.sort(
@@ -434,17 +451,21 @@ class Database:
             )
         if stmt.limit is not None:
             rows = rows[: stmt.limit]
+        wanted = table.schema.column_names
         if stmt.columns:
             for c in stmt.columns:
                 table.schema.column(c)  # validate
             wanted = [c.upper() for c in stmt.columns]
             rows = [{c: r[c] for c in wanted} for r in rows]
+        _read_lobs(table.schema, rows, wanted)
         return ResultSet(rows=rows, rowcount=len(rows), statement=text)
 
     def _aggregate(self, table: Table, agg: "ast.Aggregate", rows, text: str) -> ResultSet:
         """COUNT/MIN/MAX/SUM/AVG over the matched rows (NULLs skipped)."""
         if agg.column is not None:
             col = table.schema.column(agg.column).name  # validates + canonical
+            if agg.func != "COUNT":  # COUNT needs no bytes, only NULL or not
+                _read_lobs(table.schema, rows, [col])
             values = [r[col] for r in rows if r[col] is not None]
         else:
             values = None  # COUNT(*) counts rows, not values
@@ -469,6 +490,7 @@ class Database:
         """GROUP BY evaluation: one output row per distinct key tuple."""
         group_cols = [table.schema.column(c).name for c in stmt.group_by]
         out_cols = [table.schema.column(c).name for c in stmt.columns]
+        _read_lobs(table.schema, rows, group_cols)
         groups: Dict[Tuple, list] = {}
         for row in rows:  # dict preserves first-appearance order
             key = tuple(row[c] for c in group_cols)

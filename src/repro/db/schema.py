@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from repro.db.errors import CatalogError, ConstraintError, TypeMismatchError
-from repro.db.types import SqlType
+from repro.db.types import BLOB, SqlType
 
 __all__ = ["Column", "TableSchema"]
 
@@ -45,6 +45,8 @@ class TableSchema:
     name: str
     columns: Tuple[Column, ...]
     _by_name: Dict[str, int] = field(default_factory=dict, repr=False, compare=False)
+    #: the BLOB / ORD_VIDEO / ORD_IMAGE columns' names
+    lob_columns: frozenset = field(default=frozenset(), repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.name or not self.name.replace("_", "").isalnum():
@@ -59,6 +61,8 @@ class TableSchema:
                 raise CatalogError(f"duplicate column {col.name} in table {self.name}")
             by_name[col.name] = i
         object.__setattr__(self, "_by_name", by_name)
+        lobs = frozenset(c.name for c in self.columns if isinstance(c.sql_type, BLOB))
+        object.__setattr__(self, "lob_columns", lobs)
 
     # -- lookups -------------------------------------------------------------
 
@@ -103,13 +107,6 @@ class TableSchema:
 
     def row_dict(self, row: Sequence) -> Dict[str, object]:
         return {col.name: row[i] for i, col in enumerate(self.columns)}
-
-    def pk_of_row(self, row: Sequence) -> Optional[Tuple]:
-        """The row's primary-key tuple, or None if the table has no PK."""
-        pk = self.primary_key
-        if not pk:
-            return None
-        return tuple(row[self.index_of(c)] for c in pk)
 
     def render_ddl(self) -> str:
         """Round-trippable CREATE TABLE statement."""

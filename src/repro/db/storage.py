@@ -1,6 +1,7 @@
 """Durability: a database file + a write-ahead log, on one commit sequence.
 
-- ``<path>``      -- the database file: catalog DDL + all rows, binary encoded.
+- ``<path>``      -- the database file: one section per table (its
+  ``CREATE TABLE`` text, then its rows, binary encoded), nothing after.
 - ``<path>.wal``  -- the write-ahead log: one CRC-framed record per commit
   (its statements: text + bound parameters), one write and one fsync, so a
   commit replays whole or not at all.
@@ -14,19 +15,29 @@ commits replayed; a torn final record is dropped and the next append
 overwrites it.  ``checkpoint()`` renames a fresh file into place, then
 restarts the log; a crash between the two leaves commits in the log that
 replay skips.
+
+Opening walks the database file once, mapped, into bulk table loads.  A
+BLOB cell is not copied: it becomes a :class:`~repro.db.types.Lob`
+locator into the open file (:class:`LobFile`), read when a statement
+needs its bytes.  A checkpoint points every LOB cell into the new file.
 """
 
 from __future__ import annotations
 
+import mmap
 import os
+import stat
 import struct
+import weakref
 import zlib
-from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from repro.db.errors import StorageError
-from repro.db.types import decode_value, encode_value
+from repro.db import sql as ast
+from repro.db.errors import DatabaseError, StorageError
+from repro.db.table import Table
+from repro.db.types import Lob, decode_rows, decode_value, encode_blob_head, encode_value
 
-__all__ = ["Log", "Storage", "read_log"]
+__all__ = ["LobFile", "Log", "Storage", "read_log"]
 
 _DB_MAGIC = b"RDB2"
 _WAL_MAGIC = b"RWL2"
@@ -161,6 +172,78 @@ def read_log(wal_path: Union[str, "os.PathLike[str]"]) -> Optional[Log]:
     return Log(base, token, commits, offset)
 
 
+class LobFile:
+    """An open database file that :class:`Lob` locators read from.  It
+    closes with its database, or when the last locator into it is gone."""
+
+    def __init__(self, fd: int, path: str):
+        self.path = path
+        self.fd = fd
+        self._close = weakref.finalize(self, os.close, fd)
+
+    def read(self, offset: int, length: int) -> bytes:
+        """``length`` bytes at ``offset``, in one ``pread``."""
+        if not self._close.alive:
+            raise StorageError(f"{self.path} is closed")
+        data = os.pread(self.fd, length, offset)
+        if len(data) != length:
+            raise StorageError(f"{self.path} ends inside a LOB at offset {offset}")
+        return data
+
+    def close(self) -> None:
+        self._close()
+
+
+def _open_file(path: str) -> Optional[LobFile]:
+    """The database file, open for reading; None when absent or empty."""
+    try:
+        fd = os.open(path, os.O_RDONLY)
+    except FileNotFoundError:
+        return None
+    except OSError as exc:
+        raise StorageError(f"cannot open {path}: {exc}") from exc
+    info = os.fstat(fd)
+    if stat.S_ISREG(info.st_mode) and info.st_size:
+        return LobFile(fd, path)
+    os.close(fd)
+    if stat.S_ISREG(info.st_mode):
+        return None  # empty: a new database
+    raise StorageError(f"{path} is not a database file")
+
+
+def _read_schema(ddl: str):
+    """A table section's schema: its text must be one CREATE TABLE."""
+    try:
+        stmt, _n = ast.parse(ddl)
+    except DatabaseError as exc:
+        raise StorageError(f"unreadable table section: {exc}") from exc
+    if not isinstance(stmt, ast.CreateTable):
+        raise StorageError(f"a table section holds {type(stmt).__name__}, not CREATE TABLE")
+    return stmt.schema
+
+
+def _read_tables(buf, file: LobFile) -> Dict[str, Table]:
+    """Every table of a mapped database file, in one walk."""
+    n_tables, offset = _read_u32(buf, _HEADER.size)
+    tables: Dict[str, Table] = {}
+    for _ in range(n_tables):
+        ddl, offset = _read_str(buf, offset)
+        table = Table(_read_schema(ddl))
+        if table.name in tables:
+            raise StorageError(f"table {table.name} appears twice")
+        n_rows, offset = _read_u32(buf, offset)
+        cells = [(col.sql_type.tags, col.validate) for col in table.schema.columns]
+        try:
+            rows, offset = decode_rows(buf, offset, cells, n_rows, file)
+            table.load(rows)
+        except DatabaseError as exc:  # a value its column refuses, a duplicate key
+            raise StorageError(f"table {table.name}: {exc}") from exc
+        tables[table.name] = table
+    if offset != len(buf):
+        raise StorageError(f"{len(buf) - offset} bytes after the last table")
+    return tables
+
+
 class Storage:
     """Database file + log bound to one path."""
 
@@ -174,6 +257,8 @@ class Storage:
         #: where the next record goes in the existing log (None: start one)
         self._log_end: Optional[int] = None
         self._wal_fh = None
+        #: the database file as loaded or last written (its LOBs' home)
+        self._file: Optional[LobFile] = None
 
     def _header(self, magic: bytes) -> bytes:
         return _HEADER.pack(magic, self.seq, bytes.fromhex(self.token))
@@ -223,26 +308,56 @@ class Storage:
     # -- database file ------------------------------------------------------------
 
     def write_snapshot(self, db) -> None:
-        """Write the database file at the last commit, atomically, then
-        restart the log there."""
+        """Write the database file at the last commit, atomically, point
+        every LOB cell into it, then restart the log there."""
         chunks = [self._header(_DB_MAGIC), _U32.pack(len(db.tables))]
+        pos = len(chunks[0]) + 4
+        # per table, its rows with LOB cells: (rowid, row, [(column, offset, length)])
+        moved: List[Tuple[Table, list]] = []
         for name in sorted(db.tables):
             table = db.tables[name]
-            chunks.append(_pack_str(table.schema.render_ddl()))
-            rows = [row for _rid, row in table.rows()]
-            chunks.append(_U32.pack(len(rows)))
-            for row in rows:
-                for value in row:
-                    chunks.append(encode_value(value))
+            rows = list(table.rows())
+            head = _pack_str(table.schema.render_ddl()) + _U32.pack(len(rows))
+            chunks.append(head)
+            pos += len(head)
+            lobs = {table.schema.index_of(c) for c in table.schema.lob_columns}
+            placed = []
+            for rowid, row in rows:
+                cells = []
+                for i, value in enumerate(row):
+                    if value is None or i not in lobs:
+                        chunk = encode_value(value)
+                        chunks.append(chunk)
+                        pos += len(chunk)
+                        continue
+                    data = value.read() if isinstance(value, Lob) else value
+                    head = encode_blob_head(len(data))
+                    chunks += (head, data)
+                    cells.append((i, pos + len(head), len(data)))
+                    pos += len(head) + len(data)
+                if cells:
+                    placed.append((rowid, row, cells))
+            moved.append((table, placed))
         tmp = self.path + ".tmp"
         with open(tmp, "wb") as fh:
-            fh.write(b"".join(chunks))
+            fh.writelines(chunks)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, self.path)
+        # the old file closes once no locator points into it (a rolled-back
+        # transaction's rows may still)
+        self._file = _open_file(self.path)
+        for table, placed in moved:
+            rebound = {}
+            for rowid, row, cells in placed:
+                values = list(row)
+                for i, offset, length in cells:
+                    values[i] = Lob(self._file, offset, length)
+                rebound[rowid] = tuple(values)
+            table.replace_rows(rebound)
         # the log's commits are in the file now; a crash before the restart
         # leaves them for replay to skip
-        self.close()
+        self._close_log()
         self._wal_fh = open(self.wal_path, "wb")
         self._wal_fh.write(self._header(_WAL_MAGIC))
         self._wal_fh.flush()
@@ -251,40 +366,36 @@ class Storage:
         """Populate an empty Database from the database file + the log."""
         if db.tables:
             raise StorageError("load_into requires an empty database")
-        buf = b""
-        if os.path.exists(self.path):
-            with open(self.path, "rb") as fh:
-                buf = fh.read()
         log = read_log(self.wal_path)
-        if buf:
-            self.seq, self.token = _read_header(buf, _DB_MAGIC, self.path)
-        elif log is not None:  # not checkpointed yet: the log starts at 0
-            self.token = log.token
-        commits = log.after(self.token, self.seq) if log is not None else []
-        if buf:
-            from repro.db import sql as ast
-
-            n_tables, offset = _read_u32(buf, _HEADER.size)
-            for _ in range(n_tables):
-                ddl, offset = _read_str(buf, offset)
-                db.execute(ddl)
-                stmt, _n = ast.parse(ddl)
-                table = db.tables[stmt.schema.name]
-                n_rows, offset = _read_u32(buf, offset)
-                n_cols = len(table.schema.columns)
-                for _r in range(n_rows):
-                    values = []
-                    for _c in range(n_cols):
-                        value, offset = decode_value(buf, offset)
-                        values.append(value)
-                    table.insert(dict(zip(table.schema.column_names, values)))
-        for statements in commits:
-            for text, params in statements:
-                db.execute(text, params)
+        file = _open_file(self.path)
+        try:
+            if file is not None:
+                with mmap.mmap(file.fd, 0, access=mmap.ACCESS_READ) as buf:
+                    self.seq, self.token = _read_header(buf, _DB_MAGIC, self.path)
+                    commits = log.after(self.token, self.seq) if log is not None else []
+                    db.tables.update(_read_tables(buf, file))
+            elif log is not None:  # not checkpointed yet: the log starts at 0
+                self.token = log.token
+                commits = log.after(self.token, self.seq)
+            else:
+                commits = []
+            for statements in commits:
+                for text, params in statements:
+                    db.execute(text, params)
+        except BaseException:
+            if file is not None:
+                file.close()
+            raise
+        self._file = file
         if log is not None:
             self.seq, self._log_end = log.last, log.end
 
-    def close(self) -> None:
+    def _close_log(self) -> None:
         if self._wal_fh is not None:
             self._wal_fh.close()
             self._wal_fh = None
+
+    def close(self) -> None:
+        self._close_log()
+        if self._file is not None:
+            self._file.close()

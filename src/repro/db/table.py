@@ -3,15 +3,17 @@
 Rows live in an insertion-ordered dict keyed by an internal rowid; the
 primary key (if any) is enforced through a hash index, and any column can
 get a secondary index (value -> set of rowids) that equality predicates
-use to skip full scans.
+use to skip full scans.  A LOB cell may be a :class:`~repro.db.types.Lob`
+locator; an index over it keys by its bytes.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
-from repro.db.errors import CatalogError, ConstraintError
+from repro.db.errors import ConstraintError
 from repro.db.schema import TableSchema
+from repro.db.types import Lob
 
 __all__ = ["Table"]
 
@@ -27,6 +29,7 @@ class Table:
         self._rows: Dict[int, Row] = {}
         self._next_rowid = 1
         self._pk_index: Dict[Tuple, int] = {}
+        self._pk_pos = [schema.index_of(name) for name in schema.primary_key]
         # column name -> {value -> set(rowids)}
         self._secondary: Dict[str, Dict[object, Set[int]]] = {}
 
@@ -51,28 +54,30 @@ class Table:
         idx: Dict[object, Set[int]] = {}
         pos = self.schema.index_of(col.name)
         for rowid, row in self._rows.items():
-            idx.setdefault(self._index_key(row[pos]), set()).add(rowid)
+            idx.setdefault(self._key(row[pos]), set()).add(rowid)
         self._secondary[col.name] = idx
 
     def has_index(self, column: str) -> bool:
         return column.upper() in self._secondary
 
     @staticmethod
-    def _index_key(value):
-        # bytes values can be large; hashing them directly is still fine,
-        # but floats and ints that compare equal must collide (1 == 1.0).
+    def _key(value):
+        """``value`` as an index key: floats and ints that compare equal
+        must collide (1 == 1.0), and a LOB keys by its bytes."""
         if isinstance(value, float) and value.is_integer():
             return int(value)
+        if isinstance(value, Lob):
+            return value.read()
         return value
 
     def _index_insert(self, rowid: int, row: Row) -> None:
         for col_name, idx in self._secondary.items():
             value = row[self.schema.index_of(col_name)]
-            idx.setdefault(self._index_key(value), set()).add(rowid)
+            idx.setdefault(self._key(value), set()).add(rowid)
 
     def _index_remove(self, rowid: int, row: Row) -> None:
         for col_name, idx in self._secondary.items():
-            key = self._index_key(row[self.schema.index_of(col_name)])
+            key = self._key(row[self.schema.index_of(col_name)])
             bucket = idx.get(key)
             if bucket is not None:
                 bucket.discard(rowid)
@@ -84,44 +89,50 @@ class Table:
         col_name = column.upper()
         pk = self.schema.primary_key
         if pk == [col_name]:
-            rowid = self._pk_index.get((self._canonical_pk_part(value),))
+            rowid = self._pk_index.get((self._key(value),))
             return [] if rowid is None else [rowid]
         idx = self._secondary.get(col_name)
         if idx is None:
             return None
-        return sorted(idx.get(self._index_key(value), ()))
+        return sorted(idx.get(self._key(value), ()))
 
     # -- mutations -------------------------------------------------------------------
 
-    @staticmethod
-    def _canonical_pk_part(value):
-        if isinstance(value, float) and value.is_integer():
-            return int(value)
-        return value
-
     def _pk_key(self, row: Row) -> Optional[Tuple]:
-        pk = self.schema.pk_of_row(row)
-        if pk is None:
+        if not self._pk_pos:
             return None
-        if any(part is None for part in pk):
+        pk = tuple(self._key(row[i]) for i in self._pk_pos)
+        if None in pk:
             raise ConstraintError(f"primary key of {self.name} cannot be NULL")
-        return tuple(self._canonical_pk_part(p) for p in pk)
+        return pk
 
     def insert(self, values: Dict[str, object]) -> int:
         """Validate and insert; returns the new rowid."""
-        row = self.schema.make_row(values)
-        pk = self._pk_key(row)
-        if pk is not None and pk in self._pk_index:
-            raise ConstraintError(
-                f"duplicate primary key {pk} in table {self.name}"
-            )
-        rowid = self._next_rowid
-        self._next_rowid += 1
-        self._rows[rowid] = row
-        if pk is not None:
-            self._pk_index[pk] = rowid
-        self._index_insert(rowid, row)
-        return rowid
+        self.load([self.schema.make_row(values)])
+        return self._next_rowid - 1
+
+    def load(self, rows: List[Row]) -> None:
+        """Append validated row tuples: all of them, or -- on a duplicate
+        primary key -- none."""
+        rowids = range(self._next_rowid, self._next_rowid + len(rows))
+        if self._pk_pos:
+            added: Dict[Tuple, int] = {}
+            for rowid, row in zip(rowids, rows):
+                pk = self._pk_key(row)
+                if pk in self._pk_index or pk in added:
+                    raise ConstraintError(f"duplicate primary key {pk} in table {self.name}")
+                added[pk] = rowid
+            self._pk_index.update(added)
+        self._rows.update(zip(rowids, rows))
+        self._next_rowid += len(rows)
+        if self._secondary:
+            for rowid, row in zip(rowids, rows):
+                self._index_insert(rowid, row)
+
+    def replace_rows(self, rows: Dict[int, Row]) -> None:
+        """Put equal rows in place of these rowids' (the same values, LOBs
+        at new locations): every index stays as it is."""
+        self._rows.update(rows)
 
     def delete_where(self, predicate: Predicate) -> int:
         """Delete matching rows; returns the count."""
@@ -190,15 +201,9 @@ class Table:
                 out.append(d)
         return out
 
-    def get_by_pk(self, *pk_values) -> Optional[Dict[str, object]]:
-        """Fetch one row by primary key, or None."""
-        if not self.schema.primary_key:
-            raise CatalogError(f"table {self.name} has no primary key")
-        key = tuple(self._canonical_pk_part(v) for v in pk_values)
-        rowid = self._pk_index.get(key)
-        if rowid is None:
-            return None
-        return self.schema.row_dict(self._rows[rowid])
+    def fetch(self, rowids: List[int]) -> List[Dict[str, object]]:
+        """These rows as dicts (rowids from :meth:`lookup_equal`)."""
+        return [self.schema.row_dict(self._rows[rid]) for rid in rowids]
 
     # -- snapshot support ----------------------------------------------------------------
 

@@ -12,7 +12,10 @@ These mirror the types in the paper's DDL (§3.4)::
 Each type validates and canonicalizes Python values, and serializes them
 for the snapshot/WAL files.  ORD_VIDEO and ORD_IMAGE are Oracle interMedia
 object types; here they are BLOBs that additionally know how to decode
-their payload (RVF video bytes / PPM-PGM-BMP image bytes).
+their payload (RVF video bytes / PPM-PGM-BMP image bytes).  A BLOB cell
+loaded from the database file is a :class:`Lob` locator -- where its bytes
+sit in that file -- as Oracle keeps LOBs out of line; statements read it
+when they need the bytes.
 """
 
 from __future__ import annotations
@@ -21,9 +24,10 @@ import datetime as _dt
 import struct
 from typing import Optional
 
-from repro.db.errors import TypeMismatchError
+from repro.db.errors import StorageError, TypeMismatchError
 
 __all__ = [
+    "Lob",
     "SqlType",
     "NUMBER",
     "VARCHAR2",
@@ -33,14 +37,26 @@ __all__ = [
     "ORD_IMAGE",
     "type_from_name",
     "encode_value",
+    "encode_blob_head",
     "decode_value",
+    "decode_rows",
 ]
+
+#: value tags of the snapshot/WAL encoding (see :func:`encode_value`)
+_TAG_NULL = 0
+_TAG_INT = 1
+_TAG_FLOAT = 2
+_TAG_STR = 3
+_TAG_BYTES = 4
+_TAG_DATE = 5
 
 
 class SqlType:
     """Base class: a named type with validation and an SQL rendering."""
 
     type_name = "ANY"
+    #: the value tags (besides NULL) a stored cell of this type may carry
+    tags: frozenset = frozenset()
 
     def validate(self, value):
         """Return the canonical Python value, or raise TypeMismatchError."""
@@ -64,6 +80,7 @@ class NUMBER(SqlType):
     """Oracle NUMBER: int or float (bools rejected -- they are not numbers)."""
 
     type_name = "NUMBER"
+    tags = frozenset({_TAG_INT, _TAG_FLOAT})
 
     def validate(self, value):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -77,6 +94,7 @@ class VARCHAR2(SqlType):
     """Bounded string. ``VARCHAR2(60)`` rejects strings longer than 60."""
 
     type_name = "VARCHAR2"
+    tags = frozenset({_TAG_STR})
 
     def __init__(self, max_length: int = 4000):
         if max_length < 1:
@@ -100,6 +118,7 @@ class DATE(SqlType):
     """Calendar date (datetime.date). ISO-format strings are coerced."""
 
     type_name = "DATE"
+    tags = frozenset({_TAG_DATE, _TAG_STR})  # an ISO string is coerced
 
     def validate(self, value):
         if isinstance(value, _dt.datetime):
@@ -114,15 +133,32 @@ class DATE(SqlType):
         raise TypeMismatchError(f"DATE expects date or ISO string, got {type(value).__name__}")
 
 
+class Lob:
+    """A LOB locator: ``length`` bytes at ``offset`` in an open database
+    file, read by :meth:`read` (one ``pread``) only when a statement
+    needs them."""
+
+    __slots__ = ("file", "offset", "length")
+
+    def __init__(self, file, offset: int, length: int):
+        self.file = file
+        self.offset = offset
+        self.length = length
+
+    def read(self) -> bytes:
+        return self.file.read(self.offset, self.length)
+
+
 class BLOB(SqlType):
-    """Arbitrary bytes."""
+    """Arbitrary bytes (or a :class:`Lob` locator to them)."""
 
     type_name = "BLOB"
+    tags = frozenset({_TAG_BYTES})
 
     def validate(self, value):
         if isinstance(value, bytearray):
             return bytes(value)
-        if not isinstance(value, bytes):
+        if not isinstance(value, (bytes, Lob)):
             raise TypeMismatchError(f"BLOB expects bytes, got {type(value).__name__}")
         return value
 
@@ -183,16 +219,14 @@ def type_from_name(name: str, arg: Optional[int] = None) -> SqlType:
 # binary value encoding for snapshot/WAL files
 # ---------------------------------------------------------------------------
 
-_TAG_NULL = 0
-_TAG_INT = 1
-_TAG_FLOAT = 2
-_TAG_STR = 3
-_TAG_BYTES = 4
-_TAG_DATE = 5
-
 _U32 = struct.Struct("<I")
 _I64 = struct.Struct("<q")
 _F64 = struct.Struct("<d")
+
+
+def encode_blob_head(length: int) -> bytes:
+    """The tag + length that precede ``length`` bytes of a BLOB cell."""
+    return bytes([_TAG_BYTES]) + _U32.pack(length)
 
 
 def encode_value(value) -> bytes:
@@ -209,45 +243,66 @@ def encode_value(value) -> bytes:
         raw = value.encode("utf-8")
         return bytes([_TAG_STR]) + _U32.pack(len(raw)) + raw
     if isinstance(value, (bytes, bytearray)):
-        return bytes([_TAG_BYTES]) + _U32.pack(len(value)) + bytes(value)
+        return encode_blob_head(len(value)) + bytes(value)
     if isinstance(value, _dt.date):
         raw = value.isoformat().encode("ascii")
         return bytes([_TAG_DATE]) + _U32.pack(len(raw)) + raw
     raise TypeMismatchError(f"cannot encode value of type {type(value).__name__}")
 
 
+def decode_rows(buf, offset: int, cells, n_rows: int, file=None):
+    """Decode ``n_rows`` rows at ``offset``; returns ``(rows, next_offset)``.
+
+    ``cells`` holds one ``(tags, validate)`` pair per column: the value
+    tags the column accepts and the check each value must pass.  A BYTES
+    cell becomes a :class:`Lob` into ``file`` -- its length checked
+    against ``buf``, its bytes not copied -- or, without a file, bytes.
+    """
+    size = len(buf)
+    rows = []
+    try:
+        for _ in range(n_rows):
+            row = []
+            for tags, validate in cells:
+                tag = buf[offset]
+                offset += 1
+                if tag == _TAG_NULL:
+                    value = None
+                elif tag not in tags:
+                    raise StorageError(f"value tag {tag} where the column takes {sorted(tags)}")
+                elif tag == _TAG_INT:
+                    value = _I64.unpack_from(buf, offset)[0]
+                    offset += 8
+                elif tag == _TAG_FLOAT:
+                    value = _F64.unpack_from(buf, offset)[0]
+                    offset += 8
+                else:
+                    n = _U32.unpack_from(buf, offset)[0]
+                    start, offset = offset + 4, offset + 4 + n
+                    if offset > size:
+                        raise StorageError("value payload truncated")
+                    if tag != _TAG_BYTES:
+                        value = buf[start:offset].decode("utf-8")
+                        if tag == _TAG_DATE:
+                            value = _dt.date.fromisoformat(value)
+                    elif file is None:
+                        value = buf[start:offset]
+                    else:
+                        value = Lob(file, start, n)
+                row.append(validate(value))
+            rows.append(tuple(row))
+    except (IndexError, struct.error) as exc:
+        raise StorageError("value stream truncated") from exc
+    except ValueError as exc:  # bad UTF-8, a malformed date
+        raise StorageError(f"corrupt encoded value: {exc}") from exc
+    return rows, offset
+
+
+#: :func:`decode_value`'s one column: any tag, no check
+_ANY_CELL = ((frozenset(range(_TAG_DATE + 1)), lambda value: value),)
+
+
 def decode_value(buf: bytes, offset: int):
     """Decode one value; returns ``(value, next_offset)``."""
-    from repro.db.errors import StorageError
-
-    if offset >= len(buf):
-        raise StorageError("value stream truncated")
-    tag = buf[offset]
-    offset += 1
-    if tag == _TAG_NULL:
-        return None, offset
-    if tag in (_TAG_INT, _TAG_FLOAT):
-        if offset + 8 > len(buf):
-            raise StorageError("value payload truncated")
-        if tag == _TAG_INT:
-            return _I64.unpack_from(buf, offset)[0], offset + 8
-        return _F64.unpack_from(buf, offset)[0], offset + 8
-    if tag in (_TAG_STR, _TAG_BYTES, _TAG_DATE):
-        if offset + 4 > len(buf):
-            raise StorageError("value payload truncated")
-        (n,) = _U32.unpack_from(buf, offset)
-        offset += 4
-        raw = buf[offset : offset + n]
-        if len(raw) != n:
-            raise StorageError("value payload truncated")
-        offset += n
-        if tag == _TAG_BYTES:
-            return bytes(raw), offset
-        try:
-            text = raw.decode("utf-8")
-            if tag == _TAG_DATE:
-                return _dt.date.fromisoformat(text), offset
-        except (UnicodeDecodeError, ValueError) as exc:
-            raise StorageError(f"corrupt encoded value: {exc}") from exc
-        return text, offset
-    raise StorageError(f"unknown value tag {tag}")
+    rows, offset = decode_rows(buf, offset, _ANY_CELL, 1)
+    return rows[0][0], offset

@@ -1,0 +1,158 @@
+"""LOB locators: BLOB / ORD_VIDEO / ORD_IMAGE cells loaded from the database
+file stay in it, read on demand, and follow every checkpoint."""
+
+import os
+
+import pytest
+
+from repro.db import Database
+from repro.db.errors import StorageError
+
+
+@pytest.fixture()
+def path(tmp_path):
+    return str(tmp_path / "media.rdb")
+
+
+def _payload(i: int, size: int = 300) -> bytes:
+    return bytes((i * 7 + k) % 256 for k in range(size * i))
+
+
+def _expected(ids):
+    return {i: (_payload(i), _payload(i, 500)) for i in ids}
+
+
+def _library(path, ids=(1, 2, 3)):
+    db = Database.open(path)
+    db.execute(
+        "CREATE TABLE M (ID NUMBER PRIMARY KEY, NAME VARCHAR2(8), DATA BLOB, CLIP ORD_VIDEO)"
+    )
+    for i in ids:
+        db.execute(
+            "INSERT INTO M (ID, NAME, DATA, CLIP) VALUES (?, ?, ?, ?)",
+            (i, f"m{i}", _payload(i), _payload(i, 500)),
+        )
+    db.checkpoint()
+    return db
+
+
+def _blobs(db):
+    rows = db.execute("SELECT ID, DATA, CLIP FROM M ORDER BY ID").rows
+    return {r["ID"]: (r["DATA"], r["CLIP"]) for r in rows}
+
+
+@pytest.fixture()
+def preads(monkeypatch):
+    """Counts the ``pread`` calls that read LOB bytes."""
+    calls = []
+    real = os.pread
+
+    def counting(fd, n, offset):
+        calls.append(n)
+        return real(fd, n, offset)
+
+    monkeypatch.setattr(os, "pread", counting)
+    return calls
+
+
+class TestReadOnDemand:
+    def test_open_and_metadata_reads_copy_no_blob(self, path, preads):
+        _library(path).close()
+        db = Database.open(path)
+        assert db.execute("SELECT ID, NAME FROM M WHERE ID >= 2 ORDER BY NAME").rows == [
+            {"ID": 2, "NAME": "m2"},
+            {"ID": 3, "NAME": "m3"},
+        ]
+        db.execute("UPDATE M SET NAME = ? WHERE ID = ?", ("two", 2))
+        assert db.execute("SELECT COUNT(DATA) FROM M").scalar() == 3
+        assert preads == []
+        assert db.execute("SELECT DATA FROM M WHERE ID = ?", (2,)).rows == [
+            {"DATA": _payload(2)}
+        ]
+        assert preads == [len(_payload(2))]
+        db.close()
+
+    def test_where_order_by_and_aggregates_read_bytes(self, path):
+        _library(path).close()
+        db = Database.open(path)
+        assert db.execute("SELECT ID FROM M WHERE DATA = ?", (_payload(3),)).rows == [{"ID": 3}]
+        assert [r["ID"] for r in db.execute("SELECT ID FROM M ORDER BY CLIP DESC").rows] == sorted(
+            (1, 2, 3), key=lambda i: _payload(i, 500), reverse=True
+        )
+        assert db.execute("SELECT MAX(DATA) FROM M").scalar() == max(
+            _payload(i) for i in (1, 2, 3)
+        )
+        grouped = db.execute("SELECT DATA, COUNT(*) FROM M GROUP BY DATA ORDER BY DATA").rows
+        assert [r["DATA"] for r in grouped] == sorted(_payload(i) for i in (1, 2, 3))
+        db.close()
+
+
+class TestLifecycle:
+    def test_after_open(self, path):
+        _library(path).close()
+        db = Database.open(path)
+        assert _blobs(db) == _expected((1, 2, 3))
+        db.close()
+
+    def test_after_one_and_two_checkpoints(self, path):
+        db = _library(path)
+        assert _blobs(db) == _expected((1, 2, 3))
+        db.execute(
+            "INSERT INTO M (ID, NAME, DATA, CLIP) VALUES (?, ?, ?, ?)",
+            (4, "m4", _payload(4), _payload(4, 500)),
+        )
+        db.checkpoint()
+        assert _blobs(db) == _expected((1, 2, 3, 4))
+        db.checkpoint()
+        assert _blobs(db) == _expected((1, 2, 3, 4))
+        db.close()
+        db = Database.open(path)
+        assert _blobs(db) == _expected((1, 2, 3, 4))
+        db.close()
+
+    def test_after_a_rolled_back_transaction(self, path):
+        _library(path).close()
+        db = Database.open(path)
+        db.begin()
+        db.execute("UPDATE M SET DATA = ? WHERE ID = ?", (b"new", 1))
+        db.execute("DELETE FROM M WHERE ID = ?", (2,))
+        db.rollback()
+        assert _blobs(db) == _expected((1, 2, 3))
+        db.checkpoint()
+        assert _blobs(db) == _expected((1, 2, 3))
+        db.close()
+
+    def test_after_delete_and_checkpoint(self, path):
+        db = _library(path)
+        db.execute("DELETE FROM M WHERE ID = ?", (2,))
+        db.checkpoint()
+        assert _blobs(db) == _expected((1, 3))
+        db.close()
+        db = Database.open(path)
+        assert _blobs(db) == _expected((1, 3))
+        db.close()
+
+    def test_file_truncated_under_an_open_database(self, path):
+        _library(path).close()
+        db = Database.open(path)
+        os.truncate(path, os.path.getsize(path) // 2)
+        with pytest.raises(StorageError, match="ends inside a LOB"):
+            _blobs(db)
+        db.close()
+
+    def test_closed_database_refuses_lob_reads(self, path):
+        _library(path).close()
+        db = Database.open(path)
+        db.close()
+        with pytest.raises(StorageError, match="closed"):
+            _blobs(db)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_checkpoints_release_the_files_they_replace(self, path):
+        db = _library(path)
+        before = len(os.listdir("/proc/self/fd"))
+        for _ in range(5):
+            db.checkpoint()
+        assert len(os.listdir("/proc/self/fd")) == before
+        assert _blobs(db) == _expected((1, 2, 3))
+        db.close()

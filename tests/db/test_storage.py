@@ -158,6 +158,14 @@ class TestCrashTolerance:
         with pytest.raises(StorageError):
             Database.open(path)
 
+    def test_directory_path_is_storage_error(self, tmp_path):
+        from repro.core.system import VideoRetrievalSystem
+
+        with pytest.raises(StorageError, match="not a database file"):
+            Database.open(tmp_path)
+        with pytest.raises(StorageError, match="not a database file"):
+            VideoRetrievalSystem.open(tmp_path)
+
     def test_load_into_requires_empty(self, path):
         db = Database()
         db.execute("CREATE TABLE X (A NUMBER)")

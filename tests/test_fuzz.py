@@ -3,6 +3,8 @@ an unexpected exception.  Every parser/codec boundary in the system gets a
 hypothesis-driven hostile-input pass.
 """
 
+import datetime
+import os
 import shutil
 import struct
 
@@ -16,8 +18,9 @@ from repro.core.snapshots import SnapshotRequiredError, open_snapshot_store
 from repro.core.store import FeatureStore
 from repro.core.system import VideoRetrievalSystem
 from repro.db import Database
-from repro.db.errors import DatabaseError
+from repro.db.errors import DatabaseError, StorageError
 from repro.db.storage import Storage, read_log
+from repro.db.types import encode_value
 from repro.imaging.image import Image, ImageFormatError, decode_image
 from repro.snapshot import Snapshot, SnapshotError, write_snapshot
 from repro.video.codec import RvfError, RvfReader, encode_rvf_bytes
@@ -187,6 +190,193 @@ class TestStorageFuzz:
             Database.open(path).close()
         except (StorageError, DatabaseError):
             pass
+
+    # -- a file with every column type ---------------------------------------
+
+    _MEDIA_DDL = (
+        "CREATE TABLE MEDIA (ID NUMBER PRIMARY KEY, SCORE NUMBER, NAME VARCHAR2(6) NOT NULL,"
+        " DAY DATE, DATA BLOB, CLIP ORD_VIDEO, FRAME ORD_IMAGE)"
+    )
+    _MEDIA_ROWS = [
+        (1, 2.5, "one", datetime.date(2012, 10, 1), b"\x00\x01\x02", b"RVF" * 9, b"P6 img"),
+        (2, None, "d\u00e9ux", None, None, b"", None),
+        (3, -7, "three", datetime.date(1999, 12, 31), bytes(range(40)), None, b"P5 x"),
+    ]
+
+    @pytest.fixture(scope="class")
+    def media(self, tmp_path_factory):
+        """A checkpointed file holding NUMBER (int, float), VARCHAR2, DATE,
+        BLOB, ORD_VIDEO, ORD_IMAGE and NULLs; returns a scratch dir and it."""
+        root = tmp_path_factory.mktemp("media")
+        path = str(root / "media.rdb")
+        db = Database.open(path)
+        db.execute(self._MEDIA_DDL)
+        db.execute("CREATE TABLE TAGS (ID NUMBER PRIMARY KEY, LABEL VARCHAR2(8))")
+        for row in self._MEDIA_ROWS:
+            db.execute(
+                "INSERT INTO MEDIA (ID, SCORE, NAME, DAY, DATA, CLIP, FRAME)"
+                " VALUES (?, ?, ?, ?, ?, ?, ?)",
+                row,
+            )
+        db.execute("INSERT INTO TAGS (ID, LABEL) VALUES (1, 'sport')")
+        db.checkpoint()
+        db.close()
+        os.remove(path + ".wal")
+        with open(path, "rb") as fh:
+            return root, fh.read()
+
+    @staticmethod
+    def _reference(data: bytes):
+        """How the file reads the long way round: each section's DDL
+        executed, every cell decoded on its own, each row inserted through
+        SQL.  ``{table: rows}``, or None where that refuses the file."""
+        u32 = struct.Struct("<I")
+
+        def value(off):
+            tag, off = data[off], off + 1
+            if tag == 0:
+                return None, off
+            if tag in (1, 2):
+                raw = data[off : off + 8]
+                if len(raw) != 8:
+                    raise ValueError("truncated")
+                return struct.unpack("<q" if tag == 1 else "<d", raw)[0], off + 8
+            if tag not in (3, 4, 5):
+                raise ValueError(f"tag {tag}")
+            (n,) = u32.unpack_from(data, off)
+            raw = data[off + 4 : off + 4 + n]
+            if len(raw) != n:
+                raise ValueError("truncated")
+            if tag == 4:
+                return raw, off + 4 + n
+            text = raw.decode("utf-8")
+            return (datetime.date.fromisoformat(text) if tag == 5 else text), off + 4 + n
+
+        if not data:  # an empty file is a new database
+            return {}
+        db = Database()
+        try:
+            if data[:4] != b"RDB2" or len(data) < 28:
+                return None
+            (n_tables,) = u32.unpack_from(data, 28)
+            off = 32
+            for _ in range(n_tables):
+                (n,) = u32.unpack_from(data, off)
+                ddl = data[off + 4 : off + 4 + n].decode("utf-8")
+                off += 4 + n
+                before = set(db.table_names())
+                db.execute(ddl)
+                created = set(db.table_names()) - before
+                if len(created) != 1:
+                    return None
+                table = created.pop()
+                columns = db.schema_of(table).column_names
+                (n_rows,) = u32.unpack_from(data, off)
+                off += 4
+                for _ in range(n_rows):
+                    row = []
+                    for _ in columns:
+                        cell, off = value(off)
+                        row.append(cell)
+                    db.execute(
+                        f"INSERT INTO {table} ({', '.join(columns)})"
+                        f" VALUES ({', '.join('?' * len(columns))})",
+                        row,
+                    )
+        except (DatabaseError, ValueError, IndexError, struct.error):
+            return None
+        return {t: db.execute(f"SELECT * FROM {t}").rows for t in db.table_names()}
+
+    def _opens_as_reference(self, root, data: bytes) -> None:
+        """``data`` opens with a typed error, or into the reference's rows."""
+        path = str(root / "case.rdb")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        try:
+            db = Database.open(path)
+        except DatabaseError:
+            return
+        try:
+            got = {t: db.execute(f"SELECT * FROM {t}").rows for t in db.table_names()}
+        finally:
+            db.close()
+        assert got == self._reference(data)
+
+    def test_media_file_reads_as_reference(self, media):
+        root, data = media
+        assert self._reference(data)["MEDIA"] == [
+            dict(zip(("ID", "SCORE", "NAME", "DAY", "DATA", "CLIP", "FRAME"), row))
+            for row in self._MEDIA_ROWS
+        ]
+        self._opens_as_reference(root, data)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_media_truncations(self, media, data):
+        root, full = media
+        self._opens_as_reference(root, full[: data.draw(st.integers(0, len(full) - 1))])
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_media_byte_flips(self, media, data):
+        root, full = media
+        flipped = bytearray(full)
+        pos = data.draw(st.integers(0, len(full) - 1))
+        flipped[pos] ^= data.draw(st.integers(1, 255))
+        self._opens_as_reference(root, bytes(flipped))
+
+    # -- named hostile files ----------------------------------------------------
+
+    @staticmethod
+    def _file(*sections, trailing: bytes = b"") -> bytes:
+        """An RDB2 file of ``(ddl, [encoded rows])`` sections."""
+        u32 = struct.Struct("<I")
+        out = [b"RDB2", struct.pack("<Q", 0), bytes(16), u32.pack(len(sections))]
+        for ddl, rows in sections:
+            raw = ddl.encode("utf-8")
+            out += [u32.pack(len(raw)), raw, u32.pack(len(rows))] + list(rows)
+        return b"".join(out) + trailing
+
+    _T = "CREATE TABLE T (ID NUMBER PRIMARY KEY, DATA BLOB)"
+    _ROW = encode_value(1) + encode_value(b"abc")
+
+    def _refused(self, tmp_path, data: bytes, match: str) -> None:
+        path = str(tmp_path / "hostile.rdb")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        with pytest.raises(StorageError, match=match):
+            Database.open(path)
+
+    def test_well_formed_file_opens(self, tmp_path):
+        path = str(tmp_path / "ok.rdb")
+        with open(path, "wb") as fh:
+            fh.write(self._file((self._T, [self._ROW])))
+        db = Database.open(path)
+        assert db.execute("SELECT * FROM T").rows == [{"ID": 1, "DATA": b"abc"}]
+        db.close()
+
+    def test_blob_length_past_end_of_file(self, tmp_path):
+        row = encode_value(1) + bytes([4]) + struct.pack("<I", 1000) + b"abc"
+        self._refused(tmp_path, self._file((self._T, [row])), "truncated")
+
+    def test_tag_of_the_wrong_type_for_its_column(self, tmp_path):
+        row = encode_value("1") + encode_value(b"abc")  # a str in a NUMBER column
+        self._refused(tmp_path, self._file((self._T, [row])), "value tag 3")
+
+    def test_duplicate_primary_key(self, tmp_path):
+        self._refused(tmp_path, self._file((self._T, [self._ROW, self._ROW])), "duplicate")
+
+    @pytest.mark.parametrize(
+        "section",
+        ["DELETE FROM T", "INSERT INTO T (ID) VALUES (2)", "DROP TABLE T"],
+    )
+    def test_table_section_holding_another_statement(self, tmp_path, section):
+        data = self._file((self._T, [self._ROW]), (section, []))
+        self._refused(tmp_path, data, "not CREATE TABLE")
+
+    def test_bytes_after_the_last_table(self, tmp_path):
+        data = self._file((self._T, [self._ROW]), trailing=b"\x00")
+        self._refused(tmp_path, data, "1 bytes after the last table")
 
 
 class TestCommitRecordFuzz:
