@@ -61,10 +61,11 @@ def test_like_scan(benchmark, populated):
 
 
 def test_order_by_limit(benchmark, populated):
-    result = benchmark(
-        lambda: populated.execute("SELECT ID FROM KF ORDER BY NAME DESC LIMIT 20")
+    # the dialect has no LIMIT: the first 20 rows are sliced off the sorted scan
+    top = benchmark(
+        lambda: populated.execute("SELECT ID FROM KF ORDER BY NAME DESC").rows[:20]
     )
-    assert result.rowcount == 20
+    assert len(top) == 20
 
 
 def test_update_by_predicate(benchmark, populated):

@@ -11,8 +11,9 @@ database to run that workload for real, from scratch:
 - :mod:`repro.db.table` -- heap tables with a primary-key hash index and
   optional secondary indexes.
 - :mod:`repro.db.sql` -- a tokenizer + recursive-descent parser for the
-  SQL dialect (CREATE/DROP TABLE, INSERT, SELECT, UPDATE, DELETE with
-  WHERE / ORDER BY / LIMIT, ``?`` bind parameters).
+  SQL the system sends: the §3.4 DDL, INSERT, SELECT (columns or
+  ``MAX(col)``, WHERE / ORDER BY), UPDATE and DELETE, with ``?`` bind
+  parameters; WHERE takes comparisons and LIKE under AND / OR.
 - :mod:`repro.db.engine` -- the :class:`Database` facade: statement
   execution, transactions, catalog.
 - :mod:`repro.db.storage` -- snapshot + write-ahead-log persistence.

@@ -15,16 +15,21 @@ Write statements auto-commit unless a transaction is open (``begin()`` /
 one record, numbered by :attr:`Database.commit_seq`, and replay it on open;
 :meth:`checkpoint` folds the WAL into a snapshot.  A BLOB cell loaded from
 the file is a locator; a statement reads its bytes only for its result
-rows or a WHERE / ORDER BY / GROUP BY / aggregate that names its column.
+rows or a WHERE / ORDER BY / ``MAX()`` that names its column.
+
+A statement resolves its column names and compiles its WHERE clause (its
+LIKE patterns included) once, before it looks at a row, so an unknown
+column is a :class:`CatalogError` whatever the table holds.
 """
 
 from __future__ import annotations
 
 import contextlib
+import operator
 import re
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.db import sql as ast
 from repro.db.errors import (
@@ -94,84 +99,94 @@ def _read_lobs(schema: TableSchema, rows: List[Dict[str, object]], columns) -> N
                 row[name] = value.read()
 
 
-class _Evaluator:
-    """Compiles WHERE ASTs against a schema and bound parameters."""
+#: a row of one statement's scan -> bool / a value
+Predicate = Callable[[Dict[str, object]], bool]
+Getter = Callable[[Dict[str, object]], object]
 
-    def __init__(self, schema: TableSchema, params: Sequence):
-        self.schema = schema
-        self.params = params
+_COMPARISONS = {
+    "=": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
 
-    def operand(self, node, row: Dict[str, object]):
-        if isinstance(node, ast.Literal):
-            return node.value
-        if isinstance(node, ast.Param):
-            return self.params[node.index]
-        if isinstance(node, ast.ColumnRef):
-            name = node.name.upper()
-            if not self.schema.has_column(name):
-                raise CatalogError(
-                    f"table {self.schema.name} has no column {name!r}"
-                )
-            value = row[name]
-            if isinstance(value, Lob):
-                value = row[name] = value.read()
-            return value
-        raise DatabaseError(f"unexpected operand node {node!r}")
 
-    def test(self, node, row: Dict[str, object]) -> bool:
-        if node is None:
-            return True
+def _value(node, params: Tuple):
+    """A literal's or a bound parameter's value."""
+    return params[node.index] if isinstance(node, ast.Param) else node.value
+
+
+def _getter(node, schema: TableSchema, params: Tuple) -> Getter:
+    """An operand as a function of the row; a column is resolved here."""
+    if not isinstance(node, ast.ColumnRef):
+        value = _value(node, params)
+        return lambda row: value
+    name = schema.column(node.name).name  # CatalogError for an unknown column
+
+    def column(row):
+        value = row[name]
+        if isinstance(value, Lob):
+            value = row[name] = value.read()
+        return value
+
+    return column
+
+
+def _compile(node, schema: TableSchema, params: Tuple) -> Predicate:
+    """A WHERE clause as one predicate over the rows of ``schema``: every
+    column resolved and every LIKE pattern compiled, once."""
+    if node is None:
+        return lambda row: True
+    if isinstance(node, (ast.And, ast.Or)):
+        left = _compile(node.left, schema, params)
+        right = _compile(node.right, schema, params)
         if isinstance(node, ast.And):
-            return self.test(node.left, row) and self.test(node.right, row)
-        if isinstance(node, ast.Or):
-            return self.test(node.left, row) or self.test(node.right, row)
-        if isinstance(node, ast.Not):
-            return not self.test(node.child, row)
-        if isinstance(node, ast.Compare):
-            left = self.operand(node.left, row)
-            right = self.operand(node.right, row)
-            if left is None or right is None:
-                return False  # SQL three-valued logic: comparisons with NULL are not true
-            ops = {
-                "=": lambda a, b: a == b,
-                "!=": lambda a, b: a != b,
-                "<": lambda a, b: a < b,
-                "<=": lambda a, b: a <= b,
-                ">": lambda a, b: a > b,
-                ">=": lambda a, b: a >= b,
-            }
-            try:
-                return bool(ops[node.op](left, right))
-            except TypeError as exc:
-                raise DatabaseError(
-                    f"cannot compare {type(left).__name__} with {type(right).__name__}"
-                ) from exc
-        if isinstance(node, ast.Between):
-            v = self.operand(node.operand, row)
-            lo = self.operand(node.low, row)
-            hi = self.operand(node.high, row)
-            if v is None or lo is None or hi is None:
-                return False
-            result = lo <= v <= hi
-            return result != node.negated
-        if isinstance(node, ast.InList):
-            v = self.operand(node.operand, row)
-            if v is None:
-                return False
-            members = [self.operand(item, row) for item in node.items]
-            return (v in members) != node.negated
-        if isinstance(node, ast.Like):
-            v = self.operand(node.operand, row)
-            pattern = self.operand(node.pattern, row)
-            if v is None or pattern is None:
-                return False
-            if not isinstance(v, str) or not isinstance(pattern, str):
-                raise DatabaseError("LIKE requires string operands")
-            return bool(_like_to_regex(pattern).match(v)) != node.negated
-        if isinstance(node, ast.IsNull):
-            v = self.operand(node.operand, row)
-            return (v is None) != node.negated
-        raise DatabaseError(f"unexpected WHERE node {node!r}")
+            return lambda row: left(row) and right(row)
+        return lambda row: left(row) or right(row)
+    if isinstance(node, ast.Compare):
+        return _comparison(
+            _COMPARISONS[node.op],
+            _getter(node.left, schema, params),
+            _getter(node.right, schema, params),
+        )
+    if isinstance(node, ast.Like):
+        return _like(_getter(node.operand, schema, params), _value(node.pattern, params))
+    raise DatabaseError(f"unexpected WHERE node {node!r}")
+
+
+def _comparison(compare, left: Getter, right: Getter) -> Predicate:
+    def test(row):
+        a, b = left(row), right(row)
+        if a is None or b is None:
+            return False  # SQL three-valued logic: comparisons with NULL are not true
+        try:
+            return bool(compare(a, b))
+        except TypeError as exc:
+            raise DatabaseError(
+                f"cannot compare {type(a).__name__} with {type(b).__name__}"
+            ) from exc
+
+    return test
+
+
+def _like(operand: Getter, pattern) -> Predicate:
+    if pattern is None:
+        return lambda row: False
+    if not isinstance(pattern, str):
+        raise DatabaseError("LIKE requires string operands")
+    regex = _like_to_regex(pattern)
+
+    def test(row):
+        value = operand(row)
+        if value is None:
+            return False
+        if not isinstance(value, str):
+            raise DatabaseError("LIKE requires string operands")
+        return regex.match(value) is not None
+
+    return test
 
 
 class Database:
@@ -184,7 +199,6 @@ class Database:
         "Update": "update",
         "Delete": "delete",
         "CreateTable": "create",
-        "DropTable": "drop",
     }
 
     def __init__(self, storage: Optional["repro.db.storage.Storage"] = None):
@@ -307,7 +321,7 @@ class Database:
         if not self.in_transaction:
             raise TransactionError("no open transaction")
         # Restore exactly the pre-transaction catalog: tables created in the
-        # transaction vanish, dropped tables return, data reverts.
+        # transaction vanish, data reverts.
         restored: Dict[str, Table] = {}
         for name, (table, state) in self._tx_snapshot.items():
             table.restore_state(state)
@@ -371,8 +385,6 @@ class Database:
     def _dispatch(self, stmt, params: Tuple, text: str) -> ResultSet:
         if isinstance(stmt, ast.CreateTable):
             return self._create_table(stmt, text)
-        if isinstance(stmt, ast.DropTable):
-            return self._drop_table(stmt, text)
         if isinstance(stmt, ast.Insert):
             return self._insert(stmt, params, text)
         if isinstance(stmt, ast.Select):
@@ -396,19 +408,9 @@ class Database:
         self.tables[name] = Table(stmt.schema)
         return ResultSet(statement=text)
 
-    def _drop_table(self, stmt: ast.DropTable, text: str) -> ResultSet:
-        name = stmt.table.upper()
-        if name not in self.tables:
-            if stmt.if_exists:
-                return ResultSet(statement=text)
-            raise CatalogError(f"no such table {name!r}")
-        del self.tables[name]
-        return ResultSet(statement=text, rowcount=1)
-
     def _insert(self, stmt: ast.Insert, params: Tuple, text: str) -> ResultSet:
         table = self._get_table(stmt.table)
-        evaluator = _Evaluator(table.schema, params)
-        values = [evaluator.operand(v, {}) for v in stmt.values]
+        values = [_value(v, params) for v in stmt.values]
         columns = list(stmt.columns) if stmt.columns else table.schema.column_names
         if len(columns) != len(values):
             raise SqlSyntaxError(
@@ -418,116 +420,62 @@ class Database:
         return ResultSet(statement=text, rowcount=1)
 
     def _rows_matching(self, table: Table, where, params: Tuple) -> List[Dict[str, object]]:
-        evaluator = _Evaluator(table.schema, params)
+        predicate = _compile(where, table.schema, params)
         # fast path: top-level equality on an indexed column
         if isinstance(where, ast.Compare) and where.op == "=":
-            col, lit = None, None
-            if isinstance(where.left, ast.ColumnRef) and isinstance(where.right, (ast.Literal, ast.Param)):
-                col, lit = where.left.name, evaluator.operand(where.right, {})
-            elif isinstance(where.right, ast.ColumnRef) and isinstance(where.left, (ast.Literal, ast.Param)):
-                col, lit = where.right.name, evaluator.operand(where.left, {})
-            if col is not None and table.schema.has_column(col):
-                rowids = table.lookup_equal(col, lit)
+            col, value = where.left, where.right
+            if isinstance(value, ast.ColumnRef):
+                col, value = value, col
+            if isinstance(col, ast.ColumnRef) and not isinstance(value, ast.ColumnRef):
+                rowids = table.lookup_equal(col.name, _value(value, params))
                 if rowids is not None:
                     return table.fetch(rowids)
-        return table.select_where(lambda row: evaluator.test(where, row))
+        return table.select_where(predicate)
 
     def _select(self, stmt: ast.Select, params: Tuple, text: str) -> ResultSet:
         table = self._get_table(stmt.table)
-        rows = self._rows_matching(table, stmt.where, params)
-        if stmt.group_by:
-            return self._grouped_aggregate(table, stmt, rows, text)
+        schema = table.schema
         if stmt.aggregate is not None:
-            return self._aggregate(table, stmt.aggregate, rows, text)
+            return self._max(table, stmt.aggregate, stmt.where, params, text)
         for item in stmt.order_by:
-            if not table.schema.has_column(item.column):
+            if not schema.has_column(item.column):
                 raise CatalogError(f"ORDER BY references unknown column {item.column!r}")
-        _read_lobs(table.schema, rows, [item.column.upper() for item in stmt.order_by])
+        wanted = [schema.column(c).name for c in stmt.columns] or schema.column_names
+        rows = self._rows_matching(table, stmt.where, params)
+        _read_lobs(schema, rows, [item.column.upper() for item in stmt.order_by])
         for item in reversed(stmt.order_by):
             col = item.column.upper()
             rows.sort(
                 key=lambda r: (r[col] is None, r[col] if r[col] is not None else 0),
                 reverse=item.descending,
             )
-        if stmt.limit is not None:
-            rows = rows[: stmt.limit]
-        wanted = table.schema.column_names
         if stmt.columns:
-            for c in stmt.columns:
-                table.schema.column(c)  # validate
-            wanted = [c.upper() for c in stmt.columns]
             rows = [{c: r[c] for c in wanted} for r in rows]
-        _read_lobs(table.schema, rows, wanted)
+        _read_lobs(schema, rows, wanted)
         return ResultSet(rows=rows, rowcount=len(rows), statement=text)
 
-    def _aggregate(self, table: Table, agg: "ast.Aggregate", rows, text: str) -> ResultSet:
-        """COUNT/MIN/MAX/SUM/AVG over the matched rows (NULLs skipped)."""
-        if agg.column is not None:
-            col = table.schema.column(agg.column).name  # validates + canonical
-            if agg.func != "COUNT":  # COUNT needs no bytes, only NULL or not
-                _read_lobs(table.schema, rows, [col])
-            values = [r[col] for r in rows if r[col] is not None]
-        else:
-            values = None  # COUNT(*) counts rows, not values
-
-        if agg.func == "COUNT":
-            result = len(rows) if values is None else len(values)
-        elif not values:
-            result = None  # SQL: aggregates over the empty set are NULL
-        elif agg.func in ("MIN", "MAX"):
-            try:
-                result = min(values) if agg.func == "MIN" else max(values)
-            except TypeError as exc:
-                raise DatabaseError(f"{agg.label}: values are not comparable") from exc
-        else:  # SUM / AVG need numbers
-            if not all(isinstance(v, (int, float)) for v in values):
-                raise DatabaseError(f"{agg.label} requires numeric values")
-            total = sum(values)
-            result = total if agg.func == "SUM" else total / len(values)
+    def _max(
+        self, table: Table, agg: ast.Aggregate, where, params: Tuple, text: str
+    ) -> ResultSet:
+        """``MAX(col)`` over the matched rows: NULLs skipped, NULL when
+        none is left."""
+        column = table.schema.column(agg.column).name
+        rows = self._rows_matching(table, where, params)
+        _read_lobs(table.schema, rows, [column])
+        values = [r[column] for r in rows if r[column] is not None]
+        result = max(values) if values else None
         return ResultSet(rows=[{agg.label: result}], rowcount=1, statement=text)
-
-    def _grouped_aggregate(self, table: Table, stmt: ast.Select, rows, text: str) -> ResultSet:
-        """GROUP BY evaluation: one output row per distinct key tuple."""
-        group_cols = [table.schema.column(c).name for c in stmt.group_by]
-        out_cols = [table.schema.column(c).name for c in stmt.columns]
-        _read_lobs(table.schema, rows, group_cols)
-        groups: Dict[Tuple, list] = {}
-        for row in rows:  # dict preserves first-appearance order
-            key = tuple(row[c] for c in group_cols)
-            groups.setdefault(key, []).append(row)
-
-        out_rows = []
-        for key, members in groups.items():
-            agg_result = self._aggregate(table, stmt.aggregate, members, text)
-            row = dict(zip(group_cols, key))
-            row[stmt.aggregate.label] = agg_result.scalar()
-            out_rows.append(row)
-
-        for item in reversed(stmt.order_by):
-            col = item.column.upper()
-            out_rows.sort(
-                key=lambda r: (r[col] is None, r[col] if r[col] is not None else 0),
-                reverse=item.descending,
-            )
-        if stmt.limit is not None:
-            out_rows = out_rows[: stmt.limit]
-        # project to the selected columns (plus the aggregate) last, so
-        # ORDER BY may use any GROUP BY column even when not selected
-        keep = (out_cols or group_cols) + [stmt.aggregate.label]
-        out_rows = [{c: r[c] for c in keep} for r in out_rows]
-        return ResultSet(rows=out_rows, rowcount=len(out_rows), statement=text)
 
     def _update(self, stmt: ast.Update, params: Tuple, text: str) -> ResultSet:
         table = self._get_table(stmt.table)
-        evaluator = _Evaluator(table.schema, params)
-        assignments = {col: evaluator.operand(v, {}) for col, v in stmt.assignments}
-        count = table.update_where(assignments, lambda row: evaluator.test(stmt.where, row))
+        predicate = _compile(stmt.where, table.schema, params)
+        assignments = {col: _value(v, params) for col, v in stmt.assignments}
+        count = table.update_where(assignments, predicate)
         return ResultSet(statement=text, rowcount=count)
 
     def _delete(self, stmt: ast.Delete, params: Tuple, text: str) -> ResultSet:
         table = self._get_table(stmt.table)
-        evaluator = _Evaluator(table.schema, params)
-        count = table.delete_where(lambda row: evaluator.test(stmt.where, row))
+        count = table.delete_where(_compile(stmt.where, table.schema, params))
         return ResultSet(statement=text, rowcount=count)
 
     # -- conveniences --------------------------------------------------------------------

@@ -1,21 +1,22 @@
 """SQL dialect: tokenizer, AST, and recursive-descent parser.
 
-Supported statements (enough to run the paper's §3.4 DDL verbatim and the
-system's whole workload):
+The dialect is the paper's §3.4 DDL, verbatim, plus the statements the
+system sends:
 
 - ``CREATE TABLE name (col TYPE [NOT NULL] [PRIMARY KEY] [ENABLE], ...,
   PRIMARY KEY (col, ...) [ENABLE])``
-- ``DROP TABLE name``
-- ``INSERT INTO name [(col, ...)] VALUES (expr, ...)``
+- ``INSERT INTO name [(col, ...)] VALUES (value, ...)``
 - ``SELECT * | col, ... FROM name [WHERE expr] [ORDER BY col [ASC|DESC],
-  ...] [LIMIT n]``
-- ``UPDATE name SET col = expr, ... [WHERE expr]``
+  ...]`` and ``SELECT MAX(col) FROM name [WHERE expr]``
+- ``UPDATE name SET col = value, ... [WHERE expr]``
 - ``DELETE FROM name [WHERE expr]``
 
-WHERE supports comparisons, ``BETWEEN``, ``IN (...)``, ``LIKE`` (with ``%``
-and ``_``), ``IS [NOT] NULL``, ``AND`` / ``OR`` / ``NOT`` and parentheses.
-``?`` placeholders bind positional parameters, which is how BLOB values
-travel.  Identifiers may be double-quoted, as in the paper's DDL.
+A value is a number, a string, ``NULL``, ``DATE '...'`` or a ``?``
+placeholder, which binds a positional parameter (how BLOB values travel).
+WHERE combines the comparisons ``= != <> < <= > >=`` and ``LIKE`` (with
+``%`` and ``_``; the pattern is a value) with ``AND`` / ``OR`` and
+parentheses.  Identifiers may be double-quoted, as in the paper's DDL.
+Anything else is a :class:`SqlSyntaxError`.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ __all__ = [
     "build_insert",
     "build_delete",
     "CreateTable",
-    "DropTable",
     "Insert",
     "Select",
     "Aggregate",
@@ -46,13 +46,9 @@ __all__ = [
     "Literal",
     "Param",
     "Compare",
-    "Between",
-    "InList",
     "Like",
-    "IsNull",
     "And",
     "Or",
-    "Not",
     "OrderItem",
 ]
 
@@ -125,6 +121,8 @@ class Param:
     index: int  # 0-based position among the statement's '?' placeholders
 
 
+#: what VALUES, SET and a LIKE pattern take: fixed for the whole statement
+Value = Union[Literal, Param]
 Operand = Union[ColumnRef, Literal, Param]
 
 
@@ -136,31 +134,9 @@ class Compare:
 
 
 @dataclass(frozen=True)
-class Between:
-    operand: Operand
-    low: Operand
-    high: Operand
-    negated: bool = False
-
-
-@dataclass(frozen=True)
-class InList:
-    operand: Operand
-    items: Tuple[Operand, ...]
-    negated: bool = False
-
-
-@dataclass(frozen=True)
 class Like:
     operand: Operand
-    pattern: Operand
-    negated: bool = False
-
-
-@dataclass(frozen=True)
-class IsNull:
-    operand: Operand
-    negated: bool = False
+    pattern: Value
 
 
 @dataclass(frozen=True)
@@ -176,11 +152,6 @@ class Or:
 
 
 @dataclass(frozen=True)
-class Not:
-    child: object
-
-
-@dataclass(frozen=True)
 class OrderItem:
     column: str
     descending: bool = False
@@ -192,28 +163,21 @@ class CreateTable:
 
 
 @dataclass(frozen=True)
-class DropTable:
-    table: str
-    if_exists: bool = False
-
-
-@dataclass(frozen=True)
 class Insert:
     table: str
     columns: Tuple[str, ...]  # empty = schema order
-    values: Tuple[Operand, ...]
+    values: Tuple[Value, ...]
 
 
 @dataclass(frozen=True)
 class Aggregate:
-    """``COUNT(*)`` / ``COUNT(col)`` / ``MIN|MAX|SUM|AVG(col)``."""
+    """``MAX(col)``, a SELECT's only item."""
 
-    func: str  # 'COUNT', 'MIN', 'MAX', 'SUM', 'AVG'
-    column: Optional[str]  # None only for COUNT(*)
+    column: str
 
     @property
     def label(self) -> str:
-        return f"{self.func}({self.column or '*'})"
+        return f"MAX({self.column})"
 
 
 @dataclass(frozen=True)
@@ -222,15 +186,13 @@ class Select:
     columns: Tuple[str, ...]  # empty = '*'
     where: Optional[object] = None
     order_by: Tuple[OrderItem, ...] = ()
-    limit: Optional[int] = None
     aggregate: Optional[Aggregate] = None
-    group_by: Tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
 class Update:
     table: str
-    assignments: Tuple[Tuple[str, Operand], ...]
+    assignments: Tuple[Tuple[str, Value], ...]
     where: Optional[object] = None
 
 
@@ -240,7 +202,7 @@ class Delete:
     where: Optional[object] = None
 
 
-Statement = Union[CreateTable, DropTable, Insert, Select, Update, Delete]
+Statement = Union[CreateTable, Insert, Select, Update, Delete]
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +270,6 @@ class _Parser:
             raise self._error("empty statement")
         dispatch = {
             "CREATE": self._create,
-            "DROP": self._drop,
             "INSERT": self._insert,
             "SELECT": self._select,
             "UPDATE": self._update,
@@ -386,11 +347,12 @@ class _Parser:
                 break
         return Column(name, sql_type, nullable=nullable, primary_key=primary)
 
-    def _drop(self) -> DropTable:
-        self.expect_keyword("DROP", "TABLE")
-        if_exists = self.accept_keyword("IF", "EXISTS")
-        name = self.expect("ident").value
-        return DropTable(table=name, if_exists=if_exists)
+    def _column_name(self, taken: Sequence[str]) -> str:
+        """A column name not already in ``taken``."""
+        tok = self.expect("ident")
+        if tok.value in taken:
+            raise SqlSyntaxError(f"column {tok.value!r} appears twice", tok.position)
+        return tok.value
 
     def _insert(self) -> Insert:
         self.expect_keyword("INSERT", "INTO")
@@ -398,15 +360,15 @@ class _Parser:
         columns: List[str] = []
         if self.accept("punct", "("):
             while True:
-                columns.append(self.expect("ident").value)
+                columns.append(self._column_name(columns))
                 if not self.accept("punct", ","):
                     break
             self.expect("punct", ")")
         self.expect_keyword("VALUES")
         self.expect("punct", "(")
-        values: List[Operand] = []
+        values: List[Value] = []
         while True:
-            values.append(self._operand())
+            values.append(self._value())
             if not self.accept("punct", ","):
                 break
         self.expect("punct", ")")
@@ -416,67 +378,29 @@ class _Parser:
             )
         return Insert(table=table, columns=tuple(columns), values=tuple(values))
 
-    _AGGREGATES = ("COUNT", "MIN", "MAX", "SUM", "AVG")
-
-    def _at_aggregate(self) -> bool:
-        tok = self.peek()
-        return (
-            tok is not None
-            and tok.kind == "ident"
-            and tok.value in self._AGGREGATES
-            and self.i + 1 < len(self.tokens)
-            and self.tokens[self.i + 1].matches("punct", "(")
-        )
-
-    def _parse_aggregate(self) -> Aggregate:
-        func = self.advance().value
-        self.expect("punct", "(")
-        if self.accept("punct", "*"):
-            if func != "COUNT":
-                raise self._error(f"{func}(*) is not valid; only COUNT(*)")
-            column = None
-        else:
-            column = self.expect("ident").value
-        self.expect("punct", ")")
-        return Aggregate(func=func, column=column)
-
     def _select(self) -> Select:
         self.expect_keyword("SELECT")
         columns: List[str] = []
         aggregate = None
-        if self.accept("punct", "*"):
-            pass
-        else:
+        tok = self.peek()
+        if tok is not None and tok.matches("ident", "MAX") and (
+            self.i + 1 < len(self.tokens) and self.tokens[self.i + 1].matches("punct", "(")
+        ):
+            self.i += 2
+            aggregate = Aggregate(self.expect("ident").value)
+            self.expect("punct", ")")
+        elif not self.accept("punct", "*"):
             while True:
-                if self._at_aggregate():
-                    if aggregate is not None:
-                        raise self._error("only one aggregate per SELECT is supported")
-                    aggregate = self._parse_aggregate()
-                else:
-                    columns.append(self.expect("ident").value)
+                columns.append(self.expect("ident").value)
                 if not self.accept("punct", ","):
                     break
         self.expect_keyword("FROM")
         table = self.expect("ident").value
         where = self._where_clause()
-        group_by: List[str] = []
-        if self.accept_keyword("GROUP", "BY"):
-            while True:
-                group_by.append(self.expect("ident").value)
-                if not self.accept("punct", ","):
-                    break
-        if columns and aggregate is not None and not group_by:
-            raise self._error("plain columns beside an aggregate require GROUP BY")
-        if group_by:
-            if aggregate is None:
-                raise self._error("GROUP BY requires an aggregate in the select list")
-            missing = [c for c in columns if c not in group_by]
-            if missing:
-                raise self._error(
-                    f"selected column(s) {missing} must appear in GROUP BY"
-                )
         order: List[OrderItem] = []
         if self.accept_keyword("ORDER", "BY"):
+            if aggregate is not None:
+                raise self._error("MAX() takes no ORDER BY")
             while True:
                 col = self.expect("ident").value
                 descending = False
@@ -487,30 +411,18 @@ class _Parser:
                 order.append(OrderItem(column=col, descending=descending))
                 if not self.accept("punct", ","):
                     break
-        limit = None
-        if self.accept_keyword("LIMIT"):
-            limit = int(float(self.expect("number").value))
-            if limit < 0:
-                raise self._error("LIMIT must be non-negative")
-        if aggregate is not None and not group_by and (order or limit is not None):
-            raise self._error("ungrouped aggregates cannot combine with ORDER BY / LIMIT")
-        if group_by:
-            for item in order:
-                if item.column not in group_by:
-                    raise self._error("ORDER BY on grouped selects must use GROUP BY columns")
         return Select(table=table, columns=tuple(columns), where=where,
-                      order_by=tuple(order), limit=limit, aggregate=aggregate,
-                      group_by=tuple(group_by))
+                      order_by=tuple(order), aggregate=aggregate)
 
     def _update(self) -> Update:
         self.expect_keyword("UPDATE")
         table = self.expect("ident").value
         self.expect_keyword("SET")
-        assignments: List[Tuple[str, Operand]] = []
+        assignments: List[Tuple[str, Value]] = []
         while True:
-            col = self.expect("ident").value
+            col = self._column_name([name for name, _value in assignments])
             self.expect("op", "=")
-            assignments.append((col, self._operand()))
+            assignments.append((col, self._value()))
             if not self.accept("punct", ","):
                 break
         where = self._where_clause()
@@ -535,63 +447,36 @@ class _Parser:
         return node
 
     def _and_expr(self):
-        node = self._not_expr()
+        node = self._predicate()
         while self.accept_keyword("AND"):
-            node = And(node, self._not_expr())
+            node = And(node, self._predicate())
         return node
 
-    def _not_expr(self):
-        if self.accept_keyword("NOT"):
-            return Not(self._not_expr())
-        return self._predicate()
-
     def _predicate(self):
-        # parenthesized boolean sub-expression?
-        if self.peek() is not None and self.peek().matches("punct", "("):
-            save = self.i
-            self.advance()
-            try:
-                node = self._or_expr()
-                self.expect("punct", ")")
-                return node
-            except SqlSyntaxError:
-                self.i = save  # fall through: it was a parenthesized operand
-
+        if self.accept("punct", "("):
+            node = self._or_expr()
+            self.expect("punct", ")")
+            return node
         operand = self._operand()
         tok = self.peek()
         if tok is not None and tok.kind == "op":
             op = self.advance().value
-            if op == "<>":
-                op = "!="
-            return Compare(op=op, left=operand, right=self._operand())
-        negated = self.accept_keyword("NOT")
-        if self.accept_keyword("BETWEEN"):
-            low = self._operand()
-            self.expect_keyword("AND")
-            return Between(operand=operand, low=low, high=self._operand(), negated=negated)
-        if self.accept_keyword("IN"):
-            self.expect("punct", "(")
-            items: List[Operand] = []
-            while True:
-                items.append(self._operand())
-                if not self.accept("punct", ","):
-                    break
-            self.expect("punct", ")")
-            return InList(operand=operand, items=tuple(items), negated=negated)
+            return Compare(op="!=" if op == "<>" else op, left=operand, right=self._operand())
         if self.accept_keyword("LIKE"):
-            return Like(operand=operand, pattern=self._operand(), negated=negated)
-        if negated:
-            raise self._error("expected BETWEEN, IN or LIKE after NOT")
-        if self.accept_keyword("IS"):
-            neg = self.accept_keyword("NOT")
-            self.expect_keyword("NULL")
-            return IsNull(operand=operand, negated=neg)
-        raise self._error("expected a comparison after operand")
+            return Like(operand=operand, pattern=self._value())
+        raise self._error("expected a comparison or LIKE after operand")
 
     def _operand(self) -> Operand:
         tok = self.peek()
+        if tok is not None and tok.kind == "ident" and tok.value not in ("NULL", "DATE"):
+            self.advance()
+            return ColumnRef(tok.value)
+        return self._value()
+
+    def _value(self) -> Value:
+        tok = self.peek()
         if tok is None:
-            raise self._error("expected an operand")
+            raise self._error("expected a value")
         if tok.kind == "number":
             self.advance()
             text = tok.value
@@ -605,19 +490,13 @@ class _Parser:
             param = Param(self.n_params)
             self.n_params += 1
             return param
-        if tok.matches("punct", "-"):
-            raise self._error("unary minus not supported; fold the sign into the literal")
-        if tok.kind == "ident":
-            if tok.value == "NULL":
-                self.advance()
-                return Literal(None)
-            if tok.value == "DATE":
-                self.advance()
-                s = self.expect("string")
-                return Literal(s.value[1:-1])
+        if tok.matches("ident", "NULL"):
             self.advance()
-            return ColumnRef(tok.value)
-        raise self._error(f"unexpected token {tok.value!r} in expression")
+            return Literal(None)
+        if tok.matches("ident", "DATE"):
+            self.advance()
+            return Literal(self.expect("string").value[1:-1])
+        raise self._error(f"expected a value, got {tok.value!r}")
 
 
 def parse(text: str) -> Tuple[Statement, int]:

@@ -192,8 +192,8 @@ def _library_state(system, directory):
         with open(os.path.join(directory, name), "rb") as fh:
             files[name] = fh.read()
     return (
-        system.db.execute("SELECT COUNT(*) FROM KEY_FRAMES").scalar(),
-        system.db.execute("SELECT COUNT(*) FROM VIDEO_STORE").scalar(),
+        len(system.db.execute("SELECT I_ID FROM KEY_FRAMES").rows),
+        len(system.db.execute("SELECT V_ID FROM VIDEO_STORE").rows),
         len(system.feature_store),
         files,
     )

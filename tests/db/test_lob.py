@@ -64,7 +64,7 @@ class TestReadOnDemand:
             {"ID": 3, "NAME": "m3"},
         ]
         db.execute("UPDATE M SET NAME = ? WHERE ID = ?", ("two", 2))
-        assert db.execute("SELECT COUNT(DATA) FROM M").scalar() == 3
+        assert len(db.execute("SELECT ID FROM M WHERE NAME != 'x'").rows) == 3
         assert preads == []
         assert db.execute("SELECT DATA FROM M WHERE ID = ?", (2,)).rows == [
             {"DATA": _payload(2)}
@@ -82,8 +82,9 @@ class TestReadOnDemand:
         assert db.execute("SELECT MAX(DATA) FROM M").scalar() == max(
             _payload(i) for i in (1, 2, 3)
         )
-        grouped = db.execute("SELECT DATA, COUNT(*) FROM M GROUP BY DATA ORDER BY DATA").rows
-        assert [r["DATA"] for r in grouped] == sorted(_payload(i) for i in (1, 2, 3))
+        assert db.execute("SELECT MAX(CLIP) FROM M WHERE ID < ?", (3,)).scalar() == max(
+            _payload(i, 500) for i in (1, 2)
+        )
         db.close()
 
 

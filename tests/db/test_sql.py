@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.db import sql
+from repro.db import Database, sql
 from repro.db.errors import SqlSyntaxError
 from repro.db.types import NUMBER, ORD_VIDEO, VARCHAR2
 
@@ -103,6 +103,14 @@ class TestInsert:
         stmt, _ = sql.parse("INSERT INTO T (A, B, C) VALUES (-7, 2.5, 1e3)")
         assert stmt.values == (sql.Literal(-7), sql.Literal(2.5), sql.Literal(1000.0))
 
+    def test_values_are_values_not_columns(self):
+        with pytest.raises(SqlSyntaxError, match="expected a value, got 'X'"):
+            sql.parse("INSERT INTO T VALUES (X, 1)")
+
+    def test_column_listed_twice(self):
+        with pytest.raises(SqlSyntaxError, match="'A' appears twice"):
+            sql.parse("INSERT INTO T (A, B, A) VALUES (1, 2, 3)")
+
 
 class TestSelect:
     def test_star(self):
@@ -110,32 +118,30 @@ class TestSelect:
         assert stmt.columns == ()
         assert stmt.where is None
 
-    def test_columns_where_order_limit(self):
+    def test_columns_where_order(self):
         stmt, n = sql.parse(
-            "SELECT A, B FROM T WHERE A > 3 AND B LIKE 'x%' ORDER BY B DESC, A LIMIT 10"
+            "SELECT A, B FROM T WHERE A > 3 AND B LIKE 'x%' ORDER BY B DESC, A"
         )
         assert n == 0
         assert stmt.columns == ("A", "B")
-        assert stmt.limit == 10
         assert stmt.order_by == (
             sql.OrderItem("B", descending=True),
             sql.OrderItem("A", descending=False),
         )
         assert isinstance(stmt.where, sql.And)
+        assert stmt.where.right == sql.Like(sql.ColumnRef("B"), sql.Literal("x%"))
 
-    def test_between_in_isnull(self):
-        stmt, _ = sql.parse(
-            "SELECT * FROM T WHERE (A BETWEEN 1 AND 5) OR A IN (7, 9) OR B IS NOT NULL"
-        )
-        assert isinstance(stmt.where, sql.Or)
+    def test_max(self):
+        stmt, _ = sql.parse("SELECT MAX(I_ID) FROM KEY_FRAMES WHERE V_ID = ?")
+        assert stmt.aggregate == sql.Aggregate("I_ID")
+        assert stmt.aggregate.label == "MAX(I_ID)"
+        assert stmt.columns == ()
 
-    def test_not_variants(self):
-        stmt, _ = sql.parse("SELECT * FROM T WHERE A NOT BETWEEN 1 AND 2")
-        assert stmt.where.negated
-        stmt, _ = sql.parse("SELECT * FROM T WHERE A NOT IN (1)")
-        assert stmt.where.negated
-        stmt, _ = sql.parse("SELECT * FROM T WHERE NOT A = 1")
-        assert isinstance(stmt.where, sql.Not)
+    def test_like_pattern_is_a_value(self):
+        stmt, n = sql.parse("SELECT * FROM T WHERE A LIKE ?")
+        assert stmt.where == sql.Like(sql.ColumnRef("A"), sql.Param(0)) and n == 1
+        with pytest.raises(SqlSyntaxError):
+            sql.parse("SELECT * FROM T WHERE A LIKE B")
 
     def test_parenthesized_boolean(self):
         stmt, _ = sql.parse("SELECT * FROM T WHERE (A = 1 OR B = 2) AND C = 3")
@@ -155,16 +161,20 @@ class TestSelect:
         stmt, n = sql.parse("SELECT * FROM T WHERE A = ? AND B < ?")
         assert n == 2
 
-    def test_negative_limit_rejected(self):
-        with pytest.raises(SqlSyntaxError):
-            sql.parse("SELECT * FROM T LIMIT -1")
-
 
 class TestUpdateDelete:
     def test_update(self):
         stmt, n = sql.parse("UPDATE T SET A = 1, B = ? WHERE C = 2")
         assert n == 1
         assert stmt.assignments == (("A", sql.Literal(1)), ("B", sql.Param(0)))
+
+    def test_set_takes_values_not_columns(self):
+        with pytest.raises(SqlSyntaxError, match="expected a value, got 'X'"):
+            sql.parse("UPDATE T SET X = X")
+
+    def test_column_set_twice(self):
+        with pytest.raises(SqlSyntaxError, match="'A' appears twice"):
+            sql.parse("UPDATE T SET A = 1, B = 2, A = 3")
 
     def test_delete(self):
         stmt, _ = sql.parse("DELETE FROM T WHERE A = 1")
@@ -175,14 +185,39 @@ class TestUpdateDelete:
         assert stmt.where is None
 
 
-class TestDropAndErrors:
-    def test_drop(self):
-        stmt, _ = sql.parse("DROP TABLE T")
-        assert stmt.table == "T" and not stmt.if_exists
+#: the statements the dialect no longer speaks (nothing the system sends)
+REMOVED_FORMS = {
+    "drop_table": "DROP TABLE T",
+    "drop_table_if_exists": "DROP TABLE IF EXISTS T",
+    "count_star": "SELECT COUNT(*) FROM T",
+    "count_column": "SELECT COUNT(A) FROM T",
+    "min": "SELECT MIN(A) FROM T",
+    "sum": "SELECT SUM(A) FROM T",
+    "avg": "SELECT AVG(A) FROM T",
+    "group_by": "SELECT B, COUNT(*) FROM T GROUP BY B ORDER BY B",
+    "limit": "SELECT * FROM T LIMIT 1",
+    "order_by_limit": "SELECT A FROM T ORDER BY A DESC LIMIT 2",
+    "between": "SELECT * FROM T WHERE A BETWEEN 1 AND 5",
+    "not_between": "SELECT * FROM T WHERE A NOT BETWEEN 1 AND 5",
+    "in": "SELECT * FROM T WHERE A IN (1, 3)",
+    "not_in": "DELETE FROM T WHERE A NOT IN (1, 3)",
+    "is_null": "SELECT * FROM T WHERE B IS NULL",
+    "is_not_null": "UPDATE T SET A = 1 WHERE B IS NOT NULL",
+    "not": "SELECT * FROM T WHERE NOT A = 1",
+    "and_not": "SELECT * FROM T WHERE A = 1 AND NOT B = 'x'",
+    "not_like": "SELECT * FROM T WHERE B NOT LIKE 'x%'",
+}
 
-    def test_drop_if_exists(self):
-        stmt, _ = sql.parse("DROP TABLE IF EXISTS T")
-        assert stmt.if_exists
+
+class TestDropAndErrors:
+    @pytest.mark.parametrize("form", sorted(REMOVED_FORMS))
+    def test_removed_form_is_a_syntax_error(self, form):
+        db = Database()
+        db.execute("CREATE TABLE T (A NUMBER PRIMARY KEY, B VARCHAR2(8))")
+        db.execute("INSERT INTO T (A, B) VALUES (1, 'x')")
+        with pytest.raises(SqlSyntaxError):
+            db.execute(REMOVED_FORMS[form])
+        assert db.execute("SELECT * FROM T").rows == [{"A": 1, "B": "x"}]
 
     def test_unknown_statement(self):
         with pytest.raises(SqlSyntaxError):

@@ -6,7 +6,7 @@ import os
 import pytest
 
 from repro.db import Database
-from repro.db.errors import StorageError
+from repro.db.errors import SqlSyntaxError, StorageError
 from repro.db.storage import Storage, read_log
 
 
@@ -176,6 +176,19 @@ class TestCrashTolerance:
         db = Database.open(path)
         assert db.table_names() == []
         db.close()
+
+    def test_logged_statement_outside_the_dialect(self, path):
+        """A log record that parses no more (``DROP TABLE``, say) stops
+        the open with the parser's typed error."""
+        db = Database.open(path)
+        _populate(db)
+        db.close()
+        storage = Storage(path)
+        storage.load_into(Database())
+        storage.log_statement("DROP TABLE T", ())
+        storage.close()
+        with pytest.raises(SqlSyntaxError):
+            Database.open(path)
 
 
 class TestTransactionRecord:
