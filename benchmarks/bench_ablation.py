@@ -7,17 +7,17 @@ design variant:
    query sample) vs best-single-feature;
 2. index pruning on vs off;
 3. key-frame threshold sweep (how many key frames survive per video);
-4. DP sequence similarity vs best-single-key-frame matching for video
-   queries.
+4. query by clip: video P@5 and MAP of the DP sequence similarity
+   (the ``repro.eval.clipquery`` driver).
 """
 
 import numpy as np
 import pytest
 
 from repro.core.config import TABLE1_FEATURES
+from repro.eval.clipquery import run_clip_queries
 from repro.eval.metrics import precision_at_k
 from repro.eval.table1 import run_table1
-from repro.video.generator import VideoSpec, generate_video
 from repro.video.keyframes import KeyFrameExtractor
 
 
@@ -97,33 +97,19 @@ class TestKeyframeThresholdSweep:
 
 
 class TestSequenceAblation:
-    def test_dtw_vs_best_frame_video_retrieval(self, benchmark, eval_setup):
-        """Compare DP sequence alignment against matching on the single best
-        key frame, for fresh clips of every category."""
-        system, _gt = eval_setup
-
-        def sweep():
-            hits_dtw = hits_frame = total = 0
-            for i, category in enumerate(("sports", "cartoon", "news", "movies", "elearning")):
-                clip = generate_video(
-                    VideoSpec(category=category, seed=5000 + i, n_shots=2, frames_per_shot=5)
-                )
-                matches = system.search_by_video(clip, top_k=3)
-                hits_dtw += sum(1 for m in matches if m.category == category)
-                # best-single-frame baseline: query with the clip's first key frame
-                kf = KeyFrameExtractor(base_size=150).extract(list(clip.frames))
-                results = system.search(kf[0][1], top_k=30)
-                top_videos = results.video_ids()[:3]
-                by_video = {r.video_id: r.category for r in results}
-                hits_frame += sum(1 for v in top_videos if by_video[v] == category)
-                total += 3
-            return hits_dtw, hits_frame, total
-
-        hits_dtw, hits_frame, total = benchmark.pedantic(sweep, rounds=1, iterations=1)
-        print(f"\n=== Video-query ablation === DTW {hits_dtw}/{total} vs "
-              f"best-frame {hits_frame}/{total} same-category in top 3")
-        # DP over the whole sequence should not be worse than one frame
-        assert hits_dtw >= hits_frame - 1
+    def test_clip_query_video_precision_and_map(self, benchmark):
+        """Query by clip: 6 fresh clips per category (3 shots x 5 frames)
+        ranked by DTW over key-frame features against the 40 stored
+        videos, on the corpus seed and an unused one."""
+        results = benchmark.pedantic(
+            lambda: [run_clip_queries(seed) for seed in (2012, 4242)],
+            rounds=1, iterations=1,
+        )
+        print("\n=== Clip queries (video P@5 / MAP) ===")
+        for res in results:
+            print(f"  {res.to_text()}")
+        # same-category videos fill most of the top 5
+        assert all(res.p_at_5 > 0.8 and res.map > 0.8 for res in results)
 
 
 class TestExtendedFeatureSet:

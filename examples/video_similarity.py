@@ -2,16 +2,58 @@
 
 The paper: "We use a dynamic programming approach to compute the similarity
 between the feature vectors for the query and feature vectors in the
-feature database."  This example queries the system with whole clips and
-shows the DTW alignment between key-frame feature sequences.
+feature database."  This example queries the system with whole clips
+(DTW over key-frame feature sequences) and draws one gap-penalty global
+alignment between two clips' key-frame signatures.
 
 Run:  python examples/video_similarity.py
 """
 
+from typing import List, Optional, Tuple
+
+import numpy as np
+
 from repro import VideoRetrievalSystem, make_corpus
-from repro.similarity.dp import align_sequences, dtw_distance
+from repro.similarity.dp import dtw_distance, pairwise_cost_matrix
 from repro.video.generator import VideoSpec, generate_video
 from repro.video.keyframes import KeyFrameExtractor
+
+
+def align_sequences(
+    a, b, cost, gap_penalty: float
+) -> Tuple[float, List[Tuple[Optional[int], Optional[int]]]]:
+    """Global alignment (Needleman-Wunsch with costs, minimizing).
+
+    Returns ``(total_cost, pairs)`` where each pair is ``(i, j)`` for a
+    match, ``(i, None)`` for a deletion (a's element unmatched) and
+    ``(None, j)`` for an insertion.
+    """
+    costs = pairwise_cost_matrix(a, b, cost)
+    n, m = costs.shape
+    acc = np.zeros((n + 1, m + 1))
+    acc[:, 0] = np.arange(n + 1) * gap_penalty
+    acc[0, :] = np.arange(m + 1) * gap_penalty
+    for i in range(1, n + 1):
+        for j in range(1, m + 1):
+            acc[i, j] = min(
+                acc[i - 1, j - 1] + costs[i - 1, j - 1],
+                acc[i - 1, j] + gap_penalty,
+                acc[i, j - 1] + gap_penalty,
+            )
+    pairs: List[Tuple[Optional[int], Optional[int]]] = []
+    i, j = n, m
+    while i > 0 or j > 0:
+        if i > 0 and j > 0 and np.isclose(acc[i, j], acc[i - 1, j - 1] + costs[i - 1, j - 1]):
+            pairs.append((i - 1, j - 1))
+            i, j = i - 1, j - 1
+        elif i > 0 and np.isclose(acc[i, j], acc[i - 1, j] + gap_penalty):
+            pairs.append((i - 1, None))
+            i -= 1
+        else:
+            pairs.append((None, j - 1))
+            j -= 1
+    pairs.reverse()
+    return float(acc[n, m]), pairs
 
 
 def main() -> None:
@@ -38,8 +80,6 @@ def main() -> None:
     a = [extractor.signature(f) for _i, f in extractor.extract(query.frames)]
     other = next(v for v in corpus if v.category == "sports")
     b = [extractor.signature(f) for _i, f in extractor.extract(other.frames)]
-
-    import numpy as np
 
     def cost(sa, sb):
         return float(np.sum(np.sqrt(np.sum((sa - sb) ** 2, axis=1))))

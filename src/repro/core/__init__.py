@@ -7,13 +7,9 @@ extraction, range-finder indexing and DB storage), and a **User** role
 that submits a query frame and receives ranked similar videos.
 """
 
-from repro import _lazy_getattr
 from repro.core.config import SystemConfig
 from repro.core.results import RetrievalResult, SearchResults
 from repro.core.system import AdminSession, AuthenticationError, VideoRetrievalSystem
-
-#: imported on first use: a plain query or ingest never runs the feedback loop
-_LAZY = {"FeedbackSession": "repro.core.feedback"}
 
 __all__ = [
     "SystemConfig",
@@ -22,7 +18,4 @@ __all__ = [
     "AuthenticationError",
     "RetrievalResult",
     "SearchResults",
-    "FeedbackSession",
 ]
-
-__getattr__ = _lazy_getattr(globals(), _LAZY)

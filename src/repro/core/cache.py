@@ -1,8 +1,7 @@
 """Query-result cache.
 
 Retrieval workloads repeat themselves: the same query frame is re-issued
-while a user tweaks ``top_k`` or feature weights, and relevance-feedback
-loops re-rank from the same starting vectors.  This LRU keys results on a
+while a user tweaks ``top_k`` or the feature set.  This LRU keys results on a
 content digest of the query (pixel bytes or feature-vector bytes, plus
 every parameter that changes the ranking) **and the store's mutation
 generation**: any ingest, delete, or rename bumps the generation and the

@@ -11,6 +11,9 @@ Deviations from the paper's DDL, each forced by real measurements:
 - ``VIDEO_STORE`` gains a ``CATEGORY`` column: the corpus is organized by
   category ("e-learning, sports, cartoon, movies, etc.", §5) and the
   relevance ground truth needs it.
+- ``VIDEO_STORE`` keeps a ``MOTION`` column, always written NULL.  It once
+  held a clip-level motion descriptor; it stays so that libraries and log
+  tails written with a descriptor in it still open and replay.
 """
 
 from __future__ import annotations

@@ -53,11 +53,6 @@ class SystemConfig:
     #: snapshot file location (None = "<db path>.snap" for durable systems;
     #: in-memory systems skip snapshots unless a path is given)
     snapshot_path: Optional[str] = None
-    # video-to-video similarity
-    sequence_method: str = "dtw"  # 'dtw' or 'align'
-    #: weight of the clip-level motion descriptor in video queries
-    #: (0 = appearance only, the paper's system; 1 = equal to appearance)
-    video_motion_weight: float = 0.0
     # execution layer (repro.runtime)
     #: ingest worker processes: 1 = serial, 0 = auto (REPRO_WORKERS / CPU count)
     workers: int = 1
@@ -109,10 +104,6 @@ class SystemConfig:
             raise ValueError(f"unknown features {sorted(unknown)}; known: {sorted(known)}")
         if self.keyframe_threshold < 0:
             raise ValueError("keyframe_threshold must be >= 0")
-        if self.sequence_method not in ("dtw", "align"):
-            raise ValueError("sequence_method must be 'dtw' or 'align'")
-        if self.video_motion_weight < 0:
-            raise ValueError("video_motion_weight must be non-negative")
         if self.workers < 0:
             raise ValueError("workers must be >= 0 (0 = auto)")
         if self.ann_cells < 1:

@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tupl
 from repro.core.catalog import FEATURE_COLUMNS
 from repro.core.config import SystemConfig
 from repro.core.lanes import analyse_frames
-from repro.core.store import FeatureStore, FrameRecord, frame_record, video_motion
+from repro.core.store import FeatureStore, FrameRecord, frame_record
 from repro.db import sql as ast
 from repro.db.engine import Database
 from repro.db.errors import DatabaseError
@@ -61,6 +61,8 @@ RowParts = Tuple[Bucket, Optional[int], bytes]
 
 # -- the statements Ingestor commits, and their replay onto a store ------------
 
+#: MOTION is written NULL; the insert keeps its text so that logs written
+#: when it held a motion descriptor replay through the same branch
 _VIDEO_COLUMNS = ("V_ID", "V_NAME", "CATEGORY", "VIDEO", "MOTION", "DOSTORE")
 #: a key frame's columns before its feature columns
 _FRAME_COLUMNS = ("I_ID", "I_NAME", "IMAGE", "MIN", "MAX", "MAJORREGIONS", "V_ID")
@@ -140,9 +142,6 @@ def _apply_commit(
             if row["V_ID"] != video["V_ID"]:
                 raise ValueError(f"key frame {row['I_ID']!r} is not of video {video['V_ID']!r}")
             store.add(frame_record(row, video, feature_names))
-        motion = video_motion(video) if len(statements) > 1 else None
-        if motion is not None:
-            store.set_video_motion(int(video["V_ID"]), motion)
     elif tables & _STORE_TABLES:
         raise ValueError(f"{texts[0][:60]!r} is not a write Ingestor makes")
 
@@ -264,19 +263,6 @@ class Ingestor:
         """Tear down the worker pool and its helper thread."""
         self._pool.close()
 
-    @staticmethod
-    def _motion_descriptor(frames: Sequence[Image]) -> FeatureVector:
-        """Clip-level motion activity (zeros for single-frame clips)."""
-        import numpy as np
-
-        from repro.video.motion import MOTION_DIMS, motion_activity
-
-        if len(frames) < 2:
-            values = np.zeros(MOTION_DIMS)
-        else:
-            values = motion_activity(frames)
-        return FeatureVector(kind="motion", values=values, tag="MOTION")
-
     # -- id allocation ----------------------------------------------------------
 
     #: literal MAX() statements per id column (R4: no interpolated SQL)
@@ -324,9 +310,6 @@ class Ingestor:
             with self._stage("keyframes"):
                 key_frames = self.keyframe_extractor.extract(frames)
             stored_on = stored_on or datetime.date(2012, 10, 1)
-            self._policies.check_stage("ingest.motion")
-            with self._stage("motion"):
-                motion = self._motion_descriptor(frames)
 
             # the analysis keeps key_frames' order, so ids and rows are
             # deterministic
@@ -354,7 +337,7 @@ class Ingestor:
                 with self.db.transaction():
                     self.db.execute(
                         _INSERT_VIDEO,
-                        (video_id, name, category, video_blob, motion.to_string(), stored_on),
+                        (video_id, name, category, video_blob, None, stored_on),
                     )
                     for offset, ((frame_index, _frame), features, parts) in enumerate(
                         zip(key_frames, analysis.features, analysis.extras)
@@ -370,7 +353,6 @@ class Ingestor:
             with self._stage("mirror"):
                 for record in new_records:
                     self.store.add(record)
-                self.store.set_video_motion(video_id, motion)
             self._mirrored(before)
 
             root.annotate(video_id=video_id, keyframes=len(new_records))

@@ -163,7 +163,7 @@ def _joined(low: object, high: object) -> object:
 _QUERY_FIELDS = {"image": "frame", "query_vectors": "vectors", "clip": "video"}
 _KIND_OPTIONS = {
     "frame": ("features", "use_index", "nprobe"),
-    "vectors": ("candidate_ids", "weights", "nprobe"),
+    "vectors": ("candidate_ids", "nprobe"),
     "video": ("features",),
 }
 _OPTION_FIELDS = sorted({name for names in _KIND_OPTIONS.values() for name in names})
@@ -175,11 +175,11 @@ class QueryRequest:
 
     Exactly one of ``image`` (a frame query, which also takes
     ``features`` / ``use_index``), ``query_vectors`` (a
-    precomputed-vector query, the feedback loop's shape, which also
-    takes ``candidate_ids`` / ``weights``) or ``clip`` (a video query:
-    the clip's frames, which also takes ``features``; it is always
-    exact and answers with a list of :class:`VideoMatch`) must be set;
-    a field of another kind is rejected, not ignored.
+    precomputed-vector query, which also takes ``candidate_ids``) or
+    ``clip`` (a video query: the clip's frames, which also takes
+    ``features``; it is always exact and answers with a list of
+    :class:`VideoMatch`) must be set; a field of another kind is
+    rejected, not ignored.
     ``deadline`` is an *already ticking* budget -- the serving layer
     creates it at admission time so queue wait counts -- armed around the
     request's per-request stages.  ``nprobe`` overrides ``ann_nprobe``
@@ -194,7 +194,6 @@ class QueryRequest:
     top_k: int = 20
     use_index: Optional[bool] = None
     candidate_ids: Optional[Sequence[int]] = None
-    weights: Optional[Dict[str, float]] = None
     deadline: Optional[Deadline] = None
     nprobe: Optional[int] = None
 
@@ -235,7 +234,6 @@ class _QueryPlan:
     query_vectors: Dict[str, FeatureVector]
     names: List[str]
     top_k: int
-    weights: Optional[Dict[str, float]]
     #: candidate frame ids (an int64 array), in ranking-tie order
     candidate_ids: Sequence[int]
     n_total: int
@@ -266,8 +264,8 @@ class _BatchEntry:
     #: library); a clip's is a list of :class:`VideoMatch`
     results: Optional[object] = None
     plans: List[_QueryPlan] = field(default_factory=list)
-    #: the query clip's frames (clip requests only)
-    clip: Optional[Sequence[Image]] = None
+    #: a clip request (answered with a list of :class:`VideoMatch`)
+    clip: bool = False
     #: "bypass"/"off" when the query cache is not consulted
     cache_mode: Optional[str] = None
     #: the request's one cache key: pixels for a frame request, vectors
@@ -458,16 +456,11 @@ class SearchEngine:
         query_vectors: Dict[str, FeatureVector],
         top_k: int = 20,
         candidate_ids: Optional[Sequence[int]] = None,
-        weights: Optional[Dict[str, float]] = None,
     ) -> SearchResults:
-        """Rank stored frames against precomputed query feature vectors.
-
-        This is the feedback loop's entry point: relevance feedback moves
-        the query vectors and reweights features, then re-ranks without
-        needing an actual query image.  ``weights`` overrides the
-        configuration's fusion weights; ``candidate_ids`` defaults to the
-        whole store (no index pruning -- a moved query vector has no image
-        to bucket).
+        """Rank stored frames against precomputed query feature vectors,
+        fused with the configured weights.  ``candidate_ids`` defaults to
+        the whole store (no index pruning -- a vector has no image to
+        bucket).
         """
         return self._query_one(
             "search.query_vectors",
@@ -475,7 +468,6 @@ class SearchEngine:
                 query_vectors=query_vectors,
                 top_k=top_k,
                 candidate_ids=candidate_ids,
-                weights=weights,
             ),
         )
 
@@ -567,7 +559,7 @@ class SearchEngine:
         to_score = [e for e in to_score if outcomes[e.index] is None]
         plans = [plan for entry in to_score for plan in entry.plans]
         # a clip's distance stage is the shared pass (all of it, in a batch)
-        clips = any(entry.clip is not None for entry in to_score)
+        clips = any(entry.clip for entry in to_score)
         with self._obs.span("search.video.distance", plans=len(plans)) if clips else NULL_SPAN:
             scored = iter(self._score_plans(plans) if plans else [])
         for entry in to_score:
@@ -664,7 +656,7 @@ class SearchEngine:
             "ann_probed": ann_probed,
         }
         plan = self._plan_vectors(
-            query_vectors, list(query_vectors), req.top_k, None, None, req.nprobe, rows
+            query_vectors, list(query_vectors), req.top_k, None, req.nprobe, rows
         )
         return self._planned(entry, plan)
 
@@ -740,7 +732,6 @@ class SearchEngine:
         names: List[str],
         top_k: int,
         candidate_ids: Optional[Sequence[int]],
-        weights: Optional[Dict[str, float]],
         nprobe: Optional[int] = None,
     ) -> tuple:
         """A vector request's query-cache key."""
@@ -749,9 +740,6 @@ class SearchEngine:
             digest_vectors({n: query_vectors[n] for n in names}),
             tuple(names),
             top_k,
-            None
-            if weights is None
-            else tuple(sorted((str(n), float(w)) for n, w in weights.items())),
             None
             if candidate_ids is None
             else digest_array(np.asarray(candidate_ids, dtype=np.int64)),
@@ -767,7 +755,7 @@ class SearchEngine:
         names = [n for n in req.query_vectors if n in self.extractors]
         if not names:
             raise ValueError("query_vectors holds no configured features")
-        args = (req.query_vectors, names, req.top_k, req.candidate_ids, req.weights, req.nprobe)
+        args = (req.query_vectors, names, req.top_k, req.candidate_ids, req.nprobe)
         entry = _BatchEntry(cache_mode=self._cache_bypass())
         if entry.cache_mode is None and self._cached(entry, self._vectors_key(*args)):
             return entry
@@ -780,7 +768,7 @@ class SearchEngine:
         order: the columns of the clip's cost matrices).  Clip answers
         are not cached."""
         names = self._resolve_features(req.features)
-        entry = _BatchEntry(clip=req.clip)
+        entry = _BatchEntry(clip=True)
         if not len(self.store):  # nothing to rank: skip the clip analysis
             entry.results = []
             return entry
@@ -796,7 +784,7 @@ class SearchEngine:
         rows, _spans = self.store.video_spans()
         entry.plans = [
             self._plan_vectors(
-                query_vectors, names, req.top_k, None, None, rows=rows, exact=True
+                query_vectors, names, req.top_k, None, rows=rows, exact=True
             )
             for query_vectors in query_seq
         ]
@@ -807,7 +795,6 @@ class SearchEngine:
         query_vectors: Dict[str, FeatureVector],
         names: List[str],
         top_k: int,
-        weights: Optional[Dict[str, float]],
         candidate_ids: Sequence[int],
         **explain: object,
     ) -> _QueryPlan:
@@ -819,7 +806,6 @@ class SearchEngine:
             query_vectors=query_vectors,
             names=list(names),
             top_k=int(top_k),
-            weights=weights,
             candidate_ids=candidate_ids,
             n_total=n_total,
             explain={
@@ -843,7 +829,6 @@ class SearchEngine:
         names: List[str],
         top_k: int,
         candidate_ids: Optional[Sequence[int]],
-        weights: Optional[Dict[str, float]],
         nprobe: Optional[int] = None,
         rows: Optional[np.ndarray] = None,
         exact: bool = False,
@@ -868,7 +853,6 @@ class SearchEngine:
             query_vectors,
             names,
             top_k,
-            weights,
             candidate_ids,
             ann={"enabled": self.ann is not None, "probed": ann_probed},
         )
@@ -955,7 +939,7 @@ class SearchEngine:
         self, entry: _BatchEntry, scored: List[Dict[str, np.ndarray]]
     ) -> object:
         """Rank, then annotate and cache, after the shared scoring pass."""
-        if entry.clip is not None:
+        if entry.clip:
             return self._finish_video_request(entry, scored)
         return self._finish_entry(entry, self._rank_plan(entry.plans[0], scored[0]))
 
@@ -964,13 +948,11 @@ class SearchEngine:
     ) -> SearchResults:
         """Fusion + stable top-k over the plan's scored distances."""
         names = plan.names
-        weights = plan.weights
         t_fuse = time.perf_counter()
         if len(names) == 1:
             fused = np.asarray(per_feature[names[0]], dtype=np.float64)
         else:
-            if weights is None:
-                weights = {n: self.config.weight_of(n) for n in names}
+            weights = {n: self.config.weight_of(n) for n in names}
             fused = CombinedScorer(FeatureWeights(weights)).fuse(per_feature)
         t_fuse = time.perf_counter() - t_fuse
         plan.explain["timings_ms"] = {
@@ -1060,45 +1042,15 @@ class SearchEngine:
         self._m_fusion_seconds.observe(time.perf_counter() - t_fuse)
 
         with self._obs.span("search.video.dp", videos=len(spans)):
-            distances = span_distances(
-                combined, spans, method=self.config.sequence_method
-            )
+            distances = span_distances(combined, spans)
         matches = []
         for video_id, distance in zip(vids[starts].tolist(), distances):
             video = self.store.video(video_id)
             matches.append(
                 VideoMatch(video_id, video.name, video.category, float(distance))
             )
-        matches = self._blend_motion(entry.clip, matches)
         matches.sort(key=lambda m: m.distance)
         return matches[: max(0, plans[0].top_k)]
-
-    def _blend_motion(self, frames: Sequence[Image], matches: List["VideoMatch"]) -> List["VideoMatch"]:
-        """Mix the clip-level motion distance into the appearance ranking.
-
-        Active only when ``config.video_motion_weight > 0`` and the stored
-        videos carry motion descriptors; both components are min-max
-        normalized over the match set before the weighted blend.
-        """
-        weight = self.config.video_motion_weight
-        if weight <= 0 or len(matches) < 2 or len(frames) < 2:
-            return matches
-        from repro.similarity.measures import canberra
-        from repro.video.motion import motion_activity
-
-        stored = [self.store.video_motion(m.video_id) for m in matches]
-        if any(s is None for s in stored):
-            return matches
-        query_motion = motion_activity(frames)
-        motion_d = np.array([canberra(query_motion, s.values) for s in stored])
-        appearance_d = np.array([m.distance for m in matches])
-        blended = (
-            normalize_scores(appearance_d) + weight * normalize_scores(motion_d)
-        ) / (1.0 + weight)
-        return [
-            VideoMatch(m.video_id, m.video_name, m.category, float(d))
-            for m, d in zip(matches, blended)
-        ]
 
     # -- helpers -------------------------------------------------------------------------
 

@@ -34,7 +34,6 @@ from repro.core.ingest import apply_commits
 from repro.core.store import FeatureColumn, FeatureStore, FrameColumns, VideoInfo
 from repro.db.errors import DatabaseError, StorageError
 from repro.db.storage import Log, Statement, read_log
-from repro.features.base import FeatureVector
 from repro.obs import NULL_OBS, Obs, log
 from repro.resilience import NULL_POLICIES, ResiliencePolicies
 from repro.snapshot import CorruptSnapshotError, Snapshot, SnapshotError, write_snapshot
@@ -92,11 +91,7 @@ def build_snapshot_payload(
     videos: Dict[str, Dict[str, object]] = {}
     for vid in store.video_ids():
         video = store.video(vid)
-        videos[str(vid)] = {
-            "name": video.name,
-            "category": video.category,
-            "motion": video.motion.to_string() if video.motion is not None else None,
-        }
+        videos[str(vid)] = {"name": video.name, "category": video.category}
     meta: Dict[str, object] = {
         "kind": _META_KIND,
         "generation": store.generation,
@@ -141,14 +136,9 @@ def load_snapshot_into_store(snap: Snapshot, store: FeatureStore) -> None:
         raise CorruptSnapshotError(f"{snap.path}: frame table sections disagree")
     if ids.size > 1 and not np.all(ids[1:] > ids[:-1]):
         raise CorruptSnapshotError(f"{snap.path}: frame ids are not ascending")
+    # an image written with per-video "motion" strings opens: the key is unread
     videos = {
-        int(vid): VideoInfo(
-            name=str(vinfo["name"]),
-            category=vinfo.get("category"),
-            motion=FeatureVector.from_string("motion", str(vinfo["motion"]))
-            if vinfo.get("motion")
-            else None,
-        )
+        int(vid): VideoInfo(name=str(vinfo["name"]), category=vinfo.get("category"))
         for vid, vinfo in meta["videos"].items()
     }
     if not set(np.unique(columns.video_ids).tolist()) <= videos.keys():

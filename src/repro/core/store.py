@@ -9,7 +9,7 @@ rebuilt from the table).
 The arrays are the single source of truth.  Per frame, in ascending
 frame-id order: the id, the video id, the §4.2 range-finder bucket
 (``bucket_min`` / ``bucket_max``, the paper's ``MIN`` / ``MAX`` columns)
-and the frame name; per video: name, category and motion; per feature: one
+and the frame name; per video: name and category; per feature: one
 base matrix and one extractor-prepared matrix, row ``i`` describing frame
 ``ids[i]``.  A :class:`FrameRecord` is a view built on demand, the range
 index is a comparison on the bucket columns
@@ -36,7 +36,7 @@ from repro.indexing.rangefinder import Bucket
 
 __all__ = [
     "FrameRecord", "VideoInfo", "FrameColumns", "FeatureColumn", "FeatureStore",
-    "frame_record", "video_motion",
+    "frame_record",
 ]
 
 
@@ -60,11 +60,10 @@ class FrameRecord:
 
 @dataclass(frozen=True)
 class VideoInfo:
-    """One row of the per-video table (``motion``: see repro.video.motion)."""
+    """One row of the per-video table."""
 
     name: str
     category: Optional[str]
-    motion: Optional[FeatureVector] = None
 
 
 class FrameColumns(NamedTuple):
@@ -167,18 +166,6 @@ def frame_record(
         )
     except (KeyError, ValueError, TypeError, AttributeError, OverflowError) as exc:
         raise DatabaseError(f"key frame {row.get('I_ID')!r}: {exc}") from exc
-
-
-def video_motion(video: Mapping[str, object]) -> Optional[FeatureVector]:
-    """A ``VIDEO_STORE`` row's motion descriptor (None when it has none);
-    a malformed one raises :class:`DatabaseError`."""
-    text = video.get("MOTION")
-    if not text:
-        return None
-    try:
-        return FeatureVector.from_string("motion", text)
-    except (ValueError, AttributeError) as exc:
-        raise DatabaseError(f"video {video.get('V_ID')!r} motion: {exc}") from exc
 
 
 def _live(arr: np.ndarray, n: int) -> np.ndarray:
@@ -668,15 +655,6 @@ class FeatureStore:
             return None
         return rows
 
-    # -- clip-level motion ------------------------------------------------------
-
-    def set_video_motion(self, video_id: int, descriptor: FeatureVector) -> None:
-        self._videos[video_id] = replace(self._videos[video_id], motion=descriptor)
-
-    def video_motion(self, video_id: int) -> Optional[FeatureVector]:
-        video = self._videos.get(video_id)
-        return video.motion if video is not None else None
-
     # -- rebuild -----------------------------------------------------------------
 
     def rebuild_from_db(self, db: Database, feature_names: Sequence[str]) -> None:
@@ -685,7 +663,7 @@ class FeatureStore:
         videos = {
             row["V_ID"]: row
             for row in db.execute(
-                "SELECT V_ID, V_NAME, CATEGORY, MOTION FROM VIDEO_STORE"
+                "SELECT V_ID, V_NAME, CATEGORY FROM VIDEO_STORE"
             ).rows
         }
         # the columns frame_record reads: never the key-frame images
@@ -697,7 +675,3 @@ class FeatureStore:
                 self.add(record)
             except (KeyError, ValueError) as exc:  # a duplicate id, a vector of another width
                 raise DatabaseError(f"key frame {record.frame_id}: {exc}") from exc
-        for video_id in list(self._videos):
-            motion = video_motion(videos.get(video_id, {}))
-            if motion is not None:
-                self.set_video_motion(video_id, motion)

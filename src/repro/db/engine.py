@@ -118,10 +118,19 @@ def _value(node, params: Tuple):
     return params[node.index] if isinstance(node, ast.Param) else node.value
 
 
-def _getter(node, schema: TableSchema, params: Tuple) -> Getter:
-    """An operand as a function of the row; a column is resolved here."""
+def _getter(node, schema: TableSchema, params: Tuple, other=None) -> Getter:
+    """An operand as a function of the row; a column is resolved here.
+
+    A string compared with a DATE column (``other``) becomes a date here,
+    once, as ``VALUES`` coerces it on insert: ``D = DATE '2012-10-01'``
+    compares dates, not a date with a string.
+    """
     if not isinstance(node, ast.ColumnRef):
         value = _value(node, params)
+        if isinstance(other, ast.ColumnRef) and isinstance(value, str):
+            sql_type = schema.column(other.name).sql_type
+            if sql_type.type_name == "DATE":
+                value = sql_type.validate(value)
         return lambda row: value
     name = schema.column(node.name).name  # CatalogError for an unknown column
 
@@ -148,8 +157,8 @@ def _compile(node, schema: TableSchema, params: Tuple) -> Predicate:
     if isinstance(node, ast.Compare):
         return _comparison(
             _COMPARISONS[node.op],
-            _getter(node.left, schema, params),
-            _getter(node.right, schema, params),
+            _getter(node.left, schema, params, node.right),
+            _getter(node.right, schema, params, node.left),
         )
     if isinstance(node, ast.Like):
         return _like(_getter(node.operand, schema, params), _value(node.pattern, params))

@@ -11,6 +11,7 @@ This package reproduces that measurement chain:
 - :mod:`repro.eval.metrics` -- precision@k, recall, AP, MAP.
 - :mod:`repro.eval.table1` -- the experiment driver that regenerates
   Table 1 end to end.
+- :mod:`repro.eval.clipquery` -- video P@5 / MAP of query by clip.
 """
 
 from repro.eval.groundtruth import CategoryGroundTruth

@@ -267,7 +267,6 @@ class ShardedSearchEngine(SearchEngine):
         names: List[str],
         top_k: int,
         candidate_ids,
-        weights,
         nprobe=None,
         rows=None,
         exact=False,
@@ -285,7 +284,7 @@ class ShardedSearchEngine(SearchEngine):
         else:
             candidate_arr = self._global_ids
         plan = self._new_plan(
-            query_vectors, names, top_k, weights, candidate_arr,
+            query_vectors, names, top_k, candidate_arr,
             sharded={"shards": self.n_shards, "dispatched": 0},
         )
         if plan.empty is not None:

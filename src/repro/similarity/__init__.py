@@ -1,4 +1,4 @@
-"""Similarity: distance measures, DP sequence alignment, feature fusion.
+"""Similarity: distance measures, DTW sequence alignment, feature fusion.
 
 The paper "use[s] a dynamic programming approach to compute the similarity
 between the feature vectors for the query and feature vectors in the
@@ -6,29 +6,15 @@ feature database" and fuses multiple features into the "Combined" ranking
 that Table 1 shows beating every individual feature.
 """
 
-from repro.similarity.measures import (
-    chi_square,
-    cosine_distance,
-    euclidean,
-    histogram_intersection,
-    jensen_shannon,
-    l1,
-    l2,
-)
-from repro.similarity.dp import align_sequences, dtw_distance, sequence_similarity
+from repro.similarity.measures import euclidean, l1, l2
+from repro.similarity.dp import dtw_distance
 from repro.similarity.fusion import CombinedScorer, FeatureWeights, normalize_scores
 
 __all__ = [
     "l1",
     "l2",
     "euclidean",
-    "chi_square",
-    "cosine_distance",
-    "histogram_intersection",
-    "jensen_shannon",
     "dtw_distance",
-    "align_sequences",
-    "sequence_similarity",
     "CombinedScorer",
     "FeatureWeights",
     "normalize_scores",

@@ -23,18 +23,10 @@ __all__ = [
     "l1",
     "l2",
     "euclidean",
-    "chi_square",
-    "cosine_distance",
-    "histogram_intersection",
-    "jensen_shannon",
     "canberra",
     "l1_batch",
     "l2_batch",
     "canberra_batch",
-    "chi_square_batch",
-    "cosine_distance_batch",
-    "histogram_intersection_batch",
-    "jensen_shannon_batch",
 ]
 
 
@@ -70,61 +62,14 @@ def canberra(a: ArrayLike, b: ArrayLike) -> float:
     return float(np.sum(np.abs(va - vb)[mask] / denom[mask]))
 
 
-def chi_square(a: ArrayLike, b: ArrayLike) -> float:
-    """Chi-square histogram distance: sum of (a-b)^2 / (a+b)."""
-    va, vb = _pair(a, b)
-    denom = va + vb
-    mask = denom > 1e-12
-    return float(np.sum((va - vb)[mask] ** 2 / denom[mask]))
-
-
-def cosine_distance(a: ArrayLike, b: ArrayLike) -> float:
-    """1 - cosine similarity; 0 for parallel vectors, up to 2 for opposite."""
-    va, vb = _pair(a, b)
-    na = np.linalg.norm(va)
-    nb = np.linalg.norm(vb)
-    if na < 1e-12 or nb < 1e-12:
-        return 0.0 if na < 1e-12 and nb < 1e-12 else 1.0
-    return float(1.0 - np.dot(va, vb) / (na * nb))
-
-
-def histogram_intersection(a: ArrayLike, b: ArrayLike) -> float:
-    """1 - normalized histogram intersection (a distance in [0, 1])."""
-    va, vb = _pair(a, b)
-    if np.any(va < 0) or np.any(vb < 0):
-        raise ValueError("histogram intersection requires non-negative inputs")
-    sa, sb = va.sum(), vb.sum()
-    if sa < 1e-12 or sb < 1e-12:
-        return 0.0 if sa < 1e-12 and sb < 1e-12 else 1.0
-    return float(1.0 - np.minimum(va / sa, vb / sb).sum())
-
-
-def jensen_shannon(a: ArrayLike, b: ArrayLike) -> float:
-    """Jensen-Shannon divergence between L1-normalized distributions (nats)."""
-    va, vb = _pair(a, b)
-    if np.any(va < 0) or np.any(vb < 0):
-        raise ValueError("JSD requires non-negative inputs")
-    pa = va / max(1e-12, va.sum())
-    pb = vb / max(1e-12, vb.sum())
-    m = (pa + pb) / 2.0
-
-    def _kl(p: np.ndarray, q: np.ndarray) -> float:
-        mask = p > 0
-        return float(np.sum(p[mask] * np.log(p[mask] / np.maximum(q[mask], 1e-300))))
-
-    return 0.5 * _kl(pa, m) + 0.5 * _kl(pb, m)
-
-
 # -- batch variants -----------------------------------------------------------
 #
 # One query vector against a (n, d) candidate matrix -> (n,) distances.
 
 
-def _batch_pair(
-    q: ArrayLike, matrix: ArrayLike, cast: bool = True
-) -> Tuple[np.ndarray, np.ndarray]:
+def _batch_pair(q: ArrayLike, matrix: ArrayLike) -> Tuple[np.ndarray, np.ndarray]:
     vq = np.asarray(q, dtype=np.float64).ravel()
-    m = np.asarray(matrix, dtype=np.float64 if cast else None)
+    m = np.asarray(matrix)  # blocks are cast as they are read
     if m.ndim == 1:
         m = m.reshape(1, -1)
     if m.ndim != 2:
@@ -159,7 +104,7 @@ def _blocked(
     whole-matrix expression would reduce it, so the result is bitwise
     independent of the block size.
     """
-    vq, m = _batch_pair(q, matrix, cast=False)  # blocks are cast as they are read
+    vq, m = _batch_pair(q, matrix)
     if rows is not None:
         rows = np.asarray(rows, dtype=np.intp).ravel()
         if rows.size and not -len(m) <= rows.min() <= rows.max() < len(m):
@@ -226,55 +171,3 @@ def canberra_batch(
 ) -> np.ndarray:
     """Row-wise Canberra distances (zero-denominator terms skipped)."""
     return _blocked(q, matrix, rows, _canberra_block, n_scratch=2)
-
-
-def chi_square_batch(q: ArrayLike, matrix: ArrayLike) -> np.ndarray:
-    """Row-wise chi-square histogram distances."""
-    vq, m = _batch_pair(q, matrix)
-    denom = m + vq
-    num = (m - vq) ** 2
-    return np.where(denom > 1e-12, num / np.maximum(denom, 1e-300), 0.0).sum(axis=1)
-
-
-def cosine_distance_batch(q: ArrayLike, matrix: ArrayLike) -> np.ndarray:
-    """Row-wise ``1 - cosine similarity`` with the scalar's zero-norm rules."""
-    vq, m = _batch_pair(q, matrix)
-    nq = np.linalg.norm(vq)
-    norms = np.linalg.norm(m, axis=1)
-    if nq < 1e-12:
-        return np.where(norms < 1e-12, 0.0, 1.0)
-    out = 1.0 - (m @ vq) / (np.maximum(norms, 1e-300) * nq)
-    return np.where(norms < 1e-12, 1.0, out)
-
-
-def histogram_intersection_batch(q: ArrayLike, matrix: ArrayLike) -> np.ndarray:
-    """Row-wise ``1 - normalized histogram intersection``."""
-    vq, m = _batch_pair(q, matrix)
-    if np.any(vq < 0) or np.any(m < 0):
-        raise ValueError("histogram intersection requires non-negative inputs")
-    sq = vq.sum()
-    sums = m.sum(axis=1)
-    if sq < 1e-12:
-        return np.where(sums < 1e-12, 0.0, 1.0)
-    pq = vq / sq
-    pm = m / np.maximum(sums, 1e-300)[:, np.newaxis]
-    out = 1.0 - np.minimum(pm, pq).sum(axis=1)
-    return np.where(sums < 1e-12, 1.0, out)
-
-
-def jensen_shannon_batch(q: ArrayLike, matrix: ArrayLike) -> np.ndarray:
-    """Row-wise Jensen-Shannon divergences between L1-normalized rows."""
-    vq, m = _batch_pair(q, matrix)
-    if np.any(vq < 0) or np.any(m < 0):
-        raise ValueError("JSD requires non-negative inputs")
-    pq = vq / max(1e-12, vq.sum())
-    pm = m / np.maximum(m.sum(axis=1), 1e-12)[:, np.newaxis]
-    mid = (pm + pq) / 2.0
-
-    def _kl(p: np.ndarray, r: np.ndarray) -> np.ndarray:
-        terms = np.where(
-            p > 0, p * np.log(np.maximum(p, 1e-300) / np.maximum(r, 1e-300)), 0.0
-        )
-        return terms.sum(axis=1)
-
-    return 0.5 * _kl(np.broadcast_to(pq, pm.shape), mid) + 0.5 * _kl(pm, mid)

@@ -8,8 +8,8 @@ record, ``CombinedScorer.fuse``, a stable argsort.
 ``search_by_video`` scores every query key frame against the prepared
 stacks through the blocked kernels and fills all DP tables in one batched
 recurrence; this is the composition it must equal bit for bit -- an
-explicitly gathered raw stack per feature, one ``dtw_distance`` /
-``align_score`` table per stored video on the same fused matrix.
+explicitly gathered raw stack per feature, one ``dtw_distance`` table
+per stored video on the same fused matrix.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.core.search import SearchEngine
 from repro.core.store import FeatureStore, FrameRecord
-from repro.similarity.dp import align_score, dtw_distance
+from repro.similarity.dp import dtw_distance
 from repro.similarity.fusion import CombinedScorer, FeatureWeights, normalize_scores
 
 
@@ -83,13 +83,7 @@ def reference_clip_ranking(
     for vid, n in lengths.items():
         block = combined[:, column:column + n]
         column += n
-        if config.sequence_method == "dtw":
-            distance = dtw_distance(range(nq), range(n), block)
-        else:
-            distance = align_score(
-                range(nq), range(n), block, 0.5  # span_distances' default gap penalty
-            ) / (nq + n)
-        ranking.append((vid, distance))
+        ranking.append((vid, dtw_distance(range(nq), range(n), block)))
     ranking.sort(key=lambda pair: pair[1])
     return ranking
 

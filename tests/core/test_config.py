@@ -19,7 +19,7 @@ class TestConfig:
         # fixed policies live as defaulted arguments where they are used
         # (ResiliencePolicies, MicroBatcher's BATCH_MAX), not here
         names = {f.name for f in dataclasses.fields(SystemConfig)}
-        assert len(names) == 28
+        assert len(names) == 26
         assert not names & {
             "batch_window_ms", "batch_max", "retry_attempts", "retry_base_delay",
             "retry_max_elapsed", "retry_seed", "breaker_failure_threshold",
@@ -28,6 +28,8 @@ class TestConfig:
             # ResiliencePolicies' defaults; partial shard answers are always served
             "resilience", "fault_spec", "breaker_window", "breaker_cooldown",
             "shard_partial_ok",
+            # clip queries are DTW over appearance features alone
+            "sequence_method", "video_motion_weight",
         }
 
     def test_unknown_feature_rejected(self):
@@ -43,8 +45,11 @@ class TestConfig:
             SystemConfig(keyframe_threshold=-1)
 
     def test_bad_sequence_method_rejected(self):
-        with pytest.raises(ValueError):
-            SystemConfig(sequence_method="greedy")
+        # DTW is the one clip similarity: no field, no alias for the old knobs
+        with pytest.raises(TypeError):
+            SystemConfig(sequence_method="dtw")
+        with pytest.raises(TypeError):
+            SystemConfig(video_motion_weight=0.0)
 
     def test_weights(self):
         c = SystemConfig(features=("sch", "glcm"), fusion_weights={"sch": 2.0})

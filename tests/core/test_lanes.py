@@ -313,9 +313,8 @@ def test_frame_query_matches_the_one_lane_answer(monkeypatch, tiny_corpus, featu
         system.close()
 
 
-@pytest.mark.parametrize("method", ["dtw", "align"])
-def test_clip_query_matches_the_one_lane_answer(monkeypatch, tiny_corpus, clip, method):
-    system = _ingest(tiny_corpus, SystemConfig(sequence_method=method))
+def test_clip_query_matches_the_one_lane_answer(monkeypatch, tiny_corpus, clip):
+    system = _ingest(tiny_corpus, SystemConfig())
     try:
         key_frames = [f for _i, f in system.engine.keyframe_extractor.extract(list(clip.frames))]
         extractors = system.engine.extractors

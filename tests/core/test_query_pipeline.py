@@ -217,10 +217,9 @@ def test_clip_ranks_like_the_reference_on_either_engine(engine, ingested_system)
     )
 
 
-@pytest.mark.parametrize("method", ["dtw", "align"])
 @pytest.mark.parametrize("sharded", [False, True], ids=["base", "3-shard"])
 def test_clip_over_gathered_rows_equals_the_reference(
-    ingested_system, small_corpus, tmp_path, sharded, method
+    ingested_system, small_corpus, tmp_path, sharded
 ):
     """Frame ids dealt round-robin across videos: video-major order is
     not stack order, so every clip plan carries ``rows``."""
@@ -229,7 +228,7 @@ def test_clip_over_gathered_rows_equals_the_reference(
     records = [source.get(fid) for fid in source.frame_ids()[: sum(lengths)]]
     store = relaid_store(records, lengths, interleave=True)
     assert store.video_spans()[0] is not None
-    config = replace(ingested_system.config, sequence_method=method)
+    config = ingested_system.config
     if sharded:
         split_store(store, str(tmp_path), 3)
         engine = ShardedSearchEngine(config, read_manifest(str(tmp_path))[1])
@@ -281,9 +280,7 @@ def test_failing_request_raises_solo_and_stays_in_its_slot(
 
 
 class TestQueryRequestValidation:
-    @pytest.mark.parametrize(
-        "field, value", [("candidate_ids", [1]), ("weights", {"sch": 1.0})]
-    )
+    @pytest.mark.parametrize("field, value", [("candidate_ids", [1])])
     def test_frame_request_rejects_vector_fields(self, gradient_image, field, value):
         with pytest.raises(ValueError, match=field):
             QueryRequest(image=gradient_image, **{field: value})
@@ -296,8 +293,7 @@ class TestQueryRequestValidation:
     @pytest.mark.parametrize(
         "field, value",
         [
-            ("candidate_ids", [1]), ("weights", {"sch": 1.0}),
-            ("use_index", False), ("nprobe", 2),
+            ("candidate_ids", [1]), ("use_index", False), ("nprobe", 2),
         ],
     )
     def test_clip_request_rejects_frame_and_vector_fields(

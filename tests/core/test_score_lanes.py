@@ -97,12 +97,11 @@ def _answers(engine, requests):
     return [_answer(outcome) for outcome in engine.query_batch(requests)]
 
 
-@pytest.mark.parametrize("method", ["dtw", "align"])
 def test_every_query_kind_is_bitwise_the_one_lane_answer(
-    monkeypatch, ingested_system, engine_for, scoring_threads, method
+    monkeypatch, ingested_system, engine_for, scoring_threads
 ):
     requests = _requests(ingested_system)
-    engine = engine_for(sequence_method=method)
+    engine = engine_for()
     _crossover(monkeypatch, NEVER)
     one_lane = _answers(engine, requests)
     assert scoring_threads == [threading.current_thread().name]
@@ -118,7 +117,7 @@ def test_every_query_kind_is_bitwise_the_one_lane_answer(
 
     with WorkerPool(workers=2) as pool:
         scoring_threads.clear()
-        assert _answers(engine_for(pool=pool, sequence_method=method), requests) == one_lane
+        assert _answers(engine_for(pool=pool), requests) == one_lane
         assert not any(name.startswith("repro-lane") for name in scoring_threads)
 
     _one_cpu(monkeypatch)

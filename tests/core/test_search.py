@@ -103,16 +103,6 @@ class TestVideoQuery:
         with pytest.raises(ValueError):
             ingested_system.search_by_video([])
 
-    def test_align_method(self, small_corpus):
-        from repro.core.config import SystemConfig
-        from repro.core.system import VideoRetrievalSystem
-
-        s = VideoRetrievalSystem.in_memory(SystemConfig(sequence_method="align"))
-        s.admin.add_video(small_corpus[0])
-        s.admin.add_video(small_corpus[4])
-        matches = s.search_by_video(small_corpus[0], top_k=2)
-        assert matches[0].video_name == small_corpus[0].name
-
 
 class TestClipQueryEqualsReference:
     """Bitwise: batched kernels + one batched DP == the step-by-step composition."""
@@ -120,9 +110,8 @@ class TestClipQueryEqualsReference:
     #: stored videos of unequal length, one of them a single key frame
     LENGTHS = (3, 1, 5, 2, 4)
 
-    def engine(self, ingested_system, method, store):
-        config = replace(ingested_system.config, sequence_method=method)
-        return SearchEngine(config, store, ingested_system._index)
+    def engine(self, ingested_system, store):
+        return SearchEngine(ingested_system.config, store, ingested_system._index)
 
     def records(self, ingested_system):
         store = ingested_system.feature_store
@@ -134,36 +123,33 @@ class TestClipQueryEqualsReference:
             VideoSpec(category="sports", seed=99, n_shots=3, frames_per_shot=3)
         )
 
-    @pytest.mark.parametrize("method", ["dtw", "align"])
     @pytest.mark.parametrize("interleave", [False, True])
-    def test_unequal_lengths(self, ingested_system, clip, method, interleave):
+    def test_unequal_lengths(self, ingested_system, clip, interleave):
         store = relaid_store(self.records(ingested_system), self.LENGTHS, interleave)
         # interleaved ids: video-major order != stack row order, the gather branch
         assert (store.video_spans()[0] is not None) == interleave
-        engine = self.engine(ingested_system, method, store)
+        engine = self.engine(ingested_system, store)
         want = reference_clip_ranking(engine, clip.frames)
         assert len(want) == len(self.LENGTHS)
         assert ranking_of(engine.query_video(clip, top_k=len(want))) == want
         assert ranking_of(engine.query_video(clip, top_k=2)) == want[:2]
 
-    @pytest.mark.parametrize("method", ["dtw", "align"])
-    def test_one_key_frame_query(self, ingested_system, clip, method):
+    def test_one_key_frame_query(self, ingested_system, clip):
         store = relaid_store(self.records(ingested_system), self.LENGTHS, True)
-        engine = self.engine(ingested_system, method, store)
+        engine = self.engine(ingested_system, store)
         query = [clip.frames[0]]
         assert len(engine.keyframe_extractor.extract(query)) == 1
         assert ranking_of(engine.query_video(query, top_k=9)) == reference_clip_ranking(
             engine, query
         )
 
-    @pytest.mark.parametrize("method", ["dtw", "align"])
-    def test_session_corpus(self, ingested_system, clip, method):
-        engine = self.engine(ingested_system, method, ingested_system.feature_store)
+    def test_session_corpus(self, ingested_system, clip):
+        engine = self.engine(ingested_system, ingested_system.feature_store)
         want = reference_clip_ranking(engine, clip.frames)
         assert ranking_of(engine.query_video(clip, top_k=len(want))) == want
 
     def test_empty_store(self, ingested_system, clip):
-        engine = self.engine(ingested_system, "dtw", FeatureStore())
+        engine = self.engine(ingested_system, FeatureStore())
         assert engine.query_video(clip, top_k=3) == []
 
     def test_empty_library_skips_the_clip_analysis(self, clip, monkeypatch):

@@ -144,7 +144,7 @@ class TestPartialFeatures:
 
     def test_take_and_merged_are_inverse(self):
         store = _partial_store()
-        store.set_video_motion(2, _vec("motion", 9))
+        store.rename_video(2, "renamed")
         columns = store.columns
         evens = store.take(np.flatnonzero(columns.video_ids % 2 == 0))
         odds = store.take(np.flatnonzero(columns.video_ids % 2 == 1))
@@ -152,8 +152,8 @@ class TestPartialFeatures:
         assert evens.generation == evens.structure_generation == 2
         whole = FeatureStore.merged([evens, odds])
         _same_frames(store, whole)
-        assert whole.video_motion(2) == store.video_motion(2)
-        assert whole.video_motion(1) is None
+        assert [whole.video(v) for v in (1, 2)] == [store.video(v) for v in (1, 2)]
+        assert whole.video(2).name == "renamed"
         with pytest.raises(KeyError):
             FeatureStore.merged([evens, evens])
 

@@ -86,6 +86,27 @@ class TestInsert:
             {"ID": 7, "D": datetime.date(2012, 6, 15)},
         ]
 
+    @pytest.fixture()
+    def dated(self, db):
+        for row_id in (6, 7):
+            db.execute("INSERT INTO T (ID, D) VALUES (?, DATE '2012-10-01')", (row_id,))
+        return db
+
+    def test_date_literal_equals_a_stored_date(self, dated):
+        rows = dated.execute("SELECT ID FROM T WHERE D = DATE '2012-10-01' ORDER BY ID").rows
+        assert rows == [{"ID": 6}, {"ID": 7}]
+        assert dated.execute(
+            "SELECT ID FROM T WHERE D = ? ORDER BY ID", (datetime.date(2012, 10, 1),)
+        ).rows == rows
+
+    def test_date_literal_orders_against_stored_dates(self, dated):
+        assert len(dated.execute("SELECT ID FROM T WHERE D < DATE '2013-01-01'").rows) == 2
+        assert dated.execute("SELECT ID FROM T WHERE D < DATE '2012-10-01'").rows == []
+
+    def test_date_literal_at_or_after(self, dated):
+        assert len(dated.execute("SELECT ID FROM T WHERE D >= DATE '2012-10-01'").rows) == 2
+        assert dated.execute("SELECT ID FROM T WHERE DATE '2012-10-02' <= D").rows == []
+
     def test_param_count_mismatch(self, db):
         with pytest.raises(SqlSyntaxError):
             db.execute("INSERT INTO T (ID) VALUES (?)", (1, 2))

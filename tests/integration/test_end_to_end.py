@@ -113,7 +113,6 @@ class TestEndToEnd:
             fusion_weights={"gabor": 2.0},
             use_index=False,
             keyframe_threshold=400.0,
-            sequence_method="align",
         )
         system = VideoRetrievalSystem.in_memory(config)
         for v in small_corpus[:4]:

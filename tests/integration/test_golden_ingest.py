@@ -78,7 +78,7 @@ def test_video_row_is_byte_identical(golden):
     (_, fast, _), (_, reference, _) = golden
     assert len(fast) == len(reference) == 1
     assert bytes(fast[0]["VIDEO"]) == bytes(reference[0]["VIDEO"])
-    assert fast[0] == reference[0]  # name, category, MOTION string, date
+    assert fast[0] == reference[0]  # name, category, MOTION (NULL), date
 
 
 def test_same_key_frames_buckets_and_images(golden):

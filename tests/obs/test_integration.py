@@ -76,7 +76,7 @@ class TestMetricsSurface:
         assert "search.extract" in child_names
         ingest = traces[names.index("ingest.add_video")]
         stages = {c["name"] for c in ingest["children"]}
-        assert {"ingest.encode", "ingest.keyframes", "ingest.motion",
+        assert {"ingest.encode", "ingest.keyframes",
                 "ingest.features", "ingest.db_txn", "ingest.mirror"} <= stages
 
     def test_ingest_stages_close_the_books(self):
@@ -86,11 +86,12 @@ class TestMetricsSurface:
             admin.add_video(_video(seed))
         reg = s.metrics()["registry"]
         samples = reg["repro_ingest_stage_seconds"]["samples"]
-        # motion is a stage like the rest: timed once per video
-        assert {x["labels"]["stage"]: x["count"] for x in samples}["motion"] == 3
+        stages = ("encode", "keyframes", "features", "db_txn", "mirror")
+        # every stage is timed once per video
+        assert {x["labels"]["stage"]: x["count"] for x in samples} == dict.fromkeys(stages, 3)
         for trace in s.recent_traces():
             assert trace["name"] == "ingest.add_video"
-            assert "ingest.motion" in {c["name"] for c in trace["children"]}
+            assert {f"ingest.{n}" for n in stages} <= {c["name"] for c in trace["children"]}
         # and with it the stages account for the ingest: over the three videos
         # together (a wall-clock ratio, so a floor a scheduler stall between
         # two stages cannot reach), never more than the whole

@@ -120,12 +120,9 @@ def shard_paths3(clean_system, tmp_path_factory):
     return read_manifest(str(out))[1]
 
 
-@pytest.mark.parametrize("method", ["dtw", "align"])
 @pytest.mark.parametrize("kind", ["solo", "sharded"])
-def test_degraded_clip_equals_the_survivors_reference(
-    clean_system, shard_paths3, kind, method
-):
-    config = clean_system.config.with_(sequence_method=method)
+def test_degraded_clip_equals_the_survivors_reference(clean_system, shard_paths3, kind):
+    config = clean_system.config
     store, index = clean_system.feature_store, clean_system._index
     obs = Obs()
     policies = ResiliencePolicies(fault_spec="extractor.gabor:every=1", obs=obs)

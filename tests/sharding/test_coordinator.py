@@ -13,6 +13,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.core.search import SearchEngine
 from repro.core.system import VideoRetrievalSystem
 from repro.sharding import ShardedSearchEngine, read_manifest, shard_of, split_store
 from repro.video.generator import VideoSpec, generate_video
@@ -86,17 +87,21 @@ class TestVectorQueries:
         assert _key(sharded) == _key(base)
         assert sharded.n_candidates == len(subset)
 
-    def test_weight_override_identical(
-        self, ingested_system, coordinator, query_vectors
-    ):
-        weights = {"sch": 3.0, "glcm": 0.25, "tamura": 1.5}
-        base = ingested_system.engine.query_with_vectors(
-            query_vectors, top_k=12, weights=weights
+    def test_weight_override_identical(self, ingested_system, shard_paths, query_vectors):
+        """Unequal configured fusion weights fuse the same on both sides."""
+        config = ingested_system.config.with_(
+            fusion_weights={"sch": 3.0, "glcm": 0.25, "tamura": 1.5}
         )
-        sharded = coordinator.query_with_vectors(
-            query_vectors, top_k=12, weights=weights
-        )
-        assert _key(sharded) == _key(base)
+        solo = SearchEngine(config, ingested_system.feature_store, ingested_system._index)
+        sharded = ShardedSearchEngine(config, shard_paths)
+        try:
+            want = solo.query_with_vectors(query_vectors, top_k=12)
+            assert _key(sharded.query_with_vectors(query_vectors, top_k=12)) == _key(want)
+            plain = ingested_system.engine.query_with_vectors(query_vectors, top_k=12)
+            assert [h.distance for h in want] != [h.distance for h in plain]
+        finally:
+            sharded.close()
+            solo.close()
 
     def test_empty_candidate_list(self, coordinator, query_vectors):
         results = coordinator.query_with_vectors(
@@ -110,10 +115,9 @@ class TestVectorQueries:
 class TestVideoQueries:
     # session corpus, base vs 3-shard, solo vs batch: the model test in
     # tests/core/test_query_pipeline.py
-    @pytest.mark.parametrize("method", ["dtw", "align"])
     @pytest.mark.parametrize("n_shards", [1, 2, 3, 4])
     def test_hand_built_store_equals_the_reference(
-        self, ingested_system, small_corpus, tmp_path, method, n_shards
+        self, ingested_system, small_corpus, tmp_path, n_shards
     ):
         # unequal lengths (one single-key-frame video), frame ids dealt
         # round-robin across videos: every shard has to gather rows
@@ -121,10 +125,9 @@ class TestVideoQueries:
         lengths = (3, 1, 5, 2, 4)
         records = [source.get(fid) for fid in source.frame_ids()[: sum(lengths)]]
         store = relaid_store(records, lengths, interleave=True)
-        config = replace(ingested_system.config, sequence_method=method)
         split_store(store, str(tmp_path), n_shards)
         _, paths = read_manifest(str(tmp_path))
-        engine = ShardedSearchEngine(config, paths)
+        engine = ShardedSearchEngine(ingested_system.config, paths)
         try:
             for clip in (small_corpus[3], [small_corpus[6].frames[0]]):
                 frames = clip if isinstance(clip, list) else clip.frames

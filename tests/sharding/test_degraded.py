@@ -72,16 +72,15 @@ def test_degraded_ranking_equals_complement_corpus(
     assert results.n_candidates == len(survivors)
 
 
-@pytest.mark.parametrize("method", ["dtw", "align"])
 @pytest.mark.parametrize("spec,failed", [("shard.query:once", 0), ("shard.query:every=3", 2)])
 def test_degraded_clip_ranking_equals_complement_corpus(
-    ingested_system, shard_paths, small_corpus, spec, failed, method
+    ingested_system, shard_paths, small_corpus, spec, failed
 ):
     """A clip missing shard *s* is aligned against the surviving videos
     only, normalized over their frames only: the ranking of an engine
     whose store holds just the surviving partitions."""
     clip = small_corpus[4]
-    engine = _engine(ingested_system, shard_paths, spec, sequence_method=method)
+    engine = _engine(ingested_system, shard_paths, spec)
     try:
         matches = engine.query_video(clip, top_k=20)
     finally:

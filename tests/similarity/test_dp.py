@@ -5,14 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.similarity.dp import (
-    align_score,
-    align_sequences,
-    dtw_distance,
-    pairwise_cost_matrix,
-    sequence_similarity,
-    span_distances,
-)
+from repro.similarity.dp import dtw_distance, pairwise_cost_matrix, span_distances
 
 
 def scalar_cost(a, b):
@@ -73,54 +66,7 @@ class TestDtw:
         )
 
 
-class TestAlignment:
-    def test_identical_full_match(self):
-        total, pairs = align_sequences([1, 2, 3], [1, 2, 3], scalar_cost, gap_penalty=10)
-        assert total == 0.0
-        assert pairs == [(0, 0), (1, 1), (2, 2)]
-
-    def test_insertion_gap(self):
-        total, pairs = align_sequences([1, 3], [1, 2, 3], scalar_cost, gap_penalty=0.6)
-        assert total == pytest.approx(0.6)
-        assert (None, 1) in pairs
-
-    def test_deletion_gap(self):
-        total, pairs = align_sequences([1, 2, 3], [1, 3], scalar_cost, gap_penalty=0.6)
-        assert (1, None) in pairs
-
-    def test_expensive_gaps_force_matches(self):
-        total, pairs = align_sequences([0, 10], [1, 11], scalar_cost, gap_penalty=100)
-        assert pairs == [(0, 0), (1, 1)]
-        assert total == pytest.approx(2.0)
-
-    def test_cheap_gaps_avoid_bad_matches(self):
-        total, pairs = align_sequences([0], [100], scalar_cost, gap_penalty=1)
-        matched = [(i, j) for i, j in pairs if i is not None and j is not None]
-        assert matched == []
-        assert total == pytest.approx(2.0)
-
-    def test_empty_sequences(self):
-        total, pairs = align_sequences([], [1, 2], scalar_cost, gap_penalty=3)
-        assert total == 6.0
-        assert pairs == [(None, 0), (None, 1)]
-
-
 class TestSequenceSimilarity:
-    def test_dtw_method(self):
-        assert sequence_similarity([1, 2], [1, 2], scalar_cost, method="dtw") == 0.0
-
-    def test_align_method_requires_gap(self):
-        with pytest.raises(ValueError):
-            sequence_similarity([1], [1], scalar_cost, method="align")
-
-    def test_align_method(self):
-        d = sequence_similarity([1], [1], scalar_cost, method="align", gap_penalty=1)
-        assert d == 0.0
-
-    def test_unknown_method(self):
-        with pytest.raises(ValueError):
-            sequence_similarity([1], [1], scalar_cost, method="lcs")
-
     def test_works_on_feature_vectors(self):
         from repro.features.base import FeatureVector
         from repro.similarity.measures import l2
@@ -153,15 +99,6 @@ class TestPrecomputedCosts:
         assert dtw_distance(self.a, self.b, m, window=1) == dtw_distance(
             self.a, self.b, scalar_cost, window=1
         )
-        assert align_sequences(self.a, self.b, m, 0.7) == align_sequences(
-            self.a, self.b, scalar_cost, 0.7
-        )
-
-    def test_align_score_is_the_alignment_total(self):
-        for gap in (0.1, 0.7, 50.0):
-            total, _pairs = align_sequences(self.a, self.b, scalar_cost, gap)
-            assert align_score(self.a, self.b, scalar_cost, gap) == total
-        assert align_score([], [1, 2], scalar_cost, 3) == 6.0
 
 
 class TestSpanDistances:
@@ -180,19 +117,13 @@ class TestSpanDistances:
         if data.draw(st.booleans()):
             costs = np.round(costs, 1)  # ties between the three predecessors
         spans = [slice(start, start + n) for start, n in zip(starts, lengths)]
-        for method, kwargs in (("dtw", {}), ("align", {"gap_penalty": 0.3})):
-            got = span_distances(costs, spans, method=method, **kwargs)
-            assert got.shape == (len(spans),)
-            for v, span in enumerate(spans):
-                want = sequence_similarity(
-                    range(n_query), range(lengths[v]), costs[:, span], method=method, **kwargs
-                )
-                assert got[v] == want
+        got = span_distances(costs, spans)
+        assert got.shape == (len(spans),)
+        for v, span in enumerate(spans):
+            assert got[v] == dtw_distance(range(n_query), range(lengths[v]), costs[:, span])
 
     def test_argument_checks(self):
         costs = np.ones((2, 3))
-        with pytest.raises(ValueError):
-            span_distances(costs, [slice(0, 3)], method="lcs")
         with pytest.raises(ValueError):
             span_distances(costs, [slice(0, 3), slice(3, 3)])  # DTW of an empty sequence
         with pytest.raises(ValueError):

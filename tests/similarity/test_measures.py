@@ -9,10 +9,6 @@ from repro.similarity import measures
 from repro.similarity.measures import (
     canberra,
     canberra_batch,
-    chi_square,
-    cosine_distance,
-    histogram_intersection,
-    jensen_shannon,
     l1,
     l1_batch,
     l2,
@@ -24,13 +20,7 @@ finite_vec = st.lists(
     min_size=1,
     max_size=20,
 )
-nonneg_vec = st.lists(
-    st.floats(min_value=0, max_value=1e6, allow_nan=False),
-    min_size=1,
-    max_size=20,
-)
-
-ALL_MEASURES = [l1, l2, canberra, chi_square, cosine_distance, histogram_intersection, jensen_shannon]
+ALL_MEASURES = [l1, l2, canberra]
 
 
 class TestKnownValues:
@@ -43,26 +33,6 @@ class TestKnownValues:
     def test_canberra(self):
         assert canberra([1, 0], [3, 0]) == pytest.approx(0.5)
 
-    def test_chi_square(self):
-        assert chi_square([2, 0], [0, 2]) == pytest.approx(4.0)
-
-    def test_cosine_orthogonal(self):
-        assert cosine_distance([1, 0], [0, 1]) == pytest.approx(1.0)
-
-    def test_cosine_parallel(self):
-        assert cosine_distance([1, 2], [2, 4]) == pytest.approx(0.0)
-
-    def test_cosine_opposite(self):
-        assert cosine_distance([1, 0], [-1, 0]) == pytest.approx(2.0)
-
-    def test_intersection_identical(self):
-        assert histogram_intersection([1, 3], [2, 6]) == pytest.approx(0.0)
-
-    def test_intersection_disjoint(self):
-        assert histogram_intersection([1, 0], [0, 1]) == pytest.approx(1.0)
-
-    def test_jsd_disjoint_is_ln2(self):
-        assert jensen_shannon([1, 0], [0, 1]) == pytest.approx(np.log(2))
 
 
 class TestEdgeCases:
@@ -72,19 +42,10 @@ class TestEdgeCases:
                 m([1, 2], [1, 2, 3])
 
     def test_zero_vectors(self):
-        assert cosine_distance([0, 0], [0, 0]) == 0.0
-        assert cosine_distance([0, 0], [1, 0]) == 1.0
-        assert histogram_intersection([0, 0], [0, 0]) == 0.0
         assert canberra([0, 0], [0, 0]) == 0.0
 
-    def test_negative_inputs_rejected_where_required(self):
-        with pytest.raises(ValueError):
-            histogram_intersection([-1, 2], [1, 2])
-        with pytest.raises(ValueError):
-            jensen_shannon([-1, 2], [1, 2])
 
-
-@pytest.mark.parametrize("measure", [l1, l2, canberra, chi_square])
+@pytest.mark.parametrize("measure", [l1, l2, canberra])
 class TestMetricPropertiesSigned:
     @settings(max_examples=30, deadline=None)
     @given(a=finite_vec)

@@ -21,8 +21,8 @@ from repro.sharding import split_library
 from repro.video.generator import VideoSpec, generate_video
 
 #: modules imported after ``import numpy`` by a plain serve's first answer.
-#: Measured on CPython 3.11 / NumPy 2.4: 169; 196 with the corpus generator,
-#: ``repro.sharding``, ``repro.indexing.ann``, the feedback loop and
+#: Measured on CPython 3.11 / NumPy 2.4: 169; about 195 with the corpus
+#: generator, ``repro.sharding``, ``repro.indexing.ann`` and
 #: ``multiprocessing`` imported eagerly; 519 with SciPy on the import path.
 #: The slack is for other interpreter and NumPy versions, not for new imports.
 MODULE_CEILING = 180
@@ -34,7 +34,6 @@ NOT_ON_A_PLAIN_SERVE = (
     "repro.imaging.draw",
     "repro.sharding",
     "repro.indexing.ann",
-    "repro.core.feedback",
     "repro.eval",
     "repro.analysis",
     "concurrent.futures.process",
