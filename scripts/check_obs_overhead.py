@@ -54,7 +54,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--seed", type=int, default=2012)
     args = parser.parse_args(argv)
 
-    system = VideoRetrievalSystem.in_memory(SystemConfig(workers=1))
+    system = VideoRetrievalSystem.in_memory(SystemConfig())
     for video in make_corpus(videos_per_category=1, seed=args.seed,
                              width=64, height=48, n_shots=6,
                              frames_per_shot=3)[: args.videos]:

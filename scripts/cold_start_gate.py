@@ -102,7 +102,7 @@ def _build_library(library: str, videos_per_category: int, n_shots: int) -> str:
         n_shots=n_shots,
         frames_per_shot=3,
     )
-    system = VideoRetrievalSystem.open(library, SystemConfig(workers=0))
+    system = VideoRetrievalSystem.open(library, SystemConfig())
     for video in corpus:
         system.admin.add_video(video)
     system.admin.checkpoint()  # folds the DB WAL and writes the snapshot
@@ -167,7 +167,7 @@ def _inflate_blobs(library: str, out: str, factor: int = 8) -> int:
 
     for suffix in ("", ".wal"):
         shutil.copy2(library + suffix, out + suffix)
-    system = VideoRetrievalSystem.open(out, SystemConfig(workers=0))
+    system = VideoRetrievalSystem.open(out, SystemConfig())
     db = system.db
     videos = [row["V_ID"] for row in db.execute("SELECT V_ID FROM VIDEO_STORE").rows]
     blob_bytes = sum(len(row["VIDEO"]) for row in db.execute("SELECT VIDEO FROM VIDEO_STORE").rows)
@@ -178,7 +178,7 @@ def _inflate_blobs(library: str, out: str, factor: int = 8) -> int:
     system.close()
     # SQL writes the store does not mirror: the reopen rebuilds it, and the
     # checkpoint stamps a fresh image at the last commit
-    system = VideoRetrievalSystem.open(out, SystemConfig(workers=0))
+    system = VideoRetrievalSystem.open(out, SystemConfig())
     system.admin.checkpoint()
     system.close()
     return blob_bytes + len(stream) * len(videos)

@@ -85,7 +85,6 @@ def main(argv=None) -> int:
     os.makedirs(args.artifact_dir, exist_ok=True)
 
     config = SystemConfig(
-        workers=0,
         query_cache_size=0,  # every query must reach the shards
         obs_slow_query_ms=0.0001,
         obs_slow_log_size=32,

@@ -58,7 +58,7 @@ def _build_system(videos_per_category: int, n_shots: int, **config_overrides):
         frames_per_shot=3,
     )
     system = VideoRetrievalSystem.in_memory(
-        SystemConfig(workers=0, **config_overrides)
+        SystemConfig(**config_overrides)
     )
     for video in corpus:
         system.admin.add_video(video)
@@ -232,7 +232,6 @@ def main(argv=None) -> int:
         2, 3,
         query_cache_size=0,
         serving_queue_limit=4,
-        serving_degrade_depth=0,
     )
     overload_body = overload_system.any_key_frame().encode("ppm")
     server = AsyncCbvrServer(overload_system)

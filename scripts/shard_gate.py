@@ -56,7 +56,7 @@ def _build_system(videos_per_category: int, n_shots: int):
         n_shots=n_shots,
         frames_per_shot=3,
     )
-    system = VideoRetrievalSystem.in_memory(SystemConfig(workers=0))
+    system = VideoRetrievalSystem.in_memory(SystemConfig())
     for video in corpus:
         system.admin.add_video(video)
     print(f"corpus: {len(corpus)} videos, {system.n_key_frames()} key frames")

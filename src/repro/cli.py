@@ -50,9 +50,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("videos", nargs="+", help=".rvf files to ingest")
     p.add_argument("--category", default=None,
                    help="category label (default: inferred from file name)")
-    p.add_argument("--workers", type=int, default=1,
-                   help="feature-extraction worker processes "
-                        "(1 = serial, 0 = auto-detect CPUs)")
 
     p = sub.add_parser("list", help="list the library's videos")
     p.add_argument("library")
@@ -169,16 +166,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _open_system(
-    path: str,
-    admin_password: Optional[str] = None,
-    workers: int = 1,
+    path: str, admin_password: Optional[str] = None
 ) -> "VideoRetrievalSystem":
     from repro.core.config import SystemConfig
     from repro.core.system import VideoRetrievalSystem
 
-    config = None
-    if admin_password or workers != 1:
-        config = SystemConfig(admin_password=admin_password, workers=workers)
+    config = SystemConfig(admin_password=admin_password) if admin_password else None
     return VideoRetrievalSystem.open(path, config)
 
 
@@ -203,7 +196,7 @@ def _cmd_demo_corpus(args: argparse.Namespace) -> int:
 def _cmd_ingest(args: argparse.Namespace) -> int:
     from repro.video.codec import RvfReader
 
-    system = _open_system(args.library, workers=args.workers)
+    system = _open_system(args.library)
     admin = system.login_admin()
     for path in args.videos:
         name = os.path.splitext(os.path.basename(path))[0]

@@ -53,9 +53,6 @@ class SystemConfig:
     #: snapshot file location (None = "<db path>.snap" for durable systems;
     #: in-memory systems skip snapshots unless a path is given)
     snapshot_path: Optional[str] = None
-    # execution layer (repro.runtime)
-    #: ingest worker processes: 1 = serial, 0 = auto (REPRO_WORKERS / CPU count)
-    workers: int = 1
     # observability (repro.obs): metrics registry + tracing + structured logs
     #: master gate; False swaps every instrumentation point for shared no-ops
     obs_enabled: bool = True
@@ -84,12 +81,6 @@ class SystemConfig:
     #: queued-request ceiling: requests arriving beyond it are shed with
     #: HTTP 429 + Retry-After instead of queueing without bound
     serving_queue_limit: int = 128
-    #: queue depth at which admitted requests degrade (fewer features,
-    #: lower ``ann_nprobe``) before any shedding starts; 0 disables the
-    #: degrade rung of the ladder
-    serving_degrade_depth: int = 64
-    #: features a load-degraded request keeps (front of ``features``)
-    serving_degrade_features: int = 2
     # admin authentication (None = open access)
     admin_password: Optional[str] = None
 
@@ -104,8 +95,6 @@ class SystemConfig:
             raise ValueError(f"unknown features {sorted(unknown)}; known: {sorted(known)}")
         if self.keyframe_threshold < 0:
             raise ValueError("keyframe_threshold must be >= 0")
-        if self.workers < 0:
-            raise ValueError("workers must be >= 0 (0 = auto)")
         if self.ann_cells < 1:
             raise ValueError("ann_cells must be >= 1")
         if self.ann_nprobe < 1:
@@ -133,15 +122,6 @@ class SystemConfig:
             )
         if self.serving_queue_limit < 1:
             raise ValueError("serving_queue_limit must be >= 1")
-        if self.serving_degrade_depth < 0:
-            raise ValueError("serving_degrade_depth must be >= 0 (0 = disabled)")
-        if self.serving_degrade_depth > self.serving_queue_limit:
-            raise ValueError(
-                "serving_degrade_depth must not exceed serving_queue_limit "
-                "(degrade must kick in before shedding)"
-            )
-        if self.serving_degrade_features < 1:
-            raise ValueError("serving_degrade_features must be >= 1")
         if self.shards > 1 and self.ann:
             raise ValueError(
                 "ann is not supported with sharded serving (shards > 1): "

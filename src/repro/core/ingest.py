@@ -13,9 +13,8 @@
 Step 3 is the CPU hot path -- the six ``TABLE1_FEATURES`` extractors over
 every key frame -- and is pure per-frame computation, so it runs through
 :func:`repro.core.lanes.analyse_frames`: the Gabor bank on the pool's
-helper thread beside the rest, or fanned out over worker processes when
-``config.workers > 1``.  The DB writes of step 4 stay in one transaction on
-the calling thread either way, and the results are byte-identical to a
+helper thread beside the rest.  The DB writes of step 4 stay in one
+transaction on the calling thread, and the results are byte-identical to a
 one-thread run.
 
 The commits ``Ingestor`` writes are also how a store catches up with the
@@ -46,7 +45,7 @@ from repro.indexing.rangefinder import Bucket, RangeFinder
 from repro.indexing.tree import RangeIndex
 from repro.obs import NULL_OBS, Obs, log
 from repro.resilience import NULL_POLICIES, ResiliencePolicies
-from repro.runtime import WorkerPool, resolve_workers
+from repro.runtime import WorkerPool
 from repro.video.codec import encode_rvf_bytes
 from repro.video.keyframes import KeyFrameExtractor
 
@@ -151,8 +150,8 @@ def _row_parts(
 ) -> RowParts:
     """What ``_ingest_frame`` needs besides features and the DB.
 
-    Module-level and side-effect free so a :class:`WorkerPool` can ship it
-    to worker processes.
+    Side-effect free: it runs on the calling thread while the helper lane
+    extracts from the same frames.
     """
     major_regions = None
     if fallback_regions is not None:
@@ -226,7 +225,7 @@ class Ingestor:
         self._fallback_regions = (
             None if "regions" in self.extractors else get_extractor("regions")
         )
-        self._pool = pool or WorkerPool(workers=resolve_workers(config.workers))
+        self._pool = pool or WorkerPool()
         self._obs = obs
         self._policies = policies
         self._log = log.get_logger(__name__)

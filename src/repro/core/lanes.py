@@ -9,18 +9,16 @@ bank: pocketfft and bank-sized ufuncs) run over all frames on the pool's
 helper thread while the calling thread runs the others and the caller's
 own per-frame work (``per_frame``: the index bucket and the PPM blob on
 ingest).  Extractors that hold the GIL get slower on two threads, so the
-split is one lane for what releases it and one for the rest.  With
-``workers > 1`` the pool's processes are the parallelism instead: the
-frames go out in chunks and each worker runs one lane over its chunk.
-Either way the result is what one thread computes, in frame order.
+split is one lane for what releases it and one for the rest.  Without a
+helper lane (a one-CPU affinity mask) this thread runs them all.  Either
+way the result is what one thread computes, in frame order.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import Executor, wait
+from concurrent.futures import wait
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.features.base import FeatureExtractor, FeatureVector
@@ -58,40 +56,10 @@ def analyse_frames(
     and only once the helper lane has finished.  With ``degrade`` (a
     query's rule) an extractor that raises is dropped from every frame
     instead, its error kept in ``failed``; :class:`DeadlineExceeded`
-    still propagates.  ``per_frame`` must be picklable (a module-level
-    function or a ``partial`` of one) when ``pool`` has worker processes.
+    still propagates.
     """
     frames = list(frames)
-    if pool.workers == 1 or len(frames) < 2:
-        analysis = _analyse(frames, extractors, per_frame, pool.lane(), degrade)
-    else:
-        # ~4 chunks per worker, so one slow chunk does not leave the others idle
-        n = min(len(frames), pool.workers * 4)
-        bounds = [len(frames) * i // n for i in range(n + 1)]
-        parts = pool.map(
-            partial(_analyse, extractors=extractors, per_frame=per_frame, degrade=degrade),
-            [frames[a:b] for a, b in zip(bounds, bounds[1:])],
-        )
-        analysis = FrameAnalysis(
-            [f for part in parts for f in part.features],
-            [s for part in parts for s in part.seconds],
-            [e for part in parts for e in part.extras],
-            {name: e for part in parts for name, e in part.failed.items()},
-        )
-    # extractor order, without the features some frame lost
-    kept = [n for n in extractors if n not in analysis.failed]
-    analysis.features = [{n: f[n] for n in kept} for f in analysis.features]
-    return analysis
-
-
-def _analyse(
-    frames: List[Image],
-    extractors: Dict[str, FeatureExtractor],
-    per_frame: Optional[Callable[[Image], object]] = None,
-    lane: Optional[Executor] = None,
-    degrade: bool = False,
-) -> FrameAnalysis:
-    """One chunk of frames: on ``lane`` and this thread, or this thread alone."""
+    lane = pool.lane()
     side: Dict[str, FeatureExtractor] = {}
     if lane is not None:
         side = {n: e for n, e in extractors.items() if e.releases_gil}
@@ -113,6 +81,9 @@ def _analyse(
         features = [{**a, **b} for a, b in zip(features, side_features)]
         seconds = [{**a, **b} for a, b in zip(seconds, side_seconds)]
         failed.update(side_failed)
+    # extractor order, without the features some frame lost
+    kept = [n for n in extractors if n not in failed]
+    features = [{n: f[n] for n in kept} for f in features]
     return FrameAnalysis(features, seconds, extras, failed)
 
 

@@ -55,7 +55,7 @@ from repro.resilience import (
     ResiliencePolicies,
     armed_deadline,
 )
-from repro.runtime import WorkerPool, resolve_workers
+from repro.runtime import WorkerPool
 from repro.similarity.dp import span_distances
 from repro.similarity.fusion import CombinedScorer, FeatureWeights, normalize_scores
 from repro.video.keyframes import KeyFrameExtractor
@@ -162,8 +162,8 @@ def _joined(low: object, high: object) -> object:
 #: that kind takes (``top_k`` / ``deadline`` belong to every kind)
 _QUERY_FIELDS = {"image": "frame", "query_vectors": "vectors", "clip": "video"}
 _KIND_OPTIONS = {
-    "frame": ("features", "use_index", "nprobe"),
-    "vectors": ("candidate_ids", "nprobe"),
+    "frame": ("features", "use_index"),
+    "vectors": ("candidate_ids",),
     "video": ("features",),
 }
 _OPTION_FIELDS = sorted({name for names in _KIND_OPTIONS.values() for name in names})
@@ -182,9 +182,7 @@ class QueryRequest:
     rejected, not ignored.
     ``deadline`` is an *already ticking* budget -- the serving layer
     creates it at admission time so queue wait counts -- armed around the
-    request's per-request stages.  ``nprobe`` overrides ``ann_nprobe``
-    for this frame or vector request only (the admission controller's
-    degrade ladder).
+    request's per-request stages.
     """
 
     image: Optional[Image] = None
@@ -195,7 +193,6 @@ class QueryRequest:
     use_index: Optional[bool] = None
     candidate_ids: Optional[Sequence[int]] = None
     deadline: Optional[Deadline] = None
-    nprobe: Optional[int] = None
 
     def __post_init__(self) -> None:
         if sum(getattr(self, name) is not None for name in _QUERY_FIELDS) != 1:
@@ -314,7 +311,7 @@ class SearchEngine:
             threshold=config.keyframe_threshold,
             base_size=config.keyframe_base_size,
         )
-        self._pool = pool or WorkerPool(workers=resolve_workers(config.workers))
+        self._pool = pool or WorkerPool()
         #: IVF candidate index (None when ``config.ann`` is off); trained
         #: lazily on the first probe and self-synced against the store
         if config.ann:
@@ -625,8 +622,6 @@ class SearchEngine:
         entry = _BatchEntry(cache_mode=self._cache_bypass())
         if entry.cache_mode is None:  # no pixel digest when the cache is off
             key = ("frame", digest_array(req.image.pixels), tuple(names), req.top_k, use_index)
-            if req.nprobe is not None:
-                key = key + (("nprobe", int(req.nprobe)),)
             if self._cached(entry, key):
                 return entry
         self._policies.check_stage("search.prune")
@@ -646,7 +641,7 @@ class SearchEngine:
         if self.ann is not None and rows is not None:
             # compose with the range index: a frame must survive both
             with self._obs.span("search.ann.probe"):
-                ann_ids = self._ann_probe(query_vectors, req.nprobe)
+                ann_ids = self._ann_probe(query_vectors)
             ann_probed = ann_ids is not None
             if ann_ids is not None:
                 rows = rows[np.isin(self.store.ids[rows], ann_ids)]
@@ -656,7 +651,7 @@ class SearchEngine:
             "ann_probed": ann_probed,
         }
         plan = self._plan_vectors(
-            query_vectors, list(query_vectors), req.top_k, None, req.nprobe, rows
+            query_vectors, list(query_vectors), req.top_k, None, rows
         )
         return self._planned(entry, plan)
 
@@ -695,26 +690,17 @@ class SearchEngine:
             raise failed[degraded[-1]]  # nothing survived: degradation is impossible
         return analysis.features, degraded
 
-    def _ann_probe(
-        self,
-        query_vectors: Dict[str, FeatureVector],
-        nprobe: Optional[int] = None,
-    ):
-        """IVF probe.
+    def _ann_probe(self, query_vectors: Dict[str, FeatureVector]):
+        """IVF probe of the ``config.ann_nprobe`` nearest cells.
 
         Returns the candidate ids, or None for the exact brute-force
-        fallback, taken whenever the probe fails.  ``nprobe`` overrides
-        ``config.ann_nprobe`` (the serving degrade ladder widens recall
-        back out once pressure drops).
+        fallback, taken whenever the probe fails.
         """
         if self.ann is None:
             return None
-        if nprobe is None:
-            nprobe = self.config.ann_nprobe
-        nprobe = max(1, min(int(nprobe), self.config.ann_cells))
         try:
             self._policies.fire("ann.probe")
-            return self.ann.probe(query_vectors, nprobe)
+            return self.ann.probe(query_vectors, self.config.ann_nprobe)
         except DeadlineExceeded:
             raise
         except Exception as exc:
@@ -732,10 +718,9 @@ class SearchEngine:
         names: List[str],
         top_k: int,
         candidate_ids: Optional[Sequence[int]],
-        nprobe: Optional[int] = None,
     ) -> tuple:
         """A vector request's query-cache key."""
-        key = (
+        return (
             "vectors",
             digest_vectors({n: query_vectors[n] for n in names}),
             tuple(names),
@@ -744,18 +729,13 @@ class SearchEngine:
             if candidate_ids is None
             else digest_array(np.asarray(candidate_ids, dtype=np.int64)),
         )
-        # an nprobe override (the serving degrade ladder) computes a
-        # different candidate set; only then does it widen the key
-        if nprobe is not None:
-            key = key + (("nprobe", int(nprobe)),)
-        return key
 
     def _prepare_vectors_request(self, req: QueryRequest) -> _BatchEntry:
         """Validation, cache lookup on the vectors and the scoring plan."""
         names = [n for n in req.query_vectors if n in self.extractors]
         if not names:
             raise ValueError("query_vectors holds no configured features")
-        args = (req.query_vectors, names, req.top_k, req.candidate_ids, req.nprobe)
+        args = (req.query_vectors, names, req.top_k, req.candidate_ids)
         entry = _BatchEntry(cache_mode=self._cache_bypass())
         if entry.cache_mode is None and self._cached(entry, self._vectors_key(*args)):
             return entry
@@ -829,7 +809,6 @@ class SearchEngine:
         names: List[str],
         top_k: int,
         candidate_ids: Optional[Sequence[int]],
-        nprobe: Optional[int] = None,
         rows: Optional[np.ndarray] = None,
         exact: bool = False,
     ) -> _QueryPlan:
@@ -839,7 +818,7 @@ class SearchEngine:
         self._policies.check_stage("search.score")
         ann_probed = False
         if not exact and candidate_ids is None and rows is None and self.ann is not None:
-            candidate_ids = self._ann_probe(query_vectors, nprobe)
+            candidate_ids = self._ann_probe(query_vectors)
             ann_probed = candidate_ids is not None
         if candidate_ids is not None:
             # one binary search maps candidate ids to stack rows for every

@@ -30,7 +30,7 @@ from repro.indexing.rangefinder import RangeFinder
 from repro.indexing.tree import RangeIndex
 from repro.obs import Obs
 from repro.resilience import ResiliencePolicies
-from repro.runtime import WorkerPool, resolve_workers
+from repro.runtime import WorkerPool
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.video.generator import SyntheticVideo
@@ -96,11 +96,10 @@ class VideoRetrievalSystem:
         )
         # a view of the store's bucket columns: it follows every write
         self._index = RangeIndex(finder, self._store)
-        # one worker pool shared by ingest and search (lazy: serial configs
-        # never spawn processes)
-        self._pool = WorkerPool(workers=resolve_workers(self.config.workers))
+        # one pool shared by ingest and search, for its helper lane (it
+        # never spawns a worker process: nothing here submits to it)
+        self._pool = WorkerPool()
         self._pool.attach_obs(self.obs)
-        self._pool.attach_resilience(self.resilience)
         self._ingestor = Ingestor(
             self.db, self.config, self._store, self._index, pool=self._pool,
             obs=self.obs, policies=self.resilience,

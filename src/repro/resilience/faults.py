@@ -4,7 +4,6 @@ The pipeline declares a fault point only where a fallback stands behind
 it, or where a failure must leave nothing behind::
 
     db.execute          one SQL statement execution (-> the transaction rolls back)
-    pool.map            one worker-pool dispatch (-> the work is redone serially)
     ann.probe           one IVF candidate-index probe (-> exact brute force)
     shard.query         one scatter-gather shard dispatch (-> partial result)
     extractor.<name>    one query frame's or clip key frame's extraction (-> degraded)
@@ -49,7 +48,6 @@ FAULTS_ENV_VAR = "REPRO_FAULTS"
 KNOWN_POINTS = frozenset(
     {
         "db.execute",
-        "pool.map",
         "ann.probe",
         "shard.query",
     }

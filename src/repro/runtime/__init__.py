@@ -1,15 +1,14 @@
-"""Execution layer: process-pool fan-out for the ingest/search hot paths.
+"""Execution layer: how the ingest/search hot paths use more than one core.
 
 ``repro.runtime`` owns *how* work is spread over cores so the pipeline
 layers (`core.ingest`, `core.search`) only say *what* to compute.  The
-contract is deliberately narrow: an order-preserving chunked ``map`` that
-degrades to the plain serial loop whenever parallelism cannot help
-(one worker, one item) or cannot work (unpicklable task, dead pool),
-a ``submit``/``result`` pair for long-lived tasks pinned to
-persistent worker processes (the sharded scatter-gather path), and
-``lane()``, one helper thread for NumPy work that releases the GIL.
+contract is deliberately narrow: ``lane()``, one helper thread for NumPy
+work that releases the GIL, and a ``submit``/``result`` pair for
+long-lived tasks pinned to persistent worker processes (the sharded
+scatter-gather path), which degrades to running the task in-process when
+a worker cannot take it (unpicklable task, dead pool).
 """
 
-from repro.runtime.pool import PoolTask, WorkerPool, parallel_map, resolve_workers
+from repro.runtime.pool import PoolTask, WorkerPool
 
-__all__ = ["PoolTask", "WorkerPool", "parallel_map", "resolve_workers"]
+__all__ = ["PoolTask", "WorkerPool"]

@@ -1,6 +1,6 @@
 """The HTTP/1.1 front door: an asyncio listener over one retrieval system.
 
-``POST /search`` takes the fast path: admission control (shed/degrade on
+``POST /search`` takes the fast path: admission control (shed on
 queue depth), then a :class:`~repro.core.search.QueryRequest` with an
 already-ticking deadline goes through the :class:`MicroBatcher`, which
 scores whatever queued while the previous batch ran in one
@@ -79,9 +79,7 @@ class AsyncCbvrServer:
         self.api = CbvrApi(system)
         self.host = host
         self.port = port
-        self.admission = AdmissionController(
-            system.config, obs=system.obs, policies=system.resilience
-        )
+        self.admission = AdmissionController(system.config, obs=system.obs)
         self.batcher = MicroBatcher(self._execute_batch, obs=system.obs)
         self._server: Optional["asyncio.base_events.Server"] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
@@ -264,9 +262,8 @@ class AsyncCbvrServer:
 
     async def _handle_search(self, body: bytes, query: Dict[str, str]) -> _Reply:
         t0 = time.perf_counter()
-        extra: Dict[str, str] = {}
         try:
-            degrade = self.admission.admit(self.batcher.depth, self.batcher.service_seconds)
+            self.admission.admit(self.batcher.depth, self.batcher.service_seconds)
             image, feature_list, top_k, explain = parse_search_request(body, query)
             request = QueryRequest(
                 image=image,
@@ -275,13 +272,9 @@ class AsyncCbvrServer:
                 # Created here, not in the engine: queue wait burns budget.
                 deadline=self.system.resilience.new_deadline(),
             )
-            if degrade is not None:
-                request.features = degrade.features
-                request.nprobe = degrade.nprobe
-                extra["X-Degraded"] = "load"
             results = await self.batcher.submit(request)
             payload = json.dumps(search_payload(results, explain)).encode()
-            reply: _Reply = (200, "application/json", payload, extra)
+            reply: _Reply = (200, "application/json", payload, {})
         except OverloadedError as exc:
             body_429 = json.dumps(
                 {

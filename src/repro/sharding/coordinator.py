@@ -267,7 +267,6 @@ class ShardedSearchEngine(SearchEngine):
         names: List[str],
         top_k: int,
         candidate_ids,
-        nprobe=None,
         rows=None,
         exact=False,
     ) -> _QueryPlan:

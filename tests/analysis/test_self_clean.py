@@ -73,7 +73,7 @@ def test_one_pipeline_for_all_three_query_kinds():
     }
     assert overridden == {"_plan_vectors", "_score_plans", "_rank_plan", "close"}
     assert [n for n in worker.__all__ if n.startswith("score_")] == ["score_vectors_shard"]
-    assert len(dataclasses.fields(SystemConfig)) == 26
+    assert len(dataclasses.fields(SystemConfig)) == 23
 
 
 def test_numpy_is_the_only_import_outside_the_stdlib():
@@ -107,10 +107,32 @@ def test_resilience_keeps_only_the_failure_handling_it_needs():
     knobs = ("resilience", "fault_spec", "breaker_window", "breaker_cooldown", "shard_partial_ok")
     gone = re.compile(
         r"\b(?:Retry|Backoff|RetryExhausted|ann_breaker|pool_breaker)\b(?!-)"
-        r'|"(?:snapshot\.open|serving\.request|codec\.decode)"'
+        r'|"(?:snapshot\.open|serving\.request|codec\.decode|pool\.map|serving\.load)"'
         r"|\bconfig\.(?:" + "|".join(knobs) + r")\b"
     )
     for module in PACKAGE_DIR.rglob("*.py"):
         assert not gone.findall(module.read_text()), module
     assert not {f.name for f in dataclasses.fields(SystemConfig)} & set(knobs)
     assert policy.__all__ == ["CircuitBreaker", "BREAKER_STATES"]
+
+
+def test_one_way_to_use_the_second_core():
+    """The helper lane is the only parallelism inside the process, and an
+    admitted request gets the full answer: no process fan-out, worker-count
+    knob or environment variable, and no load-degrade rung."""
+    import repro.runtime
+    import repro.serving
+    from repro.runtime import WorkerPool
+
+    for module, name in (
+        (repro.runtime, "resolve_workers"),
+        (repro.runtime, "parallel_map"),
+        (repro.serving, "DegradeDecision"),
+        (WorkerPool, "map"),
+        (WorkerPool, "attach_resilience"),
+    ):
+        assert not hasattr(module, name), name
+    gone = ("resolve_workers", "REPRO_WORKERS", "DegradeDecision", "X-Degraded", "chunk_size")
+    for module in PACKAGE_DIR.rglob("*.py"):
+        source = module.read_text()
+        assert not [name for name in gone if name in source], module

@@ -87,7 +87,7 @@ class TestRecallAndExactness:
 
 class TestSystemLevelANN:
     def test_end_to_end_with_ingest(self):
-        config = SystemConfig(workers=1, ann=True, ann_cells=3, query_cache_size=0)
+        config = SystemConfig(ann=True, ann_cells=3, query_cache_size=0)
         system = VideoRetrievalSystem.in_memory(config)
         admin = system.login_admin()
         for seed in (61, 62):

@@ -19,7 +19,7 @@ class TestConfig:
         # fixed policies live as defaulted arguments where they are used
         # (ResiliencePolicies, MicroBatcher's BATCH_MAX), not here
         names = {f.name for f in dataclasses.fields(SystemConfig)}
-        assert len(names) == 26
+        assert len(names) == 23
         assert not names & {
             "batch_window_ms", "batch_max", "retry_attempts", "retry_base_delay",
             "retry_max_elapsed", "retry_seed", "breaker_failure_threshold",
@@ -30,6 +30,9 @@ class TestConfig:
             "shard_partial_ok",
             # clip queries are DTW over appearance features alone
             "sequence_method", "video_motion_weight",
+            # the helper lane is the one in-process parallelism; an admitted
+            # request always gets the full answer
+            "workers", "serving_degrade_depth", "serving_degrade_features",
         }
 
     def test_unknown_feature_rejected(self):

@@ -63,6 +63,17 @@ def _rows(system):
     return [dict(r) for r in rows], [dict(r) for r in videos]
 
 
+def _rows_ingested_in_a_worker(parent_pid):
+    """A submit task: ingest the module's corpus in the worker process."""
+    assert os.getpid() != parent_pid
+    corpus = make_corpus(videos_per_category=1, seed=42, n_shots=2, frames_per_shot=4)[:3]
+    system = _ingest(corpus)
+    try:
+        return _rows(system)
+    finally:
+        system.close()
+
+
 @pytest.fixture(scope="module")
 def two_lane_rows(tiny_corpus):
     system = _ingest(tiny_corpus)
@@ -89,19 +100,7 @@ class TestAnalyseFrames:
                 assert vectors[name] == extractor.extract(frame)
             assert extra == _brightness(frame)
 
-    def test_worker_processes_run_one_lane_each(self, clip):
-        extractors = {name: get_extractor(name) for name in FEATURES}
-        frames = list(clip.frames)[:5]
-        with WorkerPool(workers=1) as pool:
-            lanes = analyse_frames(frames, extractors, pool)
-        with WorkerPool(workers=2) as pool:
-            fanned = analyse_frames(frames, extractors, pool)
-            assert pool.lane() is None
-        assert fanned.features == lanes.features
-        assert fanned.extras == [None] * len(frames)
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_degrade_drops_a_feature_from_every_frame(self, monkeypatch, clip, workers):
+    def test_degrade_drops_a_feature_from_every_frame(self, monkeypatch, clip):
         real = GaborTexture.extract
         frames = list(clip.frames)[:5]
         calls = []
@@ -114,10 +113,9 @@ class TestAnalyseFrames:
 
         monkeypatch.setattr(GaborTexture, "extract", third_fails)
         extractors = {name: get_extractor(name) for name in FEATURES}
-        with WorkerPool(workers=workers) as pool:
+        with WorkerPool(workers=1) as pool:
             analysis = analyse_frames(frames, extractors, pool, degrade=True)
-            if workers == 1:
-                assert len(calls) == 3  # not run again after its failure
+            assert len(calls) == 3  # not run again after its failure
             with pytest.raises(_LaneFailure):
                 analyse_frames(frames, extractors, pool)  # a write stops there
         assert list(analysis.failed) == ["gabor"]
@@ -155,18 +153,17 @@ class TestIngest:
     def test_forked_workers_after_the_lane_match_serial_bytes(
         self, tiny_corpus, two_lane_rows
     ):
-        # the parent has a live helper thread when the workers fork
+        # the parent has a live helper thread when the worker forks
         parent = _ingest(tiny_corpus[:1])
-        parallel = None
         try:
             if _two_cpus():
                 assert parent._pool._lane is not None
-            parallel = _ingest(tiny_corpus, SystemConfig(workers=2))
-            assert _rows(parallel) == two_lane_rows
+            with WorkerPool(workers=1) as pool:
+                task = pool.submit(_rows_ingested_in_a_worker, os.getpid())
+                assert not task.inline
+                assert task.result() == two_lane_rows
         finally:
             parent.close()
-            if parallel is not None:
-                parallel.close()
 
     def test_one_cpu_creates_no_thread_and_stores_the_same_bytes(
         self, monkeypatch, tiny_corpus, two_lane_rows

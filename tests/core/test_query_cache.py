@@ -75,7 +75,7 @@ class TestQueryCacheUnit:
 
 
 def _system(**overrides):
-    config = SystemConfig(workers=1, **overrides)
+    config = SystemConfig(**overrides)
     system = VideoRetrievalSystem.in_memory(config)
     admin = system.login_admin()
     for seed in (71, 72):

@@ -293,7 +293,7 @@ class TestQueryRequestValidation:
     @pytest.mark.parametrize(
         "field, value",
         [
-            ("candidate_ids", [1]), ("use_index", False), ("nprobe", 2),
+            ("candidate_ids", [1]), ("use_index", False),
         ],
     )
     def test_clip_request_rejects_frame_and_vector_fields(
@@ -301,6 +301,11 @@ class TestQueryRequestValidation:
     ):
         with pytest.raises(ValueError, match=field):
             QueryRequest(clip=[gradient_image], **{field: value})
+
+    def test_nprobe_is_not_a_field(self, gradient_image):
+        # the IVF probe width is ``SystemConfig.ann_nprobe``, for every request
+        with pytest.raises(TypeError):
+            QueryRequest(image=gradient_image, nprobe=2)
 
     def test_exactly_one_query_field(self, gradient_image):
         assert QueryRequest(clip=[gradient_image], features=["sch"]).kind == "video"

@@ -4,8 +4,7 @@ A pass of at least ``_SPLIT_MIN_WORK`` candidate rows x features cuts
 every plan's rows at their midpoint: the calling thread scores the lower
 halves, the pool's helper lane the upper ones.  Every kernel reduces each
 row on its own, so the answer must be bitwise the one-lane answer --
-whatever the crossover, on one CPU, and with worker processes (which have
-no helper lane).  An error on either half fails that plan only, and the
+whatever the crossover, and on one CPU (which has no helper lane).  An error on either half fails that plan only, and the
 helper half is done before the pass returns.
 """
 
@@ -19,7 +18,6 @@ import pytest
 import repro.core.search as search
 from repro.core.search import QueryRequest, SearchEngine, VideoMatch
 from repro.features.color_histogram import SimpleColorHistogram
-from repro.runtime import WorkerPool
 from tests.core.test_lanes import _one_cpu
 from tests.runtime.test_pool import _two_cpus, needs_two_cpus
 
@@ -31,10 +29,10 @@ def engine_for(ingested_system):
     """``engine_for(**config)``: a cache-off engine over the session store."""
     engines = []
 
-    def build(pool=None, **config):
+    def build(**config):
         config = ingested_system.config.with_(query_cache_size=0, **config)
         engines.append(
-            SearchEngine(config, ingested_system.feature_store, ingested_system._index, pool=pool)
+            SearchEngine(config, ingested_system.feature_store, ingested_system._index)
         )
         return engines[-1]
 
@@ -114,11 +112,6 @@ def test_every_query_kind_is_bitwise_the_one_lane_answer(
         assert sorted(n.startswith("repro-lane") for n in scoring_threads) == [False, True]
     for i, solo in enumerate(requests[:3]):  # and each on its own
         assert _answers(engine, [solo]) == [one_lane[i]]
-
-    with WorkerPool(workers=2) as pool:
-        scoring_threads.clear()
-        assert _answers(engine_for(pool=pool), requests) == one_lane
-        assert not any(name.startswith("repro-lane") for name in scoring_threads)
 
     _one_cpu(monkeypatch)
     scoring_threads.clear()

@@ -124,7 +124,7 @@ def _tiny_video(seed, category="news", n_shots=2, frames_per_shot=4):
 class TestIncrementalMaintenance:
     @pytest.fixture()
     def system(self):
-        system = VideoRetrievalSystem.in_memory(SystemConfig(workers=1))
+        system = VideoRetrievalSystem.in_memory(SystemConfig())
         admin = system.login_admin()
         for seed in (51, 52):
             admin.add_video(_tiny_video(seed))
@@ -188,6 +188,6 @@ class TestIncrementalMaintenance:
         assert index.n_indexed() == len(store)
 
     def test_empty_store_probe(self):
-        system = VideoRetrievalSystem.in_memory(SystemConfig(workers=1))
+        system = VideoRetrievalSystem.in_memory(SystemConfig())
         index = IVFIndex(system._store, ["sch"], n_cells=4)
         assert index.probe({}, nprobe=2) == []

@@ -16,7 +16,7 @@ def _video(seed, category="news"):
 
 @pytest.fixture()
 def system():
-    s = VideoRetrievalSystem.in_memory(SystemConfig(workers=1))
+    s = VideoRetrievalSystem.in_memory(SystemConfig())
     s.login_admin().add_video(_video(41))
     yield s
     s.close()
@@ -55,7 +55,7 @@ class TestMetricsSurface:
 
     def test_ann_section_when_enabled(self):
         s = VideoRetrievalSystem.in_memory(
-            SystemConfig(workers=1, ann=True, ann_cells=3, query_cache_size=0)
+            SystemConfig(ann=True, ann_cells=3, query_cache_size=0)
         )
         s.login_admin().add_video(_video(42))
         s.search(s.any_key_frame(), top_k=2, use_index=False)
@@ -80,7 +80,7 @@ class TestMetricsSurface:
                 "ingest.features", "ingest.db_txn", "ingest.mirror"} <= stages
 
     def test_ingest_stages_close_the_books(self):
-        s = VideoRetrievalSystem.in_memory(SystemConfig(workers=1))
+        s = VideoRetrievalSystem.in_memory(SystemConfig())
         admin = s.login_admin()
         for seed in (51, 52, 53):
             admin.add_video(_video(seed))
@@ -120,7 +120,7 @@ class TestMetricsSurface:
 
     def test_trace_buffer_respects_config(self):
         s = VideoRetrievalSystem.in_memory(
-            SystemConfig(workers=1, obs_trace_buffer=2, query_cache_size=0)
+            SystemConfig(obs_trace_buffer=2, query_cache_size=0)
         )
         s.login_admin().add_video(_video(43))
         for _ in range(4):
@@ -159,7 +159,7 @@ class TestCacheCountersAcrossInvalidation:
 class TestDisabledSystem:
     def test_disabled_system_records_nothing(self):
         s = VideoRetrievalSystem.in_memory(
-            SystemConfig(workers=1, obs_enabled=False)
+            SystemConfig(obs_enabled=False)
         )
         s.login_admin().add_video(_video(45))
         s.search(s.any_key_frame(), top_k=2)
@@ -185,7 +185,7 @@ class TestStatsRendering:
 
     def test_format_stats_handles_empty_registry(self):
         s = VideoRetrievalSystem.in_memory(
-            SystemConfig(workers=1, obs_enabled=False)
+            SystemConfig(obs_enabled=False)
         )
         text = format_stats(s.metrics())
         assert "(no metric samples recorded)" in text

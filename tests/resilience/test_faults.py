@@ -47,6 +47,7 @@ def test_parse_skips_empty_clauses():
         "codec.decode:once",
         "snapshot.open:once",
         "serving.request:once",
+        "pool.map:once",
     ],
 )
 def test_parse_rejects_malformed_specs(bad):
@@ -66,9 +67,10 @@ def test_spec_from_env_reads_and_strips(monkeypatch):
 def test_config_validates_fault_spec_eagerly(monkeypatch):
     from repro.core.system import VideoRetrievalSystem
 
-    monkeypatch.setenv(FAULTS_ENV_VAR, "db.execute:sometimes")
-    with pytest.raises(ValueError):
-        VideoRetrievalSystem.in_memory()
+    for bad in ("db.execute:sometimes", "pool.map:once"):
+        monkeypatch.setenv(FAULTS_ENV_VAR, bad)
+        with pytest.raises(ValueError):
+            VideoRetrievalSystem.in_memory()
     monkeypatch.setenv(FAULTS_ENV_VAR, "db.execute:once")  # well-formed arms
     with pytest.raises(FaultInjected):  # the first statement of construction
         VideoRetrievalSystem.in_memory()
@@ -109,7 +111,7 @@ def test_every_n_fires_on_multiples():
 
 def test_unarmed_point_in_armed_registry_never_fires():
     registry = FaultRegistry("db.execute:once")
-    assert _fire_pattern(registry, "pool.map", 3) == [False] * 3
+    assert _fire_pattern(registry, "ann.probe", 3) == [False] * 3
 
 
 def test_fire_counts_into_obs():

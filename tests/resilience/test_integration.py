@@ -51,30 +51,6 @@ def test_ann_fault_falls_back_to_exact_results(small_corpus):
     assert samples["ann_brute_force"] == fired == 3
 
 
-# -- worker pool: serial fallback ----------------------------------------------
-
-
-def _pool_fallbacks(system) -> dict:
-    reg = system.obs.registry.render_json()
-    return {
-        s["labels"]["reason"]: s["value"]
-        for s in reg["repro_pool_fallbacks_total"]["samples"]
-    }
-
-
-def test_pool_fault_degrades_to_serial_ingest(small_corpus, monkeypatch):
-    monkeypatch.setenv("REPRO_FAULTS", "pool.map:every=1")
-    system = VideoRetrievalSystem.in_memory(SystemConfig(workers=2))
-    admin = system.login_admin()
-    for video in small_corpus[:2]:  # parallel path faults -> serial redo, each time
-        assert admin.add_video(video).n_keyframes >= 1
-    fired = system.resilience.faults.stats()["pool.map"]["fired"]
-    assert fired >= 2
-    # counted once, in the pool's own family
-    assert _pool_fallbacks(system) == {"broken_pool": fired}
-    system.close()
-
-
 # -- a statement failing inside an ingest ------------------------------------------
 
 

@@ -1,7 +1,6 @@
 """The runtime layer's pipeline guarantees.
 
-Serial and parallel ingest must be indistinguishable byte-for-byte;
-batched and scalar scoring must agree for every registered extractor; the
+Batched and scalar scoring must agree for every registered extractor; the
 store's stacked-matrix cache must never serve stale data.
 """
 
@@ -26,41 +25,6 @@ def _ingest_all(config, corpus):
     for video in corpus:
         system.admin.add_video(video)
     return system
-
-
-class TestSerialVsParallelIngest:
-    @pytest.fixture(scope="class")
-    def systems(self, tiny_corpus):
-        serial = _ingest_all(SystemConfig(workers=1), tiny_corpus)
-        parallel = _ingest_all(SystemConfig(workers=2), tiny_corpus)
-        yield serial, parallel
-        serial.close()
-        parallel.close()
-
-    def test_feature_strings_byte_identical(self, systems):
-        serial, parallel = systems
-        assert serial._store.frame_ids() == parallel._store.frame_ids()
-        for fid in serial._store.frame_ids():
-            a, b = serial._store.get(fid), parallel._store.get(fid)
-            assert a.bucket == b.bucket
-            assert set(a.features) == set(b.features)
-            for name in a.features:
-                assert a.features[name].to_string() == b.features[name].to_string()
-
-    def test_query_frame_rankings_identical(self, systems, tiny_corpus):
-        serial, parallel = systems
-        for video in tiny_corpus:
-            query = video.frames[1]
-            hits_s = serial.search(query, top_k=10, use_index=False)
-            hits_p = parallel.search(query, top_k=10, use_index=False)
-            assert [h.frame_id for h in hits_s] == [h.frame_id for h in hits_p]
-            assert [h.distance for h in hits_s] == [h.distance for h in hits_p]
-
-    def test_db_rows_identical(self, systems):
-        serial, parallel = systems
-        rows_s = serial.db.execute("SELECT * FROM KEY_FRAMES ORDER BY I_ID").rows
-        rows_p = parallel.db.execute("SELECT * FROM KEY_FRAMES ORDER BY I_ID").rows
-        assert rows_s == rows_p
 
 
 class TestBatchedVsScalarDistances:

@@ -7,8 +7,8 @@ import threading
 
 import pytest
 
-from repro.runtime import WorkerPool, parallel_map, resolve_workers
-from repro.runtime.pool import WORKERS_ENV_VAR
+from repro.obs import Obs
+from repro.runtime import WorkerPool
 
 
 def _square(x):
@@ -19,86 +19,10 @@ def _boom(x):
     raise RuntimeError(f"task failed on {x}")
 
 
-class TestResolveWorkers:
-    def test_explicit_count_passes_through(self):
-        assert resolve_workers(3) == 3
-
-    def test_one_is_serial(self):
-        assert resolve_workers(1) == 1
-
-    def test_zero_means_auto(self, monkeypatch):
-        monkeypatch.delenv(WORKERS_ENV_VAR, raising=False)
-        assert resolve_workers(0) == max(1, os.cpu_count() or 1)
-
-    def test_none_means_auto(self, monkeypatch):
-        monkeypatch.delenv(WORKERS_ENV_VAR, raising=False)
-        assert resolve_workers(None) >= 1
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV_VAR, "5")
-        assert resolve_workers(0) == 5
-
-    def test_bad_env_value(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV_VAR, "lots")
-        with pytest.raises(ValueError):
-            resolve_workers(0)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            resolve_workers(-2)
-
-
 class TestWorkerPool:
-    def test_serial_map(self):
-        with WorkerPool(workers=1) as pool:
-            assert pool.map(_square, [3, 1, 2]) == [9, 1, 4]
-
-    def test_parallel_map_preserves_order(self):
-        with WorkerPool(workers=2) as pool:
-            assert pool.map(_square, list(range(20))) == [x * x for x in range(20)]
-
-    def test_parallel_pool_is_reusable(self):
-        with WorkerPool(workers=2) as pool:
-            assert pool.map(_square, [1, 2]) == [1, 4]
-            assert pool.map(_square, [5, 6]) == [25, 36]
-
-    def test_empty_items(self):
-        with WorkerPool(workers=2) as pool:
-            assert pool.map(_square, []) == []
-
-    def test_single_item_stays_serial(self):
-        pool = WorkerPool(workers=4)
-        try:
-            assert pool.map(_square, [7]) == [49]
-            assert pool._executor is None  # never spawned
-        finally:
-            pool.close()
-
-    def test_unpicklable_fn_falls_back_to_serial(self):
-        calls = []
-
-        def local_fn(x):  # closures cannot be pickled
-            calls.append(x)
-            return x + 1
-
-        with WorkerPool(workers=2) as pool:
-            assert pool.map(local_fn, [1, 2, 3]) == [2, 3, 4]
-        assert calls == [1, 2, 3]
-
-    def test_task_exception_propagates(self):
-        with WorkerPool(workers=2) as pool:
-            with pytest.raises(RuntimeError, match="task failed"):
-                pool.map(_boom, [1, 2, 3])
-
     def test_invalid_args(self):
         with pytest.raises(ValueError):
             WorkerPool(workers=0)
-        with pytest.raises(ValueError):
-            WorkerPool(workers=2, chunk_size=0)
-
-
-def test_parallel_map_convenience():
-    assert parallel_map(_square, [2, 3], workers=2) == [4, 9]
 
 
 def _pid():
@@ -113,6 +37,12 @@ def _read_token():
     return os.environ.get("REPRO_POOL_TEST_TOKEN")
 
 
+def _square_unless_in_a_child(parent_pid, x):
+    if os.getpid() != parent_pid:
+        os._exit(3)  # the worker process dies without a reply
+    return x * x
+
+
 class TestSubmit:
     def test_result_value_and_memoization(self):
         with WorkerPool(workers=1) as pool:
@@ -121,8 +51,8 @@ class TestSubmit:
             assert task.result() == 36  # cached, not recomputed
 
     def test_ships_to_persistent_worker_even_when_serial(self):
-        # unlike map, workers=1 still dispatches: the point of submit is
-        # pinning per-process state in one long-lived worker
+        # workers=1 still dispatches: the point of submit is pinning
+        # per-process state in one long-lived worker
         with WorkerPool(workers=1) as pool:
             first = pool.submit(_pid)
             assert not first.inline
@@ -149,6 +79,20 @@ class TestSubmit:
             assert calls == []  # deferred until result() is asked for
             assert task.result() == 2
             assert calls == [1]
+
+    def test_dead_worker_is_redone_inline(self):
+        obs = Obs(enabled=True)
+        with WorkerPool(workers=1) as pool:
+            pool.attach_obs(obs)
+            task = pool.submit(_square_unless_in_a_child, os.getpid(), 7)
+            assert not task.inline
+            assert task.result() == 49  # computed here, after the worker died
+            assert task.inline
+            assert not pool.active  # the broken executor was closed
+        fam = obs.registry.render_json()["repro_pool_fallbacks_total"]
+        assert {s["labels"]["reason"]: s["value"] for s in fam["samples"]} == {
+            "broken_pool": 1
+        }
 
     def test_worker_keeps_what_a_task_caches(self, monkeypatch):
         # what the shard workers rely on: state a task leaves in the
@@ -186,10 +130,6 @@ class TestLane:
         pool.close()
         assert pool._lane is None
         assert not thread.is_alive()
-
-    def test_none_with_worker_processes(self):
-        with WorkerPool(workers=2) as pool:
-            assert pool.lane() is None
 
     def test_none_on_one_cpu(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)

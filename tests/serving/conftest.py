@@ -25,7 +25,7 @@ def build_system(small_corpus, config: SystemConfig, n_videos: int = 4):
 @pytest.fixture(scope="module")
 def serving_system(small_corpus):
     """A module-shared system behind no server (engine-level tests)."""
-    system = build_system(small_corpus, SystemConfig(workers=1))
+    system = build_system(small_corpus, SystemConfig())
     yield system
     system.close()
 
@@ -98,7 +98,7 @@ class ServerHarness:
 @pytest.fixture(scope="module")
 def harness(small_corpus):
     """A module-shared running server over a default-config system."""
-    h = ServerHarness(build_system(small_corpus, SystemConfig(workers=1)))
+    h = ServerHarness(build_system(small_corpus, SystemConfig()))
     yield h
     h.close()
 

@@ -1,12 +1,14 @@
 """The HTTP server over real sockets: happy path, route-table parity,
 overload shedding (429 + Retry-After, counters matching), deadline
-overruns mapping to 504, and typed replies to hostile framing."""
+overruns mapping to 504, typed replies to hostile framing, and clients
+that stall mid-request or vanish mid-batch."""
 
 from __future__ import annotations
 
 import http.client
 import json
 import socket
+import struct
 import threading
 import time
 
@@ -122,7 +124,7 @@ def test_overload_sheds_429_never_5xx(make_harness):
     response is 200 or 429, every 429 carries Retry-After, nothing hangs,
     and the server's shed counter equals the client-observed rejection
     count."""
-    config = SystemConfig(workers=1, serving_queue_limit=2, serving_degrade_depth=0)
+    config = SystemConfig(serving_queue_limit=2)
     harness = make_harness(config, n_videos=2)
     body = harness.system.any_key_frame().encode("ppm")
     # two fit the queue; the other fourteen are answered at once
@@ -141,30 +143,8 @@ def test_overload_sheds_429_never_5xx(make_harness):
     assert harness.metric_value("repro_serving_shed_total") == shed_observed
 
 
-def test_degraded_admission_under_load(make_harness):
-    config = SystemConfig(
-        workers=1,
-        serving_queue_limit=32,
-        serving_degrade_depth=1,
-        serving_degrade_features=1,
-    )
-    harness = make_harness(config, n_videos=2)
-    body = harness.system.any_key_frame().encode("ppm")
-    results = _burst_behind_blocker(
-        harness, 12, "/search?top_k=3&explain=1", body, "repro_serving_admitted_total", 13
-    )
-    assert all(r[0] == 200 for r in results)
-    degraded = [r for r in results if r[1].get("x-degraded") == "load"]
-    # the blocker and the first arrival behind it saw an empty queue
-    assert len(degraded) == 11
-    for _, _, payload in degraded:
-        assert payload["explain"]["features"] == list(config.features[:1])
-
-
 def test_queue_wait_burns_request_deadline_to_504(make_harness):
-    config = SystemConfig(
-        workers=1, serving_queue_limit=64, serving_degrade_depth=0
-    )
+    config = SystemConfig(serving_queue_limit=64)
     harness = make_harness(config, n_videos=2)
     # Armed after ingest so only serving pays the (tiny) budget.
     harness.system.resilience.request_deadline = 0.05
@@ -203,3 +183,91 @@ def test_hostile_framing_gets_a_typed_reply(harness, raw, status):
         assert payload["error_type"] == "api_error" and payload["error"]
         assert sock.recv(1) == b""  # and the server hung up
     assert harness.request("GET", "/")[0] == 200  # the next connection is served
+
+
+# -- hostile clients: stalled framing, and peers that vanish mid-batch -------------
+
+
+def _raw_search(netloc, body, top_k=3):
+    """``POST /search`` on its own connection: ``(status, raw body bytes)``."""
+    conn = http.client.HTTPConnection(netloc, timeout=30)
+    try:
+        conn.request("POST", f"/search?top_k={top_k}", body=body)
+        response = conn.getresponse()
+        return response.status, response.read()
+    finally:
+        conn.close()
+
+
+def _open(netloc):
+    host, port = netloc.split(":")
+    return socket.create_connection((host, int(port)), timeout=10)
+
+
+def _search_bytes(body, length=None):
+    length = len(body) if length is None else length
+    head = f"POST /search?top_k=3 HTTP/1.1\r\nHost: x\r\nContent-Length: {length}\r\n\r\n"
+    return head.encode("latin-1") + body
+
+
+def test_slow_loris_clients_neither_block_others_nor_stop(make_harness):
+    """One client stalls inside its header block, another ten bytes into
+    the hundred its Content-Length promises: a third client's search is
+    answered exactly as on an idle server, and ``stop()`` still returns
+    within its join timeout with both stalled connections open."""
+    harness = make_harness(SystemConfig(query_cache_size=0), n_videos=2)
+    body = _search_body(harness)
+    idle = _raw_search(harness.netloc, body)
+    assert idle[0] == 200
+    half_header, short_body = _open(harness.netloc), _open(harness.netloc)
+    try:
+        half_header.sendall(b"POST /search HTTP/1.1\r\nHost: x\r\nContent-Le")
+        short_body.sendall(_search_bytes(body[:10], length=100))
+        time.sleep(0.2)  # both are parked in the server's reads
+        assert _raw_search(harness.netloc, body) == idle
+        assert harness.request("GET", "/")[0] == 200
+        thread = harness.server._thread
+        t0 = time.monotonic()
+        harness.server.stop()
+        assert time.monotonic() - t0 < 10.0  # stop()'s join timeout
+        assert not thread.is_alive()
+    finally:
+        half_header.close()
+        short_body.close()
+
+
+def test_clients_vanishing_mid_batch_leave_the_batch_its_answers(make_harness, small_corpus):
+    """Several clients post searches and drop their sockets (half with a
+    reset) while the requests wait in the queue: the request batched with
+    them gets its solo answer, and the server keeps serving."""
+    harness = make_harness(SystemConfig(query_cache_size=0), n_videos=2)
+    body = _search_body(harness)
+    others = [video.frames[1].encode("ppm") for video in small_corpus[:4]]
+    solo = _raw_search(harness.netloc, body)
+    assert solo[0] == 200
+    admitted = harness.metric_value("repro_serving_admitted_total")
+    batches = harness.metric_value("repro_serving_batches_total")
+
+    entered, release = harness.hold_engine()
+    blocker = _start(harness, "/search?top_k=3", body)
+    assert entered.wait(timeout=10)  # the executor is busy: arrivals now queue
+    vanishing = [_open(harness.netloc) for _ in others]
+    for sock, other in zip(vanishing, others):
+        sock.sendall(_search_bytes(other))
+    harness.wait_for_metric("repro_serving_admitted_total", admitted + 1 + len(others))
+    for i, sock in enumerate(vanishing):
+        if i % 2:  # an abortive close: the peer sees a reset, not a FIN
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        sock.close()
+    box = []
+    survivor = threading.Thread(target=lambda: box.append(_raw_search(harness.netloc, body)))
+    survivor.start()
+    harness.wait_for_metric("repro_serving_admitted_total", admitted + 2 + len(others))
+    release.set()
+    survivor.join(timeout=30)
+    assert box == [solo]
+    assert blocker()[0] == 200
+    # the queued requests went out in one batch after the blocker's
+    assert harness.metric_value("repro_serving_batches_total") == batches + 2
+    assert _raw_search(harness.netloc, body) == solo
+    assert harness.request("GET", "/videos")[0] == 200

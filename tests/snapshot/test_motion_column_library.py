@@ -70,7 +70,7 @@ def _with_motion_meta(monkeypatch):
 
 def _build(path, monkeypatch=None):
     """Three videos under a checkpoint, one more in the log tail."""
-    system = VideoRetrievalSystem.open(path, SystemConfig(workers=1))
+    system = VideoRetrievalSystem.open(path, SystemConfig())
     try:
         if monkeypatch is not None:
             _with_motion_cells(system.db, monkeypatch)

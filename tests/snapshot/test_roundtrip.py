@@ -56,7 +56,7 @@ def _ranking(system, query, **kwargs):
 def library(tmp_path):
     """A durable library with a written snapshot; returns (path, query)."""
     lib = str(tmp_path / "lib.rdb")
-    system = VideoRetrievalSystem.open(lib, SystemConfig(workers=1))
+    system = VideoRetrievalSystem.open(lib, SystemConfig())
     for seed, category in ((11, "news"), (12, "sports"), (13, "cartoon")):
         system.admin.add_video(_video(seed, category))
     system.admin.checkpoint()  # writes lib.rdb.snap
@@ -374,7 +374,7 @@ class TestWritesAfterTheImage:
         lib, _ = library
         other = str(tmp_path / "other" / "lib.rdb")
         os.makedirs(os.path.dirname(other))
-        twin = VideoRetrievalSystem.open(other, SystemConfig(workers=1))
+        twin = VideoRetrievalSystem.open(other, SystemConfig())
         for seed, category in ((11, "news"), (12, "sports"), (15, "movies")):
             twin.admin.add_video(_video(seed, category))
         twin.admin.checkpoint()

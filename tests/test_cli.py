@@ -72,6 +72,14 @@ class TestIngestAndList:
         assert rc == 1
         assert "error" in capsys.readouterr().err
 
+    def test_ingest_takes_no_workers_flag(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["ingest", str(tmp_path / "x.rdb"), str(tmp_path / "a.rvf"),
+                  "--workers", "2"])
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "x.rdb")
+
     def test_empty_library_list(self, tmp_path, capsys):
         rc = main(["list", str(tmp_path / "fresh.rdb")])
         assert rc == 0
