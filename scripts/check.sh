@@ -2,8 +2,8 @@
 # One-shot quality gate: reprolint (this codebase's own contracts) + ruff
 # (generic hygiene, including the rules reprolint retired) + mypy +
 # tier-1 pytest (with a coverage floor when pytest-cov is installed) +
-# tests/core and
-# tests/integration pinned to one CPU + the load gate + the
+# tests/core, tests/integration, tests/resilience and tests/serving
+# pinned to one CPU + the load gate + the
 # end-to-end benchmark's own tests and a smoke-scale run of its read
 # (scan_10k) and write (library_churn) workloads, checked against its oracle.
 #
@@ -94,10 +94,11 @@ if [ "$fast" -eq 0 ]; then
 
     # on one CPU the pool has no helper thread, so frame analysis (and a
     # query's per-feature degradation) takes its one-lane branch for real
-    # (tier-1 runs it on two lanes where it can)
-    step "pytest (core + integration + resilience on one CPU, taskset -c 0)"
+    # (tier-1 runs it on two lanes where it can), and the serving loop and
+    # its engine thread share the one core
+    step "pytest (core + integration + resilience + serving on one CPU, taskset -c 0)"
     if command -v taskset >/dev/null 2>&1; then
-        if taskset -c 0 python -m pytest -q tests/core tests/integration tests/resilience; then
+        if taskset -c 0 python -m pytest -q tests/core tests/integration tests/resilience tests/serving; then
             record one_cpu ok
         else
             record one_cpu FAIL

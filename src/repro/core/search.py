@@ -941,18 +941,33 @@ class SearchEngine:
         }
         self._m_fusion_seconds.observe(t_fuse)
 
+        # one gather per column at the selected rows, not a record per hit
+        sel = _stable_topk(fused, max(0, plan.top_k))
+        if plan.rows is None:  # the whole store, or a shard merge's ids
+            rows = self.store.matrix_rows(plan.candidate_ids[sel])
+        else:
+            rows = plan.rows[sel]
+        columns = self.store.columns
+        values = {n: per_feature[n][sel].tolist() for n in names}
         hits = []
-        for i in _stable_topk(fused, max(0, plan.top_k)):
-            record = self.store.get(int(plan.candidate_ids[i]))
+        for j, (frame_id, video_id, frame_name, distance) in enumerate(
+            zip(
+                columns.ids[rows].tolist(),
+                columns.video_ids[rows].tolist(),
+                columns.frame_names[rows].tolist(),
+                fused[sel].tolist(),
+            )
+        ):
+            video = self.store.video(video_id)
             hits.append(
                 RetrievalResult(
-                    frame_id=record.frame_id,
-                    video_id=record.video_id,
-                    video_name=record.video_name,
-                    frame_name=record.frame_name,
-                    category=record.category,
-                    distance=float(fused[i]),
-                    per_feature={n: float(per_feature[n][i]) for n in names},
+                    frame_id=frame_id,
+                    video_id=video_id,
+                    video_name=video.name,
+                    frame_name=frame_name,
+                    category=video.category,
+                    distance=distance,
+                    per_feature={n: values[n][j] for n in names},
                 )
             )
         return SearchResults(

@@ -25,13 +25,14 @@ from __future__ import annotations
 
 import os
 import time
+from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.catalog import FEATURE_COLUMNS
 from repro.core.ingest import apply_commits
-from repro.core.store import FeatureColumn, FeatureStore, FrameColumns, VideoInfo
+from repro.core.store import FeatureColumn, FeatureStore, FrameColumns, unique_ids
 from repro.db.errors import DatabaseError, StorageError
 from repro.db.storage import Log, Statement, read_log
 from repro.obs import NULL_OBS, Obs, log
@@ -137,11 +138,9 @@ def load_snapshot_into_store(snap: Snapshot, store: FeatureStore) -> None:
     if ids.size > 1 and not np.all(ids[1:] > ids[:-1]):
         raise CorruptSnapshotError(f"{snap.path}: frame ids are not ascending")
     # an image written with per-video "motion" strings opens: the key is unread
-    videos = {
-        int(vid): VideoInfo(name=str(vinfo["name"]), category=vinfo.get("category"))
-        for vid, vinfo in meta["videos"].items()
-    }
-    if not set(np.unique(columns.video_ids).tolist()) <= videos.keys():
+    entries = meta["videos"]
+    videos = dict(zip(map(int, entries), map(itemgetter("name", "category"), entries.values())))
+    if not set(unique_ids(columns.video_ids).tolist()) <= videos.keys():
         raise CorruptSnapshotError(f"{snap.path}: a frame names a video the table lacks")
     features: Dict[str, FeatureColumn] = {}
     for name, fmeta in meta["features"].items():

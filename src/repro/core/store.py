@@ -20,7 +20,7 @@ write patches the columns instead of invalidating them.
 from __future__ import annotations
 
 from collections.abc import Mapping as MappingABC
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import (
     Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple,
 )
@@ -36,7 +36,7 @@ from repro.indexing.rangefinder import Bucket
 
 __all__ = [
     "FrameRecord", "VideoInfo", "FrameColumns", "FeatureColumn", "FeatureStore",
-    "frame_record",
+    "frame_record", "unique_ids",
 ]
 
 
@@ -58,12 +58,21 @@ class FrameRecord:
     features: Mapping[str, FeatureVector] = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class VideoInfo:
-    """One row of the per-video table."""
+class VideoInfo(NamedTuple):
+    """One row of the per-video table.
+
+    The store holds rows as plain ``(name, category)`` pairs, so a
+    snapshot's table is built without an object per video (on a 1 040-video
+    replica those objects cost its open as much as the header's JSON);
+    :meth:`FeatureStore.video` hands a row out as a ``VideoInfo``.
+    """
 
     name: str
     category: Optional[str]
+
+
+#: a per-video table row as the store holds it (a VideoInfo is one)
+_VideoRow = Tuple[str, Optional[str]]
 
 
 class FrameColumns(NamedTuple):
@@ -175,6 +184,19 @@ def _live(arr: np.ndarray, n: int) -> np.ndarray:
     return view
 
 
+def unique_ids(ids: np.ndarray) -> np.ndarray:
+    """``np.unique`` of an int64 column: the same values in the same
+    (ascending) order, by one sort.  NumPy 2's plain ``np.unique`` imports
+    ``numpy.ma``, a cost every library open would pay."""
+    ordered = np.sort(ids)
+    if ordered.size > 1:
+        first = np.empty(ordered.size, dtype=bool)
+        first[0] = True
+        np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+        ordered = ordered[first]
+    return ordered
+
+
 def _regrown(arr: np.ndarray, n: int, rows: int) -> np.ndarray:
     """A fresh array of ``rows`` rows holding ``arr``'s first ``n``."""
     out = np.empty((rows,) + arr.shape[1:], dtype=arr.dtype)
@@ -212,7 +234,7 @@ class FeatureStore:
         self._bmin = np.empty(0, dtype=np.int64)
         self._bmax = np.empty(0, dtype=np.int64)
         self._names = np.empty(0, dtype=object)
-        self._videos: Dict[int, VideoInfo] = {}
+        self._videos: Dict[int, _VideoRow] = {}
         #: feature name -> base matrix / string-form tag
         self._base: Dict[str, np.ndarray] = {}
         self._tags: Dict[str, str] = {}
@@ -272,7 +294,7 @@ class FeatureStore:
     def adopt(
         self,
         columns: FrameColumns,
-        videos: Mapping[int, VideoInfo],
+        videos: Mapping[int, _VideoRow],
         features: Mapping[str, FeatureColumn],
         generation: int,
         structure_generation: int,
@@ -281,6 +303,7 @@ class FeatureStore:
 
         The bulk entry, for a snapshot's mmap sections (or another store's
         :attr:`columns` / :meth:`feature_columns`, gathered or merged).
+        ``videos`` maps each video id to its ``(name, category)``.
         ``columns.ids`` must be strictly ascending.  The counters are
         restored as given, so query-cache keys and ANN sync state computed
         before a restart stay correct relative to the logged commits
@@ -319,7 +342,7 @@ class FeatureStore:
         out = FeatureStore()
         out.adopt(
             columns,
-            {vid: self._videos[vid] for vid in np.unique(columns.video_ids).tolist()},
+            {vid: self._videos[vid] for vid in unique_ids(columns.video_ids).tolist()},
             features,
             generation=len(rows),
             structure_generation=len(rows),
@@ -396,13 +419,13 @@ class FeatureStore:
                 if name not in self._present or self._present[name][row]
             }
         video_id = int(self._vids[row])
-        video = self._videos[video_id]
+        video_name, category = self._videos[video_id]
         return FrameRecord(
             frame_id=int(self._ids[row]),
             video_id=video_id,
-            video_name=video.name,
+            video_name=video_name,
             frame_name=self._names[row],
-            category=video.category,
+            category=category,
             bucket=Bucket(int(self._bmin[row]), int(self._bmax[row])),
             features=_RowFeatures(matrices, row),
         )
@@ -414,7 +437,7 @@ class FeatureStore:
         return sorted(self._videos)
 
     def video(self, video_id: int) -> VideoInfo:
-        return self._videos[video_id]
+        return VideoInfo(*self._videos[video_id])
 
     def frames_of_video(self, video_id: int) -> List[FrameRecord]:
         """The video's key frames in frame-id (i.e. temporal) order."""
@@ -504,7 +527,7 @@ class FeatureStore:
         self._bmin[pos], self._bmax[pos] = record.bucket.min, record.bucket.max
         self._names[pos] = record.frame_name
         if record.video_id not in self._videos:
-            self._videos[int(record.video_id)] = VideoInfo(record.video_name, record.category)
+            self._videos[int(record.video_id)] = (record.video_name, record.category)
         self._n = n + 1
         self._mutated(structural=True)
 
@@ -560,7 +583,7 @@ class FeatureStore:
         video = self._videos.get(video_id)
         if video is None:
             return 0
-        self._videos[video_id] = replace(video, name=new_name)
+        self._videos[video_id] = (new_name, video[1])
         self._mutated()
         return int(np.count_nonzero(self._vids[: self._n] == video_id))
 

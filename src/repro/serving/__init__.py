@@ -5,11 +5,12 @@ Three pieces in front of the :mod:`repro.web` route table:
 - :mod:`repro.serving.admission` -- shedding: a bounded queue depth
   decides whether a request is accepted (and then gets the full answer)
   or shed with HTTP 429 + Retry-After;
-- :mod:`repro.serving.batcher` -- the dispatcher: search requests that
-  queued while the previous batch was scoring go to one
-  :meth:`~repro.core.search.SearchEngine.query_batch` call -- one scatter
-  per shard for the sharded engine -- with rankings byte-identical to
-  serial execution; a lone request never waits for batchmates;
+- :mod:`repro.serving.batcher` -- the dispatcher: one engine thread
+  takes the search requests that queued while the previous batch was
+  scoring into one :meth:`~repro.core.search.SearchEngine.query_batch`
+  call -- one scatter per shard for the sharded engine -- with rankings
+  byte-identical to serial execution; a lone request never waits for
+  batchmates;
 - :mod:`repro.serving.server` -- a minimal asyncio HTTP/1.1 server:
   ``POST /search`` flows through admission + the dispatcher, every other
   route delegates to :class:`~repro.web.api.CbvrApi` in an executor

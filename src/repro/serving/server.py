@@ -2,11 +2,13 @@
 
 ``POST /search`` takes the fast path: admission control (shed on
 queue depth), then a :class:`~repro.core.search.QueryRequest` with an
-already-ticking deadline goes through the :class:`MicroBatcher`, which
-scores whatever queued while the previous batch ran in one
-``engine.query_batch`` call.  Every other route (``/metrics``, the admin
-routes, ...) delegates to the :class:`~repro.web.api.CbvrApi` route
-table on an executor thread.
+already-ticking deadline goes through the :class:`MicroBatcher`, whose
+engine thread scores whatever queued while the previous batch ran in
+one ``engine.query_batch`` call and encodes each answer's JSON body
+there too; the event loop keeps the sockets, admission, deadlines and
+writes.  Every other route (``/metrics``, the admin routes, ...)
+delegates to the :class:`~repro.web.api.CbvrApi` route table on an
+executor thread.
 
 The HTTP layer itself is deliberately small: request line + headers via
 ``readuntil``, body via Content-Length, keep-alive by default; framing it
@@ -27,7 +29,7 @@ import threading
 import time
 import urllib.parse
 from functools import partial
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.core.search import QueryRequest
 from repro.core.system import VideoRetrievalSystem
@@ -65,6 +67,18 @@ _REASONS = {
 _Reply = Tuple[int, str, bytes, Dict[str, str]]
 
 
+class _SearchJob(NamedTuple):
+    """One ``POST /search`` on its way through the batcher: the query and
+    how its answer is to be encoded."""
+
+    request: QueryRequest
+    explain: bool
+
+    @property
+    def deadline(self):
+        return self.request.deadline
+
+
 class AsyncCbvrServer:
     """One retrieval system behind an asyncio listener."""
 
@@ -96,16 +110,31 @@ class AsyncCbvrServer:
             labelnames=("route",),
         )
 
-    def _execute_batch(self, requests):
+    def _execute_batch(self, jobs: List[_SearchJob]) -> List[object]:
+        """Score a batch, then encode each answer's response body: both on
+        the engine thread, so the loop only writes bytes."""
         # Resolved per call: a snapshot restore / shard attach may swap engines.
-        return self.system.engine.query_batch(requests)
+        outcomes = self.system.engine.query_batch([job.request for job in jobs])
+        bodies: List[object] = []
+        for job, outcome in zip(jobs, outcomes):
+            if not isinstance(outcome, BaseException):
+                try:
+                    outcome = json.dumps(search_payload(outcome, job.explain)).encode()
+                except Exception as exc:  # noqa: BLE001 -- this request's failure alone
+                    outcome = exc
+            bodies.append(outcome)
+        return bodies
 
     # -- lifecycle -------------------------------------------------------------
 
     async def start(self) -> None:
         self._loop = asyncio.get_running_loop()
         await self.batcher.start()
-        self._server = await asyncio.start_server(self._handle_client, self.host, self.port)
+        try:
+            self._server = await asyncio.start_server(self._handle_client, self.host, self.port)
+        except BaseException:  # e.g. the port is taken: leave no engine thread behind
+            await self.batcher.stop()
+            raise
         self.port = self._server.sockets[0].getsockname()[1]
 
     async def stop_async(self) -> None:
@@ -135,23 +164,33 @@ class AsyncCbvrServer:
         """Run the server on a daemon-thread event loop; return its base URL.
 
         The shape tests and the load gate use: start, hammer over real
-        sockets, :meth:`stop`.
+        sockets, :meth:`stop`.  A start that fails (the port is taken, say)
+        raises its exception here, with no loop or engine thread left.
         """
         started = threading.Event()
+        failed: List[BaseException] = []
         loop = asyncio.new_event_loop()
         self._loop = loop
 
         def run() -> None:
             asyncio.set_event_loop(loop)
-            loop.run_until_complete(self.start())
+            try:
+                loop.run_until_complete(self.start())
+            except Exception as exc:  # handed to the starting thread
+                failed.append(exc)
             started.set()
-            loop.run_forever()
-            loop.run_until_complete(self.stop_async())
+            if not failed:
+                loop.run_forever()
+                loop.run_until_complete(self.stop_async())
             loop.close()
 
-        self._thread = threading.Thread(target=run, name="repro-serving", daemon=True)
-        self._thread.start()
+        thread = threading.Thread(target=run, name="repro-serving", daemon=True)
+        thread.start()
         started.wait(timeout=10)
+        if failed:
+            thread.join()
+            raise failed[0]
+        self._thread = thread
         return f"http://{self.host}:{self.port}"
 
     def stop(self) -> None:
@@ -272,8 +311,7 @@ class AsyncCbvrServer:
                 # Created here, not in the engine: queue wait burns budget.
                 deadline=self.system.resilience.new_deadline(),
             )
-            results = await self.batcher.submit(request)
-            payload = json.dumps(search_payload(results, explain)).encode()
+            payload = await self.batcher.submit(_SearchJob(request, explain))
             reply: _Reply = (200, "application/json", payload, {})
         except OverloadedError as exc:
             body_429 = json.dumps(

@@ -5,13 +5,16 @@ pin the queueing mechanics alone: a lone request dispatching as a batch
 of one with no timer, ``BATCH_MAX`` overflow splitting, cancelled and
 deadline-expired requests leaving the batch before dispatch, and
 per-request exception isolation (one poisoned query never fails its
-batchmates).  A queue is built by parking the executor thread on an
-``Event`` -- batches only form while the previous one is running.
+batchmates), every batch on the one ``repro-engine`` thread, and a stop
+that races a submit.  A queue is built by parking the engine thread on
+an ``Event`` -- batches only form while the previous one is running.
 """
 
 from __future__ import annotations
 
 import asyncio
+import random
+import sys
 import threading
 from types import SimpleNamespace
 
@@ -195,3 +198,112 @@ def test_stop_fails_requests_queued_behind_shutdown():
             await doomed
 
     asyncio.run(body())
+
+
+def test_every_batch_runs_on_the_one_engine_thread():
+    threads = []
+
+    def execute(requests):
+        threads.append(threading.current_thread())
+        return [("ok", id(r)) for r in requests]
+
+    async def body(batcher):
+        for _ in range(3):
+            assert (await batcher.submit(_request()))[0] == "ok"
+        return threading.current_thread()
+
+    loop_thread = asyncio.run(_with_batcher(execute, body))
+    assert len(threads) == 3
+    assert all(t is threads[0] for t in threads)  # consecutive batches share it
+    assert threads[0].name == "repro-engine"
+    assert threads[0] is not loop_thread
+    assert not threads[0].is_alive()  # stop() joined it
+
+
+def test_submit_racing_stop_fails_at_once_and_never_hangs():
+    """A request queued ahead of ``stop()`` is answered; one submitted
+    once ``stop()`` has begun fails at once -- while the engine thread is
+    still busy -- instead of landing behind the shutdown sentinel."""
+    recorder = _Recorder(held=True)
+
+    async def body():
+        loop = asyncio.get_running_loop()
+        batcher = MicroBatcher(recorder)
+        await batcher.start()
+        running = asyncio.ensure_future(batcher.submit(_request()))
+        assert await loop.run_in_executor(None, recorder.entered.wait, 10)
+        queued = asyncio.ensure_future(batcher.submit(_request()))
+        stopping = asyncio.ensure_future(batcher.stop())
+        late = asyncio.ensure_future(batcher.submit(_request()))
+        with pytest.raises(RuntimeError, match="batcher stopped"):
+            await asyncio.wait_for(late, 5)
+        assert not stopping.done()  # the engine is still held
+        recorder.release.set()
+        await asyncio.wait_for(stopping, 10)
+        with pytest.raises(RuntimeError, match="batcher stopped"):
+            await batcher.submit(_request())
+        return await running, await queued
+
+    first, second = asyncio.run(body())
+    assert first[0] == second[0] == "ok"
+    assert recorder.batches == [1, 1]
+
+
+def test_failing_execute_fails_its_batch_and_the_next_batch_runs():
+    threads = []
+
+    def explode_once(requests):
+        threads.append(threading.current_thread())
+        if len(threads) == 2:
+            raise RuntimeError("store is gone")
+        return [("ok", id(r)) for r in requests]
+
+    recorder = _Recorder(outcome=explode_once, held=True)
+
+    async def body(batcher):
+        failed = await _queued_behind_blocker(batcher, recorder, [_request() for _ in range(3)])
+        return failed, await batcher.submit(_request())
+
+    failed, after = asyncio.run(_with_batcher(recorder, body))
+    assert recorder.batches == [1, 3, 1]
+    assert all(isinstance(r, RuntimeError) for r in failed)
+    assert after[0] == "ok"
+    assert all(t is threads[0] for t in threads)
+    assert threads[0].name == "repro-engine"
+
+
+def test_concurrent_submits_under_fast_switching_each_get_their_own_answer():
+    """Two hundred submits, a random fifth of them cancelled while queued,
+    with the interpreter switching threads every microsecond: every
+    survivor gets exactly its own answer, no batch exceeds ``BATCH_MAX``,
+    and nothing is scored twice."""
+    answered = []
+
+    def execute(requests):
+        answered.extend(id(r) for r in requests)
+        return [("ok", id(r)) for r in requests]
+
+    requests = [_request() for _ in range(200)]
+    doomed = set(random.Random(5).sample(range(len(requests)), 40))
+
+    async def body(batcher):
+        tasks = [asyncio.ensure_future(batcher.submit(r)) for r in requests]
+        await asyncio.sleep(0)
+        for i in doomed:
+            tasks[i].cancel()
+        return await asyncio.wait_for(asyncio.gather(*tasks, return_exceptions=True), 30)
+
+    recorder = _Recorder(outcome=execute)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        results = asyncio.run(_with_batcher(recorder, body))
+    finally:
+        sys.setswitchinterval(interval)
+    assert max(recorder.batches) <= BATCH_MAX
+    assert len(answered) == len(set(answered)) == sum(recorder.batches)
+    for i, (request, result) in enumerate(zip(requests, results)):
+        if i in doomed:
+            assert isinstance(result, asyncio.CancelledError)
+        else:
+            assert result == ("ok", id(request))

@@ -1,7 +1,7 @@
 """The HTTP server over real sockets: happy path, route-table parity,
 overload shedding (429 + Retry-After, counters matching), deadline
-overruns mapping to 504, typed replies to hostile framing, and clients
-that stall mid-request or vanish mid-batch."""
+overruns mapping to 504, typed replies to hostile framing, clients
+that stall mid-request or vanish mid-batch, and a start on a taken port."""
 
 from __future__ import annotations
 
@@ -15,6 +15,7 @@ import time
 import pytest
 
 from repro.core.config import SystemConfig
+from repro.serving import AsyncCbvrServer
 
 
 def _search_body(harness):
@@ -271,3 +272,21 @@ def test_clients_vanishing_mid_batch_leave_the_batch_its_answers(make_harness, s
     assert harness.metric_value("repro_serving_batches_total") == batches + 2
     assert _raw_search(harness.netloc, body) == solo
     assert harness.request("GET", "/videos")[0] == 200
+
+
+def test_start_on_a_port_in_use_raises_at_once_and_leaves_no_thread(serving_system):
+    """A listener that cannot bind hands its ``OSError`` to the caller of
+    ``start_in_thread`` without waiting out the start timeout, and neither
+    the loop thread nor the engine thread outlives the failed start."""
+    before = set(threading.enumerate())
+    with socket.socket() as taken:
+        taken.bind(("127.0.0.1", 0))
+        taken.listen()
+        server = AsyncCbvrServer(serving_system, port=taken.getsockname()[1])
+        t0 = time.monotonic()
+        with pytest.raises(OSError):
+            server.start_in_thread()
+        assert time.monotonic() - t0 < 2.0
+    left = [t.name for t in set(threading.enumerate()) - before if t.is_alive()]
+    assert not {"repro-engine", "repro-serving"} & set(left), left
+    server.stop()  # a no-op, as for a server never started

@@ -42,6 +42,7 @@ NOT_ON_A_PLAIN_SERVE = (
     "unittest",
     "numpy.testing",
     "numpy.f2py",
+    "numpy.ma",
 )
 
 _SERVE_ONCE = """
