@@ -100,9 +100,10 @@ def _correlogram_counts_windows(
 
     The image is padded with a sentinel color so out-of-image neighbours
     can never match, and ``sliding_window_view`` exposes every shift as one
-    ``(D+1, 2D+1, h, w)`` stack.  A single vectorized equality against the
-    unshifted image replaces the per-offset Python loop; each ring then
-    reduces its shift planes and histograms by color.  Only half of each
+    ``(D+1, 2D+1, h, w)`` stack.  Per ring, one vectorized equality of the
+    ring's shift planes against the unshifted image replaces the
+    per-offset Python loop; the matches are summed per pixel and
+    histogrammed by color.  Only half of each
     ring is compared: ``p`` matches ``p + offset`` exactly when
     ``p + offset`` matches itself shifted by ``-offset``, so the two
     offsets count the same pairs per color and the half-ring count is
@@ -113,18 +114,24 @@ def _correlogram_counts_windows(
 
     h, w = q.shape
     d_max = max_distance
-    padded = np.full((h + d_max, w + 2 * d_max), n_colors, dtype=q.dtype)
-    padded[:h, d_max : d_max + w] = q
-    windows = sliding_window_view(padded, (h, w))
-    same = windows == q
-
     flat_q = q.ravel()
+    # colors and the sentinel as bytes when they fit: the same equalities
+    # on an eighth of the memory an int64 image moves
+    small = n_colors < 256 and 0 <= flat_q.min() and flat_q.max() < n_colors
+    padded = np.full((h + d_max, w + 2 * d_max), n_colors, dtype=np.uint8 if small else q.dtype)
+    padded[:h, d_max : d_max + w] = q
+    centre = padded[:h, d_max : d_max + w]
+    windows = sliding_window_view(padded, (h, w))
+
     counts = np.empty((n_colors, d_max), dtype=np.float64)
     for d, (rows, cols) in enumerate(_half_ring_indices(d_max), start=1):
-        ring = same[rows, cols].sum(axis=0, dtype=np.int64)
-        counts[:, d - 1] = 2.0 * np.bincount(
-            flat_q, weights=ring.ravel().astype(np.float64), minlength=n_colors
+        # only the ring's 4d half-plane shifts, summed as small ints
+        # (at most 4d <= 255 per pixel for byte sums)
+        ring = (windows[rows, cols] == centre).sum(
+            axis=0, dtype=np.uint8 if 4 * d < 256 else np.int64
         )
+        counts[:, d - 1] = np.bincount(flat_q, weights=ring.ravel(), minlength=n_colors)
+    counts *= 2.0
     return counts
 
 

@@ -84,16 +84,20 @@ def _window_mean(ii: np.ndarray, plan: Tuple[np.ndarray, ...]) -> np.ndarray:
 
 def coarseness(gray: np.ndarray, max_k: int = 5) -> float:
     """Tamura coarseness: mean over pixels of the best window size 2^k."""
-    a = np.asarray(gray, dtype=np.float64)
-    if a.ndim != 2:
+    g = np.asarray(gray)
+    if g.ndim != 2:
         raise ValueError("coarseness expects a 2-D gray array")
-    h, w = a.shape
+    h, w = g.shape
     max_k = max(1, min(max_k, int(np.floor(np.log2(min(h, w)))) - 1))
-    ii = _integral(a)
+    plans = _window_plans(h, w, max_k)
+    if accel.fast_paths_enabled():
+        return _coarseness_in_place(g, plans, h, w)
+
+    ii = _integral(g.astype(np.float64))
 
     best_e = np.full((h, w), -1.0)
     best_size = np.ones((h, w))
-    for k, plan in enumerate(_window_plans(h, w, max_k), start=1):
+    for k, plan in enumerate(plans, start=1):
         half = 2 ** (k - 1)
         mean_k = _window_mean(ii, plan)
         # horizontal / vertical differences of window means at distance 2^(k-1)
@@ -110,21 +114,73 @@ def coarseness(gray: np.ndarray, max_k: int = 5) -> float:
     return float(best_size.mean())
 
 
+def _integer_window_mean(ii: np.ndarray, plan: Tuple[np.ndarray, ...]) -> np.ndarray:
+    """:func:`_window_mean` over an integer summed-area table: every sum
+    is exact, so rows first and columns second (four takes, not six)
+    gives the reference's window totals, and the division is the same."""
+    y0, y1, x0, x1, area = plan
+    rows = ii.take(y1, axis=0)
+    rows -= ii.take(y0, axis=0)
+    total = rows.take(x1, axis=1)
+    total -= rows.take(x0, axis=1)
+    return total / area
+
+
+def _coarseness_in_place(gray: np.ndarray, plans, h: int, w: int) -> float:
+    """:func:`coarseness` with one difference plane per scale and the
+    maxima updated in place: ``max(eh, ev)`` is ``eh`` raised to ``ev``
+    where ``ev`` is defined (elsewhere ``ev`` is the reference's zero and
+    ``eh >= 0``), and ``maximum(best, e)`` keeps ``best`` exactly where
+    ``e > best`` fails.  An integer frame (every extracted one) sums in
+    int64, exactly the values the float table holds.  Every stored value
+    is the reference's."""
+    if gray.dtype.kind in "biu" and gray.itemsize <= 2:  # sums far below 2**53
+        ii = np.zeros((h + 1, w + 1), dtype=np.int64)
+        np.cumsum(np.cumsum(gray, axis=0, dtype=np.int64), axis=1, out=ii[1:, 1:])
+        window_mean = _integer_window_mean
+    else:
+        ii = _integral(gray.astype(np.float64, copy=False))
+        window_mean = _window_mean
+    best_e = best_size = None
+    for k, plan in enumerate(plans, start=1):
+        half = 2 ** (k - 1)
+        mean_k = window_mean(ii, plan)
+        e = np.zeros((h, w))
+        if w > 2 * half:
+            inner = e[:, half : w - half]
+            np.subtract(mean_k[:, 2 * half :], mean_k[:, : w - 2 * half], out=inner)
+            np.abs(inner, out=inner)
+        if h > 2 * half:
+            ev = np.subtract(mean_k[2 * half :, :], mean_k[: h - 2 * half, :])
+            inner = e[half : h - half, :]
+            np.maximum(inner, np.abs(ev, out=ev), out=inner)
+        if best_e is None:  # every e >= 0 beats the reference's initial -1
+            best_e, best_size = e, np.full((h, w), 2.0)
+            continue
+        better = e > best_e
+        np.maximum(best_e, e, out=best_e)
+        np.copyto(best_size, 2.0**k, where=better)
+    return float(best_size.mean())
+
+
 def tamura_contrast(gray: np.ndarray) -> float:
     """sigma / kurtosis^(1/4); zero for constant images."""
     a = np.asarray(gray, dtype=np.float64).ravel()
     mu = a.mean()
     if accel.fast_paths_enabled():
-        d2 = np.square(a - mu)
+        d2 = np.subtract(a, mu)
+        np.square(d2, out=d2)
         sigma2 = d2.mean()
         if sigma2 < 1e-12:
             return 0.0
-        mu4 = np.mean(np.square(d2))
+        mu4 = np.square(d2, out=d2).mean()
     else:
         sigma2 = np.mean((a - mu) ** 2)
         if sigma2 < 1e-12:
             return 0.0
-        mu4 = np.mean((a - mu) ** 4)
+        # the square of the squared deviation, as every stored library has
+        # it: ``d ** 4`` rounds differently in about one frame in thirty
+        mu4 = np.mean(((a - mu) ** 2) ** 2)
     alpha4 = mu4 / (sigma2**2)
     return float(np.sqrt(sigma2) / alpha4**0.25)
 
@@ -133,7 +189,16 @@ def _prewitt_sliced(a: np.ndarray):
     """Prewitt gradients via shifted slices (gray values are integers, so
     the regrouped sums are exact -- identical to the convolution path)."""
     h, w = a.shape
-    p = np.pad(a, 1, mode="reflect") if min(h, w) > 1 else np.pad(a, 1)
+    if min(h, w) > 1:
+        # np.pad(a, 1, mode="reflect"), without its per-call set-up
+        p = np.empty((h + 2, w + 2))
+        p[1:-1, 1:-1] = a
+        p[0, 1:-1] = a[1]
+        p[-1, 1:-1] = a[-2]
+        p[:, 0] = p[:, 2]
+        p[:, -1] = p[:, -3]
+    else:
+        p = np.pad(a, 1)
     rowsum = p[:-2, :] + p[1:-1, :] + p[2:, :]
     colsum = p[:, :-2] + p[:, 1:-1] + p[:, 2:]
     gx = rowsum[:, :-2] - rowsum[:, 2:]
@@ -150,9 +215,20 @@ def directionality(gray: np.ndarray, bins: int = 16, threshold: float = 12.0) ->
     a = np.asarray(gray, dtype=np.float64)
     if accel.fast_paths_enabled():
         gx, gy = _prewitt_sliced(a)
-    else:
-        gx = convolve2d(a, _PREWITT_X)
-        gy = convolve2d(a, _PREWITT_Y)
+        # halving is exact, so ``mag / 2 > t`` is ``mag > 2 t``; the angle
+        # is then taken of the strong pixels only, element for element
+        mag = np.abs(gx)
+        mag += np.abs(gy)
+        strong = mag > 2.0 * threshold
+        theta = np.arctan2(gy[strong], gx[strong])
+        theta += np.pi / 2.0
+        np.mod(theta, np.pi, out=theta)
+        theta *= bins
+        theta /= np.pi
+        idx = np.minimum(theta.astype(np.int64), bins - 1)
+        return np.bincount(idx, minlength=bins).astype(np.float64)
+    gx = convolve2d(a, _PREWITT_X)
+    gy = convolve2d(a, _PREWITT_Y)
     mag = (np.abs(gx) + np.abs(gy)) / 2.0
     theta = np.mod(np.arctan2(gy, gx) + np.pi / 2.0, np.pi)  # edge direction
     strong = mag > threshold
@@ -178,7 +254,7 @@ class TamuraTexture(FeatureExtractor):
         gray = image.gray()
         g = gray.astype(np.float64)
         values = np.empty(2 + self.bins)
-        values[0] = coarseness(g, max_k=self.max_k)
+        values[0] = coarseness(gray, max_k=self.max_k)
         values[1] = tamura_contrast(g)
         values[2:] = directionality(g, bins=self.bins, threshold=self.edge_threshold)
         return FeatureVector(kind=self.name, values=values, tag=self.tag)

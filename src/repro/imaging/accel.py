@@ -1,7 +1,8 @@
 """Fast-path switch for accelerated imaging/feature kernels.
 
-Several hot kernels (thresholding, region labelling, the Gabor bank, the
-correlogram) have two implementations: a straightforward *reference* form
+Several hot kernels (thresholding, morphology, region labelling, the
+colour quantisers, the Tamura measures, the Gabor bank, the correlogram)
+have two implementations: a straightforward *reference* form
 that mirrors the paper's pseudo-code, and an accelerated form (vectorized
 NumPy) that produces identical results.  The reference forms stay in the
 tree as the oracle the equivalence tests compare against; nothing outside

@@ -72,24 +72,27 @@ def _hsv_planes(rgb: np.ndarray):
     nz = delta > 0
     rmax = nz & (maxc == r)
     gmax = nz & (maxc == g) & ~rmax
+    bmax = nz & ~rmax & ~gmax
 
     if accel.fast_paths_enabled():
-        # piecewise hue, branchless: every element evaluates the same
-        # formula its masked-assignment equivalent would, so results are
-        # identical (the safe denominators only feed discarded lanes)
-        safe_delta = np.where(nz, delta, 1.0)
-        h = np.where(
-            rmax,
-            np.mod((g - b) / safe_delta, 6.0),
-            np.where(gmax, (b - r) / safe_delta + 2.0, (r - g) / safe_delta + 4.0),
-        )
-        h = np.where(nz, h, 0.0)
+        # one hue plane: each branch's numerator, one division, then each
+        # branch's offset -- the reference's per-element arithmetic.  Only
+        # the r-max branch's x in [-1, 1] can be negative, and there
+        # ``mod(x, 6)`` is ``x + 6``; ``+ 0.0`` is its +0 for a -0
+        h = np.zeros_like(maxc)
+        np.subtract(g, b, out=h, where=rmax)
+        np.subtract(b, r, out=h, where=gmax)
+        np.subtract(r, g, out=h, where=bmax)
+        np.divide(h, delta, out=h, where=nz)
+        h += 0.0
+        np.add(h, 2.0, out=h, where=gmax)
+        np.add(h, 4.0, out=h, where=bmax)
+        np.add(h, 6.0, out=h, where=h < 0)
         h *= 60.0
-        s = np.where(maxc > 0, delta / np.where(maxc > 0, maxc, 1.0), 0.0)
+        s = np.divide(delta, maxc, out=np.zeros_like(maxc), where=maxc > 0)
         return h, s, maxc
 
     h = np.zeros_like(maxc)
-    bmax = nz & ~rmax & ~gmax
     h[rmax] = np.mod((g[rmax] - b[rmax]) / delta[rmax], 6.0)
     h[gmax] = (b[gmax] - r[gmax]) / delta[gmax] + 2.0
     h[bmax] = (r[bmax] - g[bmax]) / delta[bmax] + 4.0
@@ -155,6 +158,22 @@ def quantize_hsv(
     Input: ``(..., 3)`` RGB. Output: int64 bin index array of shape ``(...)``.
     """
     h, s, v = _hsv_planes(rgb)
+    if accel.fast_paths_enabled() and np.asarray(rgb).dtype == np.uint8:
+        if min(h_bins, s_bins, v_bins) < 1:
+            raise ValueError("levels must be >= 1")
+        # byte colours put h in [0, 360] and s, v in [0, 1]: every floor
+        # already lies inside its bins (the clamps are no-ops) and the bin
+        # arithmetic on those small integers is exact in float64, so the
+        # planes are quantized in place and cast once
+        for plane, levels, maximum in ((h, h_bins, 360.0), (s, s_bins, 1.0), (v, v_bins, 1.0)):
+            plane *= levels
+            plane /= maximum + 1e-12
+            np.floor(plane, out=plane)
+        h *= s_bins
+        h += s
+        h *= v_bins
+        h += v
+        return h.astype(np.int64)
     hq = quantize_uniform(h, h_bins, maximum=360.0)
     sq = quantize_uniform(s, s_bins, maximum=1.0)
     vq = quantize_uniform(v, v_bins, maximum=1.0)

@@ -95,17 +95,36 @@ def _min_fuzziness_vectorized(
     # and only at thresholds with mass: an empty bin's row is the row below
     # it (same class sums), gathered back so the product keeps one row per
     # threshold (gemv's rounding of a row depends on the row count)
-    live = np.flatnonzero(w[first:last])
-    mu = np.where(
+    has_mass = w[first:last] > 0
+    live = np.flatnonzero(has_mass)
+    # select the class mean first, then evaluate the membership formula
+    # once -- identical per-element arithmetic, half the matrix work; in
+    # place, one buffer for the membership and one for its complement
+    mem = np.where(
         grid <= ts[live, np.newaxis], mu0[live, np.newaxis], mu1[live, np.newaxis]
     )
-    # select the class mean first, then evaluate the membership formula
-    # once -- identical per-element arithmetic, half the matrix work
-    mem = 1.0 / (1.0 + np.abs(grid - mu) / c)
-    mem = np.clip(mem, 1e-12, 1 - 1e-12)
-    entropy = np.zeros((live.size, w.size))
-    entropy[:, cols] = -(mem * np.log(mem) + (1 - mem) * np.log(1 - mem))
-    e = entropy[np.cumsum(w[first:last] > 0) - 1] @ w
+    np.subtract(grid, mem, out=mem)
+    np.abs(mem, out=mem)
+    mem /= c
+    mem += 1.0
+    np.divide(1.0, mem, out=mem)
+    # memberships lie in [0.5, 1] (|g - mu| <= c), so the reference's
+    # lower clip at 1e-12 never binds
+    np.minimum(mem, 1 - 1e-12, out=mem)
+    other = np.subtract(1, mem)
+    # one extra zero column stands for every empty bin: two row-and-column
+    # takes build the (T, bins) matrix without a fancy-index scatter
+    entropy = np.zeros((live.size, cols.size + 1))
+    term = entropy[:, :-1]
+    np.log(mem, out=term)
+    term *= mem
+    mem = np.log(other, out=mem)
+    mem *= other
+    term += mem
+    np.negative(term, out=term)
+    column = np.full(w.size, cols.size)
+    column[cols] = np.arange(cols.size)
+    e = entropy.take(column, axis=1).take(np.cumsum(has_mass) - 1, axis=0) @ w
     e[~valid] = np.inf
     return int(ts[np.argmin(e)])
 
@@ -139,6 +158,6 @@ def binarize(gray: np.ndarray, threshold: float = None) -> np.ndarray:
     if a.ndim != 2:
         raise ValueError("binarize expects a 2-D gray array")
     if threshold is None:
-        hist = np.bincount(a.astype(np.uint8).ravel(), minlength=256)
+        hist = np.bincount(a.astype(np.uint8, copy=False).ravel(), minlength=256)
         threshold = min_fuzziness_threshold(hist)
     return a > threshold

@@ -11,15 +11,31 @@ from float64: glcm's statistics run over the non-zero cells instead of the
 full grid, gabor's inverse transform is one batched in-place FFT taken
 axis by axis (rows, the 1/(h*w) scale, columns) instead of a per-filter
 ``ifft2``.
+
+Beyond the two fixture images, three sweeps pin the rewrites: every RGB
+colour through the colour kernels, every frame shape from 1x1 to 9x9
+(plus 48x64) through every extractor and the morphology, and a seeded
+sweep of noise frames through Tamura's contrast.
 """
+
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
 
 from repro.features.base import get_extractor
+from repro.features.color_histogram import SimpleColorHistogram
+from repro.features.tamura import tamura_contrast
 from repro.imaging import accel
-from repro.imaging.color import quantize_uniform, rgb_to_gray, rgb_to_hsv
+from repro.imaging.color import quantize_hsv, quantize_uniform, rgb_to_gray, rgb_to_hsv
 from repro.imaging.image import Image
+from repro.imaging.morphology import (
+    PAPER_KERNEL,
+    binary_close,
+    binary_dilate,
+    binary_erode,
+    binary_open,
+)
 from repro.imaging.resize import resize_array
 
 # extractor -> (rtol, atol); None means bitwise equality is required
@@ -154,3 +170,107 @@ class TestSearchEquivalence:
             rtol=1e-6,
             atol=1e-9,
         )
+
+
+def _both_paths(fn, *args):
+    """``fn(*args)`` on the fast and the reference path: each result, or
+    the type of the exception it raised."""
+    outcomes = []
+    for path in (nullcontext, accel.reference_paths):
+        with path():
+            try:
+                outcomes.append(fn(*args))
+            except Exception as exc:  # compared by type below
+                outcomes.append(type(exc))
+    return outcomes
+
+
+class TestEveryColour:
+    """All 2^24 RGB colours, one red value per slab: the colour kernels'
+    fast forms are proofs about byte inputs, checked over every byte."""
+
+    @staticmethod
+    def _slabs():
+        slab = np.empty((256, 256, 3), dtype=np.uint8)
+        slab[..., 1], slab[..., 2] = np.meshgrid(
+            np.arange(256, dtype=np.uint8), np.arange(256, dtype=np.uint8), indexing="ij"
+        )
+        for red in range(256):
+            slab[..., 0] = red
+            yield red, slab
+
+    @pytest.mark.parametrize(
+        "kernel",
+        [quantize_hsv, rgb_to_gray, SimpleColorHistogram()._bin_indices],
+        ids=["quantize_hsv", "rgb_to_gray", "sch_rgb_bins"],
+    )
+    def test_fast_equals_reference(self, kernel):
+        for red, slab in self._slabs():
+            fast = kernel(slab)
+            with accel.reference_paths():
+                ref = kernel(slab)
+            assert np.array_equal(fast, ref), f"red={red}"
+
+
+def _degenerate_frames():
+    gen = np.random.default_rng(40)
+    shapes = [(h, w) for h in range(1, 10) for w in range(1, 10)] + [(48, 64)]
+    for h, w in shapes:
+        yield f"random-{h}x{w}", gen.integers(0, 256, (h, w, 3), dtype=np.uint8)
+        yield f"constant-{h}x{w}", np.full((h, w, 3), gen.integers(0, 256, 3), dtype=np.uint8)
+        yield f"gray-{h}x{w}", gen.integers(0, 256, (h, w), dtype=np.uint8)
+
+
+class TestDegenerateShapes:
+    """Every shape from 1x1 to 9x9 and 48x64; random, constant and gray."""
+
+    @pytest.mark.parametrize("name", sorted(_TOLERANCES))
+    def test_extractor(self, name):
+        extractor = get_extractor(name)
+        tol = _TOLERANCES[name]
+        for label, pixels in _degenerate_frames():
+            fast, ref = _both_paths(lambda: extractor.extract(Image(pixels)).values)
+            if isinstance(fast, type) or isinstance(ref, type):
+                assert fast is ref, (name, label, fast, ref)
+            elif tol is None:
+                assert np.array_equal(fast, ref), (name, label)
+            else:
+                assert np.allclose(fast, ref, rtol=tol[0], atol=tol[1]), (name, label)
+
+    @pytest.mark.parametrize("op", [binary_dilate, binary_erode, binary_open, binary_close])
+    @pytest.mark.parametrize(
+        "kernel",
+        [
+            PAPER_KERNEL,
+            np.ones((3, 3), dtype=bool),
+            np.ones((1, 3), dtype=bool),
+            np.ones((5, 3), dtype=bool),
+            np.ones((2, 2), dtype=bool),
+            np.ones((4, 4), dtype=bool),
+            np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool),  # not a box
+            np.array([[0, 0, 0], [0, 0, 1], [0, 0, 0]], dtype=bool),  # centre unset
+        ],
+        ids=["paper", "box3", "row3", "box5x3", "box2", "box4", "cross", "offcentre"],
+    )
+    def test_morphology(self, op, kernel):
+        gen = np.random.default_rng(41)
+        for label, pixels in _degenerate_frames():
+            shape = pixels.shape[:2]
+            plane = pixels if pixels.ndim == 2 else pixels[..., 0]
+            for binary in (plane > 127, np.zeros(shape, bool), np.ones(shape, bool),
+                           gen.random(shape) < 0.8):
+                fast, ref = _both_paths(op, binary, kernel)
+                assert fast.dtype == ref.dtype == bool
+                assert np.array_equal(fast, ref), label
+
+
+class TestTamuraContrastSweep:
+    """Seeded noise frames: mu4 must round the same way on both paths
+    (about one frame in thirty told a fourth power from a squared square)."""
+
+    def test_fast_equals_reference(self):
+        gen = np.random.default_rng(11)
+        for i in range(300):
+            gray = rgb_to_gray(gen.integers(0, 256, (48, 64, 3), dtype=np.uint8)).astype(np.float64)
+            fast, ref = _both_paths(tamura_contrast, gray)
+            assert fast.hex() == ref.hex(), i
