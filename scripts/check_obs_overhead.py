@@ -10,8 +10,9 @@ through two engines over identical data:
 - ``enabled``  -- a fully instrumented engine (metrics registry + tracer)
 
 The two run in interleaved pairs: each pair answers one query frame on
-both engines, back to back, the engine that goes first alternating from
-pair to pair, and the query frames cycling through several key frames.
+both engines, back to back.  The pairs cycle through several key frames
+in rounds, and the engine that goes first alternates from round to
+round, so every frame is timed in both orders.
 The overhead is the median of the per-pair ``enabled / disabled`` time
 ratios, so drift in the machine's speed over the run (another process,
 frequency changes) falls on both halves of a pair instead of on one
@@ -76,7 +77,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     ratios, disabled_s, enabled_s = [], [], []
     for i in range(args.repeats * len(queries)):
         query = queries[i % len(queries)]
-        if i % 2:
+        if (i // len(queries)) % 2:
             on, off = _seconds(enabled, query), _seconds(disabled, query)
         else:
             off, on = _seconds(disabled, query), _seconds(enabled, query)

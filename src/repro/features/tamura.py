@@ -65,20 +65,8 @@ def _window_plans(h: int, w: int, max_k: int) -> Tuple[Tuple[np.ndarray, ...], .
 def _window_mean(ii: np.ndarray, plan: Tuple[np.ndarray, ...]) -> np.ndarray:
     """Mean over the clipped (2*half)^2 window centred at each pixel."""
     y0, y1, x0, x1, area = plan
-    if accel.fast_paths_enabled():
-        # the same four corner reads in the same order, as row-then-column
-        # takes instead of broadcast fancy indexing
-        top = ii.take(y0, axis=0)
-        bottom = ii.take(y1, axis=0)
-        total = (
-            bottom.take(x1, axis=1)
-            - top.take(x1, axis=1)
-            - bottom.take(x0, axis=1)
-            + top.take(x0, axis=1)
-        )
-    else:
-        y0, y1 = y0[:, np.newaxis], y1[:, np.newaxis]
-        total = ii[y1, x1] - ii[y0, x1] - ii[y1, x0] + ii[y0, x0]
+    y0, y1 = y0[:, np.newaxis], y1[:, np.newaxis]
+    total = ii[y1, x1] - ii[y0, x1] - ii[y1, x0] + ii[y0, x0]
     return total / area
 
 
@@ -90,7 +78,8 @@ def coarseness(gray: np.ndarray, max_k: int = 5) -> float:
     h, w = g.shape
     max_k = max(1, min(max_k, int(np.floor(np.log2(min(h, w)))) - 1))
     plans = _window_plans(h, w, max_k)
-    if accel.fast_paths_enabled():
+    if accel.fast_paths_enabled() and g.dtype.kind in "biu" and g.itemsize <= 2:
+        # byte and short frames (every extracted one): sums far below 2**53
         return _coarseness_in_place(g, plans, h, w)
 
     ii = _integral(g.astype(np.float64))
@@ -127,24 +116,19 @@ def _integer_window_mean(ii: np.ndarray, plan: Tuple[np.ndarray, ...]) -> np.nda
 
 
 def _coarseness_in_place(gray: np.ndarray, plans, h: int, w: int) -> float:
-    """:func:`coarseness` with one difference plane per scale and the
-    maxima updated in place: ``max(eh, ev)`` is ``eh`` raised to ``ev``
-    where ``ev`` is defined (elsewhere ``ev`` is the reference's zero and
-    ``eh >= 0``), and ``maximum(best, e)`` keeps ``best`` exactly where
-    ``e > best`` fails.  An integer frame (every extracted one) sums in
-    int64, exactly the values the float table holds.  Every stored value
-    is the reference's."""
-    if gray.dtype.kind in "biu" and gray.itemsize <= 2:  # sums far below 2**53
-        ii = np.zeros((h + 1, w + 1), dtype=np.int64)
-        np.cumsum(np.cumsum(gray, axis=0, dtype=np.int64), axis=1, out=ii[1:, 1:])
-        window_mean = _integer_window_mean
-    else:
-        ii = _integral(gray.astype(np.float64, copy=False))
-        window_mean = _window_mean
+    """:func:`coarseness` of an integer frame with one difference plane
+    per scale and the maxima updated in place: ``max(eh, ev)`` is ``eh``
+    raised to ``ev`` where ``ev`` is defined (elsewhere ``ev`` is the
+    reference's zero and ``eh >= 0``), and ``maximum(best, e)`` keeps
+    ``best`` exactly where ``e > best`` fails.  The frame sums in int64,
+    exactly the values the reference's float table holds, so every stored
+    value is the reference's."""
+    ii = np.zeros((h + 1, w + 1), dtype=np.int64)
+    np.cumsum(np.cumsum(gray, axis=0, dtype=np.int64), axis=1, out=ii[1:, 1:])
     best_e = best_size = None
     for k, plan in enumerate(plans, start=1):
         half = 2 ** (k - 1)
-        mean_k = window_mean(ii, plan)
+        mean_k = _integer_window_mean(ii, plan)
         e = np.zeros((h, w))
         if w > 2 * half:
             inner = e[:, half : w - half]

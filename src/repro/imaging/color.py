@@ -138,8 +138,6 @@ def quantize_uniform(values: np.ndarray, levels: int, maximum: float = 255.0) ->
         raise ValueError("levels must be >= 1")
     arr = np.asarray(values, dtype=np.float64)
     idx = np.floor(arr * levels / (maximum + 1e-12)).astype(np.int64)
-    if accel.fast_paths_enabled():
-        return np.minimum(np.maximum(idx, 0), levels - 1)
     return np.clip(idx, 0, levels - 1)
 
 

@@ -12,18 +12,15 @@ central 3x3 box::
 
 That close-then-open sequence removes speckle while preserving region shape.
 
-A kernel whose active area is a full rectangle (the paper's is) is
-separable: the fast path runs one pass along the rows and one down the
-columns, each an OR (dilate) or AND (erode) of a few shifted slices, with
-the same zero boundary.  Booleans, so the result is the per-offset loop's
-bit for bit; that loop stays as the reference under
-``accel.reference_paths()`` and for any other kernel.
+The paper's 3x3 box is separable: for :data:`PAPER_KERNEL` the fast path
+runs one pass along the rows and one down the columns, each an OR
+(dilate) or AND (erode) of the two one-pixel shifts, with the same zero
+boundary.  Booleans, so the result is the per-offset loop's bit for bit;
+that loop stays as the reference under ``accel.reference_paths()`` and
+for every other kernel.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
-from typing import Optional, Tuple
 
 import numpy as np
 
@@ -64,59 +61,36 @@ def _offsets(kernel: np.ndarray):
     return list(zip(ys - cy, xs - cx))
 
 
-@lru_cache(maxsize=8)
-def _box(shape: Tuple[int, ...], bits: bytes) -> Optional[Tuple[Tuple[int, int], ...]]:
-    """The kernel's active area as per-axis offset ranges ``(lo, hi)``
-    around its centre, or None when that area is not a full rectangle
-    holding the centre."""
-    k = np.frombuffer(bits, dtype=bool).reshape(shape)
-    ys, xs = np.nonzero(k)
-    if ys.size == 0 or ys.size != (np.ptp(ys) + 1) * (np.ptp(xs) + 1):
-        return None
-    cy, cx = (shape[0] - 1) // 2, (shape[1] - 1) // 2
-    box = ((int(ys.min()) - cy, int(ys.max()) - cy), (int(xs.min()) - cx, int(xs.max()) - cx))
-    if any(lo > 0 or hi < 0 for lo, hi in box):
-        return None
-    return box
-
-
-def _separable(kernel: np.ndarray) -> Optional[Tuple[Tuple[int, int], ...]]:
+def _paper_box(kernel: np.ndarray) -> bool:
+    """Whether the fast path runs: the kernel is the paper's 3x3 box."""
     if not accel.fast_paths_enabled():
-        return None
-    k = np.asarray(kernel).astype(bool)
-    return _box(k.shape, k.tobytes()) if k.ndim == 2 else None
+        return False
+    return kernel is PAPER_KERNEL or np.array_equal(kernel, PAPER_KERNEL)
 
 
-def _dilate_axis0(a: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """``out[y] = OR of a[y - d]`` for ``d`` in ``lo..hi`` (0 outside)."""
+def _dilate3_axis0(a: np.ndarray) -> np.ndarray:
+    """``out[y] = a[y - 1] | a[y] | a[y + 1]`` (0 outside)."""
     out = a.copy()
-    for d in range(1, hi + 1):
-        out[d:] |= a[:-d]
-    for d in range(1, 1 - lo):
-        out[:-d] |= a[d:]
+    out[1:] |= a[:-1]
+    out[:-1] |= a[1:]
     return out
 
 
-def _erode_axis0(a: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """``out[y] = AND of a[y + d]`` for ``d`` in ``lo..hi`` (0 outside)."""
+def _erode3_axis0(a: np.ndarray) -> np.ndarray:
+    """``out[y] = a[y - 1] & a[y] & a[y + 1]`` (0 outside)."""
     out = a.copy()
-    for d in range(1, hi + 1):
-        out[:-d] &= a[d:]
-        out[-d:] = False
-    for d in range(1, 1 - lo):
-        out[d:] &= a[:-d]
-        out[:d] = False
+    out[1:] &= a[:-1]
+    out[:-1] &= a[1:]
+    out[:1] = False
+    out[-1:] = False
     return out
 
 
 def binary_dilate(arr: np.ndarray, kernel: np.ndarray = PAPER_KERNEL) -> np.ndarray:
     """Binary dilation: a pixel is set if any kernel-covered pixel is set."""
     a = _as_binary(arr)
-    box = _separable(kernel)
-    if box is not None:
-        (ylo, yhi), (xlo, xhi) = box
-        rows = _dilate_axis0(a.T, xlo, xhi).T
-        return _dilate_axis0(rows, ylo, yhi)
+    if _paper_box(kernel):
+        return _dilate3_axis0(_dilate3_axis0(a.T).T)
     out = np.zeros_like(a)
     h, w = a.shape
     for dy, dx in _offsets(kernel):
@@ -138,11 +112,8 @@ def binary_erode(arr: np.ndarray, kernel: np.ndarray = PAPER_KERNEL) -> np.ndarr
     border (matching JAI's zero boundary).
     """
     a = _as_binary(arr)
-    box = _separable(kernel)
-    if box is not None:
-        (ylo, yhi), (xlo, xhi) = box
-        rows = _erode_axis0(a.T, xlo, xhi).T
-        return _erode_axis0(rows, ylo, yhi)
+    if _paper_box(kernel):
+        return _erode3_axis0(_erode3_axis0(a.T).T)
     out = np.ones_like(a)
     h, w = a.shape
     for dy, dx in _offsets(kernel):

@@ -97,7 +97,7 @@ class TestCoarsenessWindowPlans:
     @pytest.mark.parametrize("integral", [True, False])
     def test_bit_equal_to_the_fancy_index_form(self, shape, integral):
         gen = np.random.default_rng(sum(shape))
-        gray = gen.integers(0, 256, shape).astype(np.float64) if integral else gen.random(shape) * 255
+        gray = gen.integers(0, 256, shape).astype(np.uint8) if integral else gen.random(shape) * 255
         fast = coarseness(gray)
         with accel.reference_paths():
             reference = coarseness(gray)
