@@ -2,19 +2,30 @@
 
 - ``<path>``      -- the database file: one section per table (its
   ``CREATE TABLE`` text, then its rows, binary encoded), nothing after.
-- ``<path>.wal``  -- the write-ahead log: one CRC-framed record per commit
-  (its statements: text + bound parameters), one write and one fsync, so a
+- ``<path>.wal``  -- the write-ahead log: one frame per commit (its
+  statements: text + bound parameters), one write and one fsync, so a
   commit replays whole or not at all.
 
 Both files open with magic, a commit sequence and the library token minted
-at creation: the log's sequence is its base (record ``k`` is commit
+at creation: the log's sequence is its base (frame ``k`` is commit
 ``base + k``), the database file's the last commit it folds.  The mmap
 image of the feature store is stamped with the sequence and catches up
 through :func:`read_log`.  On open the file is loaded and the log's later
-commits replayed; a torn final record is dropped and the next append
-overwrites it.  ``checkpoint()`` renames a fresh file into place, then
-restarts the log; a crash between the two leaves commits in the log that
-replay skips.
+commits replayed.
+
+A frame is ``<IQ>`` (body length, commit sequence), the body, then a CRC
+of all three that runs on from the previous frame's (the first frame's
+from the log header's).  Replay stops at the first frame that is torn,
+corrupt, or not commit ``base + k``; the next append overwrites it.
+``checkpoint()`` renames a fresh file into place, fsyncs the directory,
+then restarts the log *in place*: it rewrites the header at the new base
+and appends from just past it.  The bytes of earlier generations stay
+behind the appends -- every frame in them is at or below the new base,
+so none can pass for the next commit -- and the log keeps the most it
+ever held between two checkpoints.  Nothing on the write path truncates
+the log: releasing a written file's blocks costs tens of ms per MB on a
+disk that discards them.  A crash between the rename and the restart
+leaves commits in the log that replay skips.
 
 Opening walks the database file once, mapped, into bulk table loads.  A
 BLOB cell is not copied: it becomes a :class:`~repro.db.types.Lob`
@@ -40,9 +51,11 @@ from repro.db.types import Lob, decode_rows, decode_value, encode_blob_head, enc
 __all__ = ["LobFile", "Log", "Storage", "read_log"]
 
 _DB_MAGIC = b"RDB2"
-_WAL_MAGIC = b"RWL2"
+_WAL_MAGIC = b"RWL3"
 #: magic, commit sequence, library token
 _HEADER = struct.Struct("<4sQ16s")
+#: a log frame's head: body length, commit sequence
+_FRAME = struct.Struct("<IQ")
 _U32 = struct.Struct("<I")
 #: a record body opening with this word is a transaction (it cannot be a
 #: statement's text length: the body would have to be longer than 4 GiB)
@@ -122,8 +135,10 @@ class Log(NamedTuple):
     base: int
     token: str
     commits: List[List[Statement]]
-    #: offset just past the last intact record
+    #: offset just past the last intact frame
     end: int
+    #: the CRC the next frame runs on from
+    crc: int
 
     @property
     def last(self) -> int:
@@ -144,32 +159,41 @@ class Log(NamedTuple):
 
 
 def read_log(wal_path: Union[str, "os.PathLike[str]"]) -> Optional[Log]:
-    """Parse a log file; None when it is absent or empty.  A torn or
-    corrupt record ends the log silently: it never committed."""
+    """Parse a log file; None when it is absent or empty.  The first frame
+    that is torn, corrupt or not the next commit ends the log silently: it
+    never committed, or belongs to an earlier generation.  Reads frame by
+    frame, each frame's sequence before its body, so the bytes a recycled
+    log holds past its last commit are never read."""
+    path = os.fspath(wal_path)
     try:
-        with open(wal_path, "rb") as fh:
-            buf = fh.read()
+        fh = open(path, "rb")
     except FileNotFoundError:
         return None
-    if not buf:
-        return None
-    base, token = _read_header(buf, _WAL_MAGIC, os.fspath(wal_path))
-    commits: List[List[Statement]] = []
-    offset = _HEADER.size
-    while offset < len(buf):
-        try:
-            body_len, o = _read_u32(buf, offset)
-            body = buf[o : o + body_len]
-            if len(body) != body_len:
-                break  # torn write
-            crc, o = _read_u32(buf, o + body_len)
-            if zlib.crc32(body) != crc:
-                break  # torn/corrupt record: the log ends here
-            commits.append(_read_commit(body))
-        except StorageError:
-            break
-        offset = o
-    return Log(base, token, commits, offset)
+    with fh:
+        header = fh.read(_HEADER.size)
+        if not header:
+            return None
+        base, token = _read_header(header, _WAL_MAGIC, path)
+        size = os.fstat(fh.fileno()).st_size
+        commits: List[List[Statement]] = []
+        offset, crc = _HEADER.size, zlib.crc32(header)
+        while offset + _FRAME.size + _U32.size <= size:
+            head = fh.read(_FRAME.size)
+            body_len, seq = _FRAME.unpack(head)
+            end = offset + _FRAME.size + body_len + _U32.size
+            if seq != base + len(commits) + 1 or end > size:
+                break  # an earlier generation's frame, or a torn length
+            body = fh.read(body_len)
+            found = fh.read(_U32.size)
+            frame_crc = zlib.crc32(body, zlib.crc32(head, crc))
+            if len(found) != _U32.size or _U32.unpack(found)[0] != frame_crc:
+                break  # torn/corrupt frame: the log ends here
+            try:
+                commits.append(_read_commit(body))
+            except StorageError:
+                break
+            offset, crc = end, frame_crc
+    return Log(base, token, commits, offset, crc)
 
 
 class LobFile:
@@ -244,6 +268,15 @@ def _read_tables(buf, file: LobFile) -> Dict[str, Table]:
     return tables
 
 
+def _fsync_dir(path: str) -> None:
+    """Make a rename into ``path``'s directory durable."""
+    fd = os.open(os.path.dirname(os.path.abspath(path)), os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
 class Storage:
     """Database file + log bound to one path."""
 
@@ -254,9 +287,11 @@ class Storage:
         self.token = os.urandom(16).hex()
         #: the last commit
         self.seq = 0
-        #: where the next record goes in the existing log (None: start one)
+        #: where the next frame goes in the existing log (None: start one)
         self._log_end: Optional[int] = None
-        self._wal_fh = None
+        #: the CRC the next frame runs on from
+        self._log_crc = 0
+        self._wal_fd: Optional[int] = None
         #: the database file as loaded or last written (its LOBs' home)
         self._file: Optional[LobFile] = None
 
@@ -265,26 +300,33 @@ class Storage:
 
     # -- log ------------------------------------------------------------------
 
-    def _ensure_wal(self):
-        if self._wal_fh is None:
-            if self._log_end is None:
-                self._wal_fh = open(self.wal_path, "wb")
-                self._wal_fh.write(self._header(_WAL_MAGIC))
-            else:  # drop a torn tail: record k must stay commit base + k
-                self._wal_fh = open(self.wal_path, "r+b")
-                self._wal_fh.truncate(self._log_end)
-                self._wal_fh.seek(self._log_end)
-        return self._wal_fh
+    def _log_fd(self) -> int:
+        """The log, open for writing (created when there is none)."""
+        if self._wal_fd is None:
+            self._wal_fd = os.open(self.wal_path, os.O_RDWR | os.O_CREAT, 0o666)
+        return self._wal_fd
+
+    def _restart_log(self) -> int:
+        """Start the log's generation at the last commit: its header,
+        written in place; the next frame goes just past it."""
+        fd = self._log_fd()
+        header = self._header(_WAL_MAGIC)
+        os.pwrite(fd, header, 0)
+        self._log_end, self._log_crc = _HEADER.size, zlib.crc32(header)
+        return fd
 
     def _append(self, body: bytes) -> None:
-        """One framed record: length, body, CRC -- one write, one fsync."""
-        fh = self._ensure_wal()
-        fh.write(_U32.pack(len(body)))
-        fh.write(body)
-        fh.write(_U32.pack(zlib.crc32(body)))
-        fh.flush()
-        os.fsync(fh.fileno())
+        """One frame: length, sequence, body, CRC -- one write, one fsync."""
+        fd = self._log_fd() if self._log_end is not None else self._restart_log()
+        head = _FRAME.pack(len(body), self.seq + 1)
+        crc = zlib.crc32(body, zlib.crc32(head, self._log_crc))
+        frame = b"".join((head, body, _U32.pack(crc)))
+        if os.pwrite(fd, frame, self._log_end) != len(frame):
+            raise StorageError(f"short write to {self.wal_path}")
+        os.fsync(fd)
         self.seq += 1
+        self._log_end += len(frame)
+        self._log_crc = crc
 
     def log_statement(self, text: str, params: Sequence) -> None:
         """Append one committed write statement to the WAL and flush."""
@@ -356,11 +398,10 @@ class Storage:
                 rebound[rowid] = tuple(values)
             table.replace_rows(rebound)
         # the log's commits are in the file now; a crash before the restart
-        # leaves them for replay to skip
-        self._close_log()
-        self._wal_fh = open(self.wal_path, "wb")
-        self._wal_fh.write(self._header(_WAL_MAGIC))
-        self._wal_fh.flush()
+        # leaves them for replay to skip.  The rename reaches the disk
+        # before the new base does: a log ahead of its file cannot open.
+        _fsync_dir(self.path)
+        os.fsync(self._restart_log())
 
     def load_into(self, db) -> None:
         """Populate an empty Database from the database file + the log."""
@@ -388,14 +429,11 @@ class Storage:
             raise
         self._file = file
         if log is not None:
-            self.seq, self._log_end = log.last, log.end
-
-    def _close_log(self) -> None:
-        if self._wal_fh is not None:
-            self._wal_fh.close()
-            self._wal_fh = None
+            self.seq, self._log_end, self._log_crc = log.last, log.end, log.crc
 
     def close(self) -> None:
-        self._close_log()
+        if self._wal_fd is not None:
+            os.close(self._wal_fd)
+            self._wal_fd = None
         if self._file is not None:
             self._file.close()

@@ -53,11 +53,14 @@ def correlogram_counts(quantized: np.ndarray, n_colors: int, max_distance: int) 
 
     ``counts[c, d-1]`` = number of ordered pixel pairs (p, q) with
     ``color(p) == color(q) == c`` and ``max(|dx|, |dy|) == d`` (q inside the
-    image).
+    image).  An index outside ``[0, n_colors)`` is a ``ValueError`` on
+    either path, before any counting.
     """
     q = np.asarray(quantized)
     if q.ndim != 2:
         raise ValueError("quantized must be a 2-D index array")
+    if q.size and not (0 <= q.min() and q.max() < n_colors):
+        raise ValueError(f"colour indices must lie in [0, {n_colors})")
     if accel.fast_paths_enabled() and q.size:
         return _correlogram_counts_windows(q, n_colors, max_distance)
     h, w = q.shape
@@ -117,8 +120,8 @@ def _correlogram_counts_windows(
     flat_q = q.ravel()
     # colors and the sentinel as bytes when they fit: the same equalities
     # on an eighth of the memory an int64 image moves
-    small = n_colors < 256 and 0 <= flat_q.min() and flat_q.max() < n_colors
-    padded = np.full((h + d_max, w + 2 * d_max), n_colors, dtype=np.uint8 if small else q.dtype)
+    dtype = np.uint8 if n_colors < 256 else q.dtype
+    padded = np.full((h + d_max, w + 2 * d_max), n_colors, dtype=dtype)
     padded[:h, d_max : d_max + w] = q
     centre = padded[:h, d_max : d_max + w]
     windows = sliding_window_view(padded, (h, w))

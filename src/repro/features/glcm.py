@@ -73,6 +73,10 @@ def _checked(gray: np.ndarray, step: int, base_size: Optional[int]) -> np.ndarra
     a = np.asarray(gray)
     if a.ndim != 2:
         raise ValueError("glcm_matrix expects a 2-D gray array")
+    # a gray level is a matrix index: a byte always is one, anything wider
+    # is checked (as an integer level once truncated) before any counting
+    if a.dtype != np.uint8 and a.size and not (-1 < a.min() and a.max() < 256):
+        raise ValueError("gray levels must lie in [0, 256)")
     width = a.shape[1] if base_size is None else base_size
     if step < 1 or step >= width:
         raise ValueError(f"step must be in [1, width); got {step}")

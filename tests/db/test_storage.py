@@ -26,6 +26,14 @@ def _populate(db):
     db.execute("INSERT INTO T (ID, NAME) VALUES (2, 'two')")
 
 
+def _ids(path):
+    db = Database.open(path)
+    try:
+        return sorted(r["ID"] for r in db.execute("SELECT ID FROM T").rows)
+    finally:
+        db.close()
+
+
 class TestWalReplay:
     def test_reopen_replays_wal(self, path):
         db = Database.open(path)
@@ -82,16 +90,62 @@ class TestWalReplay:
 
 
 class TestCheckpoint:
-    def test_checkpoint_truncates_wal(self, path):
+    def test_checkpoint_restarts_wal_in_place(self, path):
+        """A checkpoint restarts the log at the folded commit by rewriting
+        its header: same file, nothing released, no commit left to replay."""
         db = Database.open(path)
         _populate(db)
-        header = 28  # magic, commit sequence, library token
-        assert os.path.getsize(path + ".wal") > header
+        before = os.stat(path + ".wal")
+        assert before.st_size > 28  # magic, commit sequence, library token
         db.checkpoint()
-        assert os.path.getsize(path + ".wal") == header  # restarted at commit 3
-        assert read_log(path + ".wal").base == db.commit_seq == 3
+        after = os.stat(path + ".wal")
+        log = read_log(path + ".wal")
+        assert log.base == db.commit_seq == 3 and log.commits == []
+        assert after.st_ino == before.st_ino
+        assert after.st_size >= before.st_size
         assert os.path.getsize(path) > 0
         db.close()
+
+    def test_checkpoint_order(self, path, monkeypatch):
+        """The database file's rename reaches the disk (a directory fsync)
+        before the log header names the new base; then that header is
+        made durable."""
+        db = Database.open(path)
+        _populate(db)
+        calls = []
+        real_replace, real_fsync, real_pwrite = os.replace, os.fsync, os.pwrite
+
+        def replace(src, dst):
+            calls.append(("replace", dst))
+            return real_replace(src, dst)
+
+        def fsync(fd):
+            kind = "dir" if os.path.isdir(f"/proc/self/fd/{fd}") else os.readlink(
+                f"/proc/self/fd/{fd}"
+            )
+            calls.append(("fsync", kind))
+            return real_fsync(fd)
+
+        def pwrite(fd, data, offset):
+            calls.append(("pwrite", os.readlink(f"/proc/self/fd/{fd}"), offset))
+            return real_pwrite(fd, data, offset)
+
+        monkeypatch.setattr(os, "replace", replace)
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "pwrite", pwrite)
+        db.checkpoint()
+        monkeypatch.undo()
+        wal = os.path.realpath(path + ".wal")
+        assert calls[1:] == [
+            ("replace", path),
+            ("fsync", "dir"),
+            ("pwrite", wal, 0),
+            ("fsync", wal),
+        ]
+        assert calls[0] == ("fsync", os.path.realpath(path + ".tmp"))
+        db.execute("INSERT INTO T (ID) VALUES (7)")
+        db.close()
+        assert _ids(path) == [1, 2, 7]
 
     def test_snapshot_plus_wal(self, path):
         db = Database.open(path)

@@ -25,6 +25,8 @@ import pytest
 
 from repro.features.base import get_extractor
 from repro.features.color_histogram import SimpleColorHistogram
+from repro.features.correlogram import correlogram_counts
+from repro.features.glcm import glcm_matrix
 from repro.features.tamura import tamura_contrast
 from repro.imaging import accel
 from repro.imaging.color import quantize_hsv, quantize_uniform, rgb_to_gray, rgb_to_hsv
@@ -212,17 +214,20 @@ class TestEveryColour:
             assert np.array_equal(fast, ref), f"red={red}"
 
 
+_SHAPES = [(h, w) for h in range(1, 10) for w in range(1, 10)] + [(48, 64)]
+
+
 def _degenerate_frames():
     gen = np.random.default_rng(40)
-    shapes = [(h, w) for h in range(1, 10) for w in range(1, 10)] + [(48, 64)]
-    for h, w in shapes:
+    for h, w in _SHAPES:
         yield f"random-{h}x{w}", gen.integers(0, 256, (h, w, 3), dtype=np.uint8)
         yield f"constant-{h}x{w}", np.full((h, w, 3), gen.integers(0, 256, 3), dtype=np.uint8)
         yield f"gray-{h}x{w}", gen.integers(0, 256, (h, w), dtype=np.uint8)
 
 
 class TestDegenerateShapes:
-    """Every shape from 1x1 to 9x9 and 48x64; random, constant and gray."""
+    """Every shape from 1x1 to 9x9 and 48x64; random, constant and gray;
+    and index planes with one index out of range."""
 
     @pytest.mark.parametrize("name", sorted(_TOLERANCES))
     def test_extractor(self, name):
@@ -236,6 +241,26 @@ class TestDegenerateShapes:
                 assert np.array_equal(fast, ref), (name, label)
             else:
                 assert np.allclose(fast, ref, rtol=tol[0], atol=tol[1]), (name, label)
+
+    @pytest.mark.parametrize(
+        "kernel, limit, match",
+        [
+            (lambda q: correlogram_counts(q, 64, 2), 64, "colour indices"),
+            (lambda g: glcm_matrix(g, levels=16), 256, "gray levels"),
+        ],
+        ids=["correlogram_counts", "glcm_matrix"],
+    )
+    def test_out_of_range_index(self, kernel, limit, match):
+        """An index the kernel's table has no cell for is the same typed
+        error on both paths, raised before any counting."""
+        gen = np.random.default_rng(43)
+        for shape in _SHAPES:
+            for bad in (-1, limit, limit + 6):
+                plane = gen.integers(0, limit, shape)
+                plane[gen.integers(shape[0]), gen.integers(shape[1])] = bad
+                for path in (nullcontext, accel.reference_paths):
+                    with path(), pytest.raises(ValueError, match=match):
+                        kernel(plane)
 
     @pytest.mark.parametrize("op", [binary_dilate, binary_erode, binary_open, binary_close])
     def test_morphology(self, op):

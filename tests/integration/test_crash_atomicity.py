@@ -14,6 +14,7 @@ import numpy as np
 from repro.core.config import SystemConfig
 from repro.core.system import VideoRetrievalSystem
 from repro.db import Database
+from repro.db.storage import read_log
 from repro.imaging.image import Image
 
 _CONFIG = SystemConfig(features=("regions",), keyframe_base_size=60)
@@ -38,7 +39,7 @@ def test_wal_cut_anywhere_inside_add_video_is_all_or_nothing(tmp_path):
     system = VideoRetrievalSystem.open(path, _CONFIG)
     system.admin.add_video(_clip(1), name="first")
     system.db.checkpoint()  # the first video is in the SQL snapshot: replays stay short
-    before_size = os.path.getsize(path + ".wal")
+    before_size = read_log(path + ".wal").end  # where the add's record starts
     before_state = _state(system.db)
     report = system.admin.add_video(_clip(2), name="second")
     after_state = _state(system.db)
@@ -47,7 +48,7 @@ def test_wal_cut_anywhere_inside_add_video_is_all_or_nothing(tmp_path):
     assert len(after_state[1]) == len(before_state[1]) + report.n_keyframes
 
     with open(path + ".wal", "rb") as fh:
-        wal = fh.read()
+        wal = fh.read(read_log(path + ".wal").end)
     assert len(wal) > before_size
     work = str(tmp_path / "cut")
     os.makedirs(work)

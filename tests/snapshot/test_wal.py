@@ -1,6 +1,8 @@
 """The database log as the store reads it: one commit sequence, torn
-tails, and the stamps a log cannot reach."""
+tails, the stamps a log cannot reach, and a log a checkpoint recycles."""
 
+import os
+import shutil
 import struct
 
 import pytest
@@ -131,3 +133,85 @@ class TestDamage:
         with open(path + ".wal", "wb") as fh:
             fh.write(good)
         assert _ids(path) == [1, 2]
+
+
+class TestRecycledLog:
+    """A checkpoint restarts the log in place, so the bytes of the previous
+    generation stay behind the new commits.  None of them may replay."""
+
+    K, J = 6, 3
+
+    def _recycled(self, path, name_len):
+        """K commits, a checkpoint, J - 1 commits, then the J-th; returns
+        the log before and after that last append and the id lists after
+        J - 1 and J commits.  The K commits' frames all have one length;
+        with ``name_len == 4`` so do the J, and every new frame ends
+        exactly where a stale one began."""
+        db = _opened(path)  # commit 1: the table
+        db.checkpoint()
+        for i in range(self.K):
+            db.execute(_INSERT, (100 + i, f"{i:04d}"))
+        db.checkpoint()
+        for i in range(self.J - 1):
+            db.execute(_INSERT, (200 + i, "x" * name_len))
+        with open(path + ".wal", "rb") as fh:
+            before = fh.read()
+        db.execute(_INSERT, (200 + self.J - 1, "x" * name_len))
+        db.close()
+        with open(path + ".wal", "rb") as fh:
+            after = fh.read()
+        old, new = list(range(100, 100 + self.K)), list(range(200, 200 + self.J))
+        return before, after, old + new[:-1], old + new
+
+    @pytest.mark.parametrize("name_len", [4, 1, 9], ids=["aligned", "shorter", "longer"])
+    def test_torn_last_append_over_stale_bytes(self, tmp_path, path, name_len):
+        """The last append cut at every byte, the stale bytes after the cut
+        left as a torn overwrite leaves them: the database is the model
+        after J - 1 commits, or after J once the frame is whole."""
+        before, after, ids_before, ids_after = self._recycled(path, name_len)
+        assert len(after) == len(before)  # overwritten in place
+        end = read_log(path + ".wal").end
+        if name_len == 4:  # a whole frame of the previous generation follows
+            length, seq = struct.unpack_from("<IQ", after, end)
+            assert seq == 2 + self.J and end + 16 + length <= len(after)
+        copy = str(tmp_path / "copy" / "lib.rdb")
+        os.makedirs(os.path.dirname(copy))
+        shutil.copy(path, copy)
+        with open(copy + ".wal", "wb") as fh:
+            fh.write(before)
+        start = read_log(copy + ".wal").end  # where the last append began
+        for cut in range(start, end + 1):
+            with open(copy + ".wal", "wb") as fh:
+                fh.write(after[:cut] + before[cut:])
+            assert _ids(copy) == (ids_after if cut == end else ids_before), cut
+
+    def test_reopen_and_write_keep_the_file(self, path):
+        self._recycled(path, 4)
+        before = os.stat(path + ".wal")
+        db = _opened(path, 300)
+        db.close()
+        after = os.stat(path + ".wal")
+        assert (after.st_ino, after.st_size) == (before.st_ino, before.st_size)
+        assert after.st_blocks >= before.st_blocks
+        assert read_log(path + ".wal").last == 2 + self.K + self.J
+
+    def test_frames_behind_a_corrupt_one_stay_dropped(self, path):
+        """Replay stops at a corrupt frame and drops the commits behind
+        it.  The next commit overwrites that frame with one of the same
+        length, so the dropped frames line up again with their own
+        sequences; their CRCs ran on from the frame they followed, and
+        they stay dropped."""
+        db = _opened(path, 10)  # commits 1 (the table) and 2
+        start = read_log(path + ".wal").end  # commit 3's frame
+        for i in (11, 12, 13):
+            db.execute(_INSERT, (i, f"n{i}"))
+        db.close()
+        with open(path + ".wal", "r+b") as fh:
+            fh.seek(start + 20)
+            byte = fh.read(1)
+            fh.seek(start + 20)
+            fh.write(bytes([byte[0] ^ 0x55]))
+        assert _ids(path) == [10]
+        _opened(path, 20).close()  # commit 3 again, in the corrupt frame's place
+        assert read_log(path + ".wal").last == 3
+        assert _ids(path) == [10, 20]
