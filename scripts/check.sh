@@ -1,5 +1,7 @@
 #!/usr/bin/env bash
-# One-shot quality gate: reprolint (this codebase's own contracts) + ruff
+# One-shot quality gate: reprolint (this codebase's own contracts: SQL
+# discipline, pure substrate, layer DAG, thread safety, ...; the extractor
+# registry is a runtime test) + ruff
 # (generic hygiene, including the rules reprolint retired) + mypy +
 # tier-1 pytest (with a coverage floor when pytest-cov is installed) +
 # tests/core, tests/integration, tests/resilience and tests/serving

@@ -1,11 +1,13 @@
 """reprolint -- project-native static analysis for the CBVR system.
 
 The retrieval pipeline is held together by conventions no unit test sees
-end-to-end: extractors must register, feature strings must round-trip
-through their ``<tag> <n> <v1>...`` VARCHAR2 form, the DB layer must stay
-parameterized, and the layers must import downward only.  This package
-checks those contracts statically, over the AST, in CI; generic Python
-hygiene is left to ruff (``[tool.ruff.lint]`` in ``pyproject.toml``).
+end-to-end: the DB layer must stay parameterized, the numeric substrate
+pure, the layers must import downward only, and state shared across
+threads must be locked.  This package checks those contracts statically,
+over the AST, in CI; generic Python hygiene is left to ruff
+(``[tool.ruff.lint]`` in ``pyproject.toml``), and the contracts a running
+process can check (the extractor registry, the feature-string round-trip)
+are runtime tests.
 
 Three entry points:
 
@@ -24,7 +26,6 @@ from repro.analysis.engine import (
     LintEngine,
     ModelRule,
     ModuleInfo,
-    ProjectRule,
     Rule,
     all_rules,
     lint_paths,
@@ -44,7 +45,6 @@ __all__ = [
     "LintEngine",
     "ModuleInfo",
     "Rule",
-    "ProjectRule",
     "ModelRule",
     "register_rule",
     "all_rules",

@@ -2,11 +2,11 @@
 
 The per-file AST rules answer "does this expression look wrong"; the
 dataflow layer answers "can a value *assembled* here *arrive* there".
-R16 uses it to catch the classic escape from R4::
+R16 uses it to catch SQL built one assignment away from its call::
 
     q = f"SELECT * FROM {table}"   # assembled here
     ...
-    db.execute(q)                  # arrives here -- R4 never sees it
+    db.execute(q)                  # arrives here as a plain name
 
 The machinery is deliberately small: statements are CFG nodes (no basic
 blocks -- function bodies here are tens of statements, not thousands),

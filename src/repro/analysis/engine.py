@@ -5,20 +5,20 @@ The engine parses every target file once into an :class:`ModuleInfo`
 result:
 
 - :class:`Rule` -- checked module-by-module (most rules);
-- :class:`ProjectRule` -- checked once against *all* modules, for
-  cross-file contracts such as extractor-registry uniqueness.
+- :class:`ModelRule` -- checked once against the whole-program
+  :class:`~repro.analysis.project.ProjectModel`, for cross-file contracts
+  such as the layer DAG.
 
-Suppression works like other linters: ``# reprolint: disable=R4`` on the
-offending line silences that rule for the line, and a comment line
-``# reprolint: disable-file=R5`` anywhere in the file silences the rule for
-the whole file.  ``disable=all`` is accepted in both forms.
+``# reprolint: disable=R16`` on the offending line (or any line of the
+same simple statement) silences that rule there; there is no file-wide
+or all-rules form.
 """
 
 from __future__ import annotations
 
 import ast
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Type, Union
 
@@ -28,7 +28,6 @@ __all__ = [
     "ModuleInfo",
     "LintConfig",
     "Rule",
-    "ProjectRule",
     "ModelRule",
     "LintEngine",
     "register_rule",
@@ -38,9 +37,7 @@ __all__ = [
     "lint_source",
 ]
 
-_PRAGMA_RE = re.compile(
-    r"#\s*reprolint:\s*disable(?P<file>-file)?\s*=\s*(?P<rules>[A-Za-z0-9_,\s]+)"
-)
+_PRAGMA_RE = re.compile(r"#\s*reprolint:\s*disable\s*=\s*(?P<rules>[A-Za-z0-9_,\s]+)")
 
 
 @dataclass(frozen=True)
@@ -72,15 +69,12 @@ class LintConfig:
     """
 
     select: Optional[frozenset] = None  # None = all registered rules
-    ignore: frozenset = frozenset()
     #: modules that must stay free of IO (R5 scope)
     pure_packages: Tuple[str, ...] = ("repro.imaging", "repro.similarity")
     #: modules allowed to do file IO despite living in a pure package
     io_allowlist: frozenset = frozenset({"repro.imaging.image"})
-    #: the embedded-database package (R4 / R9 scope)
+    #: the embedded-database package (R9 scope)
     db_package: str = "repro.db"
-    #: where extractors live (R1/R2/R10 scope)
-    features_package: str = "repro.features"
     #: the architecture DAG, bottom layer first; a module may only import
     #: modules in strictly lower layers (or its own package).  Packages
     #: not named here are unconstrained (R14 scope)
@@ -96,7 +90,8 @@ class LintConfig:
         ("repro.cli",),
         ("repro.__main__",),
     )
-    #: packages whose public functions run on server threads (R15 roots)
+    #: packages whose functions run on server threads (R15 roots, beside
+    #: every callable handed to a thread, an executor or ``run_in_executor``)
     threaded_packages: Tuple[str, ...] = ("repro.web",)
     #: modules whose public entry points must reach instrumentation (R17)
     obs_entry_modules: Tuple[str, ...] = (
@@ -107,20 +102,10 @@ class LintConfig:
     )
 
     def wants(self, rule_id: str) -> bool:
-        if rule_id in self.ignore:
-            return False
         return self.select is None or rule_id in self.select
 
-    def with_rules(
-        self,
-        select: Optional[Iterable[str]] = None,
-        ignore: Optional[Iterable[str]] = None,
-    ) -> "LintConfig":
-        return replace(
-            self,
-            select=frozenset(select) if select is not None else self.select,
-            ignore=frozenset(ignore) if ignore is not None else self.ignore,
-        )
+    def with_rules(self, select: Optional[Iterable[str]]) -> "LintConfig":
+        return replace(self, select=frozenset(select) if select is not None else None)
 
 
 class Rule:
@@ -133,7 +118,6 @@ class Rule:
 
     rule_id: str = ""
     title: str = ""
-    severity: Severity = Severity.ERROR
     fix_hint: str = ""
 
     def applies_to(self, module: ModuleInfo, config: LintConfig) -> bool:
@@ -142,22 +126,10 @@ class Rule:
     def check(self, module: ModuleInfo, config: LintConfig) -> Iterable[Finding]:
         raise NotImplementedError
 
-    def finding(
-        self,
-        module: ModuleInfo,
-        node: Union[ast.AST, int],
-        message: str,
-        fix_hint: Optional[str] = None,
-    ) -> Finding:
-        return self.finding_at(module.path, node, message, fix_hint)
+    def finding(self, module: ModuleInfo, node: Union[ast.AST, int], message: str) -> Finding:
+        return self.finding_at(module.path, node, message)
 
-    def finding_at(
-        self,
-        path: str,
-        node: Union[ast.AST, int],
-        message: str,
-        fix_hint: Optional[str] = None,
-    ) -> Finding:
+    def finding_at(self, path: str, node: Union[ast.AST, int], message: str) -> Finding:
         """A finding at a line (or node) of the file at ``path``."""
         if isinstance(node, ast.AST):
             line = getattr(node, "lineno", 1)
@@ -166,28 +138,16 @@ class Rule:
             line, col = int(node), 1
         return Finding(
             rule_id=self.rule_id,
-            severity=self.severity,
+            severity=Severity.ERROR,
             path=path,
             line=line,
             col=col,
             message=message,
-            fix_hint=self.fix_hint if fix_hint is None else fix_hint,
+            fix_hint=self.fix_hint,
         )
 
 
-class ProjectRule(Rule):
-    """A rule that needs the whole module set (cross-file contracts)."""
-
-    def check(self, module: ModuleInfo, config: LintConfig) -> Iterable[Finding]:
-        return ()
-
-    def check_project(
-        self, modules: Sequence[ModuleInfo], config: LintConfig
-    ) -> Iterable[Finding]:
-        raise NotImplementedError
-
-
-class ModelRule(ProjectRule):
+class ModelRule(Rule):
     """A rule over the :class:`~repro.analysis.project.ProjectModel`.
 
     The engine builds the model once per run (module graph, symbol
@@ -231,30 +191,15 @@ def module_name_for(path: Union[str, Path]) -> str:
     return ".".join(parts) if parts else p.stem
 
 
-@dataclass
-class _Suppressions:
-    file_level: Set[str] = field(default_factory=set)
-    by_line: Dict[int, Set[str]] = field(default_factory=dict)
-
-    def hides(self, finding: Finding) -> bool:
-        for pool in (self.file_level, self.by_line.get(finding.line, ())):
-            if finding.rule_id in pool or "all" in pool:
-                return True
-        return False
-
-
-def _scan_pragmas(lines: Sequence[str], tree: ast.Module) -> _Suppressions:
-    sup = _Suppressions()
+def _scan_pragmas(lines: Sequence[str], tree: ast.Module) -> Dict[int, Set[str]]:
+    """Line -> rule ids its ``disable=`` pragmas silence."""
+    by_line: Dict[int, Set[str]] = {}
     line_pragmas: List[Tuple[int, Set[str]]] = []
     for lineno, line in enumerate(lines, start=1):
         m = _PRAGMA_RE.search(line)
-        if not m:
-            continue
-        rules = {r.strip() for r in m.group("rules").split(",") if r.strip()}
-        if m.group("file"):
-            sup.file_level |= rules
-        else:
-            sup.by_line.setdefault(lineno, set()).update(rules)
+        if m:
+            rules = {r.strip() for r in m.group("rules").split(",") if r.strip()}
+            by_line.setdefault(lineno, set()).update(rules)
             line_pragmas.append((lineno, rules))
     if line_pragmas:
         # a pragma on *any* physical line of a multi-line simple statement
@@ -271,8 +216,8 @@ def _scan_pragmas(lines: Sequence[str], tree: ast.Module) -> _Suppressions:
             for start, end in spans:
                 if start <= lineno <= end:
                     for covered in range(start, end + 1):
-                        sup.by_line.setdefault(covered, set()).update(rules)
-    return sup
+                        by_line.setdefault(covered, set()).update(rules)
+    return by_line
 
 
 class LintEngine:
@@ -327,8 +272,6 @@ class LintEngine:
 
                     model = ProjectModel(modules)
                 findings.extend(rule.check_model(model, self.config))
-            elif isinstance(rule, ProjectRule):
-                findings.extend(rule.check_project(modules, self.config))
             else:
                 for module in modules:
                     if rule.applies_to(module, self.config):
@@ -337,7 +280,7 @@ class LintEngine:
         kept = [
             f
             for f in findings
-            if f.path not in by_path or not by_path[f.path].hides(f)
+            if f.rule_id not in by_path.get(f.path, {}).get(f.line, ())
         ]
         return Report(findings=kept, n_files=len(modules), n_rules=len(self.rules))
 

@@ -17,9 +17,8 @@ __all__ = ["Severity", "Finding", "Report"]
 
 
 class Severity(enum.Enum):
-    """How bad a finding is; errors fail the gate, warnings do not."""
+    """How bad a finding is: every rule reports errors, which fail the gate."""
 
-    WARNING = "warning"
     ERROR = "error"
 
     def __str__(self) -> str:
@@ -44,9 +43,9 @@ class Finding:
         # location (e.g. two stale __all__ names) order deterministically
         return (self.path, self.line, self.col, self.rule_id, self.message)
 
-    def render(self, show_hint: bool = True) -> str:
+    def render(self) -> str:
         text = f"{self.path}:{self.line}:{self.col}: {self.rule_id} {self.severity}: {self.message}"
-        if show_hint and self.fix_hint:
+        if self.fix_hint:
             text += f"\n    hint: {self.fix_hint}"
         return text
 
@@ -75,27 +74,16 @@ class Report:
 
     @property
     def ok(self) -> bool:
-        """True when no *error*-severity findings exist."""
-        return not any(f.severity is Severity.ERROR for f in self.findings)
-
-    @property
-    def n_errors(self) -> int:
-        return sum(1 for f in self.findings if f.severity is Severity.ERROR)
-
-    @property
-    def n_warnings(self) -> int:
-        return sum(1 for f in self.findings if f.severity is Severity.WARNING)
+        """True when the run found nothing."""
+        return not self.findings
 
     def summary(self) -> str:
         if not self.findings:
             return f"reprolint: clean ({self.n_files} files, {self.n_rules} rules)"
-        return (
-            f"reprolint: {self.n_errors} error(s), {self.n_warnings} warning(s) "
-            f"in {self.n_files} files"
-        )
+        return f"reprolint: {len(self.findings)} error(s) in {self.n_files} files"
 
-    def to_text(self, show_hints: bool = True) -> str:
-        lines = [f.render(show_hint=show_hints) for f in self.findings]
+    def to_text(self) -> str:
+        lines = [f.render() for f in self.findings]
         lines.append(self.summary())
         return "\n".join(lines)
 
@@ -104,8 +92,7 @@ class Report:
             "ok": self.ok,
             "n_files": self.n_files,
             "n_rules": self.n_rules,
-            "n_errors": self.n_errors,
-            "n_warnings": self.n_warnings,
+            "n_errors": len(self.findings),
             "findings": [f.to_dict() for f in self.findings],
         }
         return json.dumps(payload, indent=indent)

@@ -213,12 +213,11 @@ class ProjectModel:
 
         visit_top(m.tree.body, type_checking=False)
 
-        # nested (function-level) imports still create architecture edges
+        # nested (function-level) imports still create architecture edges;
+        # one walk of the module, since re-recording a top-level import is a no-op
         for node in ast.walk(m.tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                for sub in ast.walk(node):
-                    if isinstance(sub, (ast.Import, ast.ImportFrom)):
-                        record_import(sub, top_level=False)
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                record_import(node, top_level=False)
 
     def _index_function(
         self, m: "ModuleInfo", node: ast.AST, cls: Optional[str]
@@ -352,7 +351,8 @@ class ProjectModel:
 
         Edges from a package ``__init__`` to its *own* submodules are
         excluded: that is the sanctioned registration/re-export idiom
-        (R10 requires it), and Python resolves it at import time.
+        (``repro.features`` registers its extractors that way), and
+        Python resolves it at import time.
         """
         graph: Dict[str, Set[str]] = {}
         for mod, edges in self.import_edges.items():

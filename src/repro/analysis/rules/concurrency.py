@@ -1,24 +1,25 @@
 """Rule R15: module-level state touched from concurrent contexts is guarded.
 
-Two execution contexts run project code concurrently today, and both grow
-in the sharded/async roadmap: the web route table (the asyncio server
-runs it on executor threads, one per in-flight request) and callables
-shipped through ``runtime.WorkerPool`` (forked workers, a shard fleet, and
-the helper thread of ``WorkerPool.lane``).  A module-level dict/list/set
-mutated on those paths without a lock is a data race on the threaded path
-and silently-diverging per-process state on the forked path.
+Project code runs on threads other than its caller's in two ways: the
+web route table runs on the server's executor threads (one per in-flight
+blocking request), and any callable the system hands to another thread
+runs there -- a ``threading.Thread(target=...)`` (the serving layer's
+``repro-engine`` thread), an executor's ``submit`` (the helper lane of
+``WorkerPool.lane``, the shard fleet's process pools) or
+``loop.run_in_executor``.  A module-level dict/list/set mutated on those
+paths without a lock is a data race on the threaded path and
+silently-diverging per-process state on the forked path.
 
 The rule uses the project call graph to find every function reachable
-from (a) the web package and (b) any callable passed to a ``map`` or
-``submit`` (directly or as ``functools.partial(fn, ...)``), then flags
+from (a) the web package and (b) every callable handed off at such a call
+site (directly or as ``functools.partial(fn, ...)``), then flags
 mutations of module-level mutable bindings inside them unless the
 mutation sits under ``with <module-level lock>:``.  ``dict.setdefault``
 is exempt -- it is the sanctioned GIL-atomic publish idiom.
 
 Separately (and everywhere, not just on concurrent paths), a
 ``ContextVar.set()`` must keep its token and ``reset`` it: a discarded
-token leaks request-scoped state onto whatever runs next on the thread,
-which is precisely the bug class the shard-worker fleet cannot debug.
+token leaks request-scoped state onto whatever runs next on the thread.
 """
 
 from __future__ import annotations
@@ -45,6 +46,35 @@ _MUTATORS = frozenset(
         "update", "add", "discard", "appendleft", "extendleft",
     }
 )
+
+
+#: call tails that hand a callable to another thread
+_HAND_OFFS = frozenset({"Thread", "submit", "run_in_executor"})
+
+
+def _handed_off_callable(call: ast.Call) -> str:
+    """Dotted name of the callable ``call`` hands to another thread, or "".
+
+    ``Thread(target=fn)``, ``<executor>.submit(fn, ...)`` and
+    ``loop.run_in_executor(executor, fn, ...)``; ``partial(fn, ...)`` in
+    any of those positions hands off ``fn``.
+    """
+    tail = dotted(call.func).rsplit(".", 1)[-1]
+    shipped: Optional[ast.expr] = None
+    if tail == "Thread":
+        shipped = next((kw.value for kw in call.keywords if kw.arg == "target"), None)
+    elif tail == "submit" and isinstance(call.func, ast.Attribute) and call.args:
+        shipped = call.args[0]
+    elif tail == "run_in_executor" and len(call.args) >= 2:
+        shipped = call.args[1]
+    if (
+        isinstance(shipped, ast.Call)
+        and dotted(shipped.func).rsplit(".", 1)[-1] == "partial"
+        and shipped.args
+    ):
+        shipped = shipped.args[0]  # partial(fn, ...) runs fn
+    # a call in the callable's place (``submit(Job(...))``) hands off data
+    return dotted(shipped) if isinstance(shipped, (ast.Name, ast.Attribute)) else ""
 
 
 @register_rule
@@ -96,44 +126,24 @@ class ConcurrencySafetyRule(ModelRule):
                 for p in config.threaded_packages
             )
         ]
-        pool_roots: List[str] = []
-        for qual, info in model.functions.items():
-            sym = model.symbols.get(info.module)
+        handed_off: List[str] = []
+        for info in model.functions.values():
+            if not _HAND_OFFS.intersection(c.rsplit(".", 1)[-1] for c in info.calls):
+                continue
             for node in ast.walk(info.node):
-                if not isinstance(node, ast.Call) or not node.args:
-                    continue
-                target = dotted(node.func)
-                tail = target.rsplit(".", 1)[-1]
-                is_pool_ship = tail == "parallel_map" or (
-                    tail in ("map", "submit") and isinstance(node.func, ast.Attribute)
-                )
-                if not is_pool_ship:
-                    continue
-                shipped = node.args[0]
-                if (
-                    isinstance(shipped, ast.Call)
-                    and dotted(shipped.func).rsplit(".", 1)[-1] == "partial"
-                    and shipped.args
-                ):
-                    shipped = shipped.args[0]  # partial(fn, ...) runs fn
-                shipped_name = dotted(shipped)
-                if shipped_name:
-                    pool_roots.extend(
-                        model.resolve_call(info, shipped_name)
-                    )
+                if isinstance(node, ast.Call):
+                    shipped = _handed_off_callable(node)
+                    if shipped:
+                        handed_off.extend(model.resolve_call(info, shipped))
         via_web = model.reachable_from(web_roots)
-        via_pool = model.reachable_from(pool_roots)
+        via_thread = model.reachable_from(handed_off)
         why: Dict[str, str] = {}
-        for qual in via_pool:
-            why[qual] = "inside WorkerPool workers or on its helper thread"
+        for qual in via_thread:
+            why[qual] = "on another thread (a Thread target, or handed to submit/run_in_executor)"
         for qual in via_web:
-            # web wins the message: the threaded path is the racier one
-            why[qual] = (
-                "on web handler threads and in WorkerPool workers"
-                if qual in via_pool
-                else "on web handler threads"
-            )
-        return via_web | via_pool, why
+            # web wins the message: its handler threads are the busiest path
+            why[qual] = "on web handler threads"
+        return via_web | via_thread, why
 
     # -- mutation scan ---------------------------------------------------------
 
@@ -141,12 +151,15 @@ class ConcurrencySafetyRule(ModelRule):
         self, func: ast.AST, mutables: Set[str], locks: Set[str]
     ) -> List[Tuple[ast.AST, str, str]]:
         out: List[Tuple[ast.AST, str, str]] = []
-        declared_global: Set[str] = {
-            name
-            for node in ast.walk(func)
-            if isinstance(node, ast.Global)
-            for name in node.names
-        }
+        declared_global: Set[str] = set()
+        named: Set[str] = set()
+        for node in ast.walk(func):
+            if isinstance(node, ast.Global):
+                declared_global.update(node.names)
+            elif isinstance(node, ast.Name):
+                named.add(node.id)
+        if not named & mutables:
+            return out  # every mutation form names the binding
 
         def is_lock_guard(stmt: ast.With) -> bool:
             for item in stmt.items:

@@ -1,16 +1,24 @@
-"""Rule R16: dynamic SQL cannot reach an execute site through a variable.
+"""Rule R16: SQL reaches ``execute`` only as literals or built statements.
 
-R4 checks the expression *at* the ``execute()`` call; the classic escape
-is one assignment of indirection::
+String-interpolated SQL is how identifier typos and (in a networked
+deployment) injection bugs enter a system.  The only approved ways to get
+a statement into ``Database.execute``/``executemany`` are a plain string
+literal with ``?`` placeholders, a named constant, or the parameterized
+builder helpers in ``repro/db/sql.py``.
 
-    q = f"DELETE FROM {table}"   # R4 never sees this
-    db.execute(q)                # R4 sees a harmless Name
+The statement argument is checked where it is assembled, which is not
+always at the call.  The first definition checked is the argument
+itself; when it is a plain name, every definition of that name that can
+reach the call site (reaching definitions over the scope's CFG) is
+checked the same way::
 
-R16 closes the gap with reaching definitions: for every ``execute``-family
-call whose statement argument is a plain name, every definition of that
-name that can reach the call site is classified with the same
-dynamic-SQL detector R4 uses.  One dynamic reaching definition is enough
-to flag -- on some path the interpolated string arrives at the database.
+    db.execute(f"DELETE FROM {table}")   # the argument itself
+
+    q = f"DELETE FROM {table}"           # a definition that reaches
+    db.execute(q)                        # the call through a variable
+
+One dynamic reaching definition is enough to flag -- on some path the
+interpolated string arrives at the database.
 """
 
 from __future__ import annotations
@@ -20,20 +28,43 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.analysis.dataflow import build_cfg, reaching_definitions
 from repro.analysis.engine import Finding, LintConfig, ModuleInfo, Rule, register_rule
-from repro.analysis.rules.sql import EXECUTE_METHODS, classify_dynamic_sql
+from repro.analysis.project import dotted
 
 __all__ = ["SqlDataflowRule"]
+
+EXECUTE_METHODS = ("execute", "executemany", "executescript")
+
+
+def classify_dynamic_sql(arg: ast.expr) -> Optional[str]:
+    """Reason the expression is a dynamically-assembled SQL string.
+
+    Any other call -- the ``repro.db.sql`` builders included -- gets the
+    benefit of the doubt.
+    """
+    if isinstance(arg, ast.JoinedStr):
+        return "an f-string"
+    if isinstance(arg, ast.BinOp) and isinstance(arg.op, (ast.Add, ast.Mod)):
+        op = "+" if isinstance(arg.op, ast.Add) else "%"
+        return f"built with the {op!r} operator"
+    if isinstance(arg, ast.Call):
+        tail = dotted(arg.func).rsplit(".", 1)[-1]
+        if tail == "format":
+            return "a .format() call"
+        if tail == "join":
+            return "a str.join() call"
+    return None
 
 
 @register_rule
 class SqlDataflowRule(Rule):
-    """R16: reaching-definitions extension of R4 across assignments."""
+    """R16: no dynamic SQL reaches an execute() site, directly or via a name."""
 
     rule_id = "R16"
     title = "sql-dataflow"
     fix_hint = (
-        "build the statement with the repro.db.sql helpers (or a literal "
-        "with ? placeholders) in every branch that can reach the execute call"
+        "build the statement with the build_select/build_insert/build_delete "
+        "helpers from repro.db.sql (or a literal with ? placeholders) in every "
+        "branch that can reach the execute call"
     )
 
     def check(self, module: ModuleInfo, config: LintConfig) -> Iterable[Finding]:
@@ -41,6 +72,8 @@ class SqlDataflowRule(Rule):
         for node in ast.walk(module.tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 yield from self._check_body(module, node.body, f"{node.name}()")
+            elif isinstance(node, ast.ClassDef):
+                yield from self._check_body(module, node.body, f"class {node.name}")
 
     # -- one scope -------------------------------------------------------------
 
@@ -56,8 +89,16 @@ class SqlDataflowRule(Rule):
         reaching = reaching_definitions(cfg)
         for sid, stmt in cfg.stmts.items():
             for call, arg in self._execute_calls(stmt):
-                if classify_dynamic_sql(arg) is not None:
-                    continue  # R4 already flags the expression at the site
+                method = call.func.attr  # type: ignore[union-attr]
+                reason = classify_dynamic_sql(arg)
+                if reason is not None:
+                    yield self.finding(
+                        module,
+                        arg,
+                        f"SQL passed to .{method}() is {reason}; statements "
+                        "must be literals or repro.db.sql builder output",
+                    )
+                    continue
                 if not isinstance(arg, ast.Name):
                     continue
                 for def_stmt, reason in self._dynamic_defs(
@@ -68,7 +109,7 @@ class SqlDataflowRule(Rule):
                         call,
                         f"in {scope}, SQL variable {arg.id!r} defined at line "
                         f"{def_stmt.lineno} as {reason} reaches this "
-                        f".{call.func.attr}() call; statements must be "  # type: ignore[union-attr]
+                        f".{method}() call; statements must be "
                         "literals or repro.db.sql builder output on every path",
                     )
 

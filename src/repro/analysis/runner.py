@@ -39,12 +39,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated rule ids to run (default: all)",
     )
     parser.add_argument(
-        "--ignore",
-        default=None,
-        metavar="RULES",
-        help="comma-separated rule ids to skip",
-    )
-    parser.add_argument(
         "--format",
         choices=("text", "json"),
         default="text",
@@ -52,18 +46,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="output format",
     )
     parser.add_argument(
-        "--no-hints", action="store_true", help="omit fix hints from text output"
-    )
-    parser.add_argument(
         "--list-rules", action="store_true", help="print the rule catalogue and exit"
     )
     return parser
-
-
-def _parse_rule_list(raw: Optional[str]) -> Optional[List[str]]:
-    if raw is None:
-        return None
-    return [item.strip() for item in raw.split(",") if item.strip()]
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -75,15 +60,16 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"{cls.rule_id:>4}  {cls.title:<28} {summary}")
         return 0
 
-    select = _parse_rule_list(args.select)
-    ignore = _parse_rule_list(args.ignore)
-    known = {cls.rule_id for cls in all_rules()}
-    for rule_id in (select or []) + (ignore or []):
-        if rule_id not in known:
-            print(f"error: unknown rule id {rule_id!r}", file=sys.stderr)
-            return 2
+    select = None
+    if args.select is not None:
+        select = [item.strip() for item in args.select.split(",") if item.strip()]
+        known = {cls.rule_id for cls in all_rules()}
+        for rule_id in select:
+            if rule_id not in known:
+                print(f"error: unknown rule id {rule_id!r}", file=sys.stderr)
+                return 2
 
-    config = LintConfig().with_rules(select=select, ignore=ignore or ())
+    config = LintConfig().with_rules(select)
     paths = args.paths or [default_target()]
     for path in paths:
         if not Path(path).exists():
@@ -94,7 +80,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.fmt == "json":
         print(report.to_json())
     else:
-        print(report.to_text(show_hints=not args.no_hints))
+        print(report.to_text())
     return 0 if report.ok else 1
 
 

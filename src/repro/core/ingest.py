@@ -264,7 +264,7 @@ class Ingestor:
 
     # -- id allocation ----------------------------------------------------------
 
-    #: literal MAX() statements per id column (R4: no interpolated SQL)
+    #: literal MAX() statements per id column (R16: no interpolated SQL)
     _MAX_ID_SQL = {
         ("VIDEO_STORE", "V_ID"): "SELECT MAX(V_ID) FROM VIDEO_STORE",
         ("KEY_FRAMES", "I_ID"): "SELECT MAX(I_ID) FROM KEY_FRAMES",

@@ -513,7 +513,7 @@ def parse(text: str) -> Tuple[Statement, int]:
 # names picked from a config, feature columns, ...).  Values always travel
 # as '?' parameters; identifiers are validated against the tokenizer's
 # identifier grammar, so no runtime string can smuggle syntax into a
-# statement.  reprolint rule R4 enforces that execute() call sites use
+# statement.  reprolint rule R16 enforces that execute() call sites use
 # literals or these helpers -- nothing hand-concatenated.
 # ---------------------------------------------------------------------------
 

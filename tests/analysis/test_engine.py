@@ -30,30 +30,27 @@ class TestPragmas:
         assert not lint_source(src, config=R13).findings
 
     def test_line_pragma_is_rule_specific(self):
-        src = BARE_SLEEP.replace("(1)", "(1)  # reprolint: disable=R4")
+        src = BARE_SLEEP.replace("(1)", "(1)  # reprolint: disable=R16")
         report = lint_source(src, config=R13)
         assert len(report.findings) == 1
 
-    def test_file_pragma_suppresses_everywhere(self):
-        src = "# reprolint: disable-file=R13\n" + BARE_SLEEP
-        assert not lint_source(src, config=R13).findings
-
-    def test_disable_all(self):
-        src = BARE_SLEEP.replace("(1)", "(1)  # reprolint: disable=all")
-        assert not lint_source(src, config=R13).findings
-
-    def test_file_pragma_on_last_line(self):
-        src = BARE_SLEEP + "\n# reprolint: disable-file=R13\n"
-        assert not lint_source(src, config=R13).findings
+    @pytest.mark.parametrize(
+        "pragma",
+        ["(1)  # reprolint: disable=all", "(1)\n# reprolint: disable-file=R13"],
+        ids=["disable-all", "disable-file"],
+    )
+    def test_only_line_pragmas_naming_the_rule_suppress(self, pragma):
+        src = BARE_SLEEP.replace("(1)", pragma)
+        assert [f.rule_id for f in lint_source(src, config=R13).findings] == ["R13"]
 
     def test_multiple_rule_ids_in_one_pragma(self):
         src = (
             "import time\n"
             "def f(db, t):\n"
-            '    db.execute(f"DROP TABLE {t}"); time.sleep(1)  # reprolint: disable=R4, R13\n'
+            '    db.execute(f"DELETE FROM {t}"); time.sleep(1)  # reprolint: disable=R16, R13\n'
             "    time.sleep(2)\n"
         )
-        report = lint_source(src, config=LintConfig(select=frozenset({"R4", "R13"})))
+        report = lint_source(src, config=LintConfig(select=frozenset({"R16", "R13"})))
         # both rules are suppressed on line 3; R13 fires on line 4, untouched
         assert [(f.rule_id, f.line) for f in report.findings] == [("R13", 4)]
 
@@ -64,19 +61,19 @@ class TestPragmas:
             "def f(db, t):\n"
             "    db.execute(\n"
             '        f"DELETE FROM {t}",\n'
-            "    )  # reprolint: disable=R4\n"
+            "    )  # reprolint: disable=R16\n"
         )
-        assert not lint_source(src, config=LintConfig(select=frozenset({"R4"}))).findings
+        assert not lint_source(src, config=LintConfig(select=frozenset({"R16"}))).findings
 
     def test_pragma_on_one_statement_does_not_leak_to_neighbours(self):
         src = (
             "def f(db, t):\n"
             "    db.execute(\n"
             '        f"DELETE FROM {t}",\n'
-            "    )  # reprolint: disable=R4\n"
-            '    db.execute(f"DROP TABLE {t}")\n'
+            "    )  # reprolint: disable=R16\n"
+            '    db.execute(f"DELETE FROM {t}")\n'
         )
-        report = lint_source(src, config=LintConfig(select=frozenset({"R4"})))
+        report = lint_source(src, config=LintConfig(select=frozenset({"R16"})))
         assert [f.line for f in report.findings] == [5]
 
     def test_unknown_rule_id_in_pragma_disables_nothing_else(self):
@@ -86,12 +83,8 @@ class TestPragmas:
 
 
 class TestConfig:
-    def test_ignore_beats_select(self):
-        config = LintConfig(select=frozenset({"R13"}), ignore=frozenset({"R13"}))
-        assert not LintEngine(config).rules
-
     def test_default_runs_all_rules(self):
-        assert len(LintEngine().rules) == len(all_rules()) == 14
+        assert len(LintEngine().rules) == len(all_rules()) == 8
 
     def test_r13_has_no_allowlist(self):
         # the resilience layer used to be the one sanctioned sleeper
@@ -101,8 +94,8 @@ class TestConfig:
             assert [f.rule_id for f in report.findings] == ["R13"], module
 
     def test_with_rules_builds_new_config(self):
-        config = LintConfig().with_rules(select=["R1", "R4"])
-        assert config.wants("R1") and not config.wants("R13")
+        config = LintConfig().with_rules(["R5", "R16"])
+        assert config.wants("R16") and not config.wants("R13")
 
 
 class TestModuleNames:
@@ -159,9 +152,8 @@ class TestReportModel:
         assert "hint: fix it" in text
 
     def test_ok_reflects_error_severity(self):
-        warn = self.finding(severity=Severity.WARNING)
-        assert Report(findings=[warn]).ok
-        assert not Report(findings=[warn, self.finding()]).ok
+        assert Report().ok
+        assert not Report(findings=[self.finding()]).ok
 
     def test_json_round_trips(self):
         report = Report(findings=[self.finding()], n_files=1, n_rules=10)
@@ -234,10 +226,12 @@ class TestRunner:
     @pytest.mark.parametrize(
         "flags",
         [["--fix"], ["--diff"], ["--baseline", "b.json"], ["--write-baseline"],
-         ["--output", "out.txt"], ["--format", "sarif"]],
+         ["--output", "out.txt"], ["--format", "sarif"], ["--ignore", "R13"],
+         ["--no-hints"]],
     )
     def test_retired_options_are_usage_errors(self, flags, tmp_path, capsys):
-        """Autofix, baselines, --output and SARIF went with the hygiene rules."""
+        """Autofix, baselines, --output and SARIF went with the hygiene rules;
+        --ignore and --no-hints had no user."""
         with pytest.raises(SystemExit) as exc:
             lint_main([*flags, str(tmp_path)])
         assert exc.value.code == 2
@@ -251,7 +245,7 @@ class TestRunner:
     def test_list_rules(self, capsys):
         assert lint_main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("R1", "R4", "R10", "R14", "R20"):
+        for rule_id in ("R5", "R14", "R16", "R17"):
             assert rule_id in out
 
     def test_list_rules_survives_missing_docstring(self, capsys, monkeypatch):

@@ -1,4 +1,6 @@
-"""Fixture tests for the whole-program rules R14-R20."""
+"""Fixture tests for the whole-program rules R14-R17."""
+
+import pytest
 
 from tests.analysis.test_rules import run_rule, run_rule_project
 
@@ -194,15 +196,15 @@ class TestR15ForkThreadSafety:
                     def _work(item):
                         _SEEN.append(item)
 
-                    def run(pool, items):
-                        return pool.map(_work, items)
+                    def run(pool, item):
+                        return pool.submit(_work, item)
                     """,
                 ),
             ],
             threaded_packages=("pkg.web",),
         )
         assert len(findings) == 1
-        assert "WorkerPool workers" in findings[0].message
+        assert "another thread" in findings[0].message
 
     def test_lane_submitted_and_partial_callables_fire(self):
         findings = run_rule_project(
@@ -222,16 +224,47 @@ class TestR15ForkThreadSafety:
                     def _chunk(frames, extra):
                         _DONE.extend(frames)
 
-                    def run(pool, lane, chunks):
+                    async def run(loop, lane, chunks):
                         lane.submit(_side, chunks[0])
-                        return pool.map(partial(_chunk, extra=1), chunks)
+                        return await loop.run_in_executor(None, partial(_chunk, extra=1), chunks)
                     """,
                 ),
             ],
             threaded_packages=("pkg.web",),
         )
         assert sorted(f.message.split("(")[0] for f in findings) == ["_chunk", "_side"]
-        assert all("helper thread" in f.message for f in findings)
+        assert all("another thread" in f.message for f in findings)
+
+    def test_thread_target_fires_and_handed_off_data_does_not(self):
+        findings = run_rule_project(
+            "R15",
+            [
+                (
+                    "pkg.serving.batcher",
+                    """
+                    import threading
+
+                    _SEEN = []
+
+                    class Job:
+                        def __init__(self, request):
+                            _SEEN.append(request)
+
+                    class Batcher:
+                        def start(self):
+                            threading.Thread(target=self._serve, daemon=True).start()
+
+                        def _serve(self):
+                            _SEEN.clear()
+
+                        async def search(self, queue, request):
+                            return await queue.submit(Job(request))
+                    """,
+                ),
+            ],
+            threaded_packages=("pkg.web",),
+        )
+        assert [f.message.split("(")[0] for f in findings] == ["_serve"]
 
     def test_discarded_contextvar_token_fires(self):
         findings = run_rule_project(
@@ -322,12 +355,28 @@ class TestR15ForkThreadSafety:
 
 
 class TestR16SqlDataflow:
+    @pytest.mark.parametrize(
+        "sql, reason",
+        [
+            ('f"SELECT * FROM {table}"', "an f-string"),
+            ('"SELECT * FROM " + table', "'+' operator"),
+            ('"SELECT * FROM %s" % table', "'%' operator"),
+            ('"SELECT * FROM {}".format(table)', ".format()"),
+            ('" ".join(table)', "str.join()"),
+        ],
+        ids=["f-string", "concatenation", "percent", "str-format", "join"],
+    )
+    def test_dynamic_sql_at_the_call_fires(self, sql, reason):
+        findings = run_rule("R16", f"def fetch(db, table):\n    return db.execute({sql}).rows\n")
+        assert [f.rule_id for f in findings] == ["R16"]
+        assert reason in findings[0].message
+
     def test_dynamic_sql_through_variable_fires(self):
         findings = run_rule(
             "R16",
             """
-            def drop(db, table):
-                q = f"DROP TABLE {table}"
+            def purge(db, table):
+                q = f"DELETE FROM {table}"
                 return db.execute(q)
             """,
         )
@@ -372,6 +421,29 @@ class TestR16SqlDataflow:
                 db.execute(q, (1,))
                 stmt = build_select("videos", ["id"])
                 return db.execute(stmt)
+            """,
+        )
+
+    def test_literal_with_placeholders_is_clean(self):
+        assert not run_rule(
+            "R16",
+            """
+            def fetch(db, video_id):
+                return db.execute(
+                    "SELECT * FROM VIDEO_STORE WHERE V_ID = ?", (video_id,)
+                ).rows
+            """,
+        )
+
+    def test_builder_call_is_clean(self):
+        assert not run_rule(
+            "R16",
+            """
+            from repro.db.sql import build_insert, build_select
+
+            def store(db, columns, values):
+                db.execute(build_insert("KEY_FRAMES", columns), values)
+                return db.execute(build_select("videos", ["id"]))
             """,
         )
 
@@ -475,108 +547,4 @@ class TestR17ObsCoverage:
                 ),
             ],
             obs_entry_modules=("pkg.core.system",),
-        )
-
-
-class TestR20AsyncBlocking:
-    def test_time_sleep_in_async_def_fires(self):
-        findings = run_rule(
-            "R20",
-            """
-            import time
-
-            async def handler():
-                time.sleep(0.1)
-            """,
-        )
-        assert [f.rule_id for f in findings] == ["R20"]
-        assert "time.sleep" in findings[0].message
-        assert "asyncio.sleep" in findings[0].message
-
-    def test_direct_imported_sleep_fires(self):
-        findings = run_rule(
-            "R20",
-            """
-            from time import sleep as snooze
-
-            async def handler():
-                snooze(1)
-            """,
-        )
-        assert len(findings) == 1
-
-    def test_sync_socket_and_sqlite_fire(self):
-        findings = run_rule(
-            "R20",
-            """
-            import socket
-            import sqlite3
-
-            async def handler(path):
-                conn = socket.create_connection(("h", 80))
-                db = sqlite3.connect(path)
-                return conn, db
-            """,
-        )
-        assert [f.rule_id for f in findings] == ["R20", "R20"]
-        assert "socket.create_connection" in findings[0].message
-        assert "sqlite3.connect" in findings[1].message
-
-    def test_pool_map_in_async_def_fires(self):
-        findings = run_rule(
-            "R20",
-            """
-            async def handler(pool, work):
-                return pool.map(len, work)
-            """,
-        )
-        assert len(findings) == 1
-        assert "slowest worker" in findings[0].message
-
-    def test_asyncio_sleep_and_executor_are_clean(self):
-        assert not run_rule(
-            "R20",
-            """
-            import asyncio
-
-            async def handler(loop, fn):
-                await asyncio.sleep(0.1)
-                return await loop.run_in_executor(None, fn)
-            """,
-        )
-
-    def test_sync_def_is_out_of_scope(self):
-        assert not run_rule(
-            "R20",
-            """
-            import time
-
-            def not_async():
-                time.sleep(0.1)
-            """,
-        )
-
-    def test_nested_def_and_lambda_are_deferred_bodies(self):
-        assert not run_rule(
-            "R20",
-            """
-            import time
-
-            async def handler(loop):
-                def blocking_probe():
-                    time.sleep(0.1)
-
-                return await loop.run_in_executor(None, lambda: time.sleep(0.2))
-            """,
-        )
-
-    def test_suppression_comment_works(self):
-        assert not run_rule(
-            "R20",
-            """
-            import time
-
-            async def handler():
-                time.sleep(0.1)  # reprolint: disable=R20
-            """,
         )

@@ -30,7 +30,7 @@ def test_reprolint_is_clean_on_own_source(report):
 
 def test_full_tree_was_actually_scanned(report):
     assert report.n_files >= 70, "package scan looks truncated"
-    assert report.n_rules == 14
+    assert report.n_rules == 8
 
 
 def test_ruff_selects_the_retired_rules_replacements():

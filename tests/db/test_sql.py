@@ -245,7 +245,7 @@ class TestDropAndErrors:
 
 
 class TestStatementBuilders:
-    """build_select/build_insert/build_delete: the R4-sanctioned way to
+    """build_select/build_insert/build_delete: the R16-sanctioned way to
     assemble SQL from runtime identifiers."""
 
     def test_build_select_parses(self):

@@ -5,9 +5,10 @@ Two layers:
 
 - pure FeatureVector round-trips over arbitrary finite float arrays
   (hypothesis-generated);
-- every registered extractor's real output on synthetic frames survives
-  to_string -> from_string bit-exactly, which is what the DB layer does on
-  every ingest/reload cycle.
+- every registered extractor's string for a synthetic frame
+  (``FeatureExtractor.to_string``, the paper's getStringRepresentation)
+  parses back to its real output bit-exactly, which is what the DB layer
+  does on every ingest/reload cycle.
 """
 
 import numpy as np
@@ -56,8 +57,9 @@ def _synthetic_frame(seed: int) -> Image:
 @given(seed=st.integers(min_value=0, max_value=2**16))
 def test_every_extractor_output_roundtrips(name, seed):
     extractor = get_extractor(name)
-    fv = extractor.extract(_synthetic_frame(seed))
-    restored = FeatureVector.from_string(name, fv.to_string())
+    frame = _synthetic_frame(seed)
+    fv = extractor.extract(frame)
+    restored = FeatureVector.from_string(name, extractor.to_string(frame))
     assert restored == fv
     assert restored.tag == fv.tag
     assert np.array_equal(restored.values, fv.values)

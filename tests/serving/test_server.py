@@ -84,6 +84,31 @@ def test_blocking_routes_served_by_executor(harness):
     assert status == 404
 
 
+def test_blocking_route_runs_off_the_event_loop_thread(harness, monkeypatch):
+    """``GET /videos`` reaches ``CbvrApi.handle_full`` on an executor
+    thread: a blocking route on the loop's thread would stall every other
+    client.  (``POST /search`` runs on ``repro-engine``: test_batcher.py.)"""
+    api = harness.server.api
+    real = api.handle_full
+    route_threads = []
+
+    def recording(*args, **kwargs):
+        route_threads.append(threading.current_thread())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(api, "handle_full", recording)
+    status, _, _ = harness.request("GET", "/videos")
+    assert status == 200
+    loop_thread = []
+    seen = threading.Event()
+    harness.server._loop.call_soon_threadsafe(
+        lambda: (loop_thread.append(threading.current_thread()), seen.set())
+    )
+    assert seen.wait(timeout=10)
+    assert len(route_threads) == 1
+    assert route_threads[0] is not loop_thread[0]
+
+
 def test_bad_request_maps_to_400(harness):
     status, _, _ = harness.request("POST", "/search", body=b"not an image")
     assert status == 400
