@@ -87,7 +87,6 @@ def main(argv=None) -> int:
     config = SystemConfig(
         query_cache_size=0,  # every query must reach the shards
         obs_slow_query_ms=0.0001,
-        obs_slow_log_size=32,
     )
     system = VideoRetrievalSystem.in_memory(config)
     for video in make_corpus(

@@ -22,7 +22,7 @@ import ast
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-__all__ = ["CFG", "Definition", "build_cfg", "reaching_definitions"]
+__all__ = ["CFG", "Definition", "build_cfg", "reaching_definitions", "walrus_bindings"]
 
 
 @dataclass(frozen=True)
@@ -76,9 +76,21 @@ def _assigned_in_target(target: ast.expr, out: List[str]) -> None:
     # Attribute / Subscript stores mutate objects, not name bindings
 
 
+def walrus_bindings(stmt: ast.stmt) -> List[ast.NamedExpr]:
+    """The ``name := value`` expressions in this statement's own expressions
+    (nested blocks are separate CFG nodes)."""
+    return [
+        node
+        for child in ast.iter_child_nodes(stmt)
+        if not isinstance(child, (ast.stmt, ast.ExceptHandler))
+        for node in ast.walk(child)
+        if isinstance(node, ast.NamedExpr)
+    ]
+
+
 def _defined_names(stmt: ast.stmt) -> List[str]:
     """Names (re)bound by this statement -- the gen/kill set key."""
-    out: List[str] = []
+    out: List[str] = [node.target.id for node in walrus_bindings(stmt)]
     if isinstance(stmt, ast.Assign):
         for t in stmt.targets:
             _assigned_in_target(t, out)

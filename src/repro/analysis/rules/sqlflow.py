@@ -17,6 +17,9 @@ checked the same way::
     q = f"DELETE FROM {table}"           # a definition that reaches
     db.execute(q)                        # the call through a variable
 
+An assignment expression is both: ``db.execute((q := f"..."))`` is
+checked at the call, and it defines ``q`` for the calls after it.
+
 One dynamic reaching definition is enough to flag -- on some path the
 interpolated string arrives at the database.
 """
@@ -26,7 +29,7 @@ from __future__ import annotations
 import ast
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from repro.analysis.dataflow import build_cfg, reaching_definitions
+from repro.analysis.dataflow import build_cfg, reaching_definitions, walrus_bindings
 from repro.analysis.engine import Finding, LintConfig, ModuleInfo, Rule, register_rule
 from repro.analysis.project import dotted
 
@@ -41,6 +44,8 @@ def classify_dynamic_sql(arg: ast.expr) -> Optional[str]:
     Any other call -- the ``repro.db.sql`` builders included -- gets the
     benefit of the doubt.
     """
+    if isinstance(arg, ast.NamedExpr):  # (q := <sql>): the value is the SQL
+        return classify_dynamic_sql(arg.value)
     if isinstance(arg, ast.JoinedStr):
         return "an f-string"
     if isinstance(arg, ast.BinOp) and isinstance(arg.op, (ast.Add, ast.Mod)):
@@ -145,12 +150,13 @@ class SqlDataflowRule(Rule):
             if definition.name != name:
                 continue
             stmt = cfg.stmts[definition.stmt_id]
-            value: Optional[ast.expr] = None
-            if isinstance(stmt, ast.Assign):
+            # ``name := value`` inside the statement binds before the statement does
+            value: Optional[ast.expr] = next(
+                (n.value for n in walrus_bindings(stmt) if n.target.id == name), None
+            )
+            if value is None and isinstance(stmt, (ast.Assign, ast.AnnAssign)):
                 value = stmt.value
-            elif isinstance(stmt, ast.AnnAssign):
-                value = stmt.value
-            elif isinstance(stmt, ast.AugAssign):
+            elif value is None and isinstance(stmt, ast.AugAssign):
                 if isinstance(stmt.op, (ast.Add, ast.Mod)):
                     out.append((stmt, "an augmented (+=) string build"))
                 continue

@@ -55,14 +55,11 @@ class SystemConfig:
     snapshot_path: Optional[str] = None
     # observability (repro.obs): metrics registry + tracing + structured logs
     #: master gate; False swaps every instrumentation point for shared no-ops
+    #: (the trace and slow-query ring buffers keep ``Obs``'s 64 entries)
     obs_enabled: bool = True
-    #: ring-buffer capacity for recent request traces (``/traces/recent``)
-    obs_trace_buffer: int = 64
     #: wall-time threshold (ms) above which a query is captured in the
     #: slow-query ring buffer (``GET /debug/slow``); 0 disables the log
     obs_slow_query_ms: float = 500.0
-    #: slow-query ring-buffer capacity
-    obs_slow_log_size: int = 64
     # resilience (repro.resilience); fault points are armed from REPRO_FAULTS
     #: per-request wall-time budget checked at stage boundaries
     #: (None = unbounded; the web layer maps overruns to HTTP 504)
@@ -105,12 +102,8 @@ class SystemConfig:
             raise ValueError("query_cache_size must be >= 0")
         if self.snapshot not in ("auto", "off", "require"):
             raise ValueError("snapshot must be 'auto', 'off', or 'require'")
-        if self.obs_trace_buffer < 1:
-            raise ValueError("obs_trace_buffer must be >= 1")
         if self.obs_slow_query_ms < 0:
             raise ValueError("obs_slow_query_ms must be >= 0 (0 = disabled)")
-        if self.obs_slow_log_size < 1:
-            raise ValueError("obs_slow_log_size must be >= 1")
         if self.request_deadline is not None and self.request_deadline <= 0:
             raise ValueError("request_deadline must be positive")
         if self.shards < 1:

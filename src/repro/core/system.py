@@ -76,10 +76,7 @@ class VideoRetrievalSystem:
         #: per-system observability facade; disabled it costs one no-op
         #: call per instrumentation point (see docs/observability.md)
         self.obs = Obs(
-            enabled=self.config.obs_enabled,
-            trace_buffer=self.config.obs_trace_buffer,
-            slow_query_ms=self.config.obs_slow_query_ms,
-            slow_log_size=self.config.obs_slow_log_size,
+            enabled=self.config.obs_enabled, slow_query_ms=self.config.obs_slow_query_ms
         )
         #: per-system resilience policies (deadline, fault points armed
         #: from REPRO_FAULTS; see docs/resilience.md)

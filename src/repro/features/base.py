@@ -130,10 +130,25 @@ class FeatureExtractor(abc.ABC):
         self._check_pair(a, b)
         return l1(a.values, b.values)
 
-    def batch_distance(self, q: FeatureVector, matrix: np.ndarray, rows: Rows = None) -> np.ndarray:
-        """Distances from ``q`` to every row of a stacked ``(n, d)`` matrix.
+    def prepare_matrix(self, matrix: np.ndarray) -> np.ndarray:
+        """Precompute a reusable form of a stacked candidate matrix.
 
-        ``rows`` restricts (and orders) the result to ``matrix[rows]``
+        The default is the raw float64 matrix.  Extractors whose distance
+        preprocesses the candidate rows (e.g. row normalization) override
+        this together with :meth:`batch_distance_prepared`, so a caller
+        ranking many queries against an unchanged store pays the
+        preprocessing once.  Row i of the prepared matrix must describe
+        row i of the input, so row gathers commute with preparation.
+        """
+        return np.asarray(matrix, dtype=np.float64)
+
+    def batch_distance_prepared(
+        self, q: FeatureVector, prepared: np.ndarray, rows: Rows = None
+    ) -> np.ndarray:
+        """Distances from ``q`` to every row of a stacked ``(n, d)`` matrix
+        prepared by :meth:`prepare_matrix`.
+
+        ``rows`` restricts (and orders) the result to ``prepared[rows]``
         without the caller materializing that gather: the row-wise kernels
         of :mod:`repro.similarity.measures` pull the rows block by block.
 
@@ -145,7 +160,7 @@ class FeatureExtractor(abc.ABC):
         """
         from repro.similarity.measures import l1_batch
 
-        m = self._check_batch(q, matrix)
+        m = self._check_batch(q, prepared)
         if type(self).distance is FeatureExtractor.distance:
             return l1_batch(q.values, m, rows)
         return np.array(
@@ -155,25 +170,6 @@ class FeatureExtractor(abc.ABC):
             ],
             dtype=np.float64,
         )
-
-    def prepare_matrix(self, matrix: np.ndarray) -> np.ndarray:
-        """Precompute a reusable form of a stacked candidate matrix.
-
-        The default is the raw float64 matrix.  Extractors whose
-        :meth:`batch_distance` preprocesses the candidate rows per call
-        (e.g. row normalization) override this together with
-        :meth:`batch_distance_prepared`, so a caller ranking many queries
-        against an unchanged store can pay the preprocessing once.  Row i
-        of the prepared matrix must describe row i of the input, so row
-        gathers commute with preparation.
-        """
-        return np.asarray(matrix, dtype=np.float64)
-
-    def batch_distance_prepared(
-        self, q: FeatureVector, prepared: np.ndarray, rows: Rows = None
-    ) -> np.ndarray:
-        """Distances from ``q`` to rows prepared by :meth:`prepare_matrix`."""
-        return self.batch_distance(q, prepared, rows)
 
     def _check_batch(self, q: FeatureVector, matrix: np.ndarray) -> np.ndarray:
         """Validate a query/matrix pair; returns the matrix as float64."""

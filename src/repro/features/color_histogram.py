@@ -76,11 +76,6 @@ class SimpleColorHistogram(FeatureExtractor):
         pb = b.values / max(1e-12, b.values.sum())
         return float(np.abs(pa - pb).sum())
 
-    def batch_distance(self, q: FeatureVector, matrix: np.ndarray, rows: Rows = None) -> np.ndarray:
-        """Vectorized normalized-histogram L1 distances."""
-        m = self._check_batch(q, matrix)
-        return self.batch_distance_prepared(q, self.prepare_matrix(m), rows)
-
     def prepare_matrix(self, matrix: np.ndarray) -> np.ndarray:
         """Row-normalized histograms (the per-call hot spot, done once)."""
         m = np.asarray(matrix, dtype=np.float64)
@@ -89,6 +84,7 @@ class SimpleColorHistogram(FeatureExtractor):
     def batch_distance_prepared(
         self, q: FeatureVector, prepared: np.ndarray, rows: Rows = None
     ) -> np.ndarray:
+        """Vectorized normalized-histogram L1 distances."""
         from repro.similarity.measures import l1_batch
 
         m = self._check_batch(q, prepared)

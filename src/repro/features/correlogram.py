@@ -193,8 +193,10 @@ class AutoColorCorrelogram(FeatureExtractor):
         self._check_pair(a, b)
         return float(np.abs(a.values - b.values).sum())
 
-    def batch_distance(self, q: FeatureVector, matrix: np.ndarray, rows: Rows = None) -> np.ndarray:
+    def batch_distance_prepared(
+        self, q: FeatureVector, prepared: np.ndarray, rows: Rows = None
+    ) -> np.ndarray:
         """Vectorized L1 distances against a stacked matrix."""
         from repro.similarity.measures import l1_batch
 
-        return l1_batch(q.values, self._check_batch(q, matrix), rows)
+        return l1_batch(q.values, self._check_batch(q, prepared), rows)

@@ -151,8 +151,10 @@ class GaborTexture(FeatureExtractor):
         self._check_pair(a, b)
         return float(np.sqrt(np.sum((a.values - b.values) ** 2)))
 
-    def batch_distance(self, q: FeatureVector, matrix: np.ndarray, rows: Rows = None) -> np.ndarray:
+    def batch_distance_prepared(
+        self, q: FeatureVector, prepared: np.ndarray, rows: Rows = None
+    ) -> np.ndarray:
         """Vectorized Euclidean distances against a stacked matrix."""
         from repro.similarity.measures import l2_batch
 
-        return l2_batch(q.values, self._check_batch(q, matrix), rows)
+        return l2_batch(q.values, self._check_batch(q, prepared), rows)

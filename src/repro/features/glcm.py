@@ -244,9 +244,11 @@ class GlcmTexture(FeatureExtractor):
         mask = denom > 1e-12
         return float(np.sum(np.abs(va - vb)[mask] / denom[mask]))
 
-    def batch_distance(self, q: FeatureVector, matrix: np.ndarray, rows: Rows = None) -> np.ndarray:
+    def batch_distance_prepared(
+        self, q: FeatureVector, prepared: np.ndarray, rows: Rows = None
+    ) -> np.ndarray:
         """Vectorized Canberra distances (pixelCounter column excluded)."""
         from repro.similarity.measures import canberra_batch
 
-        m = self._check_batch(q, matrix)
+        m = self._check_batch(q, prepared)
         return canberra_batch(q.values[1:], m[:, 1:], rows)

@@ -47,11 +47,13 @@ class NaiveSignature(FeatureExtractor):
         pb = b.values.reshape(-1, 3)
         return float(np.sum(np.sqrt(np.sum((pa - pb) ** 2, axis=1))))
 
-    def batch_distance(self, q: FeatureVector, matrix: np.ndarray, rows: Rows = None) -> np.ndarray:
+    def batch_distance_prepared(
+        self, q: FeatureVector, prepared: np.ndarray, rows: Rows = None
+    ) -> np.ndarray:
         """Vectorized per-grid-point color distances, summed per candidate."""
-        m = self._check_batch(q, matrix)
+        m = self._check_batch(q, prepared)
         if rows is not None:
             m = m[rows]
         pq = q.values.reshape(-1, 3)
-        pm = m.reshape(m.shape[0], -1, 3)
+        pm = m.reshape(m.shape[0], m.shape[1] // 3, 3)  # no -1: a lane's half may be empty
         return np.sqrt(((pm - pq) ** 2).sum(axis=2)).sum(axis=1)

@@ -221,8 +221,10 @@ class SimpleRegionGrowing(FeatureExtractor):
         mask = denom > 1e-12
         return float(np.sum(np.abs(a.values - b.values)[mask] / denom[mask]))
 
-    def batch_distance(self, q: FeatureVector, matrix: np.ndarray, rows: Rows = None) -> np.ndarray:
+    def batch_distance_prepared(
+        self, q: FeatureVector, prepared: np.ndarray, rows: Rows = None
+    ) -> np.ndarray:
         """Vectorized Canberra distances over the three counters."""
         from repro.similarity.measures import canberra_batch
 
-        return canberra_batch(q.values, self._check_batch(q, matrix), rows)
+        return canberra_batch(q.values, self._check_batch(q, prepared), rows)

@@ -254,11 +254,6 @@ class TamuraTexture(FeatureExtractor):
         hb = b.values[2:] / max(1e-12, b.values[2:].sum())
         return d + float(np.abs(ha - hb).sum())
 
-    def batch_distance(self, q: FeatureVector, matrix: np.ndarray, rows: Rows = None) -> np.ndarray:
-        """Vectorized head-Canberra + normalized-histogram-L1 distances."""
-        m = self._check_batch(q, matrix)
-        return self.batch_distance_prepared(q, self.prepare_matrix(m), rows)
-
     def prepare_matrix(self, matrix: np.ndarray) -> np.ndarray:
         """Raw (coarseness, contrast) head + row-normalized histograms."""
         m = np.asarray(matrix, dtype=np.float64)
@@ -269,6 +264,7 @@ class TamuraTexture(FeatureExtractor):
     def batch_distance_prepared(
         self, q: FeatureVector, prepared: np.ndarray, rows: Rows = None
     ) -> np.ndarray:
+        """Vectorized head-Canberra + normalized-histogram-L1 distances."""
         from repro.similarity.measures import canberra_batch, l1_batch
 
         m = self._check_batch(q, prepared)

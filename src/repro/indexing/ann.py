@@ -7,8 +7,8 @@ space: a k-means coarse quantizer partitions the stored frames into
 ``n_cells`` Voronoi cells over the concatenated (per-feature scaled)
 vectors, and a query only scores the members of its ``nprobe`` nearest
 cells.  The probed union is re-ranked **exactly** through the existing
-``batch_distance`` path, so the index changes which frames are scored,
-never how they are scored.
+``batch_distance_prepared`` path, so the index changes which frames are
+scored, never how they are scored.
 
 Design notes:
 

@@ -88,10 +88,7 @@ def _error_response(status: int, message: str, error_type: str, **extra) -> Resp
     return _json_response(status, payload)
 
 
-# pure mapping shared by two instrumented dispatch loops, not an entry point
-def error_response_for(  # reprolint: disable=R17
-    exc: Exception, route: str
-) -> Tuple[Response, Dict[str, str]]:
+def error_response_for(exc: Exception, route: str) -> Tuple[Response, Dict[str, str]]:
     """Map an exception onto ``(response, extra_headers)``.
 
     The one error ladder both dispatch loops share (:class:`CbvrApi`'s

@@ -77,6 +77,18 @@ MUTATIONS = [
         id="R16-fstring-via-variable",
     ),
     pytest.param(
+        "R16", "repro.core.system",
+        '"SELECT IMAGE FROM KEY_FRAMES WHERE I_ID = ?", (frame_id,)',
+        '(q := f"SELECT IMAGE FROM KEY_FRAMES WHERE I_ID = {frame_id}")',
+        id="R16-walrus-at-execute",
+    ),
+    pytest.param(
+        "R16", "repro.core.system",
+        '"""Decode one stored key-frame image."""',
+        'if (q := f"SELECT IMAGE FROM KEY_FRAMES WHERE I_ID = {frame_id}"): self.db.execute(q)',
+        id="R16-walrus-via-variable",
+    ),
+    pytest.param(
         "R17", "repro.web.api",
         "explain: bool) -> Dict[str, object]:  # reprolint: disable=R17",
         "explain: bool) -> Dict[str, object]:",

@@ -384,6 +384,19 @@ class TestR16SqlDataflow:
         assert "an f-string" in findings[0].message
         assert "line 3" in findings[0].message
 
+    def test_dynamic_sql_in_an_assignment_expression_fires(self):
+        findings = run_rule(
+            "R16",
+            """
+            def purge(db, t):
+                db.execute((q := f"DELETE FROM {t}"))
+                return db.execute(q)
+            """,
+        )
+        assert [(f.rule_id, f.line) for f in findings] == [("R16", 3), ("R16", 4)]
+        assert all("an f-string" in f.message for f in findings)
+        assert "variable 'q' defined at line 3" in findings[1].message
+
     def test_one_dynamic_branch_is_enough(self):
         findings = run_rule(
             "R16",

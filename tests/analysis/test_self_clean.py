@@ -73,7 +73,7 @@ def test_one_pipeline_for_all_three_query_kinds():
     }
     assert overridden == {"_plan_vectors", "_score_plans", "_rank_plan", "close"}
     assert [n for n in worker.__all__ if n.startswith("score_")] == ["score_vectors_shard"]
-    assert len(dataclasses.fields(SystemConfig)) == 23
+    assert len(dataclasses.fields(SystemConfig)) == 21
 
 
 def test_numpy_is_the_only_import_outside_the_stdlib():

@@ -1,15 +1,16 @@
 """The frame and clip queries spelled out one step at a time.
 
 The engine has one scoring path (``batch_distance_prepared`` on the
-prepared stacks, ``_stable_topk``); :func:`reference_frame_ranking` is
+prepared stacks, ``_stable_topk``); :func:`reference_frame_ranking` (and
+:func:`reference_vector_ranking`, for given vectors and candidate ids) is
 what it must equal -- the scalar ``extractor.distance`` per stored
 record, ``CombinedScorer.fuse``, a stable argsort.
 
 ``search_by_video`` scores every query key frame against the prepared
 stacks through the blocked kernels and fills all DP tables in one batched
 recurrence; this is the composition it must equal bit for bit -- an
-explicitly gathered raw stack per feature, one ``dtw_distance`` table
-per stored video on the same fused matrix.
+explicitly gathered stack per feature, prepared on the spot, one
+``dtw_distance`` table per stored video on the same fused matrix.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import numpy as np
 
 from repro.core.search import SearchEngine
 from repro.core.store import FeatureStore, FrameRecord
+from repro.features.base import FeatureVector
 from repro.similarity.dp import dtw_distance
 from repro.similarity.fusion import CombinedScorer, FeatureWeights, normalize_scores
 
@@ -34,20 +36,32 @@ def reference_frame_ranking(
 ) -> List[Tuple[int, float, Dict[str, float]]]:
     """``[(frame_id, fused, per_feature)]``, best first, read off
     ``record.features`` one stored frame at a time."""
-    config, store = engine.config, engine.store
-    names = list(features or config.features)
-    ids = sorted(engine.index.candidates(image)) if use_index else store.frame_ids()
+    names = list(features or engine.config.features)
+    ids = sorted(engine.index.candidates(image)) if use_index else engine.store.frame_ids()
+    vectors = {name: engine.extractors[name].extract(image) for name in names}
+    return reference_vector_ranking(engine, vectors, ids, top_k)
+
+
+def reference_vector_ranking(
+    engine: SearchEngine,
+    query_vectors: Dict[str, FeatureVector],
+    candidate_ids: Sequence[int],
+    top_k: int,
+) -> List[Tuple[int, float, Dict[str, float]]]:
+    """The same over ``candidate_ids`` in the order given, duplicates
+    included, fusing the configured features of ``query_vectors``."""
+    store, ids = engine.store, list(candidate_ids)
+    names = [name for name in query_vectors if name in engine.extractors]
     per_feature = {}
     for name in names:
-        extractor = engine.extractors[name]
-        query = extractor.extract(image)
+        extractor, query = engine.extractors[name], query_vectors[name]
         per_feature[name] = np.array(
             [extractor.distance(query, store.get(fid).features[name]) for fid in ids]
         )
     if len(names) == 1:
         fused = per_feature[names[0]]
     else:
-        weights = FeatureWeights({n: config.weight_of(n) for n in names})
+        weights = FeatureWeights({n: engine.config.weight_of(n) for n in names})
         fused = CombinedScorer(weights).fuse(per_feature)
     order = np.argsort(fused, kind="stable")[:top_k]
     return [
@@ -72,8 +86,10 @@ def reference_clip_ranking(
     total_weight = 0.0
     for name in features or config.features:
         extractor = engine.extractors[name]
-        stack = np.stack([rec.features[name].values for rec in records])
-        m = np.stack([extractor.batch_distance(extractor.extract(f), stack) for f in key_frames])
+        stack = extractor.prepare_matrix(np.stack([rec.features[name].values for rec in records]))
+        m = np.stack(
+            [extractor.batch_distance_prepared(extractor.extract(f), stack) for f in key_frames]
+        )
         weight = config.weight_of(name)
         combined += weight * normalize_scores(m.ravel()).reshape(nq, nr)
         total_weight += weight

@@ -19,11 +19,13 @@ class TestConfig:
         # fixed policies live as defaulted arguments where they are used
         # (ResiliencePolicies, MicroBatcher's BATCH_MAX), not here
         names = {f.name for f in dataclasses.fields(SystemConfig)}
-        assert len(names) == 23
+        assert len(names) == 21
         assert not names & {
             "batch_window_ms", "batch_max", "retry_attempts", "retry_base_delay",
             "retry_max_elapsed", "retry_seed", "breaker_failure_threshold",
             "obs_latency_buckets", "obs_log_level", "sequence_gap_penalty",
+            # the trace and slow-query rings keep Obs's sizes
+            "obs_trace_buffer", "obs_slow_log_size",
             # fault points are armed from REPRO_FAULTS; shard breakers take
             # ResiliencePolicies' defaults; partial shard answers are always served
             "resilience", "fault_spec", "breaker_window", "breaker_cooldown",

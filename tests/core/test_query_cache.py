@@ -1,4 +1,9 @@
-"""Query-result cache: LRU unit behaviour and engine-level invalidation."""
+"""Query-result cache: LRU unit behaviour and engine-level invalidation.
+
+That every add, delete and rename invalidates what the cache answers, for
+frame and vector queries alike, is checked after every step of the model
+test (``tests/integration/test_stateful.py``): a miss, then a hit, both
+bitwise the cache-off answer."""
 
 import numpy as np
 import pytest
@@ -117,28 +122,6 @@ class TestEngineCache:
         # the rebuilt entry reflects the new corpus
         assert results.n_total == system.n_key_frames()
 
-    def test_remove_invalidates(self):
-        system = _system(query_cache_size=64)
-        victim = system._store.video_ids()[0]
-        survivor_fid = system._store.frames_of_video(system._store.video_ids()[1])[
-            0
-        ].frame_id
-        query = system.get_key_frame(survivor_fid)
-        system.search(query, top_k=10)
-        gone = {r.frame_id for r in system._store.frames_of_video(victim)}
-        system.admin.delete_video(victim)
-        results = system.search(query, top_k=10)
-        assert system.metrics()["cache"]["hits"] == 0
-        assert not ({h.frame_id for h in results} & gone)
-
-    def test_rename_invalidates(self):
-        system = _system(query_cache_size=64)
-        query = system.any_key_frame()
-        system.search(query, top_k=5)
-        system.admin.rename_video(system._store.video_ids()[0], "renamed")
-        system.search(query, top_k=5)
-        assert system.metrics()["cache"]["hits"] == 0
-
     def test_hits_are_defensive_copies(self):
         system = _system(query_cache_size=64)
         query = system.any_key_frame()
@@ -155,15 +138,6 @@ class TestEngineCache:
         b = system.search(query, top_k=5)
         assert system.metrics()["cache"]["hits"] == 0
         assert [h.frame_id for h in b] == [h.frame_id for h in a]
-
-    def test_feedback_vector_queries_cached(self):
-        system = _system(query_cache_size=64)
-        fid = system._store.frame_ids()[0]
-        vectors = dict(system._store.get(fid).features)
-        first = system._engine.query_with_vectors(dict(vectors), top_k=5)
-        second = system._engine.query_with_vectors(dict(vectors), top_k=5)
-        assert system.metrics()["cache"]["hits"] == 1
-        assert [h.frame_id for h in second.hits] == [h.frame_id for h in first.hits]
 
 
 class TestConfigValidation:

@@ -7,7 +7,9 @@ alike: the same hits to the bit, the same explain payload, the same
 query-cache traffic (either entry point hits the entry the other one
 wrote; clips are not cached), the same child spans -- and a request that
 fails raises from the solo call what the batch reports in its slot,
-without touching a batchmate.
+without touching a batchmate.  The single-store engine's solo answers
+are held to its batch answers by the model test
+(``tests/integration/test_stateful.py``).
 """
 
 from __future__ import annotations
@@ -137,7 +139,9 @@ CLIP_STAGES = [
 ]
 
 
+# the single-store engine's half is the model test's (tests/integration/test_stateful.py)
 @pytest.mark.parametrize("kind", ["frame", "vectors", "video"])
+@pytest.mark.parametrize("engine_kind", ["sharded"], indirect=True)
 def test_solo_query_is_a_batch_of_one(engine, ingested_system, kind):
     cached = engine.config.query_cache_size > 0 and kind != "video"
     solo_a, request_a = _solo_and_request(kind, ingested_system, 0)

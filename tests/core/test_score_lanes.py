@@ -3,9 +3,11 @@
 A pass of at least ``_SPLIT_MIN_WORK`` candidate rows x features cuts
 every plan's rows at their midpoint: the calling thread scores the lower
 halves, the pool's helper lane the upper ones.  Every kernel reduces each
-row on its own, so the answer must be bitwise the one-lane answer --
-whatever the crossover, and on one CPU (which has no helper lane).  An error on either half fails that plan only, and the
-helper half is done before the pass returns.
+row on its own, so the answer must be bitwise the one-lane answer; the
+model test (``tests/integration/test_stateful.py``) checks that for every
+query kind after every write.  Here: the plans take the paths named,
+callers sharing the lane get their own answers, an error on either half
+fails that plan only, and the helper half is done before the pass returns.
 """
 
 import sys
@@ -16,9 +18,8 @@ import numpy as np
 import pytest
 
 import repro.core.search as search
-from repro.core.search import QueryRequest, SearchEngine, VideoMatch
+from repro.core.search import QueryRequest, SearchEngine
 from repro.features.color_histogram import SimpleColorHistogram
-from tests.core.test_lanes import _one_cpu
 from tests.runtime.test_pool import _two_cpus, needs_two_cpus
 
 NEVER = 1 << 62
@@ -41,31 +42,12 @@ def engine_for(ingested_system):
         engine.close()
 
 
-@pytest.fixture()
-def scoring_threads(monkeypatch):
-    """Names of the threads every ``_score_rows`` call ran on."""
-    names = []
-    real = search._score_rows
-
-    def recording(*args):
-        names.append(threading.current_thread().name)
-        return real(*args)
-
-    monkeypatch.setattr(search, "_score_rows", recording)
-    return names
-
-
 def _crossover(monkeypatch, value):
     monkeypatch.setattr(search, "_SPLIT_MIN_WORK", value)
 
 
 def _answer(outcome):
-    """Ids, fused and per-feature distances as ``float.hex`` (or the error)."""
-    if isinstance(outcome, Exception):
-        return (type(outcome).__name__, str(outcome))
-    if isinstance(outcome, list):
-        assert all(isinstance(m, VideoMatch) for m in outcome)
-        return [(m.video_id, m.distance.hex()) for m in outcome]
+    """Ids, fused and per-feature distances as ``float.hex``."""
     return [
         (h.frame_id, h.distance.hex(), {n: d.hex() for n, d in h.per_feature.items()})
         for h in outcome
@@ -73,57 +55,27 @@ def _answer(outcome):
 
 
 def _requests(system):
-    """``[frame, clip, vectors, poisoned]``: range-index rows, a clip, and
-    unsorted duplicate candidate ids, each ranking every candidate."""
+    """``(frame, vectors)``: range-index rows, and unsorted duplicate
+    candidate ids, each ranking every candidate."""
     ids = system.feature_store.frame_ids()
     image = system.get_key_frame(ids[3])
     vectors = dict(system.feature_store.get(ids[-4]).features)
     candidates = [ids[9], ids[2], ids[9], ids[-1], ids[0], ids[2], ids[5]]
-    return [
+    return (
         QueryRequest(image=image, use_index=True, top_k=len(ids)),
-        QueryRequest(clip=system.get_video_frames(2)[2:8], top_k=len(ids)),
         QueryRequest(query_vectors=vectors, candidate_ids=candidates, top_k=len(ids)),
-        QueryRequest(clip=system.get_video_frames(3)[2:8], features=["nope"]),
-    ]
+    )
 
 
 def _lanes(results):
     return results.explain["timings_ms"]["score_lanes"]
 
 
-def _answers(engine, requests):
-    return [_answer(outcome) for outcome in engine.query_batch(requests)]
-
-
-def test_every_query_kind_is_bitwise_the_one_lane_answer(
-    monkeypatch, ingested_system, engine_for, scoring_threads
-):
-    requests = _requests(ingested_system)
-    engine = engine_for()
-    _crossover(monkeypatch, NEVER)
-    one_lane = _answers(engine, requests)
-    assert scoring_threads == [threading.current_thread().name]
-    assert one_lane[3][0] == "ValueError" and all(len(a) > 1 for a in one_lane[:3])
-
-    _crossover(monkeypatch, 0)
-    scoring_threads.clear()
-    assert _answers(engine, requests) == one_lane
-    if _two_cpus():  # one pass: one half here, one on the helper lane
-        assert sorted(n.startswith("repro-lane") for n in scoring_threads) == [False, True]
-    for i, solo in enumerate(requests[:3]):  # and each on its own
-        assert _answers(engine, [solo]) == [one_lane[i]]
-
-    _one_cpu(monkeypatch)
-    scoring_threads.clear()
-    assert _answers(engine, requests) == one_lane
-    assert not any(name.startswith("repro-lane") for name in scoring_threads)
-
-
 def test_the_plans_really_take_the_paths_named(monkeypatch, ingested_system, engine_for):
     """Frame rows come from the range index, vector rows are unsorted with
     duplicates; the explain names the lanes."""
     engine = engine_for()
-    frame, _clip, vectors, _poisoned = _requests(ingested_system)
+    frame, vectors = _requests(ingested_system)
     plans = []
     real = engine._score_plans
     monkeypatch.setattr(engine, "_score_plans", lambda p: plans.extend(p) or real(p))

@@ -116,8 +116,6 @@ class TestNoPerFrameWork:
             before = index.stats().n_entries
             store.remove_video(1)
             assert index.stats().n_entries == before - FRAMES_PER_VIDEO
-            with pytest.raises(TypeError):
-                index.remove(FRAMES_PER_VIDEO + 1)  # writes go through the store
         finally:
             system.close()
 

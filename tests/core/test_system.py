@@ -1,13 +1,11 @@
 """VideoRetrievalSystem facade tests (ingest, roles, content access)."""
 
-import numpy as np
 import pytest
 
 from repro.core.config import SystemConfig
 from repro.core.system import AuthenticationError, VideoRetrievalSystem
 from repro.db.errors import DatabaseError
 from repro.imaging.image import Image
-from repro.video.generator import VideoSpec, generate_video
 
 
 @pytest.fixture()
@@ -95,20 +93,8 @@ class TestDelete:
         with pytest.raises(DatabaseError):
             system.admin.delete_video(999)
 
-    def test_deleted_video_not_searchable(self, system, small_corpus):
-        query = small_corpus[0].frames[0]
-        system.admin.delete_video(1)
-        results = system.search(query, top_k=50, use_index=False)
-        assert 1 not in {h.video_id for h in results}
-
 
 class TestRename:
-    def test_rename_updates_results(self, system, small_corpus):
-        system.admin.rename_video(1, "renamed_clip")
-        assert system.list_videos()[0]["V_NAME"] == "renamed_clip"
-        results = system.search(small_corpus[0].frames[0], top_k=1, use_index=False)
-        assert results[0].video_name == "renamed_clip"
-
     def test_rename_unknown(self, system):
         with pytest.raises(DatabaseError):
             system.admin.rename_video(999, "x")
@@ -157,23 +143,6 @@ class TestContentAccess:
 
 
 class TestPersistence:
-    def test_reopen_restores_store_and_index(self, tmp_path, small_corpus):
-        path = str(tmp_path / "lib.rdb")
-        s = VideoRetrievalSystem.open(path)
-        s.login_admin().add_video(small_corpus[0])
-        n_frames = s.n_key_frames()
-        stats = s.index_stats()
-        s.close()
-
-        s2 = VideoRetrievalSystem.open(path)
-        assert s2.n_key_frames() == n_frames
-        assert s2.index_stats().n_entries == stats.n_entries
-        # features must be identical after the string roundtrip
-        query = small_corpus[0].frames[0]
-        r = s2.search(query, top_k=1)
-        assert r[0].distance == pytest.approx(0.0, abs=1e-9)
-        s2.close()
-
     def test_checkpoint_through_admin(self, tmp_path, small_corpus):
         path = str(tmp_path / "lib2.rdb")
         s = VideoRetrievalSystem.open(path)

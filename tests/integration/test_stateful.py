@@ -10,19 +10,29 @@ Two hypothesis state machines, one model each:
   loop over that list.
 * :class:`SystemConsistency` drives a durable library through its admin
   API, checkpoints (the whole library's, or the database's alone), reopens
-  and read replicas, and checks that the SQL tables, the store and the
-  range index agree -- the store again bitwise equal to a rebuild, and a
-  reopen served from the image whenever the database log still reaches it.
+  and faults -- a ``db.execute`` failure inside one write, an extractor
+  failure inside one query -- and checks that the SQL tables, the store
+  and the range index agree (the store again bitwise equal to a rebuild,
+  a reopen served from the image whenever the database log still reaches
+  it).  It is also the one place where the serving configurations are
+  held to one oracle: after every step a fixed probe set is answered by
+  the scalar rankings of ``tests/core/clip_reference.py`` and, bit for
+  bit, by the query cache, one and two scoring lanes, a micro-batch, a
+  reopened system and a read replica.  Shards and the IVF index keep
+  their own suites.
 
 This is the class of bug (partial ingest, stale index entries, a matrix
-row left behind by a delete) that single-scenario tests miss.
+row left behind by a delete, a cached answer outliving a rename) that
+single-scenario tests miss.
 """
 
+import contextlib
 import hashlib
 import os
 import shutil
 import tempfile
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -30,7 +40,9 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
+import repro.core.search as search
 from repro.core.config import SystemConfig
+from repro.core.search import QueryRequest, SearchEngine
 from repro.core.snapshots import (
     SnapshotRequiredError,
     build_snapshot_payload,
@@ -38,12 +50,17 @@ from repro.core.snapshots import (
 )
 from repro.core.store import FeatureStore, FrameRecord
 from repro.core.system import VideoRetrievalSystem
-from repro.db.errors import DatabaseError
 from repro.features.base import FeatureVector, get_extractor
 from repro.imaging.image import Image
 from repro.indexing.rangefinder import Bucket, RangeFinder
 from repro.indexing.tree import RangeIndex
+from repro.resilience import FaultInjected, FaultRegistry
 from repro.snapshot import write_snapshot
+from tests.core.clip_reference import (
+    reference_clip_ranking,
+    reference_frame_ranking,
+    reference_vector_ranking,
+)
 
 # -- the comparison both machines share ---------------------------------------------
 
@@ -239,32 +256,186 @@ TestStoreModel = StoreModel.TestCase
 TestStoreModel.settings = settings(max_examples=40, stateful_step_count=25, deadline=None)
 
 
-# -- the system against its own database ------------------------------------------------
+# -- the system: every serving configuration against one oracle ---------------------
 
 # a tiny fast config: two cheap features, small rescale
 _CONFIG = SystemConfig(features=("sch", "naive"), keyframe_base_size=60)
+#: a ``top_k`` that ranks every candidate
+_ALL = 10_000
+#: ``_SPLIT_MIN_WORK`` for one scoring lane always, and for two always
+_ONE_LANE, _TWO_LANES = 1 << 62, 0
 
 
 def _tiny_clip(seed: int):
-    """Two-frame clip, 24x20, unique per seed."""
+    """Two-frame clip, 24x20, unique per seed (two key frames)."""
     gen = np.random.default_rng(seed)
     base = gen.integers(0, 256, (20, 24, 3), dtype=np.uint8)
     shifted = np.clip(base.astype(int) + 40, 0, 255).astype(np.uint8)
     return [Image(base), Image(shifted)]
 
 
+#: frames no ``add_video`` draws (its seeds stop at 10 001), and their vectors
+_FRESH = _tiny_clip(20_000)
+_FRESH_VECTORS = {name: get_extractor(name).extract(_FRESH[1]) for name in _CONFIG.features}
+
+
+def _probes(system):
+    """The fixed probe set over the live library: a stored key frame and a
+    fresh frame with the index on and off, one single-feature query, one
+    vector query with unsorted duplicate candidate ids, one clip."""
+    probes = {
+        f"fresh, index={on}": QueryRequest(image=_FRESH[0], use_index=on, top_k=_ALL)
+        for on in (True, False)
+    }
+    probes["clip"] = QueryRequest(clip=_FRESH, top_k=_ALL)
+    ids = system.feature_store.frame_ids()
+    if ids:
+        stored = system.get_key_frame(ids[len(ids) // 2])
+        for on in (True, False):
+            probes[f"stored, index={on}"] = QueryRequest(image=stored, use_index=on, top_k=_ALL)
+        probes["one feature"] = QueryRequest(
+            image=stored, features=["naive"], use_index=True, top_k=_ALL
+        )
+        probes["vectors"] = QueryRequest(
+            query_vectors=_FRESH_VECTORS,
+            candidate_ids=[ids[-1], ids[0], ids[len(ids) // 2], ids[0], ids[-1]],
+            top_k=_ALL,
+        )
+    return probes
+
+
+def _solo(engine, req):
+    """``req`` on its own, through its kind's entry point."""
+    if req.image is not None:
+        return engine.query_frame(
+            req.image, features=req.features, top_k=req.top_k, use_index=req.use_index
+        )
+    if req.clip is not None:
+        return engine.query_video(req.clip, top_k=req.top_k)
+    return engine.query_with_vectors(
+        req.query_vectors, top_k=req.top_k, candidate_ids=req.candidate_ids
+    )
+
+
+def _answer(outcome):
+    """Ids, video names and categories, fused and per-feature (or clip)
+    distances as ``float.hex``."""
+    if isinstance(outcome, Exception):
+        raise outcome
+    if isinstance(outcome, list):  # a clip's VideoMatch list
+        return [(m.video_id, m.video_name, m.category, m.distance.hex()) for m in outcome]
+    return outcome.n_candidates, [
+        (
+            h.frame_id, h.video_id, h.video_name, h.category, h.distance.hex(),
+            {n: d.hex() for n, d in h.per_feature.items()},
+        )
+        for h in outcome.hits
+    ]
+
+
+def _batch_answers(engine, probes):
+    """The answers of one ``query_batch`` of every probe."""
+    return dict(zip(probes, map(_answer, engine.query_batch(list(probes.values())))))
+
+
+@contextlib.contextmanager
+def _split_at(work):
+    """Score on one lane (``_ONE_LANE``) or two (``_TWO_LANES``; one on a
+    one-CPU machine, which has no helper lane)."""
+    saved, search._SPLIT_MIN_WORK = search._SPLIT_MIN_WORK, work
+    try:
+        yield
+    finally:
+        search._SPLIT_MIN_WORK = saved
+
+
+@contextlib.contextmanager
+def _armed(system, spec):
+    """``spec``'s fault points armed for one call: the system's registry swapped."""
+    policies = system.resilience
+    saved, policies.faults = policies.faults, FaultRegistry(spec)
+    try:
+        yield
+    finally:
+        policies.faults = saved
+
+
+def sql_rows(db):
+    """Every row of both tables, in id order."""
+    return (
+        db.execute("SELECT * FROM VIDEO_STORE ORDER BY V_ID").rows,
+        db.execute("SELECT * FROM KEY_FRAMES ORDER BY I_ID").rows,
+    )
+
+
+def _assert_matches_oracle(system, engine, probes, outcomes):
+    """Ids exact, distances within 1e-9 of ``clip_reference``'s scalar
+    rankings; names and categories as SQL holds them."""
+    videos = {r["V_ID"]: (r["V_NAME"], r["CATEGORY"]) for r in system.list_videos()}
+    frame_video = {
+        int(r["I_ID"]): int(r["V_ID"])
+        for r in system.db.execute("SELECT I_ID, V_ID FROM KEY_FRAMES").rows
+    }
+    for name, req in probes.items():
+        got = outcomes[name]
+        if req.clip is not None:
+            want = reference_clip_ranking(engine, req.clip)
+            assert [m.video_id for m in got] == [vid for vid, _d in want], name
+            for match, (_vid, distance) in zip(got, want):
+                assert abs(match.distance - distance) <= 1e-9, name
+                assert (match.video_name, match.category) == videos[match.video_id]
+            continue
+        if req.image is not None:
+            want = reference_frame_ranking(
+                engine, req.image, req.top_k, req.features, req.use_index
+            )
+        else:
+            want = reference_vector_ranking(
+                engine, req.query_vectors, req.candidate_ids, req.top_k
+            )
+        assert [h.frame_id for h in got.hits] == [fid for fid, _d, _pf in want], name
+        for hit, (fid, fused, per_feature) in zip(got.hits, want):
+            assert abs(hit.distance - fused) <= 1e-9, name
+            assert hit.per_feature.keys() == per_feature.keys()
+            for feature, distance in per_feature.items():
+                assert abs(hit.per_feature[feature] - distance) <= 1e-9, name
+            vid = frame_video[fid]
+            assert (hit.video_id, hit.video_name, hit.category) == (vid, *videos[vid])
+
+
 class SystemConsistency(RuleBasedStateMachine):
-    @initialize()
-    def setup(self):
+    """A durable library driven through its admin API, checkpoints, reopens
+    and faults.  After every step the probe set's answers on the reference
+    configuration (the writer, query cache off, one scoring lane) match the
+    scalar oracle, and every other configuration answers bitwise the same:
+    the writer with its cache (a miss, then a hit), one ``query_batch`` of
+    every probe scored on two lanes, and a read replica whenever the image
+    is reachable.  A reopen answers as the system it replaced did."""
+
+    @initialize(seed=st.integers(0, 10_000), imaged=st.booleans())
+    def setup(self, seed, imaged):
         self.tmp = tempfile.mkdtemp(prefix="system-model-")
         self.path = os.path.join(self.tmp, "library.rdb")
-        self.system = VideoRetrievalSystem.open(self.path, _CONFIG)
-        self.admin = self.system.login_admin()
+        self._open()
         self.live_ids = set()
         self.counter = 0
         self.snapshot_digest = None  # of the .snap file, while nothing may rewrite it
         self.image_seq = None  # the commit the image holds
         self.log_base = 0  # the commit the database log starts after
+        self.add_video(seed)  # two videos: a delete leaves one, a second empties it
+        self.add_video(seed + 1)
+        if imaged:  # every later write then replays into a replica
+            self.checkpoint(whole=True)
+
+    def _open(self):
+        self.system = VideoRetrievalSystem.open(self.path, _CONFIG)
+        self.admin = self.system.login_admin()
+        #: the reference configuration: the writer's store and pool, no cache
+        self.reference = SearchEngine(
+            _CONFIG.with_(query_cache_size=0), self.system._store, self.system._index,
+            pool=self.system._pool,
+        )
+        self.cached_generation = None  # the store generation the cache last answered
 
     def teardown(self):
         if hasattr(self, "system"):
@@ -274,6 +445,17 @@ class SystemConsistency(RuleBasedStateMachine):
     def _snapshot_bytes(self):
         with open(self.path + ".snap", "rb") as fh:
             return hashlib.sha256(fh.read()).hexdigest()
+
+    def _image_reachable(self):
+        return self.image_seq is not None and self.image_seq >= self.log_base
+
+    def _victim(self, pick):
+        return sorted(self.live_ids)[pick % len(self.live_ids)]
+
+    def _reference_answers(self):
+        with _split_at(_ONE_LANE):
+            probes = _probes(self.system)
+            return {name: _answer(_solo(self.reference, req)) for name, req in probes.items()}
 
     @rule(seed=st.integers(0, 10_000))
     def add_video(self, seed):
@@ -287,67 +469,108 @@ class SystemConsistency(RuleBasedStateMachine):
     def delete_some_video(self, pick):
         if not self.live_ids:
             return
-        victim = sorted(self.live_ids)[pick % len(self.live_ids)]
+        victim = self._victim(pick)
         self.admin.delete_video(victim)
         self.live_ids.discard(victim)
 
-    @rule(pick=st.integers(0, 10_000))
-    def delete_missing_video_fails(self, pick):
-        missing = 100_000 + pick
-        try:
-            self.admin.delete_video(missing)
-            raise AssertionError("deleting a missing video must fail")
-        except DatabaseError:
-            pass
+    @rule(pick=st.integers(0, 10_000), seed=st.integers(0, 10_000))
+    def replace_some_video(self, pick, seed):
+        """A delete, then an add of as many key frames: replacing the last
+        video reuses its ids, so neither COUNT nor MAX(I_ID) moves."""
+        self.delete_some_video(pick)
+        self.add_video(seed)
 
     @rule(pick=st.integers(0, 10_000))
     def rename_some_video(self, pick):
         if not self.live_ids:
             return
-        victim = sorted(self.live_ids)[pick % len(self.live_ids)]
-        self.admin.rename_video(victim, f"renamed_{pick}")
+        matrix = self.system._store.feature_matrix("sch")
+        self.admin.rename_video(self._victim(pick), f"renamed_{pick}")
+        # metadata only: the stacked features are the same memory
+        assert np.shares_memory(self.system._store.feature_matrix("sch"), matrix)
 
-    @rule()
-    def checkpoint(self):
-        self.admin.checkpoint()
-        self.snapshot_digest = self._snapshot_bytes()
-        self.image_seq = self.log_base = self.system.db.commit_seq
-
-    @rule()
-    def database_checkpoint(self):
-        """Fold the log without rewriting the image: it falls behind."""
-        self.system.db.checkpoint()
+    @rule(whole=st.booleans())
+    def checkpoint(self, whole):
+        """The library's (image, then log), or the database's alone: that
+        folds the log without rewriting the image, which falls behind."""
+        if whole:
+            self.admin.checkpoint()
+            self.snapshot_digest = self._snapshot_bytes()
+            self.image_seq = self.system.db.commit_seq
+        else:
+            self.system.db.checkpoint()
         self.log_base = self.system.db.commit_seq
-
-    def _image_reachable(self):
-        return self.image_seq is not None and self.image_seq >= self.log_base
 
     @rule()
     def reopen(self):
         """From the image + the log's tail when the log still reaches the
         image (the writes that follow must copy, not touch the file), else
-        from SQL."""
+        from SQL; either way it answers as the closed system did."""
+        store = self.system._store
+        generations = (store.generation, store.structure_generation)
         self.system.close()
-        self.system = VideoRetrievalSystem.open(self.path, _CONFIG)
-        self.admin = self.system.login_admin()
+        self._open()
         expected = "mmap" if self._image_reachable() else "rebuild"
         assert self.system.snapshots.served_from == expected
+        store = self.system._store
+        if expected == "mmap":
+            assert (store.generation, store.structure_generation) == generations
+        assert self._reference_answers() == self.answers
 
-    @rule()
-    def read_replica(self):
-        """An in-memory replica of the image + the log it names is the
-        writer's store, or refuses to start."""
-        config = _CONFIG.with_(snapshot="require", snapshot_path=self.path + ".snap")
-        if not self._image_reachable():
-            with pytest.raises(SnapshotRequiredError):
-                VideoRetrievalSystem.in_memory(config)
+    @rule(
+        op=st.sampled_from(["add", "delete", "rename"]),
+        pick=st.integers(0, 10_000),
+        data=st.data(),
+    )
+    def crash_a_write(self, op, pick, data):
+        """``db.execute`` fails on the K-th statement of one write -- before
+        its transaction or inside it: the write raises, and the database,
+        its log, the store and every answer are as they were."""
+        if op == "add":
+            frames = _tiny_clip(pick) + _tiny_clip(pick + 1)  # four key frames
+            # MAX(V_ID), MAX(I_ID), the video's row, one row per key frame
+            n = 3 + len(self.reference.keyframe_extractor.extract(frames))
+            write = partial(self.admin.add_video, frames, name="crashed", category="misc")
+        elif not self.live_ids:
             return
-        replica = VideoRetrievalSystem.in_memory(config)
-        try:
-            assert replica.snapshots.served_from == "mmap"
-            assert_same_store(replica._store, self.system._store, self.system.engine.extractors)
-        finally:
-            replica.close()
+        elif op == "delete":
+            n = 3  # the existence check, then the key frames and the video
+            write = partial(self.admin.delete_video, self._victim(pick))
+        else:
+            n = 1
+            write = partial(self.admin.rename_video, self._victim(pick), "crashed")
+        k = data.draw(st.integers(1, n), label="K")
+        db = self.system.db
+
+        def state():
+            with open(self.path + ".wal", "rb") as fh:
+                return sql_rows(db), db.commit_seq, self.system._store.generation, fh.read()
+
+        before = state()
+        with _armed(self.system, f"db.execute:every={k}"), pytest.raises(FaultInjected):
+            write()
+        assert state() == before
+        assert self._reference_answers() == self.answers
+
+    @rule(name=st.sampled_from(_CONFIG.features))
+    def crash_an_extractor(self, name):
+        """``extractor.<name>`` fails once in a frame query: the answer is
+        marked degraded, is the oracle's over the other features, and is
+        not cached."""
+        engine = self.system.engine
+        ids = self.system._store.frame_ids()
+        image = self.system.get_key_frame(ids[0]) if ids else _FRESH[0]
+        rest = [n for n in _CONFIG.features if n != name]
+        entries = engine.cache_stats()["entries"]
+        with _armed(self.system, f"extractor.{name}:once"):
+            degraded = engine.query_frame(image, top_k=_ALL - 1)
+        assert degraded.degraded_features == [name]
+        assert engine.cache_stats()["entries"] == entries
+        request = QueryRequest(image=image, features=rest, use_index=True, top_k=_ALL - 1)
+        _assert_matches_oracle(self.system, self.reference, {name: request}, {name: degraded})
+        with _split_at(_ONE_LANE):
+            assert _answer(degraded) == _answer(_solo(self.reference, request))
+        assert not engine.query_frame(image, top_k=_ALL - 1).degraded
 
     # -- invariants ------------------------------------------------------------
 
@@ -370,6 +593,9 @@ class SystemConsistency(RuleBasedStateMachine):
             for r in self.system.db.execute("SELECT V_ID FROM KEY_FRAMES").rows
         }
         assert db_frame_videos <= self.live_ids  # no orphaned key frames
+        if self._image_reachable():
+            behind = self.system.db.commit_seq - self.image_seq
+            assert self.system.snapshots.stats()["commits_behind"] == behind
 
     @invariant()
     def store_equals_sql_rebuild(self):
@@ -387,13 +613,52 @@ class SystemConsistency(RuleBasedStateMachine):
             assert self._snapshot_bytes() == self.snapshot_digest
 
     @invariant()
-    def search_always_works(self):
-        if not hasattr(self, "system") or not self.live_ids:
+    def every_configuration_answers_as_the_oracle(self):
+        if not hasattr(self, "system"):
             return
-        query = self.system.any_key_frame()
-        results = self.system.search(query, top_k=3, use_index=False)
-        assert len(results) >= 1
-        assert {h.video_id for h in results} <= self.live_ids
+        probes = _probes(self.system)
+        with _split_at(_ONE_LANE):
+            outcomes = {name: _solo(self.reference, req) for name, req in probes.items()}
+            _assert_matches_oracle(self.system, self.reference, probes, outcomes)
+            self.answers = {name: _answer(outcome) for name, outcome in outcomes.items()}
+            assert self._cached_answers(probes) == self.answers
+            self._check_replica(probes)
+        with _split_at(_TWO_LANES):  # and every plan of the batch cut in two
+            assert _batch_answers(self.reference, probes) == self.answers
+
+    def _cached_answers(self, probes):
+        """The writer's own engine, each probe asked twice: the first is a
+        miss whenever the store moved since the cache last answered."""
+        engine, generation = self.system.engine, self.system._store.generation
+        first_ask = "hit" if self.cached_generation == generation else "miss"
+        answers = {}
+        for name, req in probes.items():
+            first = _solo(engine, req)
+            answers[name] = _answer(first)
+            if req.clip is None:  # clips are not cached
+                second = _solo(engine, req)
+                assert (first.explain["cache"], second.explain["cache"]) == (first_ask, "hit")
+                assert _answer(second) == answers[name]
+        self.cached_generation = generation
+        return answers
+
+    def _check_replica(self, probes):
+        """An in-memory replica of the image + the log it names is the
+        writer -- store and answers -- or refuses to start."""
+        config = _CONFIG.with_(snapshot="require", snapshot_path=self.path + ".snap")
+        if not self._image_reachable():
+            with pytest.raises(SnapshotRequiredError):
+                VideoRetrievalSystem.in_memory(config)
+            return
+        replica = VideoRetrievalSystem.in_memory(config)
+        try:
+            assert replica.snapshots.served_from == "mmap"
+            behind = self.system.db.commit_seq - self.image_seq
+            assert replica.snapshots.stats()["commits_behind"] == behind
+            assert_same_store(replica._store, self.system._store, self.system.engine.extractors)
+            assert _batch_answers(replica.engine, probes) == self.answers
+        finally:
+            replica.close()
 
 
 TestSystemConsistency = SystemConsistency.TestCase

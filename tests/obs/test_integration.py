@@ -3,8 +3,9 @@
 import pytest
 
 from repro.core.config import SystemConfig
+from repro.core.search import SearchEngine
 from repro.core.system import VideoRetrievalSystem
-from repro.obs import NULL_OBS, format_stats
+from repro.obs import NULL_OBS, Obs, format_stats
 from repro.video.generator import VideoSpec, generate_video
 
 
@@ -118,15 +119,16 @@ class TestMetricsSurface:
         assert timed == {name: 1 for name in system.config.features}
         assert reg["repro_search_fusion_seconds"]["samples"][0]["count"] == 1
 
-    def test_trace_buffer_respects_config(self):
-        s = VideoRetrievalSystem.in_memory(
-            SystemConfig(obs_trace_buffer=2, query_cache_size=0)
-        )
-        s.login_admin().add_video(_video(43))
-        for _ in range(4):
-            s.search(s.any_key_frame(), top_k=1)
-        assert len(s.recent_traces()) == 2
-        s.close()
+    def test_trace_buffer_keeps_the_newest(self, system):
+        """The ring's size is ``Obs``'s own: an engine traced into a
+        two-entry ring keeps its last two queries."""
+        obs = Obs(trace_buffer=2)
+        config = system.config.with_(query_cache_size=0)
+        engine = SearchEngine(config, system._store, system._index, obs=obs)
+        for top_k in (1, 2, 3, 4):
+            engine.query_frame(system.any_key_frame(), top_k=top_k)
+        assert [t["attrs"]["top_k"] for t in obs.recent_traces()] == [4, 3]
+        engine.close()
 
 
 class TestCacheCountersAcrossInvalidation:

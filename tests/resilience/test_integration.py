@@ -1,19 +1,16 @@
 """Resilience wired through the stack: the ANN and worker-pool fallbacks,
-a failing statement inside an ingest, request deadlines, and two-run
-chaos determinism.  Faults are armed the one way a system is armed: the
-``REPRO_FAULTS`` environment variable."""
+request deadlines, and two-run chaos determinism.  Faults are armed the
+one way a system is armed: the ``REPRO_FAULTS`` environment variable.
+A statement failing inside any write is the model test's crash rule
+(``tests/integration/test_stateful.py``)."""
 
 from __future__ import annotations
-
-import os
 
 import pytest
 
 from repro.core.config import SystemConfig
-from repro.core.store import FeatureStore
 from repro.core.system import VideoRetrievalSystem
-from repro.resilience import DeadlineExceeded, FaultInjected
-from tests.integration.test_stateful import assert_same_store
+from repro.resilience import DeadlineExceeded
 
 
 def _build(small_corpus, n_videos=4, faults=None, **config_kwargs):
@@ -49,78 +46,6 @@ def test_ann_fault_falls_back_to_exact_results(small_corpus):
     # no breaker skips the doomed probe: every query tried it and fell back
     fired = faulted.resilience.faults.stats()["ann.probe"]["fired"]
     assert samples["ann_brute_force"] == fired == 3
-
-
-# -- a statement failing inside an ingest ------------------------------------------
-
-
-def _probe_calls(lib, monkeypatch, video=None) -> int:
-    """``db.execute`` calls a fresh open of ``lib`` makes (then an add of
-    ``video``, if given), counted by a point armed never to fire."""
-    monkeypatch.setenv("REPRO_FAULTS", "db.execute:every=1000000000")
-    system = VideoRetrievalSystem.open(lib)
-    if video is not None:
-        system.login_admin().add_video(video)
-    calls = system.resilience.faults.stats()["db.execute"]["calls"]
-    system.close()
-    monkeypatch.delenv("REPRO_FAULTS")
-    return calls
-
-
-def test_statement_fault_inside_add_video_leaves_nothing(
-    small_corpus, tmp_path, monkeypatch
-):
-    lib = str(tmp_path / "lib.rdb")
-    system = VideoRetrievalSystem.open(lib)
-    system.login_admin().add_video(small_corpus[0])
-    system.login_admin().checkpoint()
-    system.close()
-    probe = str(tmp_path / "probe" / "lib.rdb")
-    os.makedirs(os.path.dirname(probe))
-    for suffix in ("", ".wal", ".snap"):
-        with open(lib + suffix, "rb") as src, open(probe + suffix, "wb") as dst:
-            dst.write(src.read())
-    opened = _probe_calls(probe, monkeypatch)
-    added = _probe_calls(probe, monkeypatch, small_corpus[1]) - opened
-    # reads before the add pad the count, so the fault's next multiple
-    # lies past the add that follows; it fires on the add's last
-    # statement, its last key-frame insert, inside the transaction
-    reads = added + 10
-    nth = opened + reads + added
-
-    monkeypatch.setenv("REPRO_FAULTS", f"db.execute:every={nth}")
-    system = VideoRetrievalSystem.open(lib)
-    for _ in range(reads - 1):
-        system.list_videos()
-    videos, seq = system.list_videos(), system.db.commit_seq
-    with open(lib + ".wal", "rb") as fh:
-        log_before = fh.read()
-    frames = list(system.feature_store.ids)
-    with pytest.raises(FaultInjected):
-        system.login_admin().add_video(small_corpus[1])
-    assert system.resilience.faults.stats()["db.execute"]["fired"] == 1
-    assert system.list_videos() == videos
-    assert len(system.db.execute("SELECT I_ID FROM KEY_FRAMES").rows) == len(frames)
-    assert list(system.feature_store.ids) == frames
-    assert system.db.commit_seq == seq
-    with open(lib + ".wal", "rb") as fh:
-        assert fh.read() == log_before
-    report = system.login_admin().add_video(small_corpus[1])  # the next add succeeds
-    assert report.n_keyframes >= 1
-    assert system.db.commit_seq == seq + 1
-    assert system.resilience.faults.stats()["db.execute"]["fired"] == 1
-    system.close()
-
-    monkeypatch.delenv("REPRO_FAULTS")
-    system = VideoRetrievalSystem.open(lib)
-    try:
-        assert system.snapshots.served_from == "mmap"
-        rebuilt = FeatureStore()
-        rebuilt.rebuild_from_db(system.db, list(system.config.features))
-        assert_same_store(system.feature_store, rebuilt, system.engine.extractors)
-        assert len(system.list_videos()) == 2
-    finally:
-        system.close()
 
 
 # -- request deadlines ---------------------------------------------------------

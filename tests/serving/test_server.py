@@ -109,6 +109,36 @@ def test_blocking_route_runs_off_the_event_loop_thread(harness, monkeypatch):
     assert route_threads[0] is not loop_thread[0]
 
 
+def test_a_search_parked_in_the_engine_leaves_the_loop_answering(harness, monkeypatch):
+    """Every query entry point runs through ``_run_requests``; parked there,
+    a ``POST /search`` must not hold the event loop: ``GET /`` answers
+    within a second.  An engine call on the loop (``self.system.search``
+    in ``_handle_search``) fails this."""
+    engine = harness.system.engine
+    real = engine._run_requests
+    entered, release = threading.Event(), threading.Event()
+
+    def parked(requests, span):
+        entered.set()
+        release.wait(timeout=30)
+        return real(requests, span)
+
+    monkeypatch.setattr(engine, "_run_requests", parked)
+    blocker = _start(harness, "/search?top_k=3", _search_body(harness))
+    box = []
+    try:
+        assert entered.wait(timeout=10)
+        getter = threading.Thread(target=lambda: box.append(harness.request("GET", "/")))
+        getter.start()
+        getter.join(timeout=1.0)
+        answered = list(box)
+    finally:
+        release.set()
+    getter.join(timeout=30)
+    assert blocker()[0] == 200
+    assert [reply[0] for reply in answered] == [200]
+
+
 def test_bad_request_maps_to_400(harness):
     status, _, _ = harness.request("POST", "/search", body=b"not an image")
     assert status == 400

@@ -3,7 +3,10 @@
 The acceptance bar for the snapshot layer: a process that opens the mmap
 snapshot must be indistinguishable -- to the byte -- from one that
 rebuilt its store from SQL, across feature matrices, rankings, ANN
-probes, and generation counters.
+probes, and generation counters.  Rankings after any mix of adds,
+deletes, renames and checkpoints, replayed from the log or read by a
+replica, are the model test's (``tests/integration/test_stateful.py``);
+here: hand-placed files, fallbacks, ``require`` mode and fsync counts.
 """
 
 import os
@@ -20,7 +23,7 @@ from repro.db.storage import read_log
 from repro.snapshot import Snapshot
 from repro.video.generator import VideoSpec, generate_video
 from tests.core.clip_reference import reference_frame_ranking
-from tests.integration.test_stateful import assert_same_store
+from tests.integration.test_stateful import assert_same_store, sql_rows
 from tests.snapshot.test_format import rewrite_header
 
 pytestmark = pytest.mark.filterwarnings("ignore::ResourceWarning")
@@ -28,14 +31,6 @@ pytestmark = pytest.mark.filterwarnings("ignore::ResourceWarning")
 
 class _Crash(Exception):
     """A process killed at this point."""
-
-
-def _sql_rows(db):
-    """Every row of both tables, in id order."""
-    return (
-        db.execute("SELECT * FROM VIDEO_STORE ORDER BY V_ID").rows,
-        db.execute("SELECT * FROM KEY_FRAMES ORDER BY I_ID").rows,
-    )
 
 
 def _video(seed, category="news", shots=2):
@@ -87,16 +82,6 @@ class TestMmapServing:
         via_snap.close()
         via_sql.close()
 
-    def test_rankings_byte_identical_to_rebuild(self, library):
-        lib, query = library
-        via_snap = VideoRetrievalSystem.open(lib, SystemConfig())
-        via_sql = VideoRetrievalSystem.open(lib, SystemConfig(snapshot="off"))
-        for use_index in (True, False):
-            assert _ranking(via_snap, query, use_index=use_index) == \
-                _ranking(via_sql, query, use_index=use_index)
-        via_snap.close()
-        via_sql.close()
-
     def test_generation_counters_restored(self, library):
         lib, _ = library
         via_snap = VideoRetrievalSystem.open(lib, SystemConfig())
@@ -139,39 +124,6 @@ class TestWalReplay:
     """The image catches up from the database log: the commits after its
     stamp replay through the calls ingest made."""
 
-    def test_incremental_ingest_replays_identically(self, library):
-        lib, query = library
-        writer = VideoRetrievalSystem.open(lib, SystemConfig())
-        writer.admin.add_video(_video(44, "movies"))
-        assert writer.metrics()["snapshot"]["commits_behind"] == 1
-        writer.close()
-
-        replayed = VideoRetrievalSystem.open(lib, SystemConfig())
-        rebuilt = VideoRetrievalSystem.open(lib, SystemConfig(snapshot="off"))
-        assert replayed.snapshots.served_from == "mmap"
-        assert replayed.n_key_frames() == rebuilt.n_key_frames()
-        assert replayed._store.generation == rebuilt._store.generation
-        assert _ranking(replayed, query) == _ranking(rebuilt, query)
-        replayed.close()
-        rebuilt.close()
-
-    def test_delete_and_rename_replay(self, library):
-        lib, query = library
-        writer = VideoRetrievalSystem.open(lib, SystemConfig())
-        writer.admin.delete_video(2)
-        writer.admin.rename_video(3, "renamed")
-        assert writer.metrics()["snapshot"]["commits_behind"] == 2
-        writer.close()
-
-        replayed = VideoRetrievalSystem.open(lib, SystemConfig())
-        rebuilt = VideoRetrievalSystem.open(lib, SystemConfig(snapshot="off"))
-        assert replayed.snapshots.served_from == "mmap"
-        assert replayed.key_frames_of(3)[0].video_name == "renamed"
-        assert not replayed.key_frames_of(2)
-        assert _ranking(replayed, query) == _ranking(rebuilt, query)
-        replayed.close()
-        rebuilt.close()
-
     def test_checkpoint_compacts_wal(self, library):
         """A checkpoint writes the image at the last commit, then restarts
         the database log there."""
@@ -209,7 +161,7 @@ class TestWalReplay:
         writer = VideoRetrievalSystem.open(lib, SystemConfig())
         writer.admin.add_video(_video(47, "movies"))
         writer.admin.rename_video(1, "before-crash")
-        rows, ranking = _sql_rows(writer.db), _ranking(writer, query)
+        rows, ranking = sql_rows(writer.db), _ranking(writer, query)
         real = os.replace
 
         def crash_after_rename(src, dst):
@@ -227,7 +179,7 @@ class TestWalReplay:
         reopened = VideoRetrievalSystem.open(lib, SystemConfig())
         rebuilt = VideoRetrievalSystem.open(lib, SystemConfig(snapshot="off"))
         assert reopened.snapshots.served_from == "mmap"
-        assert _sql_rows(reopened.db) == rows == _sql_rows(rebuilt.db)
+        assert sql_rows(reopened.db) == rows == sql_rows(rebuilt.db)
         assert _ranking(reopened, query) == ranking == _ranking(rebuilt, query)
         assert_same_store(reopened._store, rebuilt._store, reopened.engine.extractors)
         reopened.admin.add_video(_video(48, "movies"))  # the sequence goes on
@@ -331,29 +283,6 @@ class TestWritesAfterTheImage:
                     reopened._store.structure_generation) == generations
         return reopened
 
-    def test_rename_replays(self, library):
-        lib, query = library
-        writer = VideoRetrievalSystem.open(lib, SystemConfig())
-        writer.admin.rename_video(3, "renamed")
-        reopened = self._reopened(lib, writer)
-        assert reopened.snapshots.served_from == "mmap"
-        assert reopened.key_frames_of(3)[0].video_name == "renamed"
-        names = {h.video_name for h in reopened.search(query, top_k=len(reopened._store))}
-        assert "renamed" in names
-        reopened.close()
-
-    def test_delete_and_equal_add_replay(self, library):
-        lib, query = library
-        writer = VideoRetrievalSystem.open(lib, SystemConfig())
-        removed = writer.admin.delete_video(3)
-        report = writer.admin.add_video(_video(14, "movies", shots=3))
-        # same frame count and, ids being MAX + 1, the same frame ids
-        assert (report.video_id, report.n_keyframes) == (3, removed)
-        reopened = self._reopened(lib, writer)
-        assert reopened.snapshots.served_from == "mmap"
-        assert reopened.key_frames_of(3)[0].category == "movies"
-        reopened.close()
-
     @pytest.mark.parametrize("checkpoint", [False, True], ids=["log", "checkpoint"])
     def test_sql_write_the_image_never_saw_rebuilds(self, library, checkpoint):
         """SQL that bypasses ingest: the live store never sees it, so no
@@ -389,25 +318,6 @@ class TestWritesAfterTheImage:
         assert reopened.snapshots.served_from == "rebuild"
         assert reopened.key_frames_of(3)[0].category == "cartoon"
         reopened.close()
-
-    def test_replica_reads_the_same_tail(self, library):
-        lib, query = library
-        writer = VideoRetrievalSystem.open(lib, SystemConfig())
-        writer.admin.delete_video(2)
-        writer.admin.add_video(_video(16, "movies"))
-        writer.admin.rename_video(3, "renamed")
-        replica = VideoRetrievalSystem.in_memory(
-            SystemConfig(snapshot="require", snapshot_path=lib + ".snap")
-        )
-        assert replica.snapshots.served_from == "mmap"
-        assert replica.metrics()["snapshot"]["commits_behind"] == 3
-        assert_same_store(replica._store, writer._store, writer.engine.extractors)
-        assert _ranking(replica, query) == _ranking(writer, query)
-        snap, store = open_snapshot_store(lib + ".snap")
-        assert_same_store(store, writer._store, writer.engine.extractors)
-        snap.close()
-        replica.close()
-        writer.close()
 
     def test_database_checkpoint_alone_leaves_the_image_behind(self, library):
         lib, _ = library

@@ -154,7 +154,7 @@ class TestSlowQueryEndpoint:
     def slow_api(self, small_corpus):
         from repro.core.system import VideoRetrievalSystem
 
-        config = SystemConfig(obs_slow_query_ms=0.0001, obs_slow_log_size=4)
+        config = SystemConfig(obs_slow_query_ms=0.0001)
         system = VideoRetrievalSystem.in_memory(config)
         system.admin.add_video(small_corpus[0])
         yield CbvrApi(system)
