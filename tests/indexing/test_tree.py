@@ -33,20 +33,29 @@ def _index(**frames):
     return RangeIndex(finder, SimpleNamespace(columns=_columns(buckets)))
 
 
-class TestLookup:
-    def test_lookup(self):
+class TestInsertRemove:
+    """No table of its own: the index sees the source's rows at once."""
+
+    def test_insert_and_lookup(self):
         idx = _index(f1=_flat(10))  # dark -> deep left bucket
         assert "f1" in idx and "f2" not in idx
         assert idx.bucket_of("f1").max <= 127
         with pytest.raises(KeyError):
             idx.bucket_of("f2")
 
-    def test_follows_the_source(self):
-        """No table of its own: a moved or dropped row is seen at once."""
-        idx = _index(f1=_flat(10), f2=_flat(12))
+    def test_reinsert_moves(self):
+        idx = _index(f1=_flat(10))
         idx.source.columns = _columns({"f1": idx.finder.bucket_for_image(_flat(250))})
-        assert len(idx) == 1 and "f2" not in idx
+        assert len(idx) == 1
         assert idx.bucket_of("f1").min >= 128
+
+    def test_remove(self):
+        idx = _index(f1=_flat(10), f2=_flat(12))
+        idx.source.columns = _columns({"f2": idx.finder.bucket_for_image(_flat(12))})
+        assert "f1" not in idx and "f2" in idx
+        assert len(idx) == 1
+        with pytest.raises(KeyError):
+            idx.bucket_of("f1")
 
     def test_stats(self):
         idx = _index(a=_flat(10), b=_flat(12), c=_flat(250))
