@@ -22,11 +22,14 @@ subprocess: no warm imports, no page cache of Python objects:
   replaying the log) and **store** (adopting the image).  A copy with the
   same rows and ~8x the BLOB bytes (each video's unused ``STREAM`` column
   filled, then checkpointed) may open at most ``--max-open-growth`` times
-  as slowly: LOB cells stay in the file, so an open grows with rows, not
-  with stored media.
+  as slowly: LOB cells stay in the file.  So may the **db** stage of a copy
+  with ~8x the key-frame rows (``durable-rows``): a table's rows are
+  decoded at its first use, not at the open, so the open grows neither
+  with stored media nor with rows.
 - **identity** -- one ``snapshot=off`` process rebuilds the store from SQL
   and must return the replica's ranking, ids and distances, exactly; so
-  must every durable process.
+  must every durable process.  The rows copy serves the library's own
+  image: its extra rows are written by a checkpoint that logs no commit.
 
 The snapshot must pass ``repro snapshot verify``; ``repro snapshot info
 --json`` for both sizes and the timing report land in ``--artifact-dir``.
@@ -184,6 +187,30 @@ def _inflate_blobs(library: str, out: str, factor: int = 8) -> int:
     return blob_bytes + len(stream) * len(videos)
 
 
+def _multiply_rows(library: str, out: str, factor: int = 8) -> int:
+    """A copy of ``library`` with ``factor`` x its key-frame rows: every
+    row again under new ids, put in place by a checkpoint that logs no
+    commit, so the copy keeps the library's commit sequence -- and its
+    image still stamps it.  Returns the copy's key-frame rows."""
+    from repro.db import Database
+
+    for suffix in ("", ".wal", ".snap"):
+        shutil.copy2(library + suffix, out + suffix)
+    db = Database.open(out)
+    table = db.tables["KEY_FRAMES"]
+    rows = [row for _rowid, row in table.rows()]
+    at = table.schema.index_of("I_ID")
+    step = max(row[at] for row in rows)
+    table.load([
+        row[:at] + (row[at] + k * step,) + row[at + 1:]
+        for k in range(1, factor) for row in rows
+    ])
+    db.checkpoint()
+    n_rows = len(table)
+    db.close()
+    return n_rows
+
+
 def _cold_run(mode: str, library: str, snap: str, image: str) -> dict:
     out = subprocess.run(
         [sys.executable, "-c", _CHILD, mode, library, snap, image, repr(time.time())],
@@ -217,8 +244,9 @@ def main(argv=None) -> int:
     parser.add_argument("--scale-factor", type=int, default=10,
                         help="how many times larger the expanded snapshot is")
     parser.add_argument("--max-open-growth", type=float, default=3.0,
-                        help="limit on open time, expanded / library snapshot "
-                             "and blob-heavy / library durable open")
+                        help="limit on open time, expanded / library snapshot, "
+                             "blob-heavy / library durable open and rows-copy / "
+                             "library durable db stage")
     parser.add_argument("--artifact-dir", default="cold-start",
                         help="where the snapshot + info JSON + report land")
     args = parser.parse_args(argv)
@@ -243,11 +271,16 @@ def main(argv=None) -> int:
           f"(library {os.path.getsize(library) / 1e6:.1f} MB, copy "
           f"{os.path.getsize(blobby) / 1e6:.1f} MB)")
 
+    rowful = os.path.join(tmp, "rowful.rdb")
+    n_rows = _multiply_rows(library, rowful)
+    print(f"rows copy: {n_rows} key-frame rows ({os.path.getsize(rowful) / 1e6:.1f} MB)")
+
     runs = {
         "mmap": [],
         "expanded": [],
         "durable": [],
         "durable-blobs": [],
+        "durable-rows": [],
         "rebuild": [_cold_run("rebuild", library, snap, query_image)],
     }
     for _ in range(args.runs):
@@ -255,13 +288,15 @@ def main(argv=None) -> int:
         runs["expanded"].append(_cold_run("mmap", library, big_snap, query_image))
         runs["durable"].append(_cold_run("durable", library, snap, query_image))
         runs["durable-blobs"].append(_cold_run("durable", blobby, snap, query_image))
+        runs["durable-rows"].append(_cold_run("durable", rowful, snap, query_image))
     for name, expect in (("mmap", "mmap"), ("expanded", "mmap"), ("durable", "mmap"),
-                         ("durable-blobs", "mmap"), ("rebuild", "rebuild")):
+                         ("durable-blobs", "mmap"), ("durable-rows", "mmap"),
+                         ("rebuild", "rebuild")):
         served = {r["served_from"] for r in runs[name]}
         if served != {expect}:
             print(f"FAIL: {name} runs served from {served}, expected {expect}")
             return 1
-    same = ("mmap", "rebuild", "durable", "durable-blobs")
+    same = ("mmap", "rebuild", "durable", "durable-blobs", "durable-rows")
     rankings = {json.dumps(r["ranking"]) for name in same for r in runs[name]}
     if len(rankings) != 1:
         print("FAIL: mmap, rebuild and durable processes returned different rankings")
@@ -278,8 +313,10 @@ def main(argv=None) -> int:
     growth = best["expanded"]["open_seconds"] / max(1e-9, best["mmap"]["open_seconds"])
     blob_growth = (best["durable-blobs"]["open_seconds"]
                    / max(1e-9, best["durable"]["open_seconds"]))
+    rows_growth = (best["durable-rows"]["db_seconds"]
+                   / max(1e-9, best["durable"]["db_seconds"]))
     report = {
-        "schema": "repro-cold-start/4",
+        "schema": "repro-cold-start/5",
         "videos_per_category": args.videos_per_category,
         "shots": args.shots,
         "scale_factor": args.scale_factor,
@@ -290,6 +327,8 @@ def main(argv=None) -> int:
         "open_growth": round(growth, 2),
         "blob_bytes": n_blob_bytes,
         "blob_open_growth": round(blob_growth, 2),
+        "key_frame_rows": n_rows,
+        "rows_db_growth": round(rows_growth, 2),
         "max_open_growth": args.max_open_growth,
     }
     report_path = os.path.join(args.artifact_dir, "cold-start-report.json")
@@ -313,6 +352,8 @@ def main(argv=None) -> int:
           f"(limit {args.max_open_growth:.1f}x)")
     print(f"durable open growth at ~8x the BLOB bytes: {blob_growth:.2f}x "
           f"(limit {args.max_open_growth:.1f}x)")
+    print(f"durable db-stage growth at 8x the key-frame rows: {rows_growth:.2f}x "
+          f"(limit {args.max_open_growth:.1f}x)")
     failed = False
     if ready > args.max_ready_seconds:
         print("FAIL: the replica's first answer takes too long")
@@ -322,6 +363,9 @@ def main(argv=None) -> int:
         failed = True
     if blob_growth > args.max_open_growth:
         print("FAIL: opening a library grows with its stored media")
+        failed = True
+    if rows_growth > args.max_open_growth:
+        print("FAIL: opening a library's database grows with its rows")
         failed = True
     if failed:
         return 1

@@ -19,7 +19,11 @@ rows or a WHERE / ORDER BY / ``MAX()`` that names its column.
 
 A statement resolves its column names and compiles its WHERE clause (its
 LIKE patterns included) once, before it looks at a row, so an unknown
-column is a :class:`CatalogError` whatever the table holds.
+column is a :class:`CatalogError` whatever the table holds.  A WHERE
+that is one ``column = value`` on the primary key or an indexed column
+reads the index instead of every row -- for SELECT, MAX, UPDATE and
+DELETE alike -- and selects what the scan would (no row for NULL, a
+DATE column's string coerced first).
 """
 
 from __future__ import annotations
@@ -118,19 +122,25 @@ def _value(node, params: Tuple):
     return params[node.index] if isinstance(node, ast.Param) else node.value
 
 
-def _getter(node, schema: TableSchema, params: Tuple, other=None) -> Getter:
-    """An operand as a function of the row; a column is resolved here.
+def _operand(node, schema: TableSchema, params: Tuple, other=None):
+    """A literal's or a bound parameter's value as compared with ``other``.
 
-    A string compared with a DATE column (``other``) becomes a date here,
-    once, as ``VALUES`` coerces it on insert: ``D = DATE '2012-10-01'``
-    compares dates, not a date with a string.
+    A string compared with a DATE column becomes a date here, once, as
+    ``VALUES`` coerces it on insert: ``D = DATE '2012-10-01'`` compares
+    dates, not a date with a string.
     """
+    value = _value(node, params)
+    if isinstance(other, ast.ColumnRef) and isinstance(value, str):
+        sql_type = schema.column(other.name).sql_type
+        if sql_type.type_name == "DATE":
+            value = sql_type.validate(value)
+    return value
+
+
+def _getter(node, schema: TableSchema, params: Tuple, other=None) -> Getter:
+    """An operand as a function of the row; a column is resolved here."""
     if not isinstance(node, ast.ColumnRef):
-        value = _value(node, params)
-        if isinstance(other, ast.ColumnRef) and isinstance(value, str):
-            sql_type = schema.column(other.name).sql_type
-            if sql_type.type_name == "DATE":
-                value = sql_type.validate(value)
+        value = _operand(node, schema, params, other)
         return lambda row: value
     name = schema.column(node.name).name  # CatalogError for an unknown column
 
@@ -196,6 +206,20 @@ def _like(operand: Getter, pattern) -> Predicate:
         return regex.match(value) is not None
 
     return test
+
+
+def _indexed(table: Table, where, params: Tuple) -> Optional[List[int]]:
+    """The rowids a top-level ``column = value`` selects, through the
+    column's index or primary key; None when ``where`` needs a scan.  The
+    value is the one the compiled predicate compares with."""
+    if not (isinstance(where, ast.Compare) and where.op == "="):
+        return None
+    col, value = where.left, where.right
+    if isinstance(value, ast.ColumnRef):
+        col, value = value, col
+    if not isinstance(col, ast.ColumnRef) or isinstance(value, ast.ColumnRef):
+        return None
+    return table.lookup_equal(col.name, _operand(value, table.schema, params, col))
 
 
 class Database:
@@ -430,16 +454,18 @@ class Database:
 
     def _rows_matching(self, table: Table, where, params: Tuple) -> List[Dict[str, object]]:
         predicate = _compile(where, table.schema, params)
-        # fast path: top-level equality on an indexed column
-        if isinstance(where, ast.Compare) and where.op == "=":
-            col, value = where.left, where.right
-            if isinstance(value, ast.ColumnRef):
-                col, value = value, col
-            if isinstance(col, ast.ColumnRef) and not isinstance(value, ast.ColumnRef):
-                rowids = table.lookup_equal(col.name, _value(value, params))
-                if rowids is not None:
-                    return table.fetch(rowids)
+        rowids = _indexed(table, where, params)
+        if rowids is not None:
+            return table.fetch(rowids)
         return table.select_where(predicate)
+
+    def _rowids_matching(self, table: Table, where, params: Tuple) -> Optional[List[int]]:
+        """The rowids ``where`` selects; None when it selects every row."""
+        predicate = _compile(where, table.schema, params)
+        if where is None:
+            return None
+        rowids = _indexed(table, where, params)
+        return rowids if rowids is not None else table.scan(predicate)
 
     def _select(self, stmt: ast.Select, params: Tuple, text: str) -> ResultSet:
         table = self._get_table(stmt.table)
@@ -469,22 +495,21 @@ class Database:
         """``MAX(col)`` over the matched rows: NULLs skipped, NULL when
         none is left."""
         column = table.schema.column(agg.column).name
-        rows = self._rows_matching(table, where, params)
-        _read_lobs(table.schema, rows, [column])
-        values = [r[column] for r in rows if r[column] is not None]
+        cells = table.values(column, self._rowids_matching(table, where, params))
+        values = [v.read() if isinstance(v, Lob) else v for v in cells if v is not None]
         result = max(values) if values else None
         return ResultSet(rows=[{agg.label: result}], rowcount=1, statement=text)
 
     def _update(self, stmt: ast.Update, params: Tuple, text: str) -> ResultSet:
         table = self._get_table(stmt.table)
-        predicate = _compile(stmt.where, table.schema, params)
+        rowids = self._rowids_matching(table, stmt.where, params)
         assignments = {col: _value(v, params) for col, v in stmt.assignments}
-        count = table.update_where(assignments, predicate)
+        count = table.update_rows(assignments, rowids)
         return ResultSet(statement=text, rowcount=count)
 
     def _delete(self, stmt: ast.Delete, params: Tuple, text: str) -> ResultSet:
         table = self._get_table(stmt.table)
-        count = table.delete_where(_compile(stmt.where, table.schema, params))
+        count = table.delete_rows(self._rowids_matching(table, stmt.where, params))
         return ResultSet(statement=text, rowcount=count)
 
     # -- conveniences --------------------------------------------------------------------

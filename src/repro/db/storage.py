@@ -1,7 +1,8 @@
 """Durability: a database file + a write-ahead log, on one commit sequence.
 
 - ``<path>``      -- the database file: one section per table (its
-  ``CREATE TABLE`` text, then its rows, binary encoded), nothing after.
+  ``CREATE TABLE`` text, its row count, the byte length of its rows,
+  then the rows, binary encoded), nothing after.
 - ``<path>.wal``  -- the write-ahead log: one frame per commit (its
   statements: text + bound parameters), one write and one fsync, so a
   commit replays whole or not at all.
@@ -27,10 +28,16 @@ the log: releasing a written file's blocks costs tens of ms per MB on a
 disk that discards them.  A crash between the rename and the restart
 leaves commits in the log that replay skips.
 
-Opening walks the database file once, mapped, into bulk table loads.  A
-BLOB cell is not copied: it becomes a :class:`~repro.db.types.Lob`
-locator into the open file (:class:`LobFile`), read when a statement
-needs its bytes.  A checkpoint points every LOB cell into the new file.
+Opening walks the section heads of the mapped database file -- each
+DDL parsed once, each section's bounds checked -- and decodes no row.
+Each table decodes its section, from a fresh mapping of the open file,
+the first time it is used (:meth:`~repro.db.table.Table.defer`); a
+corrupt row is a :class:`StorageError` there, not at the open.  A BLOB
+cell is not copied: it becomes a :class:`~repro.db.types.Lob` locator
+into the open file (:class:`LobFile`), read when a statement needs its
+bytes.  A checkpoint decodes every table and points every LOB cell into
+the new file.  A file in the ``RDB2`` layout (sections without their
+length) is refused (bad magic).
 """
 
 from __future__ import annotations
@@ -46,17 +53,26 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 from repro.db import sql as ast
 from repro.db.errors import DatabaseError, StorageError
 from repro.db.table import Table
-from repro.db.types import Lob, decode_rows, decode_value, encode_blob_head, encode_value
+from repro.db.types import (
+    Lob,
+    cell_checks,
+    decode_rows,
+    decode_value,
+    encode_blob_head,
+    encode_value,
+)
 
 __all__ = ["LobFile", "Log", "Storage", "read_log"]
 
-_DB_MAGIC = b"RDB2"
+_DB_MAGIC = b"RDB3"
 _WAL_MAGIC = b"RWL3"
 #: magic, commit sequence, library token
 _HEADER = struct.Struct("<4sQ16s")
 #: a log frame's head: body length, commit sequence
 _FRAME = struct.Struct("<IQ")
 _U32 = struct.Struct("<I")
+#: a table section's head after its DDL: row count, byte length of the rows
+_SECTION = struct.Struct("<IQ")
 #: a record body opening with this word is a transaction (it cannot be a
 #: statement's text length: the body would have to be longer than 4 GiB)
 _TRANSACTION_MARK = _U32.pack(0xFFFFFFFF)
@@ -214,6 +230,15 @@ class LobFile:
             raise StorageError(f"{self.path} ends inside a LOB at offset {offset}")
         return data
 
+    def mapped(self) -> mmap.mmap:
+        """The whole file as it is now, mapped for reading."""
+        if not self._close.alive:
+            raise StorageError(f"{self.path} is closed")
+        try:
+            return mmap.mmap(self.fd, 0, access=mmap.ACCESS_READ)
+        except (OSError, ValueError) as exc:  # ValueError: the file is empty now
+            raise StorageError(f"cannot map {self.path}: {exc}") from exc
+
     def close(self) -> None:
         self._close()
 
@@ -246,8 +271,25 @@ def _read_schema(ddl: str):
     return stmt.schema
 
 
+def _section_loader(file: LobFile, schema, start: int, end: int, n_rows: int):
+    """A table section's rows, decoded from ``start`` to ``end`` of the
+    file, mapped again when the table is first used: a file cut short
+    since the open fails there, as a LOB read would."""
+    cells = [cell_checks(col.sql_type, col.nullable) for col in schema.columns]
+
+    def load() -> list:
+        with file.mapped() as buf:
+            rows, stop = decode_rows(buf, start, cells, n_rows, file, min(end, len(buf)))
+        if stop != end:
+            raise StorageError(f"its section holds {end - stop} bytes after its {n_rows} rows")
+        return rows
+
+    return load
+
+
 def _read_tables(buf, file: LobFile) -> Dict[str, Table]:
-    """Every table of a mapped database file, in one walk."""
+    """Every table of a mapped database file, in one walk over the section
+    heads: each table's rows stay in the file until it is first used."""
     n_tables, offset = _read_u32(buf, _HEADER.size)
     tables: Dict[str, Table] = {}
     for _ in range(n_tables):
@@ -255,14 +297,16 @@ def _read_tables(buf, file: LobFile) -> Dict[str, Table]:
         table = Table(_read_schema(ddl))
         if table.name in tables:
             raise StorageError(f"table {table.name} appears twice")
-        n_rows, offset = _read_u32(buf, offset)
-        cells = [(col.sql_type.tags, col.validate) for col in table.schema.columns]
-        try:
-            rows, offset = decode_rows(buf, offset, cells, n_rows, file)
-            table.load(rows)
-        except DatabaseError as exc:  # a value its column refuses, a duplicate key
-            raise StorageError(f"table {table.name}: {exc}") from exc
+        if offset + _SECTION.size > len(buf):
+            raise StorageError("file truncated")
+        n_rows, length = _SECTION.unpack_from(buf, offset)
+        start = offset + _SECTION.size
+        end = start + length
+        if end > len(buf):
+            raise StorageError(f"table {table.name}: its rows run past the end of the file")
+        table.defer(_section_loader(file, table.schema, start, end, n_rows))
         tables[table.name] = table
+        offset = end
     if offset != len(buf):
         raise StorageError(f"{len(buf) - offset} bytes after the last table")
     return tables
@@ -359,9 +403,11 @@ class Storage:
         for name in sorted(db.tables):
             table = db.tables[name]
             rows = list(table.rows())
-            head = _pack_str(table.schema.render_ddl()) + _U32.pack(len(rows))
-            chunks.append(head)
-            pos += len(head)
+            ddl = _pack_str(table.schema.render_ddl())
+            head_at = len(chunks)
+            chunks.append(b"")  # the section's head, once its length is known
+            pos += len(ddl) + _SECTION.size
+            start = pos
             lobs = {table.schema.index_of(c) for c in table.schema.lob_columns}
             placed = []
             for rowid, row in rows:
@@ -379,6 +425,7 @@ class Storage:
                     pos += len(head) + len(data)
                 if cells:
                     placed.append((rowid, row, cells))
+            chunks[head_at] = ddl + _SECTION.pack(len(rows), pos - start)
             moved.append((table, placed))
         tmp = self.path + ".tmp"
         with open(tmp, "wb") as fh:
@@ -411,7 +458,7 @@ class Storage:
         file = _open_file(self.path)
         try:
             if file is not None:
-                with mmap.mmap(file.fd, 0, access=mmap.ACCESS_READ) as buf:
+                with file.mapped() as buf:
                     self.seq, self.token = _read_header(buf, _DB_MAGIC, self.path)
                     commits = log.after(self.token, self.seq) if log is not None else []
                     db.tables.update(_read_tables(buf, file))

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import datetime as _dt
 import struct
-from typing import Optional
+from typing import Callable, Dict, Optional
 
 from repro.db.errors import StorageError, TypeMismatchError
 
@@ -40,6 +40,7 @@ __all__ = [
     "encode_blob_head",
     "decode_value",
     "decode_rows",
+    "cell_checks",
 ]
 
 #: value tags of the snapshot/WAL encoding (see :func:`encode_value`)
@@ -57,6 +58,9 @@ class SqlType:
     type_name = "ANY"
     #: the value tags (besides NULL) a stored cell of this type may carry
     tags: frozenset = frozenset()
+    #: of those, the tags whose decoded value :meth:`validate` always
+    #: returns unchanged
+    exact_tags: frozenset = frozenset()
 
     def validate(self, value):
         """Return the canonical Python value, or raise TypeMismatchError."""
@@ -81,6 +85,7 @@ class NUMBER(SqlType):
 
     type_name = "NUMBER"
     tags = frozenset({_TAG_INT, _TAG_FLOAT})
+    exact_tags = frozenset({_TAG_INT})  # a float may be NaN
 
     def validate(self, value):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -119,6 +124,7 @@ class DATE(SqlType):
 
     type_name = "DATE"
     tags = frozenset({_TAG_DATE, _TAG_STR})  # an ISO string is coerced
+    exact_tags = frozenset({_TAG_DATE})
 
     def validate(self, value):
         if isinstance(value, _dt.datetime):
@@ -154,6 +160,7 @@ class BLOB(SqlType):
 
     type_name = "BLOB"
     tags = frozenset({_TAG_BYTES})
+    exact_tags = tags
 
     def validate(self, value):
         if isinstance(value, bytearray):
@@ -250,27 +257,44 @@ def encode_value(value) -> bytes:
     raise TypeMismatchError(f"cannot encode value of type {type(value).__name__}")
 
 
-def decode_rows(buf, offset: int, cells, n_rows: int, file=None):
+def cell_checks(sql_type: SqlType, nullable: bool) -> Dict[int, Optional[Callable]]:
+    """One column's cells as :func:`decode_rows` takes them: per value tag
+    the column may hold, the check a decoded value still needs -- None
+    where the decode already guarantees what ``sql_type.validate`` would
+    (an INT cell is an int, a BYTES cell a LOB).  NULL only if nullable."""
+    checks = {
+        tag: None if tag in sql_type.exact_tags else sql_type.validate for tag in sql_type.tags
+    }
+    if nullable:
+        checks[_TAG_NULL] = None
+    return checks
+
+
+def decode_rows(buf, offset: int, cells, n_rows: int, file=None, end=None):
     """Decode ``n_rows`` rows at ``offset``; returns ``(rows, next_offset)``.
 
-    ``cells`` holds one ``(tags, validate)`` pair per column: the value
-    tags the column accepts and the check each value must pass.  A BYTES
-    cell becomes a :class:`Lob` into ``file`` -- its length checked
+    ``cells`` holds one :func:`cell_checks` mapping per column: the value
+    tags it takes and the check each decoded value must still pass.  A
+    BYTES cell becomes a :class:`Lob` into ``file`` -- its length checked
     against ``buf``, its bytes not copied -- or, without a file, bytes.
+    No row may run past ``end`` (default: the end of ``buf``).
     """
-    size = len(buf)
+    size = len(buf) if end is None else end
     rows = []
     try:
         for _ in range(n_rows):
             row = []
-            for tags, validate in cells:
+            for checks in cells:
                 tag = buf[offset]
                 offset += 1
+                if tag not in checks:
+                    if tag == _TAG_NULL:
+                        raise StorageError("NULL in a NOT NULL column")
+                    raise StorageError(f"value tag {tag} where the column takes {sorted(checks)}")
                 if tag == _TAG_NULL:
-                    value = None
-                elif tag not in tags:
-                    raise StorageError(f"value tag {tag} where the column takes {sorted(tags)}")
-                elif tag == _TAG_INT:
+                    row.append(None)
+                    continue
+                if tag == _TAG_INT:
                     value = _I64.unpack_from(buf, offset)[0]
                     offset += 8
                 elif tag == _TAG_FLOAT:
@@ -280,7 +304,10 @@ def decode_rows(buf, offset: int, cells, n_rows: int, file=None):
                     n = _U32.unpack_from(buf, offset)[0]
                     start, offset = offset + 4, offset + 4 + n
                     if offset > size:
-                        raise StorageError("value payload truncated")
+                        what = "a LOB" if tag == _TAG_BYTES else "a value"
+                        raise StorageError(
+                            f"value payload truncated: the stream ends inside {what} at offset {start}"
+                        )
                     if tag != _TAG_BYTES:
                         value = buf[start:offset].decode("utf-8")
                         if tag == _TAG_DATE:
@@ -289,7 +316,10 @@ def decode_rows(buf, offset: int, cells, n_rows: int, file=None):
                         value = buf[start:offset]
                     else:
                         value = Lob(file, start, n)
-                row.append(validate(value))
+                check = checks[tag]
+                row.append(value if check is None else check(value))
+            if offset > size:
+                raise StorageError("value stream truncated")
             rows.append(tuple(row))
     except (IndexError, struct.error) as exc:
         raise StorageError("value stream truncated") from exc
@@ -299,7 +329,7 @@ def decode_rows(buf, offset: int, cells, n_rows: int, file=None):
 
 
 #: :func:`decode_value`'s one column: any tag, no check
-_ANY_CELL = ((frozenset(range(_TAG_DATE + 1)), lambda value: value),)
+_ANY_CELL = (dict.fromkeys(range(_TAG_DATE + 1)),)
 
 
 def decode_value(buf: bytes, offset: int):

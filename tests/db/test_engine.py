@@ -3,6 +3,8 @@
 import datetime
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.db import Database
 from repro.db.errors import (
@@ -240,6 +242,31 @@ class TestMax:
         assert db.execute("SELECT MAX(SCORE) FROM T WHERE ID > 99").scalar() is None
         assert db.execute("SELECT MAX(SCORE) FROM T WHERE ID = 3").scalar() is None
 
+    def test_max_of_an_empty_table_and_an_all_null_column(self, db):
+        assert db.execute("SELECT MAX(DATA) FROM T").scalar() is None  # every DATA is NULL
+        db.execute("DELETE FROM T")
+        assert db.execute("SELECT MAX(ID) FROM T").scalar() is None
+
+    def test_max_where_filtered(self, db):
+        assert db.execute("SELECT MAX(SCORE) FROM T WHERE NAME != ?", ("beta",)).scalar() == 10
+        db.create_index("T", "NAME")
+        assert db.execute("SELECT MAX(ID) FROM T WHERE NAME = ?", ("beta",)).scalar() == 2
+
+    def test_max_and_keyed_writes_build_no_row_dicts(self, db, monkeypatch):
+        """``MAX(col)`` reads one column; a write keyed on the primary key
+        or an indexed column visits only its rows."""
+        from repro.db.schema import TableSchema
+
+        built = []
+        real = TableSchema.row_dict
+        monkeypatch.setattr(TableSchema, "row_dict", lambda self, row: built.append(row) or real(self, row))
+        db.create_index("T", "NAME")
+        assert db.execute("SELECT MAX(SCORE) FROM T").scalar() == 20
+        assert db.execute("DELETE FROM T WHERE NAME = ?", ("gamma",)).rowcount == 1
+        assert built == []
+        assert db.execute("UPDATE T SET SCORE = ? WHERE ID = ?", (5, 1)).rowcount == 1
+        assert len(built) == 1  # the one row the update rewrites
+
     def test_unknown_column(self, db):
         with pytest.raises(CatalogError):
             db.execute("SELECT MAX(BOGUS) FROM T")
@@ -424,3 +451,94 @@ class TestParseMemo:
         for i in range(600):
             db.execute(f"SELECT ID FROM T WHERE SCORE = {i}")
         assert len(db._parsed) <= 256
+
+
+# -- the equality fast path answers as the scan does ---------------------------------
+
+_COLUMNS = ("ID", "V", "S", "D")
+_DATES = ("2012-10-01", "2012-10-02")
+#: NULL, ints, floats (an integral one among them) and ISO strings
+_PROBES = st.one_of(
+    st.none(),
+    st.integers(-2, 2),
+    st.sampled_from([0.5, 1.0, -2.0, float("inf"), float("nan")]),
+    st.sampled_from(_DATES + ("1", "a")),
+)
+
+
+def _twins(rows, indexed):
+    """The same rows twice: one table with a primary key and ``indexed``
+    secondary indexes, one with neither (every statement scans)."""
+    fast, slow = Database(), Database()
+    fast.execute("CREATE TABLE T (ID NUMBER PRIMARY KEY, V NUMBER, S VARCHAR2(12), D DATE)")
+    slow.execute("CREATE TABLE T (ID NUMBER, V NUMBER, S VARCHAR2(12), D DATE)")
+    for column in indexed:
+        fast.create_index("T", column)
+    for i, (v, s, d) in enumerate(rows):
+        for db in (fast, slow):
+            db.execute("INSERT INTO T (ID, V, S, D) VALUES (?, ?, ?, ?)", (i, v, s, d))
+    return fast, slow
+
+
+def _outcome(db, text, params):
+    """What one statement answers -- its rows and rowcount, or its error
+    type -- and the table after it."""
+    try:
+        result = db.execute(text, params)
+        answer = (result.rows, result.rowcount)
+    except DatabaseError as exc:
+        answer = type(exc)
+    return answer, db.execute("SELECT * FROM T ORDER BY ID").rows
+
+
+class TestIndexedEqualityIsTheScan:
+    """A top-level ``column = value`` on a primary key or an indexed column
+    takes the index; SELECT, MAX, UPDATE and DELETE must answer as the
+    scan does, NULL and DATE coercion included."""
+
+    def test_null_selects_nothing(self, db):
+        db.create_index("T", "SCORE")
+        assert db.execute("SELECT ID FROM T WHERE SCORE = ?", (None,)).rows == []
+        assert db.execute("DELETE FROM T WHERE SCORE = ?", (None,)).rowcount == 0
+
+    def test_date_string_is_coerced(self, db):
+        db.execute("UPDATE T SET D = DATE '2012-10-01' WHERE ID = 2")
+        db.create_index("T", "D")
+        assert db.execute("SELECT ID FROM T WHERE D = '2012-10-01'").rows == [{"ID": 2}]
+        assert db.execute("SELECT ID FROM T WHERE ? = D", ("2012-10-01",)).rows == [{"ID": 2}]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.one_of(st.none(), st.integers(-2, 2), st.sampled_from([0.5, 1.0])),
+                st.one_of(st.none(), st.sampled_from(_DATES + ("1", "a"))),
+                st.one_of(st.none(), st.sampled_from(_DATES)),
+            ),
+            max_size=8,
+        ),
+        indexed=st.sets(st.sampled_from(("V", "S", "D"))),
+        column=st.sampled_from(_COLUMNS),
+        value=_PROBES,
+        reversed_=st.booleans(),
+    )
+    def test_every_statement_answers_as_the_scan(self, rows, indexed, column, value, reversed_):
+        where = f"? = {column}" if reversed_ else f"{column} = ?"
+        statements = [
+            f"SELECT ID FROM T WHERE {where}",
+            f"SELECT * FROM T WHERE {where} ORDER BY V DESC",
+            f"SELECT MAX(ID) FROM T WHERE {where}",
+            f"SELECT MAX(S) FROM T WHERE {where}",
+            f"UPDATE T SET S = 'x', V = 7 WHERE {where}",
+            f"DELETE FROM T WHERE {where}",
+        ]
+        fast, slow = _twins(rows, indexed)
+        for text in statements:
+            # inside a rolled-back transaction, then for real
+            for db in (fast, slow):
+                db.begin()
+            assert _outcome(fast, text, (value,)) == _outcome(slow, text, (value,)), text
+            for db in (fast, slow):
+                db.rollback()
+            assert _outcome(fast, "SELECT * FROM T", ()) == _outcome(slow, "SELECT * FROM T", ())
+            assert _outcome(fast, text, (value,)) == _outcome(slow, text, (value,)), text

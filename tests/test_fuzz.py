@@ -187,7 +187,11 @@ class TestStorageFuzz:
         with open(path, "wb") as fh:
             fh.write(bytes(data))
         try:
-            Database.open(path).close()
+            db = Database.open(path)
+            try:
+                db.execute("SELECT * FROM T")  # a row-level error surfaces here
+            finally:
+                db.close()
         except (StorageError, DatabaseError):
             pass
 
@@ -232,19 +236,19 @@ class TestStorageFuzz:
         SQL.  ``{table: rows}``, or None where that refuses the file."""
         u32 = struct.Struct("<I")
 
-        def value(off):
-            tag, off = data[off], off + 1
+        def value(section, off):
+            tag, off = section[off], off + 1
             if tag == 0:
                 return None, off
             if tag in (1, 2):
-                raw = data[off : off + 8]
+                raw = section[off : off + 8]
                 if len(raw) != 8:
                     raise ValueError("truncated")
                 return struct.unpack("<q" if tag == 1 else "<d", raw)[0], off + 8
             if tag not in (3, 4, 5):
                 raise ValueError(f"tag {tag}")
-            (n,) = u32.unpack_from(data, off)
-            raw = data[off + 4 : off + 4 + n]
+            (n,) = u32.unpack_from(section, off)
+            raw = section[off + 4 : off + 4 + n]
             if len(raw) != n:
                 raise ValueError("truncated")
             if tag == 4:
@@ -256,7 +260,7 @@ class TestStorageFuzz:
             return {}
         db = Database()
         try:
-            if data[:4] != b"RDB2" or len(data) < 28:
+            if data[:4] != b"RDB3" or len(data) < 28:
                 return None
             (n_tables,) = u32.unpack_from(data, 28)
             off = 32
@@ -271,24 +275,33 @@ class TestStorageFuzz:
                     return None
                 table = created.pop()
                 columns = db.schema_of(table).column_names
-                (n_rows,) = u32.unpack_from(data, off)
-                off += 4
+                n_rows, length = struct.unpack_from("<IQ", data, off)
+                off += 12
+                end = off + length
+                if end > len(data):
+                    return None
+                section = data[:end]  # no value may run past its section
                 for _ in range(n_rows):
                     row = []
                     for _ in columns:
-                        cell, off = value(off)
+                        cell, off = value(section, off)
                         row.append(cell)
                     db.execute(
                         f"INSERT INTO {table} ({', '.join(columns)})"
                         f" VALUES ({', '.join('?' * len(columns))})",
                         row,
                     )
+                if off != end:
+                    return None
+            if off != len(data):
+                return None
         except (DatabaseError, ValueError, IndexError, struct.error):
             return None
         return {t: db.execute(f"SELECT * FROM {t}").rows for t in db.table_names()}
 
     def _opens_as_reference(self, root, data: bytes) -> None:
-        """``data`` opens with a typed error, or into the reference's rows."""
+        """``data`` opens, and its tables read, with a typed error or as
+        the reference's rows."""
         path = str(root / "case.rdb")
         with open(path, "wb") as fh:
             fh.write(data)
@@ -298,6 +311,8 @@ class TestStorageFuzz:
             return
         try:
             got = {t: db.execute(f"SELECT * FROM {t}").rows for t in db.table_names()}
+        except DatabaseError:  # a row-level error: at the first read of its table
+            return
         finally:
             db.close()
         assert got == self._reference(data)
@@ -328,43 +343,82 @@ class TestStorageFuzz:
     # -- named hostile files ----------------------------------------------------
 
     @staticmethod
-    def _file(*sections, trailing: bytes = b"") -> bytes:
-        """An RDB2 file of ``(ddl, [encoded rows])`` sections."""
-        u32 = struct.Struct("<I")
-        out = [b"RDB2", struct.pack("<Q", 0), bytes(16), u32.pack(len(sections))]
-        for ddl, rows in sections:
+    def _file(*sections, trailing: bytes = b"", magic: bytes = b"RDB3") -> bytes:
+        """An RDB3 file of ``(ddl, [encoded rows][, section length])``
+        sections; the length defaults to the rows' bytes."""
+        out = [magic, struct.pack("<Q", 0), bytes(16), struct.pack("<I", len(sections))]
+        for ddl, rows, *length in sections:
             raw = ddl.encode("utf-8")
-            out += [u32.pack(len(raw)), raw, u32.pack(len(rows))] + list(rows)
+            body = b"".join(rows)
+            length = length[0] if length else len(body)
+            out += [struct.pack("<I", len(raw)), raw, struct.pack("<IQ", len(rows), length), body]
         return b"".join(out) + trailing
 
     _T = "CREATE TABLE T (ID NUMBER PRIMARY KEY, DATA BLOB)"
     _ROW = encode_value(1) + encode_value(b"abc")
 
-    def _refused(self, tmp_path, data: bytes, match: str) -> None:
+    @staticmethod
+    def _write(tmp_path, data: bytes) -> str:
         path = str(tmp_path / "hostile.rdb")
         with open(path, "wb") as fh:
             fh.write(data)
+        return path
+
+    def _refused(self, tmp_path, data: bytes, match: str) -> None:
+        """A header or section-structure error: the open fails."""
         with pytest.raises(StorageError, match=match):
-            Database.open(path)
+            Database.open(self._write(tmp_path, data))
+
+    def _refused_at_first_read(self, tmp_path, data: bytes, match: str) -> None:
+        """A row-level error: the file opens, and the first statement that
+        reads the table fails -- as does every later one."""
+        db = Database.open(self._write(tmp_path, data))
+        try:
+            for text in ("SELECT * FROM T", "SELECT MAX(ID) FROM T"):
+                with pytest.raises(StorageError, match=match):
+                    db.execute(text)
+        finally:
+            db.close()
 
     def test_well_formed_file_opens(self, tmp_path):
-        path = str(tmp_path / "ok.rdb")
-        with open(path, "wb") as fh:
-            fh.write(self._file((self._T, [self._ROW])))
-        db = Database.open(path)
+        db = Database.open(self._write(tmp_path, self._file((self._T, [self._ROW]))))
         assert db.execute("SELECT * FROM T").rows == [{"ID": 1, "DATA": b"abc"}]
         db.close()
 
     def test_blob_length_past_end_of_file(self, tmp_path):
         row = encode_value(1) + bytes([4]) + struct.pack("<I", 1000) + b"abc"
-        self._refused(tmp_path, self._file((self._T, [row])), "truncated")
+        self._refused_at_first_read(tmp_path, self._file((self._T, [row])), "truncated")
 
     def test_tag_of_the_wrong_type_for_its_column(self, tmp_path):
         row = encode_value("1") + encode_value(b"abc")  # a str in a NUMBER column
-        self._refused(tmp_path, self._file((self._T, [row])), "value tag 3")
+        self._refused_at_first_read(tmp_path, self._file((self._T, [row])), "value tag 3")
 
     def test_duplicate_primary_key(self, tmp_path):
-        self._refused(tmp_path, self._file((self._T, [self._ROW, self._ROW])), "duplicate")
+        data = self._file((self._T, [self._ROW, self._ROW]))
+        self._refused_at_first_read(tmp_path, data, "duplicate")
+
+    def test_value_its_column_refuses(self, tmp_path):
+        ddl = "CREATE TABLE T (ID NUMBER PRIMARY KEY, NAME VARCHAR2(2))"
+        row = encode_value(1) + encode_value("abc")
+        self._refused_at_first_read(tmp_path, self._file((ddl, [row])), r"exceeds VARCHAR2\(2\)")
+
+    def test_null_in_a_not_null_column(self, tmp_path):
+        row = encode_value(None) + encode_value(b"abc")  # a NULL primary key
+        self._refused_at_first_read(tmp_path, self._file((self._T, [row])), "NOT NULL")
+
+    def test_nan_in_a_number_column(self, tmp_path):
+        ddl = "CREATE TABLE T (ID NUMBER PRIMARY KEY, X NUMBER)"
+        row = encode_value(1) + encode_value(float("nan"))
+        self._refused_at_first_read(tmp_path, self._file((ddl, [row])), "NaN")
+
+    def test_date_column_refuses_a_string_that_is_no_date(self, tmp_path):
+        ddl = "CREATE TABLE T (ID NUMBER PRIMARY KEY, D DATE)"
+        ok = encode_value(1) + encode_value("2012-10-01")  # an ISO string is coerced
+        db = Database.open(self._write(tmp_path, self._file((ddl, [ok]))))
+        assert db.execute("SELECT D FROM T").rows == [{"D": datetime.date(2012, 10, 1)}]
+        db.close()
+        row = encode_value(1) + encode_value("someday")
+        self._refused_at_first_read(tmp_path, self._file((ddl, [row])), "ISO format")
 
     _SECTIONS = {
         "DELETE FROM T": "not CREATE TABLE",
@@ -381,6 +435,26 @@ class TestStorageFuzz:
     def test_bytes_after_the_last_table(self, tmp_path):
         data = self._file((self._T, [self._ROW]), trailing=b"\x00")
         self._refused(tmp_path, data, "1 bytes after the last table")
+
+    def test_rdb2_magic(self, tmp_path):
+        data = self._file((self._T, [self._ROW]), magic=b"RDB2")
+        self._refused(tmp_path, data, "bad magic b'RDB2'")
+
+    def test_section_length_past_end_of_file(self, tmp_path):
+        data = self._file((self._T, [self._ROW], len(self._ROW) + 1))
+        self._refused(tmp_path, data, "run past the end of the file")
+
+    def test_section_length_shorter_than_its_rows(self, tmp_path):
+        # the walk goes on from the stated end: the row's last byte is left over
+        data = self._file((self._T, [self._ROW], len(self._ROW) - 1))
+        self._refused(tmp_path, data, "1 bytes after the last table")
+        # the section stops inside the row, and the next one starts there
+        data = self._file((self._T, [self._ROW[:-1]]), ("CREATE TABLE U (X NUMBER)", []))
+        self._refused_at_first_read(tmp_path, data, "ends inside a LOB")
+
+    def test_section_length_longer_than_its_rows(self, tmp_path):
+        data = self._file((self._T, [self._ROW + b"\x00"]))
+        self._refused_at_first_read(tmp_path, data, "1 bytes after its 1 rows")
 
 
 class TestCommitRecordFuzz:
