@@ -1,7 +1,7 @@
 """Durability demo: a video library that survives restarts.
 
-Ingests a corpus into an on-disk library (database file + write-ahead log
-+ the store's mmap image), "restarts" by reopening the files, and verifies that search works over the
+Ingests a corpus into an on-disk library (one SQLite file in WAL mode +
+the store's mmap image), "restarts" by reopening the files, and verifies that search works over the
 reloaded state -- the paper's "Video Storage and Retrieval System, stores
 and manages a large number of video data" claim, minus Oracle.
 
@@ -25,12 +25,11 @@ def main() -> None:
     for video in make_corpus(videos_per_category=2, seed=5, n_shots=2, frames_per_shot=5):
         admin.add_video(video)
     n_videos, n_frames = system.n_videos(), system.n_key_frames()
-    admin.checkpoint()  # write the image, then fold the WAL into the database file
+    admin.checkpoint()  # write the image, then drop the commits it holds from the log
     system.close()
     print(f"session 1: ingested {n_videos} videos / {n_frames} key frames "
           f"in {time.time() - t0:.1f}s")
     print(f"  database: {os.path.getsize(path):,} bytes; "
-          f"wal: {os.path.getsize(path + '.wal'):,} bytes; "
           f"image: {os.path.getsize(path + '.snap'):,} bytes")
 
     # session 2: reopen and search
@@ -52,7 +51,7 @@ def main() -> None:
     admin = reopened.login_admin()
     removed = admin.delete_video(1)
     reopened.close()
-    final = VideoRetrievalSystem.open(path)  # the image + the delete from the WAL
+    final = VideoRetrievalSystem.open(path)  # the image + the delete from the commit log
     print(f"session 3: deleted video 1 ({removed} key frames); "
           f"after reopen from {final.snapshots.served_from}: {final.n_videos()} videos remain")
     final.close()

@@ -1,25 +1,26 @@
 #!/usr/bin/env python
-"""Where a library checkpoint's time goes, and whether it keeps its log.
+"""Where a library checkpoint's time goes, and whether it keeps SQLite's -wal.
 
 Regenerates the table in docs/performance.md ("Checkpoint").  Each pass
 builds a durable library the size of the ``library_churn`` bulk phase
 (8 generator videos of 25 shots, 64x48), checkpoints it (the *first*
-checkpoint: the log holds every commit, there is no older database
-file), runs 3 delete + add cycles and checkpoints again (the *steady*
-checkpoint).  Each checkpoint is split into:
+checkpoint: the log holds every commit), runs 3 delete + add cycles and
+checkpoints again (the *steady* checkpoint).  Each checkpoint is split
+into:
 
 - image write: the store's mmap image (``SnapshotManager.write``);
-- database file: encoding, writing and fsyncing the new database file;
-- old-file release: the rename over the old file and the last close of
-  it, where a filesystem frees its blocks;
-- log restart: from the last table's LOB cells re-pointed to the end of the
-  checkpoint;
-- other: the rest (re-pointing LOB cells).
+- log fold: one transaction that deletes the ``COMMITS`` rows the image
+  holds and moves the log's base (``Database._fold``);
+- WAL checkpoint: ``PRAGMA wal_checkpoint(PASSIVE)``, which copies the
+  WAL's pages into the database file;
+- other: the rest.
 
 The pass with the fastest total of 3 is reported, per checkpoint.  With
-``--check`` one pass runs and the script exits 1 unless the log keeps its
-inode and does not lose blocks across a checkpoint, nor across a reopen
-and a write: a structural check, no timing bound.
+``--check`` one pass runs and the script exits 1 if a checkpoint, or the
+write after it, truncates or replaces the library's ``-wal`` (its inode
+changes, or it loses bytes or blocks): releasing a file's blocks costs
+tens of ms per MB on a disk that discards them.  A structural check, no
+timing bound.
 
 Run it once per tree to compare two commits::
 
@@ -33,20 +34,18 @@ import os
 import shutil
 import tempfile
 import time
-import weakref
 from contextlib import contextmanager
 from typing import Dict, Tuple
 
 from repro.core.snapshots import SnapshotManager
 from repro.core.system import VideoRetrievalSystem
-from repro.db.storage import Storage
-from repro.db.table import Table
+from repro.db import Database
 from repro.video.generator import make_corpus
 
 SEED = 2012
 BULK_VIDEOS, CYCLES, SHOTS = 8, 3, 25
 PASSES = 3
-PARTS = ("image write", "database file", "old-file release", "log restart", "other")
+PARTS = ("image write", "log fold", "WAL checkpoint", "other")
 
 
 def _videos(n: int, seed: int):
@@ -60,21 +59,12 @@ class _Clock:
     """Timestamps at the checkpoint's boundaries, taken by wrapping the
     calls that mark them."""
 
-    def __init__(self, db_path: str):
-        self.db_path = db_path
+    def __init__(self):
         self.marks: Dict[str, float] = {}
-        self.release = 0.0
-
-    def _timed(self, fn, *args):
-        t0 = time.perf_counter()
-        try:
-            return fn(*args)
-        finally:
-            self.release += time.perf_counter() - t0
 
     @contextmanager
     def installed(self):
-        real = (SnapshotManager.write, Storage.write_snapshot, Table.replace_rows, os.replace)
+        real = (SnapshotManager.write, Database._fold)
         clock = self
 
         def write_image(manager):
@@ -84,71 +74,52 @@ class _Clock:
             finally:
                 clock.marks["image"] = time.perf_counter() - t0
 
-        def write_database(storage, db):
-            old = storage._file
-            if old is not None and old._close.alive:
-                # time the old file's last close, wherever its last locator goes
-                _obj, close, args, _kwargs = old._close.detach()
-                old._close = weakref.finalize(old, clock._timed, close, *args)
-            clock.marks["database_start"] = time.perf_counter()
+        def fold(db, upto):
+            clock.marks["fold_start"] = time.perf_counter()
             try:
-                return real[1](storage, db)
+                return real[1](db, upto)
             finally:
-                clock.marks["database_end"] = time.perf_counter()
+                clock.marks["fold_end"] = time.perf_counter()
 
-        def replace_rows(table, rows):
-            try:
-                return real[2](table, rows)
-            finally:
-                clock.marks["repointed"] = time.perf_counter()
-
-        def replace(src, dst):
-            if os.fspath(dst) != clock.db_path:
-                return real[3](src, dst)
-            clock.marks["renamed"] = time.perf_counter()
-            return clock._timed(real[3], src, dst)
-
-        SnapshotManager.write, Storage.write_snapshot = write_image, write_database
-        Table.replace_rows, os.replace = replace_rows, replace
+        SnapshotManager.write, Database._fold = write_image, fold
         try:
             yield self
         finally:
-            SnapshotManager.write, Storage.write_snapshot, Table.replace_rows, os.replace = real
+            SnapshotManager.write, Database._fold = real
 
-    def parts(self, total: float) -> Dict[str, float]:
+    def parts(self, total: float, end: float) -> Dict[str, float]:
         m = self.marks
         split = {
             "image write": m.get("image", 0.0),
-            "database file": m["renamed"] - m["database_start"],
-            "old-file release": self.release,
-            "log restart": m["database_end"] - m.get("repointed", m["renamed"]),
+            "log fold": m["fold_end"] - m["fold_start"],
+            "WAL checkpoint": end - m["fold_end"],
         }
         split["other"] = total - sum(split.values())
         return split
 
 
 def _checkpoint(system: VideoRetrievalSystem) -> Tuple[float, Dict[str, float]]:
-    clock = _Clock(system.db.path)
+    clock = _Clock()
     with clock.installed():
         t0 = time.perf_counter()
         system.admin.checkpoint()
-        total = time.perf_counter() - t0
-    return total, clock.parts(total)
+        end = time.perf_counter()
+    return end - t0, clock.parts(end - t0, end)
 
 
-def _log_state(path: str) -> Tuple[int, int]:
-    info = os.stat(path + ".wal")
-    return info.st_ino, info.st_blocks
+def _wal_state(path: str) -> Tuple[int, int, int]:
+    info = os.stat(path + "-wal")
+    return info.st_ino, info.st_size, info.st_blocks
 
 
 @contextmanager
-def _keeps_log(path: str, what: str, problems: Dict[str, str]):
-    """Note in ``problems`` when ``what`` replaces the log or frees blocks."""
-    before = _log_state(path)
+def _keeps_wal(path: str, what: str, problems: Dict[str, str]):
+    """Note in ``problems`` when ``what`` replaces or truncates the -wal."""
+    before = _wal_state(path)
     yield
-    after = _log_state(path)
-    if after[0] != before[0] or after[1] < before[1]:
-        problems[what] = f"{what}: log (inode, blocks) {before} -> {after}"
+    after = _wal_state(path)
+    if after[0] != before[0] or after[1] < before[1] or after[2] < before[2]:
+        problems[what] = f"{what}: -wal (inode, bytes, blocks) {before} -> {after}"
 
 
 def _one_pass(root: str, bulk, cycle_videos, problems: Dict[str, str]):
@@ -156,28 +127,24 @@ def _one_pass(root: str, bulk, cycle_videos, problems: Dict[str, str]):
     system = VideoRetrievalSystem.open(path)
     try:
         ids = [system.admin.add_video(video).video_id for video in bulk]
-        with _keeps_log(path, "first checkpoint", problems):
+        with _keeps_wal(path, "first checkpoint", problems):
             first = _checkpoint(system)
         for video in cycle_videos:
             system.admin.delete_video(ids.pop(0))
             ids.append(system.admin.add_video(video).video_id)
-        with _keeps_log(path, "steady checkpoint", problems):
+        with _keeps_wal(path, "steady checkpoint", problems):
             steady = _checkpoint(system)
+        with _keeps_wal(path, "write after a checkpoint", problems):
+            system.admin.rename_video(ids[0], "renamed")
     finally:
         system.close()
-    with _keeps_log(path, "reopen + write", problems):
-        system = VideoRetrievalSystem.open(path)
-        try:
-            system.admin.rename_video(ids[0], "reopened")
-        finally:
-            system.close()
     return {"first": first, "steady": steady}
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--check", action="store_true",
-                        help="one pass; exit 1 if the log is replaced or loses blocks")
+                        help="one pass; exit 1 if the -wal is replaced or truncated")
     args = parser.parse_args(argv)
     passes = 1 if args.check else PASSES
     bulk = _videos(BULK_VIDEOS, SEED)

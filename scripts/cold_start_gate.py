@@ -18,18 +18,19 @@ subprocess: no warm imports, no page cache of Python objects:
   (3x) as long as on the small one.
 - **durable** -- ``VideoRetrievalSystem.open`` on the checkpointed library
   itself, then one query: what ``repro search`` / ``repro serve`` wait for.
-  Its open is reported in two stages, **db** (walking the database file,
-  replaying the log) and **store** (adopting the image).  A copy with the
-  same rows and ~8x the BLOB bytes (each video's unused ``STREAM`` column
+  Its open is reported in two stages, **db** (opening the library's
+  SQLite file) and **store** (adopting the image), and the process then
+  times its **first write** (a rename, one commit).  A copy with the same
+  rows and ~8x the BLOB bytes (each video's unused ``STREAM`` column
   filled, then checkpointed) may open at most ``--max-open-growth`` times
-  as slowly: LOB cells stay in the file.  So may the **db** stage of a copy
-  with ~8x the key-frame rows (``durable-rows``): a table's rows are
-  decoded at its first use, not at the open, so the open grows neither
-  with stored media nor with rows.
+  as slowly.  So may the **db** stage and the first write of a copy with
+  8x the key-frame rows (``durable-rows``): SQLite reads the pages a
+  statement needs, so neither grows with stored media or with rows.
 - **identity** -- one ``snapshot=off`` process rebuilds the store from SQL
   and must return the replica's ranking, ids and distances, exactly; so
   must every durable process.  The rows copy serves the library's own
-  image: its extra rows are written by a checkpoint that logs no commit.
+  image: its extra rows are written by a plain SQLite connection's
+  ``INSERT ... SELECT``, which logs no commit.
 
 The snapshot must pass ``repro snapshot verify``; ``repro snapshot info
 --json`` for both sizes and the timing report land in ``--artifact-dir``.
@@ -78,6 +79,12 @@ else:
 open_seconds = time.perf_counter() - t0
 results = system.search(query, top_k=10)
 ready_seconds = time.time() - float(spawned_at)
+if mode == "durable":  # the first write after the open: one rename, one commit
+    video_id = system.feature_store.video_ids()[0]
+    name = system.feature_store.video(video_id).name
+    t1 = time.perf_counter()
+    system.admin.rename_video(video_id, name)
+    stages["first_write_seconds"] = time.perf_counter() - t1
 print(json.dumps({
     "mode": mode,
     "served_from": system.snapshots.served_from,
@@ -108,7 +115,7 @@ def _build_library(library: str, videos_per_category: int, n_shots: int) -> str:
     system = VideoRetrievalSystem.open(library, SystemConfig())
     for video in corpus:
         system.admin.add_video(video)
-    system.admin.checkpoint()  # folds the DB WAL and writes the snapshot
+    system.admin.checkpoint()  # writes the snapshot, then drops the logged commits
     query_path = library + ".query.ppm"
     system.any_key_frame().save(query_path)
     n_frames = system.n_key_frames()
@@ -168,8 +175,7 @@ def _inflate_blobs(library: str, out: str, factor: int = 8) -> int:
     from repro.core.config import SystemConfig
     from repro.core.system import VideoRetrievalSystem
 
-    for suffix in ("", ".wal"):
-        shutil.copy2(library + suffix, out + suffix)
+    shutil.copy2(library, out)
     system = VideoRetrievalSystem.open(out, SystemConfig())
     db = system.db
     videos = [row["V_ID"] for row in db.execute("SELECT V_ID FROM VIDEO_STORE").rows]
@@ -189,25 +195,29 @@ def _inflate_blobs(library: str, out: str, factor: int = 8) -> int:
 
 def _multiply_rows(library: str, out: str, factor: int = 8) -> int:
     """A copy of ``library`` with ``factor`` x its key-frame rows: every
-    row again under new ids, put in place by a checkpoint that logs no
-    commit, so the copy keeps the library's commit sequence -- and its
-    image still stamps it.  Returns the copy's key-frame rows."""
-    from repro.db import Database
+    row again under new ids, by ``INSERT ... SELECT`` on a plain SQLite
+    connection, which logs no commit, so the copy keeps the library's
+    commit sequence -- and its image still stamps it.  Returns the copy's
+    key-frame rows."""
+    import sqlite3
 
-    for suffix in ("", ".wal", ".snap"):
+    from repro.core.catalog import FEATURE_COLUMNS
+
+    for suffix in ("", ".snap"):
         shutil.copy2(library + suffix, out + suffix)
-    db = Database.open(out)
-    table = db.tables["KEY_FRAMES"]
-    rows = [row for _rowid, row in table.rows()]
-    at = table.schema.index_of("I_ID")
-    step = max(row[at] for row in rows)
-    table.load([
-        row[:at] + (row[at] + k * step,) + row[at + 1:]
-        for k in range(1, factor) for row in rows
-    ])
-    db.checkpoint()
-    n_rows = len(table)
-    db.close()
+    rest = ", ".join(("I_NAME", "IMAGE", "MIN", "MAX", "MAJORREGIONS", "V_ID")
+                     + tuple(FEATURE_COLUMNS.values()))
+    conn = sqlite3.connect(out)
+    with conn:
+        ((step, n_rows),) = conn.execute("SELECT MAX(I_ID), COUNT(*) FROM KEY_FRAMES")
+        for k in range(1, factor):
+            conn.execute(
+                f"INSERT INTO KEY_FRAMES (I_ID, {rest}) "
+                f"SELECT I_ID + ?, {rest} FROM KEY_FRAMES WHERE I_ID <= ?",
+                (k * step, step),
+            )
+    ((n_rows,),) = conn.execute("SELECT COUNT(*) FROM KEY_FRAMES")
+    conn.close()
     return n_rows
 
 
@@ -245,8 +255,8 @@ def main(argv=None) -> int:
                         help="how many times larger the expanded snapshot is")
     parser.add_argument("--max-open-growth", type=float, default=3.0,
                         help="limit on open time, expanded / library snapshot, "
-                             "blob-heavy / library durable open and rows-copy / "
-                             "library durable db stage")
+                             "blob-heavy / library durable open, and rows-copy / "
+                             "library durable db stage and first write")
     parser.add_argument("--artifact-dir", default="cold-start",
                         help="where the snapshot + info JSON + report land")
     args = parser.parse_args(argv)
@@ -315,8 +325,10 @@ def main(argv=None) -> int:
                    / max(1e-9, best["durable"]["open_seconds"]))
     rows_growth = (best["durable-rows"]["db_seconds"]
                    / max(1e-9, best["durable"]["db_seconds"]))
+    write_growth = (best["durable-rows"]["first_write_seconds"]
+                    / max(1e-9, best["durable"]["first_write_seconds"]))
     report = {
-        "schema": "repro-cold-start/5",
+        "schema": "repro-cold-start/6",
         "videos_per_category": args.videos_per_category,
         "shots": args.shots,
         "scale_factor": args.scale_factor,
@@ -329,6 +341,7 @@ def main(argv=None) -> int:
         "blob_open_growth": round(blob_growth, 2),
         "key_frame_rows": n_rows,
         "rows_db_growth": round(rows_growth, 2),
+        "rows_first_write_growth": round(write_growth, 2),
         "max_open_growth": args.max_open_growth,
     }
     report_path = os.path.join(args.artifact_dir, "cold-start-report.json")
@@ -342,7 +355,8 @@ def main(argv=None) -> int:
         stages = ""
         if "db_seconds" in b:
             stages = (f" (db {b['db_seconds'] * 1000:5.1f} + store "
-                      f"{b['store_seconds'] * 1000:5.1f})")
+                      f"{b['store_seconds'] * 1000:5.1f}; first write "
+                      f"{b['first_write_seconds'] * 1000:5.1f})")
         print(f"{name:>13}: {b['key_frames']:>6} key frames  import {b['import_seconds'] * 1000:5.0f} ms"
               f"  open {b['open_seconds'] * 1000:7.1f} ms{stages}"
               f"  ready {b['ready_seconds'] * 1000:7.0f} ms")
@@ -353,6 +367,8 @@ def main(argv=None) -> int:
     print(f"durable open growth at ~8x the BLOB bytes: {blob_growth:.2f}x "
           f"(limit {args.max_open_growth:.1f}x)")
     print(f"durable db-stage growth at 8x the key-frame rows: {rows_growth:.2f}x "
+          f"(limit {args.max_open_growth:.1f}x)")
+    print(f"first-write growth at 8x the key-frame rows: {write_growth:.2f}x "
           f"(limit {args.max_open_growth:.1f}x)")
     failed = False
     if ready > args.max_ready_seconds:
@@ -366,6 +382,9 @@ def main(argv=None) -> int:
         failed = True
     if rows_growth > args.max_open_growth:
         print("FAIL: opening a library's database grows with its rows")
+        failed = True
+    if write_growth > args.max_open_growth:
+        print("FAIL: the first write after an open grows with the library's rows")
         failed = True
     if failed:
         return 1

@@ -4,7 +4,8 @@ String-interpolated SQL is how identifier typos and (in a networked
 deployment) injection bugs enter a system.  The only approved ways to get
 a statement into ``Database.execute``/``executemany`` are a plain string
 literal with ``?`` placeholders, a named constant, or the parameterized
-builder helpers in ``repro/db/sql.py``.
+builder helpers in ``repro/db/engine.py``
+(``build_select`` / ``build_insert``, re-exported by ``repro.db``).
 
 The statement argument is checked where it is assembled, which is not
 always at the call.  The first definition checked is the argument
@@ -41,7 +42,7 @@ EXECUTE_METHODS = ("execute", "executemany", "executescript")
 def classify_dynamic_sql(arg: ast.expr) -> Optional[str]:
     """Reason the expression is a dynamically-assembled SQL string.
 
-    Any other call -- the ``repro.db.sql`` builders included -- gets the
+    Any other call -- the ``repro.db`` builders included -- gets the
     benefit of the doubt.
     """
     if isinstance(arg, ast.NamedExpr):  # (q := <sql>): the value is the SQL
@@ -67,8 +68,8 @@ class SqlDataflowRule(Rule):
     rule_id = "R16"
     title = "sql-dataflow"
     fix_hint = (
-        "build the statement with the build_select/build_insert/build_delete "
-        "helpers from repro.db.sql (or a literal with ? placeholders) in every "
+        "build the statement with the build_select/build_insert helpers "
+        "from repro.db (or a literal with ? placeholders) in every "
         "branch that can reach the execute call"
     )
 
@@ -101,7 +102,7 @@ class SqlDataflowRule(Rule):
                         module,
                         arg,
                         f"SQL passed to .{method}() is {reason}; statements "
-                        "must be literals or repro.db.sql builder output",
+                        "must be literals or repro.db builder output",
                     )
                     continue
                 if not isinstance(arg, ast.Name):
@@ -115,7 +116,7 @@ class SqlDataflowRule(Rule):
                         f"in {scope}, SQL variable {arg.id!r} defined at line "
                         f"{def_stmt.lineno} as {reason} reaches this "
                         f".{method}() call; statements must be "
-                        "literals or repro.db.sql builder output on every path",
+                        "literals or repro.db builder output on every path",
                     )
 
     # -- helpers ---------------------------------------------------------------

@@ -25,20 +25,18 @@ back onto the calls ``Ingestor`` made on the live store.
 from __future__ import annotations
 
 import datetime
+import re
 import time
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.catalog import FEATURE_COLUMNS
 from repro.core.config import SystemConfig
 from repro.core.lanes import analyse_frames
 from repro.core.store import FeatureStore, FrameRecord, frame_record
-from repro.db import sql as ast
-from repro.db.engine import Database
+from repro.db.engine import Database, Statement, build_insert
 from repro.db.errors import DatabaseError
-from repro.db.sql import build_insert
-from repro.db.storage import Statement
 from repro.features.base import FeatureExtractor, FeatureVector, get_extractor
 from repro.imaging.image import Image
 from repro.indexing.rangefinder import Bucket, RangeFinder
@@ -73,17 +71,20 @@ _RENAME_VIDEO = "UPDATE VIDEO_STORE SET V_NAME = ? WHERE V_ID = ?"
 _STORE_TABLES = frozenset({"VIDEO_STORE", "KEY_FRAMES"})
 
 
-@lru_cache(maxsize=64)
-def _parse(text: str) -> Tuple[ast.Statement, int]:
-    return ast.parse(text)
+#: the table a logged write names
+_WRITE = re.compile(r'\s*(?:INSERT\s+INTO|UPDATE|DELETE\s+FROM|CREATE\s+TABLE)\s+"?(\w+)', re.I)
+#: the column list of a key-frame insert
+_FRAME_INSERT = re.compile(r"INSERT INTO KEY_FRAMES \(([\w, ]+)\) VALUES ")
 
 
 def _table_of(text: str, params: Tuple) -> str:
     """The table a logged statement writes (its parameter count checked)."""
-    stmt, n_params = _parse(text)
-    if n_params != len(params):
-        raise ValueError(f"statement has {n_params} parameter(s), {len(params)} logged")
-    return stmt.schema.name if isinstance(stmt, ast.CreateTable) else stmt.table
+    m = _WRITE.match(text)
+    if m is None:
+        raise ValueError(f"{text[:60]!r} is not a write")
+    if text.count("?") != len(params):
+        raise ValueError(f"statement has {text.count('?')} parameter(s), {len(params)} logged")
+    return m.group(1).upper()
 
 
 def _video_id(value: object) -> int:
@@ -96,7 +97,8 @@ def _video_id(value: object) -> int:
 
 def _frame_row(text: str, params: Tuple) -> Dict[str, object]:
     """The ``KEY_FRAMES`` row an ``Ingestor`` key-frame insert writes."""
-    columns = getattr(_parse(text)[0], "columns", ())
+    m = _FRAME_INSERT.match(text)
+    columns = tuple(m.group(1).split(", ")) if m else ()
     if columns[: len(_FRAME_COLUMNS)] != _FRAME_COLUMNS or text != build_insert(
         "KEY_FRAMES", columns
     ):

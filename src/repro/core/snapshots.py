@@ -23,10 +23,13 @@ replicas that must never touch the database.
 
 from __future__ import annotations
 
+import contextlib
 import os
+import sqlite3
 import time
 from operator import itemgetter
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
+from urllib.parse import quote
 
 import numpy as np
 
@@ -34,7 +37,7 @@ from repro.core.catalog import FEATURE_COLUMNS
 from repro.core.ingest import apply_commits
 from repro.core.store import FeatureColumn, FeatureStore, FrameColumns, unique_ids
 from repro.db.errors import DatabaseError, StorageError
-from repro.db.storage import Log, Statement, read_log
+from repro.db.types import Statement, decode_commit
 from repro.obs import NULL_OBS, Obs, log
 from repro.resilience import NULL_POLICIES, ResiliencePolicies
 from repro.snapshot import CorruptSnapshotError, Snapshot, SnapshotError, write_snapshot
@@ -46,6 +49,7 @@ __all__ = [
     "load_snapshot_into_store",
     "named_log",
     "open_snapshot_store",
+    "read_log",
 ]
 
 #: snapshot meta discriminator (a repro.snapshot file could hold anything)
@@ -56,6 +60,61 @@ Commits = List[List[Statement]]
 
 class SnapshotRequiredError(RuntimeError):
     """``snapshot="require"`` and no valid snapshot could be opened."""
+
+
+# -- the library's commit log ------------------------------------------------------
+
+
+class Log(NamedTuple):
+    """A library's token and its commits after ``base`` (commit
+    ``base + 1 + i`` is ``commits[i]``)."""
+
+    base: int
+    token: str
+    commits: Commits
+
+    @property
+    def last(self) -> int:
+        return self.base + len(self.commits)
+
+    def after(self, token: str, seq: int) -> Commits:
+        """The commits after ``seq`` in library ``token``'s history;
+        :class:`StorageError` when this log cannot say what they are."""
+        if token != self.token:
+            raise StorageError("the log belongs to another library")
+        if not self.base <= seq <= self.last:
+            raise StorageError(
+                f"the log holds commits {self.base + 1}..{self.last}, not those after {seq}")
+        return self.commits[seq - self.base:]
+
+
+def read_log(path, after: int = 0) -> Optional[Log]:
+    """The ``COMMITS`` log of the library at ``path`` from ``after`` on (or
+    from its base, when ``after`` is below it), read through a read-only
+    connection; None when there is no file.  A library row, a sequence or
+    a body that is not what the facade writes is :class:`StorageError`."""
+    path = os.fspath(path)
+    if not os.path.exists(path):
+        return None
+    try:
+        with contextlib.closing(sqlite3.connect(
+                f"file:{quote(os.path.abspath(path))}?mode=ro", uri=True)) as conn:
+            rows = conn.execute("SELECT TOKEN, BASE FROM LIBRARY").fetchall()
+            if len(rows) != 1 or not isinstance(rows[0][0], str) or not isinstance(
+                    rows[0][1], int):
+                raise StorageError(f"the library table holds {rows!r}, not one token and base")
+            (token, base), ((last,),) = rows[0], conn.execute(
+                "SELECT MAX(SEQ) FROM COMMITS").fetchall()
+            start = max(base, min(after, last if last is not None else base))
+            commits = conn.execute(
+                "SELECT SEQ, BODY FROM COMMITS WHERE SEQ > ? ORDER BY SEQ", (start,)).fetchall()
+    except (sqlite3.Error, UnicodeDecodeError) as exc:
+        raise StorageError(f"{path}: {exc}") from exc
+    if [seq for seq, _body in commits] != list(range(start + 1, start + 1 + len(commits))):
+        raise StorageError(f"the commit log has a gap after commit {start}")
+    if not all(isinstance(body, bytes) for _seq, body in commits):
+        raise StorageError("a commit body is not a BLOB")
+    return Log(start, token, [decode_commit(body) for _seq, body in commits])
 
 
 # -- store <-> snapshot translation --------------------------------------------
@@ -182,8 +241,9 @@ def _stamped_seq(snap: Snapshot) -> Optional[int]:
 
 
 def named_log(snap: Snapshot) -> Optional[Log]:
-    """The log an image's stamp names (beside the image), read; None when
-    the image is unstamped or the log is not there.  A name that is there
+    """The log of the library an image's stamp names (beside the image),
+    read from the stamp on through a read-only connection; None when the
+    image is unstamped or the library is not there.  A name that is there
     but is not a regular file raises :class:`StorageError`."""
     name = snap.meta.get("log")
     if name is None:
@@ -193,7 +253,7 @@ def named_log(snap: Snapshot) -> Optional[Log]:
         return None
     if not os.path.isfile(path):
         raise StorageError(f"{path}: the log the image names is not a file")
-    return read_log(path)
+    return read_log(path, _stamped_seq(snap) or 0)
 
 
 def _replica_tail(snap: Snapshot) -> Optional[Commits]:
@@ -364,10 +424,7 @@ class SnapshotManager:
         seq = _stamped_seq(snap)
         if seq == self.db.commit_seq:
             return []
-        found = read_log(self.db.log_path)
-        if found is None:
-            raise StorageError(f"no log to catch up from commit {seq}")
-        return found.after(self.db.token, seq)
+        return read_log(self.db.path, seq).after(self.db.token, seq)
 
     def _open_failed(self, reason: str) -> bool:
         if self.mode == "require":
@@ -401,7 +458,7 @@ class SnapshotManager:
             meta.update(
                 token=self.db.token,
                 commit_seq=self.store.commit_seq,
-                log=os.path.relpath(self.db.log_path, image_dir),
+                log=os.path.relpath(self.db.path, image_dir),
             )
         write_snapshot(self.path, arrays, meta)
         self._image_seq = self.store.commit_seq

@@ -28,9 +28,8 @@ from typing import (
 import numpy as np
 
 from repro.core.catalog import FEATURE_COLUMNS
-from repro.db.engine import Database
+from repro.db.engine import Database, build_select
 from repro.db.errors import DatabaseError
-from repro.db.sql import build_select
 from repro.features.base import FeatureExtractor, FeatureVector
 from repro.indexing.rangefinder import Bucket
 

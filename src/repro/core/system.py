@@ -58,14 +58,17 @@ class AdminSession:
         self._system._ingestor.rename_video(video_id, new_name)
 
     def checkpoint(self) -> None:
-        """Write the store's image, then fold the database's log.
+        """Write the store's image, then drop the logged commits it holds
+        and checkpoint SQLite's WAL.
 
         In that order: a crash between the two leaves an image the log
         still reaches, so the next open serves from it.
         """
+        stamp = None
         if self._system.snapshots.active:
             self._system.snapshots.write()
-        self._system.db.checkpoint()
+            stamp = self._system.feature_store.commit_seq
+        self._system.db.checkpoint(stamp)
 
 
 class VideoRetrievalSystem:

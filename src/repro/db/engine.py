@@ -1,367 +1,319 @@
-"""The :class:`Database` facade: execution, transactions, persistence.
+"""The :class:`Database` facade over one stdlib :mod:`sqlite3` connection.
 
-Usage::
-
-    db = Database()                      # in-memory
-    db = Database.open("corpus.rdb")     # durable (snapshot + WAL)
-
-    db.execute('CREATE TABLE T (ID NUMBER PRIMARY KEY, NAME VARCHAR2(20))')
-    db.execute('INSERT INTO T (ID, NAME) VALUES (?, ?)', (1, "intro"))
-    rows = db.execute('SELECT * FROM T WHERE ID = ?', (1,)).rows
-
-Write statements auto-commit unless a transaction is open (``begin()`` /
-``commit()`` / ``rollback()``, also usable as a context manager via
-:meth:`transaction`).  Durable databases append each commit to a WAL as
-one record, numbered by :attr:`Database.commit_seq`, and replay it on open;
-:meth:`checkpoint` folds the WAL into a snapshot.  A BLOB cell loaded from
-the file is a locator; a statement reads its bytes only for its result
-rows or a WHERE / ORDER BY / ``MAX()`` that names its column.
-
-A statement resolves its column names and compiles its WHERE clause (its
-LIKE patterns included) once, before it looks at a row, so an unknown
-column is a :class:`CatalogError` whatever the table holds.  A WHERE
-that is one ``column = value`` on the primary key or an indexed column
-reads the index instead of every row -- for SELECT, MAX, UPDATE and
-DELETE alike -- and selects what the scan would (no row for NULL, a
-DATE column's string coerced first).
+Each statement of the paper's dialect (``docs/sql_dialect.md``) is
+checked and rewritten for SQLite (:func:`_prepare`); every :mod:`sqlite3`
+error leaves as the :class:`DatabaseError` it stands for.  A durable
+library is one file in WAL mode, ``synchronous=FULL`` (one fsync per
+commit); each commit also writes its statements into ``COMMITS``, numbered
+by ``commit_seq``, and ``LIBRARY`` holds the library's token and the log's
+base (the last commit a checkpoint dropped): the store's image catches up
+from them (:func:`repro.core.snapshots.read_log`).
 """
 
 from __future__ import annotations
 
 import contextlib
-import operator
+import datetime
+import os
 import re
+import sqlite3
+import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.db import sql as ast
-from repro.db.errors import (
-    CatalogError,
-    DatabaseError,
-    SqlSyntaxError,
-    TransactionError,
-)
-from repro.db.schema import TableSchema
-from repro.db.table import Table
-from repro.db.types import Lob
+from repro.db.errors import (CatalogError, ConstraintError, DatabaseError, SqlSyntaxError,
+                             StorageError, TransactionError, TypeMismatchError)
+from repro.db.types import Statement, encode_commit, type_from_name
 
-__all__ = ["Database", "ResultSet"]
+__all__ = ["Database", "ResultSet", "build_insert", "build_select", "quote_ident"]
 
-#: parsed statements a database keeps, by text (started over when full)
+#: prepared statements a database keeps, by text (started over when full)
 _PARSE_CACHE_SIZE = 256
+#: the facade's own tables in a durable library
+_OWN_TABLES = ("COMMITS", "LIBRARY")
 
 
 @dataclass(frozen=True)
 class ResultSet:
-    """Outcome of one statement.
-
-    ``rows`` is a list of column->value dicts for SELECT (empty otherwise);
-    ``rowcount`` is the number of rows touched (inserted/updated/deleted) or
-    returned.
-    """
+    """One statement's rows (column -> value dicts, SELECT only) and the
+    number of rows it touched or returned."""
 
     rows: List[Dict[str, object]] = field(default_factory=list)
     rowcount: int = 0
-    statement: str = ""
-
-    def __iter__(self) -> Iterator[Dict[str, object]]:
-        return iter(self.rows)
-
-    def __len__(self) -> int:
-        return len(self.rows)
 
     def scalar(self):
         """The single value of a single-row, single-column result."""
         if len(self.rows) != 1 or len(self.rows[0]) != 1:
-            raise DatabaseError(
-                f"scalar() needs exactly one row and column, got {len(self.rows)} row(s)"
-            )
+            raise DatabaseError(f"scalar() needs one row and column, got {len(self.rows)} row(s)")
         return next(iter(self.rows[0].values()))
 
 
-def _like_to_regex(pattern: str) -> "re.Pattern":
-    out = []
-    for ch in pattern:
-        if ch == "%":
-            out.append(".*")
-        elif ch == "_":
-            out.append(".")
-        else:
-            out.append(re.escape(ch))
-    return re.compile("^" + "".join(out) + "$", re.DOTALL)
+# statement builders (R16: the one way to assemble SQL from names)
+def quote_ident(name: str) -> str:
+    """Validate (and return) one plain SQL identifier."""
+    if not isinstance(name, str) or not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_$#]*", name):
+        raise SqlSyntaxError(f"invalid SQL identifier {name!r}")
+    return name
 
 
-def _read_lobs(schema: TableSchema, rows: List[Dict[str, object]], columns) -> None:
-    """Read the LOB locators in ``columns`` of ``rows`` (one statement's
-    own dicts) into bytes."""
-    names = [c for c in columns if c in schema.lob_columns]
-    for row in rows:
-        for name in names:
-            value = row[name]
-            if isinstance(value, Lob):
-                row[name] = value.read()
+def build_select(table: str, columns: Sequence[str] = ("*",), where_eq: Optional[str] = None,
+                 order_by: Sequence[str] = ()) -> str:
+    """``SELECT cols FROM table [WHERE col = ?] [ORDER BY cols]``."""
+    cols = ", ".join("*" if c == "*" else quote_ident(c) for c in columns)
+    text = f"SELECT {cols} FROM {quote_ident(table)}"
+    if where_eq is not None:
+        text += f" WHERE {quote_ident(where_eq)} = ?"
+    if order_by:
+        text += " ORDER BY " + ", ".join(quote_ident(c) for c in order_by)
+    return text
 
 
-#: a row of one statement's scan -> bool / a value
-Predicate = Callable[[Dict[str, object]], bool]
-Getter = Callable[[Dict[str, object]], object]
-
-_COMPARISONS = {
-    "=": operator.eq,
-    "!=": operator.ne,
-    "<": operator.lt,
-    "<=": operator.le,
-    ">": operator.gt,
-    ">=": operator.ge,
-}
+def build_insert(table: str, columns: Sequence[str]) -> str:
+    """``INSERT INTO table (cols) VALUES (?, ...)`` -- one ``?`` per column."""
+    if not columns:
+        raise SqlSyntaxError("INSERT needs at least one column")
+    cols, marks = ", ".join(map(quote_ident, columns)), ", ".join("?" for _ in columns)
+    return f"INSERT INTO {quote_ident(table)} ({cols}) VALUES ({marks})"
 
 
-def _value(node, params: Tuple):
-    """A literal's or a bound parameter's value."""
-    return params[node.index] if isinstance(node, ast.Param) else node.value
+_VERBS = {"SELECT": "select", "INSERT": "insert", "UPDATE": "update", "DELETE": "delete",
+          "CREATE": "create"}
+_LITERAL = r"'(?:[^']|'')*'"
+#: in DML: a string literal (kept), a form the dialect leaves out, MAX(, or
+#: the keyword of a ``DATE '...'`` literal (dropped)
+_DML = re.compile(rf"({_LITERAL})|\b(?:(LIMIT|BETWEEN|IN|IS|NOT|GROUP\b|LIKE\s+(?![?']))\b"
+                  r"|(COUNT|MIN|SUM|AVG|MAX)\s*\()|\bDATE\s+(?=')", re.I)
+_MAX_ONLY = re.compile(r"\s*SELECT\s+MAX\s*\(\s*\w+\s*\)\s+FROM\s+\S+"
+                       r"(?:\s+WHERE\s(?:(?!\bORDER\b).)*)?;?\s*", re.I | re.S)
+#: the columns an INSERT or an UPDATE writes
+_TARGETS = re.compile(r"\s*(?:INSERT\s+INTO\s+\S+\s*\(([^)]*)\)"
+                      r"|UPDATE\s+\S+\s+SET\s(.*?)(?:\bWHERE\b|$))", re.I | re.S)
+_CREATE = re.compile(r'\s*CREATE\s+TABLE\s+("[^"]+"|\w+)\s*\((.*)\)\s*;?\s*', re.I | re.S)
+_COLUMN = re.compile(r'\s*("[^"]+"|\w+)\s+(ORD_\s*\w+|\w+)\s*(?:\(\s*(\d+)\s*\))?(.*)', re.S)
+_PRIMARY_KEY = re.compile(r"\s*PRIMARY\s+KEY\s*\((.*)\)\s*", re.I | re.S)
 
 
-def _operand(node, schema: TableSchema, params: Tuple, other=None):
-    """A literal's or a bound parameter's value as compared with ``other``.
+def _name(token: str) -> str:
+    return token.strip().strip('"').upper()
 
-    A string compared with a DATE column becomes a date here, once, as
-    ``VALUES`` coerces it on insert: ``D = DATE '2012-10-01'`` compares
-    dates, not a date with a string.
-    """
-    value = _value(node, params)
-    if isinstance(other, ast.ColumnRef) and isinstance(value, str):
-        sql_type = schema.column(other.name).sql_type
-        if sql_type.type_name == "DATE":
-            value = sql_type.validate(value)
+
+def _create_table(text: str) -> str:
+    """A ``CREATE TABLE`` in the paper's DDL as SQLite's."""
+    m = _CREATE.fullmatch(re.sub(r"\bENABLE\b", "", text, flags=re.I))
+    if m is None:
+        raise SqlSyntaxError(f"not a CREATE TABLE statement: {text[:60]!r}")
+    parts = re.split(r",(?![^(]*\))", m.group(2))
+    keys = [_PRIMARY_KEY.fullmatch(part) for part in parts]
+    primary = {_name(n) for k in keys if k for n in k.group(1).split(",")}
+    unknown, columns = set(primary), []
+    for part, key in zip(parts, keys):
+        col = _COLUMN.fullmatch(part)
+        if key or col is None:
+            if not key:
+                raise SqlSyntaxError(f"cannot read column definition {part.strip()!r}")
+            columns.append(part.strip())
+            continue
+        name, rest = _name(col.group(1)), col.group(4).strip()
+        try:
+            sql_type = type_from_name(col.group(2), int(col.group(3)) if col.group(3) else None)
+        except TypeMismatchError as exc:
+            raise SqlSyntaxError(f"column {name}: {exc}") from exc
+        keyed = name in primary or re.search(r"\bPRIMARY\s+KEY\b", rest, re.I)
+        if keyed and not re.search(r"\bNOT\s+NULL\b", rest, re.I):
+            rest += " NOT NULL"
+        unknown.discard(name)
+        columns.append(f'"{name}" {sql_type.declared} CONSTRAINT "{name} {sql_type.render()}" '
+                       f'CHECK ({sql_type.check(chr(34) + name + chr(34))}) {rest}')
+    if unknown:
+        raise SqlSyntaxError(f"PRIMARY KEY names unknown column(s) {sorted(unknown)}")
+    return f'CREATE TABLE "{_name(m.group(1))}" ({", ".join(columns)})'
+
+
+def _prepare(text: str) -> Tuple[str, str]:
+    """``(kind, SQLite text)`` of one statement of the dialect."""
+    kind = _VERBS.get(re.match(r"\s*(?:--[^\n]*\n\s*)*(\w*)", text).group(1).upper())
+    if kind is None:
+        raise SqlSyntaxError(f"unsupported statement {text.strip()[:40]!r}")
+    if kind == "create":
+        return kind, _create_table(text)
+    aggregate = False
+
+    def rewrite(m: "re.Match") -> str:
+        nonlocal aggregate
+        literal, keyword, function = m.groups()
+        if keyword or function and function.upper() != "MAX":
+            raise SqlSyntaxError(f"{(keyword or function).upper()} is outside the dialect")
+        aggregate = aggregate or function is not None
+        return literal or m.group(0) if function or literal else ""
+
+    sql = _DML.sub(rewrite, text)
+    if aggregate and (kind != "select" or not _MAX_ONLY.fullmatch(sql)):
+        raise SqlSyntaxError("MAX(col) must be the only item of a SELECT without ORDER BY")
+    targets = _TARGETS.match(sql)
+    if targets:
+        columns, assignments = targets.groups()
+        names = [_name(n) for n in (columns.split(",") if columns is not None else re.findall(
+            r'("[^"]+"|\w+)\s*=', re.sub(_LITERAL, "", assignments)))]
+        if len(set(names)) != len(names):
+            raise SqlSyntaxError(f"a column appears twice among {names}")
+    head, *order = re.split(r"\bORDER\s+BY\b", sql, 1, flags=re.I)
+    if order:  # NULL after every value: last going up, first going down
+        items = [item.strip() for item in order[0].strip().rstrip(";").split(",")]
+        sql = head + "ORDER BY " + ", ".join(
+            f"{i} NULLS {'FIRST' if re.search(r'(?i)DESC$', i) else 'LAST'}" for i in items)
+    return kind, sql
+
+
+def _bind(value):
+    """A parameter as SQLite stores it (a date as its ISO string; no bool, no NaN)."""
+    if isinstance(value, bool):
+        raise TypeMismatchError("bool is not a storable SQL value")
+    if isinstance(value, float) and value != value:
+        raise TypeMismatchError("NUMBER cannot store NaN")
+    if isinstance(value, datetime.date):
+        return (value.date() if isinstance(value, datetime.datetime) else value).isoformat()
     return value
 
 
-def _getter(node, schema: TableSchema, params: Tuple, other=None) -> Getter:
-    """An operand as a function of the row; a column is resolved here."""
-    if not isinstance(node, ast.ColumnRef):
-        value = _operand(node, schema, params, other)
-        return lambda row: value
-    name = schema.column(node.name).name  # CatalogError for an unknown column
-
-    def column(row):
-        value = row[name]
-        if isinstance(value, Lob):
-            value = row[name] = value.read()
-        return value
-
-    return column
-
-
-def _compile(node, schema: TableSchema, params: Tuple) -> Predicate:
-    """A WHERE clause as one predicate over the rows of ``schema``: every
-    column resolved and every LIKE pattern compiled, once."""
-    if node is None:
-        return lambda row: True
-    if isinstance(node, (ast.And, ast.Or)):
-        left = _compile(node.left, schema, params)
-        right = _compile(node.right, schema, params)
-        if isinstance(node, ast.And):
-            return lambda row: left(row) and right(row)
-        return lambda row: left(row) or right(row)
-    if isinstance(node, ast.Compare):
-        return _comparison(
-            _COMPARISONS[node.op],
-            _getter(node.left, schema, params, node.right),
-            _getter(node.right, schema, params, node.left),
-        )
-    if isinstance(node, ast.Like):
-        return _like(_getter(node.operand, schema, params), _value(node.pattern, params))
-    raise DatabaseError(f"unexpected WHERE node {node!r}")
-
-
-def _comparison(compare, left: Getter, right: Getter) -> Predicate:
-    def test(row):
-        a, b = left(row), right(row)
-        if a is None or b is None:
-            return False  # SQL three-valued logic: comparisons with NULL are not true
-        try:
-            return bool(compare(a, b))
-        except TypeError as exc:
-            raise DatabaseError(
-                f"cannot compare {type(a).__name__} with {type(b).__name__}"
-            ) from exc
-
-    return test
-
-
-def _like(operand: Getter, pattern) -> Predicate:
-    if pattern is None:
-        return lambda row: False
-    if not isinstance(pattern, str):
-        raise DatabaseError("LIKE requires string operands")
-    regex = _like_to_regex(pattern)
-
-    def test(row):
-        value = operand(row)
-        if value is None:
-            return False
-        if not isinstance(value, str):
-            raise DatabaseError("LIKE requires string operands")
-        return regex.match(value) is not None
-
-    return test
-
-
-def _indexed(table: Table, where, params: Tuple) -> Optional[List[int]]:
-    """The rowids a top-level ``column = value`` selects, through the
-    column's index or primary key; None when ``where`` needs a scan.  The
-    value is the one the compiled predicate compares with."""
-    if not (isinstance(where, ast.Compare) and where.op == "="):
-        return None
-    col, value = where.left, where.right
-    if isinstance(value, ast.ColumnRef):
-        col, value = value, col
-    if not isinstance(col, ast.ColumnRef) or isinstance(value, ast.ColumnRef):
-        return None
-    return table.lookup_equal(col.name, _operand(value, table.schema, params, col))
+def _mapped(exc: Exception) -> DatabaseError:
+    """The :class:`DatabaseError` an :mod:`sqlite3` error stands for."""
+    text = str(exc)
+    if isinstance(exc, sqlite3.IntegrityError):
+        return (TypeMismatchError if text.startswith("CHECK") else ConstraintError)(text)
+    if isinstance(exc, OverflowError) or "binding parameter" in text:
+        return TypeMismatchError(text)
+    if re.match(r"no such (table|column)|table \S+ (already exists|has no column)", text):
+        return CatalogError(text)
+    if re.search(r"syntax error|incomplete input|unrecognized token|bindings|one statement|"
+                 r"wrong number of arguments|misuse of aggregate|values for", text):
+        return SqlSyntaxError(text)
+    return StorageError(text)  # a corrupt, closed or unreadable file; a cell that is no UTF-8
 
 
 class Database:
-    """Catalog of tables + statement execution + transactions."""
+    """One SQLite connection (shared behind a lock), the paper's dialect,
+    typed errors, and a durable library's commit log.  ``path``,
+    ``commit_seq`` (the last commit) and ``token`` are None in memory."""
 
-    #: statement AST class -> metric label
-    _STATEMENT_KINDS = {
-        "Select": "select",
-        "Insert": "insert",
-        "Update": "update",
-        "Delete": "delete",
-        "CreateTable": "create",
-    }
-
-    def __init__(self, storage: Optional["repro.db.storage.Storage"] = None):
-        self.tables: Dict[str, Table] = {}
-        self._storage = storage
-        self._tx_snapshot = None
-        self._tx_statements: List[Tuple[str, Tuple]] = []
-        self._parsed: Dict[str, Tuple[ast.Statement, int]] = {}
-        # observability is opt-in (attach_obs); None keeps execute() lean
-        self._m_statements = None
-        self._m_seconds = None
-        # resilience is opt-in (attach_resilience); None keeps execute() lean
-        self._policies = None
-
-    def attach_obs(self, obs) -> None:
-        """Record per-statement counts and durations into ``obs``'s registry.
-
-        Takes a :class:`repro.obs.Obs`; attaching a disabled facade keeps
-        the no-instrumentation fast path.
-        """
-        if not obs.enabled:
-            self._m_statements = None
-            self._m_seconds = None
-            return
-        self._m_statements = obs.counter(
-            "repro_db_statements_total",
-            "SQL statements executed, by statement kind.",
-            labelnames=("kind",),
-        )
-        self._m_seconds = obs.histogram(
-            "repro_db_statement_seconds",
-            "Statement execution time (parse + dispatch).",
-            labelnames=("kind",),
-        )
-
-    def attach_resilience(self, policies) -> None:
-        """Fire ``policies``' ``db.execute`` fault point before each statement.
-
-        Takes a :class:`repro.resilience.ResiliencePolicies`.  A fault is
-        not retried: it fails the statement, so an open transaction rolls
-        back as it would on any other statement error.
-        """
-        self._policies = policies
-
-    # -- persistence -----------------------------------------------------------
+    def __init__(self, path: Optional[str] = None):
+        self.path, self._lock, self.commit_seq, self.token = path, threading.RLock(), None, None
+        #: the open transaction's logged statements (None: no transaction)
+        self._tx: Optional[List[Statement]] = None
+        self._parsed: Dict[str, Tuple[str, str]] = {}
+        self._dates: Optional[frozenset] = None  # the DATE columns (None: read again)
+        # observability and resilience are opt-in; None keeps execute() lean
+        self._m_statements = self._m_seconds = self._policies = None
+        self._conn = None
+        try:
+            self._conn = sqlite3.connect(path or ":memory:", isolation_level=None,
+                                         check_same_thread=False)
+            self._sql("PRAGMA case_sensitive_like = ON")
+            if path is not None:
+                if self._sql("PRAGMA journal_mode = WAL")[1] != [("wal",)]:
+                    raise StorageError("SQLite refuses WAL mode")
+                self._sql("PRAGMA synchronous = FULL")
+                self._sql("CREATE TABLE IF NOT EXISTS COMMITS (SEQ INTEGER PRIMARY KEY, BODY)")
+                self._sql("CREATE TABLE IF NOT EXISTS LIBRARY (TOKEN TEXT, BASE INTEGER)")
+                self._sql("INSERT INTO LIBRARY SELECT ?, 0 WHERE NOT EXISTS (SELECT * FROM LIBRARY)",
+                          (os.urandom(16).hex(),))
+                rows = self._sql("SELECT TOKEN, BASE FROM LIBRARY")[1]
+                if len(rows) != 1 or not (isinstance(rows[0][0], str) and type(rows[0][1]) is int):
+                    raise StorageError(f"the library table holds {rows!r}, not one token and base")
+                ((last,),) = self._sql("SELECT MAX(SEQ) FROM COMMITS")[1]
+                self.token, self.commit_seq = rows[0][0], rows[0][1] if last is None else last
+        except (sqlite3.Error, DatabaseError) as exc:
+            if self._conn is not None:
+                self._conn.close()
+            raise StorageError(f"cannot open {path}: {exc}") from exc
 
     @classmethod
     def open(cls, path) -> "Database":
-        """Open (or create) a durable database at ``path``.
-
-        Loads the snapshot if present, then replays the WAL.
-        """
-        from repro.db.storage import Storage
-
-        storage = Storage(path)
-        db = cls(storage=None)
-        storage.load_into(db)
-        db._storage = storage
-        return db
+        """Open (or create) the durable library at ``path``."""
+        path = os.fspath(path)
+        if os.path.exists(path) and not os.path.isfile(path):
+            raise StorageError(f"{path} is not a database file")
+        return cls(path)
 
     @property
     def is_durable(self) -> bool:
-        """True when the database is backed by on-disk storage."""
-        return self._storage is not None
+        return self.path is not None
 
-    @property
-    def path(self) -> Optional[str]:
-        """The storage file location (None for in-memory databases)."""
-        return self._storage.path if self._storage is not None else None
+    def attach_obs(self, obs) -> None:
+        """Count and time each statement in ``obs``'s registry (a disabled
+        :class:`repro.obs.Obs` keeps the uninstrumented path)."""
+        self._m_statements = self._m_seconds = None
+        if obs.enabled:
+            self._m_statements = obs.counter("repro_db_statements_total", "SQL statements "
+                                             "executed, by statement kind.", labelnames=("kind",))
+            self._m_seconds = obs.histogram("repro_db_statement_seconds", "Statement execution "
+                                            "time (parse + dispatch).", labelnames=("kind",))
 
-    @property
-    def log_path(self) -> Optional[str]:
-        """The write-ahead log's location (None for in-memory databases)."""
-        return self._storage.wal_path if self._storage is not None else None
+    def attach_resilience(self, policies) -> None:
+        """Fire ``policies``' ``db.execute`` fault point before each
+        statement; a fault fails the statement (no retry), so an open
+        transaction rolls back as on any other statement error."""
+        self._policies = policies
 
-    @property
-    def commit_seq(self) -> Optional[int]:
-        """The last committed write's sequence number (None in memory)."""
-        return self._storage.seq if self._storage is not None else None
-
-    @property
-    def token(self) -> Optional[str]:
-        """The library's token, minted at creation (None in memory)."""
-        return self._storage.token if self._storage is not None else None
-
-    def checkpoint(self) -> None:
-        """Write a full snapshot and restart the WAL (durable DBs only)."""
-        if self._storage is None:
+    def checkpoint(self, upto: Optional[int] = None) -> None:
+        """Drop the logged commits up to ``upto`` (default: all) and move
+        the log's base there (:meth:`_fold`), then checkpoint SQLite's WAL
+        passively, which does not truncate it (durable only)."""
+        if self.path is None:
             raise DatabaseError("checkpoint() requires a durable database")
-        self._storage.write_snapshot(self)
+        with self._lock:
+            self._fold(self.commit_seq if upto is None else min(upto, self.commit_seq))
+            self._sql("PRAGMA wal_checkpoint(PASSIVE)")
+
+    def _fold(self, upto: int) -> None:
+        with self.transaction():
+            self._sql("UPDATE LIBRARY SET BASE = MAX(BASE, ?)", (upto,))
+            self._sql("DELETE FROM COMMITS WHERE SEQ <= ?", (upto,))
 
     def close(self) -> None:
-        if self._storage is not None:
-            self._storage.close()
-            self._storage = None
+        with self._lock:
+            self._conn.close()
 
-    # -- transactions ------------------------------------------------------------
-
-    @property
-    def in_transaction(self) -> bool:
-        return self._tx_snapshot is not None
+    def _sql(self, text: str, params: Sequence = ()):
+        """``(cursor, rows)`` of one statement on the connection."""
+        with self._lock:
+            try:
+                cursor = self._conn.execute(text, params)
+                return cursor, cursor.fetchall()
+            except (sqlite3.Error, OverflowError, UnicodeDecodeError) as exc:
+                raise _mapped(exc) from exc
 
     def begin(self) -> None:
-        if self.in_transaction:
-            raise TransactionError("transaction already open")
-        self._tx_snapshot = {
-            name: (table, table.snapshot_state()) for name, table in self.tables.items()
-        }
-        self._tx_statements = []
+        with self._lock:
+            if self._tx is not None:
+                raise TransactionError("transaction already open")
+            self._sql("BEGIN IMMEDIATE")
+            self._tx = []
 
     def commit(self) -> None:
-        if not self.in_transaction:
-            raise TransactionError("no open transaction")
-        if self._storage is not None:
-            self._storage.log_transaction(self._tx_statements)
-        self._tx_snapshot = None
-        self._tx_statements = []
+        """Commit, logging the transaction's writes as one ``COMMITS`` row."""
+        with self._lock:
+            if self._tx is None:
+                raise TransactionError("no open transaction")
+            try:
+                if self._tx:
+                    self._sql("INSERT INTO COMMITS (SEQ, BODY) VALUES (?, ?)",
+                              (self.commit_seq + 1, encode_commit(self._tx)))
+                self._sql("COMMIT")
+            except BaseException:
+                self.rollback()
+                raise
+            if self._tx:
+                self.commit_seq += 1
+            self._tx = None
 
     def rollback(self) -> None:
-        if not self.in_transaction:
-            raise TransactionError("no open transaction")
-        # Restore exactly the pre-transaction catalog: tables created in the
-        # transaction vanish, data reverts.
-        restored: Dict[str, Table] = {}
-        for name, (table, state) in self._tx_snapshot.items():
-            table.restore_state(state)
-            restored[name] = table
-        self.tables = restored
-        self._tx_snapshot = None
-        self._tx_statements = []
+        with self._lock:
+            if self._tx is None:
+                raise TransactionError("no open transaction")
+            self._tx = self._dates = None  # a rolled-back CREATE TABLE takes its columns along
+            if self._conn.in_transaction:
+                self._sql("ROLLBACK")
 
     @contextlib.contextmanager
     def transaction(self):
@@ -372,153 +324,66 @@ class Database:
         except BaseException:
             self.rollback()
             raise
-        else:
-            self.commit()
-
-    # -- execution -------------------------------------------------------------------
+        self.commit()
 
     def execute(self, text: str, params: Sequence = ()) -> ResultSet:
-        """Parse and run one statement with optional ``?`` bind parameters."""
+        """Run one statement of the dialect with optional ``?`` bind parameters."""
         if self._policies is not None:
             self._policies.fire("db.execute")
         t0 = time.perf_counter() if self._m_statements is not None else 0.0
-        stmt, n_params = self._parse(text)
-        if len(params) != n_params:
-            raise SqlSyntaxError(
-                f"statement has {n_params} parameter(s), {len(params)} given"
-            )
-        is_write = not isinstance(stmt, ast.Select)
-        result = self._dispatch(stmt, tuple(params), text)
+        kind, sql = self._prepared(text)
+        values = tuple(map(_bind, params))
+        with self._lock:
+            if kind == "select":
+                result = self._select(sql, values)
+            else:  # a write: in the open transaction, or in its own
+                with self.transaction() if self._tx is None else contextlib.nullcontext():
+                    result = ResultSet(rowcount=max(self._sql(sql, values)[0].rowcount, 0))
+                    if self.path is not None:
+                        self._tx.append((text, tuple(params)))
+                if kind == "create":
+                    self._dates = None
         if self._m_statements is not None:
-            kind = self._STATEMENT_KINDS.get(type(stmt).__name__, "other")
             self._m_statements.labels(kind=kind).inc()
             self._m_seconds.labels(kind=kind).observe(time.perf_counter() - t0)
-        if is_write:
-            if self.in_transaction:
-                self._tx_statements.append((text, tuple(params)))
-            elif self._storage is not None:
-                self._storage.log_statement(text, tuple(params))
         return result
 
-    def _parse(self, text: str) -> Tuple[ast.Statement, int]:
-        """``ast.parse``, remembered by text: ingest runs the same few
-        INSERTs once per key frame.  The AST nodes are frozen, so a parse
-        can be shared -- except ``CREATE TABLE``'s, whose ``TableSchema``
-        becomes the live table's schema.  A malformed statement raises out
-        of ``ast.parse`` every time."""
-        parsed = self._parsed.get(text)
-        if parsed is None:
-            parsed = ast.parse(text)
-            if not isinstance(parsed[0], ast.CreateTable):
+    def _prepared(self, text: str) -> Tuple[str, str]:
+        """:func:`_prepare`, remembered by text (ingest runs the same few
+        INSERTs once per key frame); DDL runs once and is not kept."""
+        prepared = self._parsed.get(text)
+        if prepared is None:
+            prepared = _prepare(text)
+            if prepared[0] != "create":
                 if len(self._parsed) >= _PARSE_CACHE_SIZE:
                     self._parsed.clear()
-                self._parsed[text] = parsed
-        return parsed
+                self._parsed[text] = prepared
+        return prepared
 
-    def _dispatch(self, stmt, params: Tuple, text: str) -> ResultSet:
-        if isinstance(stmt, ast.CreateTable):
-            return self._create_table(stmt, text)
-        if isinstance(stmt, ast.Insert):
-            return self._insert(stmt, params, text)
-        if isinstance(stmt, ast.Select):
-            return self._select(stmt, params, text)
-        if isinstance(stmt, ast.Update):
-            return self._update(stmt, params, text)
-        if isinstance(stmt, ast.Delete):
-            return self._delete(stmt, params, text)
-        raise DatabaseError(f"unhandled statement type {type(stmt).__name__}")
-
-    def _get_table(self, name: str) -> Table:
-        table = self.tables.get(name.upper())
-        if table is None:
-            raise CatalogError(f"no such table {name.upper()!r}")
-        return table
-
-    def _create_table(self, stmt: ast.CreateTable, text: str) -> ResultSet:
-        name = stmt.schema.name
-        if name in self.tables:
-            raise CatalogError(f"table {name!r} already exists")
-        self.tables[name] = Table(stmt.schema)
-        return ResultSet(statement=text)
-
-    def _insert(self, stmt: ast.Insert, params: Tuple, text: str) -> ResultSet:
-        table = self._get_table(stmt.table)
-        values = [_value(v, params) for v in stmt.values]
-        columns = list(stmt.columns) if stmt.columns else table.schema.column_names
-        if len(columns) != len(values):
-            raise SqlSyntaxError(
-                f"INSERT into {table.name} has {len(columns)} columns, {len(values)} values"
-            )
-        table.insert(dict(zip(columns, values)))
-        return ResultSet(statement=text, rowcount=1)
-
-    def _rows_matching(self, table: Table, where, params: Tuple) -> List[Dict[str, object]]:
-        predicate = _compile(where, table.schema, params)
-        rowids = _indexed(table, where, params)
-        if rowids is not None:
-            return table.fetch(rowids)
-        return table.select_where(predicate)
-
-    def _rowids_matching(self, table: Table, where, params: Tuple) -> Optional[List[int]]:
-        """The rowids ``where`` selects; None when it selects every row."""
-        predicate = _compile(where, table.schema, params)
-        if where is None:
-            return None
-        rowids = _indexed(table, where, params)
-        return rowids if rowids is not None else table.scan(predicate)
-
-    def _select(self, stmt: ast.Select, params: Tuple, text: str) -> ResultSet:
-        table = self._get_table(stmt.table)
-        schema = table.schema
-        if stmt.aggregate is not None:
-            return self._max(table, stmt.aggregate, stmt.where, params, text)
-        for item in stmt.order_by:
-            if not schema.has_column(item.column):
-                raise CatalogError(f"ORDER BY references unknown column {item.column!r}")
-        wanted = [schema.column(c).name for c in stmt.columns] or schema.column_names
-        rows = self._rows_matching(table, stmt.where, params)
-        _read_lobs(schema, rows, [item.column.upper() for item in stmt.order_by])
-        for item in reversed(stmt.order_by):
-            col = item.column.upper()
-            rows.sort(
-                key=lambda r: (r[col] is None, r[col] if r[col] is not None else 0),
-                reverse=item.descending,
-            )
-        if stmt.columns:
-            rows = [{c: r[c] for c in wanted} for r in rows]
-        _read_lobs(schema, rows, wanted)
-        return ResultSet(rows=rows, rowcount=len(rows), statement=text)
-
-    def _max(
-        self, table: Table, agg: ast.Aggregate, where, params: Tuple, text: str
-    ) -> ResultSet:
-        """``MAX(col)`` over the matched rows: NULLs skipped, NULL when
-        none is left."""
-        column = table.schema.column(agg.column).name
-        cells = table.values(column, self._rowids_matching(table, where, params))
-        values = [v.read() if isinstance(v, Lob) else v for v in cells if v is not None]
-        result = max(values) if values else None
-        return ResultSet(rows=[{agg.label: result}], rowcount=1, statement=text)
-
-    def _update(self, stmt: ast.Update, params: Tuple, text: str) -> ResultSet:
-        table = self._get_table(stmt.table)
-        rowids = self._rowids_matching(table, stmt.where, params)
-        assignments = {col: _value(v, params) for col, v in stmt.assignments}
-        count = table.update_rows(assignments, rowids)
-        return ResultSet(statement=text, rowcount=count)
-
-    def _delete(self, stmt: ast.Delete, params: Tuple, text: str) -> ResultSet:
-        table = self._get_table(stmt.table)
-        count = table.delete_rows(self._rowids_matching(table, stmt.where, params))
-        return ResultSet(statement=text, rowcount=count)
-
-    # -- conveniences --------------------------------------------------------------------
+    def _select(self, sql: str, values: Tuple) -> ResultSet:
+        cursor, found = self._sql(sql, values)
+        names = [d[0].upper() for d in cursor.description]
+        rows = [dict(zip(names, row)) for row in found]
+        if self._dates is None:
+            self._dates = frozenset(name.upper() for (name,) in self._sql(
+                "SELECT p.name FROM sqlite_master AS m, pragma_table_info(m.name) AS p "
+                "WHERE m.type = 'table' AND p.type = 'DATE'")[1])
+        dates = self._dates.intersection(names)
+        try:
+            for row in rows if dates else ():
+                for name in dates:
+                    if row[name] is not None:
+                        row[name] = datetime.date.fromisoformat(row[name])
+        except (TypeError, ValueError) as exc:  # a cell no CHECK let through
+            raise StorageError(f"a DATE cell is no ISO date: {exc}") from exc
+        return ResultSet(rows, len(rows))
 
     def table_names(self) -> List[str]:
-        return sorted(self.tables)
-
-    def schema_of(self, name: str) -> TableSchema:
-        return self._get_table(name).schema
+        rows = self._sql("SELECT CAST(name AS TEXT) FROM sqlite_master WHERE type = 'table'")[1]
+        names = (name.upper() for (name,) in rows)
+        return sorted(n for n in names if n not in _OWN_TABLES or self.path is None)
 
     def create_index(self, table: str, column: str) -> None:
-        self._get_table(table).create_index(column)
+        """An index on ``table.column`` (kept if it exists)."""
+        name = f"IX_{quote_ident(table)}_{quote_ident(column)}".upper()
+        self._sql(f'CREATE INDEX IF NOT EXISTS "{name}" ON "{table}" ("{column}")')

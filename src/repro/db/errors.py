@@ -1,28 +1,15 @@
-"""Typed error hierarchy for the mini relational engine."""
+"""The typed errors every ``repro.db`` caller sees (sqlite3's are mapped into them)."""
 
-from __future__ import annotations
-
-__all__ = [
-    "DatabaseError",
-    "SqlSyntaxError",
-    "CatalogError",
-    "ConstraintError",
-    "TypeMismatchError",
-    "TransactionError",
-    "StorageError",
-]
+__all__ = ["DatabaseError", "SqlSyntaxError", "CatalogError", "ConstraintError",
+           "TypeMismatchError", "TransactionError", "StorageError"]
 
 
 class DatabaseError(Exception):
-    """Base class for every engine error."""
+    """Base class for every database error."""
 
 
 class SqlSyntaxError(DatabaseError):
-    """The SQL text could not be tokenized or parsed."""
-
-    def __init__(self, message: str, position: int = -1):
-        super().__init__(message if position < 0 else f"{message} (at position {position})")
-        self.position = position
+    """A statement outside the dialect, or one SQLite cannot parse."""
 
 
 class CatalogError(DatabaseError):
@@ -42,4 +29,4 @@ class TransactionError(DatabaseError):
 
 
 class StorageError(DatabaseError):
-    """Snapshot or WAL file is missing, truncated, or corrupt."""
+    """The library file or its commit log is unreadable, corrupt or closed."""

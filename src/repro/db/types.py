@@ -1,173 +1,80 @@
-"""Column types for the mini relational engine.
+"""The paper's column types (§3.4 DDL) and the ``COMMITS`` body codec.
 
-These mirror the types in the paper's DDL (§3.4)::
-
-    CREATE TABLE "VIDEO_STORE" (
-        "V_ID"   NUMBER NOT NULL ENABLE,
-        "V_NAME" VARCHAR2(60),
-        "VIDEO"  ORD_Video,
-        "STREAM" BLOB,
-        "DOSTORE" DATE, ...)
-
-Each type validates and canonicalizes Python values, and serializes them
-for the snapshot/WAL files.  ORD_VIDEO and ORD_IMAGE are Oracle interMedia
-object types; here they are BLOBs that additionally know how to decode
-their payload (RVF video bytes / PPM-PGM-BMP image bytes).  A BLOB cell
-loaded from the database file is a :class:`Lob` locator -- where its bytes
-sit in that file -- as Oracle keeps LOBs out of line; statements read it
-when they need the bytes.
+Each type is a named CHECK constraint on its SQLite column: a cell keeps
+the value it was bound with, and one that does not fit is refused.  A
+``COMMITS`` body is a CRC-32 of the rest, then JSON: a list of ``[text,
+[parameter, ...]]``, a BLOB parameter as ``{"b": base64}``, a date as
+``{"d": iso}``.
 """
 
 from __future__ import annotations
 
+import base64
+import binascii
 import datetime as _dt
-import struct
-from typing import Callable, Dict, Optional
+import json
+import zlib
+from typing import List, Optional, Tuple
 
 from repro.db.errors import StorageError, TypeMismatchError
 
-__all__ = [
-    "Lob",
-    "SqlType",
-    "NUMBER",
-    "VARCHAR2",
-    "DATE",
-    "BLOB",
-    "ORD_VIDEO",
-    "ORD_IMAGE",
-    "type_from_name",
-    "encode_value",
-    "encode_blob_head",
-    "decode_value",
-    "decode_rows",
-    "cell_checks",
-]
+__all__ = ["SqlType", "NUMBER", "VARCHAR2", "DATE", "BLOB", "ORD_VIDEO", "ORD_IMAGE",
+           "type_from_name", "encode_commit", "decode_commit"]
 
-#: value tags of the snapshot/WAL encoding (see :func:`encode_value`)
-_TAG_NULL = 0
-_TAG_INT = 1
-_TAG_FLOAT = 2
-_TAG_STR = 3
-_TAG_BYTES = 4
-_TAG_DATE = 5
+Statement = Tuple[str, Tuple]  # one logged statement: (text, params)
 
 
 class SqlType:
-    """Base class: a named type with validation and an SQL rendering."""
+    """A column type: its DDL spelling, the SQLite storage classes a cell
+    may hold besides NULL, the type SQLite is told (empty: no affinity, so
+    no conversion) and the CHECK that keeps a column to it."""
 
-    type_name = "ANY"
-    #: the value tags (besides NULL) a stored cell of this type may carry
-    tags: frozenset = frozenset()
-    #: of those, the tags whose decoded value :meth:`validate` always
-    #: returns unchanged
-    exact_tags: frozenset = frozenset()
+    type_name, storage, declared = "ANY", (), ""
 
-    def validate(self, value):
-        """Return the canonical Python value, or raise TypeMismatchError."""
-        return value
+    def check(self, column: str) -> str:
+        """The CHECK expression on ``column`` (quoted)."""
+        return f"typeof({column}) IN ({', '.join(repr(s) for s in self.storage + ('null',))})"
 
     def render(self) -> str:
-        """The type as it appears in DDL."""
         return self.type_name
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return self.render()
-
-    def __eq__(self, other) -> bool:
-        return type(self) is type(other) and self.__dict__ == other.__dict__
-
-    def __hash__(self) -> int:
-        return hash((type(self).__name__, tuple(sorted(self.__dict__.items()))))
 
 
 class NUMBER(SqlType):
-    """Oracle NUMBER: int or float (bools rejected -- they are not numbers)."""
+    """Oracle NUMBER: int or float (bools and NaN are refused at bind)."""
 
-    type_name = "NUMBER"
-    tags = frozenset({_TAG_INT, _TAG_FLOAT})
-    exact_tags = frozenset({_TAG_INT})  # a float may be NaN
-
-    def validate(self, value):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise TypeMismatchError(f"NUMBER expects int/float, got {type(value).__name__}")
-        if isinstance(value, float) and (value != value):  # NaN breaks ordering
-            raise TypeMismatchError("NUMBER cannot store NaN")
-        return value
+    type_name, storage = "NUMBER", ("integer", "real")
 
 
 class VARCHAR2(SqlType):
-    """Bounded string. ``VARCHAR2(60)`` rejects strings longer than 60."""
+    """Bounded string: ``VARCHAR2(60)`` refuses strings longer than 60."""
 
-    type_name = "VARCHAR2"
-    tags = frozenset({_TAG_STR})
+    type_name, storage = "VARCHAR2", ("text",)
 
     def __init__(self, max_length: int = 4000):
         if max_length < 1:
             raise TypeMismatchError("VARCHAR2 length must be >= 1")
         self.max_length = max_length
 
-    def validate(self, value):
-        if not isinstance(value, str):
-            raise TypeMismatchError(f"VARCHAR2 expects str, got {type(value).__name__}")
-        if len(value) > self.max_length:
-            raise TypeMismatchError(
-                f"value of length {len(value)} exceeds VARCHAR2({self.max_length})"
-            )
-        return value
+    def check(self, column: str) -> str:
+        return f"{super().check(column)} AND length({column}) <= {self.max_length}"
 
     def render(self) -> str:
         return f"VARCHAR2({self.max_length})"
 
 
 class DATE(SqlType):
-    """Calendar date (datetime.date). ISO-format strings are coerced."""
+    """Calendar date, stored as its ISO string."""
 
-    type_name = "DATE"
-    tags = frozenset({_TAG_DATE, _TAG_STR})  # an ISO string is coerced
-    exact_tags = frozenset({_TAG_DATE})
+    type_name = declared = "DATE"
 
-    def validate(self, value):
-        if isinstance(value, _dt.datetime):
-            return value.date()
-        if isinstance(value, _dt.date):
-            return value
-        if isinstance(value, str):
-            try:
-                return _dt.date.fromisoformat(value)
-            except ValueError as exc:
-                raise TypeMismatchError(f"DATE string must be ISO format: {value!r}") from exc
-        raise TypeMismatchError(f"DATE expects date or ISO string, got {type(value).__name__}")
-
-
-class Lob:
-    """A LOB locator: ``length`` bytes at ``offset`` in an open database
-    file, read by :meth:`read` (one ``pread``) only when a statement
-    needs them."""
-
-    __slots__ = ("file", "offset", "length")
-
-    def __init__(self, file, offset: int, length: int):
-        self.file = file
-        self.offset = offset
-        self.length = length
-
-    def read(self) -> bytes:
-        return self.file.read(self.offset, self.length)
+    def check(self, column: str) -> str:
+        return f"date({column}) IS {column}"
 
 
 class BLOB(SqlType):
-    """Arbitrary bytes (or a :class:`Lob` locator to them)."""
+    """Arbitrary bytes."""
 
-    type_name = "BLOB"
-    tags = frozenset({_TAG_BYTES})
-    exact_tags = tags
-
-    def validate(self, value):
-        if isinstance(value, bytearray):
-            return bytes(value)
-        if not isinstance(value, (bytes, Lob)):
-            raise TypeMismatchError(f"BLOB expects bytes, got {type(value).__name__}")
-        return value
+    type_name, storage = "BLOB", ("blob",)
 
 
 class ORD_VIDEO(BLOB):
@@ -196,143 +103,62 @@ class ORD_IMAGE(BLOB):
         return decode_image(value)
 
 
-_SIMPLE_TYPES = {
-    "NUMBER": NUMBER,
-    "DATE": DATE,
-    "BLOB": BLOB,
-    "ORDVIDEO": ORD_VIDEO,
-    "ORDIMAGE": ORD_IMAGE,
-}
+_SIMPLE_TYPES = {"NUMBER": NUMBER, "DATE": DATE, "BLOB": BLOB, "ORDVIDEO": ORD_VIDEO,
+                 "ORDIMAGE": ORD_IMAGE}
 
 
 def type_from_name(name: str, arg: Optional[int] = None) -> SqlType:
-    """Instantiate a type from its DDL spelling (case-insensitive).
-
-    Accepts the paper's spacing/underscore variants: ``ORD_Video``,
-    ``ORD_ Video`` and ``ORDVideo`` all mean :class:`ORD_VIDEO`.
-    """
+    """A type from its DDL spelling (case-insensitive; ``ORD_Video``,
+    ``ORD_ Video`` and ``ORDVideo`` all mean :class:`ORD_VIDEO`)."""
     key = name.upper().replace(" ", "").replace("_", "")
     if key in ("VARCHAR2", "VARCHAR"):
         return VARCHAR2(arg) if arg is not None else VARCHAR2()
-    cls = _SIMPLE_TYPES.get(key)
-    if cls is None:
+    if key not in _SIMPLE_TYPES:
         raise TypeMismatchError(f"unknown SQL type {name!r}")
     if arg is not None:
         raise TypeMismatchError(f"type {name} takes no length argument")
-    return cls()
+    return _SIMPLE_TYPES[key]()
 
 
-# ---------------------------------------------------------------------------
-# binary value encoding for snapshot/WAL files
-# ---------------------------------------------------------------------------
-
-_U32 = struct.Struct("<I")
-_I64 = struct.Struct("<q")
-_F64 = struct.Struct("<d")
-
-
-def encode_blob_head(length: int) -> bytes:
-    """The tag + length that precede ``length`` bytes of a BLOB cell."""
-    return bytes([_TAG_BYTES]) + _U32.pack(length)
-
-
-def encode_value(value) -> bytes:
-    """Tag + payload encoding of one cell value."""
-    if value is None:
-        return bytes([_TAG_NULL])
+def _tagged(value):
     if isinstance(value, bool):
         raise TypeMismatchError("bool is not a storable SQL value")
-    if isinstance(value, int):
-        return bytes([_TAG_INT]) + _I64.pack(value)
-    if isinstance(value, float):
-        return bytes([_TAG_FLOAT]) + _F64.pack(value)
-    if isinstance(value, str):
-        raw = value.encode("utf-8")
-        return bytes([_TAG_STR]) + _U32.pack(len(raw)) + raw
+    if value is None or isinstance(value, (int, float, str)):
+        return value
     if isinstance(value, (bytes, bytearray)):
-        return encode_blob_head(len(value)) + bytes(value)
+        return {"b": base64.b64encode(value).decode("ascii")}
     if isinstance(value, _dt.date):
-        raw = value.isoformat().encode("ascii")
-        return bytes([_TAG_DATE]) + _U32.pack(len(raw)) + raw
+        return {"d": value.isoformat()}
     raise TypeMismatchError(f"cannot encode value of type {type(value).__name__}")
 
 
-def cell_checks(sql_type: SqlType, nullable: bool) -> Dict[int, Optional[Callable]]:
-    """One column's cells as :func:`decode_rows` takes them: per value tag
-    the column may hold, the check a decoded value still needs -- None
-    where the decode already guarantees what ``sql_type.validate`` would
-    (an INT cell is an int, a BYTES cell a LOB).  NULL only if nullable."""
-    checks = {
-        tag: None if tag in sql_type.exact_tags else sql_type.validate for tag in sql_type.tags
-    }
-    if nullable:
-        checks[_TAG_NULL] = None
-    return checks
+def _untagged(item):
+    if item is None or type(item) in (int, float, str):
+        return item
+    if isinstance(item, dict) and len(item) == 1 and next(iter(item)) in ("b", "d"):
+        ((tag, text),) = item.items()
+        return base64.b64decode(text, validate=True) if tag == "b" else _dt.date.fromisoformat(text)
+    raise StorageError(f"{item!r} is no encoded value")
 
 
-def decode_rows(buf, offset: int, cells, n_rows: int, file=None, end=None):
-    """Decode ``n_rows`` rows at ``offset``; returns ``(rows, next_offset)``.
+def encode_commit(statements) -> bytes:
+    """One ``COMMITS`` body."""
+    rest = json.dumps([[text, [_tagged(v) for v in params]] for text, params in statements])
+    return zlib.crc32(rest.encode("ascii")).to_bytes(4, "little") + rest.encode("ascii")
 
-    ``cells`` holds one :func:`cell_checks` mapping per column: the value
-    tags it takes and the check each decoded value must still pass.  A
-    BYTES cell becomes a :class:`Lob` into ``file`` -- its length checked
-    against ``buf``, its bytes not copied -- or, without a file, bytes.
-    No row may run past ``end`` (default: the end of ``buf``).
-    """
-    size = len(buf) if end is None else end
-    rows = []
+
+def decode_commit(body: bytes) -> List[Statement]:
+    """The statements of one ``COMMITS`` body; one that fails its CRC or
+    does not hold statements is :class:`StorageError`."""
+    body = bytes(body)
+    if len(body) < 4 or int.from_bytes(body[:4], "little") != zlib.crc32(body[4:]):
+        raise StorageError("a commit body fails its CRC")
     try:
-        for _ in range(n_rows):
-            row = []
-            for checks in cells:
-                tag = buf[offset]
-                offset += 1
-                if tag not in checks:
-                    if tag == _TAG_NULL:
-                        raise StorageError("NULL in a NOT NULL column")
-                    raise StorageError(f"value tag {tag} where the column takes {sorted(checks)}")
-                if tag == _TAG_NULL:
-                    row.append(None)
-                    continue
-                if tag == _TAG_INT:
-                    value = _I64.unpack_from(buf, offset)[0]
-                    offset += 8
-                elif tag == _TAG_FLOAT:
-                    value = _F64.unpack_from(buf, offset)[0]
-                    offset += 8
-                else:
-                    n = _U32.unpack_from(buf, offset)[0]
-                    start, offset = offset + 4, offset + 4 + n
-                    if offset > size:
-                        what = "a LOB" if tag == _TAG_BYTES else "a value"
-                        raise StorageError(
-                            f"value payload truncated: the stream ends inside {what} at offset {start}"
-                        )
-                    if tag != _TAG_BYTES:
-                        value = buf[start:offset].decode("utf-8")
-                        if tag == _TAG_DATE:
-                            value = _dt.date.fromisoformat(value)
-                    elif file is None:
-                        value = buf[start:offset]
-                    else:
-                        value = Lob(file, start, n)
-                check = checks[tag]
-                row.append(value if check is None else check(value))
-            if offset > size:
-                raise StorageError("value stream truncated")
-            rows.append(tuple(row))
-    except (IndexError, struct.error) as exc:
-        raise StorageError("value stream truncated") from exc
-    except ValueError as exc:  # bad UTF-8, a malformed date
-        raise StorageError(f"corrupt encoded value: {exc}") from exc
-    return rows, offset
-
-
-#: :func:`decode_value`'s one column: any tag, no check
-_ANY_CELL = (dict.fromkeys(range(_TAG_DATE + 1)),)
-
-
-def decode_value(buf: bytes, offset: int):
-    """Decode one value; returns ``(value, next_offset)``."""
-    rows, offset = decode_rows(buf, offset, _ANY_CELL, 1)
-    return rows[0][0], offset
+        statements = json.loads(body[4:].decode("ascii"))
+        if not isinstance(statements, list) or not all(
+                isinstance(s, list) and len(s) == 2 and isinstance(s[0], str)
+                and isinstance(s[1], list) for s in statements):
+            raise StorageError("a commit body holds no list of statements")
+        return [(text, tuple(map(_untagged, params))) for text, params in statements]
+    except (ValueError, TypeError, RecursionError, binascii.Error) as exc:
+        raise StorageError(f"a commit body is malformed: {exc}") from exc

@@ -8,14 +8,14 @@ This package reproduces that measurement chain:
 - :mod:`repro.eval.groundtruth` -- relevance = same ground-truth category.
 - :mod:`repro.eval.userstudy` -- a panel of noisy simulated judges whose
   majority vote replaces the paper's human judgments.
-- :mod:`repro.eval.metrics` -- precision@k, recall, AP, MAP.
+- :mod:`repro.eval.metrics` -- precision@k, recall, AP.
 - :mod:`repro.eval.table1` -- the experiment driver that regenerates
   Table 1 end to end.
 - :mod:`repro.eval.clipquery` -- video P@5 / MAP of query by clip.
 """
 
 from repro.eval.groundtruth import CategoryGroundTruth
-from repro.eval.metrics import average_precision, mean_average_precision, precision_at_k, recall_at_k
+from repro.eval.metrics import average_precision, precision_at_k, recall_at_k
 from repro.eval.table1 import Table1Result, run_table1
 from repro.eval.userstudy import JudgePanel, NoisyJudge
 
@@ -24,7 +24,6 @@ __all__ = [
     "precision_at_k",
     "recall_at_k",
     "average_precision",
-    "mean_average_precision",
     "NoisyJudge",
     "JudgePanel",
     "run_table1",

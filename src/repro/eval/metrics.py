@@ -7,16 +7,9 @@ exact ground truth and the noisy user-study pipeline.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Sequence
 
-__all__ = [
-    "precision_at_k",
-    "recall_at_k",
-    "average_precision",
-    "mean_average_precision",
-    "precision_recall_curve",
-    "f1_at_k",
-]
+__all__ = ["precision_at_k", "recall_at_k", "average_precision"]
 
 
 def _check_k(k: int) -> None:
@@ -45,15 +38,6 @@ def recall_at_k(relevance: Sequence[bool], k: int, n_relevant: int) -> float:
     return min(1.0, found / float(n_relevant))
 
 
-def f1_at_k(relevance: Sequence[bool], k: int, n_relevant: int) -> float:
-    """Harmonic mean of precision@k and recall@k."""
-    p = precision_at_k(relevance, k)
-    r = recall_at_k(relevance, k, n_relevant)
-    if p + r <= 0:
-        return 0.0
-    return 2 * p * r / (p + r)
-
-
 def average_precision(relevance: Sequence[bool], n_relevant: int = None) -> float:
     """Mean of precision at each relevant rank (AP).
 
@@ -70,32 +54,3 @@ def average_precision(relevance: Sequence[bool], n_relevant: int = None) -> floa
     if denom is None or denom <= 0:
         return 0.0
     return precision_sum / denom
-
-
-def mean_average_precision(relevance_lists: Sequence[Sequence[bool]], n_relevant: Sequence[int] = None) -> float:
-    """MAP over queries."""
-    if not relevance_lists:
-        return 0.0
-    if n_relevant is None:
-        return sum(average_precision(r) for r in relevance_lists) / len(relevance_lists)
-    if len(n_relevant) != len(relevance_lists):
-        raise ValueError("n_relevant must align with relevance_lists")
-    return sum(
-        average_precision(r, n) for r, n in zip(relevance_lists, n_relevant)
-    ) / len(relevance_lists)
-
-
-def precision_recall_curve(relevance: Sequence[bool], n_relevant: int) -> List[tuple]:
-    """(recall, precision) points at every rank."""
-    points = []
-    hits = 0
-    for i, rel in enumerate(relevance):
-        if rel:
-            hits += 1
-        points.append(
-            (
-                hits / n_relevant if n_relevant > 0 else 0.0,
-                hits / (i + 1.0),
-            )
-        )
-    return points

@@ -29,7 +29,7 @@ from repro.imaging.color import (
     quantize_uniform,
 )
 from repro.imaging.resize import resize
-from repro.imaging.histogram import channel_histogram, gray_histogram, rgb_histogram
+from repro.imaging.histogram import gray_histogram
 from repro.imaging.filters import box_kernel, convolve2d, gaussian_kernel, sobel_gradients
 from repro.imaging.morphology import binary_close, binary_dilate, binary_erode, binary_open
 from repro.imaging.threshold import binarize, min_fuzziness_threshold
@@ -46,8 +46,6 @@ __all__ = [
     "quantize_uniform",
     "resize",
     "gray_histogram",
-    "rgb_histogram",
-    "channel_histogram",
     "convolve2d",
     "gaussian_kernel",
     "box_kernel",

@@ -1,7 +1,6 @@
 """Histogram computation.
 
-The range-finder index (§4.2) consumes a 256-bin gray-level histogram; the
-simple color histogram (§4.5) counts quantized color levels per channel.
+The range-finder index (§4.2) consumes a 256-bin gray-level histogram.
 """
 
 from __future__ import annotations
@@ -10,7 +9,7 @@ import numpy as np
 
 from repro.imaging.image import Image
 
-__all__ = ["gray_histogram", "channel_histogram", "rgb_histogram"]
+__all__ = ["gray_histogram"]
 
 
 def gray_histogram(image: Image, bins: int = 256) -> np.ndarray:
@@ -24,22 +23,3 @@ def gray_histogram(image: Image, bins: int = 256) -> np.ndarray:
         return np.bincount(gray.ravel(), minlength=256).astype(np.int64)
     idx = (gray.astype(np.int64) * bins) // 256
     return np.bincount(idx.ravel(), minlength=bins).astype(np.int64)
-
-
-def channel_histogram(image: Image, channel: int, bins: int = 256) -> np.ndarray:
-    """Histogram of a single RGB channel (0=R, 1=G, 2=B)."""
-    if not image.is_rgb:
-        raise ValueError("channel_histogram requires an RGB image")
-    if channel not in (0, 1, 2):
-        raise ValueError(f"channel must be 0, 1 or 2, got {channel}")
-    vals = image.pixels[:, :, channel].ravel()
-    if bins == 256:
-        return np.bincount(vals, minlength=256).astype(np.int64)
-    idx = (vals.astype(np.int64) * bins) // 256
-    return np.bincount(idx, minlength=bins).astype(np.int64)
-
-
-def rgb_histogram(image: Image, bins: int = 256) -> np.ndarray:
-    """Stacked per-channel histograms ``(3, bins)`` -- hr(i), hg(i), hb(i)."""
-    rgb = image.to_rgb()
-    return np.stack([channel_histogram(rgb, c, bins) for c in range(3)])

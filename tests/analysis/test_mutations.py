@@ -34,7 +34,7 @@ MUTATIONS = [
     ),
     pytest.param(
         "R9", "repro.db.engine",
-        'raise DatabaseError(f"unexpected WHERE node', 'raise ValueError(f"unexpected WHERE node',
+        'raise SqlSyntaxError(f"invalid SQL identifier', 'raise ValueError(f"invalid SQL identifier',
         id="R9-builtin-raise-in-db",
     ),
     pytest.param(
@@ -49,8 +49,8 @@ MUTATIONS = [
     ),
     pytest.param(
         "R14", "repro.db.engine",
-        "from repro.db.schema import TableSchema",
-        "from repro.db.schema import TableSchema; import repro.core.system",
+        "from repro.db.types import Statement, encode_commit, type_from_name",
+        "from repro.db.types import Statement, encode_commit, type_from_name; import repro.core",
         id="R14-db-imports-core",
     ),
     pytest.param(

@@ -427,7 +427,7 @@ class TestR16SqlDataflow:
         assert not run_rule(
             "R16",
             """
-            from repro.db.sql import build_select
+            from repro.db import build_select
 
             def fetch(db):
                 q = "SELECT id FROM videos WHERE id = ?"
@@ -452,7 +452,7 @@ class TestR16SqlDataflow:
         assert not run_rule(
             "R16",
             """
-            from repro.db.sql import build_insert, build_select
+            from repro.db import build_insert, build_select
 
             def store(db, columns, values):
                 db.execute(build_insert("KEY_FRAMES", columns), values)

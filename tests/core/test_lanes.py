@@ -185,7 +185,8 @@ class _LaneFailure(RuntimeError):
 
 def _library_state(system, directory):
     files = {}
-    for name in sorted(os.listdir(directory)):
+    # SQLite's -shm is its shared-memory WAL index: every read rewrites it
+    for name in sorted(n for n in os.listdir(directory) if not n.endswith("-shm")):
         with open(os.path.join(directory, name), "rb") as fh:
             files[name] = fh.read()
     return (

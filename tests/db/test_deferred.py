@@ -1,7 +1,10 @@
-"""Deferred tables: a database file opens without decoding a row; each
-table decodes its section once, at its first use, from any thread."""
+"""A library opens without reading a row; a statement reads the rows it
+needs from SQLite, whichever thread runs it (the facade's one connection
+is shared behind its lock)."""
 
 import os
+import re
+import sqlite3
 import sys
 import threading
 
@@ -10,7 +13,7 @@ import pytest
 
 from repro.core.config import SystemConfig
 from repro.core.system import VideoRetrievalSystem
-from repro.db import Database, storage
+from repro.db import Database
 from repro.db.errors import StorageError
 from repro.imaging.image import Image
 from repro.resilience.errors import FaultInjected
@@ -21,7 +24,7 @@ _ROWS = 50
 
 @pytest.fixture()
 def path(tmp_path):
-    """A checkpointed file: T (primary key, an indexed column, a BLOB), U."""
+    """A checkpointed library: T (primary key, a column to index, a BLOB), U."""
     p = str(tmp_path / "deferred.rdb")
     db = Database.open(p)
     db.execute("CREATE TABLE T (ID NUMBER PRIMARY KEY, G NUMBER, DATA BLOB)")
@@ -34,18 +37,35 @@ def path(tmp_path):
     return p
 
 
+_READS = re.compile(r'^(?!CREATE|EXPLAIN).*\b(?:FROM|INTO|UPDATE)\s+"?(T|U|KEY_FRAMES)\b', re.S)
+
+
+class _Reads(list):
+    """The statements SQLite ran on a user table's rows, by table."""
+
+    def of(self, table):
+        return [text for name, text in self if name == table]
+
+
 @pytest.fixture()
 def decodes(monkeypatch):
-    """The sections decoded, one entry per ``decode_rows`` call."""
-    calls = []
-    real = storage.decode_rows
+    """Every statement a connection opened from now on runs on T, U or
+    KEY_FRAMES (its DDL aside), as ``(table, text)``."""
+    reads = _Reads()
+    real = sqlite3.connect
 
-    def counting(*args):
-        calls.append(args[3])  # its row count
-        return real(*args)
+    def traced(text):
+        m = _READS.match(text)
+        if m:
+            reads.append((m.group(1), text))
 
-    monkeypatch.setattr(storage, "decode_rows", counting)
-    return calls
+    def connect(*args, **kwargs):
+        conn = real(*args, **kwargs)
+        conn.set_trace_callback(traced)
+        return conn
+
+    monkeypatch.setattr(sqlite3, "connect", connect)
+    return reads
 
 
 def _all(db):
@@ -55,52 +75,52 @@ def _all(db):
 class TestFirstUse:
     def test_open_decodes_no_row(self, path, decodes):
         db = Database.open(path)
-        assert all(table.deferred for table in db.tables.values())
         assert decodes == []
         assert db.execute("SELECT K FROM U").rows == [{"K": "u"}]
-        assert decodes == [1] and db.tables["T"].deferred
+        assert len(decodes.of("U")) == 1 and decodes.of("T") == []
         assert len(_all(db)) == _ROWS
         assert _all(db) == _all(db)
-        assert decodes == [1, _ROWS]
+        assert len(decodes.of("T")) == 3  # each statement reads what it needs
         db.close()
 
     def test_index_registered_on_a_deferred_table_is_built_at_decode(self, path, decodes):
         db = Database.open(path)
         db.create_index("T", "G")
-        assert decodes == [] and db.tables["T"].has_index("G")
+        assert decodes == []
+        (plan,) = db._conn.execute("EXPLAIN QUERY PLAN SELECT ID FROM T WHERE G = 3")
+        assert "USING INDEX IX_T_G" in plan[-1]
         rows = db.execute("SELECT ID FROM T WHERE G = ?", (3,)).rows
         assert [r["ID"] for r in rows] == list(range(3, _ROWS, 5))
-        assert decodes == [_ROWS]
+        assert len(decodes.of("T")) == 1
         db.close()
 
-    def test_concurrent_first_reads_decode_once(self, path, monkeypatch):
+    def test_concurrent_first_reads_decode_once(self, path, decodes):
+        """A second reader waits for the first one's statement: the
+        connection runs one at a time, and both see every row."""
         entered, release = threading.Event(), threading.Event()
-        calls = []
-        real = storage.decode_rows
-
-        def held(*args):
-            calls.append(args[3])
-            entered.set()
-            release.wait(5)
-            return real(*args)
-
-        monkeypatch.setattr(storage, "decode_rows", held)
         db = Database.open(path)
+
+        def held(text):
+            if "FROM T" in text and not entered.is_set():
+                entered.set()
+                release.wait(5)
+
+        db._conn.set_trace_callback(held)
         seen = []
         readers = [threading.Thread(target=lambda: seen.append(_all(db))) for _ in range(2)]
         readers[0].start()
         assert entered.wait(5)
-        readers[1].start()  # finds the decode under way, and waits for it
+        readers[1].start()  # finds the first statement under way, and waits
+        readers[1].join(0.2)
+        assert readers[1].is_alive() and seen == []
         release.set()
         for reader in readers:
             reader.join(5)
         assert not any(reader.is_alive() for reader in readers)
-        assert calls == [_ROWS]
         assert len(seen) == 2 and seen[0] == seen[1] and len(seen[0]) == _ROWS
         db.close()
 
     def test_many_first_readers_under_a_short_switch_interval(self, tmp_path, decodes):
-        # a section long enough (~1 ms to decode) for the readers to meet in it
         n_rows, big = 3000, str(tmp_path / "big.rdb")
         db = Database.open(big)
         db.execute("CREATE TABLE T (ID NUMBER PRIMARY KEY, G NUMBER, DATA BLOB)")
@@ -110,6 +130,7 @@ class TestFirstUse:
         db.checkpoint()
         db.close()
         db = Database.open(big)
+        decodes.clear()
         seen = []
         start = threading.Barrier(8)
 
@@ -128,7 +149,7 @@ class TestFirstUse:
         finally:
             sys.setswitchinterval(interval)
         assert not any(reader.is_alive() for reader in readers)
-        assert seen == [n_rows] * 8 and decodes == [n_rows]
+        assert seen == [n_rows] * 8 and len(decodes.of("T")) == 8
         db.close()
 
 
@@ -138,7 +159,7 @@ class TestTransactions:
         db.begin()
         db.execute("INSERT INTO U (K) VALUES ('v')")
         db.commit()
-        assert db.tables["T"].deferred and decodes == [1]
+        assert decodes.of("T") == [] and len(decodes.of("U")) == 1
         db.close()
 
     @pytest.mark.parametrize(
@@ -158,9 +179,8 @@ class TestTransactions:
         db.begin()
         db.execute(write)
         db.rollback()
-        assert db.tables["T"].deferred
         assert _all(db) == expected
-        assert decodes == [_ROWS, _ROWS]
+        assert decodes.of("T") == [write, "SELECT * FROM T ORDER BY ID NULLS LAST"]
         db.close()
 
 
@@ -175,9 +195,9 @@ class TestFailuresAtFirstUse:
     def test_truncated_file(self, path, keep):
         db = Database.open(path)
         os.truncate(path, int(os.path.getsize(path) * keep))
-        with pytest.raises(StorageError, match="table T"):
+        with pytest.raises(StorageError, match="malformed"):
             _all(db)
-        with pytest.raises(StorageError, match="table T"):  # and at every later use
+        with pytest.raises(StorageError, match="malformed"):  # and at every later use
             db.execute("SELECT MAX(ID) FROM T")
         db.close()
 
@@ -207,7 +227,7 @@ def library(tmp_path_factory):
 
 def _copy(library, tmp_path):
     path = str(tmp_path / "lib.rdb")
-    for suffix in ("", ".wal", ".snap"):
+    for suffix in ("", ".snap"):
         with open(library + suffix, "rb") as src, open(path + suffix, "wb") as dst:
             dst.write(src.read())
     return path
@@ -221,7 +241,7 @@ class TestLibrary:
         assert system.snapshots.served_from == "mmap" and len(hits) == 3
         assert decodes == []
         assert system.get_key_frame(hits[0].frame_id) == query
-        assert len(decodes) == 1  # KEY_FRAMES, for the image
+        assert len(decodes.of("KEY_FRAMES")) == 1  # the image's row
         system.close()
 
     @pytest.mark.parametrize(
@@ -232,9 +252,9 @@ class TestLibrary:
         system = VideoRetrievalSystem.open(path, _CONFIG)
         before = sql_rows(system.db), system.db.commit_seq
         system.close()
-        with open(path + ".wal", "rb") as fh:
-            log = fh.read()
         system = VideoRetrievalSystem.open(path, _CONFIG)
+        with open(path + "-wal", "rb") as fh:
+            log = fh.read()
         admin = system.admin
         writes = {
             "add": lambda: admin.add_video(_clip(9), name="crashed", category="misc"),
@@ -244,6 +264,6 @@ class TestLibrary:
         with _armed(system, f"db.execute:every={k}"), pytest.raises(FaultInjected):
             writes[op]()
         assert (sql_rows(system.db), system.db.commit_seq) == before
-        with open(path + ".wal", "rb") as fh:
+        with open(path + "-wal", "rb") as fh:
             assert fh.read() == log
         system.close()

@@ -1,13 +1,19 @@
-"""Durability tests: snapshots, WAL replay, crash tolerance."""
+"""Durability tests: one SQLite file in WAL mode, its commit log,
+checkpoints and crash tolerance."""
 
 import datetime
 import os
+import sqlite3
 
 import pytest
 
+from repro.core.ingest import apply_commits
+from repro.core.store import FeatureStore
 from repro.db import Database
-from repro.db.errors import SqlSyntaxError, StorageError
-from repro.db.storage import Storage, read_log
+from repro.core.snapshots import read_log
+from repro.db.types import decode_commit, encode_commit
+from repro.db.errors import DatabaseError, StorageError
+from tests.db.sqlite_wal import copy_open, cuts, frame_size, read_wal, wal_end
 
 
 @pytest.fixture()
@@ -61,10 +67,11 @@ class TestWalReplay:
     def test_selects_not_logged(self, path):
         db = Database.open(path)
         _populate(db)
-        size_before = os.path.getsize(path + ".wal")
+        size_before, seq = os.path.getsize(path + "-wal"), db.commit_seq
         for _ in range(5):
             db.execute("SELECT * FROM T")
-        assert os.path.getsize(path + ".wal") == size_before
+        assert os.path.getsize(path + "-wal") == size_before
+        assert db.commit_seq == seq == read_log(path).last
         db.close()
 
     def test_rolled_back_statements_not_logged(self, path):
@@ -91,58 +98,31 @@ class TestWalReplay:
 
 class TestCheckpoint:
     def test_checkpoint_restarts_wal_in_place(self, path):
-        """A checkpoint restarts the log at the folded commit by rewriting
-        its header: same file, nothing released, no commit left to replay."""
+        """A checkpoint drops the logged commits and moves the log's base
+        to the last one; SQLite's -wal stays the same file, no shorter."""
         db = Database.open(path)
         _populate(db)
-        before = os.stat(path + ".wal")
-        assert before.st_size > 28  # magic, commit sequence, library token
+        before = os.stat(path + "-wal")
         db.checkpoint()
-        after = os.stat(path + ".wal")
-        log = read_log(path + ".wal")
+        after = os.stat(path + "-wal")
+        log = read_log(path)
         assert log.base == db.commit_seq == 3 and log.commits == []
         assert after.st_ino == before.st_ino
         assert after.st_size >= before.st_size
         assert os.path.getsize(path) > 0
         db.close()
 
-    def test_checkpoint_order(self, path, monkeypatch):
-        """The database file's rename reaches the disk (a directory fsync)
-        before the log header names the new base; then that header is
-        made durable."""
+    def test_checkpoint_order(self, path):
+        """The logged commits are dropped in one transaction that also
+        moves the base; then SQLite's WAL is checkpointed, passively."""
         db = Database.open(path)
         _populate(db)
         calls = []
-        real_replace, real_fsync, real_pwrite = os.replace, os.fsync, os.pwrite
-
-        def replace(src, dst):
-            calls.append(("replace", dst))
-            return real_replace(src, dst)
-
-        def fsync(fd):
-            kind = "dir" if os.path.isdir(f"/proc/self/fd/{fd}") else os.readlink(
-                f"/proc/self/fd/{fd}"
-            )
-            calls.append(("fsync", kind))
-            return real_fsync(fd)
-
-        def pwrite(fd, data, offset):
-            calls.append(("pwrite", os.readlink(f"/proc/self/fd/{fd}"), offset))
-            return real_pwrite(fd, data, offset)
-
-        monkeypatch.setattr(os, "replace", replace)
-        monkeypatch.setattr(os, "fsync", fsync)
-        monkeypatch.setattr(os, "pwrite", pwrite)
+        db._conn.set_trace_callback(calls.append)
         db.checkpoint()
-        monkeypatch.undo()
-        wal = os.path.realpath(path + ".wal")
-        assert calls[1:] == [
-            ("replace", path),
-            ("fsync", "dir"),
-            ("pwrite", wal, 0),
-            ("fsync", wal),
-        ]
-        assert calls[0] == ("fsync", os.path.realpath(path + ".tmp"))
+        db._conn.set_trace_callback(None)
+        assert [c.split(" ")[0] for c in calls] == ["BEGIN", "UPDATE", "DELETE", "COMMIT", "PRAGMA"]
+        assert "COMMITS" in calls[2] and calls[4] == "PRAGMA wal_checkpoint(PASSIVE)"
         db.execute("INSERT INTO T (ID) VALUES (7)")
         db.close()
         assert _ids(path) == [1, 2, 7]
@@ -172,39 +152,44 @@ class TestCheckpoint:
         db2.close()
 
 
+def _open_copy(path, dest, wal):
+    """A copy of the open library at ``path`` with ``wal`` as its -wal."""
+    copy_open(path, dest, wal)
+    return dest
+
+
 class TestCrashTolerance:
-    def test_torn_wal_record_ignored(self, path):
+    def test_torn_wal_record_ignored(self, path, tmp_path):
         db = Database.open(path)
         _populate(db)
+        # a crash mid-append: the last commit's frames cut short
+        copy = _open_copy(path, str(tmp_path / "copy.rdb"), read_wal(path)[: wal_end(path) - 7])
         db.close()
-        # simulate a crash mid-append: chop bytes off the last record
-        with open(path + ".wal", "rb") as fh:
-            data = fh.read()
-        with open(path + ".wal", "wb") as fh:
-            fh.write(data[:-7])
-        db2 = Database.open(path)
+        db2 = Database.open(copy)
         # last insert lost, earlier statements intact
         assert len(db2.execute("SELECT * FROM T").rows) == 1
         db2.close()
 
-    def test_corrupt_crc_stops_replay(self, path):
+    def test_corrupt_crc_stops_replay(self, path, tmp_path):
         db = Database.open(path)
         _populate(db)
+        wal = bytearray(read_wal(path)[: wal_end(path)])
+        wal[-frame_size(path) + 20] ^= 0xFF  # a bit of the last frame's checksum
+        copy = _open_copy(path, str(tmp_path / "copy.rdb"), bytes(wal))
         db.close()
-        with open(path + ".wal", "rb") as fh:
-            data = bytearray(fh.read())
-        data[-2] ^= 0xFF  # flip a bit in the last record's CRC
-        with open(path + ".wal", "wb") as fh:
-            fh.write(bytes(data))
-        db2 = Database.open(path)
+        db2 = Database.open(copy)
         assert len(db2.execute("SELECT * FROM T").rows) == 1
         db2.close()
 
     def test_bad_wal_magic_rejected(self, path):
-        with open(path + ".wal", "wb") as fh:
-            fh.write(b"XXXX")
-        with pytest.raises(StorageError):
-            Database.open(path)
+        """A -wal that is not SQLite's replays nothing: the library opens
+        as its file holds it."""
+        db = Database.open(path)
+        _populate(db)
+        db.close()
+        with open(path + "-wal", "wb") as fh:
+            fh.write(b"XXXX" * 64)
+        assert _ids(path) == [1, 2]
 
     def test_bad_snapshot_magic_rejected(self, path):
         with open(path, "wb") as fh:
@@ -221,10 +206,13 @@ class TestCrashTolerance:
             VideoRetrievalSystem.open(tmp_path)
 
     def test_load_into_requires_empty(self, path):
-        db = Database()
-        db.execute("CREATE TABLE X (A NUMBER)")
-        with pytest.raises(StorageError):
-            Storage(path).load_into(db)
+        """A SQLite file whose LIBRARY table is not the facade's does not
+        open as a library."""
+        raw = sqlite3.connect(path)
+        raw.execute("CREATE TABLE LIBRARY (X)")
+        raw.close()
+        with pytest.raises(StorageError, match="LIBRARY"):
+            Database.open(path)
 
     def test_empty_files_mean_empty_db(self, path):
         db = Database.open(path)
@@ -232,91 +220,100 @@ class TestCrashTolerance:
         db.close()
 
     def test_logged_statement_outside_the_dialect(self, path):
-        """A log record that parses no more (``DROP TABLE``, say) stops
-        the open with the parser's typed error."""
+        """A logged commit that holds a statement no ingest makes
+        (``DROP TABLE``, say) stops the store's replay with a typed
+        error; the caller rebuilds from SQL."""
         db = Database.open(path)
         _populate(db)
         db.close()
-        storage = Storage(path)
-        storage.load_into(Database())
-        storage.log_statement("DROP TABLE T", ())
-        storage.close()
-        with pytest.raises(SqlSyntaxError):
-            Database.open(path)
+        raw = sqlite3.connect(path)
+        raw.execute("INSERT INTO COMMITS VALUES (4, ?)", (encode_commit([("DROP TABLE T", ())]),))
+        raw.commit()
+        raw.close()
+        log = read_log(path)
+        assert log.last == 4 and log.commits[-1] == [("DROP TABLE T", ())]
+        with pytest.raises(DatabaseError):
+            apply_commits(FeatureStore(), log.after(log.token, 3), ("sch",))
 
 
 class TestTransactionRecord:
-    """A committed transaction is one WAL record: one fsync, all or nothing."""
+    """A committed transaction is one SQLite commit and one COMMITS row:
+    one fsync, all or nothing."""
 
-    def _committed(self, path):
-        """A populated database plus one 3-statement transaction; returns
-        the WAL bytes and the size the WAL had before the transaction."""
+    def _committed(self, path, tmp_path):
+        """A populated library plus one 3-statement transaction; returns
+        a copy of the file from before it, the -wal after it and where
+        the transaction's frames start and end."""
         db = Database.open(path)
         _populate(db)
-        before = os.path.getsize(path + ".wal")
+        base = _open_copy(path, str(tmp_path / "base.rdb"), b"")
+        start = wal_end(path)
         with db.transaction():
             db.execute("INSERT INTO T (ID, NAME) VALUES (3, 'three')")
             db.execute("INSERT INTO T (ID, NAME, DATA) VALUES (?, ?, ?)", (4, "four", b"\xff" * 9))
             db.execute("DELETE FROM T WHERE ID = 1")
+        end, frame, wal = wal_end(path), frame_size(path), read_wal(path)
         db.close()
-        with open(path + ".wal", "rb") as fh:
-            return fh.read(), before
+        return base, wal[:end], (start, end, frame)
 
-    def test_one_fsync_per_transaction(self, path, monkeypatch):
+    def test_one_fsync_per_transaction(self, path):
+        """WAL mode with ``synchronous=FULL`` syncs once per commit; a
+        transaction is one commit, an auto-commit its own."""
         db = Database.open(path)
+        assert db._conn.execute("PRAGMA journal_mode").fetchall() == [("wal",)]
+        assert db._conn.execute("PRAGMA synchronous").fetchall() == [(2,)]  # FULL
         _populate(db)
-        synced = []
-        monkeypatch.setattr(os, "fsync", lambda fd: synced.append(fd))
+        seq = db.commit_seq
         with db.transaction():
             for i in range(10, 20):
                 db.execute("INSERT INTO T (ID) VALUES (?)", (i,))
-        assert len(synced) == 1
-        db.execute("INSERT INTO T (ID) VALUES (99)")  # auto-commit: its own record
-        assert len(synced) == 2
+        assert db.commit_seq == seq + 1
+        db.execute("INSERT INTO T (ID) VALUES (99)")  # auto-commit: its own commit
+        assert db.commit_seq == seq + 2
+        assert [len(c) for c in read_log(path, seq).commits] == [10, 1]
         db.close()
 
-    def test_truncated_anywhere_replays_all_or_none(self, path):
-        data, before = self._committed(path)
-        assert len(data) > before
-        for cut in range(before, len(data) + 1):
-            with open(path + ".wal", "wb") as fh:
-                fh.write(data[:cut])
-            db = Database.open(path)
+    def test_truncated_anywhere_replays_all_or_none(self, path, tmp_path):
+        base, wal, (start, end, frame) = self._committed(path, tmp_path)
+        assert end > start
+        copy = str(tmp_path / "copy.rdb")
+        for cut in cuts(start, end, frame, step=31):
+            copy_open(base, copy, wal[:cut])
+            db = Database.open(copy)
             ids = sorted(r["ID"] for r in db.execute("SELECT ID FROM T").rows)
             db.close()
-            assert ids == ([2, 3, 4] if cut == len(data) else [1, 2]), cut
+            assert ids == ([2, 3, 4] if cut == end else [1, 2]), cut
 
-    def test_flipped_byte_drops_the_whole_transaction(self, path):
-        data, before = self._committed(path)
-        for at in range(before, len(data), 7):
-            torn = bytearray(data)
+    def test_flipped_byte_drops_the_whole_transaction(self, path, tmp_path):
+        base, wal, (start, end, frame) = self._committed(path, tmp_path)
+        copy = str(tmp_path / "copy.rdb")
+        for at in range(start, end, 97):
+            torn = bytearray(wal)
             torn[at] ^= 0x55
-            with open(path + ".wal", "wb") as fh:
-                fh.write(bytes(torn))
-            db = Database.open(path)
+            copy_open(base, copy, bytes(torn))
+            db = Database.open(copy)
             ids = sorted(r["ID"] for r in db.execute("SELECT ID FROM T").rows)
             db.close()
             assert ids == [1, 2], at
 
     def test_per_statement_wal_still_replays(self, path):
-        """The pre-transaction-record layout: every statement its own record."""
+        """An auto-commit's body holds its one statement, a transaction's
+        each of its statements, in order."""
         db = Database.open(path)
         _populate(db)
         db.close()
-        storage = Storage(path)
-        storage.load_into(Database())
-        storage.log_statement("INSERT INTO T (ID, NAME) VALUES (?, ?)", (5, "five"))
-        storage.log_statement("DELETE FROM T WHERE ID = ?", (2,))
-        storage.close()
-        db = Database.open(path)
-        assert sorted(r["ID"] for r in db.execute("SELECT ID FROM T").rows) == [1, 5]
-        db.close()
+        log = read_log(path)
+        assert [len(commit) for commit in log.commits] == [1, 1, 1]
+        statements = [("INSERT INTO T (ID, NAME) VALUES (?, ?)", (5, "five")),
+                      ("DELETE FROM T WHERE ID = ?", (2,))]
+        assert decode_commit(encode_commit(statements)) == statements
+        assert decode_commit(encode_commit(statements[:1])) == statements[:1]
 
     def test_empty_transaction_writes_nothing(self, path):
         db = Database.open(path)
         _populate(db)
-        size = os.path.getsize(path + ".wal")
+        size, seq = os.path.getsize(path + "-wal"), db.commit_seq
         with db.transaction():
             db.execute("SELECT * FROM T")
-        assert os.path.getsize(path + ".wal") == size
+        assert os.path.getsize(path + "-wal") == size and db.commit_seq == seq
         db.close()

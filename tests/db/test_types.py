@@ -1,11 +1,14 @@
-"""Column type and value-codec tests."""
+"""Column type and value-codec tests: each type is a CHECK constraint
+of the facade's SQLite tables; the codec is a COMMITS body's."""
 
 import datetime
+import zlib
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.db import Database
 from repro.db.errors import StorageError, TypeMismatchError
 from repro.db.types import (
     BLOB,
@@ -14,36 +17,44 @@ from repro.db.types import (
     ORD_IMAGE,
     ORD_VIDEO,
     VARCHAR2,
-    decode_value,
-    encode_value,
+    decode_commit,
+    encode_commit,
     type_from_name,
 )
 
 
+def _stored(type_ddl, value):
+    """``value`` written to, and read back from, a column of ``type_ddl``:
+    the type is the column's CHECK constraint in the facade."""
+    db = Database()
+    db.execute(f"CREATE TABLE T (C {type_ddl})")
+    db.execute("INSERT INTO T (C) VALUES (?)", (value,))
+    return db.execute("SELECT C FROM T").scalar()
+
+
 class TestNumber:
     def test_accepts_int_and_float(self):
-        assert NUMBER().validate(5) == 5
-        assert NUMBER().validate(2.5) == 2.5
+        assert _stored("NUMBER", 5) == 5
+        assert _stored("NUMBER", 2.5) == 2.5
 
     def test_rejects_bool_str_nan(self):
         with pytest.raises(TypeMismatchError):
-            NUMBER().validate(True)
+            _stored("NUMBER", True)
         with pytest.raises(TypeMismatchError):
-            NUMBER().validate("5")
+            _stored("NUMBER", "5")
         with pytest.raises(TypeMismatchError):
-            NUMBER().validate(float("nan"))
+            _stored("NUMBER", float("nan"))
 
 
 class TestVarchar:
     def test_length_enforced(self):
-        t = VARCHAR2(3)
-        assert t.validate("abc") == "abc"
-        with pytest.raises(TypeMismatchError):
-            t.validate("abcd")
+        assert _stored("VARCHAR2(3)", "abc") == "abc"
+        with pytest.raises(TypeMismatchError, match=r"C VARCHAR2\(3\)"):
+            _stored("VARCHAR2(3)", "abcd")
 
     def test_rejects_non_str(self):
         with pytest.raises(TypeMismatchError):
-            VARCHAR2(10).validate(b"bytes")
+            _stored("VARCHAR2(10)", b"bytes")
 
     def test_render(self):
         assert VARCHAR2(60).render() == "VARCHAR2(60)"
@@ -56,25 +67,25 @@ class TestVarchar:
 class TestDate:
     def test_accepts_date_datetime_iso(self):
         d = datetime.date(2012, 10, 5)
-        assert DATE().validate(d) == d
-        assert DATE().validate(datetime.datetime(2012, 10, 5, 12, 30)) == d
-        assert DATE().validate("2012-10-05") == d
+        assert _stored("DATE", d) == d
+        assert _stored("DATE", datetime.datetime(2012, 10, 5, 12, 30)) == d
+        assert _stored("DATE", "2012-10-05") == d
 
     def test_rejects_garbage(self):
         with pytest.raises(TypeMismatchError):
-            DATE().validate("October 5")
+            _stored("DATE", "October 5")
         with pytest.raises(TypeMismatchError):
-            DATE().validate(123)
+            _stored("DATE", 123)
 
 
 class TestBlob:
     def test_accepts_bytes_and_bytearray(self):
-        assert BLOB().validate(b"\x00\x01") == b"\x00\x01"
-        assert BLOB().validate(bytearray(b"xy")) == b"xy"
+        assert _stored("BLOB", b"\x00\x01") == b"\x00\x01"
+        assert _stored("BLOB", bytearray(b"xy")) == b"xy"
 
     def test_rejects_str(self):
         with pytest.raises(TypeMismatchError):
-            BLOB().validate("text")
+            _stored("BLOB", "text")
 
 
 class TestOrdTypes:
@@ -118,7 +129,19 @@ class TestTypeFromName:
             type_from_name("NUMBER", 10)
 
 
+def encode_value(value) -> bytes:
+    """One value as a ``COMMITS`` body carries it: a parameter."""
+    return encode_commit([("", (value,))])
+
+
+def decode_value(body: bytes):
+    ((_text, (value,)),) = decode_commit(body)
+    return value
+
+
 class TestValueCodec:
+    """Each parameter type a ``COMMITS`` body carries, round-tripped."""
+
     CASES = [
         None,
         0,
@@ -135,17 +158,13 @@ class TestValueCodec:
 
     @pytest.mark.parametrize("value", CASES, ids=repr)
     def test_roundtrip(self, value):
-        buf = encode_value(value)
-        decoded, offset = decode_value(buf, 0)
-        assert decoded == value
-        assert offset == len(buf)
+        decoded = decode_value(encode_value(value))
+        assert decoded == value and type(decoded) is type(value)
 
     def test_stream_of_values(self):
-        buf = b"".join(encode_value(v) for v in self.CASES)
-        offset = 0
-        for expected in self.CASES:
-            value, offset = decode_value(buf, offset)
-            assert value == expected
+        body = encode_commit([("A", tuple(self.CASES)), ("B", tuple(reversed(self.CASES)))])
+        assert decode_commit(body) == [("A", tuple(self.CASES)),
+                                       ("B", tuple(reversed(self.CASES)))]
 
     def test_bool_rejected(self):
         with pytest.raises(TypeMismatchError):
@@ -156,15 +175,15 @@ class TestValueCodec:
             encode_value(object())
 
     def test_truncated_stream(self):
-        buf = encode_value("hello")
-        with pytest.raises(StorageError):
-            decode_value(buf[:3], 0)
-        with pytest.raises(StorageError):
-            decode_value(b"", 0)
+        body = encode_value("hello")
+        for cut in range(len(body)):
+            with pytest.raises(StorageError):
+                decode_value(body[:cut])
 
     def test_unknown_tag(self):
-        with pytest.raises(StorageError):
-            decode_value(b"\xfe", 0)
+        rest = b'[["", [{"x": "1"}]]]'
+        with pytest.raises(StorageError, match="no encoded value"):
+            decode_value(zlib.crc32(rest).to_bytes(4, "little") + rest)
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -178,5 +197,4 @@ class TestValueCodec:
         )
     )
     def test_roundtrip_property(self, value):
-        decoded, _ = decode_value(encode_value(value), 0)
-        assert decoded == value
+        assert decode_value(encode_value(value)) == value

@@ -4,14 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.eval.metrics import (
-    average_precision,
-    f1_at_k,
-    mean_average_precision,
-    precision_at_k,
-    precision_recall_curve,
-    recall_at_k,
-)
+from repro.eval.metrics import average_precision, precision_at_k, recall_at_k
 
 rel_list = st.lists(st.booleans(), min_size=0, max_size=50)
 
@@ -61,15 +54,6 @@ class TestRecall:
         assert recall_at_k([True, True, True], 3, n_relevant=2) == 1.0
 
 
-class TestF1:
-    def test_harmonic_mean(self):
-        # p = 0.5, r = 1.0 -> f1 = 2/3
-        assert f1_at_k([True, False], 2, n_relevant=1) == pytest.approx(2 / 3)
-
-    def test_zero_when_nothing_found(self):
-        assert f1_at_k([False, False], 2, n_relevant=3) == 0.0
-
-
 class TestAveragePrecision:
     def test_perfect_ranking(self):
         assert average_precision([True, True, False, False]) == 1.0
@@ -88,29 +72,7 @@ class TestAveragePrecision:
         assert average_precision([]) == 0.0
         assert average_precision([False, False]) == 0.0
 
-    def test_map(self):
-        lists = [[True], [False]]
-        assert mean_average_precision(lists) == pytest.approx(0.5)
-        assert mean_average_precision([]) == 0.0
-
-    def test_map_with_counts_validates(self):
-        with pytest.raises(ValueError):
-            mean_average_precision([[True]], n_relevant=[1, 2])
-
     @settings(max_examples=40, deadline=None)
     @given(rel=rel_list)
     def test_ap_bounds(self, rel):
         assert 0.0 <= average_precision(rel) <= 1.0
-
-
-class TestPrCurve:
-    def test_points(self):
-        pts = precision_recall_curve([True, False, True], n_relevant=2)
-        assert pts[0] == (0.5, 1.0)
-        assert pts[1] == (0.5, 0.5)
-        assert pts[2] == (1.0, 2 / 3)
-
-    def test_recall_monotone(self):
-        pts = precision_recall_curve([True, False, True, True], n_relevant=3)
-        recalls = [r for r, _p in pts]
-        assert recalls == sorted(recalls)

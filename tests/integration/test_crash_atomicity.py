@@ -1,9 +1,10 @@
 """A crash in the middle of ``add_video``'s commit: all of the video or none.
 
 The SQL transaction (one VIDEO_STORE row + one KEY_FRAMES row per key
-frame) is one WAL record, so whatever prefix of it reached the disk, the
-library reopens with either the previous video set or the whole new video
--- never a video with some of its key frames.
+frame + its ``COMMITS`` row) is one SQLite commit in the library's
+``-wal``, so whatever prefix of it reached the disk, the library reopens
+with either the previous video set or the whole new video -- never a
+video with some of its key frames.
 """
 
 import os
@@ -14,8 +15,8 @@ import numpy as np
 from repro.core.config import SystemConfig
 from repro.core.system import VideoRetrievalSystem
 from repro.db import Database
-from repro.db.storage import read_log
 from repro.imaging.image import Image
+from tests.db.sqlite_wal import copy_open, cuts, frame_size, read_wal, wal_end
 
 _CONFIG = SystemConfig(features=("regions",), keyframe_base_size=60)
 
@@ -38,37 +39,35 @@ def test_wal_cut_anywhere_inside_add_video_is_all_or_nothing(tmp_path):
     path = str(tmp_path / "library.rdb")
     system = VideoRetrievalSystem.open(path, _CONFIG)
     system.admin.add_video(_clip(1), name="first")
-    system.db.checkpoint()  # the first video is in the SQL snapshot: replays stay short
-    before_size = read_log(path + ".wal").end  # where the add's record starts
+    system.db.checkpoint()  # the first video is in the database file
     before_state = _state(system.db)
     report = system.admin.add_video(_clip(2), name="second")
     after_state = _state(system.db)
-    system.close()
     assert report.n_keyframes >= 2  # a partial video would be representable
     assert len(after_state[1]) == len(before_state[1]) + report.n_keyframes
-
-    with open(path + ".wal", "rb") as fh:
-        wal = fh.read(read_log(path + ".wal").end)
-    assert len(wal) > before_size
+    # the checkpoint emptied the WAL, so the add's frames start after its header
+    end, frame = wal_end(path), frame_size(path)
+    wal = read_wal(path)[:end]
     work = str(tmp_path / "cut")
     os.makedirs(work)
-    copy = os.path.join(work, "library.rdb")
-    shutil.copy2(path, copy)
-    for cut in range(before_size, len(wal) + 1):
-        with open(copy + ".wal", "wb") as fh:
-            fh.write(wal[:cut])
-        whole = cut == len(wal)
+    copy, base = os.path.join(work, "library.rdb"), str(tmp_path / "base.rdb")
+    copy_open(path, base, b"")  # the database file as the add found it
+    system.close()
+    for name in os.listdir(tmp_path):
+        if name.startswith("library.rdb.snap"):
+            shutil.copy2(os.path.join(tmp_path, name), work)
+    assert end > frame
+    checked = 0
+    for cut in cuts(0, end, frame):
+        copy_open(base, copy, wal[:cut])
+        whole = cut == end
         db = Database.open(copy)
         try:
             assert _state(db) == (after_state if whole else before_state), cut
         finally:
             db.close()
-        if whole or (cut - before_size) % 997 == 0:
-            # the whole system on the same bytes: the store-level snapshot
-            # WAL never heard of a torn commit, and the store follows SQL
-            for name in os.listdir(tmp_path):
-                if name.startswith("library.rdb.snap"):
-                    shutil.copy2(os.path.join(tmp_path, name), work)
+        if whole or checked % 25 == 0:
+            # the whole system on the same bytes: the store follows SQL
             reopened = VideoRetrievalSystem.open(copy, _CONFIG)
             try:
                 want = after_state if whole else before_state
@@ -77,3 +76,4 @@ def test_wal_cut_anywhere_inside_add_video_is_all_or_nothing(tmp_path):
                 assert reopened.feature_store.video_ids() == want[0]
             finally:
                 reopened.close()
+        checked += 1

@@ -543,7 +543,7 @@ class SystemConsistency(RuleBasedStateMachine):
         db = self.system.db
 
         def state():
-            with open(self.path + ".wal", "rb") as fh:
+            with open(self.path + "-wal", "rb") as fh:
                 return sql_rows(db), db.commit_seq, self.system._store.generation, fh.read()
 
         before = state()

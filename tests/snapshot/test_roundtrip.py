@@ -19,7 +19,7 @@ from repro.core.config import SystemConfig
 from repro.core.snapshots import SnapshotRequiredError, open_snapshot_store
 from repro.core.system import VideoRetrievalSystem
 from repro.db.errors import StorageError
-from repro.db.storage import read_log
+from repro.core.snapshots import read_log
 from repro.snapshot import Snapshot
 from repro.video.generator import VideoSpec, generate_video
 from tests.core.clip_reference import reference_frame_ranking
@@ -134,7 +134,7 @@ class TestWalReplay:
         system.admin.checkpoint()
         stats = system.metrics()["snapshot"]
         assert (stats["commit_seq"], stats["commits_behind"]) == (system.db.commit_seq, 0)
-        log = read_log(lib + ".wal")
+        log = read_log(lib)
         assert (log.base, log.commits) == (system.db.commit_seq, [])
         system.close()
         fresh = VideoRetrievalSystem.open(lib, SystemConfig())
@@ -143,20 +143,28 @@ class TestWalReplay:
         fresh.close()
 
     def test_add_video_fsyncs_once(self, library, monkeypatch):
-        """One history: the commit's log record is the only durable write."""
+        """One history: an add is one SQLite commit -- one ``COMMITS`` row
+        in WAL mode with ``synchronous=FULL``, which syncs the WAL once
+        per commit -- and nothing else is synced from Python."""
         lib, _ = library
         system = VideoRetrievalSystem.open(lib, SystemConfig())
+        conn = system.db._conn
+        assert conn.execute("PRAGMA journal_mode").fetchone() == ("wal",)
+        assert conn.execute("PRAGMA synchronous").fetchone() == (2,)  # FULL
         synced = []
         real = os.fsync
         monkeypatch.setattr(os, "fsync", lambda fd: (synced.append(fd), real(fd)))
-        system.admin.add_video(_video(46, "movies"))
-        assert len(synced) == 1
+        before = system.db.commit_seq
+        report = system.admin.add_video(_video(46, "movies"))
+        assert synced == [] and system.db.commit_seq == before + 1
+        (commit,) = read_log(lib, before).commits  # the video row + its key frames
+        assert len(commit) == 1 + report.n_keyframes
         monkeypatch.undo()
         system.close()
 
     def test_crash_between_database_file_and_log_restart(self, library, monkeypatch):
-        """A checkpoint killed right after the database file's rename: the
-        log still holds the commits the file folded, and replay skips them."""
+        """A checkpoint killed right after the image's rename: the log
+        still holds the commits the image holds, and replay skips them."""
         lib, query = library
         writer = VideoRetrievalSystem.open(lib, SystemConfig())
         writer.admin.add_video(_video(47, "movies"))
@@ -166,7 +174,7 @@ class TestWalReplay:
 
         def crash_after_rename(src, dst):
             real(src, dst)
-            if dst == lib:
+            if dst == lib + ".snap":
                 raise _Crash
 
         monkeypatch.setattr(os, "replace", crash_after_rename)
@@ -174,7 +182,7 @@ class TestWalReplay:
             writer.admin.checkpoint()
         monkeypatch.undo()
         writer.close()
-        assert read_log(lib + ".wal").commits  # the log was not restarted
+        assert read_log(lib).commits  # the log was not folded
 
         reopened = VideoRetrievalSystem.open(lib, SystemConfig())
         rebuilt = VideoRetrievalSystem.open(lib, SystemConfig(snapshot="off"))

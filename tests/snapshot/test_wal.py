@@ -1,15 +1,16 @@
-"""The database log as the store reads it: one commit sequence, torn
-tails, the stamps a log cannot reach, and a log a checkpoint recycles."""
+"""The database log as the store reads it: one commit sequence in
+``COMMITS``, torn tails of SQLite's ``-wal``, the stamps a log cannot
+reach, and a ``-wal`` a checkpoint recycles."""
 
 import os
-import shutil
-import struct
+import sqlite3
 
 import pytest
 
 from repro.db import Database
+from repro.core.snapshots import read_log
 from repro.db.errors import StorageError
-from repro.db.storage import read_log
+from tests.db.sqlite_wal import copy_open, cuts, frame_size, read_wal, wal_end
 
 _INSERT = "INSERT INTO T (ID, NAME) VALUES (?, ?)"
 
@@ -39,19 +40,20 @@ def _ids(path):
 
 class TestWriterAndReader:
     def test_absent_wal_is_empty(self, path):
-        assert read_log(path + ".wal") is None
+        assert read_log(path) is None
         db = Database.open(path)
         assert db.commit_seq == 0 and len(db.token) == 32
         db.close()
-        assert read_log(path + ".wal") is None  # nothing committed, nothing written
+        log = read_log(path)  # nothing committed, nothing logged
+        assert (log.base, log.commits, log.token) == (0, [], db.token)
 
     def test_round_trip(self, path):
         db = _opened(path, 1)  # commits 1 (the table) and 2
-        with db.transaction():  # commit 3: one record, two statements
+        with db.transaction():  # commit 3: one row, two statements
             db.execute(_INSERT, (2, "two"))
             db.execute("DELETE FROM T WHERE ID = ?", (1,))
         assert db.commit_seq == 3
-        log = read_log(path + ".wal")
+        log = read_log(path)
         assert (log.base, log.last, log.token) == (0, 3, db.token)
         assert log.after(db.token, 1) == [
             [(_INSERT, (1, "n1"))],
@@ -65,20 +67,20 @@ class TestWriterAndReader:
         assert db.commit_seq == 3
         token = db.token
         db.close()
-        log = read_log(path + ".wal")
+        log = read_log(path)
         assert (log.base, log.last, log.token) == (0, 3, token)
         assert log.after(token, 2) == [[(_INSERT, (2, "n2"))]]
 
     def test_remove_wal(self, path):
-        """A checkpoint folds the log into the database file and restarts
-        the log at its last commit; the sequence goes on from there."""
+        """A checkpoint drops the logged commits and moves the log's base
+        to the last one; the sequence goes on from there."""
         db = _opened(path, 1)
         db.checkpoint()
-        log = read_log(path + ".wal")
+        log = read_log(path)
         assert (log.base, log.commits) == (2, [])
         db.execute(_INSERT, (2, "n2"))
         db.close()
-        assert read_log(path + ".wal").last == 3
+        assert read_log(path).last == 3
         reopened = Database.open(path)
         assert reopened.commit_seq == 3
         reopened.close()
@@ -86,19 +88,21 @@ class TestWriterAndReader:
 
 
 class TestDamage:
-    def test_torn_final_line_dropped(self, path):
-        _opened(path, 1, 2).close()
-        with open(path + ".wal", "rb") as fh:
-            data = fh.read()
-        with open(path + ".wal", "wb") as fh:
-            fh.write(data[:-5])  # crash mid-append of commit 3
-        assert read_log(path + ".wal").last == 2
-        db = _opened(path, 3)  # overwrites the torn record: still commit 3
+    def test_torn_final_line_dropped(self, tmp_path, path):
+        """A crash mid-commit (commit 3's frames cut short in the copy of
+        ``-wal``) reopens at commit 2; the next write is commit 3 again."""
+        db = _opened(path, 1)
+        db.execute(_INSERT, (2, "n2"))
+        copy = str(tmp_path / "copy.rdb")
+        copy_open(path, copy, read_wal(path)[: wal_end(path) - 5])
+        db.close()
+        assert read_log(copy).last == 2
+        db = _opened(copy, 3)  # commit 3 again
         assert db.commit_seq == 3
         token = db.token
         db.close()
-        assert read_log(path + ".wal").after(token, 2) == [[(_INSERT, (3, "n3"))]]
-        assert _ids(path) == [1, 3]
+        assert read_log(copy).after(token, 2) == [[(_INSERT, (3, "n3"))]]
+        assert _ids(copy) == [1, 3]
 
     def test_stale_base_generation(self, path):
         """A stamp the log's base has passed: those commits are folded."""
@@ -107,7 +111,7 @@ class TestDamage:
         db.execute(_INSERT, (2, "n2"))
         token = db.token
         db.close()
-        log = read_log(path + ".wal")
+        log = read_log(path)
         assert log.after(token, 2) == [[(_INSERT, (2, "n2"))]]
         with pytest.raises(StorageError, match="not those after 1"):
             log.after(token, 1)
@@ -117,101 +121,96 @@ class TestDamage:
             log.after("0" * 32, 2)
 
     def test_sequence_gap(self, path):
-        """A log that does not continue the database file is refused:
-        one whose base skips commits, or another library's."""
-        db = _opened(path, 1)
-        db.checkpoint()
-        db.execute(_INSERT, (2, "n2"))
+        """A log that skips commits, or a library table that is not one
+        row, is refused."""
+        db = _opened(path, 1, 2, 3)
         db.close()
-        with open(path + ".wal", "rb") as fh:
-            good = fh.read()
-        for offset, field in ((4, struct.pack("<Q", 5)), (12, bytes(16))):
-            with open(path + ".wal", "wb") as fh:
-                fh.write(good[:offset] + field + good[offset + len(field) :])
-            with pytest.raises(StorageError):
-                Database.open(path)
-        with open(path + ".wal", "wb") as fh:
-            fh.write(good)
-        assert _ids(path) == [1, 2]
+        raw = sqlite3.connect(path)
+        raw.execute("DELETE FROM COMMITS WHERE SEQ = 3")
+        raw.commit()
+        with pytest.raises(StorageError, match="gap after commit 0"):
+            read_log(path)
+        assert read_log(path, 3).commits == [[(_INSERT, (3, "n3"))]]
+        raw.execute("INSERT INTO LIBRARY VALUES ('x', 0)")
+        raw.commit()
+        raw.close()
+        with pytest.raises(StorageError, match="not one token and base"):
+            Database.open(path)
+        with pytest.raises(StorageError, match="not one token and base"):
+            read_log(path)
 
 
 class TestRecycledLog:
-    """A checkpoint restarts the log in place, so the bytes of the previous
-    generation stay behind the new commits.  None of them may replay."""
+    """After a checkpoint SQLite starts its ``-wal`` over in place, so the
+    frames of the previous generation stay behind the new commits.  None
+    of them may replay."""
 
     K, J = 6, 3
 
-    def _recycled(self, path, name_len):
-        """K commits, a checkpoint, J - 1 commits, then the J-th; returns
-        the log before and after that last append and the id lists after
-        J - 1 and J commits.  The K commits' frames all have one length;
-        with ``name_len == 4`` so do the J, and every new frame ends
-        exactly where a stale one began."""
+    def _recycled(self, tmp_path, path, name_len):
+        """K commits, a checkpoint, J - 1 commits, then the J-th, on an
+        open library; returns a copy of its file from before the J-th,
+        the ``-wal`` before and after that last append, where the append
+        starts and ends, and the id lists after J - 1 and J commits."""
         db = _opened(path)  # commit 1: the table
-        db.checkpoint()
         for i in range(self.K):
             db.execute(_INSERT, (100 + i, f"{i:04d}"))
         db.checkpoint()
         for i in range(self.J - 1):
             db.execute(_INSERT, (200 + i, "x" * name_len))
-        with open(path + ".wal", "rb") as fh:
-            before = fh.read()
+        base = str(tmp_path / "base.rdb")
+        copy_open(path, base, b"")
+        before, start = read_wal(path), wal_end(path)
         db.execute(_INSERT, (200 + self.J - 1, "x" * name_len))
+        after, end, frame = read_wal(path), wal_end(path), frame_size(path)
         db.close()
-        with open(path + ".wal", "rb") as fh:
-            after = fh.read()
         old, new = list(range(100, 100 + self.K)), list(range(200, 200 + self.J))
-        return before, after, old + new[:-1], old + new
+        return base, before, after, (start, end, frame), old + new[:-1], old + new
 
     @pytest.mark.parametrize("name_len", [4, 1, 9], ids=["aligned", "shorter", "longer"])
     def test_torn_last_append_over_stale_bytes(self, tmp_path, path, name_len):
-        """The last append cut at every byte, the stale bytes after the cut
-        left as a torn overwrite leaves them: the database is the model
-        after J - 1 commits, or after J once the frame is whole."""
-        before, after, ids_before, ids_after = self._recycled(path, name_len)
+        """The last append cut at many bytes, the stale bytes after the
+        cut left as a torn overwrite leaves them: the database is the
+        model after J - 1 commits, or after J once the commit is whole."""
+        base, before, after, (start, end, frame), ids_before, ids_after = self._recycled(
+            tmp_path, path, name_len
+        )
         assert len(after) == len(before)  # overwritten in place
-        end = read_log(path + ".wal").end
-        if name_len == 4:  # a whole frame of the previous generation follows
-            length, seq = struct.unpack_from("<IQ", after, end)
-            assert seq == 2 + self.J and end + 16 + length <= len(after)
-        copy = str(tmp_path / "copy" / "lib.rdb")
-        os.makedirs(os.path.dirname(copy))
-        shutil.copy(path, copy)
-        with open(copy + ".wal", "wb") as fh:
-            fh.write(before)
-        start = read_log(copy + ".wal").end  # where the last append began
-        for cut in range(start, end + 1):
-            with open(copy + ".wal", "wb") as fh:
-                fh.write(after[:cut] + before[cut:])
+        assert end < len(after)  # frames of the previous generation follow
+        copy = str(tmp_path / "copy.rdb")
+        for cut in cuts(start, end, frame, step=97):
+            copy_open(base, copy, after[:cut] + before[cut:])
             assert _ids(copy) == (ids_after if cut == end else ids_before), cut
 
     def test_reopen_and_write_keep_the_file(self, path):
-        self._recycled(path, 4)
-        before = os.stat(path + ".wal")
-        db = _opened(path, 300)
-        db.close()
-        after = os.stat(path + ".wal")
-        assert (after.st_ino, after.st_size) == (before.st_ino, before.st_size)
+        """Neither a checkpoint nor the writes after it truncate or
+        replace ``-wal``: it keeps the most it ever held."""
+        db = _opened(path, *range(20))
+        before = os.stat(path + "-wal")
+        db.checkpoint()
+        folded = os.stat(path + "-wal")
+        db.execute(_INSERT, (300, "n300"))
+        after = os.stat(path + "-wal")
+        assert before.st_ino == folded.st_ino == after.st_ino
+        assert before.st_size <= folded.st_size == after.st_size
         assert after.st_blocks >= before.st_blocks
-        assert read_log(path + ".wal").last == 2 + self.K + self.J
+        assert wal_end(path) < after.st_size  # the write started over in place
+        assert read_log(path).last == db.commit_seq == 22
+        db.close()
 
-    def test_frames_behind_a_corrupt_one_stay_dropped(self, path):
-        """Replay stops at a corrupt frame and drops the commits behind
-        it.  The next commit overwrites that frame with one of the same
-        length, so the dropped frames line up again with their own
-        sequences; their CRCs ran on from the frame they followed, and
-        they stay dropped."""
+    def test_frames_behind_a_corrupt_one_stay_dropped(self, tmp_path, path):
+        """Recovery stops at a frame whose checksum fails and drops every
+        commit behind it; the next commit takes the corrupt one's place."""
         db = _opened(path, 10)  # commits 1 (the table) and 2
-        start = read_log(path + ".wal").end  # commit 3's frame
+        start = wal_end(path)  # commit 3's frames
         for i in (11, 12, 13):
             db.execute(_INSERT, (i, f"n{i}"))
+        wal = bytearray(read_wal(path)[: wal_end(path)])
+        copy = str(tmp_path / "copy.rdb")
+        wal[start + frame_size(path) // 2] ^= 0x55
+        copy_open(path, copy, bytes(wal))
         db.close()
-        with open(path + ".wal", "r+b") as fh:
-            fh.seek(start + 20)
-            byte = fh.read(1)
-            fh.seek(start + 20)
-            fh.write(bytes([byte[0] ^ 0x55]))
-        assert _ids(path) == [10]
-        _opened(path, 20).close()  # commit 3 again, in the corrupt frame's place
-        assert read_log(path + ".wal").last == 3
-        assert _ids(path) == [10, 20]
+        assert _ids(copy) == [10]
+        _opened(copy, 20).close()  # commit 3 again
+        assert read_log(copy).last == 3
+        assert _ids(copy) == [10, 20]

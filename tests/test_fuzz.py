@@ -3,10 +3,13 @@ an unexpected exception.  Every parser/codec boundary in the system gets a
 hypothesis-driven hostile-input pass.
 """
 
+import contextlib
 import datetime
 import os
+import re
 import shutil
-import struct
+import sqlite3
+import zlib
 
 import numpy as np
 import pytest
@@ -18,9 +21,9 @@ from repro.core.snapshots import SnapshotRequiredError, open_snapshot_store
 from repro.core.store import FeatureStore
 from repro.core.system import VideoRetrievalSystem
 from repro.db import Database
-from repro.db.errors import DatabaseError, StorageError
-from repro.db.storage import Storage, read_log
-from repro.db.types import encode_value
+from repro.db.errors import DatabaseError, StorageError, TypeMismatchError
+from repro.core.snapshots import read_log
+from repro.db.types import decode_commit, encode_commit
 from repro.imaging.image import Image, ImageFormatError, decode_image
 from repro.snapshot import Snapshot, SnapshotError, write_snapshot
 from repro.video.codec import RvfError, RvfReader, encode_rvf_bytes
@@ -109,27 +112,26 @@ class TestSqlFuzz:
         "<", ">", "<=", "?", "'abc'", "42", "3.5", ";",
     ]
 
+    @staticmethod
+    def _database():
+        db = Database()
+        db.execute("CREATE TABLE T (X NUMBER)")
+        return db
+
     @settings(max_examples=150, deadline=None)
     @given(tokens=st.lists(st.sampled_from(_TOKENS), min_size=1, max_size=14))
     def test_token_soup_parses_or_typed_error(self, tokens):
-        from repro.db.errors import SqlSyntaxError
-        from repro.db.sql import parse
-
-        text = " ".join(tokens)
         try:
-            parse(text)
-        except SqlSyntaxError:
+            self._database().execute(" ".join(tokens))
+        except DatabaseError:
             pass
 
     @settings(max_examples=80, deadline=None)
     @given(text=st.text(max_size=60))
     def test_arbitrary_text(self, text):
-        from repro.db.errors import SqlSyntaxError
-        from repro.db.sql import parse
-
         try:
-            parse(text)
-        except SqlSyntaxError:
+            self._database().execute(text)
+        except DatabaseError:
             pass
 
     @settings(max_examples=60, deadline=None)
@@ -144,21 +146,29 @@ class TestSqlFuzz:
 
 
 class TestStorageFuzz:
+    """A library file is SQLite's.  Whatever its bytes, the facade either
+    raises a typed error or reads what SQLite itself reads from them."""
+
     def _make_files(self, tmp_path):
+        """A library with one commit in the file and one only in its
+        -wal; returns its path (the copy's), still open underneath."""
         path = str(tmp_path / "fuzz.rdb")
         db = Database.open(path)
         db.execute("CREATE TABLE T (ID NUMBER PRIMARY KEY, NAME VARCHAR2(10))")
         db.execute("INSERT INTO T (ID, NAME) VALUES (1, 'a')")
         db.checkpoint()
         db.execute("INSERT INTO T (ID, NAME) VALUES (2, 'b')")
+        copy = str(tmp_path / "copy.rdb")
+        shutil.copyfile(path, copy)
+        shutil.copyfile(path + "-wal", copy + "-wal")
         db.close()
-        return path
+        return copy
 
     @pytest.mark.parametrize("which", ["snapshot", "wal"])
     @pytest.mark.parametrize("fraction", [0.0, 0.3, 0.7, 0.95])
     def test_truncations(self, tmp_path, which, fraction):
         path = self._make_files(tmp_path)
-        target = path if which == "snapshot" else path + ".wal"
+        target = path if which == "snapshot" else path + "-wal"
         with open(target, "rb") as fh:
             data = fh.read()
         with open(target, "wb") as fh:
@@ -170,29 +180,25 @@ class TestStorageFuzz:
                 assert len(db.execute("SELECT * FROM T").rows) <= 2
             db.close()
         except DatabaseError:
-            # StorageError (corrupt file) or a replay error after losing
-            # the snapshot (WAL statements referencing a vanished table)
             pass
 
     def test_random_bytes_in_snapshot(self, tmp_path):
-        from repro.db.errors import StorageError
-
         path = self._make_files(tmp_path)
         gen = np.random.default_rng(0)
         with open(path, "rb") as fh:
             data = bytearray(fh.read())
-        # corrupt 5 random bytes beyond the magic
-        for pos in gen.integers(4, len(data), size=5):
+        # corrupt 5 random bytes beyond SQLite's 100-byte header
+        for pos in gen.integers(100, len(data), size=5):
             data[pos] ^= 0xFF
         with open(path, "wb") as fh:
             fh.write(bytes(data))
         try:
             db = Database.open(path)
             try:
-                db.execute("SELECT * FROM T")  # a row-level error surfaces here
+                db.execute("SELECT * FROM T")  # a page-level error surfaces here
             finally:
                 db.close()
-        except (StorageError, DatabaseError):
+        except DatabaseError:
             pass
 
     # -- a file with every column type ---------------------------------------
@@ -203,14 +209,16 @@ class TestStorageFuzz:
     )
     _MEDIA_ROWS = [
         (1, 2.5, "one", datetime.date(2012, 10, 1), b"\x00\x01\x02", b"RVF" * 9, b"P6 img"),
-        (2, None, "d\u00e9ux", None, None, b"", None),
-        (3, -7, "three", datetime.date(1999, 12, 31), bytes(range(40)), None, b"P5 x"),
+        (2, None, "déux", None, None, b"", None),
+        (3, -7, "three", datetime.date(1999, 12, 31), bytes(range(40)) * 150, None, b"P5 x"),
     ]
+    _MEDIA_COLUMNS = ("ID", "SCORE", "NAME", "DAY", "DATA", "CLIP", "FRAME")
 
     @pytest.fixture(scope="class")
     def media(self, tmp_path_factory):
-        """A checkpointed file holding NUMBER (int, float), VARCHAR2, DATE,
-        BLOB, ORD_VIDEO, ORD_IMAGE and NULLs; returns a scratch dir and it."""
+        """A checkpointed, closed library holding NUMBER (int, float),
+        VARCHAR2, DATE, BLOB (one over a page), ORD_VIDEO, ORD_IMAGE and
+        NULLs; returns a scratch dir and its bytes."""
         root = tmp_path_factory.mktemp("media")
         path = str(root / "media.rdb")
         db = Database.open(path)
@@ -223,86 +231,61 @@ class TestStorageFuzz:
                 row,
             )
         db.execute("INSERT INTO TAGS (ID, LABEL) VALUES (1, 'sport')")
-        db.checkpoint()
         db.close()
-        os.remove(path + ".wal")
         with open(path, "rb") as fh:
             return root, fh.read()
 
     @staticmethod
-    def _reference(data: bytes):
-        """How the file reads the long way round: each section's DDL
-        executed, every cell decoded on its own, each row inserted through
-        SQL.  ``{table: rows}``, or None where that refuses the file."""
-        u32 = struct.Struct("<I")
-
-        def value(section, off):
-            tag, off = section[off], off + 1
-            if tag == 0:
-                return None, off
-            if tag in (1, 2):
-                raw = section[off : off + 8]
-                if len(raw) != 8:
-                    raise ValueError("truncated")
-                return struct.unpack("<q" if tag == 1 else "<d", raw)[0], off + 8
-            if tag not in (3, 4, 5):
-                raise ValueError(f"tag {tag}")
-            (n,) = u32.unpack_from(section, off)
-            raw = section[off + 4 : off + 4 + n]
-            if len(raw) != n:
-                raise ValueError("truncated")
-            if tag == 4:
-                return raw, off + 4 + n
-            text = raw.decode("utf-8")
-            return (datetime.date.fromisoformat(text) if tag == 5 else text), off + 4 + n
-
-        if not data:  # an empty file is a new database
-            return {}
-        db = Database()
+    def _reference(root, data: bytes):
+        """How SQLite itself reads the bytes, through a plain read-only
+        connection, DATE cells parsed: ``{table: rows}``, or None where
+        that refuses the file."""
+        path = os.path.join(str(root), "reference.rdb")
+        with open(path, "wb") as fh:
+            fh.write(data)
         try:
-            if data[:4] != b"RDB3" or len(data) < 28:
-                return None
-            (n_tables,) = u32.unpack_from(data, 28)
-            off = 32
-            for _ in range(n_tables):
-                (n,) = u32.unpack_from(data, off)
-                ddl = data[off + 4 : off + 4 + n].decode("utf-8")
-                off += 4 + n
-                before = set(db.table_names())
-                db.execute(ddl)
-                created = set(db.table_names()) - before
-                if len(created) != 1:
-                    return None
-                table = created.pop()
-                columns = db.schema_of(table).column_names
-                n_rows, length = struct.unpack_from("<IQ", data, off)
-                off += 12
-                end = off + length
-                if end > len(data):
-                    return None
-                section = data[:end]  # no value may run past its section
-                for _ in range(n_rows):
-                    row = []
-                    for _ in columns:
-                        cell, off = value(section, off)
-                        row.append(cell)
-                    db.execute(
-                        f"INSERT INTO {table} ({', '.join(columns)})"
-                        f" VALUES ({', '.join('?' * len(columns))})",
-                        row,
-                    )
-                if off != end:
-                    return None
-            if off != len(data):
-                return None
-        except (DatabaseError, ValueError, IndexError, struct.error):
+            conn = sqlite3.connect(f"file:{path}?mode=ro", uri=True)
+        except sqlite3.Error:
             return None
-        return {t: db.execute(f"SELECT * FROM {t}").rows for t in db.table_names()}
+        try:
+            tables = [
+                name.upper()
+                for (name,) in conn.execute(
+                    "SELECT CAST(name AS TEXT) FROM sqlite_master WHERE type = 'table'"
+                )
+                if name.upper() not in ("COMMITS", "LIBRARY")
+            ]
+            out = {}
+            for table in sorted(tables):
+                info = conn.execute(
+                    "SELECT name FROM pragma_table_info(?) WHERE type = 'DATE'", (table,)
+                )
+                dates = {name.upper() for (name,) in info}
+                cursor = conn.execute(f'SELECT * FROM "{table}"')
+                names = [d[0].upper() for d in cursor.description]
+                rows = [dict(zip(names, row)) for row in cursor]
+                for row in rows:
+                    for name in dates & set(row):
+                        if row[name] is not None:
+                            row[name] = datetime.date.fromisoformat(row[name])
+                out[table] = rows
+            return out
+        except (sqlite3.Error, ValueError, TypeError):
+            return None
+        finally:
+            conn.close()
+            for suffix in ("-wal", "-shm"):
+                if os.path.exists(path + suffix):
+                    os.remove(path + suffix)
 
     def _opens_as_reference(self, root, data: bytes) -> None:
         """``data`` opens, and its tables read, with a typed error or as
-        the reference's rows."""
+        SQLite reads them."""
+        reference = self._reference(root, data)
         path = str(root / "case.rdb")
+        for suffix in ("-wal", "-shm"):
+            if os.path.exists(path + suffix):
+                os.remove(path + suffix)
         with open(path, "wb") as fh:
             fh.write(data)
         try:
@@ -311,17 +294,16 @@ class TestStorageFuzz:
             return
         try:
             got = {t: db.execute(f"SELECT * FROM {t}").rows for t in db.table_names()}
-        except DatabaseError:  # a row-level error: at the first read of its table
+        except DatabaseError:  # a page-level error: at the first read of its table
             return
         finally:
             db.close()
-        assert got == self._reference(data)
+        assert got == reference
 
     def test_media_file_reads_as_reference(self, media):
         root, data = media
-        assert self._reference(data)["MEDIA"] == [
-            dict(zip(("ID", "SCORE", "NAME", "DAY", "DATA", "CLIP", "FRAME"), row))
-            for row in self._MEDIA_ROWS
+        assert self._reference(root, data)["MEDIA"] == [
+            dict(zip(self._MEDIA_COLUMNS, row)) for row in self._MEDIA_ROWS
         ]
         self._opens_as_reference(root, data)
 
@@ -342,37 +324,53 @@ class TestStorageFuzz:
 
     # -- named hostile files ----------------------------------------------------
 
-    @staticmethod
-    def _file(*sections, trailing: bytes = b"", magic: bytes = b"RDB3") -> bytes:
-        """An RDB3 file of ``(ddl, [encoded rows][, section length])``
-        sections; the length defaults to the rows' bytes."""
-        out = [magic, struct.pack("<Q", 0), bytes(16), struct.pack("<I", len(sections))]
-        for ddl, rows, *length in sections:
-            raw = ddl.encode("utf-8")
-            body = b"".join(rows)
-            length = length[0] if length else len(body)
-            out += [struct.pack("<I", len(raw)), raw, struct.pack("<IQ", len(rows), length), body]
-        return b"".join(out) + trailing
-
     _T = "CREATE TABLE T (ID NUMBER PRIMARY KEY, DATA BLOB)"
-    _ROW = encode_value(1) + encode_value(b"abc")
 
     @staticmethod
-    def _write(tmp_path, data: bytes) -> str:
-        path = str(tmp_path / "hostile.rdb")
-        with open(path, "wb") as fh:
-            fh.write(data)
+    def _hostile(tmp_path, *statements, schema=None, ddl=(), name="hostile") -> str:
+        """A library with T holding row (1, b'abc') and the tables ``ddl``
+        creates, then ``statements`` run by a plain connection with CHECK
+        constraints off (what another writer could leave), then T's
+        stored DDL replaced by ``schema``."""
+        path = str(tmp_path / f"{name}.rdb")
+        db = Database.open(path)
+        for text in (TestStorageFuzz._T,) + tuple(ddl):
+            db.execute(text)
+        db.execute("INSERT INTO T (ID, DATA) VALUES (1, ?)", (b"abc",))
+        db.close()
+        raw = sqlite3.connect(path)
+        raw.execute("PRAGMA ignore_check_constraints = ON")
+        for text in statements:
+            raw.execute(text)
+        if schema is not None:
+            raw.execute("PRAGMA writable_schema = ON")
+            raw.execute("UPDATE sqlite_master SET sql = ? WHERE name = 'T'", (schema,))
+        raw.commit()
+        raw.close()
         return path
 
-    def _refused(self, tmp_path, data: bytes, match: str) -> None:
-        """A header or section-structure error: the open fails."""
-        with pytest.raises(StorageError, match=match):
-            Database.open(self._write(tmp_path, data))
+    def _reads_as_reference(self, path) -> Database:
+        """The file opens, and reads as SQLite reads it; returns it open."""
+        with open(path, "rb") as fh:
+            data = fh.read()
+        reference = self._reference(os.path.dirname(path), data)
+        db = Database.open(path)
+        assert {t: db.execute(f"SELECT * FROM {t}").rows for t in db.table_names()} == reference
+        return db
 
-    def _refused_at_first_read(self, tmp_path, data: bytes, match: str) -> None:
-        """A row-level error: the file opens, and the first statement that
-        reads the table fails -- as does every later one."""
-        db = Database.open(self._write(tmp_path, data))
+    def _refused(self, path, match: str) -> None:
+        """A header or schema error: the open fails."""
+        with pytest.raises(StorageError, match=match):
+            Database.open(path)
+
+    def _refused_at_first_read(self, path, match: str) -> None:
+        """A page-level error: the open, or else the first statement that
+        reads the table, fails -- as does every later one."""
+        try:
+            db = Database.open(path)
+        except StorageError as exc:
+            assert re.search(match, str(exc))
+            return
         try:
             for text in ("SELECT * FROM T", "SELECT MAX(ID) FROM T"):
                 with pytest.raises(StorageError, match=match):
@@ -381,85 +379,214 @@ class TestStorageFuzz:
             db.close()
 
     def test_well_formed_file_opens(self, tmp_path):
-        db = Database.open(self._write(tmp_path, self._file((self._T, [self._ROW]))))
+        db = Database.open(self._hostile(tmp_path))
         assert db.execute("SELECT * FROM T").rows == [{"ID": 1, "DATA": b"abc"}]
         db.close()
 
     def test_blob_length_past_end_of_file(self, tmp_path):
-        row = encode_value(1) + bytes([4]) + struct.pack("<I", 1000) + b"abc"
-        self._refused_at_first_read(tmp_path, self._file((self._T, [row])), "truncated")
+        """A BLOB whose overflow pages the file no longer holds."""
+        path = self._hostile(tmp_path, "INSERT INTO T (ID, DATA) VALUES (2, zeroblob(20000))")
+        with open(path, "r+b") as fh:
+            fh.truncate(os.path.getsize(path) - 8192)
+        self._refused_at_first_read(path, "malformed")
 
     def test_tag_of_the_wrong_type_for_its_column(self, tmp_path):
-        row = encode_value("1") + encode_value(b"abc")  # a str in a NUMBER column
-        self._refused_at_first_read(tmp_path, self._file((self._T, [row])), "value tag 3")
+        """A str in a NUMBER column reads as it is held; the facade's
+        CHECK refuses writing it back."""
+        db = self._reads_as_reference(
+            self._hostile(tmp_path, "INSERT INTO T (ID, DATA) VALUES ('1', x'00')")
+        )
+        with pytest.raises(TypeMismatchError, match="ID NUMBER"):
+            db.execute("UPDATE T SET ID = ? WHERE ID = '1'", ("1",))
+        db.close()
 
     def test_duplicate_primary_key(self, tmp_path):
-        data = self._file((self._T, [self._ROW, self._ROW]))
-        self._refused_at_first_read(tmp_path, data, "duplicate")
+        """A table another writer made without the key holds the same id
+        twice: it reads as SQLite holds it."""
+        path = self._hostile(
+            tmp_path, "CREATE TABLE K (ID, DATA)", "INSERT INTO K VALUES (1, 'a')",
+            "INSERT INTO K VALUES (1, 'b')",
+        )
+        db = self._reads_as_reference(path)
+        assert len(db.execute("SELECT * FROM K WHERE ID = 1").rows) == 2
+        db.close()
 
     def test_value_its_column_refuses(self, tmp_path):
-        ddl = "CREATE TABLE T (ID NUMBER PRIMARY KEY, NAME VARCHAR2(2))"
-        row = encode_value(1) + encode_value("abc")
-        self._refused_at_first_read(tmp_path, self._file((ddl, [row])), r"exceeds VARCHAR2\(2\)")
+        """A VARCHAR2(2) cell holding three characters reads as held; the
+        facade refuses writing another such value."""
+        path = self._hostile(tmp_path, "INSERT INTO N VALUES (1, 'abc')",
+                             ddl=["CREATE TABLE N (ID NUMBER, NAME VARCHAR2(2))"])
+        db = self._reads_as_reference(path)
+        with pytest.raises(TypeMismatchError, match=r"NAME VARCHAR2\(2\)"):
+            db.execute("INSERT INTO N (ID, NAME) VALUES (2, 'abc')")
+        db.close()
 
     def test_null_in_a_not_null_column(self, tmp_path):
-        row = encode_value(None) + encode_value(b"abc")  # a NULL primary key
-        self._refused_at_first_read(tmp_path, self._file((self._T, [row])), "NOT NULL")
+        """A NULL primary key, left by a writer whose DDL had no NOT NULL."""
+        path = self._hostile(tmp_path, schema='CREATE TABLE "T" ("ID" PRIMARY KEY, "DATA")')
+        raw = sqlite3.connect(path)
+        (ddl,) = raw.execute("SELECT sql FROM sqlite_master WHERE name = 'LIBRARY'").fetchone()
+        raw.execute("INSERT INTO T VALUES (NULL, x'01')")
+        raw.execute("PRAGMA writable_schema = ON")
+        raw.execute("UPDATE sqlite_master SET sql = ? WHERE name = 'T'",
+                    ('CREATE TABLE "T" ("ID" PRIMARY KEY NOT NULL, "DATA")',))
+        raw.commit()
+        raw.close()
+        db = self._reads_as_reference(path)
+        assert db.execute("SELECT DATA FROM T WHERE ID = 1").rows == [{"DATA": b"abc"}]
+        db.close()
 
     def test_nan_in_a_number_column(self, tmp_path):
-        ddl = "CREATE TABLE T (ID NUMBER PRIMARY KEY, X NUMBER)"
-        row = encode_value(1) + encode_value(float("nan"))
-        self._refused_at_first_read(tmp_path, self._file((ddl, [row])), "NaN")
+        """SQLite keeps no NaN (it binds as NULL), so the facade refuses one."""
+        db = Database.open(self._hostile(tmp_path))
+        with pytest.raises(TypeMismatchError, match="NaN"):
+            db.execute("INSERT INTO T (ID) VALUES (?)", (float("nan"),))
+        assert db.execute("SELECT ID FROM T").rows == [{"ID": 1}]
+        db.close()
 
     def test_date_column_refuses_a_string_that_is_no_date(self, tmp_path):
-        ddl = "CREATE TABLE T (ID NUMBER PRIMARY KEY, D DATE)"
-        ok = encode_value(1) + encode_value("2012-10-01")  # an ISO string is coerced
-        db = Database.open(self._write(tmp_path, self._file((ddl, [ok]))))
-        assert db.execute("SELECT D FROM T").rows == [{"D": datetime.date(2012, 10, 1)}]
+        dated = ["CREATE TABLE D (ID NUMBER, D DATE)"]
+        path = self._hostile(tmp_path, "INSERT INTO D VALUES (1, '2012-10-01')", ddl=dated)
+        db = Database.open(path)
+        assert db.execute("SELECT D FROM D").rows == [{"D": datetime.date(2012, 10, 1)}]
         db.close()
-        row = encode_value(1) + encode_value("someday")
-        self._refused_at_first_read(tmp_path, self._file((ddl, [row])), "ISO format")
+        path = self._hostile(tmp_path, "INSERT INTO D VALUES (2, 'someday')", ddl=dated,
+                             name="someday")
+        db = Database.open(path)
+        for _ in range(2):
+            with pytest.raises(StorageError, match="no ISO date"):
+                db.execute("SELECT D FROM D")
+        db.close()
 
     _SECTIONS = {
-        "DELETE FROM T": "not CREATE TABLE",
-        "INSERT INTO T (ID) VALUES (2)": "not CREATE TABLE",
-        "UPDATE T SET ID = 2": "not CREATE TABLE",
-        "DROP TABLE T": "unreadable table section",  # not in the dialect
+        "DELETE FROM T": "malformed database schema",
+        "INSERT INTO T (ID) VALUES (2)": "malformed database schema",
+        "UPDATE T SET ID = 2": "malformed database schema",
+        "DROP TABLE T": "malformed database schema",
     }
 
     @pytest.mark.parametrize("section", list(_SECTIONS))
     def test_table_section_holding_another_statement(self, tmp_path, section):
-        data = self._file((self._T, [self._ROW]), (section, []))
-        self._refused(tmp_path, data, self._SECTIONS[section])
+        """T's stored DDL replaced by another statement."""
+        self._refused(self._hostile(tmp_path, schema=section), self._SECTIONS[section])
 
     def test_bytes_after_the_last_table(self, tmp_path):
-        data = self._file((self._T, [self._ROW]), trailing=b"\x00")
-        self._refused(tmp_path, data, "1 bytes after the last table")
+        path = self._hostile(tmp_path)
+        with open(path, "ab") as fh:
+            fh.write(b"\x00")
+        self._reads_as_reference(path).close()
 
     def test_rdb2_magic(self, tmp_path):
-        data = self._file((self._T, [self._ROW]), magic=b"RDB2")
-        self._refused(tmp_path, data, "bad magic b'RDB2'")
+        """A library in the engine's own layouts (RDB2, RDB3) is refused."""
+        for magic in (b"RDB2", b"RDB3"):
+            path = str(tmp_path / "old.rdb")
+            with open(path, "wb") as fh:
+                fh.write(magic + bytes(60))
+            self._refused(path, "not a database")
+
+    def _with_page_count(self, tmp_path, delta):
+        """The header's page count (offset 28) moved by ``delta``."""
+        path = self._hostile(tmp_path, "INSERT INTO T (ID, DATA) VALUES (2, zeroblob(9000))")
+        with open(path, "r+b") as fh:
+            fh.seek(28)
+            count = int.from_bytes(fh.read(4), "big")
+            fh.seek(28)
+            fh.write((count + delta).to_bytes(4, "big"))
+        return path
+
+    def _typed_or_reference(self, path) -> None:
+        try:
+            self._reads_as_reference(path).close()
+        except DatabaseError:
+            pass
 
     def test_section_length_past_end_of_file(self, tmp_path):
-        data = self._file((self._T, [self._ROW], len(self._ROW) + 1))
-        self._refused(tmp_path, data, "run past the end of the file")
+        self._typed_or_reference(self._with_page_count(tmp_path, 5))
 
     def test_section_length_shorter_than_its_rows(self, tmp_path):
-        # the walk goes on from the stated end: the row's last byte is left over
-        data = self._file((self._T, [self._ROW], len(self._ROW) - 1))
-        self._refused(tmp_path, data, "1 bytes after the last table")
-        # the section stops inside the row, and the next one starts there
-        data = self._file((self._T, [self._ROW[:-1]]), ("CREATE TABLE U (X NUMBER)", []))
-        self._refused_at_first_read(tmp_path, data, "ends inside a LOB")
+        self._typed_or_reference(self._with_page_count(tmp_path, -2))
 
     def test_section_length_longer_than_its_rows(self, tmp_path):
-        data = self._file((self._T, [self._ROW + b"\x00"]))
-        self._refused_at_first_read(tmp_path, data, "1 bytes after its 1 rows")
+        self._typed_or_reference(self._with_page_count(tmp_path, 1))
+
+
+class TestCommitBodyFuzz:
+    """``COMMITS`` bodies: a hostile, truncated or CRC-valid-but-wrong body
+    is a :class:`StorageError` from the decoder, and a library whose log
+    holds one serves the SQL rebuild."""
+
+    _BODY = encode_commit([
+        ("INSERT INTO T (ID, NAME, DATA, D) VALUES (?, ?, ?, ?)",
+         (1, "né", b"\x00\xff", datetime.date(2012, 10, 1))),
+        ("DELETE FROM T WHERE ID = ?", (2.5,)),
+    ])
+
+    @staticmethod
+    def _crc_valid(rest: bytes) -> bytes:
+        return zlib.crc32(rest).to_bytes(4, "little") + rest
+
+    def _decodes_or_typed(self, body: bytes):
+        try:
+            statements = decode_commit(body)
+        except StorageError:
+            return None
+        assert all(isinstance(text, str) and isinstance(params, tuple)
+                   for text, params in statements)
+        return statements
+
+    def test_round_trip(self):
+        assert decode_commit(self._BODY)[0][1][3] == datetime.date(2012, 10, 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_truncations(self, data):
+        cut = data.draw(st.integers(0, len(self._BODY) - 1))
+        with pytest.raises(StorageError):
+            decode_commit(self._BODY[:cut])
+        # a truncation whose CRC is made to hold again
+        rest = self._BODY[4:cut] if cut > 4 else b""
+        self._decodes_or_typed(self._crc_valid(rest))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_byte_flips(self, data):
+        body = bytearray(self._BODY)
+        body[data.draw(st.integers(0, len(body) - 1))] ^= data.draw(st.integers(1, 255))
+        with pytest.raises(StorageError):
+            decode_commit(bytes(body))
+        self._decodes_or_typed(self._crc_valid(bytes(body[4:])))
+
+    @settings(max_examples=200, deadline=None)
+    @given(rest=st.binary(max_size=64))
+    def test_crc_valid_random_bodies(self, rest):
+        self._decodes_or_typed(self._crc_valid(rest))
+
+    def test_hostile_body_in_a_library_rebuilds(self, tmp_path):
+        config = SystemConfig(features=("sch",), keyframe_base_size=60)
+        lib = str(tmp_path / "lib.rdb")
+        system = VideoRetrievalSystem.open(lib, config)
+        gen = np.random.default_rng(7)
+        clip = [Image(gen.integers(0, 256, (20, 24, 3), dtype=np.uint8)) for _ in range(2)]
+        system.admin.checkpoint()
+        system.admin.add_video(clip, name="a", category="misc")
+        seq = system.db.commit_seq
+        system.close()
+        raw = sqlite3.connect(lib)
+        raw.execute("UPDATE COMMITS SET BODY = ? WHERE SEQ = ?",
+                    (self._crc_valid(b"\xff\xff\xff\x7f"), seq))
+        raw.commit()
+        raw.close()
+        reopened = VideoRetrievalSystem.open(lib, config)
+        assert reopened.snapshots.served_from == "rebuild"
+        assert reopened.n_key_frames() == len(reopened.key_frames_of(1)) > 0
+        reopened.close()
+        with pytest.raises(StorageError):
+            open_snapshot_store(lib + ".snap")
 
 
 class TestCommitRecordFuzz:
-    """Log records whose CRC holds but whose contents are hostile: the
-    store now reads them too.  A durable library either refuses to open
+    """Logged commits whose contents are hostile: the store replays them
+    too.  A durable library either refuses to open
     with a typed error or opens with its store equal to the SQL rebuild;
     a reader without the database gets a typed error or the store it
     would have had."""
@@ -480,23 +607,30 @@ class TestCommitRecordFuzz:
             if name == "a":
                 system.admin.checkpoint()
         system.close()
-        return lib, read_log(lib + ".wal").commits[-1]
+        return lib, read_log(lib).commits[-1]
 
     def _library_with(self, template, tmp_path, statements=None, header=None):
+        """A copy of the library with one more commit: ``statements`` run
+        through SQL, which logs them in the same transaction (a commit SQL
+        refuses is not logged either); ``header`` rewrites a column of its
+        ``LIBRARY`` row.  Bodies that disagree with SQL are
+        :class:`TestCommitBodyFuzz`'s."""
         lib, _commit = template
         copy = str(tmp_path / "lib.rdb")
-        for suffix in ("", ".wal", ".snap"):
+        for suffix in ("", ".snap"):
             shutil.copy(lib + suffix, copy + suffix)
         if statements is not None:
-            storage = Storage(copy)
-            storage.load_into(Database())
-            storage.log_transaction(statements)
-            storage.close()
+            db = Database.open(copy)
+            with contextlib.suppress(DatabaseError):
+                with db.transaction():
+                    for text, params in statements:
+                        db.execute(text, params)
+            db.close()
         if header is not None:
-            offset, field = header
-            with open(copy + ".wal", "r+b") as fh:
-                fh.seek(offset)
-                fh.write(field)
+            raw = sqlite3.connect(copy)
+            raw.execute("UPDATE LIBRARY SET " + header[0] + " = ?", (header[1],))
+            raw.commit()
+            raw.close()
         return copy
 
     def _check(self, lib):
@@ -573,8 +707,8 @@ class TestCommitRecordFuzz:
             ],
         }
         headers = {
-            "bad_header_sequence": (4, struct.pack("<Q", 7)),
-            "bad_header_token": (12, bytes(16)),
+            "bad_header_sequence": ("BASE", 7),
+            "bad_header_token": ("TOKEN", "0" * 32),
         }
         self._check(
             self._library_with(
@@ -631,7 +765,7 @@ class TestSnapshotHeaderFuzz:
 
     def _library_with(self, template, directory, mutate):
         copy = str(directory / "lib.rdb")
-        for suffix in ("", ".wal", ".snap"):
+        for suffix in ("", ".snap"):
             shutil.copy(template + suffix, copy + suffix)
 
         def without_pad(header):
