@@ -10,7 +10,7 @@ The package implements the paper's complete system from scratch:
 - :mod:`repro.indexing` -- the §4.2 histogram range-finder index
 - :mod:`repro.similarity` -- distance measures, DP sequence similarity and
   feature fusion
-- :mod:`repro.db` -- an embedded mini relational engine (replaces Oracle 9i)
+- :mod:`repro.db` -- a thin facade over the stdlib sqlite3 (replaces Oracle 9i)
 - :mod:`repro.core` -- the retrieval system proper (admin + user roles)
 - :mod:`repro.eval` -- ground truth, precision metrics, simulated user study,
   and the Table 1 experiment driver

@@ -4,8 +4,8 @@ Each statement of the paper's dialect (``docs/sql_dialect.md``) is
 checked and rewritten for SQLite (:func:`_prepare`); every :mod:`sqlite3`
 error leaves as the :class:`DatabaseError` it stands for.  A durable
 library is one file in WAL mode, ``synchronous=FULL`` (one fsync per
-commit); each commit also writes its statements into ``COMMITS``, numbered
-by ``commit_seq``, and ``LIBRARY`` holds the library's token and the log's
+commit); each commit also writes its statements (BLOB parameters as NULL)
+into ``COMMITS``, numbered by ``commit_seq``, and ``LIBRARY`` holds the library's token and the log's
 base (the last commit a checkpoint dropped): the store's image catches up
 from them (:func:`repro.core.snapshots.read_log`).
 """
@@ -30,8 +30,7 @@ __all__ = ["Database", "ResultSet", "build_insert", "build_select", "quote_ident
 
 #: prepared statements a database keeps, by text (started over when full)
 _PARSE_CACHE_SIZE = 256
-#: the facade's own tables in a durable library
-_OWN_TABLES = ("COMMITS", "LIBRARY")
+_OWN_TABLES = ("COMMITS", "LIBRARY")  # the facade's own tables in a durable library
 
 
 @dataclass(frozen=True)
@@ -339,8 +338,9 @@ class Database:
             else:  # a write: in the open transaction, or in its own
                 with self.transaction() if self._tx is None else contextlib.nullcontext():
                     result = ResultSet(rowcount=max(self._sql(sql, values)[0].rowcount, 0))
-                    if self.path is not None:
-                        self._tx.append((text, tuple(params)))
+                    if self.path is not None:  # a BLOB is logged as NULL: no replay reads one
+                        self._tx.append((text, tuple(None if isinstance(p, (bytes, bytearray))
+                                                     else p for p in params)))
                 if kind == "create":
                     self._dates = None
         if self._m_statements is not None:
