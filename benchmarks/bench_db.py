@@ -3,8 +3,9 @@
 Regenerates the table in docs/performance.md ("Opening a library").  For
 each size it builds, seeded, a durable library with the paper's two tables
 (``core.catalog.bootstrap``) whose ``KEY_FRAMES`` holds that many rows
-shaped like ingest's -- ten key frames a video, six feature strings, a PPM
-blob -- then, ``--repeats`` times on the closed library, times:
+shaped like ingest's -- 26 key frames a video, six 240-character feature
+strings, a 1 KB image -- then, ``--repeats`` times on the closed library,
+times:
 
 - **open**: ``Database.open``;
 - **first write** after the open: one ingest-shaped add -- ``MAX(V_ID)``,
@@ -33,7 +34,7 @@ from repro.core.catalog import FEATURE_COLUMNS, bootstrap
 from repro.db import Database, build_insert
 
 SEED = 2012
-FRAMES_PER_VIDEO = 10
+FRAMES_PER_VIDEO = 26
 FEATURES = ("SCH", "GLCM", "GABOR", "TAMURA", "ACC", "NAIVE")
 _FRAME_COLUMNS = ("I_ID", "I_NAME", "IMAGE", "MIN", "MAX", "MAJORREGIONS", "V_ID") + FEATURES
 _INSERT_FRAME = build_insert("KEY_FRAMES", _FRAME_COLUMNS)
@@ -42,14 +43,14 @@ assert set(FEATURES) <= set(FEATURE_COLUMNS.values())
 
 
 class _Rows:
-    """Seeded payloads: feature strings of 16 values, a 256-byte image."""
+    """Seeded payloads: 240-character feature strings, a 1 KB image."""
 
     def __init__(self, seed: int):
         gen = np.random.default_rng(seed)
         self.features = [
-            " ".join(f"{v:.6f}" for v in gen.random(16)) for _ in range(64)
+            " ".join(f"{v:.8f}" for v in gen.random(24))[:240] for _ in range(64)
         ]
-        self.image = gen.integers(0, 256, 256, dtype=np.uint8).tobytes()
+        self.image = gen.integers(0, 256, 1024, dtype=np.uint8).tobytes()
         self.video = gen.integers(0, 256, 2048, dtype=np.uint8).tobytes()
 
     def video_row(self, video_id: int):

@@ -1,10 +1,13 @@
 """VideoRetrievalSystem facade tests (ingest, roles, content access)."""
 
+import datetime
+
 import pytest
 
 from repro.core.config import SystemConfig
+from repro.core.ingest import _INSERT_VIDEO
 from repro.core.system import AuthenticationError, VideoRetrievalSystem
-from repro.db.errors import DatabaseError
+from repro.db.errors import ConstraintError, DatabaseError, TypeMismatchError
 from repro.imaging.image import Image
 
 
@@ -153,3 +156,37 @@ class TestPersistence:
 
         assert os.path.getsize(path) > 0
         s.close()
+
+
+class TestDatabaseContract:
+    """What the system relies on from its database, seen through the system."""
+
+    def test_search_by_name_is_case_sensitive(self, system, small_corpus):
+        name = small_corpus[0].name
+        assert [r["V_NAME"] for r in system.search_by_name(name[:4] + "%")] == [name]
+        assert system.search_by_name(name[:4].upper() + "%") == []
+
+    def test_a_name_over_60_characters_is_refused(self, system, small_corpus):
+        with pytest.raises(TypeMismatchError):  # a DatabaseError subclass
+            system.admin.add_video(small_corpus[1], name="v" * 61)
+        with pytest.raises(TypeMismatchError):
+            system.admin.rename_video(1, "w" * 61)
+        assert [v["V_NAME"] for v in system.list_videos()] == [
+            small_corpus[0].name, small_corpus[2].name]
+        system.admin.add_video(small_corpus[1], name="v" * 60)
+
+    def test_dostore_round_trips_as_a_date(self, tmp_path, small_corpus):
+        path = str(tmp_path / "lib.rdb")
+        system = VideoRetrievalSystem.open(path)
+        system.admin.add_video(small_corpus[0], stored_on=datetime.date(2011, 3, 4))
+        system.close()
+        reopened = VideoRetrievalSystem.open(path)
+        (video,) = reopened.list_videos()
+        assert video["DOSTORE"] == datetime.date(2011, 3, 4)
+        assert type(video["DOSTORE"]) is datetime.date
+        reopened.close()
+
+    def test_duplicate_v_id_is_a_constraint_error(self, system):
+        with pytest.raises(ConstraintError):
+            system.db.execute(_INSERT_VIDEO, (1, "again", None, None, None, None))
+        assert system.n_videos() == 2

@@ -121,6 +121,15 @@ class TestAdminRoutes:
         assert status == 200
         assert payload["removed_frames"] >= 1
 
+    def test_upload_with_a_name_its_column_refuses(self, api):
+        status, payload = _json(api.handle(
+            "POST", "/admin/videos", body=self._clip_bytes(),
+            headers={"X-Admin-Password": PASSWORD}, query={"name": "n" * 61},
+        ))
+        assert status == 400 and payload["error_type"] == "bad_request"
+        assert "V_NAME" in payload["error"]
+        assert len(_json(api.handle("GET", "/videos"))[1]["videos"]) == 2
+
     def test_upload_requires_name(self, api):
         status, _ = _json(api.handle(
             "POST", "/admin/videos", body=self._clip_bytes(),
