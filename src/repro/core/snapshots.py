@@ -268,11 +268,12 @@ def _replica_tail(snap: Snapshot) -> Optional[Commits]:
 def _catch_up(snap: Snapshot, store: FeatureStore, tail_of, feature_names) -> Optional[Commits]:
     """Adopt ``snap`` into ``store`` and replay the commits ``tail_of(snap)``
     names; returns them.  Meta that does not parse (a CRC-valid header
-    can still hold anything) raises :class:`CorruptSnapshotError`."""
+    can still hold anything, an infinite counter too) raises
+    :class:`CorruptSnapshotError`."""
     try:
         tail = tail_of(snap)
         load_snapshot_into_store(snap, store)
-    except (KeyError, ValueError, TypeError, AttributeError) as exc:
+    except (KeyError, ValueError, TypeError, AttributeError, OverflowError) as exc:
         raise CorruptSnapshotError(
             f"{snap.path}: malformed meta: {type(exc).__name__}: {exc}"
         ) from exc

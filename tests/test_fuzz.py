@@ -824,7 +824,8 @@ class TestSnapshotHeaderFuzz:
             ("log_directory", "mmap"), ("log_empty", "mmap"), ("log_missing", "mmap"),
             ("log_database_file", "mmap"), ("log_nul", "mmap"), ("log_list", "mmap"),
             ("generation_string", "rebuild"), ("generation_null", "rebuild"),
-            ("generation_other", "mmap"), ("structure_generation_list", "rebuild"),
+            ("generation_other", "mmap"), ("generation_infinite", "rebuild"),
+            ("structure_generation_list", "rebuild"),
             ("offset_next_row", "rebuild"), ("offset_negative", "rebuild"),
             ("offset_string", "rebuild"), ("nbytes_short", "rebuild"),
             ("shape_transposed", "rebuild"), ("shape_flat", "rebuild"),
@@ -856,6 +857,7 @@ class TestSnapshotHeaderFuzz:
             "generation_string": meta("generation", "x"),
             "generation_null": meta("generation", None),
             "generation_other": meta("generation", 10**6),
+            "generation_infinite": meta("generation", float("inf")),
             "structure_generation_list": meta("structure_generation", [1]),
             "offset_next_row": section("feat:sch", "offset", lambda v: v + 8),
             "offset_negative": section("frame_ids", "offset", -64),
